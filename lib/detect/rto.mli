@@ -5,7 +5,14 @@
     full window).  This estimator tracks the RTT distribution of answered
     requests and derives the timeout from a high quantile times a safety
     multiplier, clamped to a configured band — the classic RTO idea
-    (Jacobson), quantile-based like production quorum stores tune it. *)
+    (Jacobson), quantile-based like production quorum stores tune it.
+
+    The quantile is exact nearest-rank over every sample observed, the
+    same rank as {!Dsutil.Stats.percentile}, maintained incrementally in
+    two heaps split at that rank: [observe] is O(log n) and allocates
+    nothing beyond amortised array growth, [timeout] is O(1), and memory
+    is one float per sample.  Coordinators create one only when adaptive
+    timeouts are on, so a fixed-timeout run feeds and retains nothing. *)
 
 type config = {
   initial : float;  (** timeout before enough samples exist *)
@@ -13,7 +20,8 @@ type config = {
   max_timeout : float;
   quantile : float;  (** RTT quantile the timeout is derived from *)
   multiplier : float;  (** safety factor over the quantile *)
-  min_samples : int;  (** keep [initial] until this many RTTs observed *)
+  min_samples : int;
+      (** keep [initial] until this many RTTs (at least one) observed *)
 }
 
 val default_config : config
@@ -23,11 +31,15 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
+(** Raises [Invalid_argument] if [config.quantile] is outside [\[0, 1\]]. *)
+
 val observe : t -> float -> unit
 (** Record the RTT of an answered request.  Non-positive samples are
-    ignored. *)
+    ignored.  O(log n). *)
 
 val timeout : t -> float
-(** Current per-phase timeout. *)
+(** Current per-phase timeout: [multiplier] times the nearest-rank
+    [quantile] of the samples, clamped to [\[min_timeout, max_timeout\]].
+    O(1). *)
 
 val samples : t -> int

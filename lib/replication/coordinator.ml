@@ -129,7 +129,8 @@ type batch_state = {
   b_kind : batch_kind;
   mutable b_attempts : int;
   b_started : float;
-  b_spans : (int * Obs.Span.t option) list;  (** one span per key *)
+  b_spans : Obs.Span.t option list;
+      (** one span per entry of [b_keys], by position: a key may repeat *)
   mutable b_phase : phase;
   mutable b_phase_started : float;
   mutable b_waiting : int list;
@@ -153,7 +154,7 @@ type t = {
   mutable view : Detect.View.t;
   budget : Detect.Budget.t option;  (* shared across a process's coordinators *)
   breaker : Detect.Breaker.t option;  (* likewise shared *)
-  rto : Detect.Rto.t;
+  rto : Detect.Rto.t option;  (* [Some] iff [config.adaptive_timeout] *)
   rng : Rng.t;
   n_replicas : int;
   mutable next_seq : int;
@@ -349,8 +350,14 @@ let suspicion_view t =
     ()
 
 let phase_timeout t =
-  if t.config.adaptive_timeout then Detect.Rto.timeout t.rto
-  else t.config.timeout
+  match t.rto with
+  | Some rto -> Detect.Rto.timeout rto
+  | None -> t.config.timeout
+
+let observe_rtt t ~since =
+  match t.rto with
+  | Some rto -> Detect.Rto.observe rto (Engine.now (engine t) -. since)
+  | None -> ()
 
 let observed_timeout t = phase_timeout t
 
@@ -648,7 +655,7 @@ let reply_received t st ~src =
     else mark (i + 1)
   in
   if mark 0 then begin
-    Detect.Rto.observe t.rto (Engine.now (engine t) -. st.phase_started);
+    observe_rtt t ~since:st.phase_started;
     breaker_ok t src
   end
 
@@ -743,14 +750,9 @@ let oresult_ts_sp t span ~version ~sid =
   | Some obs, Some sp -> Obs.set_result_ts obs sp ~version ~sid
   | _ -> ()
 
-let span_of bst key =
-  match List.assoc_opt key bst.b_spans with Some s -> s | None -> None
-
 let finish_batch_failed t bst =
   Hashtbl.remove t.pending_batches bst.b_op;
-  List.iter
-    (fun (_, sp) -> ofinish_sp t sp (Obs.Span.Failed "gave_up"))
-    bst.b_spans;
+  List.iter (fun sp -> ofinish_sp t sp (Obs.Span.Failed "gave_up")) bst.b_spans;
   match bst.b_kind with
   | Batch_read k ->
     t.reads_failed <- t.reads_failed + List.length bst.b_keys;
@@ -763,14 +765,13 @@ let finish_batch_reads t bst =
   Hashtbl.remove t.pending_batches bst.b_op;
   let elapsed = Engine.now (engine t) -. bst.b_started in
   let results =
-    List.map
-      (fun key ->
+    List.map2
+      (fun key sp ->
         let version, sid, value =
           match Hashtbl.find_opt bst.b_max key with
           | Some vsv -> vsv
           | None -> (0, 0, "")
         in
-        let sp = span_of bst key in
         oresult_ts_sp t sp ~version ~sid;
         ofinish_sp t sp Obs.Span.Ok;
         t.reads_ok <- t.reads_ok + 1;
@@ -782,7 +783,7 @@ let finish_batch_reads t bst =
               ts = Timestamp.make ~version ~sid;
               attempts = bst.b_attempts + 1;
             } ))
-      bst.b_keys
+      bst.b_keys bst.b_spans
   in
   match bst.b_kind with
   | Batch_read k -> k results
@@ -792,24 +793,25 @@ let finish_batch_writes t bst =
   Hashtbl.remove t.pending_batches bst.b_op;
   let elapsed = Engine.now (engine t) -. bst.b_started in
   let writes = bst.b_writes in
-  let results = ref [] in
-  for i = Batch.length writes - 1 downto 0 do
-    let key = Batch.key writes i in
-    let version = Batch.version writes i and sid = Batch.sid writes i in
-    let sp = span_of bst key in
-    oresult_ts_sp t sp ~version ~sid;
-    ofinish_sp t sp Obs.Span.Ok;
-    t.writes_ok <- t.writes_ok + 1;
-    Stats.add t.write_latency elapsed;
-    results := (key, Some (Timestamp.make ~version ~sid)) :: !results
-  done;
+  let results =
+    List.mapi
+      (fun i sp ->
+        let key = Batch.key writes i in
+        let version = Batch.version writes i and sid = Batch.sid writes i in
+        oresult_ts_sp t sp ~version ~sid;
+        ofinish_sp t sp Obs.Span.Ok;
+        t.writes_ok <- t.writes_ok + 1;
+        Stats.add t.write_latency elapsed;
+        (key, Some (Timestamp.make ~version ~sid)))
+      bst.b_spans
+  in
   match bst.b_kind with
-  | Batch_write k -> k !results
+  | Batch_write k -> k results
   | Batch_read _ -> assert false
 
 let batch_reply_received t bst ~src =
   if List.mem src bst.b_waiting then begin
-    Detect.Rto.observe t.rto (Engine.now (engine t) -. bst.b_phase_started);
+    observe_rtt t ~since:bst.b_phase_started;
     breaker_ok t src
   end;
   bst.b_waiting <- List.filter (fun m -> m <> src) bst.b_waiting
@@ -1118,7 +1120,10 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       view = Detect.View.always_up ~n:1;  (* placeholder, set below *)
       budget;
       breaker;
-      rto = Detect.Rto.create ~config:config.rto ();
+      rto =
+        (if config.adaptive_timeout then
+           Some (Detect.Rto.create ~config:config.rto ())
+         else None);
       rng = Rng.split (Engine.rng (Network.engine net));
       n_replicas;
       next_seq = 0;
@@ -1210,7 +1215,7 @@ let read_batch t ?(retry = false) ~keys k =
     if not retry then budget_attempt t;
     t.batches <- t.batches + 1;
     ocount t "coord.batches";
-    let spans = List.map (fun key -> (key, ospan t ~op:"read" ~key)) keys in
+    let spans = List.map (fun key -> ospan t ~op:"read" ~key) keys in
     start_batch t ~keys ~values:[] ~kind:(Batch_read k) ~attempts:0
       ~started:(Engine.now (engine t))
       ~spans
@@ -1224,7 +1229,7 @@ let write_batch t ?(retry = false) ~writes k =
     t.batches <- t.batches + 1;
     ocount t "coord.batches";
     let keys = List.map fst writes in
-    let spans = List.map (fun key -> (key, ospan t ~op:"write" ~key)) keys in
+    let spans = List.map (fun key -> ospan t ~op:"write" ~key) keys in
     start_batch t ~keys ~values:writes ~kind:(Batch_write k) ~attempts:0
       ~started:(Engine.now (engine t))
       ~spans

@@ -59,7 +59,9 @@ type config = {
           [op start + deadline] fails the operation.  [infinity] (default)
           disables the budget. *)
   backoff : Detect.Backoff.policy;  (** retry pause policy *)
-  rto : Detect.Rto.config;  (** adaptive-timeout estimator parameters *)
+  rto : Detect.Rto.config;
+      (** adaptive-timeout estimator parameters; unused (and unchecked)
+          unless [adaptive_timeout] *)
   pipeline_levels : bool;
       (** tree-level pipelined reads (off by default): when the protocol
           exposes a per-level quorum plan ({!Quorum.Protocol.read_levels} —

@@ -58,7 +58,7 @@ type t = {
   view : Detect.View.t;
   budget : Detect.Budget.t option;
   breaker : Detect.Breaker.t option;
-  rto : Detect.Rto.t;
+  rto : Detect.Rto.t option;  (* [Some] iff [config.adaptive_timeout] *)
   rng : Rng.t;
   mutable next_seq : int;
   pending : (int, gather) Hashtbl.t;
@@ -95,8 +95,9 @@ let current_view t =
 (* Per-phase response deadline: fixed, or derived from the observed RTT
    quantile once enough samples exist. *)
 let phase_timeout t =
-  if t.config.adaptive_timeout then Detect.Rto.timeout t.rto
-  else t.config.timeout
+  match t.rto with
+  | Some rto -> Detect.Rto.timeout rto
+  | None -> t.config.timeout
 
 let observed_timeout t = phase_timeout t
 let stale_incarnation_rejections t = t.stale_inc_rejections
@@ -251,7 +252,10 @@ let handle t ~src msg =
             else mark (i + 1)
           in
           if mark 0 then begin
-            Detect.Rto.observe t.rto (Engine.now (engine t) -. g.started);
+            (match t.rto with
+            | Some rto ->
+              Detect.Rto.observe rto (Engine.now (engine t) -. g.started)
+            | None -> ());
             breaker_ok t src
           end;
           if g.waiting_n = 0 then begin
@@ -280,7 +284,10 @@ let create ~site ~net ~proto ?view ?budget ?breaker ?obs
       view;
       budget;
       breaker;
-      rto = Detect.Rto.create ~config:config.rto ();
+      rto =
+        (if config.adaptive_timeout then
+           Some (Detect.Rto.create ~config:config.rto ())
+         else None);
       rng = Rng.split (Engine.rng (Network.engine net));
       next_seq = 0;
       pending = Hashtbl.create 16;

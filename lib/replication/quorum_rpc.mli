@@ -26,7 +26,9 @@ type config = {
           [op start + deadline] fails the operation instead.  [infinity]
           (the default) disables the budget. *)
   backoff : Detect.Backoff.policy;  (** retry pause policy *)
-  rto : Detect.Rto.config;  (** adaptive-timeout estimator parameters *)
+  rto : Detect.Rto.config;
+      (** adaptive-timeout estimator parameters; unused (and unchecked)
+          unless [adaptive_timeout] *)
 }
 
 val default_config : config

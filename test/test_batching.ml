@@ -196,8 +196,41 @@ let test_group_commit_amnesia_consistent () =
   Alcotest.(check bool) "grouping never costs extra syncs" true
     (grouped.Harness.wal_syncs <= plain.Harness.wal_syncs)
 
+(* Regression: a batch pairs its spans with key occurrences by position.
+   Looking them up by key closed the first span of a repeated key twice and
+   left the others open (41 of 512 here). *)
+let test_repeated_keys_close_every_span () =
+  let proto =
+    Eval.Config_metrics.protocol_of Arbitrary.Config.Arbitrary ~n:9
+  in
+  let obs = Obs.create () in
+  let mem = Obs.Sink.memory () in
+  Obs.add_sink obs (Obs.Sink.memory_sink mem);
+  let r =
+    Harness.run ~obs
+      {
+        (Harness.default_scenario ~proto) with
+        Harness.n_clients = 8;
+        ops_per_client = 64;
+        key_space = 16;
+        use_locks = false;
+        batching =
+          Some { Harness.batch_size = 8; group_commit = true; pipeline = 1 };
+      }
+  in
+  Alcotest.(check int) "every op completed" 512
+    (r.Harness.reads_ok + r.Harness.writes_ok);
+  Alcotest.(check bool) "multi-key batches ran" true (r.Harness.batches > 0);
+  Alcotest.(check int) "no span left open" 0 (Obs.spans_open obs);
+  let spans = Obs.Sink.memory_spans mem in
+  Alcotest.(check int) "one span per op" 512 (List.length spans);
+  Alcotest.(check bool) "trace-checker finds no violation" true
+    (Consistency.ok (Consistency.check spans))
+
 let suite =
   [
+    Alcotest.test_case "repeated keys in a batch close every span" `Quick
+      test_repeated_keys_close_every_span;
     Alcotest.test_case "write_batch then read_batch round-trips" `Quick
       test_write_batch_then_read_batch;
     Alcotest.test_case "duplicate key: last writer wins" `Quick

@@ -116,6 +116,73 @@ let test_amnesia_negative_control () =
         (c.Chaos.a_consistency.Eval.Consistency.violations <> []))
     cells
 
+(* Golden guard for long adaptive-timeout runs: 2,048 ops on ARBITRARY
+   n=33 under 0.5% loss and rolling fail-stop crashes, enough RTT samples
+   per coordinator to exercise the estimator's rank arithmetic at large n.
+   The fingerprint was recorded with the sort-based estimator; any drift
+   in a phase timeout moves retries, messages or latencies. *)
+let test_adaptive_faults_golden () =
+  let n = 33 and clients = 16 and ops = 128 in
+  let proto =
+    Arbitrary.Quorums.protocol
+      (Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n)
+  in
+  (* Every 50 units one random replica goes down for 25. *)
+  let rng = Dsutil.Rng.create 3 in
+  let failures =
+    List.concat_map
+      (fun c ->
+        let at = 50.0 *. float_of_int (c + 1) and site = Dsutil.Rng.int rng n in
+        Dsim.Failure.
+          [
+            { time = at; event = Crash site };
+            { time = at +. 25.0; event = Recover site };
+          ])
+      (List.init (ops / 4) Fun.id)
+  in
+  let r =
+    Harness.run
+      {
+        (Harness.default_scenario ~proto) with
+        Harness.n_clients = clients;
+        ops_per_client = ops;
+        read_fraction = 0.5;
+        key_space = 64;
+        think_time = 1.0;
+        loss_rate = 0.005;
+        seed = 3;
+        coordinator =
+          {
+            Chaos.chaos_coordinator with
+            Replication.Coordinator.max_retries = 32;
+            deadline = Float.infinity;
+          };
+        horizon = Float.infinity;
+        warmup = 1.0;
+        failures;
+      }
+  in
+  let pct s q = Dsutil.Stats.percentile s q in
+  let fingerprint =
+    Printf.sprintf
+      "reads %d/%d writes %d/%d retries %d msgs %d/%d/%d read p50 %.17g p99 \
+       %.17g sum %.17g write p50 %.17g p99 %.17g sum %.17g"
+      r.Harness.reads_ok r.Harness.reads_failed r.Harness.writes_ok
+      r.Harness.writes_failed r.Harness.retries r.Harness.messages_sent
+      r.Harness.messages_delivered r.Harness.messages_dropped
+      (pct r.Harness.read_latency 0.5)
+      (pct r.Harness.read_latency 0.99)
+      (Dsutil.Stats.total r.Harness.read_latency)
+      (pct r.Harness.write_latency 0.5)
+      (pct r.Harness.write_latency 0.99)
+      (Dsutil.Stats.total r.Harness.write_latency)
+  in
+  Alcotest.(check string) "seeded faults-shaped run"
+    "reads 1002/0 writes 1046/0 retries 302 msgs 54527/54209/318 read p50 \
+     4.3949771080039 p99 36.838483370766653 sum 7305.7209379549358 write p50 \
+     12.444587141320881 p99 82.576180701513863 sum 18073.151554637872"
+    fingerprint
+
 let suite =
   [
     Alcotest.test_case "combined chaos keeps safety" `Quick
@@ -130,4 +197,6 @@ let suite =
       test_amnesia_gate_all_configs;
     Alcotest.test_case "amnesia negative control fires" `Quick
       test_amnesia_negative_control;
+    Alcotest.test_case "adaptive timeouts: faults-shaped golden run" `Quick
+      test_adaptive_faults_golden;
   ]

@@ -12,6 +12,7 @@ module Engine = Dsim.Engine
 module Network = Dsim.Network
 module Bitset = Dsutil.Bitset
 module Rng = Dsutil.Rng
+module Stats = Dsutil.Stats
 
 (* -- Accrual ------------------------------------------------------------ *)
 
@@ -129,6 +130,94 @@ let test_rto_ignores_garbage () =
   Rto.observe rto (-5.0);
   Rto.observe rto 0.0;
   Alcotest.(check int) "non-positive samples dropped" 0 (Rto.samples rto)
+
+(* The definition the incremental estimator must reproduce bit for bit:
+   the clamped multiple of the nearest-rank quantile of every positive
+   sample so far, [initial] below [max 1 min_samples] samples. *)
+let reference_timeout (c : Rto.config) stats =
+  if Stats.count stats < max 1 c.Rto.min_samples then c.Rto.initial
+  else
+    Float.min c.Rto.max_timeout
+      (Float.max c.Rto.min_timeout
+         (c.Rto.multiplier *. Stats.percentile stats c.Rto.quantile))
+
+let arb_rto_stream =
+  let open QCheck.Gen in
+  (* Small integers give ties, zeros and negatives; the float range gives
+     distinct values, some of them clamped. *)
+  let sample =
+    frequency
+      [
+        (3, map float_of_int (int_range (-2) 12));
+        (2, float_range (-1.0) 60.0);
+      ]
+  in
+  QCheck.make
+    ~print:QCheck.Print.(triple float int (list float))
+    (triple
+       (oneofl [ 0.0; 0.01; 0.5; 0.95; 0.999; 1.0 ])
+       (int_range 0 12)
+       (list_size (int_range 0 300) sample))
+
+let prop_rto_matches_reference =
+  QCheck.Test.make ~count:100
+    ~name:"rto: timeout = clamped Stats.percentile after every sample"
+    arb_rto_stream (fun (quantile, min_samples, stream) ->
+      let config =
+        {
+          Rto.default_config with
+          Rto.quantile;
+          min_samples;
+          multiplier = 1.5;
+          min_timeout = 0.5;
+          max_timeout = 40.0;
+        }
+      in
+      let rto = Rto.create ~config () in
+      let stats = Stats.create () in
+      List.for_all
+        (fun x ->
+          Rto.observe rto x;
+          if x > 0.0 then Stats.add stats x;
+          Rto.samples rto = Stats.count stats
+          && Float.equal (Rto.timeout rto) (reference_timeout config stats))
+        stream)
+
+(* An observe+timeout pair allocates only the float boxes crossing this
+   call site: the argument of [observe] and the result of [timeout].  The
+   long stream also exercises the rank arithmetic at large n. *)
+let test_rto_allocation_free () =
+  let config =
+    {
+      Rto.default_config with
+      Rto.multiplier = 1.0;
+      min_timeout = 0.0;
+      max_timeout = infinity;
+    }
+  in
+  let rto = Rto.create ~config () in
+  let stats = Stats.create () in
+  let rng = Rng.create 14 in
+  let warm = 1_000 and pairs = 100_000 in
+  let samples = Float.Array.init (warm + pairs) (fun _ -> Rng.float rng 50.0) in
+  for i = 0 to warm - 1 do
+    Rto.observe rto (Float.Array.get samples i)
+  done;
+  let before = Gc.minor_words () in
+  for i = warm to warm + pairs - 1 do
+    Rto.observe rto (Float.Array.get samples i);
+    ignore (Sys.opaque_identity (Rto.timeout rto))
+  done;
+  (* Slack for amortised growth: a heap array lives in the minor heap only
+     up to 256 words, so its doublings there total under 512 words per
+     heap; larger arrays go straight to the major heap. *)
+  let words = Gc.minor_words () -. before -. 1024.0 in
+  if words > 4.0 *. float_of_int pairs then
+    Alcotest.failf "%.4f minor words per observe+timeout pair (bound 4)"
+      (words /. float_of_int pairs);
+  Float.Array.iter (fun x -> if x > 0.0 then Stats.add stats x) samples;
+  Alcotest.(check (float 0.0)) "exact at n = 101k"
+    (reference_timeout config stats) (Rto.timeout rto)
 
 (* -- Backoff ------------------------------------------------------------ *)
 
@@ -519,6 +608,9 @@ let suite =
     Alcotest.test_case "rto: clamped to band" `Quick test_rto_clamps;
     Alcotest.test_case "rto: non-positive samples dropped" `Quick
       test_rto_ignores_garbage;
+    QCheck_alcotest.to_alcotest prop_rto_matches_reference;
+    Alcotest.test_case "rto: observe+timeout allocation-free" `Quick
+      test_rto_allocation_free;
     Alcotest.test_case "backoff: geometric growth, capped" `Quick
       test_backoff_growth;
     Alcotest.test_case "backoff: jitter stays in bounds" `Quick
