@@ -276,7 +276,7 @@ let quorum_hotpath () =
 
 (* The §4 workload scenario every hot-path probe runs: single client,
    2000 ops, seed 42.  [read_fraction] picks the op mix. *)
-let hotpath_scenario ?(pipeline = false) ~read_fraction name =
+let hotpath_scenario ~read_fraction name =
   let n = Eval.Config_metrics.feasible_n name 33 in
   let proto = Eval.Config_metrics.protocol_of name ~n in
   let s = Replication.Harness.default_scenario ~proto in
@@ -287,11 +287,6 @@ let hotpath_scenario ?(pipeline = false) ~read_fraction name =
       read_fraction;
       think_time = 0.1;
       seed = 42;
-      coordinator =
-        {
-          s.Replication.Harness.coordinator with
-          Replication.Coordinator.pipeline_levels = pipeline;
-        };
     },
     n )
 
@@ -392,51 +387,6 @@ let alloc_hotpath () =
   Printf.printf
     "  alloc gate (>= 50%% fewer minor words/op, both paths, every config): %s\n"
     (if ok then "OK" else "FAILED");
-  (Printf.sprintf "[%s]" (String.concat "," (List.map fst cases)), ok)
-
-(* Tree-level pipelined reads must return exactly the results of the
-   level-barrier path.  Each §4 config runs seeded and failure-free both
-   ways; the full (key, value, timestamp) trace of successful reads (in
-   completion order — a single client completes ops in issue order) and
-   the completed-op count must match.  Only dispatch order differs under
-   pipelining, so latency draws land on different messages and durations
-   legitimately diverge — byte-identity is claimed only with pipelining
-   off, by the fingerprint controls in the batch section. *)
-let pipeline_hotpath () =
-  let trace ~pipeline name =
-    let scenario, _ = hotpath_scenario ~pipeline ~read_fraction:0.5 name in
-    let acc = ref [] in
-    let r =
-      Replication.Harness.run
-        ~read_probe:(fun ~key { Replication.Coordinator.value; ts; _ } ->
-          acc :=
-            ( key,
-              value,
-              ts.Replication.Timestamp.version,
-              ts.Replication.Timestamp.sid )
-            :: !acc)
-        scenario
-    in
-    (List.rev !acc, Replication.Harness.completed r)
-  in
-  let cases =
-    List.map
-      (fun (name, _) ->
-        let barrier, done_b = trace ~pipeline:false name in
-        let piped, done_p = trace ~pipeline:true name in
-        let equal = barrier = piped && done_b = done_p in
-        Printf.printf "  %-12s %4d reads traced, pipelined results %s\n"
-          (Arbitrary.Config.name_to_string name)
-          (List.length barrier)
-          (if equal then "identical" else "DIVERGED");
-        ( Printf.sprintf
-            "{\"config\":\"%s\",\"reads\":%d,\"completed\":%d,\"equal\":%b}"
-            (Arbitrary.Config.name_to_string name)
-            (List.length barrier) done_b equal,
-          equal ))
-      e2e_seed_ops_s
-  in
-  let ok = List.for_all snd cases in
   (Printf.sprintf "[%s]" (String.concat "," (List.map fst cases)), ok)
 
 (* Batched vs unbatched end-to-end throughput on the same §4 workloads:
@@ -593,11 +543,10 @@ let hotpath_json_valid json =
   String.length json > 2
   && String.sub json 0 1 = "{"
   && json.[String.length json - 1] = '}'
-  && contains "\"schema\":\"bench-hotpath/2\""
+  && contains "\"schema\":\"bench-hotpath/3\""
   && contains "\"quorum\""
   && contains "\"e2e\""
   && contains "\"alloc\""
-  && contains "\"pipeline\""
   && contains "\"batch\""
   && contains "\"campaign\""
   && contains "\"shard\""
@@ -607,16 +556,14 @@ let hotpath_section () =
   let quorum_json, cache_floor_ok = quorum_hotpath () in
   let e2e_json, e2e_ok = e2e_hotpath () in
   let alloc_json, alloc_ok = alloc_hotpath () in
-  let pipeline_json, pipeline_ok = pipeline_hotpath () in
   let batch_json, batch_ok = batch_hotpath () in
   let campaign_json, identical = campaign_hotpath () in
   let shard_json, shard_ok = shard_hotpath () in
   let json =
     Printf.sprintf
-      "{\"schema\":\"bench-hotpath/2\",\"cores\":%d,\"quorum\":%s,\"e2e\":%s,\"alloc\":%s,\"pipeline\":%s,\"batch\":%s,\"campaign\":%s,\"shard\":%s}"
+      "{\"schema\":\"bench-hotpath/3\",\"cores\":%d,\"quorum\":%s,\"e2e\":%s,\"alloc\":%s,\"batch\":%s,\"campaign\":%s,\"shard\":%s}"
       (Domain.recommended_domain_count ())
-      quorum_json e2e_json alloc_json pipeline_json batch_json campaign_json
-      shard_json
+      quorum_json e2e_json alloc_json batch_json campaign_json shard_json
   in
   let oc = open_out hotpath_path in
   output_string oc json;
@@ -629,8 +576,7 @@ let hotpath_section () =
   (* Gated claims: the cached path must not be slower than the reference
      it replaced; minor-heap words/op must be at least halved vs the
      recorded seed numbers ([Gc.minor_words] is deterministic, so this
-     holds on any machine); pipelined reads must reproduce the barrier
-     results exactly; e2e throughput must beat the recorded seed rate
+     holds on any machine); e2e throughput must beat the recorded seed rate
      >= 1.3x on some config (the one same-box wall-clock gate — the seed
      column was measured by this probe on the reference box); batching
      must deliver its relative speedup without safety violations;
@@ -638,8 +584,8 @@ let hotpath_section () =
      stay violation-free; and the payload must be well-formed. *)
   if
     not
-      (valid && cache_floor_ok && e2e_ok && alloc_ok && pipeline_ok
-     && batch_ok && identical && shard_ok)
+      (valid && cache_floor_ok && e2e_ok && alloc_ok && batch_ok && identical
+     && shard_ok)
   then begin
     print_endline "HOTPATH GATE FAILED";
     exit 1

@@ -463,16 +463,8 @@ let simulate_cmd =
             "One WAL durability point per batch at the replicas (with \
              --batch).")
   in
-  let pipeline_levels_arg =
-    Arg.(
-      value & flag
-      & info [ "pipeline-levels" ]
-          ~doc:
-            "Dispatch tree-level read probes for all levels at once instead \
-             of level by level (same results, fewer latency round trips).")
-  in
   let run config n clients ops read_fraction loss mtbf mttr seed preset batch
-      pipeline group_commit pipeline_levels shards strategy metrics_json
+      pipeline group_commit shards strategy metrics_json
       spans_jsonl =
     let read_fraction, zipf_theta =
       match preset with
@@ -523,11 +515,6 @@ let simulate_cmd =
         loss_rate = loss;
         seed;
         batching;
-        coordinator =
-          {
-            s.Replication.Harness.coordinator with
-            Replication.Coordinator.pipeline_levels;
-          };
       }
     in
     let obs, obs_finish = obs_setup ~metrics_json ~spans_jsonl in
@@ -571,7 +558,7 @@ let simulate_cmd =
     Term.(
       const run $ config_arg $ n_arg $ clients_arg $ ops_arg $ read_fraction_arg
       $ loss_arg $ mtbf_arg $ mttr_arg $ seed_arg $ preset_arg $ batch_arg
-      $ pipeline_arg $ group_commit_arg $ pipeline_levels_arg $ shards_arg
+      $ pipeline_arg $ group_commit_arg $ shards_arg
       $ shard_strategy_arg $ metrics_json_arg $ spans_jsonl_arg)
 
 (* --- chaos ---------------------------------------------------------------- *)

@@ -14,7 +14,6 @@ type config = {
   deadline : float;
   backoff : Detect.Backoff.policy;
   rto : Detect.Rto.config;
-  pipeline_levels : bool;
 }
 
 let default_config =
@@ -27,7 +26,6 @@ let default_config =
     deadline = Float.infinity;
     backoff = Detect.Backoff.default;
     rto = Detect.Rto.default_config;
-    pipeline_levels = false;
   }
 
 type read_result = { value : string; ts : Timestamp.t; attempts : int }
@@ -48,9 +46,14 @@ type metrics = {
   write_latency : Stats.t;
 }
 
+(* What an operation is and whom it answers.  A single-key op and a
+   multi-key batch run the same machine; only the callback's shape (and
+   the envelope, chosen by key count) differs. *)
 type kind =
-  | Read_op of (read_result option -> unit)
-  | Write_op of string * (Timestamp.t option -> unit)
+  | Read_one of (read_result option -> unit)
+  | Write_one of (Timestamp.t option -> unit)
+  | Read_many of ((int * read_result option) list -> unit)
+  | Write_many of ((int * Timestamp.t option) list -> unit)
 
 type phase =
   | Querying  (** collecting Read_replies (a read, or a write's version
@@ -63,9 +66,9 @@ type phase =
    the >= 0 entries, in original send order, and a reply is matched by a
    linear scan — no list filtering, no allocation).  [w]/[winc] hold the
    2PC member set and the incarnation each member acked its prepare under.
-   A scratch is taken from the coordinator's pool at attempt start and
-   returned when the attempt ends, so a steady stream of operations
-   allocates none of this. *)
+   A scratch is taken from the coordinator's pool when an operation starts
+   and returned when it ends, so a steady stream of operations allocates
+   none of this. *)
 type op_scratch = {
   q : int array;
   mutable n_q : int;  (** members in the current phase *)
@@ -89,65 +92,40 @@ let make_scratch n =
    double-release guard ([release_scratch] is a no-op once it is in). *)
 let dummy_scratch = make_scratch 0
 
-(* Every field is mutable so a finished operation's record can go back to
-   a pool and be re-initialized in place: a steady stream of operations
-   allocates no op_state at all (the record is ~18 words, paid per
-   attempt otherwise). *)
+(* One operation over [n_keys] >= 1 keys, from entry to outcome, across
+   every attempt.  Every field is mutable so a finished operation's record
+   can go back to a pool and be re-initialized in place: a steady stream
+   of operations allocates no op_state at all.  The per-position columns
+   keep their capacity across reuses, so a single-key op allocates none of
+   them either. *)
 type op_state = {
   mutable op : int;  (** the id of the {e current attempt} *)
-  mutable key : int;
   mutable kind : kind;
+  mutable n_keys : int;
+  mutable keys : int array;  (** [0, n_keys): the keys in request order *)
+  mutable values : string array;  (** writes: the value for each position *)
+  mutable spans : Obs.Span.t option array;
+      (** one span per position (a key may repeat), across attempts *)
+  mutable max_v : int array;
+      (** per position, the newest (version, sid, value) seen while
+          querying; once a write prepares, [max_v] holds the version
+          being written *)
+  mutable max_s : int array;
+  mutable max_val : string array;
   mutable attempts : int;  (** mutated in place by commit resends *)
   mutable started : float;
-  mutable span : Obs.Span.t option;
-      (** one span per logical op, across attempts *)
   mutable sc : op_scratch;
   mutable phase : phase;
   mutable phase_started : float;  (** when this phase's requests went out *)
-  mutable max_version : int;  (** newest (version, sid, value) seen while *)
-  mutable max_sid : int;  (** querying — flat, boxed only at finish *)
-  mutable max_value : string;
-  mutable write_version : int;  (** chosen write timestamp, flat *)
-  mutable write_sid : int;
   mutable replies : (int * int * int) list;
       (** (member, version, sid) gathered while querying; only populated
-          when read repair is on *)
-}
-
-(* A batched operation: one quorum round (and, for writes, one 2PC
-   exchange) carries many keys.  Parallel to [op_state]; single-key
-   batches never build one — the public entries delegate to the plain
-   operations, keeping unbatched behavior byte-identical. *)
-type batch_kind =
-  | Batch_read of ((int * read_result option) list -> unit)
-  | Batch_write of ((int * Timestamp.t option) list -> unit)
-
-type batch_state = {
-  b_op : int;
-  b_keys : int list;  (** requested keys, in request order *)
-  b_values : (int * string) list;  (** writes only: key -> value *)
-  b_kind : batch_kind;
-  mutable b_attempts : int;
-  b_started : float;
-  b_spans : Obs.Span.t option list;
-      (** one span per entry of [b_keys], by position: a key may repeat *)
-  mutable b_phase : phase;
-  mutable b_phase_started : float;
-  mutable b_waiting : int list;
-  b_max : (int, int * int * string) Hashtbl.t;
-      (** per-key newest (version, sid, value) *)
-  mutable b_quorum : int list;
-  mutable b_writes : Batch.t;
-  mutable b_member_inc : (int * int) list;
+          for single-key reads with read repair on *)
 }
 
 type t = {
   site : int;
   net : Message.t Network.t;
   mutable proto : Protocol.t;
-  mutable levels : Protocol.level_plan option;
-      (* cached [read_levels] of the current protocol; [None] unless
-         [pipeline_levels] is set and the protocol supports it *)
   locks : Lock_manager.t option;
   config : config;
   obs : Obs.t option;
@@ -158,11 +136,12 @@ type t = {
   rng : Rng.t;
   n_replicas : int;
   mutable next_seq : int;
+  mutable next_owner : int;  (* lock-owner counter, apart from op ids *)
   mutable timeout_h : Engine.handler;
-      (* preallocated phase-timeout handler: (op, phase) packed in the
-         event's int slot, so arming a timeout allocates no closure *)
+      (* preallocated handler for phase timeouts, which carry (op, phase)
+         in the event's int slot, and backoff wake-ups, which carry the op
+         record as payload: neither allocates a closure *)
   pending : (int, op_state) Hashtbl.t;
-  pending_batches : (int, batch_state) Hashtbl.t;
   mutable pool : op_scratch array;  (* free scratches, filled [0, pool_n) *)
   mutable pool_n : int;
   mutable op_pool : op_state array;  (* free op records, filled [0, op_pool_n) *)
@@ -187,11 +166,13 @@ type t = {
 
 let engine t = Network.engine t.net
 
-(* Sentinel installed by [create]; the first armed timeout swaps in the
-   real handler (built inside the operation-lifecycle recursion). *)
+(* Placeholder until [create] installs the real handler. *)
 let uninit_timeout_h = Engine.handler (fun _ _ -> ())
 
 let phase_code = function Querying -> 0 | Preparing -> 1 | Committing -> 2
+
+(* Event code of a backoff wake-up: the op record rides as the payload. *)
+let backoff_code = 3
 
 let fresh_op t =
   let id = (t.next_seq * Network.size t.net) + t.site in
@@ -203,9 +184,6 @@ let alloc_scratch t =
     t.pool_n <- t.pool_n - 1;
     let sc = t.pool.(t.pool_n) in
     t.pool.(t.pool_n) <- dummy_scratch;
-    sc.n_q <- 0;
-    sc.waiting_n <- 0;
-    sc.n_w <- 0;
     sc
   end
   else make_scratch t.n_replicas
@@ -224,36 +202,38 @@ let release_scratch t st =
     t.pool_n <- t.pool_n + 1
   end
 
-let dummy_kind = Read_op (fun _ -> ())
+let dummy_kind = Read_one (fun _ -> ())
 
 (* op id of a pooled (released) record; doubles as the double-release
    guard in [release_op]. *)
 let released = min_int
 
-let make_op () =
+let make_op cap =
   {
     op = released;
-    key = 0;
     kind = dummy_kind;
+    n_keys = 0;
+    keys = Array.make cap 0;
+    values = Array.make cap "";
+    spans = Array.make cap None;
+    max_v = Array.make cap 0;
+    max_s = Array.make cap 0;
+    max_val = Array.make cap "";
     attempts = 0;
     started = 0.0;
-    span = None;
     sc = dummy_scratch;
     phase = Querying;
     phase_started = 0.0;
-    max_version = 0;
-    max_sid = 0;
-    max_value = "";
-    write_version = 0;
-    write_sid = 0;
     replies = [];
   }
 
 (* Placeholder filling vacated pool slots so released records are not
    retained twice. *)
-let dummy_op = make_op ()
+let dummy_op = make_op 0
 
-let alloc_op t ~op ~key ~kind ~attempts ~started ~span =
+(* A record for a new operation over [n] keys; the caller fills [keys],
+   [values] and [spans] for positions [0, n). *)
+let alloc_op t ~kind ~n =
   let st =
     if t.op_pool_n > 0 then begin
       t.op_pool_n <- t.op_pool_n - 1;
@@ -261,23 +241,21 @@ let alloc_op t ~op ~key ~kind ~attempts ~started ~span =
       t.op_pool.(t.op_pool_n) <- dummy_op;
       st
     end
-    else make_op ()
+    else make_op (max n 1)
   in
-  st.op <- op;
-  st.key <- key;
+  if Array.length st.keys < n then begin
+    st.keys <- Array.make n 0;
+    st.values <- Array.make n "";
+    st.spans <- Array.make n None;
+    st.max_v <- Array.make n 0;
+    st.max_s <- Array.make n 0;
+    st.max_val <- Array.make n ""
+  end;
   st.kind <- kind;
-  st.attempts <- attempts;
-  st.started <- started;
-  st.span <- span;
+  st.n_keys <- n;
+  st.attempts <- 0;
+  st.started <- Engine.now (engine t);
   st.sc <- alloc_scratch t;
-  st.phase <- Querying;
-  st.phase_started <- Engine.now (engine t);
-  st.max_version <- 0;
-  st.max_sid <- 0;
-  st.max_value <- "";
-  st.write_version <- 0;
-  st.write_sid <- 0;
-  st.replies <- [];
   st
 
 (* Only safe once nothing can reach [st] again: it must already be out of
@@ -287,8 +265,11 @@ let release_op t st =
   if st.op <> released then begin
     st.op <- released;
     st.kind <- dummy_kind;
-    st.span <- None;
-    st.max_value <- "";
+    for i = 0 to st.n_keys - 1 do
+      st.values.(i) <- "";
+      st.spans.(i) <- None;
+      st.max_val.(i) <- ""
+    done;
     st.replies <- [];
     let cap = Array.length t.op_pool in
     if t.op_pool_n = cap then begin
@@ -363,6 +344,15 @@ let observed_timeout t = phase_timeout t
 
 let send t ~dst msg = Network.send t.net ~src:t.site ~dst msg
 
+(* Send [msg] to every member of the current phase.  A multi-key envelope
+   counts as [n_keys] logical messages at the network. *)
+let fan_out t st msg =
+  let sc = st.sc in
+  let units = if st.n_keys = 1 then None else Some st.n_keys in
+  for i = 0 to sc.n_q - 1 do
+    Network.send t.net ?units ~src:t.site ~dst:sc.q.(i) msg
+  done
+
 (* --- observability hooks (single match, no work, when [obs = None]) ----- *)
 
 let ospan t ~op ~key =
@@ -370,24 +360,40 @@ let ospan t ~op ~key =
   | None -> None
   | Some obs -> Some (Obs.span obs ~op ~site:t.site ~key ())
 
+(* Phases and retries are traced on a single-key op's span.  A batch's
+   spans share one quorum round and record only their outcome. *)
 let ophase t st ~kind =
-  match (t.obs, st.span) with
-  | Some obs, Some sp -> Obs.phase obs sp ~kind ~quorum:(live_members st.sc) ()
+  match t.obs with
+  | Some obs when st.n_keys = 1 -> (
+    match st.spans.(0) with
+    | Some sp -> Obs.phase obs sp ~kind ~quorum:(live_members st.sc) ()
+    | None -> ())
   | _ -> ()
 
 let oend_phase t st ~timed_out =
-  match (t.obs, st.span) with
-  | Some obs, Some sp -> Obs.end_phase obs sp ~timed_out ()
+  match t.obs with
+  | Some obs when st.n_keys = 1 -> (
+    match st.spans.(0) with
+    | Some sp -> Obs.end_phase obs sp ~timed_out ()
+    | None -> ())
   | _ -> ()
 
 let oretry t st ~backoff =
-  match (t.obs, st.span) with
-  | Some obs, Some sp -> Obs.retry obs sp ~backoff ()
+  match t.obs with
+  | Some obs when st.n_keys = 1 -> (
+    match st.spans.(0) with
+    | Some sp -> Obs.retry obs sp ~backoff ()
+    | None -> ())
   | _ -> ()
 
-let ofinish t st outcome =
-  match (t.obs, st.span) with
+let ofinish t span outcome =
+  match (t.obs, span) with
   | Some obs, Some sp -> Obs.finish obs sp ~outcome
+  | _ -> ()
+
+let oresult_ts t span ~version ~sid =
+  match (t.obs, span) with
+  | Some obs, Some sp -> Obs.set_result_ts obs sp ~version ~sid
   | _ -> ()
 
 let ocount t name =
@@ -407,18 +413,19 @@ let breaker_failure t site =
 let breaker_ok t site =
   match t.breaker with None -> () | Some b -> Detect.Breaker.record_ok b site
 
-let oresult_ts t st ~version ~sid =
-  match (t.obs, st.span) with
-  | Some obs, Some sp -> Obs.set_result_ts obs sp ~version ~sid
-  | _ -> ()
-
+(* Each locked operation is its own lock owner, so one client may have
+   several operations in flight on a key (pipelined windows, or one window
+   spread over shards).  Owner ids come from a counter of their own: op ids
+   in messages are unaffected. *)
 let with_lock t ~key ~mode body =
   match t.locks with
   | None -> body (fun k -> k ())
   | Some lm ->
-    Lock_manager.acquire lm ~key ~mode ~owner:t.site (fun () ->
+    let owner = (t.next_owner * Network.size t.net) + t.site in
+    t.next_owner <- t.next_owner + 1;
+    Lock_manager.acquire lm ~key ~mode ~owner (fun () ->
         body (fun k ->
-            Lock_manager.release lm ~key ~owner:t.site;
+            Lock_manager.release lm ~key ~owner;
             k ()))
 
 (* --- operation lifecycle ------------------------------------------------ *)
@@ -443,107 +450,70 @@ let blame_waiting t st ~charge_breaker =
     end
   done
 
-let finish t st outcome =
+let read_result st i =
+  {
+    value = st.max_val.(i);
+    ts = Timestamp.make ~version:st.max_v.(i) ~sid:st.max_s.(i);
+    attempts = st.attempts + 1;
+  }
+
+let write_ts t st i = Timestamp.make ~version:st.max_v.(i) ~sid:t.site
+
+let is_write st =
+  match st.kind with Write_one _ | Write_many _ -> true | _ -> false
+
+(* Per position: stamp the span, count the key, record its latency.  A
+   write's timestamp is the version it prepared under this site's id. *)
+let account_ok t st i ~elapsed =
+  let write = is_write st in
+  let sid = if write then t.site else st.max_s.(i) in
+  oresult_ts t st.spans.(i) ~version:st.max_v.(i) ~sid;
+  ofinish t st.spans.(i) Obs.Span.Ok;
+  if write then begin
+    t.writes_ok <- t.writes_ok + 1;
+    Stats.add t.write_latency elapsed
+  end
+  else begin
+    t.reads_ok <- t.reads_ok + 1;
+    Stats.add t.read_latency elapsed
+  end
+
+(* [(key, f i)] for every position, in request order. *)
+let per_key st f =
+  let rec go i acc =
+    if i < 0 then acc else go (i - 1) ((st.keys.(i), f i) :: acc)
+  in
+  go (st.n_keys - 1) []
+
+let finish t st ~ok =
   Hashtbl.remove t.pending st.op;
   release_scratch t st;
   let elapsed = Engine.now (engine t) -. st.started in
-  (match outcome with
-  | `Read_ok r ->
-    oresult_ts t st ~version:r.ts.Timestamp.version ~sid:r.ts.Timestamp.sid
-  | `Write_ok (ts : Timestamp.t) ->
-    oresult_ts t st ~version:ts.Timestamp.version ~sid:ts.Timestamp.sid
-  | `Failed -> ());
-  (match outcome with
-  | `Read_ok _ | `Write_ok _ -> ofinish t st Obs.Span.Ok
-  | `Failed -> ofinish t st (Obs.Span.Failed "gave_up"));
-  (match (st.kind, outcome) with
-  | Read_op k, `Read_ok result ->
-    t.reads_ok <- t.reads_ok + 1;
-    Stats.add t.read_latency elapsed;
-    k (Some result)
-  | Read_op k, `Failed ->
-    t.reads_failed <- t.reads_failed + 1;
-    k None
-  | Write_op (_, k), `Write_ok ts ->
-    t.writes_ok <- t.writes_ok + 1;
-    Stats.add t.write_latency elapsed;
-    k (Some ts)
-  | Write_op (_, k), `Failed ->
-    t.writes_failed <- t.writes_failed + 1;
-    k None
-  | Read_op _, `Write_ok _ | Write_op _, `Read_ok _ -> assert false);
+  let k = st.n_keys in
+  for i = 0 to k - 1 do
+    if ok then account_ok t st i ~elapsed
+    else ofinish t st.spans.(i) (Obs.Span.Failed "gave_up")
+  done;
+  if not ok then
+    if is_write st then t.writes_failed <- t.writes_failed + k
+    else t.reads_failed <- t.reads_failed + k;
+  (match st.kind with
+  | Read_one cb -> cb (if ok then Some (read_result st 0) else None)
+  | Write_one cb -> cb (if ok then Some (write_ts t st 0) else None)
+  | Read_many cb ->
+    cb (per_key st (fun i -> if ok then Some (read_result st i) else None))
+  | Write_many cb ->
+    cb (per_key st (fun i -> if ok then Some (write_ts t st i) else None)));
   (* Pool the record only after the completion callback has run: anything
      it started took a different record, and nothing reaches this one
      anymore. *)
   release_op t st
 
-let rec start_attempt t ~key ~kind ~attempts ~started ~span =
-  let op = fresh_op t in
-  let st = alloc_op t ~op ~key ~kind ~attempts ~started ~span in
-  Hashtbl.replace t.pending op st;
-  let view = current_view t in
-  let pipelined =
-    match (st.kind, t.levels) with
-    | Read_op _, Some lp -> start_pipelined t st ~view lp
-    | _ -> false
-  in
-  if not pipelined then begin
-    match Protocol.read_quorum t.proto ~alive:view ~rng:t.rng with
-    | None -> retry t st
-    | Some quorum ->
-      let sc = st.sc in
-      let n = Bitset.fill_elements quorum sc.q in
-      sc.n_q <- n;
-      sc.waiting_n <- n;
-      ophase t st ~kind:Obs.Span.Query;
-      arm_timeout t st;
-      let msg = Message.Read_request { op; key } in
-      for i = 0 to n - 1 do
-        send t ~dst:sc.q.(i) msg
-      done
-  end
+let arm_timeout t st =
+  Engine.schedule_packed (engine t) ~delay:(phase_timeout t) t.timeout_h
+    ~meta:((st.op lsl 2) lor phase_code st.phase) ~payload:(Obj.repr 0)
 
-(* Tree-level pipelined read (opt-in): stream the quorum instead of
-   materializing it — each level's request leaves the moment that level's
-   member resolves from the plan cache, rather than after every level has
-   been walked and the whole quorum bitset built.  Selection consumes the
-   RNG exactly as whole-quorum assembly would (see
-   {!Quorum.Protocol.level_plan}); what changes is dispatch order (level
-   order rather than ascending site id) and the absence of the quorum
-   bitset/member-list materialization.  Returns false (caller falls back)
-   only when called with no level plan; a level with no alive candidate
-   behaves like failed quorum assembly — the attempt retries, and replies
-   to the already-issued requests are dropped as stale. *)
-and start_pipelined t st ~view (lp : Protocol.level_plan) =
-  let sc = st.sc in
-  arm_timeout t st;
-  let msg = Message.Read_request { op = st.op; key = st.key } in
-  let rec issue level =
-    if level = lp.n_levels then true
-    else begin
-      let m = lp.level_site ~alive:view ~rng:t.rng ~level in
-      if m < 0 then false
-      else begin
-        sc.q.(sc.n_q) <- m;
-        sc.n_q <- sc.n_q + 1;
-        sc.waiting_n <- sc.waiting_n + 1;
-        send t ~dst:m msg;
-        issue (level + 1)
-      end
-    end
-  in
-  if issue 0 then ophase t st ~kind:Obs.Span.Query
-  else begin
-    (* Assembly failed mid-stream: the members already contacted are not
-       at fault — drop them from the phase before the retry machinery
-       assigns blame. *)
-    sc.n_q <- 0;
-    sc.waiting_n <- 0;
-    retry t st
-  end;
-  true
-
-and retry ?(timed_out = false) t st =
+let retry ?(timed_out = false) t st =
   Hashtbl.remove t.pending st.op;
   let sc = st.sc in
   (* Roll back any prepared members of this attempt. *)
@@ -559,7 +529,7 @@ and retry ?(timed_out = false) t st =
      evidence: every still-waiting member sat on the request past the
      deadline. *)
   blame_waiting t st ~charge_breaker:timed_out;
-  if st.attempts >= t.config.max_retries then finish t st `Failed
+  if st.attempts >= t.config.max_retries then finish t st ~ok:false
   else begin
     (* Exponential backoff with jitter before re-assembling: an instant
        retry against the same failed view (e.g. during a partition) would
@@ -571,7 +541,7 @@ and retry ?(timed_out = false) t st =
     if Engine.now (engine t) +. delay >= st.started +. t.config.deadline then begin
       t.deadline_exceeded <- t.deadline_exceeded + 1;
       ocount t "coord.deadline_exceeded";
-      finish t st `Failed
+      finish t st ~ok:false
     end
     else if
       not
@@ -583,41 +553,54 @@ and retry ?(timed_out = false) t st =
          storm that drained it.  Fail fast. *)
       t.retries_suppressed <- t.retries_suppressed + 1;
       ocount t "coord.retries_suppressed";
-      finish t st `Failed
+      finish t st ~ok:false
     end
     else begin
       t.retries <- t.retries + 1;
       oretry t st ~backoff:delay;
-      release_scratch t st;
-      (* Snapshot before pooling: the closure fires after the record may
-         have been re-initialized for another operation. *)
-      let key = st.key and kind = st.kind and attempts = st.attempts + 1 in
-      let started = st.started and span = st.span in
-      release_op t st;
-      Engine.schedule (engine t) ~delay (fun () ->
-          start_attempt t ~key ~kind ~attempts ~started ~span)
+      st.attempts <- st.attempts + 1;
+      Engine.schedule_packed (engine t) ~delay t.timeout_h
+        ~meta:backoff_code ~payload:(Obj.repr st)
     end
   end
 
-and arm_timeout t st =
-  (* The handler captures only [t]; the op id and armed phase travel in
-     the event's int slot, and the fire-time check drops events whose op
-     finished or moved on.  One-time lazy install: the handler body needs
-     [retry]/[commit_timeout] from this recursion. *)
-  if t.timeout_h == uninit_timeout_h then
-    t.timeout_h <-
-      Engine.handler (fun meta _ ->
-          let op = meta lsr 2 and pc = meta land 3 in
-          match Hashtbl.find t.pending op with
-          | exception Not_found -> ()
-          | st' ->
-            if phase_code st'.phase = pc && st'.sc.waiting_n > 0 then
-              if pc = 2 then commit_timeout t st'
-              else retry ~timed_out:true t st');
-  Engine.schedule_packed (engine t) ~delay:(phase_timeout t) t.timeout_h
-    ~meta:((st.op lsl 2) lor phase_code st.phase) ~payload:(Obj.repr 0)
+(* One attempt: assemble a read quorum and send every member the query —
+   a [Read_request] for one key, one [Read_batch] envelope (one message,
+   one service slot) for several.  A write continues into 2PC from
+   [query_complete].  Retries re-run the whole operation against fresh
+   quorums: a round either assembled its quorum or it did not. *)
+let start_attempt t st =
+  let op = fresh_op t in
+  st.op <- op;
+  st.phase <- Querying;
+  st.phase_started <- Engine.now (engine t);
+  for i = 0 to st.n_keys - 1 do
+    st.max_v.(i) <- 0;
+    st.max_s.(i) <- 0;
+    st.max_val.(i) <- ""
+  done;
+  st.replies <- [];
+  let sc = st.sc in
+  sc.n_q <- 0;
+  sc.waiting_n <- 0;
+  sc.n_w <- 0;
+  Hashtbl.replace t.pending op st;
+  let view = current_view t in
+  match Protocol.read_quorum t.proto ~alive:view ~rng:t.rng with
+  | None -> retry t st
+  | Some quorum ->
+    let n = Bitset.fill_elements quorum sc.q in
+    sc.n_q <- n;
+    sc.waiting_n <- n;
+    ophase t st ~kind:Obs.Span.Query;
+    arm_timeout t st;
+    fan_out t st
+      (if st.n_keys = 1 then Message.Read_request { op; key = st.keys.(0) }
+       else
+         Message.Read_batch
+           { op; n_keys = st.n_keys; keys = Array.sub st.keys 0 st.n_keys })
 
-and commit_timeout t st =
+let commit_timeout t st =
   (* The decision is already commit; resend to the laggards instead of
      aborting.  Give up (uncertain outcome, counted failed) after the retry
      budget.  Commit resends are exempt from the global retry budget: they
@@ -625,9 +608,8 @@ and commit_timeout t st =
      early here turns overload into stuck prepared writes. *)
   blame_waiting t st ~charge_breaker:true;
   if st.attempts >= t.config.max_retries then begin
-    Hashtbl.remove t.pending st.op;
     oend_phase t st ~timed_out:true;
-    finish t st `Failed
+    finish t st ~ok:false
   end
   else begin
     t.retries <- t.retries + 1;
@@ -659,42 +641,46 @@ let reply_received t st ~src =
     breaker_ok t src
   end
 
+let observe_value st i ~version ~sid ~value =
+  if Timestamp.newer_flat version sid st.max_v.(i) st.max_s.(i) then begin
+    st.max_v.(i) <- version;
+    st.max_s.(i) <- sid;
+    st.max_val.(i) <- value
+  end
+
 (* Push the newest value back to quorum members that replied with an older
    timestamp (§2.2's transient failures: a recovered replica catches up on
    first contact). *)
 let send_repairs t st =
-  if t.config.read_repair && not (st.max_version = 0 && st.max_sid = 0) then
+  let key = st.keys.(0) and value = st.max_val.(0) in
+  let version = st.max_v.(0) and sid = st.max_s.(0) in
+  if t.config.read_repair && not (version = 0 && sid = 0) then
     List.iter
-      (fun (site, version, sid) ->
-        if Timestamp.newer_flat st.max_version st.max_sid version sid then begin
+      (fun (site, v, s) ->
+        if Timestamp.newer_flat version sid v s then begin
           t.repairs_sent <- t.repairs_sent + 1;
           ocount t "coord.repairs_sent";
           send t ~dst:site
-            (Message.Repair
-               {
-                 op = st.op;
-                 key = st.key;
-                 version = st.max_version;
-                 sid = st.max_sid;
-                 value = st.max_value;
-               })
+            (Message.Repair { op = st.op; key; version; sid; value })
         end)
       st.replies
+
+(* The version to write at position [i]: one past the newest seen for its
+   key, or one past the version already chosen for an earlier occurrence
+   of the same key (positions [< i] hold chosen versions), so a repeated
+   key gets strictly increasing versions and its last value wins. *)
+let rec base_version st i j =
+  if j < 0 then st.max_v.(i)
+  else if st.keys.(j) = st.keys.(i) then st.max_v.(j)
+  else base_version st i (j - 1)
 
 let query_complete t st =
   oend_phase t st ~timed_out:false;
   send_repairs t st;
   match st.kind with
-  | Read_op _ ->
-    finish t st
-      (`Read_ok
-        {
-          value = st.max_value;
-          ts = Timestamp.make ~version:st.max_version ~sid:st.max_sid;
-          attempts = st.attempts + 1;
-        })
-  | Write_op (value, _) -> begin
-    (* Version obtained; move to 2PC over a write quorum. *)
+  | Read_one _ | Read_many _ -> finish t st ~ok:true
+  | Write_one _ | Write_many _ -> begin
+    (* Versions obtained; move to 2PC over a write quorum. *)
     let view = current_view t in
     match Protocol.write_quorum t.proto ~alive:view ~rng:t.rng with
     | None -> retry t st
@@ -706,19 +692,34 @@ let query_complete t st =
       Array.fill sc.winc 0 n 0;
       sc.n_q <- n;
       sc.waiting_n <- n;
-      let version = st.max_version + 1 in
+      let k = st.n_keys in
+      for i = 0 to k - 1 do
+        st.max_v.(i) <- base_version st i (i - 1) + 1
+      done;
       st.phase <- Preparing;
       st.phase_started <- Engine.now (engine t);
-      st.write_version <- version;
-      st.write_sid <- t.site;
       ophase t st ~kind:Obs.Span.Prepare;
       arm_timeout t st;
-      let msg =
-        Message.Prepare { op = st.op; key = st.key; version; sid = t.site; value }
-      in
-      for i = 0 to n - 1 do
-        send t ~dst:sc.w.(i) msg
-      done
+      fan_out t st
+        (if k = 1 then
+           Message.Prepare
+             {
+               op = st.op;
+               key = st.keys.(0);
+               version = st.max_v.(0);
+               sid = t.site;
+               value = st.values.(0);
+             }
+         else
+           Message.Prepare_batch
+             {
+               op = st.op;
+               writes =
+                 Batch.make ~keys:(Array.sub st.keys 0 k)
+                   ~versions:(Array.sub st.max_v 0 k)
+                   ~sids:(Array.make k t.site)
+                   ~values:(Array.sub st.values 0 k);
+             })
   end
 
 let prepare_complete t st =
@@ -734,284 +735,6 @@ let prepare_complete t st =
     let m = sc.w.(i) in
     send t ~dst:m (Message.Commit { op = st.op; inc = sc.winc.(i) })
   done
-
-(* --- batched operations ------------------------------------------------- *)
-
-let b_member_inc bst m =
-  match List.assoc_opt m bst.b_member_inc with Some i -> i | None -> 0
-
-let ofinish_sp t span outcome =
-  match (t.obs, span) with
-  | Some obs, Some sp -> Obs.finish obs sp ~outcome
-  | _ -> ()
-
-let oresult_ts_sp t span ~version ~sid =
-  match (t.obs, span) with
-  | Some obs, Some sp -> Obs.set_result_ts obs sp ~version ~sid
-  | _ -> ()
-
-let finish_batch_failed t bst =
-  Hashtbl.remove t.pending_batches bst.b_op;
-  List.iter (fun sp -> ofinish_sp t sp (Obs.Span.Failed "gave_up")) bst.b_spans;
-  match bst.b_kind with
-  | Batch_read k ->
-    t.reads_failed <- t.reads_failed + List.length bst.b_keys;
-    k (List.map (fun key -> (key, None)) bst.b_keys)
-  | Batch_write k ->
-    t.writes_failed <- t.writes_failed + List.length bst.b_values;
-    k (List.map (fun (key, _) -> (key, None)) bst.b_values)
-
-let finish_batch_reads t bst =
-  Hashtbl.remove t.pending_batches bst.b_op;
-  let elapsed = Engine.now (engine t) -. bst.b_started in
-  let results =
-    List.map2
-      (fun key sp ->
-        let version, sid, value =
-          match Hashtbl.find_opt bst.b_max key with
-          | Some vsv -> vsv
-          | None -> (0, 0, "")
-        in
-        oresult_ts_sp t sp ~version ~sid;
-        ofinish_sp t sp Obs.Span.Ok;
-        t.reads_ok <- t.reads_ok + 1;
-        Stats.add t.read_latency elapsed;
-        ( key,
-          Some
-            {
-              value;
-              ts = Timestamp.make ~version ~sid;
-              attempts = bst.b_attempts + 1;
-            } ))
-      bst.b_keys bst.b_spans
-  in
-  match bst.b_kind with
-  | Batch_read k -> k results
-  | Batch_write _ -> assert false
-
-let finish_batch_writes t bst =
-  Hashtbl.remove t.pending_batches bst.b_op;
-  let elapsed = Engine.now (engine t) -. bst.b_started in
-  let writes = bst.b_writes in
-  let results =
-    List.mapi
-      (fun i sp ->
-        let key = Batch.key writes i in
-        let version = Batch.version writes i and sid = Batch.sid writes i in
-        oresult_ts_sp t sp ~version ~sid;
-        ofinish_sp t sp Obs.Span.Ok;
-        t.writes_ok <- t.writes_ok + 1;
-        Stats.add t.write_latency elapsed;
-        (key, Some (Timestamp.make ~version ~sid)))
-      bst.b_spans
-  in
-  match bst.b_kind with
-  | Batch_write k -> k results
-  | Batch_read _ -> assert false
-
-let batch_reply_received t bst ~src =
-  if List.mem src bst.b_waiting then begin
-    observe_rtt t ~since:bst.b_phase_started;
-    breaker_ok t src
-  end;
-  bst.b_waiting <- List.filter (fun m -> m <> src) bst.b_waiting
-
-(* The batch lifecycle mirrors the single-op one: assemble a read quorum
-   and fan out ONE multi-key envelope per member (counted as one message,
-   one service slot); writes continue into a 2PC whose prepare is likewise
-   one envelope.  Retries re-run the whole batch — per-key partial retry
-   would need per-key quorum state for no observable gain, since a batch
-   either assembled its quorum or did not. *)
-let rec start_batch t ~keys ~values ~kind ~attempts ~started ~spans =
-  let op = fresh_op t in
-  let bst =
-    {
-      b_op = op;
-      b_keys = keys;
-      b_values = values;
-      b_kind = kind;
-      b_attempts = attempts;
-      b_started = started;
-      b_spans = spans;
-      b_phase = Querying;
-      b_phase_started = Engine.now (engine t);
-      b_waiting = [];
-      b_max = Hashtbl.create (List.length keys);
-      b_quorum = [];
-      b_writes = Batch.empty;
-      b_member_inc = [];
-    }
-  in
-  Hashtbl.replace t.pending_batches op bst;
-  let view = current_view t in
-  match Protocol.read_quorum t.proto ~alive:view ~rng:t.rng with
-  | None -> batch_retry t bst
-  | Some quorum ->
-    let members = Bitset.elements quorum in
-    bst.b_waiting <- members;
-    arm_batch_timeout t bst;
-    let keys_arr = Array.of_list keys in
-    let units = Array.length keys_arr in
-    let msg = Message.Read_batch { op; n_keys = units; keys = keys_arr } in
-    List.iter
-      (fun m -> Network.send t.net ~units ~src:t.site ~dst:m msg)
-      members
-
-and batch_retry ?(timed_out = false) t bst =
-  Hashtbl.remove t.pending_batches bst.b_op;
-  if bst.b_phase = Preparing then
-    List.iter
-      (fun m -> send t ~dst:m (Message.Abort { op = bst.b_op }))
-      bst.b_quorum;
-  List.iter t.view.Detect.View.suspect bst.b_waiting;
-  if timed_out then List.iter (breaker_failure t) bst.b_waiting;
-  if bst.b_attempts >= t.config.max_retries then finish_batch_failed t bst
-  else begin
-    let delay =
-      Detect.Backoff.delay t.config.backoff ~rng:t.rng ~attempt:bst.b_attempts
-    in
-    if Engine.now (engine t) +. delay >= bst.b_started +. t.config.deadline
-    then begin
-      t.deadline_exceeded <- t.deadline_exceeded + 1;
-      ocount t "coord.deadline_exceeded";
-      finish_batch_failed t bst
-    end
-    else if
-      not
-        (match t.budget with
-        | None -> true
-        | Some b -> Detect.Budget.try_retry b)
-    then begin
-      t.retries_suppressed <- t.retries_suppressed + 1;
-      ocount t "coord.retries_suppressed";
-      finish_batch_failed t bst
-    end
-    else begin
-      t.retries <- t.retries + 1;
-      Engine.schedule (engine t) ~delay (fun () ->
-          start_batch t ~keys:bst.b_keys ~values:bst.b_values ~kind:bst.b_kind
-            ~attempts:(bst.b_attempts + 1) ~started:bst.b_started
-            ~spans:bst.b_spans)
-    end
-  end
-
-and arm_batch_timeout t bst =
-  let op = bst.b_op and phase = bst.b_phase in
-  Engine.schedule (engine t) ~delay:(phase_timeout t) (fun () ->
-      match Hashtbl.find_opt t.pending_batches op with
-      | Some b' when b'.b_phase = phase && b'.b_waiting <> [] ->
-        if phase = Committing then batch_commit_timeout t b'
-        else batch_retry ~timed_out:true t b'
-      | _ -> ())
-
-and batch_commit_timeout t bst =
-  (* The decision is commit: resend to the laggards, as in the single-op
-     path; commit resends stay exempt from the global retry budget. *)
-  List.iter t.view.Detect.View.suspect bst.b_waiting;
-  List.iter (breaker_failure t) bst.b_waiting;
-  if bst.b_attempts >= t.config.max_retries then begin
-    Hashtbl.remove t.pending_batches bst.b_op;
-    finish_batch_failed t bst
-  end
-  else begin
-    t.retries <- t.retries + 1;
-    bst.b_attempts <- bst.b_attempts + 1;
-    arm_batch_timeout t bst;
-    List.iter
-      (fun m ->
-        send t ~dst:m (Message.Commit { op = bst.b_op; inc = b_member_inc bst m }))
-      bst.b_waiting
-  end
-
-and batch_query_complete t bst =
-  match bst.b_kind with
-  | Batch_read _ -> finish_batch_reads t bst
-  | Batch_write _ -> (
-    let view = current_view t in
-    match Protocol.write_quorum t.proto ~alive:view ~rng:t.rng with
-    | None -> batch_retry t bst
-    | Some quorum ->
-      let members = Bitset.elements quorum in
-      (* Per-key version bump from the per-key newest seen in the query
-         round — keys in one batch are at unrelated versions.  A key
-         written twice in one batch gets strictly increasing versions, so
-         the later value wins at install time. *)
-      let n = List.length bst.b_values in
-      let builder = Batch.Builder.create ~capacity:n () in
-      let bumped = Hashtbl.create 8 in
-      List.iter
-        (fun (key, value) ->
-          let version =
-            match Hashtbl.find_opt bumped key with
-            | Some v -> v
-            | None -> (
-              match Hashtbl.find_opt bst.b_max key with
-              | Some (v, _, _) -> v
-              | None -> 0)
-          in
-          Hashtbl.replace bumped key (version + 1);
-          Batch.Builder.push builder ~key ~version:(version + 1) ~sid:t.site
-            ~value)
-        bst.b_values;
-      let writes = Batch.Builder.snapshot builder in
-      bst.b_phase <- Preparing;
-      bst.b_phase_started <- Engine.now (engine t);
-      bst.b_waiting <- members;
-      bst.b_quorum <- members;
-      bst.b_writes <- writes;
-      arm_batch_timeout t bst;
-      let units = Batch.length writes in
-      let msg = Message.Prepare_batch { op = bst.b_op; writes } in
-      List.iter
-        (fun m -> Network.send t.net ~units ~src:t.site ~dst:m msg)
-        members)
-
-let batch_prepare_complete t bst =
-  bst.b_phase <- Committing;
-  bst.b_phase_started <- Engine.now (engine t);
-  bst.b_waiting <- bst.b_quorum;
-  arm_batch_timeout t bst;
-  List.iter
-    (fun m ->
-      send t ~dst:m (Message.Commit { op = bst.b_op; inc = b_member_inc bst m }))
-    bst.b_quorum
-
-let handle_batch t ~src bst msg =
-  match (msg : Message.t) with
-  | Read_batch_reply { entries; _ } when bst.b_phase = Querying ->
-    batch_reply_received t bst ~src;
-    for i = 0 to Batch.length entries - 1 do
-      let key = Batch.key entries i in
-      let version = Batch.version entries i and sid = Batch.sid entries i in
-      let newer =
-        match Hashtbl.find_opt bst.b_max key with
-        | Some (cv, cs, _) -> Timestamp.newer_flat version sid cv cs
-        | None -> Timestamp.newer_flat version sid 0 0
-      in
-      if newer then
-        Hashtbl.replace bst.b_max key (version, sid, Batch.value entries i)
-    done;
-    if bst.b_waiting = [] then batch_query_complete t bst
-  | Prepare_ack { inc; _ } when bst.b_phase = Preparing ->
-    batch_reply_received t bst ~src;
-    bst.b_member_inc <- (src, inc) :: bst.b_member_inc;
-    if bst.b_waiting = [] then batch_prepare_complete t bst
-  | Prepare_nack _ when bst.b_phase = Querying || bst.b_phase = Preparing ->
-    batch_retry t bst
-  | Busy _ when bst.b_phase = Querying || bst.b_phase = Preparing ->
-    t.busy_received <- t.busy_received + 1;
-    ocount t "coord.busy_received";
-    breaker_failure t src;
-    batch_retry t bst
-  | Prepare_nack _ when bst.b_phase = Committing ->
-    (* A member lost its staged batch to a crash mid-commit: uncertain
-       outcome, counted failed — same contract as the single-op path. *)
-    finish_batch_failed t bst
-  | Commit_ack { inc; _ }
-    when bst.b_phase = Committing && inc = b_member_inc bst src ->
-    batch_reply_received t bst ~src;
-    if bst.b_waiting = [] then finish_batch_writes t bst
-  | _ -> ()  (* out-of-phase or replica-bound: ignore *)
 
 (* A reply stamped with an incarnation older than the newest one seen from
    its sender is evidence from a pre-crash life: the state it vouches for
@@ -1032,17 +755,22 @@ let stale_incarnation t ~src msg =
     end
     else false
 
-let handle_single t ~src st msg =
+let handle_op t ~src st msg =
   match (msg : Message.t) with
   | Read_reply { version; sid; value; _ } when st.phase = Querying ->
     reply_received t st ~src;
     if t.config.read_repair then
       st.replies <- (src, version, sid) :: st.replies;
-    if Timestamp.newer_flat version sid st.max_version st.max_sid then begin
-      st.max_version <- version;
-      st.max_sid <- sid;
-      st.max_value <- value
-    end;
+    observe_value st 0 ~version ~sid ~value;
+    if st.sc.waiting_n = 0 then query_complete t st
+  | Read_batch_reply { entries; _ } when st.phase = Querying ->
+    (* Entries answer the request positions in order, so a repeated key's
+       positions all see the same entry values. *)
+    reply_received t st ~src;
+    for i = 0 to min st.n_keys (Batch.length entries) - 1 do
+      observe_value st i ~version:(Batch.version entries i)
+        ~sid:(Batch.sid entries i) ~value:(Batch.value entries i)
+    done;
     if st.sc.waiting_n = 0 then query_complete t st
   | Prepare_ack { inc; _ } when st.phase = Preparing ->
     reply_received t st ~src;
@@ -1070,18 +798,16 @@ let handle_single t ~src st msg =
        crash; the outcome is uncertain (other members did commit), so
        count the operation failed rather than resend forever. *)
     oend_phase t st ~timed_out:false;
-    finish t st `Failed
+    finish t st ~ok:false
   | Commit_ack { inc; _ }
     when st.phase = Committing && inc = member_inc st.sc src ->
     reply_received t st ~src;
-    if st.sc.waiting_n = 0 then
-      finish t st
-        (`Write_ok (Timestamp.make ~version:st.write_version ~sid:st.write_sid))
-  | Read_reply _ | Prepare_ack _ | Prepare_nack _ | Commit_ack _ | Busy _
-  | Read_request _ | Prepare _ | Commit _ | Abort _ | Repair _
-  | Read_batch _ | Read_batch_reply _ | Prepare_batch _ | Ping _
-  | Pong _ | Provision_request _ | Snapshot_chunk _ | Chunk_ack _
-  | Tail_request _ | Wal_tail _ ->
+    if st.sc.waiting_n = 0 then finish t st ~ok:true
+  | Read_reply _ | Read_batch_reply _ | Prepare_ack _ | Prepare_nack _
+  | Commit_ack _ | Busy _ | Read_request _ | Prepare _ | Commit _ | Abort _
+  | Repair _ | Read_batch _ | Prepare_batch _ | Ping _ | Pong _
+  | Provision_request _ | Snapshot_chunk _ | Chunk_ack _ | Tail_request _
+  | Wal_tail _ ->
     (* Out-of-phase or replica-bound: ignore.  A committing op ignores
        [Busy] in particular — commits ride the priority lane, so a
        stray Busy must not fail a decided transaction. *)
@@ -1091,19 +817,10 @@ let handle t ~src msg =
   (* Any message is proof of life: rehabilitate its sender (clears both
      the ablation suspect list and any pluggable detector's suspicion). *)
   if src >= 0 && src < t.n_replicas then t.view.Detect.View.observe src;
-  if not (stale_incarnation t ~src msg) then begin
-    let op = Message.op_id msg in
-    match Hashtbl.find t.pending op with
-    | st -> handle_single t ~src st msg
-    | exception Not_found -> (
-      (* Not a single-key op: maybe a batch (stale otherwise). *)
-      match Hashtbl.find t.pending_batches op with
-      | bst -> handle_batch t ~src bst msg
-      | exception Not_found -> ())
-  end
-
-let level_plan_of t proto =
-  if t.config.pipeline_levels then Protocol.read_levels proto else None
+  if not (stale_incarnation t ~src msg) then
+    match Hashtbl.find t.pending (Message.op_id msg) with
+    | st -> handle_op t ~src st msg
+    | exception Not_found -> ()
 
 let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
     ?(config = default_config) () =
@@ -1113,7 +830,6 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       site;
       net;
       proto;
-      levels = None;  (* set below, once the config is in the record *)
       locks;
       config;
       obs;
@@ -1127,9 +843,9 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       rng = Rng.split (Engine.rng (Network.engine net));
       n_replicas;
       next_seq = 0;
+      next_owner = 0;
       timeout_h = uninit_timeout_h;
       pending = Hashtbl.create 16;
-      pending_batches = Hashtbl.create 8;
       pool = Array.make 4 dummy_scratch;
       pool_n = 0;
       op_pool = Array.make 4 dummy_op;
@@ -1151,7 +867,6 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       write_latency = Stats.create ();
     }
   in
-  t.levels <- level_plan_of t proto;
   (t.view <-
      (match view with
      | Some v -> v
@@ -1159,6 +874,21 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
        if config.oracle_view then
          Detect.View.oracle ~net ~self:site ~n:n_replicas
        else suspicion_view t));
+  (* One handler serves every timed event, capturing only [t].  A phase
+     timeout carries its op id and phase in the int slot, and the check
+     drops events whose op finished or moved on; a backoff wake-up carries
+     the op record itself (it is out of [t.pending] while it waits). *)
+  t.timeout_h <-
+    Engine.handler (fun meta payload ->
+        let pc = meta land 3 in
+        if pc = backoff_code then start_attempt t (Obj.obj payload : op_state)
+        else
+          match Hashtbl.find t.pending (meta lsr 2) with
+          | exception Not_found -> ()
+          | st ->
+            if phase_code st.phase = pc && st.sc.waiting_n > 0 then
+              if pc = 2 then commit_timeout t st
+              else retry ~timed_out:true t st);
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
   t
 
@@ -1180,65 +910,70 @@ let open_span t ~op ~key =
 let budget_attempt t =
   match t.budget with None -> () | Some b -> Detect.Budget.on_attempt b
 
+let start_one t kind ~key ~value ~span =
+  let st = alloc_op t ~kind ~n:1 in
+  st.keys.(0) <- key;
+  st.values.(0) <- value;
+  st.spans.(0) <- span;
+  start_attempt t st
+
 let read t ?(retry = false) ~key k =
   if not retry then budget_attempt t;
   let span = open_span t ~op:"read" ~key in
   with_lock t ~key ~mode:Lock_manager.Shared (fun unlock ->
-      start_attempt t ~key
-        ~kind:(Read_op (fun r -> unlock (fun () -> k r)))
-        ~attempts:0
-        ~started:(Engine.now (engine t))
+      start_one t (Read_one (fun r -> unlock (fun () -> k r))) ~key ~value:""
         ~span)
 
 let write t ?(retry = false) ~key ~value k =
   if not retry then budget_attempt t;
   let span = open_span t ~op:"write" ~key in
   with_lock t ~key ~mode:Lock_manager.Exclusive (fun unlock ->
-      start_attempt t ~key
-        ~kind:(Write_op (value, fun r -> unlock (fun () -> k r)))
-        ~attempts:0
-        ~started:(Engine.now (engine t))
+      start_one t (Write_one (fun r -> unlock (fun () -> k r))) ~key ~value
         ~span)
 
-(* Batched entries.  Size <= 1 delegates to the plain single-key path —
-   locks, spans, RNG draws and all — so a batch size of 1 is byte-identical
-   to unbatched operation.  True batches (>= 2 keys) skip the per-key lock
+(* Multi-key entries.  A batch of one key is a plain single-key op — locks,
+   spans, RNG draws and all — so batch size 1 is byte-identical to
+   unbatched operation.  Batches of >= 2 keys skip the per-key lock
    manager: monotone installs plus quorum intersection make concurrent
    multi-key writes safe without it (timestamps totally order by (version,
    sid)), and one lock per batch would serialize exactly the parallelism
    batching exists to create. *)
+let start_many t ~retry ~op ~n kind fill =
+  if not retry then budget_attempt t;
+  t.batches <- t.batches + 1;
+  ocount t "coord.batches";
+  let st = alloc_op t ~kind ~n in
+  fill st;
+  for i = 0 to n - 1 do
+    st.spans.(i) <- ospan t ~op ~key:st.keys.(i)
+  done;
+  start_attempt t st
+
 let read_batch t ?(retry = false) ~keys k =
   match keys with
   | [] -> k []
   | [ key ] -> read t ~retry ~key (fun r -> k [ (key, r) ])
   | _ ->
-    if not retry then budget_attempt t;
-    t.batches <- t.batches + 1;
-    ocount t "coord.batches";
-    let spans = List.map (fun key -> ospan t ~op:"read" ~key) keys in
-    start_batch t ~keys ~values:[] ~kind:(Batch_read k) ~attempts:0
-      ~started:(Engine.now (engine t))
-      ~spans
+    start_many t ~retry ~op:"read" ~n:(List.length keys) (Read_many k)
+      (fun st -> List.iteri (fun i key -> st.keys.(i) <- key) keys)
 
 let write_batch t ?(retry = false) ~writes k =
   match writes with
   | [] -> k []
   | [ (key, value) ] -> write t ~retry ~key ~value (fun r -> k [ (key, r) ])
   | _ ->
-    if not retry then budget_attempt t;
-    t.batches <- t.batches + 1;
-    ocount t "coord.batches";
-    let keys = List.map fst writes in
-    let spans = List.map (fun key -> ospan t ~op:"write" ~key) keys in
-    start_batch t ~keys ~values:writes ~kind:(Batch_write k) ~attempts:0
-      ~started:(Engine.now (engine t))
-      ~spans
+    start_many t ~retry ~op:"write" ~n:(List.length writes) (Write_many k)
+      (fun st ->
+        List.iteri
+          (fun i (key, value) ->
+            st.keys.(i) <- key;
+            st.values.(i) <- value)
+          writes)
 
 let set_protocol t proto =
   if Protocol.universe_size proto <> t.n_replicas then
     invalid_arg "Coordinator.set_protocol: replica universe changed";
-  t.proto <- proto;
-  t.levels <- level_plan_of t proto
+  t.proto <- proto
 
 let metrics t =
   {

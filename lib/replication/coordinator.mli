@@ -7,6 +7,14 @@
       increment it, then two-phase-commit the new (timestamp, value) on
       every member of a write quorum (§3.2.2, §2.2).
 
+    {b One operation machine.}  A single-key operation is a batch of one:
+    {!read}/{!write} and {!read_batch}/{!write_batch} share one pooled
+    operation record over 1..k keys and one set of phase, timeout and
+    retry functions.  Only the envelope depends on the key count: one key
+    travels as [Read_request]/[Prepare], k >= 2 keys as one
+    [Read_batch]/[Prepare_batch] per quorum member counted as k units by
+    the network.  [Commit], [Abort] and the acks are the same for both.
+
     Failures are handled by per-phase timeouts: a timed-out attempt is
     aborted and the operation retried with freshly assembled quorums from
     the current failure-detector view, up to [max_retries], pausing with
@@ -48,9 +56,9 @@ type config = {
                            timeout-based suspicion; ignored when an
                            explicit [view] is supplied *)
   read_repair : bool;
-      (** after a successful query, push the newest value back to quorum
-          members that answered with an older timestamp (off by
-          default) *)
+      (** after a successful single-key query, push the newest value
+          back to quorum members that answered with an older timestamp
+          (off by default; batches never repair) *)
   adaptive_timeout : bool;
       (** derive the phase deadline from observed RTT quantiles
           ({!Detect.Rto}) instead of the fixed [timeout] *)
@@ -62,18 +70,6 @@ type config = {
   rto : Detect.Rto.config;
       (** adaptive-timeout estimator parameters; unused (and unchecked)
           unless [adaptive_timeout] *)
-  pipeline_levels : bool;
-      (** tree-level pipelined reads (off by default): when the protocol
-          exposes a per-level quorum plan ({!Quorum.Protocol.read_levels} —
-          the arbitrary tree protocol does), a read streams its quorum,
-          sending each level's request the moment that level's member is
-          chosen instead of materializing the full quorum first.  Quorum
-          membership and RNG consumption are unchanged (see
-          {!Quorum.Protocol.level_plan}); dispatch happens in tree-level
-          order rather than ascending site order, so seeded simulations
-          are equivalent (same values, same timestamps on every read) but
-          not byte-identical.  Protocols without a level plan fall back to
-          whole-quorum assembly. *)
 }
 
 val default_config : config
@@ -93,8 +89,11 @@ val create :
   unit ->
   t
 (** [site] is the coordinator's own network address (distinct from every
-    replica's).  When [locks] is given, reads take shared and writes
-    exclusive per-key locks around the quorum protocol.  [view] overrides
+    replica's).  When [locks] is given, single-key reads take shared and
+    writes exclusive per-key locks around the quorum protocol.  Each
+    operation is its own lock owner (a fresh owner id per operation, drawn
+    apart from op ids), so one client may have several operations in
+    flight on one key; multi-key batches take no locks.  [view] overrides
     the config-selected failure detector.  With [obs], every operation is
     traced as a span ([ops.read.*] / [ops.write.*], phases query/prepare/
     commit, plus a lock phase when [locks] is in force) and the counters
@@ -126,12 +125,13 @@ val read_batch :
     though with whole-batch retry a round either answers every key or
     (after the retry budget) fails every key.
 
-    A batch of one key delegates to {!read} (locks included), so batch
-    size 1 is byte-identical to unbatched operation.  Larger batches skip
-    the per-key lock manager: monotone installs and quorum intersection
-    make them safe without it.  [~retry] as in {!read}; a batch deposits
-    once into the retry budget, whatever its size (it consumes one quorum
-    round of capacity). *)
+    A batch of one key is a {!read} (locks included), so batch size 1 is
+    byte-identical to unbatched operation.  Larger batches skip the
+    per-key lock manager: monotone installs and quorum intersection make
+    them safe without it.  Phases and retries are traced on single-key
+    spans only; a batch's per-key spans record their outcome.  [~retry]
+    as in {!read}; a batch deposits once into the retry budget, whatever
+    its size (it consumes one quorum round of capacity). *)
 
 val write_batch :
   t ->
@@ -147,8 +147,9 @@ val write_batch :
     pair per member.  The callback gets each key's commit timestamp (or
     [None] for the whole batch on failure), in request order.
 
-    Singleton delegation, locking and budget semantics as in
-    {!read_batch}. *)
+    A key written twice in one batch gets strictly increasing versions,
+    so its last value wins.  Singleton, locking and budget semantics as
+    in {!read_batch}. *)
 
 val view : t -> Detect.View.t
 (** The failure-detector view in force. *)
@@ -188,8 +189,8 @@ type metrics = {
           fast instead) *)
   batches : int;
       (** multi-key batches executed ({!read_batch}/{!write_batch} with
-          >= 2 keys; singleton delegations are not counted).  Mirrored as
-          the [coord.batches] metric. *)
+          >= 2 keys; a batch of one key is a plain {!read}/{!write} and
+          is not counted).  Mirrored as the [coord.batches] metric. *)
   read_latency : Dsutil.Stats.t;
   write_latency : Dsutil.Stats.t;
 }

@@ -59,8 +59,8 @@ type batching = {
       (** replicas WAL one batch under a single durability point
           ({!Replica.create}'s [group_commit]) *)
   pipeline : int;
-      (** outstanding windows per client (>= 1) — pipelined tree reads:
-          the next window is issued without waiting for the previous one *)
+      (** outstanding batch windows per client (>= 1): the next window
+          is issued without waiting for the previous one *)
 }
 (** Client-side batching.  [None] in {!scenario.batching} keeps the
     one-op-at-a-time client loop, byte-identical to before; and

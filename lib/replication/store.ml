@@ -66,8 +66,11 @@ let read t ~key =
 
 let rec pow2_above n c = if c > n then c else pow2_above n (c * 2)
 
+(* Columns start at 64 slots and double past the largest key seen, so a
+   small key space costs three minor-heap arrays per replica, not three
+   arrays allocated straight into the major heap. *)
 let grow_dense t key =
-  let cap = min dense_limit (pow2_above key (max 1024 (Array.length t.versions))) in
+  let cap = min dense_limit (pow2_above key (max 64 (Array.length t.versions))) in
   let versions = Array.make cap 0
   and sids = Array.make cap 0
   and values = Array.make cap "" in

@@ -227,6 +227,112 @@ let test_repeated_keys_close_every_span () =
   Alcotest.(check bool) "trace-checker finds no violation" true
     (Consistency.ok (Consistency.check spans))
 
+(* Pinned multi-key batch runs: any drift in the batch path's RNG draws,
+   event order or message order moves these fingerprints.  Seed 3 drives
+   every batch-only branch: whole-batch retries, commit resends to
+   laggards, and a [Prepare_nack] that fails a batch mid-commit.  The
+   sharded run keeps locks off, as the batch-sharded benchmark does:
+   multi-key batches never lock. *)
+let pinned_crashes seed =
+  Dsim.Failure.random_crash_recovery ~rng:(Rng.create seed) ~n:9
+    ~horizon:3000.0 ~mtbf:150.0 ~mttr:40.0
+
+let pinned_scenario ~seed =
+  let proto =
+    Eval.Config_metrics.protocol_of Arbitrary.Config.Arbitrary ~n:9
+  in
+  {
+    (Harness.default_scenario ~proto) with
+    Harness.n_clients = 3;
+    ops_per_client = 48;
+    think_time = 3.0;
+    seed;
+    failures = pinned_crashes seed;
+    horizon = 3000.0;
+    warmup = 1.0;
+    loss_rate = 0.01;
+    crash_mode = Dsim.Network.Amnesia;
+    batching = Some { Harness.batch_size = 8; group_commit = true; pipeline = 2 };
+  }
+
+let check_pinned name ~fp (r : Harness.report) =
+  Alcotest.(check bool) (name ^ ": multi-key batches ran") true
+    (r.Harness.batches > 0);
+  Alcotest.(check bool) (name ^ ": retries ran") true (r.Harness.retries > 0);
+  Alcotest.(check int) (name ^ ": no safety violations") 0
+    r.Harness.safety_violations;
+  Alcotest.(check string) (name ^ ": pinned fingerprint") fp
+    (Batching.fingerprint r)
+
+let test_pinned_batched_fingerprint () =
+  check_pinned "harness" ~fp:"c54ce6320b1e134462104ff5bc36f456"
+    (Harness.run (pinned_scenario ~seed:3))
+
+let test_pinned_sharded_batched_fingerprint () =
+  let base = pinned_scenario ~seed:3 in
+  let s =
+    {
+      (Replication.Shard_harness.default ~proto:base.Harness.proto ~shards:4) with
+      Replication.Shard_harness.base =
+        { base with Harness.failures = []; use_locks = false };
+      shard_failures = List.init 4 (fun s -> (s, pinned_crashes (3 + s)));
+    }
+  in
+  check_pinned "4 shards" ~fp:"2e68bc80457b661c37e26d8ae173128d"
+    (Replication.Shard_harness.run s).Replication.Shard_harness.agg
+
+(* Locks are owned per operation, not per client: one client may have
+   several single-key operations in flight on one key (pipelined windows,
+   or a window's singletons spread over shards).  With one owner per
+   client site, [Lock_manager.acquire] raises on all three runs below. *)
+let locked_pipelined_scenario ~clients ~ops ~key_space ~zipf ~batch ~pipeline =
+  let proto =
+    Eval.Config_metrics.protocol_of Arbitrary.Config.Arbitrary ~n:9
+  in
+  {
+    (Harness.default_scenario ~proto) with
+    Harness.n_clients = clients;
+    ops_per_client = ops;
+    key_space;
+    zipf_theta = zipf;
+    use_locks = true;
+    check_consistency = true;
+    batching =
+      Some { Harness.batch_size = batch; group_commit = batch > 1; pipeline };
+  }
+
+let check_locked_run name ~ops (r : Harness.report) =
+  Alcotest.(check int) (name ^ ": every op completed") ops
+    (r.Harness.reads_ok + r.Harness.writes_ok);
+  Alcotest.(check int) (name ^ ": none failed") 0
+    (r.Harness.reads_failed + r.Harness.writes_failed);
+  Alcotest.(check int) (name ^ ": no safety violations") 0
+    r.Harness.safety_violations;
+  Alcotest.(check bool) (name ^ ": trace-checker finds no violation") true
+    (Consistency.ok (Consistency.check r.Harness.spans))
+
+let test_locks_owned_per_operation () =
+  let sharded s =
+    (Replication.Shard_harness.run
+       {
+         (Replication.Shard_harness.default ~proto:s.Harness.proto ~shards:16) with
+         Replication.Shard_harness.base = s;
+       })
+      .Replication.Shard_harness.agg
+  in
+  check_locked_run "batch 1 x pipeline 4" ~ops:1024
+    (Harness.run
+       (locked_pipelined_scenario ~clients:16 ~ops:64 ~key_space:8 ~zipf:0.0
+          ~batch:1 ~pipeline:4));
+  check_locked_run "16 shards, batch 32 x pipeline 1" ~ops:1024
+    (sharded
+       (locked_pipelined_scenario ~clients:16 ~ops:64 ~key_space:4096
+          ~zipf:0.99 ~batch:32 ~pipeline:1));
+  check_locked_run "16 shards, batch 32 x pipeline 4" ~ops:32768
+    (sharded
+       (locked_pipelined_scenario ~clients:64 ~ops:512 ~key_space:16384
+          ~zipf:0.0 ~batch:32 ~pipeline:4))
+
 let suite =
   [
     Alcotest.test_case "repeated keys in a batch close every span" `Quick
@@ -243,6 +349,12 @@ let suite =
       test_batch1_byte_identical_to_unbatched;
     Alcotest.test_case "batched runs are deterministic" `Quick
       test_batched_run_deterministic;
+    Alcotest.test_case "pinned batched fingerprint" `Quick
+      test_pinned_batched_fingerprint;
+    Alcotest.test_case "pinned sharded batched fingerprint" `Quick
+      test_pinned_sharded_batched_fingerprint;
+    Alcotest.test_case "locks are owned per operation" `Quick
+      test_locks_owned_per_operation;
     Alcotest.test_case "batching reduces messages per op" `Quick
       test_batching_reduces_messages;
     Alcotest.test_case "group commit consistent under amnesia churn" `Quick

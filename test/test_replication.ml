@@ -333,68 +333,6 @@ let test_harness_with_read_repair_under_churn () =
   in
   Alcotest.(check int) "still zero violations" 0 r.Harness.safety_violations
 
-(* Level-pipelined tree reads change only dispatch order, never results.
-   With a single client, failure-free, a seeded run's read results are a
-   pure function of the op sequence — so the full (key, value, timestamp)
-   trace and the completed-op count must match the level-barrier run
-   exactly.  (Multi-client runs legitimately diverge: pipelining shifts
-   which messages draw which latencies, so concurrent ops interleave
-   differently.) *)
-let test_pipelined_reads_equivalent () =
-  let trace ~seed ~pipeline =
-    let s = Harness.default_scenario ~proto:(fig1_proto ()) in
-    let acc = ref [] in
-    let r =
-      Harness.run
-        ~read_probe:(fun ~key { Coordinator.value; ts; _ } ->
-          acc := (key, value, ts.Timestamp.version, ts.Timestamp.sid) :: !acc)
-        {
-          s with
-          Harness.seed;
-          n_clients = 1;
-          ops_per_client = 150;
-          coordinator =
-            {
-              s.Harness.coordinator with
-              Coordinator.pipeline_levels = pipeline;
-            };
-        }
-    in
-    (List.rev !acc, Harness.completed r)
-  in
-  List.iter
-    (fun seed ->
-      let barrier, done_b = trace ~seed ~pipeline:false in
-      let piped, done_p = trace ~seed ~pipeline:true in
-      Alcotest.(check bool) "reads were traced" true (List.length barrier > 0);
-      Alcotest.(check int) "same completed ops" done_b done_p;
-      Alcotest.(check bool) "identical read results" true (barrier = piped))
-    [ 7; 23 ]
-
-(* Pipelining under churn and loss must stay safe even where results can
-   legitimately differ from the barrier schedule. *)
-let test_pipelined_reads_safe_under_churn () =
-  let rng = Dsutil.Rng.create 31 in
-  let failures =
-    Failure.random_crash_recovery ~rng ~n:8 ~horizon:300.0 ~mtbf:90.0
-      ~mttr:20.0
-  in
-  let s = Harness.default_scenario ~proto:(fig1_proto ()) in
-  let r =
-    Harness.run
-      {
-        s with
-        Harness.n_clients = 3;
-        ops_per_client = 60;
-        loss_rate = 0.03;
-        failures;
-        coordinator =
-          { s.Harness.coordinator with Coordinator.pipeline_levels = true };
-      }
-  in
-  Alcotest.(check int) "zero violations pipelined" 0
-    r.Harness.safety_violations
-
 let suite =
   [
     Alcotest.test_case "read on fresh system" `Quick test_read_fresh;
@@ -414,10 +352,6 @@ let suite =
     Alcotest.test_case "harness happy path" `Quick test_harness_happy_path;
     Alcotest.test_case "harness determinism" `Quick test_harness_determinism;
     Alcotest.test_case "harness with message loss" `Quick test_harness_message_loss;
-    Alcotest.test_case "pipelined reads equal barrier reads" `Quick
-      test_pipelined_reads_equivalent;
-    Alcotest.test_case "pipelined reads safe under churn" `Quick
-      test_pipelined_reads_safe_under_churn;
     Alcotest.test_case "safety matrix under churn" `Slow test_safety_matrix;
     Alcotest.test_case "single client without locks" `Quick
       test_no_locks_still_safe_single_client;
