@@ -48,55 +48,13 @@ let fork t = create t.tree
    with bound = |candidates|, and skips the draw entirely for levels after
    the first empty one (reads) or when no level is fully alive (writes). *)
 
-let read_quorum ?(policy = Uniform) t ~alive ~rng =
-  let q = Bitset.create t.n in
-  let fast = Bitset.equal alive t.full in
-  let n_levels = Array.length t.replicas in
-  let rec go i =
-    if i = n_levels then Some q
-    else begin
-      let reps = t.replicas.(i) in
-      let site =
-        if fast then begin
-          match policy with
-          | First_alive -> reps.(0)
-          | Uniform -> reps.(Rng.int rng (Array.length reps))
-        end
-        else begin
-          let c = ref 0 in
-          for j = 0 to Array.length reps - 1 do
-            let s = Array.unsafe_get reps j in
-            if Bitset.mem alive s then begin
-              Array.unsafe_set t.scratch !c s;
-              incr c
-            end
-          done;
-          if !c = 0 then -1
-          else
-            match policy with
-            | First_alive -> t.scratch.(0)
-            | Uniform -> t.scratch.(Rng.int rng !c)
-        end
-      in
-      if site < 0 then None
-      else begin
-        Bitset.add q site;
-        go (i + 1)
-      end
-    end
-  in
-  go 0
-
-let n_levels t = Array.length t.replicas
-
-(* One level of [read_quorum], for tree-level pipelined reads: same
-   candidate filtering, same single bounded draw (bound = alive candidate
-   count), so a caller walking levels 0..n_levels-1 in order consumes the
-   RNG exactly as one [read_quorum] call would — stopping, like it, at
-   the first level with no alive candidate (returned as -1). *)
-let read_site ?(policy = Uniform) t ~alive ~rng ~level =
+(* The site level [level] contributes, or -1 when none of its replicas is
+   alive: [fast] (everything alive) skips the candidate filter.  A
+   top-level function over explicit arguments, so a quorum assembly
+   allocates no closure. *)
+let level_site t ~policy ~alive ~rng ~fast level =
   let reps = t.replicas.(level) in
-  if Bitset.equal alive t.full then begin
+  if fast then begin
     match policy with
     | First_alive -> reps.(0)
     | Uniform -> reps.(Rng.int rng (Array.length reps))
@@ -116,6 +74,30 @@ let read_site ?(policy = Uniform) t ~alive ~rng ~level =
       | First_alive -> t.scratch.(0)
       | Uniform -> t.scratch.(Rng.int rng !c)
   end
+
+let read_quorum ?(policy = Uniform) t ~alive ~rng =
+  let q = Bitset.create t.n in
+  let fast = Bitset.equal alive t.full in
+  let n_levels = Array.length t.replicas in
+  let level = ref 0 and site = ref 0 in
+  while !site >= 0 && !level < n_levels do
+    site := level_site t ~policy ~alive ~rng ~fast !level;
+    if !site >= 0 then begin
+      Bitset.add q !site;
+      incr level
+    end
+  done;
+  if !site >= 0 then Some q else None
+
+let n_levels t = Array.length t.replicas
+
+(* One level of [read_quorum], for tree-level pipelined reads: same
+   candidate filtering, same single bounded draw (bound = alive candidate
+   count), so a caller walking levels 0..n_levels-1 in order consumes the
+   RNG exactly as one [read_quorum] call would — stopping, like it, at
+   the first level with no alive candidate (returned as -1). *)
+let read_site ?(policy = Uniform) t ~alive ~rng ~level =
+  level_site t ~policy ~alive ~rng ~fast:(Bitset.equal alive t.full) level
 
 let write_quorum ?(policy = Uniform) t ~alive ~rng =
   let n_levels = Array.length t.replicas in

@@ -430,13 +430,24 @@ let with_lock t ~key ~mode body =
 
 (* --- operation lifecycle ------------------------------------------------ *)
 
+(* Reply matching scans the scratch with top-level loops over explicit
+   arguments: a local [let rec] would capture [sc] and the sender and so
+   allocate a closure on every reply. *)
+
+(* Position of [m] in the 2PC member set, or [n_w]. *)
+let rec member_index sc m i =
+  if i = sc.n_w || sc.w.(i) = m then i else member_index sc m (i + 1)
+
+(* Position of [src] among the current phase's members still waiting
+   (replied members are -1), or [n_q]. *)
+let rec waiting_index sc src i =
+  if i = sc.n_q || sc.q.(i) = src then i else waiting_index sc src (i + 1)
+
 (* Incarnation this member acked the prepare under (0 when it has never
    crashed with amnesia — i.e. always, under fail-stop). *)
 let member_inc sc m =
-  let rec go i =
-    if i = sc.n_w then 0 else if sc.w.(i) = m then sc.winc.(i) else go (i + 1)
-  in
-  go 0
+  let i = member_index sc m 0 in
+  if i = sc.n_w then 0 else sc.winc.(i)
 
 (* Suspect (and optionally charge the breaker for) every member still
    waiting in the current phase. *)
@@ -627,16 +638,10 @@ let commit_timeout t st =
 
 let reply_received t st ~src =
   let sc = st.sc in
-  let rec mark i =
-    if i = sc.n_q then false
-    else if sc.q.(i) = src then begin
-      sc.q.(i) <- -1;
-      sc.waiting_n <- sc.waiting_n - 1;
-      true
-    end
-    else mark (i + 1)
-  in
-  if mark 0 then begin
+  let i = waiting_index sc src 0 in
+  if i < sc.n_q then begin
+    sc.q.(i) <- -1;
+    sc.waiting_n <- sc.waiting_n - 1;
     observe_rtt t ~since:st.phase_started;
     breaker_ok t src
   end
@@ -741,9 +746,9 @@ let prepare_complete t st =
    was (possibly) lost, so it must not complete a quorum.  Returns whether
    the message should be dropped. *)
 let stale_incarnation t ~src msg =
-  match Message.incarnation msg with
-  | None -> false
-  | Some inc ->
+  let inc = Message.incarnation msg in
+  if inc = Message.no_incarnation then false
+  else
     let newest =
       match Hashtbl.find t.incs src with i -> i | exception Not_found -> 0
     in
@@ -775,11 +780,8 @@ let handle_op t ~src st msg =
   | Prepare_ack { inc; _ } when st.phase = Preparing ->
     reply_received t st ~src;
     let sc = st.sc in
-    let rec note i =
-      if i < sc.n_w then
-        if sc.w.(i) = src then sc.winc.(i) <- inc else note (i + 1)
-    in
-    note 0;
+    let i = member_index sc src 0 in
+    if i < sc.n_w then sc.winc.(i) <- inc;
     if sc.waiting_n = 0 then prepare_complete t st
   | Prepare_nack _ when st.phase = Querying || st.phase = Preparing ->
     (* Refusal: a queried or prepared member cannot take part (it is

@@ -86,12 +86,14 @@ let op_id = function
     op
   | Ping _ | Pong _ -> -1  (* never matches a pending operation *)
 
+let no_incarnation = -1
+
 let incarnation = function
   | Read_reply { inc; _ }
   | Prepare_ack { inc; _ }
   | Commit_ack { inc; _ }
   | Read_batch_reply { inc; _ } ->
-    Some inc
+    inc
   | Read_request _ | Prepare _ | Prepare_nack _ | Commit _ | Abort _
   | Repair _ | Busy _ | Read_batch _ | Prepare_batch _ | Ping _ | Pong _
   (* provisioning fences on the donor incarnation itself (the replica
@@ -99,7 +101,7 @@ let incarnation = function
      coordinator's reply-fencing path *)
   | Provision_request _ | Snapshot_chunk _ | Chunk_ack _ | Tail_request _
   | Wal_tail _ ->
-    None
+    no_incarnation
 
 let batch_size = function
   | Read_batch { n_keys; _ } -> n_keys

@@ -117,10 +117,15 @@ val op_id : t -> int
 (** Operation id the message belongs to; −1 for [Ping]/[Pong], which
     belong to no operation. *)
 
-val incarnation : t -> int option
+val no_incarnation : int
+(** [-1]: what {!incarnation} returns for a message that carries none.
+    Real incarnations start at 0. *)
+
+val incarnation : t -> int
 (** The sender incarnation stamped on replica replies ([Read_reply],
-    [Prepare_ack], [Commit_ack], [Read_batch_reply]); [None] on every
-    other message. *)
+    [Prepare_ack], [Commit_ack], [Read_batch_reply]); {!no_incarnation}
+    on every other message.  An int, not an option, so matching a reply
+    allocates nothing. *)
 
 val batch_size : t -> int
 (** Logical operations the message carries: the batch length for the

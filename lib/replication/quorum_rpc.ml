@@ -38,6 +38,13 @@ type gather = {
           waiting out the timeout *)
 }
 
+(* Position of [src] among [g]'s members still waiting (replied members
+   are -1), or their count: a top-level loop, so matching a reply
+   allocates no closure. *)
+let rec waiting_index g src i =
+  if i = Array.length g.members || g.members.(i) = src then i
+  else waiting_index g src (i + 1)
+
 (* The members of [g] still waiting, as a list (cold paths only: blame
    assignment after a timeout, commit resends). *)
 let gather_waiting g =
@@ -168,9 +175,9 @@ let member_inc t ~op m =
 (* Drop replies stamped with an incarnation older than the newest seen from
    their sender: pre-crash evidence must not complete a post-crash quorum. *)
 let stale_incarnation t ~src msg =
-  match Message.incarnation msg with
-  | None -> false
-  | Some inc ->
+  let inc = Message.incarnation msg in
+  if inc = Message.no_incarnation then false
+  else
     let newest =
       match Hashtbl.find_opt t.incs src with Some i -> i | None -> 0
     in
@@ -242,16 +249,10 @@ let handle t ~src msg =
             false
         in
         if expected then begin
-          let rec mark i =
-            if i = Array.length g.members then false
-            else if g.members.(i) = src then begin
-              g.members.(i) <- -1;
-              g.waiting_n <- g.waiting_n - 1;
-              true
-            end
-            else mark (i + 1)
-          in
-          if mark 0 then begin
+          let i = waiting_index g src 0 in
+          if i < Array.length g.members then begin
+            g.members.(i) <- -1;
+            g.waiting_n <- g.waiting_n - 1;
             (match t.rto with
             | Some rto ->
               Detect.Rto.observe rto (Engine.now (engine t) -. g.started)

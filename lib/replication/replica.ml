@@ -688,12 +688,8 @@ let handle_serving t ~src msg =
   | Prepare { op; key; version; sid; value } ->
     t.prepares_seen <- t.prepares_seen + 1;
     Store.stage_flat t.store ~op ~key ~version ~sid ~value;
-    (* The WAL keeps boxed timestamps (cold path); build one only when a
-       WAL is actually attached. *)
     (match t.wal with
-    | Some wal ->
-      Wal.append wal
-        (Wal.Stage { op; key; ts = Timestamp.make ~version ~sid; value })
+    | Some wal -> Wal.stage wal ~op ~key ~version ~sid ~value
     | None -> ());
     send t ~dst:src (Message.Prepare_ack { op; inc = t.incarnation })
   | Commit { op; inc } ->
@@ -706,15 +702,16 @@ let handle_serving t ~src msg =
       nack t ~dst:src ~op "stale-incarnation"
     end
     else begin
-      (if Store.has_staged t.store ~op then begin
+      (let store = t.store in
+       let slot = Store.staged_slot store ~op in
+       if slot >= 0 then begin
          (match t.wal with
-         | Some wal -> (
-           match Store.staged t.store ~op with
-           | Some (key, ts, value) ->
-             Wal.append wal (Wal.Commit { op; key; ts; value })
-           | None -> ())
+         | Some wal ->
+           Wal.commit wal ~op ~key:(Store.slot_key store slot)
+             ~version:(Store.slot_version store slot)
+             ~sid:(Store.slot_sid store slot) ~value:(Store.slot_value store slot)
          | None -> ());
-         if Store.commit_staged t.store ~op then
+         if Store.commit_staged store ~op then
            t.writes_applied <- t.writes_applied + 1
        end
        else
@@ -747,9 +744,7 @@ let handle_serving t ~src msg =
   | Repair { key; version; sid; value; _ } ->
     if Store.install_flat t.store ~key ~version ~sid ~value then begin
       (match t.wal with
-      | Some wal ->
-        Wal.append wal
-          (Wal.Install { key; ts = Timestamp.make ~version ~sid; value })
+      | Some wal -> Wal.install wal ~key ~version ~sid ~value
       | None -> ());
       t.repairs_applied <- t.repairs_applied + 1
     end
@@ -837,9 +832,7 @@ let handle_recovering t ~src msg =
   | Repair { key; version; sid; value; _ } ->
     if Store.install_flat t.store ~key ~version ~sid ~value then begin
       (match t.wal with
-      | Some wal ->
-        Wal.append wal
-          (Wal.Install { key; ts = Timestamp.make ~version ~sid; value })
+      | Some wal -> Wal.install wal ~key ~version ~sid ~value
       | None -> ());
       t.repairs_applied <- t.repairs_applied + 1
     end

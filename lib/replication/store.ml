@@ -9,14 +9,26 @@
 
 let dense_limit = 1 lsl 16
 
+(* Staged single writes live in an open-addressing table keyed by op id:
+   linear probing over parallel columns, at most half full, with
+   backward-shift deletion (no tombstones), so lookups stay O(1) expected
+   however many stages leak (an Abort lost under faults never clears its
+   stage).  Staging and committing allocate nothing beyond amortized
+   table growth, and the table is only allocated by the first stage. *)
+let no_op = min_int  (* an empty slot of [s_ops] *)
+
 type t = {
   mutable versions : int array;
   mutable sids : int array;
   mutable values : string array;
   spill : (int, int * int * string) Hashtbl.t;
       (* key -> (version, sid, value), for key < 0 or >= dense_limit *)
-  pending : (int, int * int * int * string) Hashtbl.t;
-      (* op -> (key, version, sid, value) staged *)
+  mutable s_ops : int array;  (* power-of-two size; [no_op] = empty *)
+  mutable s_keys : int array;
+  mutable s_versions : int array;
+  mutable s_sids : int array;
+  mutable s_values : string array;
+  mutable s_count : int;
   pending_batch : (int, Batch.Builder.t) Hashtbl.t;
       (* op -> staged batch, write order *)
 }
@@ -27,7 +39,12 @@ let create () =
     sids = [||];
     values = [||];
     spill = Hashtbl.create 4;
-    pending = Hashtbl.create 8;
+    s_ops = [||];
+    s_keys = [||];
+    s_versions = [||];
+    s_sids = [||];
+    s_values = [||];
+    s_count = 0;
     pending_batch = Hashtbl.create 4;
   }
 
@@ -111,24 +128,125 @@ let install_flat t ~key ~version ~sid ~value =
 let install t ~key ~(ts : Timestamp.t) ~value =
   install_flat t ~key ~version:ts.Timestamp.version ~sid:ts.Timestamp.sid ~value
 
+(* --- staged single writes ------------------------------------------------- *)
+
+let home t op = ((op * 0x9E3779B97F4A7C1) lsr 20) land (Array.length t.s_ops - 1)
+
+(* Slot holding [op], or -1. *)
+let staged_slot t ~op =
+  if t.s_count = 0 then -1
+  else begin
+    let mask = Array.length t.s_ops - 1 in
+    let i = ref (home t op) in
+    while
+      let o = Array.unsafe_get t.s_ops !i in
+      o <> op && o <> no_op
+    do
+      i := (!i + 1) land mask
+    done;
+    if Array.unsafe_get t.s_ops !i = op then !i else -1
+  end
+
+let slot_key t i = t.s_keys.(i)
+let slot_version t i = t.s_versions.(i)
+let slot_sid t i = t.s_sids.(i)
+let slot_value t i = t.s_values.(i)
+
+(* Insert [op] (known absent) into a table with room for it. *)
+let insert_fresh t ~op ~key ~version ~sid ~value =
+  let mask = Array.length t.s_ops - 1 in
+  let i = ref (home t op) in
+  while Array.unsafe_get t.s_ops !i <> no_op do
+    i := (!i + 1) land mask
+  done;
+  let i = !i in
+  t.s_ops.(i) <- op;
+  t.s_keys.(i) <- key;
+  t.s_versions.(i) <- version;
+  t.s_sids.(i) <- sid;
+  t.s_values.(i) <- value;
+  t.s_count <- t.s_count + 1
+
+let grow_staging t =
+  let ops = t.s_ops and keys = t.s_keys and versions = t.s_versions
+  and sids = t.s_sids and values = t.s_values in
+  let cap = max 16 (2 * Array.length ops) in
+  t.s_ops <- Array.make cap no_op;
+  t.s_keys <- Array.make cap 0;
+  t.s_versions <- Array.make cap 0;
+  t.s_sids <- Array.make cap 0;
+  t.s_values <- Array.make cap "";
+  t.s_count <- 0;
+  Array.iteri
+    (fun i op ->
+      if op <> no_op then
+        insert_fresh t ~op ~key:keys.(i) ~version:versions.(i) ~sid:sids.(i)
+          ~value:values.(i))
+    ops
+
+(* Backward-shift deletion: pull every later member of the probe run that
+   may live at or before the hole into it, so probing never needs a
+   tombstone. *)
+let remove_slot t i =
+  let mask = Array.length t.s_ops - 1 in
+  let hole = ref i and j = ref ((i + 1) land mask) in
+  while t.s_ops.(!j) <> no_op do
+    let k = home t t.s_ops.(!j) in
+    let h = !hole and jj = !j in
+    (* [k] cyclically in (h, jj]: the entry must stay where it is *)
+    let stays = if h <= jj then h < k && k <= jj else h < k || k <= jj in
+    if not stays then begin
+      t.s_ops.(h) <- t.s_ops.(jj);
+      t.s_keys.(h) <- t.s_keys.(jj);
+      t.s_versions.(h) <- t.s_versions.(jj);
+      t.s_sids.(h) <- t.s_sids.(jj);
+      t.s_values.(h) <- t.s_values.(jj);
+      hole := jj
+    end;
+    j := (jj + 1) land mask
+  done;
+  t.s_ops.(!hole) <- no_op;
+  t.s_values.(!hole) <- "";
+  t.s_count <- t.s_count - 1
+
+let remove_single t ~op =
+  let i = staged_slot t ~op in
+  if i >= 0 then remove_slot t i
+
+let put_single t ~op ~key ~version ~sid ~value =
+  let i = staged_slot t ~op in
+  if i >= 0 then begin
+    t.s_keys.(i) <- key;
+    t.s_versions.(i) <- version;
+    t.s_sids.(i) <- sid;
+    t.s_values.(i) <- value
+  end
+  else begin
+    if 2 * (t.s_count + 1) > Array.length t.s_ops then grow_staging t;
+    insert_fresh t ~op ~key ~version ~sid ~value
+  end
+
 let stage_flat t ~op ~key ~version ~sid ~value =
   Hashtbl.remove t.pending_batch op;
-  Hashtbl.replace t.pending op (key, version, sid, value)
+  put_single t ~op ~key ~version ~sid ~value
 
 let stage t ~op ~key ~(ts : Timestamp.t) ~value =
   stage_flat t ~op ~key ~version:ts.Timestamp.version ~sid:ts.Timestamp.sid
     ~value
 
-let has_staged t ~op = Hashtbl.mem t.pending op
+let has_staged t ~op = staged_slot t ~op >= 0
 
 let staged t ~op =
-  match Hashtbl.find t.pending op with
-  | key, version, sid, value ->
-    Some (key, Timestamp.make ~version ~sid, value)
-  | exception Not_found -> None
+  let i = staged_slot t ~op in
+  if i < 0 then None
+  else
+    Some
+      ( t.s_keys.(i),
+        Timestamp.make ~version:t.s_versions.(i) ~sid:t.s_sids.(i),
+        t.s_values.(i) )
 
 let stage_many t ~op (writes : Batch.t) =
-  Hashtbl.remove t.pending op;
+  remove_single t ~op;
   Hashtbl.replace t.pending_batch op (Batch.Builder.of_batch writes)
 
 let staged_many t ~op =
@@ -146,28 +264,31 @@ let staged_batch_size t ~op =
    wins semantics for re-prepared single writes).  The builder appends in
    amortized O(1); replaying a k-write batch is O(k), not the O(k²) the
    old list-append accumulation cost. *)
-let stage_accum t ~op ~key ~(ts : Timestamp.t) ~value =
-  let version = ts.Timestamp.version and sid = ts.Timestamp.sid in
+let stage_accum t ~op ~key ~version ~sid ~value =
   match Hashtbl.find t.pending_batch op with
   | b -> Batch.Builder.push b ~key ~version ~sid ~value
-  | exception Not_found -> (
-    match Hashtbl.find t.pending op with
-    | k0, v0, s0, val0 ->
-      Hashtbl.remove t.pending op;
+  | exception Not_found ->
+    let i = staged_slot t ~op in
+    if i >= 0 then begin
       let b = Batch.Builder.create ~capacity:4 () in
-      Batch.Builder.push b ~key:k0 ~version:v0 ~sid:s0 ~value:val0;
+      Batch.Builder.push b ~key:t.s_keys.(i) ~version:t.s_versions.(i)
+        ~sid:t.s_sids.(i) ~value:t.s_values.(i);
+      remove_slot t i;
       Batch.Builder.push b ~key ~version ~sid ~value;
       Hashtbl.replace t.pending_batch op b
-    | exception Not_found ->
-      Hashtbl.replace t.pending op (key, version, sid, value))
+    end
+    else put_single t ~op ~key ~version ~sid ~value
 
 let commit_staged t ~op =
-  match Hashtbl.find t.pending op with
-  | key, version, sid, value ->
-    Hashtbl.remove t.pending op;
+  let i = staged_slot t ~op in
+  if i >= 0 then begin
+    let key = t.s_keys.(i) and version = t.s_versions.(i)
+    and sid = t.s_sids.(i) and value = t.s_values.(i) in
+    remove_slot t i;
     ignore (install_flat t ~key ~version ~sid ~value);
     true
-  | exception Not_found -> (
+  end
+  else
     match Hashtbl.find t.pending_batch op with
     | b ->
       Hashtbl.remove t.pending_batch op;
@@ -178,13 +299,13 @@ let commit_staged t ~op =
              ~value:(Batch.Builder.value b i))
       done;
       true
-    | exception Not_found -> false)
+    | exception Not_found -> false
 
 let abort_staged t ~op =
-  Hashtbl.remove t.pending op;
+  remove_single t ~op;
   Hashtbl.remove t.pending_batch op
 
-let staged_count t = Hashtbl.length t.pending + Hashtbl.length t.pending_batch
+let staged_count t = t.s_count + Hashtbl.length t.pending_batch
 
 (* Snapshot export: the committed entries with lo <= key < hi, ascending.
    The store is mutated only between engine events, so any single-event

@@ -10,9 +10,11 @@
     and a string value column, plus a hashtable spill for negative or
     very large key ids.  The flat accessors ({!version_of}, {!sid_of},
     {!value_of}) read it without boxing a timestamp or a tuple — the
-    replica's serving path goes through them.  Staged batches are flat
-    {!Batch} arrays, and WAL replay accumulates them in amortized O(1)
-    per record.
+    replica's serving path goes through them.  Staged single writes live
+    in an open-addressing table of flat columns keyed by op id, read by
+    slot ({!staged_slot}), so a stage and its commit allocate nothing.
+    Staged batches are flat {!Batch} arrays, and WAL replay accumulates
+    them in amortized O(1) per record.
 
     The store itself is plain volatile memory.  What survives a crash is
     decided one layer up: under the paper's fail-stop model (§2.2) the
@@ -57,6 +59,18 @@ val stage_flat :
 (** {!stage} without the boxed timestamp. *)
 
 val staged : t -> op:int -> (int * Timestamp.t * string) option
+(** The single write staged under [op], boxed for inspection; the commit
+    path reads it by slot ({!staged_slot}) instead. *)
+
+val staged_slot : t -> op:int -> int
+(** The slot of the single write staged under [op], or [-1]; O(1)
+    expected.  Valid until the next stage, commit or abort. *)
+
+val slot_key : t -> int -> int
+val slot_version : t -> int -> int
+val slot_sid : t -> int -> int
+val slot_value : t -> int -> string
+(** Fields of the write staged in a slot from {!staged_slot}. *)
 
 val has_staged : t -> op:int -> bool
 (** Whether a single write is staged under [op], without allocating the
@@ -74,7 +88,7 @@ val staged_batch_size : t -> op:int -> int
 (** Number of writes in the batch staged under [op]; 0 when none is. *)
 
 val stage_accum :
-  t -> op:int -> key:int -> ts:Timestamp.t -> value:string -> unit
+  t -> op:int -> key:int -> version:int -> sid:int -> value:string -> unit
 (** WAL-replay staging: a second stage under an op id {e accumulates}
     into a batch instead of clobbering, so replaying the per-record
     Stage entries of a batched prepare rebuilds the full staged batch.

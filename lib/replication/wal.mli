@@ -62,7 +62,8 @@ type t
 
 val create : ?policy:policy -> now:(unit -> float) -> unit -> t
 (** [now] is the virtual clock (the engine's) used to stamp appends and
-    decide durability at crash time.  Default policy {!Sync_on_commit}.
+    decide durability at crash time; it must never run backwards.  Only
+    [Async] reads it on append.  Default policy {!Sync_on_commit}.
     Raises [Invalid_argument] on [Async lag] with [lag <= 0]. *)
 
 val policy : t -> policy
@@ -71,6 +72,19 @@ val append : t -> record -> unit
 (** Appends one record, stamped durable per the policy.  Counts one
     {!syncs} when the policy forces it to stable storage immediately
     (Sync_on_prepare always; Sync_on_commit for [Commit]/[Install]). *)
+
+val stage :
+  t -> op:int -> key:int -> version:int -> sid:int -> value:string -> unit
+(** [append] of a [Stage] record, without building the record: the
+    per-prepare form, which allocates nothing beyond the log's amortized
+    column growth. *)
+
+val commit :
+  t -> op:int -> key:int -> version:int -> sid:int -> value:string -> unit
+(** [append] of a [Commit] record, allocation-free like {!stage}. *)
+
+val install : t -> key:int -> version:int -> sid:int -> value:string -> unit
+(** [append] of an [Install] record, allocation-free like {!stage}. *)
 
 val append_batch : t -> record list -> unit
 (** Group commit: appends the records in order with the same per-record

@@ -13,6 +13,12 @@ val create : ?seed:int -> unit -> t
 val now : t -> float
 (** Current virtual time. *)
 
+val clock : t -> Float.Array.t
+(** The clock itself: [(clock t).(0)] is {!now}.  Callers on per-message
+    paths read it there, because a float returned across a module
+    boundary is boxed (the library is compiled with [-opaque]).  Never
+    write it. *)
+
 val rng : t -> Dsutil.Rng.t
 (** The engine's root random stream; [split] it per component. *)
 
@@ -37,6 +43,16 @@ val schedule_packed : t -> delay:float -> handler -> meta:int -> payload:Obj.t -
 (** Run [handler] with [meta] and [payload] after [delay].  Ordering is
     identical to {!schedule} (timestamp order, FIFO among equals — both
     share one queue).  Negative delays raise [Invalid_argument]. *)
+
+val delay_slot : t -> Float.Array.t
+(** Scratch slot for {!schedule_slot}: write the delay at index 0. *)
+
+val schedule_slot : t -> handler -> meta:int -> payload:Obj.t -> unit
+(** {!schedule_packed} with the delay read from [(delay_slot t).(0)]
+    instead of passed as a float, which would be boxed at the call.
+    Every scheduling entry point shares this one path, so ordering is
+    identical.  Negative delays raise [Invalid_argument]; the slot's
+    contents are clobbered. *)
 
 val run : ?until:float -> t -> unit
 (** Process events until the queue drains or virtual time would pass

@@ -2,18 +2,21 @@ module Rng = Dsutil.Rng
 
 type t = Constant of float | Uniform of float * float | Exponential of float
 
-(* The exponential draw is written out inline: layering through
-   [Rng.exponential] and [Rng.uniform_in] costs a boxed float return per
-   call level on the per-message hot path.  The arithmetic is identical
-   ([Rng.float] then the same transform), so the draws are unchanged. *)
-let sample t rng =
+(* The draw is rebuilt here from [Rng.bits53] and written into the
+   caller's slot: [Rng.float]'s result and this function's would each be
+   a boxed float, once per message.  The arithmetic is exactly
+   [Rng.float]'s followed by the transform, so each draw equals the one
+   made through [Rng.float] bit for bit. *)
+let sample_into t rng slot =
   match t with
-  | Constant d -> d
-  | Uniform (lo, hi) -> lo +. Rng.float rng (hi -. lo)
+  | Constant d -> Float.Array.set slot 0 d
+  | Uniform (lo, hi) ->
+    let u = float_of_int (Rng.bits53 rng) /. 9007199254740992.0 *. (hi -. lo) in
+    Float.Array.set slot 0 (lo +. u)
   | Exponential mean ->
-    let u = Rng.float rng 1.0 in
+    let u = float_of_int (Rng.bits53 rng) /. 9007199254740992.0 in
     let u = if u <= 0.0 then 1e-300 else u in
-    (0.1 *. mean) +. (-.mean *. log u)
+    Float.Array.set slot 0 ((0.1 *. mean) +. (-.mean *. log u))
 
 let mean = function
   | Constant d -> d

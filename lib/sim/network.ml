@@ -37,11 +37,17 @@ type obs_counters = {
 
 (* Per-site ingress queue and service model, allocated only for sites that
    opted in through [set_service]/[set_priority]/[set_overflow]; every
-   other site keeps the instant-delivery path untouched. *)
+   other site keeps the instant-delivery path untouched.  The queue is a
+   ring of parallel sender/message arrays (a power-of-two capacity, grown
+   on demand and allocated on the first arrival), so queueing a message
+   allocates nothing. *)
 type 'msg service = {
   mutable capacity : int;  (* 0 = unbounded *)
   mutable service_time : float;
-  squeue : (int * 'msg) Queue.t;  (* (src, msg); head is in service *)
+  mutable q_src : int array;
+  mutable q_msg : Obj.t array;  (* the ['msg]s; [Obj.repr 0] when vacant *)
+  mutable q_head : int;  (* ring index of the message in service *)
+  mutable q_len : int;
   mutable busy : bool;  (* a service-completion event is scheduled *)
   mutable epoch : int;  (* bumped by crash so stale completions die *)
   mutable peak : int;
@@ -73,12 +79,16 @@ type 'msg t = {
       (* preallocated arrival handler: (src, dst) packed in the event's
          int slot, the message in its payload slot, so a send schedules
          no closure *)
+  mutable completion : Engine.handler;
+      (* preallocated service-completion handler: (epoch, dst) packed in
+         the event's int slot *)
 }
 
 and 'msg tracer = { sink : Trace.t; describe : 'msg -> string }
 
-(* Sentinel handler installed by [create]; the first send swaps in the
-   real arrival handler (defined below, next to the delivery logic). *)
+(* Sentinel handler installed by [create]; the first send (or the first
+   service start) swaps in the real handler, defined below next to the
+   delivery logic. *)
 let uninit_deferred = Engine.handler (fun _ _ -> ())
 
 let create ~engine ~n ?(latency = Latency.Exponential 1.0) ?(loss_rate = 0.0)
@@ -120,6 +130,7 @@ let create ~engine ~n ?(latency = Latency.Exponential 1.0) ?(loss_rate = 0.0)
     trace = None;
     obs = None;
     deferred = uninit_deferred;
+    completion = uninit_deferred;
   }
 
 let engine t = t.engine
@@ -220,20 +231,65 @@ let deliver t ~src ~dst msg =
     emit_deliver t ~src ~dst msg;
     h ~src msg
 
+(* --- the service ring ------------------------------------------------------ *)
+
+let vacant = Obj.repr 0
+
+let ring_grow s =
+  let cap = Array.length s.q_src in
+  let ncap = if cap = 0 then 16 else 2 * cap in
+  let src = Array.make ncap 0 and msg = Array.make ncap vacant in
+  for i = 0 to s.q_len - 1 do
+    let j = (s.q_head + i) land (cap - 1) in
+    src.(i) <- s.q_src.(j);
+    msg.(i) <- s.q_msg.(j)
+  done;
+  s.q_src <- src;
+  s.q_msg <- msg;
+  s.q_head <- 0
+
+let ring_push s ~src msg =
+  if s.q_len = Array.length s.q_src then ring_grow s;
+  let j = (s.q_head + s.q_len) land (Array.length s.q_src - 1) in
+  s.q_src.(j) <- src;
+  s.q_msg.(j) <- Obj.repr msg;
+  s.q_len <- s.q_len + 1
+
+(* Drop every queued message (vacating the slots so none is retained). *)
+let ring_clear s =
+  let mask = Array.length s.q_src - 1 in
+  for i = 0 to s.q_len - 1 do
+    s.q_msg.((s.q_head + i) land mask) <- vacant
+  done;
+  s.q_head <- 0;
+  s.q_len <- 0
+
 (* One server per site: the queue head is in service; its completion event
    pops it, hands it to the handler, and re-arms for the next message.
-   [epoch] guards against completions scheduled before a crash wiped the
-   queue. *)
-let rec serve t ~dst s =
+   The event is the network's one completion handler with (epoch, dst)
+   packed in its int slot; [epoch] guards against completions scheduled
+   before a crash wiped the queue. *)
+let serve t ~dst s =
   s.busy <- true;
-  let epoch = s.epoch in
-  Engine.schedule t.engine ~delay:s.service_time (fun () ->
-      if s.epoch = epoch then begin
-        (match Queue.take_opt s.squeue with
-        | None -> ()
-        | Some (src, msg) -> deliver t ~src ~dst msg);
-        if Queue.is_empty s.squeue then s.busy <- false else serve t ~dst s
-      end)
+  Float.Array.set (Engine.delay_slot t.engine) 0 s.service_time;
+  Engine.schedule_slot t.engine t.completion
+    ~meta:((s.epoch lsl 20) lor dst) ~payload:vacant
+
+let complete t ~dst ~epoch =
+  match t.services.(dst) with
+  | None -> ()
+  | Some s ->
+    if s.epoch = epoch then begin
+      if s.q_len > 0 then begin
+        let j = s.q_head in
+        let src = s.q_src.(j) and msg = s.q_msg.(j) in
+        s.q_msg.(j) <- vacant;
+        s.q_head <- (j + 1) land (Array.length s.q_src - 1);
+        s.q_len <- s.q_len - 1;
+        deliver t ~src ~dst (Obj.obj msg)
+      end;
+      if s.q_len = 0 then s.busy <- false else serve t ~dst s
+    end
 
 (* Arrival at a site with a service model: bounded admission (priority
    traffic always admitted), then FIFO service. *)
@@ -241,16 +297,15 @@ let enqueue t ~src ~dst s msg =
   let priority =
     match s.priority with None -> false | Some p -> p ~src msg
   in
-  if (not priority) && s.capacity > 0 && Queue.length s.squeue >= s.capacity
-  then begin
+  if (not priority) && s.capacity > 0 && s.q_len >= s.capacity then begin
     t.counters.dropped_overload <- t.counters.dropped_overload + 1;
     obs_incr t (fun o -> o.o_drop_overload);
     emit t (Trace.Drop { src; dst; reason = "overload" });
     match s.overflow with None -> () | Some f -> f ~src msg
   end
   else begin
-    Queue.add (src, msg) s.squeue;
-    let depth = Queue.length s.squeue in
+    ring_push s ~src msg;
+    let depth = s.q_len in
     if depth > s.peak then s.peak <- depth;
     (match t.obs with
     | None -> ()
@@ -287,15 +342,18 @@ let arrive t ~src ~dst msg =
     | Some s -> enqueue t ~src ~dst s msg
   end
 
-(* Install the preallocated arrival handler: one handler per network, the
-   per-message (src, dst) packed into the event's int slot (20 bits each —
+(* Install the preallocated event handlers: one of each per network.  An
+   arrival carries (src, dst) in the event's int slot (20 bits each —
    universes are at most a few hundred sites) and the message in its
-   payload slot.  Closure-based scheduling would cost several words per
-   message. *)
-let init_deferred t =
+   payload slot; a service completion carries (epoch, dst).  Closure-based
+   scheduling would cost several words per message. *)
+let init_handlers t =
   t.deferred <-
     Engine.handler (fun meta p ->
-        arrive t ~src:(meta lsr 20) ~dst:(meta land 0xFFFFF) (Obj.obj p))
+        arrive t ~src:(meta lsr 20) ~dst:(meta land 0xFFFFF) (Obj.obj p));
+  t.completion <-
+    Engine.handler (fun meta _ ->
+        complete t ~dst:(meta land 0xFFFFF) ~epoch:(meta lsr 20))
 
 let send t ?(units = 1) ~src ~dst msg =
   check_site t src;
@@ -322,26 +380,32 @@ let send t ?(units = 1) ~src ~dst msg =
     obs_incr t (fun o -> o.o_drop_crash);
     emit t (Trace.Drop { src; dst; reason = "sender down" })
   end
-  else if t.loss_rate > 0.0 && Rng.bernoulli t.rng t.loss_rate then
-    count_loss_drop t ~src ~dst
+  else if
+    (* [Rng.bernoulli t.rng t.loss_rate], rebuilt from the raw bits so the
+       uniform draw is not a boxed float *)
+    t.loss_rate > 0.0
+    && float_of_int (Rng.bits53 t.rng) /. 9007199254740992.0 < t.loss_rate
+  then count_loss_drop t ~src ~dst
   else begin
-    let delay = Latency.sample t.latency t.rng in
-    let delay =
+    (* The latency draw lands in the engine's delay slot, and
+       [schedule_slot] reads it there: no float crosses a module
+       boundary, so nothing is boxed. *)
+    let slot = Engine.delay_slot t.engine in
+    Latency.sample_into t.latency t.rng slot;
+    if Array.length t.fifo_floor > 0 then begin
       (* FIFO links: never deliver before an earlier message of the same
          (src, dst) pair. *)
-      if Array.length t.fifo_floor = 0 then delay
-      else begin
-        let idx = (src * t.n) + dst in
-        let at =
-          Float.max (Engine.now t.engine +. delay) (t.fifo_floor.(idx) +. 1e-9)
-        in
-        t.fifo_floor.(idx) <- at;
-        at -. Engine.now t.engine
-      end
-    in
-    if t.deferred == uninit_deferred then init_deferred t;
-    Engine.schedule_packed t.engine ~delay t.deferred
-      ~meta:((src lsl 20) lor dst) ~payload:(Obj.repr msg)
+      let idx = (src * t.n) + dst in
+      let now = Float.Array.get (Engine.clock t.engine) 0 in
+      let at =
+        Float.max (now +. Float.Array.get slot 0) (t.fifo_floor.(idx) +. 1e-9)
+      in
+      t.fifo_floor.(idx) <- at;
+      Float.Array.set slot 0 (at -. now)
+    end;
+    if t.deferred == uninit_deferred then init_handlers t;
+    Engine.schedule_slot t.engine t.deferred ~meta:((src lsl 20) lor dst)
+      ~payload:(Obj.repr msg)
   end
 
 let broadcast t ~src ~dst msg = List.iter (fun d -> send t ~src ~dst:d msg) dst
@@ -357,7 +421,10 @@ let service t site =
       {
         capacity = 0;
         service_time = 0.0;
-        squeue = Queue.create ();
+        q_src = [||];
+        q_msg = [||];
+        q_head = 0;
+        q_len = 0;
         busy = false;
         epoch = 0;
         peak = 0;
@@ -366,6 +433,7 @@ let service t site =
       }
     in
     t.services.(site) <- Some s;
+    if t.completion == uninit_deferred then init_handlers t;
     s
 
 let set_service t ~site ?(capacity = 0) ?(service_time = 0.0) () =
@@ -381,7 +449,7 @@ let set_overflow t ~site f = (service t site).overflow <- Some f
 
 let queue_depth t site =
   check_site t site;
-  match t.services.(site) with None -> 0 | Some s -> Queue.length s.squeue
+  match t.services.(site) with None -> 0 | Some s -> s.q_len
 
 let queue_peak t site =
   check_site t site;
@@ -410,13 +478,13 @@ let crash t i =
     (match t.services.(i) with
     | None -> ()
     | Some s ->
-      let pending = Queue.length s.squeue in
+      let pending = s.q_len in
       if pending > 0 then begin
         t.counters.dropped_crash <- t.counters.dropped_crash + pending;
         (match t.obs with
         | None -> ()
         | Some o -> Obs.Metrics.add o.o_drop_crash pending);
-        Queue.clear s.squeue
+        ring_clear s
       end;
       s.epoch <- s.epoch + 1;
       s.busy <- false);

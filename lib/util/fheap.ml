@@ -21,9 +21,13 @@
      and ints — no pointer stores, so no [caml_modify] write barrier per
      sift level (the barrier was ~10% of simulator CPU when sifts moved
      the pointer arrays directly).
-   - Without flambda a float crossing a function boundary is boxed, so
-     each sift loads its key into locals and runs to completion in one
-     function body — the floats stay in registers.
+   - The library is compiled with [-opaque], so nothing is inlined
+     across modules and a float crossing a {e module} boundary is boxed
+     (without flambda, a function call inside this module boxes it too).
+     Keys therefore enter and leave through a caller-owned [Float.Array]
+     slot — [push] reads the key from one, [pop_apply] writes the popped
+     time into one — and each sift loads its key into locals and runs to
+     completion in one function body, so the floats stay in registers.
    - Array reads are bounds-checked, so the inner loops use unsafe
      accessors; every index is bounded by [size] (or comes off the free
      list), both bounded by the shared capacity. *)
@@ -120,7 +124,8 @@ let sift_up t i =
     Array.unsafe_set slots j slot
   end
 
-let push t time h meta p =
+let push t key h meta p =
+  let time = Float.Array.get key 0 in
   if t.size = Array.length t.times then grow t;
   (* take a satellite slot and park the entry's cargo there *)
   t.free_n <- t.free_n - 1;
@@ -139,6 +144,8 @@ let push t time h meta p =
 let min_key t =
   if t.size = 0 then invalid_arg "Fheap.min_key: empty heap"
   else t.times.(0)
+
+let min_le t limit = t.size > 0 && t.times.(0) <= limit
 
 (* Hole sift-down from the root of the entry currently stored at the
    root heap index. *)
@@ -184,12 +191,12 @@ let sift_down_root t =
     Array.unsafe_set slots j slot
   end
 
-(* Pop the minimum and hand (time, handler, meta, payload) to [f] — no
-   option, no pair. *)
-let pop_apply t f =
+(* Pop the minimum, store its time in [clock.(0)] and hand (handler,
+   meta, payload) to [f] — no option, no pair, no boxed float. *)
+let pop_apply t clock f =
   if t.size = 0 then false
   else begin
-    let time = t.times.(0) in
+    Float.Array.set clock 0 t.times.(0);
     let slot = t.slots.(0) in
     let h = t.hs.(slot)
     and meta = t.metas.(slot)
@@ -207,7 +214,7 @@ let pop_apply t f =
       t.slots.(0) <- t.slots.(n);
       sift_down_root t
     end;
-    f time h meta p;
+    f h meta p;
     true
   end
 

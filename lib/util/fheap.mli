@@ -19,13 +19,23 @@ val create : dummy_h:'h -> dummy_p:'p -> ('h, 'p) t
 val length : ('h, 'p) t -> int
 val is_empty : ('h, 'p) t -> bool
 
-val push : ('h, 'p) t -> float -> 'h -> int -> 'p -> unit
+(** Keys travel through caller-owned [Float.Array] slots rather than as
+    float arguments or results: the library is built with [-opaque], so a
+    float crossing a module boundary would be boxed on every event. *)
+
+val push : ('h, 'p) t -> Float.Array.t -> 'h -> int -> 'p -> unit
+(** [push t key h meta p] queues an entry whose time is [key.(0)]. *)
 
 val min_key : ('h, 'p) t -> float
 (** Smallest key without popping.  Raises [Invalid_argument] when empty. *)
 
-val pop_apply : ('h, 'p) t -> (float -> 'h -> int -> 'p -> unit) -> bool
-(** Pop the minimum entry and apply [f time handler meta payload];
-    [false] on an empty heap.  Allocates neither an option nor a pair. *)
+val min_le : ('h, 'p) t -> float -> bool
+(** [min_le t limit]: the heap is non-empty and its smallest key is
+    [<= limit] — the bounded run loop's test, with no float returned. *)
+
+val pop_apply : ('h, 'p) t -> Float.Array.t -> ('h -> int -> 'p -> unit) -> bool
+(** [pop_apply t clock f] pops the minimum entry, writes its time into
+    [clock.(0)] and applies [f handler meta payload]; [false] on an empty
+    heap.  Allocates nothing. *)
 
 val clear : ('h, 'p) t -> unit

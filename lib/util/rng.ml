@@ -133,11 +133,12 @@ let int t bound =
   let v = (t.r_hi lsl 30) lor (t.r_lo lsr 2) in
   v mod bound
 
-let float t bound =
+(* 53 significant bits, uniform in [0, 2^53). *)
+let bits53 t =
   next_mixed t;
-  (* 53 significant bits, uniform in [0,1). *)
-  let v = (t.r_hi lsl 21) lor (t.r_lo lsr 11) in
-  float_of_int v /. 9007199254740992.0 *. bound
+  (t.r_hi lsl 21) lor (t.r_lo lsr 11)
+
+let float t bound = float_of_int (bits53 t) /. 9007199254740992.0 *. bound
 
 let bool t =
   next_mixed t;

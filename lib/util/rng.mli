@@ -26,6 +26,12 @@ val int : t -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val bits53 : t -> int
+(** The next 53 uniform bits, in [\[0, 2{^53})]; the draw {!float} is
+    made of: [float t b = float_of_int (bits53 t) /. 2{^53} *. b].  Callers
+    outside this module rebuild a float draw from it locally, because a
+    float returned across a module boundary is boxed. *)
+
 val bool : t -> bool
 
 val bernoulli : t -> float -> bool

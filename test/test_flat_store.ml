@@ -161,7 +161,7 @@ let test_equivalence () =
       let value = random_value rng in
       Hashtbl.replace touched key ();
       Model.stage_accum model ~op ~key ~ts ~value;
-      Store.stage_accum store ~op ~key ~ts ~value
+      Store.stage_accum store ~op ~key ~version:ts.Timestamp.version ~sid:ts.Timestamp.sid ~value
     | 8 ->
       Alcotest.(check bool) "commit agrees"
         (Model.commit_staged model ~op)
@@ -214,7 +214,7 @@ let test_stage_accum_large_replay () =
   let store = Store.create () in
   let n = 30_000 in
   for i = 0 to n - 1 do
-    Store.stage_accum store ~op:7 ~key:(i mod 1000) ~ts:(ts (i + 1) 0)
+    Store.stage_accum store ~op:7 ~key:(i mod 1000) ~version:(i + 1) ~sid:0
       ~value:(string_of_int i)
   done;
   Alcotest.(check int) "all records accumulated" n
@@ -239,10 +239,10 @@ let test_stage_accum_large_replay () =
    the pair to a batch. *)
 let test_stage_accum_promotion () =
   let store = Store.create () in
-  Store.stage_accum store ~op:3 ~key:1 ~ts:(ts 1 0) ~value:"a";
+  Store.stage_accum store ~op:3 ~key:1 ~version:1 ~sid:0 ~value:"a";
   Alcotest.(check bool) "single stage first" true (Store.has_staged store ~op:3);
   Alcotest.(check int) "no batch yet" 0 (Store.staged_batch_size store ~op:3);
-  Store.stage_accum store ~op:3 ~key:2 ~ts:(ts 1 0) ~value:"b";
+  Store.stage_accum store ~op:3 ~key:2 ~version:1 ~sid:0 ~value:"b";
   Alcotest.(check bool) "promoted away from single" false
     (Store.has_staged store ~op:3);
   Alcotest.(check int) "promoted to a 2-batch" 2

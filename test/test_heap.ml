@@ -152,6 +152,7 @@ let test_fheap_matches_generic_heap () =
   let module Fheap = Dsutil.Fheap in
   let rng = Dsutil.Rng.create 4242 in
   let fh = Fheap.create ~dummy_h:(-1) ~dummy_p:"" in
+  let key = Float.Array.make 1 0.0 and clock = Float.Array.make 1 nan in
   let h = Heap.create ~compare:Float.compare in
   let next_id = ref 0 in
   let popped = ref 0 in
@@ -161,8 +162,8 @@ let test_fheap_matches_generic_heap () =
     | Some (k, id) ->
       incr popped;
       let got =
-        Fheap.pop_apply fh (fun time handler meta payload ->
-            Alcotest.(check (float 0.0)) "same key" k time;
+        Fheap.pop_apply fh clock (fun handler meta payload ->
+            Alcotest.(check (float 0.0)) "same key" k (Float.Array.get clock 0);
             Alcotest.(check int) "same entry" id meta;
             Alcotest.(check int) "handler rides along" id handler;
             Alcotest.(check string) "payload rides along" (string_of_int id)
@@ -179,7 +180,8 @@ let test_fheap_matches_generic_heap () =
         let id = !next_id in
         incr next_id;
         Heap.push h k id;
-        Fheap.push fh k id id (string_of_int id)
+        Float.Array.set key 0 k;
+        Fheap.push fh key id id (string_of_int id)
       end
     done;
     Alcotest.(check int) "same length" (Heap.length h) (Fheap.length fh);
@@ -196,19 +198,24 @@ let test_fheap_matches_generic_heap () =
 let test_fheap_clear () =
   let module Fheap = Dsutil.Fheap in
   let fh = Fheap.create ~dummy_h:0 ~dummy_p:() in
+  let key = Float.Array.make 1 0.0 and clock = Float.Array.make 1 0.0 in
+  let push k h meta =
+    Float.Array.set key 0 k;
+    Fheap.push fh key h meta ()
+  in
   for i = 1 to 100 do
-    Fheap.push fh (float_of_int (i mod 7)) i 0 ()
+    push (float_of_int (i mod 7)) i 0
   done;
   Fheap.clear fh;
   Alcotest.(check bool) "empty after clear" true (Fheap.is_empty fh);
   Alcotest.(check int) "length 0" 0 (Fheap.length fh);
   Alcotest.(check bool) "pop on empty" false
-    (Fheap.pop_apply fh (fun _ _ _ _ -> Alcotest.fail "popped from empty"));
+    (Fheap.pop_apply fh clock (fun _ _ _ -> Alcotest.fail "popped from empty"));
   (* reusable after clear, slots recycle correctly *)
-  Fheap.push fh 2.0 1 10 ();
-  Fheap.push fh 1.0 2 20 ();
+  push 2.0 1 10;
+  push 1.0 2 20;
   let order = ref [] in
-  while Fheap.pop_apply fh (fun _ _ meta _ -> order := meta :: !order) do
+  while Fheap.pop_apply fh clock (fun _ meta _ -> order := meta :: !order) do
     ()
   done;
   Alcotest.(check (list int)) "ordered after reuse" [ 20; 10 ] (List.rev !order)

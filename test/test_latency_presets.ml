@@ -2,11 +2,34 @@ module Latency = Dsim.Latency
 module Presets = Workload.Presets
 module Rng = Dsutil.Rng
 
+let sample model rng =
+  let slot = Float.Array.make 1 nan in
+  Latency.sample_into model rng slot;
+  Float.Array.get slot 0
+
+(* The draw is rebuilt from [Rng.bits53]; it must equal the same
+   transform of [Rng.float] bit for bit, on the same stream. *)
+let test_draws_match_rng_float () =
+  let check model reference =
+    let a = Rng.create 11 in
+    let b = Rng.copy a in
+    for _ = 1 to 10_000 do
+      let got = sample model a and want = reference b in
+      if Int64.bits_of_float got <> Int64.bits_of_float want then
+        Alcotest.failf "draw %h, want %h" got want
+    done
+  in
+  check (Latency.Uniform (0.2, 0.9)) (fun rng -> 0.2 +. Rng.float rng (0.9 -. 0.2));
+  check (Latency.Exponential 1.5) (fun rng ->
+      let u = Rng.float rng 1.0 in
+      let u = if u <= 0.0 then 1e-300 else u in
+      (0.1 *. 1.5) +. (-1.5 *. log u))
+
 let test_constant () =
   let rng = Rng.create 1 in
   for _ = 1 to 100 do
     Alcotest.(check (float 1e-9)) "constant" 3.0
-      (Latency.sample (Latency.Constant 3.0) rng)
+      (sample (Latency.Constant 3.0) rng)
   done;
   Alcotest.(check (float 1e-9)) "mean" 3.0 (Latency.mean (Latency.Constant 3.0))
 
@@ -14,7 +37,7 @@ let test_uniform_bounds () =
   let rng = Rng.create 2 in
   let model = Latency.Uniform (2.0, 5.0) in
   for _ = 1 to 10_000 do
-    let v = Latency.sample model rng in
+    let v = sample model rng in
     Alcotest.(check bool) "in bounds" true (v >= 2.0 && v < 5.0)
   done;
   Alcotest.(check (float 1e-9)) "mean" 3.5 (Latency.mean model)
@@ -25,7 +48,7 @@ let test_exponential_positive_mean () =
   let total = ref 0.0 in
   let trials = 50_000 in
   for _ = 1 to trials do
-    let v = Latency.sample model rng in
+    let v = sample model rng in
     Alcotest.(check bool) "strictly positive" true (v > 0.0);
     total := !total +. v
   done;
@@ -89,6 +112,7 @@ let suite =
     Alcotest.test_case "constant latency" `Quick test_constant;
     Alcotest.test_case "uniform latency bounds" `Quick test_uniform_bounds;
     Alcotest.test_case "exponential latency" `Quick test_exponential_positive_mean;
+    Alcotest.test_case "draws match Rng.float" `Quick test_draws_match_rng_float;
     Alcotest.test_case "latency pretty-printing" `Quick test_latency_pp;
     Alcotest.test_case "preset lookup" `Quick test_presets_lookup;
     Alcotest.test_case "presets are sane" `Quick test_presets_sane;

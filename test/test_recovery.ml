@@ -184,8 +184,9 @@ let test_replies_carry_incarnation () =
   Engine.run ctx.engine;
   match !replies with
   | [ (Message.Read_reply _ as m) ] ->
-    Alcotest.(check (option int)) "stamped with incarnation 1" (Some 1)
-      (Message.incarnation m)
+    Alcotest.(check int) "stamped with incarnation 1" 1 (Message.incarnation m);
+    Alcotest.(check int) "requests carry none" Message.no_incarnation
+      (Message.incarnation (Message.Read_request { op = 7; key = 1 }))
   | _ -> Alcotest.fail "expected exactly one read reply"
 
 (* --- end-to-end gates (campaign-sized, deterministic) ------------------- *)

@@ -1,6 +1,7 @@
 module Wal = Replication.Wal
 module Store = Replication.Store
 module Timestamp = Replication.Timestamp
+module Batch = Replication.Batch
 
 (* A hand-cranked virtual clock: the WAL only ever samples [now ()]. *)
 let clock () =
@@ -319,6 +320,165 @@ let test_resume_after_install_crash () =
   Alcotest.(check bool) "completion mark means fresh transfer" true
     (Wal.resume_state wal = None)
 
+(* --- model check: the columnar log against the list model ------------- *)
+
+module Model = Wal_model
+
+type action =
+  | Flat_stage of int * int * int * string  (* op, key, version, value *)
+  | Flat_commit of int * int * int * string
+  | Flat_install of int * int * string
+  | Append of Wal.record
+  | Append_batch of Wal.record list
+  | Crash
+  | Tick of float
+
+let values = [| "a"; "b"; "c" |]
+
+let gen_record =
+  QCheck.Gen.(
+    let* op = int_bound 5 and* key = int_bound 5 and* v = int_range 1 6 in
+    let* value = oneofa values in
+    oneof
+      [
+        return (Wal.Stage { op; key; ts = ts v; value });
+        return (Wal.Commit { op; key; ts = ts v; value });
+        return (Wal.Install { key; ts = ts v; value });
+        return (Wal.Abort { op });
+        map2
+          (fun chunk wal_index -> Wal.Mark { chunk; wal_index })
+          (int_range (-1) 3) (int_bound 20);
+      ])
+
+let gen_action ~crash =
+  QCheck.Gen.(
+    let* op = int_bound 5 and* key = int_bound 5 and* v = int_range 1 6 in
+    let* value = oneofa values in
+    frequency
+      [
+        (30, return (Flat_stage (op, key, v, value)));
+        (30, return (Flat_commit (op, key, v, value)));
+        (10, return (Flat_install (key, v, value)));
+        (30, map (fun r -> Append r) gen_record);
+        (10, map (fun rs -> Append_batch rs) (list_size (int_range 1 4) gen_record));
+        (crash, return Crash);
+        (* steps on a binary grid, so a crash often lands exactly on an
+           Async record's deadline *)
+        (20, map (fun d -> Tick d) (oneofl [ 0.0; 0.5; 1.0; 2.0 ]));
+      ])
+
+let gen_policy =
+  QCheck.Gen.oneofl [ Wal.Sync_on_commit; Wal.Sync_on_prepare; Wal.Async 2.0 ]
+
+let print_action = function
+  | Flat_stage (op, key, v, value) -> Printf.sprintf "stage(%d,%d,%d,%s)" op key v value
+  | Flat_commit (op, key, v, value) -> Printf.sprintf "commit(%d,%d,%d,%s)" op key v value
+  | Flat_install (key, v, value) -> Printf.sprintf "install(%d,%d,%s)" key v value
+  | Append _ -> "append"
+  | Append_batch rs -> Printf.sprintf "batch(%d)" (List.length rs)
+  | Crash -> "crash"
+  | Tick d -> Printf.sprintf "tick(%g)" d
+
+(* What a replay leaves in a fresh store, over the generated op/key range. *)
+let store_view store =
+  ( List.init 6 (fun key -> Store.read store ~key),
+    Store.staged_count store,
+    List.init 6 (fun op ->
+        ( Store.staged store ~op,
+          Option.map Batch.to_list (Store.staged_many store ~op) )) )
+
+(* Every observable of the two logs agrees, including a replay and a
+   committed tail from three cut points. *)
+let agree wal model =
+  let next = Wal.next_index wal in
+  Wal.length wal = Model.length model
+  && Wal.lost_total wal = Model.lost_total model
+  && Wal.syncs wal = Model.syncs model
+  && next = Model.next_index model
+  && Wal.resume_state wal = Model.resume_state model
+  && List.for_all
+       (fun index ->
+         let s1 = Store.create () and s2 = Store.create () in
+         Wal.replay_from wal s1 ~index = Model.replay_from model s2 ~index
+         && store_view s1 = store_view s2
+         && Batch.to_list (Wal.committed_since wal ~index)
+            = Model.committed_since model ~index)
+       [ 0; next / 2; next ]
+
+(* Drive both logs through [actions]; false at the first disagreement
+   (checked after every crash and at the end). *)
+let run_both policy actions =
+  let now, set = clock () in
+  let wal = Wal.create ~policy ~now () and model = Model.create ~policy ~now () in
+  let step ok action =
+    ok
+    &&
+    match action with
+    | Flat_stage (op, key, v, value) ->
+      Wal.stage wal ~op ~key ~version:v ~sid:0 ~value;
+      Model.append model (Wal.Stage { op; key; ts = ts v; value });
+      true
+    | Flat_commit (op, key, v, value) ->
+      Wal.commit wal ~op ~key ~version:v ~sid:0 ~value;
+      Model.append model (Wal.Commit { op; key; ts = ts v; value });
+      true
+    | Flat_install (key, v, value) ->
+      Wal.install wal ~key ~version:v ~sid:0 ~value;
+      Model.append model (Wal.Install { key; ts = ts v; value });
+      true
+    | Append r ->
+      Wal.append wal r;
+      Model.append model r;
+      true
+    | Append_batch rs ->
+      Wal.append_batch wal rs;
+      Model.append_batch model rs;
+      true
+    | Crash ->
+      Wal.crash wal;
+      Model.crash model;
+      agree wal model
+    | Tick d ->
+      set (now () +. d);
+      true
+  in
+  List.fold_left step true actions && agree wal model
+
+let arb_run ~crash ~len =
+  QCheck.make
+    ~print:(fun (p, acts) ->
+      Wal.policy_to_string p ^ ": " ^ String.concat " " (List.map print_action acts))
+    QCheck.Gen.(pair gen_policy (list_size len (gen_action ~crash)))
+
+let prop_matches_model =
+  QCheck.Test.make ~name:"columnar WAL matches the list model" ~count:300
+    (arb_run ~crash:10 ~len:(QCheck.Gen.int_range 0 60))
+    (fun (policy, actions) -> run_both policy actions)
+
+(* Logs long enough to span several storage chunks, with crashes
+   compacting rows across chunk boundaries. *)
+let prop_long_logs_match_model =
+  QCheck.Test.make ~name:"long columnar WAL matches the list model" ~count:12
+    (arb_run ~crash:1 ~len:(QCheck.Gen.int_range 2_000 4_000))
+    (fun (policy, actions) -> run_both policy actions)
+
+(* The pinned Async boundary, through both logs: a crash at exactly
+   t + lag keeps the record, one an instant earlier loses it. *)
+let test_model_async_boundary () =
+  let policy = Wal.Async 2.0 in
+  let rec_ = Flat_commit (1, 1, 1, "a") in
+  Alcotest.(check bool) "crash at t+lag: logs agree" true
+    (run_both policy [ Tick 1.0; rec_; Tick 2.0; Crash ]);
+  Alcotest.(check bool) "crash before t+lag: logs agree" true
+    (run_both policy [ Tick 1.0; rec_; Tick 1.5; Crash ]);
+  let now, set = clock () in
+  let wal = Wal.create ~policy ~now () in
+  set 1.0;
+  Wal.commit wal ~op:1 ~key:1 ~version:1 ~sid:0 ~value:"a";
+  set 3.0;
+  Wal.crash wal;
+  Alcotest.(check int) "the record survives at exactly t+lag" 1 (Wal.length wal)
+
 let suite =
   [
     Alcotest.test_case "policy strings" `Quick test_policy_strings;
@@ -350,4 +510,7 @@ let suite =
       test_indices_monotone_across_crash;
     Alcotest.test_case "crash right after a marked chunk resumes" `Quick
       test_resume_after_install_crash;
+    Alcotest.test_case "model: async boundary" `Quick test_model_async_boundary;
+    QCheck_alcotest.to_alcotest prop_matches_model;
+    QCheck_alcotest.to_alcotest prop_long_logs_match_model;
   ]
