@@ -81,20 +81,21 @@ let run_overload () =
 
 let churn_cell_json (c : Eval.Churn.cell) =
   let r = c.Eval.Churn.c_report in
+  let a = r.Replication.Churn_harness.agg in
   Printf.sprintf
     "{\"config\":\"%s\",\"n\":%d,\"scenario\":\"%s\",\"reads_ok\":%d,\"writes_ok\":%d,\"promotions_done\":%d,\"decommissions_done\":%d,\"provision_runs\":%d,\"provision_chunks\":%d,\"provision_resumes\":%d,\"provision_donor_failovers\":%d,\"failed_rejoins\":%d,\"violations\":%d}"
     (Arbitrary.Config.name_to_string c.Eval.Churn.c_config)
     c.Eval.Churn.c_n
     (json_escape c.Eval.Churn.c_kind)
-    r.Replication.Churn_harness.reads_ok r.Replication.Churn_harness.writes_ok
+    a.Replication.Harness.reads_ok a.Replication.Harness.writes_ok
     r.Replication.Churn_harness.promotions_done
     r.Replication.Churn_harness.decommissions_done
-    r.Replication.Churn_harness.provision_runs
-    r.Replication.Churn_harness.provision_chunks
-    r.Replication.Churn_harness.provision_resumes
-    r.Replication.Churn_harness.provision_donor_failovers
-    r.Replication.Churn_harness.failed_rejoins
-    r.Replication.Churn_harness.safety_violations
+    a.Replication.Harness.provision_runs
+    a.Replication.Harness.provision_chunks
+    a.Replication.Harness.provision_resumes
+    a.Replication.Harness.provision_donor_failovers
+    a.Replication.Harness.failed_rejoins
+    a.Replication.Harness.safety_violations
 
 (* Membership-churn smoke gate: the fenced campaign (four configs × four
    scenarios, plus the sharded run) must be violation-free, the unfenced

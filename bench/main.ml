@@ -64,7 +64,12 @@ let txn_section () =
   in
   Format.printf "churn + 2%% loss:@.  %a@." Replication.Txn_harness.pp_report
     (Replication.Txn_harness.run
-       { s with Replication.Txn_harness.failures; loss_rate = 0.02; n_clients = 4 })
+       {
+         s with
+         Replication.Txn_harness.shard_failures = [ (0, failures) ];
+         loss_rate = 0.02;
+         n_clients = 4;
+       })
 
 let generalized_section () =
   hr "Extension: per-level (r,w) thresholds (Generalized protocol)";
@@ -509,16 +514,7 @@ let shard_hotpath () =
       seed = 11;
     }
   in
-  let sc =
-    {
-      Replication.Shard_harness.base;
-      shards = 16;
-      strategy = Arbitrary.Shard_map.Hash;
-      service_time = 0.0;
-      shard_failures = [];
-      reconfig = [];
-    }
-  in
+  let sc = { (Replication.Harness.one_tree base) with shards = 16 } in
   let r, w = wall (fun () -> Replication.Shard_harness.run sc) in
   let imb_max, imb_mean = Replication.Shard_harness.imbalance r in
   let ratio = Replication.Shard_harness.imbalance_ratio r in

@@ -63,15 +63,28 @@ let p_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
+(* Flags several subcommands share, each with its own default. *)
+let clients_arg ?(doc = "Client count.") default =
+  Arg.(value & opt int default & info [ "clients" ] ~docv:"C" ~doc)
+
+let ops_arg ?(doc = "Operations per client.") default =
+  Arg.(value & opt int default & info [ "ops" ] ~docv:"OPS" ~doc)
+
+let horizon_arg default =
+  Arg.(
+    value & opt float default
+    & info [ "horizon" ] ~docv:"T" ~doc:"Simulation horizon (virtual time).")
+
+let loss_arg =
+  Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"L" ~doc:"Message loss rate.")
+
 let shards_arg =
   Arg.(
-    value
-    & opt (some int) None
+    value & opt int 1
     & info [ "shards" ] ~docv:"S"
         ~doc:
           "Partition the keyspace over S independent tree instances \
-           (multi-tree control plane).  $(b,--shards 1) runs the sharded \
-           harness in its byte-identical-to-unsharded configuration.")
+           (multi-tree control plane).")
 
 let shard_strategy_conv =
   let parse s =
@@ -299,9 +312,6 @@ let figures_cmd =
 (* --- txn ------------------------------------------------------------------ *)
 
 let txn_cmd =
-  let clients_arg =
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"C" ~doc:"Client count.")
-  in
   let txns_arg =
     Arg.(
       value & opt int 30
@@ -311,9 +321,6 @@ let txn_cmd =
     Arg.(
       value & opt int 2
       & info [ "keys-per-txn" ] ~docv:"K" ~doc:"Keys read+written per transaction.")
-  in
-  let loss_arg =
-    Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"L" ~doc:"Message loss rate.")
   in
   let mtbf_arg =
     Arg.(
@@ -343,7 +350,7 @@ let txn_cmd =
           txns_per_client = txns;
           keys_per_txn = keys;
           loss_rate = loss;
-          failures;
+          shard_failures = [ (0, failures) ];
           seed;
         }
     in
@@ -358,15 +365,12 @@ let txn_cmd =
          "Run multi-key increment transactions (2PL + cross-key 2PC) and \
           check the conservation invariant.")
     Term.(
-      const run $ config_arg $ n_arg $ clients_arg $ txns_arg $ keys_arg
+      const run $ config_arg $ n_arg $ clients_arg 3 $ txns_arg $ keys_arg
       $ loss_arg $ mtbf_arg $ seed_arg $ metrics_json_arg $ spans_jsonl_arg)
 
 (* --- trace ------------------------------------------------------------------ *)
 
 let trace_cmd =
-  let ops_arg =
-    Arg.(value & opt int 3 & info [ "ops" ] ~docv:"OPS" ~doc:"Operations to trace.")
-  in
   let max_arg =
     Arg.(
       value & opt int 60
@@ -402,24 +406,18 @@ let trace_cmd =
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Run a few operations and dump the message-level trace.")
-    Term.(const run $ spec_arg $ config_arg $ n_arg $ ops_arg $ max_arg $ seed_arg)
+    Term.(
+      const run $ spec_arg $ config_arg $ n_arg
+      $ ops_arg ~doc:"Operations to trace." 3
+      $ max_arg $ seed_arg)
 
 (* --- simulate ------------------------------------------------------------- *)
 
 let simulate_cmd =
-  let clients_arg =
-    Arg.(value & opt int 4 & info [ "clients" ] ~docv:"C" ~doc:"Client count.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 100 & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per client.")
-  in
   let read_fraction_arg =
     Arg.(
       value & opt float 0.5
       & info [ "read-fraction" ] ~docv:"F" ~doc:"Fraction of reads.")
-  in
-  let loss_arg =
-    Arg.(value & opt float 0.0 & info [ "loss" ] ~docv:"L" ~doc:"Message loss rate.")
   in
   let mtbf_arg =
     Arg.(
@@ -518,26 +516,16 @@ let simulate_cmd =
       }
     in
     let obs, obs_finish = obs_setup ~metrics_json ~spans_jsonl in
-    let report, shard_summary =
-      match shards with
-      | None ->
-        ( Replication.Harness.run ?obs
-            { base with Replication.Harness.failures = failures_for 0 },
-          None )
-      | Some shards ->
-        let sc =
-          {
-            (Replication.Shard_harness.default ~proto ~shards) with
-            Replication.Shard_harness.base;
-            strategy;
-            shard_failures =
-              (if mtbf = None then []
-               else List.init shards (fun i -> (i, failures_for i)));
-          }
-        in
-        let r = Replication.Shard_harness.run ?obs sc in
-        (r.Replication.Shard_harness.agg, Some r)
+    let sharded =
+      Replication.Shard_harness.run ?obs
+        {
+          (Replication.Harness.one_tree base) with
+          shards;
+          strategy;
+          shard_failures = List.init shards (fun i -> (i, failures_for i));
+        }
     in
+    let report = sharded.Replication.Harness.agg in
     Format.printf "%s over %d replicas:@.%a@."
       (Arbitrary.Config.name_to_string name)
       n_replicas Replication.Harness.pp_report report;
@@ -546,17 +534,15 @@ let simulate_cmd =
         batch (max 1 pipeline) report.Replication.Harness.batches
         report.Replication.Harness.coalesced_ops
         report.Replication.Harness.wal_syncs;
-    (match shard_summary with
-    | Some r when r.Replication.Shard_harness.shards > 1 ->
-      Format.printf "@[<v>%a@]@." pp_shard_summary (strategy, r)
-    | _ -> ());
+    if shards > 1 then
+      Format.printf "@[<v>%a@]@." pp_shard_summary (strategy, sharded);
     obs_finish ()
   in
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"Run clients against the protocol on the simulated network.")
     Term.(
-      const run $ config_arg $ n_arg $ clients_arg $ ops_arg $ read_fraction_arg
+      const run $ config_arg $ n_arg $ clients_arg 4 $ ops_arg 100 $ read_fraction_arg
       $ loss_arg $ mtbf_arg $ mttr_arg $ seed_arg $ preset_arg $ batch_arg
       $ pipeline_arg $ group_commit_arg $ shards_arg
       $ shard_strategy_arg $ metrics_json_arg $ spans_jsonl_arg)
@@ -564,19 +550,6 @@ let simulate_cmd =
 (* --- chaos ---------------------------------------------------------------- *)
 
 let chaos_cmd =
-  let clients_arg =
-    Arg.(value & opt int 3 & info [ "clients" ] ~docv:"C" ~doc:"Client count.")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 25
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per client.")
-  in
-  let horizon_arg =
-    Arg.(
-      value & opt float 3000.0
-      & info [ "horizon" ] ~docv:"T" ~doc:"Simulation horizon (virtual time).")
-  in
   let all_schedules =
     [
       Eval.Chaos.crashes_schedule; Eval.Chaos.partitions_schedule;
@@ -722,24 +695,16 @@ let chaos_cmd =
         check_consistency;
       }
     in
-    let report, shard_summary =
-      match shards with
-      | None ->
-        ( Replication.Harness.run
-            { base with Replication.Harness.failures = entries_for 0 },
-          None )
-      | Some shards ->
-        let sc =
-          {
-            (Replication.Shard_harness.default ~proto ~shards) with
-            Replication.Shard_harness.base;
-            strategy;
-            shard_failures = List.init shards (fun i -> (i, entries_for i));
-          }
-        in
-        let r = Replication.Shard_harness.run sc in
-        (r.Replication.Shard_harness.agg, Some r)
+    let sharded =
+      Replication.Shard_harness.run
+        {
+          (Replication.Harness.one_tree base) with
+          shards;
+          strategy;
+          shard_failures = List.init shards (fun i -> (i, entries_for i));
+        }
     in
+    let report = sharded.Replication.Harness.agg in
     Format.printf "%s over %d replicas: schedule=%s crash-mode=%a wal=%a \
                    catch-up=%s@."
       (Arbitrary.Config.name_to_string name)
@@ -748,10 +713,8 @@ let chaos_cmd =
       crash_mode Replication.Wal.pp_policy wal_policy
       (if catch_up then "on" else "off");
     Format.printf "%a@." Replication.Harness.pp_report report;
-    (match shard_summary with
-    | Some r when r.Replication.Shard_harness.shards > 1 ->
-      Format.printf "@[<v>%a@]@." pp_shard_summary (strategy, r)
-    | _ -> ());
+    if shards > 1 then
+      Format.printf "@[<v>%a@]@." pp_shard_summary (strategy, sharded);
     if crash_mode = Dsim.Network.Amnesia then
       Format.printf
         "recovery: rejoins=%d keys-caught-up=%d abandoned=%d wal-replayed=%d \
@@ -780,29 +743,14 @@ let chaos_cmd =
           stack, optionally with amnesia crash-recovery and offline \
           consistency checking.")
     Term.(
-      const run $ config_arg $ n_arg $ clients_arg $ ops_arg $ seed_arg
-      $ horizon_arg $ schedule_arg $ crash_mode_arg $ wal_arg $ wal_lag_arg
+      const run $ config_arg $ n_arg $ clients_arg 3 $ ops_arg 25 $ seed_arg
+      $ horizon_arg 3000.0 $ schedule_arg $ crash_mode_arg $ wal_arg $ wal_lag_arg
       $ no_catch_up_arg $ check_consistency_arg $ shards_arg
       $ shard_strategy_arg)
 
 (* --- overload ------------------------------------------------------------- *)
 
 let overload_cmd =
-  let clients_arg =
-    Arg.(
-      value & opt int 12
-      & info [ "clients" ] ~docv:"C" ~doc:"Steady client count.")
-  in
-  let ops_arg =
-    Arg.(
-      value & opt int 100
-      & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per steady client.")
-  in
-  let horizon_arg =
-    Arg.(
-      value & opt float 4000.0
-      & info [ "horizon" ] ~docv:"T" ~doc:"Simulation horizon (virtual time).")
-  in
   let queue_capacity_arg =
     Arg.(
       value & opt int 0
@@ -948,8 +896,10 @@ let overload_cmd =
           overload model: bounded replica queues, load shedding, a global \
           retry budget and a per-site circuit breaker.")
     Term.(
-      const run $ config_arg $ n_arg $ clients_arg $ ops_arg $ seed_arg
-      $ horizon_arg $ queue_capacity_arg $ service_time_arg
+      const run $ config_arg $ n_arg
+      $ clients_arg ~doc:"Steady client count." 12
+      $ ops_arg ~doc:"Operations per steady client." 100
+      $ seed_arg $ horizon_arg 4000.0 $ queue_capacity_arg $ service_time_arg
       $ shed_watermark_arg $ retry_budget_arg $ breaker_arg
       $ burst_clients_arg $ burst_ops_arg $ max_retries_arg)
 
@@ -966,16 +916,18 @@ let run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size ~fence
   let scenario =
     {
       s with
-      Replication.Churn_harness.spares = 2;
-      n_clients = clients;
-      ops_per_client = ops;
-      key_space = 8;
-      think_time = 3.0;
-      failures = failures ~n;
+      Replication.Churn_harness.base =
+        {
+          s.Replication.Churn_harness.base with
+          Replication.Harness.n_clients = clients;
+          ops_per_client = ops;
+          failures = failures ~n;
+          seed;
+          coordinator = Eval.Chaos.chaos_coordinator;
+          horizon;
+        };
+      spares = 2;
       membership = membership ~n;
-      seed;
-      coordinator = Eval.Chaos.chaos_coordinator;
-      horizon;
       chunk_size;
       fence_provisioning = fence;
     }
@@ -984,40 +936,29 @@ let run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size ~fence
 
 let print_churn_report ~name ~n ~fence (r : Replication.Churn_harness.report) =
   let module Ch = Replication.Churn_harness in
+  let module H = Replication.Harness in
+  let a = r.Ch.agg in
   Format.printf "%s over %d replicas (+2 spares): fence=%s@."
     (Arbitrary.Config.name_to_string name)
     n
     (if fence then "on" else "off");
   Format.printf "clients: reads ok=%d failed=%d writes ok=%d failed=%d@."
-    r.Ch.reads_ok r.Ch.reads_failed r.Ch.writes_ok r.Ch.writes_failed;
+    a.H.reads_ok a.H.reads_failed a.H.writes_ok a.H.writes_failed;
   Format.printf
     "provisioning: runs=%d chunks=%d resumes=%d donor-failovers=%d rounds=%d \
      stale=%d failed-rejoins=%d@."
-    r.Ch.provision_runs r.Ch.provision_chunks r.Ch.provision_resumes
-    r.Ch.provision_donor_failovers r.Ch.provision_rounds r.Ch.provision_stale
-    r.Ch.failed_rejoins;
+    a.H.provision_runs a.H.provision_chunks a.H.provision_resumes
+    a.H.provision_donor_failovers a.H.provision_rounds a.H.provision_stale
+    a.H.failed_rejoins;
   Format.printf "membership: promotions=%d/%d decommissions=%d@."
     r.Ch.promotions_done r.Ch.promotions_started r.Ch.decommissions_done;
   Format.printf "status: [%s]@."
-    (String.concat ";" (Array.to_list r.Ch.replica_status));
-  Format.printf "violations: %d@." r.Ch.safety_violations;
-  if r.Ch.safety_violations > 0 then begin
+    (String.concat ";" (Array.to_list a.H.replica_status));
+  Format.printf "violations: %d@." a.H.safety_violations;
+  if a.H.safety_violations > 0 then begin
     Format.eprintf "replica-ctl: freshness violated under churn@.";
     exit 1
   end
-
-let churn_clients_arg =
-  Arg.(value & opt int 3 & info [ "clients" ] ~docv:"C" ~doc:"Client count.")
-
-let churn_ops_arg =
-  Arg.(
-    value & opt int 25
-    & info [ "ops" ] ~docv:"OPS" ~doc:"Operations per client.")
-
-let churn_horizon_arg =
-  Arg.(
-    value & opt float 3000.0
-    & info [ "horizon" ] ~docv:"T" ~doc:"Simulation horizon (virtual time).")
 
 let chunk_size_arg =
   Arg.(
@@ -1089,8 +1030,8 @@ let provision_cmd =
           provisioning, optionally killing the donor or the recipient \
           mid-transfer to exercise failover and resume.")
     Term.(
-      const run $ config_arg $ n_arg $ churn_clients_arg $ churn_ops_arg
-      $ seed_arg $ churn_horizon_arg $ chunk_size_arg $ no_fence_arg
+      const run $ config_arg $ n_arg $ clients_arg 3 $ ops_arg 25
+      $ seed_arg $ horizon_arg 3000.0 $ chunk_size_arg $ no_fence_arg
       $ crash_donor_arg $ crash_recipient_arg)
 
 let position_arg =
@@ -1143,8 +1084,8 @@ let promote_cmd =
           delta, then the position flip.  The displaced occupant becomes a \
           re-promotable spare.")
     Term.(
-      const run $ config_arg $ n_arg $ churn_clients_arg $ churn_ops_arg
-      $ seed_arg $ churn_horizon_arg $ chunk_size_arg $ position_arg $ at_arg
+      const run $ config_arg $ n_arg $ clients_arg 3 $ ops_arg 25
+      $ seed_arg $ horizon_arg 3000.0 $ chunk_size_arg $ position_arg $ at_arg
       $ partition_arg)
 
 let decommission_cmd =
@@ -1169,8 +1110,8 @@ let decommission_cmd =
           position and permanently fence the outgoing site (it nacks every \
           quorum role afterwards).")
     Term.(
-      const run $ config_arg $ n_arg $ churn_clients_arg $ churn_ops_arg
-      $ seed_arg $ churn_horizon_arg $ chunk_size_arg $ position_arg $ at_arg)
+      const run $ config_arg $ n_arg $ clients_arg 3 $ ops_arg 25
+      $ seed_arg $ horizon_arg 3000.0 $ chunk_size_arg $ position_arg $ at_arg)
 
 let () =
   let info =

@@ -97,21 +97,3 @@ let protocol tree =
       let fork = Plan_cache.fork
     end)
     (Plan_cache.create tree)
-
-(* The uncached per-operation assembly, packaged for ablation benchmarks
-   (bench/main.exe --hotpath measures the cached path against this). *)
-let reference_protocol tree =
-  Quorum.Protocol.pack
-    (module struct
-      type t = Tree.t
-
-      let name t = Printf.sprintf "Arbitrary(%s)" (Tree.to_spec t)
-      let universe_size = Tree.n
-      let read_quorum t ~alive ~rng = read_quorum t ~alive ~rng
-      let write_quorum t ~alive ~rng = write_quorum t ~alive ~rng
-      let read_levels _ = None
-      let enumerate_read_quorums = enumerate_read_quorums
-      let enumerate_write_quorums = enumerate_write_quorums
-      let fork t = t
-    end)
-    tree

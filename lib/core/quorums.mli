@@ -46,7 +46,3 @@ val protocol : Tree.t -> Quorum.Protocol.t
     and same RNG draw sequence as the reference functions above, without
     the per-operation list round trips.  Reconfiguration swaps in a new
     protocol value, which carries a freshly built plan. *)
-
-val reference_protocol : Tree.t -> Quorum.Protocol.t
-(** The uncached reference assembly ({!read_quorum}/{!write_quorum} as-is),
-    packaged for equivalence tests and the hot-path ablation benchmark. *)

@@ -35,6 +35,7 @@ let create ~strategy ~shards ~key_space ~seed () =
   if key_space < 1 then invalid_arg "Shard_map.create: key_space must be >= 1";
   let owner =
     match strategy with
+    | Hash when shards = 1 -> Array.make key_space 0
     | Hash -> Array.init key_space (fun k -> mix ~seed k mod shards)
     | Range ->
       (* [shards] contiguous blocks; the first (key_space mod shards)

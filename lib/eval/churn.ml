@@ -1,5 +1,6 @@
 module Config = Arbitrary.Config
 module Churn_harness = Replication.Churn_harness
+module Harness = Replication.Harness
 module Coordinator = Replication.Coordinator
 module Replica = Replication.Replica
 module Store = Replication.Store
@@ -97,17 +98,19 @@ let make_scenario ~proto ~n ~kind ~clients ~ops ~seed ~horizon ~fence ~wal =
   let s = Churn_harness.default_scenario ~proto in
   {
     s with
-    Churn_harness.spares = 2;
-    n_clients = clients;
-    ops_per_client = ops;
-    key_space = 8;
-    think_time = 3.0;
-    failures = failures_of kind ~n;
+    Churn_harness.base =
+      {
+        s.Churn_harness.base with
+        Harness.n_clients = clients;
+        ops_per_client = ops;
+        failures = failures_of kind ~n;
+        seed;
+        coordinator = churn_coordinator;
+        horizon;
+        wal;
+      };
+    spares = 2;
     membership = membership_of kind ~n;
-    seed;
-    coordinator = churn_coordinator;
-    horizon;
-    wal;
     (* one key per chunk: transfers span enough virtual time that the
        scripted mid-transfer crashes actually land mid-transfer *)
     chunk_size = 1;
@@ -162,16 +165,19 @@ let run_negative ?(n = 45) ?(clients = 3) ?(ops = 40) ?(seed = 42)
     let scenario =
       {
         s with
-        Churn_harness.spares = 0;
-        n_clients = clients;
-        ops_per_client = ops;
-        key_space = 4;
-        think_time = 3.0;
-        failures = blackout_failures ~n;
-        seed = cell_seed;
-        coordinator = churn_coordinator;
-        horizon;
-        wal = Replication.Wal.Async 60.0;
+        Churn_harness.base =
+          {
+            s.Churn_harness.base with
+            Harness.n_clients = clients;
+            ops_per_client = ops;
+            key_space = 4;
+            failures = blackout_failures ~n;
+            seed = cell_seed;
+            coordinator = churn_coordinator;
+            horizon;
+            wal = Replication.Wal.Async 60.0;
+          };
+        spares = 0;
         chunk_size = 1;
         fence_provisioning = false;
       }
@@ -201,7 +207,11 @@ let run_sharded ?(shards = 3) ?(n = 45) ?(clients = 3) ?(ops = 25)
         ~horizon ~fence:true ~wal:Replication.Wal.Sync_on_commit
     in
     let scenario =
-      { scenario with Churn_harness.failures = failures_of Donor_crash ~n }
+      {
+        scenario with
+        Churn_harness.base =
+          { scenario.Churn_harness.base with failures = failures_of Donor_crash ~n };
+      }
     in
     {
       c_config = config;
@@ -214,7 +224,7 @@ let run_sharded ?(shards = 3) ?(n = 45) ?(clients = 3) ?(ops = 25)
 
 let violations cells =
   List.fold_left
-    (fun acc c -> acc + c.c_report.Churn_harness.safety_violations)
+    (fun acc c -> acc + c.c_report.Churn_harness.agg.Harness.safety_violations)
     0 cells
 
 let rate ok failed =
@@ -226,22 +236,22 @@ let table cells =
     List.map
       (fun c ->
         let r = c.c_report in
+        let a = r.Churn_harness.agg in
         [
           Config.name_to_string c.c_config;
           string_of_int c.c_n;
           c.c_kind;
-          Tablefmt.f4 (rate r.Churn_harness.reads_ok r.Churn_harness.reads_failed);
-          Tablefmt.f4
-            (rate r.Churn_harness.writes_ok r.Churn_harness.writes_failed);
+          Tablefmt.f4 (rate a.Harness.reads_ok a.Harness.reads_failed);
+          Tablefmt.f4 (rate a.Harness.writes_ok a.Harness.writes_failed);
           Printf.sprintf "%d/%d" r.Churn_harness.promotions_done
             r.Churn_harness.promotions_started;
           string_of_int r.Churn_harness.decommissions_done;
-          string_of_int r.Churn_harness.provision_runs;
-          string_of_int r.Churn_harness.provision_chunks;
-          string_of_int r.Churn_harness.provision_resumes;
-          string_of_int r.Churn_harness.provision_donor_failovers;
-          string_of_int r.Churn_harness.failed_rejoins;
-          string_of_int r.Churn_harness.safety_violations;
+          string_of_int a.Harness.provision_runs;
+          string_of_int a.Harness.provision_chunks;
+          string_of_int a.Harness.provision_resumes;
+          string_of_int a.Harness.provision_donor_failovers;
+          string_of_int a.Harness.failed_rejoins;
+          string_of_int a.Harness.safety_violations;
         ])
       cells
   in

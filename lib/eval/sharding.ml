@@ -107,14 +107,7 @@ let workload ~name ~seed ~theta () =
     n )
 
 let sharded ~shards ~service_time base =
-  {
-    Shard_harness.base;
-    shards;
-    strategy = Shard_map.Hash;
-    service_time;
-    shard_failures = [];
-    reconfig = [];
-  }
+  { (Harness.one_tree base) with shards; service_time }
 
 (* [Harness.report.duration] is the engine clock, which coasts to the
    horizon on trailing timeout events; the workload makespan is the last

@@ -1,8 +1,5 @@
 module Engine = Dsim.Engine
 module Network = Dsim.Network
-module Latency = Dsim.Latency
-module Failure = Dsim.Failure
-module Rng = Dsutil.Rng
 module Protocol = Quorum.Protocol
 module Relabel = Quorum.Relabel
 
@@ -13,225 +10,100 @@ module Relabel = Quorum.Relabel
 type membership_op = { at : float; position : int; spare : int; fence : bool }
 
 type scenario = {
-  proto : Protocol.t;  (** the tree, over positions *)
-  spares : int;  (** extra sites beyond the tree universe *)
-  n_clients : int;
-  ops_per_client : int;
-  read_fraction : float;
-  key_space : int;
-  latency : Latency.t;
-  loss_rate : float;
-  think_time : float;
-  failures : Failure.entry list;
+  base : Harness.scenario;
+  spares : int;
   membership : membership_op list;
-  seed : int;
-  coordinator : Coordinator.config;
-  horizon : float;
-  wal : Wal.policy;
   chunk_size : int;
   fence_provisioning : bool;
-      (** [false] = the negative control: serve while provisioning *)
   provision_timeout : float;
 }
 
 let default_scenario ~proto =
   {
-    proto;
+    base =
+      {
+        (Harness.default_scenario ~proto) with
+        Harness.n_clients = 3;
+        ops_per_client = 40;
+        think_time = 3.0;
+        horizon = 3000.0;
+      };
     spares = 1;
-    n_clients = 3;
-    ops_per_client = 40;
-    read_fraction = 0.5;
-    key_space = 8;
-    latency = Latency.Exponential 1.0;
-    loss_rate = 0.0;
-    think_time = 3.0;
-    failures = [];
     membership = [];
-    seed = 42;
-    coordinator = Coordinator.default_config;
-    horizon = 3000.0;
-    wal = Wal.Sync_on_commit;
     chunk_size = 4;
     fence_provisioning = true;
     provision_timeout = 30.0;
   }
 
 type report = {
-  duration : float;
-  reads_ok : int;
-  reads_failed : int;
-  writes_ok : int;
-  writes_failed : int;
-  retries : int;
-  safety_violations : int;
+  agg : Harness.report;
   promotions_started : int;
   promotions_done : int;
   decommissions_done : int;
-  provision_runs : int;
-  provision_chunks : int;
-  provision_resumes : int;
-  provision_donor_failovers : int;
-  provision_rounds : int;
-  provision_stale : int;
-  failed_rejoins : int;
-  wal_records_replayed : int;
-  wal_records_lost : int;
-  replica_incarnations : int array;
-  replica_status : string array;
-  messages_delivered : int;
-}
-
-(* Per-key newest successfully committed timestamp — the same freshness
-   oracle the main harness uses: a read that returns something older than
-   a commit the clients already saw acknowledged is a violation. *)
-type checker = {
-  latest : (int, Timestamp.t) Hashtbl.t;
-  mutable violations : int;
 }
 
 let run scenario =
-  if scenario.n_clients < 1 then invalid_arg "Churn_harness.run: need a client";
   if scenario.spares < 0 then invalid_arg "Churn_harness.run: negative spares";
-  let inner = Protocol.fork scenario.proto in
-  let n = Protocol.universe_size inner in
+  let key_space = scenario.base.Harness.key_space in
+  let n = Protocol.universe_size scenario.base.Harness.proto in
   let universe = n + scenario.spares in
-  let relabel = Relabel.make ~universe inner in
-  let proto = Relabel.pack relabel in
-  let engine = Engine.create ~seed:scenario.seed () in
-  let net =
-    Network.create ~engine ~n:(universe + scenario.n_clients)
-      ~latency:scenario.latency ~loss_rate:scenario.loss_rate ()
-  in
-  Network.set_crash_mode net Network.Amnesia;
-  (* Donor candidates are the sites currently holding tree positions:
-     spares may be arbitrarily stale, occupants answer for their
-     positions' commits.  The closure reads the live relabel map, so
-     failover always aims at the membership of the moment. *)
-  let donors () =
-    List.init (Relabel.positions relabel) (fun p ->
-        Relabel.site_of relabel ~position:p)
-  in
-  let recovery =
-    Replica.recovery ~wal_policy:scenario.wal ~catch_up:false
-      ~provision:
-        (Replica.provision ~key_space:scenario.key_space
-           ~chunk_size:scenario.chunk_size ~fence:scenario.fence_provisioning
-           ~timeout:scenario.provision_timeout ~donors ())
-      ()
-  in
-  let replicas =
-    Array.init universe (fun site -> Replica.create ~site ~net ~recovery ())
-  in
-  let locks = Lock_manager.create ~engine in
-  let checker = { latest = Hashtbl.create 16; violations = 0 } in
-  let promotions_started = ref 0 in
-  let promotions_done = ref 0 in
-  let decommissions_done = ref 0 in
-  (* Scripted membership changes ride the engine like failures do. *)
   List.iter
     (fun m ->
       if m.position < 0 || m.position >= n then
         invalid_arg "Churn_harness.run: membership position out of range";
       if m.spare < 0 || m.spare >= universe then
-        invalid_arg "Churn_harness.run: membership spare out of range";
-      Engine.schedule engine ~delay:m.at (fun () ->
-          incr promotions_started;
-          let outgoing =
-            if m.fence then
-              Some replicas.(Relabel.site_of relabel ~position:m.position)
-            else None
-          in
-          Reconfig.promote ~locks ~relabel ~position:m.position
-            ~spare:replicas.(m.spare) ?outgoing ~key_space:scenario.key_space
-            (fun () ->
-              incr promotions_done;
-              if m.fence then incr decommissions_done)))
+        invalid_arg "Churn_harness.run: membership spare out of range")
     scenario.membership;
-  let run_client ~site =
-    let coord =
-      Coordinator.create ~site ~net ~proto ~locks
-        ~config:scenario.coordinator ()
-    in
-    let gen =
-      Workload.Generator.create
-        ~rng:(Rng.split (Engine.rng engine))
-        ~read_fraction:scenario.read_fraction ~key_space:scenario.key_space
-        ~zipf_theta:0.0 ()
-    in
-    let expected_now key =
-      match Hashtbl.find checker.latest key with
-      | exception Not_found -> Timestamp.zero
-      | ts -> ts
-    in
-    let remaining = ref scenario.ops_per_client in
-    let cur_key = ref 0 in
-    let cur_expected = ref Timestamp.zero in
-    let rec dispatch () =
-      if !remaining > 0 then begin
-        match Workload.Generator.next gen with
-        | Workload.Generator.Read key ->
-          cur_key := key;
-          cur_expected := expected_now key;
-          Coordinator.read coord ~key on_read
-        | Workload.Generator.Write (key, value) ->
-          cur_key := key;
-          Coordinator.write coord ~key ~value on_write
-      end
-    and on_read result =
-      (match result with
-      | Some { Coordinator.ts; _ } ->
-        if Timestamp.newer_than !cur_expected ts then
-          checker.violations <- checker.violations + 1
-      | None -> ());
-      continue ()
-    and on_write result =
-      (match result with
-      | Some ts ->
-        Hashtbl.replace checker.latest !cur_key
-          (Timestamp.max (expected_now !cur_key) ts)
-      | None -> ());
-      continue ()
-    and continue () =
-      remaining := !remaining - 1;
-      Engine.schedule engine
-        ~delay:(Workload.Generator.think_time gen ~mean:scenario.think_time)
-        dispatch
-    in
-    dispatch ();
-    coord
+  (* The position map is shared between the wrapper and the core's forks,
+     so a promotion's remap is visible to every coordinator at once. *)
+  let relabel = Relabel.make ~universe (Protocol.fork scenario.base.Harness.proto) in
+  (* Donor candidates are the sites currently holding tree positions:
+     spares may be arbitrarily stale, occupants answer for their
+     positions' commits.  The closure reads the live relabel map, so
+     failover always aims at the membership of the moment. *)
+  let donors () =
+    List.init (Relabel.positions relabel) (fun p -> Relabel.site_of relabel ~position:p)
   in
-  let coords =
-    List.init scenario.n_clients (fun idx -> run_client ~site:(universe + idx))
+  let provision =
+    Replica.provision ~key_space ~chunk_size:scenario.chunk_size
+      ~fence:scenario.fence_provisioning ~timeout:scenario.provision_timeout ~donors ()
   in
-  Failure.apply net scenario.failures;
-  Engine.run ~until:scenario.horizon engine;
-  let metrics = List.map Coordinator.metrics coords in
-  let sum f = List.fold_left (fun acc m -> acc + f m) 0 metrics in
-  let sum_replicas f = Array.fold_left (fun acc r -> acc + f r) 0 replicas in
-  let counters = Network.counters net in
+  let promotions_started = ref 0 in
+  let promotions_done = ref 0 in
+  let decommissions_done = ref 0 in
+  (* Scripted membership changes ride the engine like failures do. *)
+  let membership { Harness.engine; locks; replicas } =
+    let locks = Option.get locks and replicas = replicas.(0) in
+    List.iter
+      (fun m ->
+        Engine.schedule engine ~delay:m.at (fun () ->
+            incr promotions_started;
+            let outgoing =
+              if m.fence then
+                Some replicas.(Relabel.site_of relabel ~position:m.position)
+              else None
+            in
+            Reconfig.promote ~locks ~relabel ~position:m.position
+              ~spare:replicas.(m.spare) ?outgoing ~key_space (fun () ->
+                incr promotions_done;
+                if m.fence then incr decommissions_done)))
+      scenario.membership
+  in
+  let base =
+    {
+      scenario.base with
+      Harness.proto = Relabel.pack relabel;
+      use_locks = true;
+      crash_mode = Network.Amnesia;
+      catch_up = false;
+    }
+  in
+  let r = Harness.run_core ~provision ~extend:membership (Harness.one_tree base) in
   {
-    duration = Engine.now engine;
-    reads_ok = sum (fun m -> m.Coordinator.reads_ok);
-    reads_failed = sum (fun m -> m.Coordinator.reads_failed);
-    writes_ok = sum (fun m -> m.Coordinator.writes_ok);
-    writes_failed = sum (fun m -> m.Coordinator.writes_failed);
-    retries = sum (fun m -> m.Coordinator.retries);
-    safety_violations = checker.violations;
+    agg = r.Harness.agg;
     promotions_started = !promotions_started;
     promotions_done = !promotions_done;
     decommissions_done = !decommissions_done;
-    provision_runs = sum_replicas Replica.provision_runs;
-    provision_chunks = sum_replicas Replica.provision_chunks;
-    provision_resumes = sum_replicas Replica.provision_resumes;
-    provision_donor_failovers = sum_replicas Replica.provision_donor_failovers;
-    provision_rounds = sum_replicas Replica.provision_rounds;
-    provision_stale = sum_replicas Replica.provision_stale;
-    failed_rejoins = sum_replicas Replica.failed_rejoins;
-    wal_records_replayed = sum_replicas Replica.wal_records_replayed;
-    wal_records_lost = sum_replicas Replica.wal_records_lost;
-    replica_incarnations = Array.map Replica.incarnation replicas;
-    replica_status = Array.map Replica.status_label replicas;
-    messages_delivered = counters.Network.delivered;
   }
 
-let completed r = r.reads_ok + r.writes_ok
+let completed r = Harness.completed r.agg

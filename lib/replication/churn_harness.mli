@@ -12,9 +12,11 @@
     partition cases the campaign injects all exercise the transfer's
     resume and failover machinery.
 
-    Safety is judged by the same client-side freshness oracle the main
-    {!Harness} uses: a read observing a timestamp older than a commit
-    some client already saw acknowledged counts one violation.  With
+    The run is the {!Harness} core's; this module adds only the
+    membership schedule and the provisioning config.  Safety is judged by
+    the core's client-side freshness oracle: a read observing a timestamp
+    older than a commit some client already saw acknowledged counts one
+    violation.  With
     fencing on and a commit-durable WAL the count must be zero; the
     [fence_provisioning = false] negative control must leak. *)
 
@@ -28,21 +30,13 @@ type membership_op = {
 }
 
 type scenario = {
-  proto : Quorum.Protocol.t;  (** the tree, over positions *)
+  base : Harness.scenario;
+      (** the tree, over positions ([proto]), and the client workload.
+          [run] always uses amnesia crashes, client locks and
+          provisioning in place of quorum catch-up, whatever [base] says:
+          the membership flows need all three. *)
   spares : int;  (** extra sites beyond the tree universe *)
-  n_clients : int;
-  ops_per_client : int;
-  read_fraction : float;
-  key_space : int;
-  latency : Dsim.Latency.t;
-  loss_rate : float;
-  think_time : float;
-  failures : Dsim.Failure.entry list;
   membership : membership_op list;
-  seed : int;
-  coordinator : Coordinator.config;
-  horizon : float;
-  wal : Wal.policy;
   chunk_size : int;
   fence_provisioning : bool;
       (** [false] = the negative control: serve while provisioning *)
@@ -50,33 +44,24 @@ type scenario = {
 }
 
 val default_scenario : proto:Quorum.Protocol.t -> scenario
-(** One spare, three clients, fenced provisioning, commit-durable WAL,
-    no failures, no membership changes. *)
+(** One spare, three clients × 40 ops, think time 3, horizon 3000, fenced
+    provisioning, commit-durable WAL, no failures, no membership
+    changes. *)
 
 type report = {
-  duration : float;
-  reads_ok : int;
-  reads_failed : int;
-  writes_ok : int;
-  writes_failed : int;
-  retries : int;
-  safety_violations : int;
+  agg : Harness.report;
+      (** the run itself, from {!Harness.run_core}: op counts, safety
+          violations, provisioning and WAL counters, per-replica
+          incarnations and {!Replica.status_label}s over the whole
+          universe *)
   promotions_started : int;
   promotions_done : int;
   decommissions_done : int;
-  provision_runs : int;
-  provision_chunks : int;
-  provision_resumes : int;
-  provision_donor_failovers : int;
-  provision_rounds : int;
-  provision_stale : int;
-  failed_rejoins : int;
-  wal_records_replayed : int;
-  wal_records_lost : int;
-  replica_incarnations : int array;
-  replica_status : string array;  (** per-site {!Replica.status_label} *)
-  messages_delivered : int;
 }
 
 val run : scenario -> report
+(** A {!Harness.run_core} call at S = 1: the relabelled tree, every
+    replica provisioned from the live occupants, and the membership
+    schedule as its [extend] hook. *)
+
 val completed : report -> int

@@ -136,7 +136,6 @@ type t = {
   rng : Rng.t;
   n_replicas : int;
   mutable next_seq : int;
-  mutable next_owner : int;  (* lock-owner counter, apart from op ids *)
   mutable timeout_h : Engine.handler;
       (* preallocated handler for phase timeouts, which carry (op, phase)
          in the event's int slot, and backoff wake-ups, which carry the op
@@ -415,14 +414,14 @@ let breaker_ok t site =
 
 (* Each locked operation is its own lock owner, so one client may have
    several operations in flight on a key (pipelined windows, or one window
-   spread over shards).  Owner ids come from a counter of their own: op ids
-   in messages are unaffected. *)
+   spread over shards).  Owner ids come from the shared lock manager, so
+   coordinators that share one (a client's per-shard coordinators, on one
+   site) never collide. *)
 let with_lock t ~key ~mode body =
   match t.locks with
   | None -> body (fun k -> k ())
   | Some lm ->
-    let owner = (t.next_owner * Network.size t.net) + t.site in
-    t.next_owner <- t.next_owner + 1;
+    let owner = Lock_manager.fresh_owner lm in
     Lock_manager.acquire lm ~key ~mode ~owner (fun () ->
         body (fun k ->
             Lock_manager.release lm ~key ~owner;
@@ -845,7 +844,6 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       rng = Rng.split (Engine.rng (Network.engine net));
       n_replicas;
       next_seq = 0;
-      next_owner = 0;
       timeout_h = uninit_timeout_h;
       pending = Hashtbl.create 16;
       pool = Array.make 4 dummy_scratch;

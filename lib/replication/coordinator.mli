@@ -91,8 +91,8 @@ val create :
 (** [site] is the coordinator's own network address (distinct from every
     replica's).  When [locks] is given, single-key reads take shared and
     writes exclusive per-key locks around the quorum protocol.  Each
-    operation is its own lock owner (a fresh owner id per operation, drawn
-    apart from op ids), so one client may have several operations in
+    operation is its own lock owner (a fresh {!Lock_manager.fresh_owner}
+    id per operation), so one client may have several operations in
     flight on one key; multi-key batches take no locks.  [view] overrides
     the config-selected failure detector.  With [obs], every operation is
     traced as a span ([ops.read.*] / [ops.write.*], phases query/prepare/

@@ -5,6 +5,7 @@ module Failure = Dsim.Failure
 module Rng = Dsutil.Rng
 module Stats = Dsutil.Stats
 module Protocol = Quorum.Protocol
+module Shard_map = Arbitrary.Shard_map
 
 type detector_mode = Oracle | Heartbeat of Detect.Heartbeat.config
 
@@ -135,74 +136,188 @@ type report = {
   batches : int;
   coalesced_ops : int;
   wal_syncs : int;
+  provision_runs : int;
+  provision_chunks : int;
+  provision_resumes : int;
+  provision_donor_failovers : int;
+  provision_rounds : int;
+  provision_stale : int;
+  failed_rejoins : int;
+  replica_status : string array;
 }
 
+type reconfig_action = Split of int | Merge of { into : int; from_ : int }
+
+type reconfig = { at : float; action : reconfig_action }
+
+type sharded = {
+  base : scenario;
+  shards : int;
+  strategy : Shard_map.strategy;
+  service_time : float;
+  shard_failures : (int * Failure.entry list) list;
+  reconfig : reconfig list;
+}
+
+let one_tree base =
+  {
+    base;
+    shards = 1;
+    strategy = Shard_map.Hash;
+    service_time = 0.0;
+    shard_failures = [];
+    reconfig = [];
+  }
+
+type sharded_report = {
+  agg : report;
+  shards : int;
+  active_shards : int list;
+  per_shard_ops : int array;
+  per_shard_keys : int array;
+  migrated_keys : int;
+  migration_failures : int;
+  splits : int;
+  merges : int;
+  map_well_formed : bool;
+  routing : int array;
+}
+
+type world = {
+  engine : Engine.t;
+  locks : Lock_manager.t option;
+  replicas : Replica.t array array;
+}
+
+
 (* Per-key newest successfully committed timestamp, for the freshness
-   check. *)
+   check: one checker spans every shard, since keys are globally unique. *)
 type checker = { latest : (int, Timestamp.t) Hashtbl.t; mutable violations : int }
 
-let run ?obs ?read_probe scenario =
-  (* Private protocol instance: quorum plans carry scratch buffers, and the
-     parallel evaluation driver may run many harnesses over one scenario
-     template concurrently. *)
-  let proto = Protocol.fork scenario.proto in
-  let n = Protocol.universe_size proto in
-  if scenario.n_clients < 1 then invalid_arg "Harness.run: need a client";
-  let engine = Engine.create ~seed:scenario.seed () in
-  let n_burst =
-    match scenario.overload with
-    | Some { burst = Some b; _ } -> b.burst_clients
-    | _ -> 0
+(* Online split/merge: at each [rc.at] the shard map flips and the moving
+   keys are fenced, copied to the target instance by forced-timestamp
+   state transfer, and released.  The migration endpoints sit at
+   [mig_site], on every shard's network. *)
+let schedule_reconfig ~engine ~locks ~smap ~nets ~protos ~mig_site ?obs
+    ~migrated ~failed ~splits ~merges reconfig =
+  let mig =
+    Array.mapi
+      (fun s net -> Quorum_rpc.create ~site:mig_site ~net ~proto:protos.(s) ?obs ())
+      nets
   in
-  let net =
-    Network.create ~engine ~n:(n + scenario.n_clients + n_burst)
-      ~latency:scenario.latency ~loss_rate:scenario.loss_rate ()
+  List.iter
+    (fun rc ->
+      let owner = Lock_manager.fresh_owner locks in
+      Engine.schedule engine ~delay:rc.at (fun () ->
+          let change =
+            match rc.action with
+            | Split shard -> Shard_map.plan_split smap ~shard
+            | Merge { into; from_ } -> Shard_map.plan_merge smap ~into ~from_
+          in
+          let moved = change.Shard_map.moved in
+          let src = mig.(change.Shard_map.source) in
+          let dst = mig.(change.Shard_map.target) in
+          (* Flip the routing AND enqueue the fence in one virtual instant.
+             Per-key FIFO lock queues then give a clean cutover: every
+             operation dispatched before this instant routed to the source
+             and sits ahead of the fence, so it completes on the source
+             before the copy reads it; every operation dispatched after
+             routes to the target and blocks behind the fence until its key
+             has been copied.  The source keeps its (now unreachable) copy,
+             so nothing is ever read-before-written. *)
+          Shard_map.commit smap change;
+          let finish () =
+            (match rc.action with Split _ -> incr splits | Merge _ -> incr merges);
+            List.iter (fun key -> Lock_manager.release locks ~key ~owner) moved
+          in
+          let rec copy = function
+            | [] -> finish ()
+            | key :: rest -> copy_key ~attempts:0 key rest
+          and copy_key ~attempts key rest =
+            let retry () =
+              if attempts < 40 then
+                Engine.schedule engine ~delay:5.0 (fun () ->
+                    copy_key ~attempts:(attempts + 1) key rest)
+              else begin
+                incr failed;
+                copy rest
+              end
+            in
+            Quorum_rpc.query src ~key (function
+              | Some (ts, value) ->
+                if ts = Timestamp.zero then copy rest
+                else
+                  (* Reinstall the value on the target shard without
+                     minting a new version. *)
+                  Quorum_rpc.write dst ~key ~ts ~value (function
+                    | Some _ ->
+                      incr migrated;
+                      copy rest
+                    | None -> retry ())
+              | None -> retry ())
+          in
+          (* All fence locks are requested in this same instant: sequential
+             acquisition would leave later keys unfenced while earlier
+             grants wait out in-flight holders. *)
+          let granted = ref 0 in
+          let total = List.length moved in
+          if total = 0 then finish ()
+          else
+            List.iter
+              (fun key ->
+                Lock_manager.acquire locks ~key ~mode:Lock_manager.Exclusive ~owner
+                  (fun () ->
+                    incr granted;
+                    if !granted = total then copy moved))
+              moved))
+    reconfig
+
+let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
+  let b = sc.base in
+  if b.n_clients < 1 then invalid_arg "Harness.run: need a client";
+  if sc.service_time < 0.0 then invalid_arg "Harness.run: negative service_time";
+  (match b.batching with
+  | Some bt when bt.batch_size < 1 || bt.pipeline < 1 ->
+    invalid_arg "Harness.run: batch_size and pipeline must be >= 1"
+  | _ -> ());
+  (* Split targets exist from the start (their id is allocated when the
+     split fires); until then they own no keys and see no traffic. *)
+  let max_shards =
+    sc.shards
+    + List.length
+        (List.filter
+           (function { action = Split _; _ } -> true | _ -> false)
+           sc.reconfig)
   in
-  Network.set_crash_mode net scenario.crash_mode;
-  (* Overload model: per-replica bounded service queues, a shared retry
-     budget and a shared circuit breaker.  All absent (and the network
-     untouched) unless the scenario opts in. *)
-  (match scenario.overload with
-  | None -> ()
-  | Some o ->
-    for site = 0 to n - 1 do
-      let service_time =
-        match List.assoc_opt site o.slow_sites with
-        | Some s -> s
-        | None -> o.service_time
-      in
-      Network.set_service net ~site ~capacity:o.queue_capacity ~service_time
-        ()
-    done);
-  let budget =
-    match scenario.overload with
-    | Some { retry_budget = Some c; _ } ->
-      Some (Detect.Budget.create ~config:c ())
-    | _ -> None
+  List.iter
+    (fun (s, _) ->
+      if s < 0 || s >= max_shards then
+        invalid_arg "Harness.run: shard_failures index out of range")
+    sc.shard_failures;
+  let smap =
+    Shard_map.create ~strategy:sc.strategy ~shards:sc.shards ~key_space:b.key_space
+      ~seed:b.seed ()
   in
-  let breaker =
-    match scenario.overload with
-    | Some { breaker = Some c; _ } ->
+  let engine = Engine.create ~seed:b.seed () in
+  (* A positive [service_time] sets every replica's service time. *)
+  let overload =
+    if sc.service_time > 0.0 then
       Some
-        (Detect.Breaker.create ~config:c ~n
-           ~now:(fun () -> Engine.now engine)
-           ())
-    | _ -> None
+        {
+          (Option.value b.overload ~default:overload_defaults) with
+          service_time = sc.service_time;
+        }
+    else b.overload
   in
-  let admission =
-    match scenario.overload with
-    | None -> None
-    | Some o ->
-      Some (Replica.admission ~shed_watermark:o.shed_watermark ~universe:n ())
+  let n_burst =
+    match overload with Some { burst = Some bu; _ } -> bu.burst_clients | _ -> 0
   in
   (* When consistency checking is requested, spans must be collected even
      if the caller brought no [obs] of their own: attach a memory sink to
      theirs, or to a private handle.  Attaching obs never perturbs the
      simulation (no randomness, no events), so checked and unchecked runs
      see the same schedule. *)
-  let span_store =
-    if scenario.check_consistency then Some (Obs.Sink.memory ()) else None
-  in
+  let span_store = if b.check_consistency then Some (Obs.Sink.memory ()) else None in
   let obs =
     match (obs, span_store) with
     | _, None -> obs
@@ -214,115 +329,154 @@ let run ?obs ?read_probe scenario =
       Obs.add_sink o (Obs.Sink.memory_sink m);
       Some o
   in
-  (match obs with
-  | None -> ()
-  | Some o ->
-    Obs.set_clock o (fun () -> Engine.now engine);
-    Network.attach_obs net o);
-  let recovery =
-    match scenario.crash_mode with
-    | Network.Fail_stop -> None
-    | Network.Amnesia ->
-      (* Catch up over the whole key space: WAL replay alone cannot know
-         about keys whose records were lost. *)
-      Some
-        (Replica.recovery ~wal_policy:scenario.wal ~catch_up:scenario.catch_up
-           ~keys:(fun () -> List.init scenario.key_space Fun.id)
-           ~proto ())
+  Option.iter (fun o -> Obs.set_clock o (fun () -> Engine.now engine)) obs;
+  let budget =
+    match overload with
+    | Some { retry_budget = Some c; _ } -> Some (Detect.Budget.create ~config:c ())
+    | _ -> None
   in
-  let batching = scenario.batching in
-  (match batching with
-  | Some b when b.batch_size < 1 || b.pipeline < 1 ->
-    invalid_arg "Harness.run: batch_size and pipeline must be >= 1"
-  | _ -> ());
-  let group_commit =
-    match batching with Some b -> b.group_commit | None -> false
+  let group_commit = match b.batching with Some bt -> bt.group_commit | None -> false in
+  (* One tree instance per shard, all over the one engine: a forked
+     protocol (private plan-cache scratch), its own network (latency
+     stream, crash schedule, service queues), breaker and replicas.  Shards
+     are built in id order, so the RNG-split sequence depends only on S. *)
+  let n = Protocol.universe_size b.proto in
+  (* Replicas, then clients, then burst clients; a resharding run adds
+     its migration endpoint's address past them. *)
+  let mig_site = n + b.n_clients + n_burst in
+  let addresses = if sc.reconfig = [] then mig_site else mig_site + 1 in
+  let create_shard s =
+    let proto = Protocol.fork b.proto in
+    let net =
+      Network.create ~engine ~n:addresses ~latency:b.latency ~loss_rate:b.loss_rate ()
+    in
+    Network.set_crash_mode net b.crash_mode;
+    Option.iter
+      (fun o ->
+        for site = 0 to n - 1 do
+          let service_time =
+            Option.value (List.assoc_opt site o.slow_sites) ~default:o.service_time
+          in
+          Network.set_service net ~site ~capacity:o.queue_capacity ~service_time ()
+        done)
+      overload;
+    Option.iter (Network.attach_obs net) obs;
+    let breaker =
+      match overload with
+      | Some { breaker = Some c; _ } ->
+        Some (Detect.Breaker.create ~config:c ~n ~now:(fun () -> Engine.now engine) ())
+      | _ -> None
+    in
+    let admission =
+      Option.map
+        (fun o -> Replica.admission ~shed_watermark:o.shed_watermark ~universe:n ())
+        overload
+    in
+    let recovery =
+      match b.crash_mode with
+      | Network.Fail_stop -> None
+      | Network.Amnesia ->
+        (* Catch up over the shard's whole key space: WAL replay alone
+           cannot know about keys whose records were lost. *)
+        Some
+          (Replica.recovery ~wal_policy:b.wal ~catch_up:b.catch_up
+             ~keys:(fun () -> Shard_map.keys_of smap s)
+             ~proto ?provision ())
+    in
+    let replicas =
+      Array.init n (fun site ->
+          Replica.create ~site ~net ?recovery ?admission ~group_commit ?obs ())
+    in
+    (proto, net, breaker, replicas)
   in
-  let replicas =
-    Array.init n (fun site ->
-        Replica.create ~site ~net ?recovery ?admission ~group_commit ?obs ())
-  in
-  let locks =
-    if scenario.use_locks then Some (Lock_manager.create ~engine) else None
-  in
+  let trees = Array.init max_shards create_shard in
+  let protos = Array.map (fun (p, _, _, _) -> p) trees in
+  let nets = Array.map (fun (_, net, _, _) -> net) trees in
+  let breakers = Array.map (fun (_, _, br, _) -> br) trees in
+  let replicas = Array.map (fun (_, _, _, reps) -> reps) trees in
+  let locks = if b.use_locks then Some (Lock_manager.create ~engine) else None in
   let checker = { latest = Hashtbl.create 16; violations = 0 } in
   let clients_done = ref 0 in
   let monitors = ref [] in
+  let per_shard_ops = Array.make max_shards 0 in
   (* Completion times go into a growable floatarray (flat stores): the
      list formulation costs five words per completed op. *)
   let completions = ref (Float.Array.create 64) in
   let n_completions = ref 0 in
-  let record_completion () =
+  let record_completion shard =
     (if !n_completions = Float.Array.length !completions then begin
        let grown = Float.Array.create (2 * !n_completions) in
        Float.Array.blit !completions 0 grown 0 !n_completions;
        completions := grown
      end);
     Float.Array.set !completions !n_completions (Engine.now engine);
-    incr n_completions
+    incr n_completions;
+    per_shard_ops.(shard) <- per_shard_ops.(shard) + 1
   in
   (* All clients finished: stop the heartbeat loops so the engine drains
      instead of pinging until the horizon. *)
-  let total_clients = scenario.n_clients + n_burst in
   let client_finished () =
     incr clients_done;
-    if !clients_done = total_clients then
+    if !clients_done = b.n_clients + n_burst then
       List.iter Detect.Heartbeat.stop !monitors
   in
   let run_client ~site ~ops ~think ~start_delay =
-    let view =
-      match scenario.detector with
-      | Oracle -> None
-      | Heartbeat config ->
-        let seq = ref 0 in
-        let hb =
-          Detect.Heartbeat.create ~engine ~n ~config
-            ~send_ping:(fun dst ->
-              incr seq;
-              Network.send net ~src:site ~dst (Message.Ping { seq = !seq }))
-            ()
-        in
-        monitors := hb :: !monitors;
-        Some (Detect.Heartbeat.view hb)
-    in
-    let coord =
-      Coordinator.create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
-        ~config:scenario.coordinator ()
+    (* One coordinator per shard, all at the client's site address on that
+       shard's network; every key is routed through the shard map at issue
+       time. *)
+    let coords =
+      Array.init max_shards (fun s ->
+          let view =
+            match b.detector with
+            | Oracle -> None
+            | Heartbeat config ->
+              let seq = ref 0 in
+              let hb =
+                Detect.Heartbeat.create ~engine ~n ~config
+                  ~send_ping:(fun dst ->
+                    incr seq;
+                    Network.send nets.(s) ~src:site ~dst (Message.Ping { seq = !seq }))
+                  ()
+              in
+              monitors := hb :: !monitors;
+              Some (Detect.Heartbeat.view hb)
+          in
+          Coordinator.create ~site ~net:nets.(s) ~proto:protos.(s) ?locks ?view
+            ?budget ?breaker:breakers.(s) ?obs ~config:b.coordinator ())
     in
     let gen =
       Workload.Generator.create
         ~rng:(Rng.split (Engine.rng engine))
-        ~read_fraction:scenario.read_fraction ~key_space:scenario.key_space
-        ~zipf_theta:scenario.zipf_theta ()
+        ~read_fraction:b.read_fraction ~key_space:b.key_space
+        ~zipf_theta:b.zipf_theta ()
     in
     let expected_now key =
       match Hashtbl.find checker.latest key with
       | exception Not_found -> Timestamp.zero
       | ts -> ts
     in
-    let process_read expected result =
+    let process_read ~shard expected result =
       match result with
       | Some { Coordinator.ts; _ } ->
-        record_completion ();
+        record_completion shard;
         if Timestamp.newer_than expected ts then
           checker.violations <- checker.violations + 1
       | None -> ()
     in
-    let process_write key result =
+    let process_write ~shard key result =
       match result with
       | Some ts ->
-        record_completion ();
+        record_completion shard;
         Hashtbl.replace checker.latest key (Timestamp.max (expected_now key) ts)
       | None -> ()
     in
     (* Unbatched loop with preallocated per-client closures: the current
-       op's key and expected timestamp ride in mutable slots instead of
-       fresh closures, so issuing an operation allocates nothing on the
-       client side.  Dispatch order, RNG draws and event scheduling are
-       exactly those of the closure-per-op formulation, so seeded runs
-       are byte-identical. *)
+       op's key, shard and expected timestamp ride in mutable slots
+       instead of fresh closures, so issuing an operation allocates
+       nothing on the client side. *)
     let remaining = ref 0 in
     let cur_key = ref 0 in
+    let cur_shard = ref 0 in
     let cur_expected = ref Timestamp.zero in
     let rec dispatch () =
       if !remaining = 0 then client_finished ()
@@ -330,20 +484,22 @@ let run ?obs ?read_probe scenario =
         match Workload.Generator.next gen with
         | Workload.Generator.Read key ->
           cur_key := key;
+          cur_shard := Shard_map.route smap key;
           cur_expected := expected_now key;
-          Coordinator.read coord ~key on_read
+          Coordinator.read coords.(!cur_shard) ~key on_read
         | Workload.Generator.Write (key, value) ->
           cur_key := key;
-          Coordinator.write coord ~key ~value on_write
+          cur_shard := Shard_map.route smap key;
+          Coordinator.write coords.(!cur_shard) ~key ~value on_write
       end
     and on_read result =
       (match (read_probe, result) with
       | Some f, Some r -> f ~key:!cur_key r
       | _ -> ());
-      process_read !cur_expected result;
+      process_read ~shard:!cur_shard !cur_expected result;
       continue ()
     and on_write result =
-      process_write !cur_key result;
+      process_write ~shard:!cur_shard !cur_key result;
       continue ()
     and continue () =
       Engine.schedule engine
@@ -357,14 +513,15 @@ let run ?obs ?read_probe scenario =
       remaining := ops;
       dispatch ()
     in
-    (* Batched client: ops are issued in windows of [batch_size] (one
-       read-batch plus one write-batch per window) with up to [pipeline]
-       windows outstanding.  Think time is drawn after a window completes,
-       so [batch_size = 1, pipeline = 1] draws the RNG in exactly the
-       unbatched order and every run is byte-identical to [step]. *)
-    let run_batched b =
+    (* Batched client: ops are issued in windows of [batch_size], grouped
+       per shard into one read-batch plus one write-batch per touched
+       shard, with up to [pipeline] windows outstanding.  Think time is
+       drawn after a window completes, so [batch_size = 1, pipeline = 1]
+       draws the RNG in exactly the unbatched order and every run is
+       byte-identical to [step]. *)
+    let run_batched bt =
       let remaining = ref ops in
-      let slots = ref b.pipeline in
+      let slots = ref bt.pipeline in
       let retire () =
         decr slots;
         if !slots = 0 then client_finished ()
@@ -372,31 +529,31 @@ let run ?obs ?read_probe scenario =
       let rec slot_step () =
         if !remaining = 0 then retire ()
         else begin
-          let wsize = min b.batch_size !remaining in
+          let wsize = min bt.batch_size !remaining in
           remaining := !remaining - wsize;
           (* Draw the whole window up front, in issue order. *)
           let window = ref [] in
           for _ = 1 to wsize do
             window := Workload.Generator.next gen :: !window
           done;
-          let window = List.rev !window in
-          let reads =
-            List.filter_map
-              (function
-                | Workload.Generator.Read key -> Some (key, expected_now key)
-                | Workload.Generator.Write _ -> None)
-              window
-          in
-          let writes =
-            List.filter_map
-              (function
-                | Workload.Generator.Write (key, value) -> Some (key, value)
-                | Workload.Generator.Read _ -> None)
-              window
-          in
-          let parts =
-            ref ((if reads = [] then 0 else 1) + (if writes = [] then 0 else 1))
-          in
+          let reads_by = Array.make max_shards [] in
+          let writes_by = Array.make max_shards [] in
+          List.iter
+            (function
+              | Workload.Generator.Read key ->
+                let s = Shard_map.route smap key in
+                reads_by.(s) <- (key, expected_now key) :: reads_by.(s)
+              | Workload.Generator.Write (key, value) ->
+                let s = Shard_map.route smap key in
+                writes_by.(s) <- (key, value) :: writes_by.(s))
+            (List.rev !window);
+          let parts = ref 0 in
+          for s = 0 to max_shards - 1 do
+            reads_by.(s) <- List.rev reads_by.(s);
+            writes_by.(s) <- List.rev writes_by.(s);
+            if reads_by.(s) <> [] then incr parts;
+            if writes_by.(s) <> [] then incr parts
+          done;
           let part_done () =
             decr parts;
             if !parts = 0 then
@@ -404,118 +561,159 @@ let run ?obs ?read_probe scenario =
                 ~delay:(Workload.Generator.think_time gen ~mean:think)
                 slot_step
           in
-          if reads <> [] then
-            Coordinator.read_batch coord ~keys:(List.map fst reads)
-              (fun results ->
-                List.iter2
-                  (fun (_, expected) (_, result) -> process_read expected result)
-                  reads results;
-                part_done ());
-          if writes <> [] then
-            Coordinator.write_batch coord ~writes (fun results ->
-                List.iter
-                  (fun (key, result) -> process_write key result)
-                  results;
-                part_done ())
+          Array.iteri
+            (fun s reads ->
+              if reads <> [] then
+                Coordinator.read_batch coords.(s) ~keys:(List.map fst reads)
+                  (fun results ->
+                    List.iter2
+                      (fun (_, expected) (_, result) ->
+                        process_read ~shard:s expected result)
+                      reads results;
+                    part_done ()))
+            reads_by;
+          Array.iteri
+            (fun s writes ->
+              if writes <> [] then
+                Coordinator.write_batch coords.(s) ~writes (fun results ->
+                    List.iter
+                      (fun (key, result) -> process_write ~shard:s key result)
+                      results;
+                    part_done ()))
+            writes_by
         end
       in
-      for _ = 1 to b.pipeline do
+      for _ = 1 to bt.pipeline do
         slot_step ()
       done
     in
     let start () =
-      match batching with None -> step ops | Some b -> run_batched b
+      match b.batching with None -> step ops | Some bt -> run_batched bt
     in
     if start_delay > 0.0 then Engine.schedule engine ~delay:start_delay start
     else start ();
-    coord
+    coords
   in
   let coords =
-    List.init scenario.n_clients (fun idx ->
-        run_client ~site:(n + idx) ~ops:scenario.ops_per_client
-          ~think:scenario.think_time ~start_delay:scenario.warmup)
+    List.init b.n_clients (fun idx ->
+        run_client ~site:(n + idx) ~ops:b.ops_per_client ~think:b.think_time
+          ~start_delay:b.warmup)
   in
   (* The flash crowd joins at [burst_at] on its own network addresses, so
      steady-state clients keep theirs (and their RNG streams). *)
   let burst_coords =
-    match scenario.overload with
-    | Some { burst = Some b; _ } ->
-      List.init b.burst_clients (fun idx ->
-          run_client
-            ~site:(n + scenario.n_clients + idx)
-            ~ops:b.burst_ops ~think:b.burst_think
-            ~start_delay:(scenario.warmup +. b.burst_at))
+    match overload with
+    | Some { burst = Some bu; _ } ->
+      List.init bu.burst_clients (fun idx ->
+          run_client ~site:(n + b.n_clients + idx) ~ops:bu.burst_ops
+            ~think:bu.burst_think ~start_delay:(b.warmup +. bu.burst_at))
     | _ -> []
   in
-  let coords = coords @ burst_coords in
-  Failure.apply net scenario.failures;
-  Engine.run ~until:scenario.horizon engine;
-  let metrics = List.map Coordinator.metrics coords in
+  let migrated = ref 0 and failed = ref 0 and splits = ref 0 and merges = ref 0 in
+  (* Migration endpoints are created after every client, so runs without
+     reconfiguration never allocate them. *)
+  if sc.reconfig <> [] then
+    schedule_reconfig ~engine ~locks:(Option.get locks) ~smap ~nets ~protos ~mig_site
+      ?obs ~migrated ~failed ~splits ~merges sc.reconfig;
+  extend { engine; locks; replicas };
+  Array.iter (fun net -> Failure.apply net b.failures) nets;
+  List.iter (fun (s, entries) -> Failure.apply nets.(s) entries) sc.shard_failures;
+  Engine.run ~until:b.horizon engine;
+  let metrics =
+    List.concat_map (fun cs -> Array.to_list (Array.map Coordinator.metrics cs))
+      (coords @ burst_coords)
+  in
   let sum f = List.fold_left (fun acc m -> acc + f m) 0 metrics in
-  let sum_replicas f = Array.fold_left (fun acc r -> acc + f r) 0 replicas in
-  let counters = Network.counters net in
+  let all_replicas = Array.concat (Array.to_list replicas) in
+  let sum_replicas f = Array.fold_left (fun acc r -> acc + f r) 0 all_replicas in
+  let counters = Array.map Network.counters nets in
+  let sum_net f = Array.fold_left (fun acc c -> acc + f c) 0 counters in
+  let latency pick =
+    List.fold_left (fun acc m -> Stats.merge acc (pick m)) (Stats.create ()) metrics
+  in
+  let agg =
+    {
+      duration = Engine.now engine;
+      reads_ok = sum (fun m -> m.Coordinator.reads_ok);
+      reads_failed = sum (fun m -> m.Coordinator.reads_failed);
+      writes_ok = sum (fun m -> m.Coordinator.writes_ok);
+      writes_failed = sum (fun m -> m.Coordinator.writes_failed);
+      retries = sum (fun m -> m.Coordinator.retries);
+      deadline_exceeded = sum (fun m -> m.Coordinator.deadline_exceeded);
+      safety_violations = checker.violations;
+      read_latency = latency (fun m -> m.Coordinator.read_latency);
+      write_latency = latency (fun m -> m.Coordinator.write_latency);
+      messages_sent = sum_net (fun c -> c.Network.sent);
+      messages_delivered = sum_net (fun c -> c.Network.delivered);
+      messages_dropped =
+        sum_net (fun c ->
+            c.Network.dropped_loss + c.Network.dropped_crash
+            + c.Network.dropped_partition + c.Network.dropped_no_handler
+            + c.Network.dropped_overload);
+      heartbeat_pings =
+        List.fold_left (fun acc hb -> acc + Detect.Heartbeat.pings_sent hb) 0 !monitors;
+      replica_reads_served = Array.map Replica.reads_served all_replicas;
+      replica_prepares_seen = Array.map Replica.prepares_seen all_replicas;
+      replica_writes_applied = Array.map Replica.writes_applied all_replicas;
+      stale_incarnation_rejections =
+        sum (fun m -> m.Coordinator.stale_incarnation_rejections);
+      replica_incarnations = Array.map Replica.incarnation all_replicas;
+      catchup_runs = sum_replicas Replica.catchup_runs;
+      catchup_keys_installed = sum_replicas Replica.catchup_keys_installed;
+      catchup_abandoned = sum_replicas Replica.catchup_abandoned;
+      stale_commits_nacked = sum_replicas Replica.stale_commits_nacked;
+      wal_records_replayed = sum_replicas Replica.wal_records_replayed;
+      wal_records_lost = sum_replicas Replica.wal_records_lost;
+      replicas_recovering =
+        sum_replicas (fun r -> if Replica.is_serving r then 0 else 1);
+      spans = (match span_store with None -> [] | Some m -> Obs.Sink.memory_spans m);
+      replica_sheds = sum_replicas Replica.sheds;
+      busy_received = sum (fun m -> m.Coordinator.busy_received);
+      retries_suppressed = sum (fun m -> m.Coordinator.retries_suppressed);
+      overload_drops = sum_net (fun c -> c.Network.dropped_overload);
+      breaker_trips =
+        Array.fold_left
+          (fun acc br -> acc + Option.fold ~none:0 ~some:Detect.Breaker.trips br)
+          0 breakers;
+      queue_peak =
+        Array.fold_left
+          (fun peak net ->
+            let p = ref peak in
+            for site = 0 to n - 1 do
+              p := max !p (Network.queue_peak net site)
+            done;
+            !p)
+          0 nets;
+      completions = Array.init !n_completions (Float.Array.get !completions);
+      batches = sum (fun m -> m.Coordinator.batches);
+      coalesced_ops = sum_net (fun c -> c.Network.coalesced);
+      wal_syncs = sum_replicas Replica.wal_syncs;
+      provision_runs = sum_replicas Replica.provision_runs;
+      provision_chunks = sum_replicas Replica.provision_chunks;
+      provision_resumes = sum_replicas Replica.provision_resumes;
+      provision_donor_failovers = sum_replicas Replica.provision_donor_failovers;
+      provision_rounds = sum_replicas Replica.provision_rounds;
+      provision_stale = sum_replicas Replica.provision_stale;
+      failed_rejoins = sum_replicas Replica.failed_rejoins;
+      replica_status = Array.map Replica.status_label all_replicas;
+    }
+  in
   {
-    duration = Engine.now engine;
-    reads_ok = sum (fun m -> m.Coordinator.reads_ok);
-    reads_failed = sum (fun m -> m.Coordinator.reads_failed);
-    writes_ok = sum (fun m -> m.Coordinator.writes_ok);
-    writes_failed = sum (fun m -> m.Coordinator.writes_failed);
-    retries = sum (fun m -> m.Coordinator.retries);
-    deadline_exceeded = sum (fun m -> m.Coordinator.deadline_exceeded);
-    safety_violations = checker.violations;
-    read_latency =
-      List.fold_left
-        (fun acc m -> Stats.merge acc m.Coordinator.read_latency)
-        (Stats.create ()) metrics;
-    write_latency =
-      List.fold_left
-        (fun acc m -> Stats.merge acc m.Coordinator.write_latency)
-        (Stats.create ()) metrics;
-    messages_sent = counters.Network.sent;
-    messages_delivered = counters.Network.delivered;
-    messages_dropped =
-      counters.Network.dropped_loss + counters.Network.dropped_crash
-      + counters.Network.dropped_partition
-      + counters.Network.dropped_no_handler
-      + counters.Network.dropped_overload;
-    heartbeat_pings =
-      List.fold_left (fun acc hb -> acc + Detect.Heartbeat.pings_sent hb) 0
-        !monitors;
-    replica_reads_served = Array.map Replica.reads_served replicas;
-    replica_prepares_seen = Array.map Replica.prepares_seen replicas;
-    replica_writes_applied = Array.map Replica.writes_applied replicas;
-    stale_incarnation_rejections =
-      sum (fun m -> m.Coordinator.stale_incarnation_rejections);
-    replica_incarnations = Array.map Replica.incarnation replicas;
-    catchup_runs = sum_replicas Replica.catchup_runs;
-    catchup_keys_installed = sum_replicas Replica.catchup_keys_installed;
-    catchup_abandoned = sum_replicas Replica.catchup_abandoned;
-    stale_commits_nacked = sum_replicas Replica.stale_commits_nacked;
-    wal_records_replayed = sum_replicas Replica.wal_records_replayed;
-    wal_records_lost = sum_replicas Replica.wal_records_lost;
-    replicas_recovering =
-      sum_replicas (fun r -> if Replica.is_serving r then 0 else 1);
-    spans =
-      (match span_store with
-      | None -> []
-      | Some m -> Obs.Sink.memory_spans m);
-    replica_sheds = sum_replicas Replica.sheds;
-    busy_received = sum (fun m -> m.Coordinator.busy_received);
-    retries_suppressed = sum (fun m -> m.Coordinator.retries_suppressed);
-    overload_drops = counters.Network.dropped_overload;
-    breaker_trips =
-      (match breaker with None -> 0 | Some b -> Detect.Breaker.trips b);
-    queue_peak =
-      (let peak = ref 0 in
-       for site = 0 to n - 1 do
-         peak := max !peak (Network.queue_peak net site)
-       done;
-       !peak);
-    completions = Array.init !n_completions (Float.Array.get !completions);
-    batches = sum (fun m -> m.Coordinator.batches);
-    coalesced_ops = counters.Network.coalesced;
-    wal_syncs = sum_replicas Replica.wal_syncs;
+    agg;
+    shards = Shard_map.shards smap;
+    active_shards = Shard_map.active smap;
+    per_shard_ops;
+    per_shard_keys = Shard_map.counts smap;
+    migrated_keys = !migrated;
+    migration_failures = !failed;
+    splits = !splits;
+    merges = !merges;
+    map_well_formed = Shard_map.well_formed smap;
+    routing = Shard_map.snapshot smap;
   }
+
+let run ?obs ?read_probe scenario =
+  (run_core ?obs ?read_probe (one_tree scenario)).agg
 
 let completed r = r.reads_ok + r.writes_ok
 

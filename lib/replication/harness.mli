@@ -2,6 +2,14 @@
     protocol over the simulated network, with failure injection and a
     built-in safety checker.
 
+    This module is the one harness core.  {!run_core} builds the engine,
+    one tree instance per shard (network, replicas, breaker), the clients
+    and their loop, and assembles the report; the plain run ({!run}), the
+    sharded run ({!Shard_harness}) and the membership-churn run
+    ({!Churn_harness}) are calls into it.  Shards, overload, batching,
+    failures, crash recovery and the detector are independent fields, and
+    every combination of them runs.
+
     The safety property monitored is one-copy read freshness: a read that
     {e starts} after a write to the same key {e completed successfully}
     must return a timestamp at least as new as that write's.  With per-key
@@ -41,7 +49,8 @@ type overload = {
   retry_budget : Detect.Budget.config option;
       (** when set, one shared budget gates every coordinator's retries *)
   breaker : Detect.Breaker.config option;
-      (** when set, one shared per-site breaker steers quorum assembly *)
+      (** when set, one per-site breaker per shard, shared by the shard's
+          coordinators, steers quorum assembly *)
   burst : burst option;
 }
 (** Overload model for a scenario.  [None] in {!scenario.overload} keeps
@@ -153,7 +162,7 @@ type report = {
   busy_received : int;  (** [Busy] nacks coordinators acted on *)
   retries_suppressed : int;  (** retries refused by the shared budget *)
   overload_drops : int;  (** messages turned away by full replica queues *)
-  breaker_trips : int;  (** shared circuit-breaker trips (0 without one) *)
+  breaker_trips : int;  (** circuit-breaker trips, summed over shards (0 without one) *)
   queue_peak : int;  (** deepest replica ingress queue seen in the run *)
   completions : float array;
       (** virtual completion time of every successful operation, in
@@ -168,7 +177,101 @@ type report = {
   wal_syncs : int;
       (** synchronous WAL forces across all replicas; under group commit a
           whole batch counts one *)
+  provision_runs : int;
+      (** snapshot + WAL-tail transfers started, summed over replicas (0
+          without a {!Replica.provision} config, as in every run but
+          {!Churn_harness}'s) *)
+  provision_chunks : int;
+  provision_resumes : int;
+  provision_donor_failovers : int;
+  provision_rounds : int;
+  provision_stale : int;
+  failed_rejoins : int;
+  replica_status : string array;  (** per-replica {!Replica.status_label} *)
 }
+
+(** {2 Sharded runs}
+
+    The keyspace is partitioned by a deterministic {!Arbitrary.Shard_map}
+    into S independent tree instances, each with its own forked protocol,
+    network, service queues, breaker, replicas, stores and WALs, all over
+    one engine.  Clients keep one coordinator per shard and route every
+    operation through the shard map at issue time; one lock manager, one
+    retry budget and one safety checker span all shards.  The plain run is
+    S = 1. *)
+
+type reconfig_action =
+  | Split of int  (** split this shard; the new id is allocated at fire time *)
+  | Merge of { into : int; from_ : int }
+
+type reconfig = { at : float; action : reconfig_action }
+
+type sharded = {
+  base : scenario;
+      (** the per-shard tree ([proto]) and the client workload.  Its
+          [failures] hit every shard's network; its [overload] model
+          applies to every shard's replicas (one shared retry budget, one
+          breaker per shard). *)
+  shards : int;  (** initial shard count S (>= 1) *)
+  strategy : Arbitrary.Shard_map.strategy;
+  service_time : float;
+      (** when positive, the per-message processing cost at every replica
+          of every shard: it sets [base.overload]'s service time, adding an
+          otherwise all-off overload model when there is none *)
+  shard_failures : (int * Dsim.Failure.entry list) list;
+      (** per-shard failure schedules, applied after [base.failures] *)
+  reconfig : reconfig list;
+      (** online splits and merges.  A reconfiguration fences the moving
+          keys (exclusive locks, taken while routing still points at the
+          source shard), copies them to the target instance by
+          forced-timestamp state transfer ({!Quorum_rpc.write} with [~ts]),
+          atomically flips the shard map, and releases the fences.  The
+          fence is only safe behind client locks, so it needs
+          [base.use_locks]. *)
+}
+
+val one_tree : scenario -> sharded
+(** The scenario as a single tree: S = 1, hash partitioning, no service
+    time of its own, no per-shard failures, no resharding. *)
+
+type sharded_report = {
+  agg : report;
+      (** the whole-system aggregate: latencies merged, counters summed and
+          per-replica arrays concatenated shard-major *)
+  shards : int;  (** shard ids allocated (including split targets) *)
+  active_shards : int list;
+  per_shard_ops : int array;  (** successful ops routed to each shard *)
+  per_shard_keys : int array;  (** final keys owned per shard *)
+  migrated_keys : int;  (** keys copied by split/merge state transfer *)
+  migration_failures : int;  (** keys whose copy exhausted its retries *)
+  splits : int;
+  merges : int;
+  map_well_formed : bool;  (** final map invariant ({!Arbitrary.Shard_map.well_formed}) *)
+  routing : int array;  (** final owner table: index = key, value = shard *)
+}
+
+type world = {
+  engine : Dsim.Engine.t;
+  locks : Lock_manager.t option;
+  replicas : Replica.t array array;  (** per shard, indexed by site *)
+}
+(** What a run built, handed to an entry point's [extend] hook. *)
+
+val run_core :
+  ?obs:Obs.t ->
+  ?read_probe:(key:int -> Coordinator.read_result -> unit) ->
+  ?provision:Replica.provision ->
+  ?extend:(world -> unit) ->
+  sharded ->
+  sharded_report
+(** The one harness loop.  Each shard's network has an address per
+    replica, then per client, then per burst client, plus one for the
+    migration endpoints when [reconfig] is not empty.  [provision] joins
+    every amnesia replica's recovery config; [extend] runs after the
+    clients are started and before the failure schedules are applied
+    (the membership schedule of {!Churn_harness}).  [obs] and
+    [read_probe] are those of {!run}.  Reconfiguration requires
+    [base.use_locks] ({!Shard_harness.run} checks it). *)
 
 val run :
   ?obs:Obs.t ->
@@ -183,9 +286,10 @@ val run :
 
     [read_probe] is invoked on every {e successful} unbatched read with
     the key and the returned value/timestamp, in completion order — the
-    raw material for result-equivalence checks (e.g. level-pipelined vs
-    level-barrier reads).  Batched clients do not invoke it.  Like [obs],
-    it never perturbs the simulation. *)
+    raw material for result-equivalence checks.  Batched clients do not
+    invoke it.  Like [obs], it never perturbs the simulation.
+
+    This is {!run_core} at S = 1. *)
 
 val completed : report -> int
 (** Successful operations: [reads_ok + writes_ok]. *)

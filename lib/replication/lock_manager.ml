@@ -13,9 +13,18 @@ type lock = {
          the queue *)
 }
 
-type t = { engine : Engine.t; locks : (int, lock) Hashtbl.t }
+type t = {
+  engine : Engine.t;
+  locks : (int, lock) Hashtbl.t;
+  mutable next_owner : int;
+}
 
-let create ~engine = { engine; locks = Hashtbl.create 16 }
+let create ~engine = { engine; locks = Hashtbl.create 16; next_owner = 0 }
+
+let fresh_owner t =
+  let owner = t.next_owner in
+  t.next_owner <- owner + 1;
+  owner
 
 let involves lock owner =
   List.mem owner lock.holders

@@ -11,6 +11,12 @@ type mode = Shared | Exclusive
 
 val create : engine:Dsim.Engine.t -> t
 
+val fresh_owner : t -> int
+(** An owner id this manager has never handed out before.  Every process
+    that shares the manager (client coordinators, transactions, migration
+    and promotion fences) draws its owners here, so no two of them can
+    collide on one key. *)
+
 val acquire : t -> key:int -> mode:mode -> owner:int -> (unit -> unit) -> unit
 (** Queues the request; the callback runs when the lock is granted.  An
     owner must not request a lock it already holds or waits for (checked,

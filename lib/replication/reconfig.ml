@@ -15,7 +15,7 @@ let promote ~locks ~relabel ~position ~spare ?outgoing ~key_space
     ?(on_switch = fun () -> ()) k =
   if key_space < 1 then invalid_arg "Reconfig.promote: empty key space";
   let donor = Quorum.Relabel.site_of relabel ~position in
-  let owner = Replica.site spare in
+  let owner = Lock_manager.fresh_owner locks in
   let release_all () =
     for key = 0 to key_space - 1 do
       Lock_manager.release locks ~key ~owner
@@ -52,7 +52,7 @@ let decommission ~locks ~relabel ~position ~outgoing ~spare ~key_space
 
 let migrate ~rpc ~locks ~new_proto ~key_space ?(on_switch = fun () -> ()) k =
   if key_space < 1 then invalid_arg "Reconfig.migrate: empty key space";
-  let owner = Quorum_rpc.site rpc in
+  let owner = Lock_manager.fresh_owner locks in
   let migrated = ref 0 in
   let failed = ref [] in
   let release_all () =

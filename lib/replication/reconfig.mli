@@ -33,8 +33,8 @@ val migrate :
   unit
 (** [rpc] must currently carry the {e old} protocol; on completion it has
     been switched to [new_proto].  Clients must confine their keys to
-    [0 .. key_space-1].  The lock owner id used is the RPC site, so the
-    caller must not run transactions from the same site concurrently. *)
+    [0 .. key_space-1].  The fence locks are held by one fresh owner
+    ({!Lock_manager.fresh_owner}). *)
 
 (** {2 Membership: promotion and decommission}
 
@@ -71,9 +71,10 @@ val promote :
     during the flip; without it the displaced occupant simply becomes a
     spare again — it still holds the position's history, so it can later
     be re-promoted, which is what a rolling restart does.  [spare] needs
-    a {!Replica.provision} config; the lock owner used is the spare's
-    site id.  [on_switch] runs after the remap, before the locks
-    release.  The continuation fires once clients are readmitted.
+    a {!Replica.provision} config; the fence locks are held by one fresh
+    owner ({!Lock_manager.fresh_owner}).  [on_switch] runs after the
+    remap, before the locks release.  The continuation fires once clients
+    are readmitted.
 
     The transfer survives donor and recipient crashes: the bulk phase
     retries/resumes ({!Replica.provision_now} with a pinned donor), and

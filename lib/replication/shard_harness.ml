@@ -1,35 +1,22 @@
-module Engine = Dsim.Engine
-module Network = Dsim.Network
-module Failure = Dsim.Failure
-module Rng = Dsutil.Rng
-module Stats = Dsutil.Stats
-module Protocol = Quorum.Protocol
-module Shard_map = Arbitrary.Shard_map
+type reconfig_action = Harness.reconfig_action =
+  | Split of int
+  | Merge of { into : int; from_ : int }
 
-type reconfig_action = Split of int | Merge of { into : int; from_ : int }
+type reconfig = Harness.reconfig = { at : float; action : reconfig_action }
 
-type reconfig = { at : float; action : reconfig_action }
-
-type scenario = {
+type scenario = Harness.sharded = {
   base : Harness.scenario;
   shards : int;
-  strategy : Shard_map.strategy;
+  strategy : Arbitrary.Shard_map.strategy;
   service_time : float;
-  shard_failures : (int * Failure.entry list) list;
+  shard_failures : (int * Dsim.Failure.entry list) list;
   reconfig : reconfig list;
 }
 
 let default ~proto ~shards =
-  {
-    base = Harness.default_scenario ~proto;
-    shards;
-    strategy = Shard_map.Hash;
-    service_time = 0.0;
-    shard_failures = [];
-    reconfig = [];
-  }
+  { (Harness.one_tree (Harness.default_scenario ~proto)) with shards }
 
-type report = {
+type report = Harness.sharded_report = {
   agg : Harness.report;
   shards : int;
   active_shards : int list;
@@ -42,6 +29,11 @@ type report = {
   map_well_formed : bool;
   routing : int array;
 }
+
+let run ?obs sc =
+  if sc.reconfig <> [] && not sc.base.Harness.use_locks then
+    invalid_arg "Shard_harness.run: reconfiguration requires use_locks";
+  Harness.run_core ?obs sc
 
 let imbalance r =
   let ops = List.map (fun s -> r.per_shard_ops.(s)) r.active_shards in
@@ -56,494 +48,3 @@ let imbalance r =
 let imbalance_ratio r =
   let mx, mean = imbalance r in
   if mean = 0.0 then 1.0 else mx /. mean
-
-(* Per-key newest committed timestamp for the freshness check — one
-   checker spanning every shard, since keys are globally unique. *)
-type checker = { latest : (int, Timestamp.t) Hashtbl.t; mutable violations : int }
-
-let run ?obs scenario =
-  let b = scenario.base in
-  if scenario.shards < 1 then invalid_arg "Shard_harness.run: shards must be >= 1";
-  if b.Harness.n_clients < 1 then invalid_arg "Shard_harness.run: need a client";
-  if b.Harness.overload <> None then
-    invalid_arg "Shard_harness.run: overload model unsupported (use service_time)";
-  if b.Harness.failures <> [] then
-    invalid_arg "Shard_harness.run: use shard_failures, not base.failures";
-  if scenario.service_time < 0.0 then
-    invalid_arg "Shard_harness.run: negative service_time";
-  if scenario.reconfig <> [] && not b.Harness.use_locks then
-    invalid_arg "Shard_harness.run: reconfiguration requires use_locks";
-  (match b.Harness.batching with
-  | Some bt when bt.Harness.batch_size < 1 || bt.Harness.pipeline < 1 ->
-    invalid_arg "Shard_harness.run: batch_size and pipeline must be >= 1"
-  | _ -> ());
-  let n_splits =
-    List.length
-      (List.filter (function { action = Split _; _ } -> true | _ -> false)
-         scenario.reconfig)
-  in
-  (* Shard instances for split targets exist from the start (their id is
-     allocated when the split event fires); until activation they own no
-     keys and see no traffic. *)
-  let max_shards = scenario.shards + n_splits in
-  let smap =
-    Shard_map.create ~strategy:scenario.strategy ~shards:scenario.shards
-      ~key_space:b.Harness.key_space ~seed:b.Harness.seed ()
-  in
-  let engine = Engine.create ~seed:b.Harness.seed () in
-  let span_store =
-    if b.Harness.check_consistency then Some (Obs.Sink.memory ()) else None
-  in
-  let obs =
-    match (obs, span_store) with
-    | _, None -> obs
-    | Some o, Some m ->
-      Obs.add_sink o (Obs.Sink.memory_sink m);
-      Some o
-    | None, Some m ->
-      let o = Obs.create () in
-      Obs.add_sink o (Obs.Sink.memory_sink m);
-      Some o
-  in
-  (match obs with
-  | None -> ()
-  | Some o -> Obs.set_clock o (fun () -> Engine.now engine));
-  let group_commit =
-    match b.Harness.batching with Some bt -> bt.Harness.group_commit | None -> false
-  in
-  (* One tree instance per shard: forked protocol (private plan-cache
-     scratch), own network (own latency/RNG stream, crash schedule and
-     service queues), own replicas with their own stores and WALs — all
-     over the one shared engine.  Construction order inside each shard
-     mirrors Harness.run exactly, so at S=1 the RNG-split sequence and
-     event schedule are those of the unsharded harness. *)
-  let n = Protocol.universe_size b.Harness.proto in
-  let create_shard s =
-    let proto = Protocol.fork b.Harness.proto in
-    let net =
-      Network.create ~engine
-        ~n:(n + b.Harness.n_clients + 1)
-        ~latency:b.Harness.latency ~loss_rate:b.Harness.loss_rate ()
-    in
-    Network.set_crash_mode net b.Harness.crash_mode;
-    if scenario.service_time > 0.0 then
-      for site = 0 to n - 1 do
-        Network.set_service net ~site ~capacity:0
-          ~service_time:scenario.service_time ()
-      done;
-    (match obs with None -> () | Some o -> Network.attach_obs net o);
-    let recovery =
-      match b.Harness.crash_mode with
-      | Network.Fail_stop -> None
-      | Network.Amnesia ->
-        Some
-          (Replica.recovery ~wal_policy:b.Harness.wal
-             ~catch_up:b.Harness.catch_up
-             ~keys:(fun () -> Shard_map.keys_of smap s)
-             ~proto ())
-    in
-    let reps =
-      Array.init n (fun site ->
-          Replica.create ~site ~net ?recovery ~group_commit ?obs ())
-    in
-    (proto, net, reps)
-  in
-  let p0, net0, reps0 = create_shard 0 in
-  let protos = Array.make max_shards p0 in
-  let nets = Array.make max_shards net0 in
-  let replicas = Array.make max_shards reps0 in
-  for s = 1 to max_shards - 1 do
-    let proto, net, reps = create_shard s in
-    protos.(s) <- proto;
-    nets.(s) <- net;
-    replicas.(s) <- reps
-  done;
-  let locks =
-    if b.Harness.use_locks then Some (Lock_manager.create ~engine) else None
-  in
-  let checker = { latest = Hashtbl.create 16; violations = 0 } in
-  let clients_done = ref 0 in
-  let monitors = ref [] in
-  let per_shard_ops = Array.make max_shards 0 in
-  let completions = ref (Float.Array.create 64) in
-  let n_completions = ref 0 in
-  let record_completion () =
-    (if !n_completions = Float.Array.length !completions then begin
-       let grown = Float.Array.create (2 * !n_completions) in
-       Float.Array.blit !completions 0 grown 0 !n_completions;
-       completions := grown
-     end);
-    Float.Array.set !completions !n_completions (Engine.now engine);
-    incr n_completions
-  in
-  let client_finished () =
-    incr clients_done;
-    if !clients_done = b.Harness.n_clients then
-      List.iter Detect.Heartbeat.stop !monitors
-  in
-  let run_client ~site ~ops ~think ~start_delay =
-    (* One coordinator per shard, all at the client's site address on
-       that shard's network; dispatch routes each key through the shard
-       map at issue time. *)
-    let coords =
-      Array.of_list
-      @@ List.init max_shards (fun s ->
-          let view =
-            match b.Harness.detector with
-            | Harness.Oracle -> None
-            | Harness.Heartbeat config ->
-              let seq = ref 0 in
-              let hb =
-                Detect.Heartbeat.create ~engine ~n ~config
-                  ~send_ping:(fun dst ->
-                    incr seq;
-                    Network.send nets.(s) ~src:site ~dst
-                      (Message.Ping { seq = !seq }))
-                  ()
-              in
-              monitors := hb :: !monitors;
-              Some (Detect.Heartbeat.view hb)
-          in
-          Coordinator.create ~site ~net:nets.(s) ~proto:protos.(s) ?locks
-            ?view ?obs ~config:b.Harness.coordinator ())
-    in
-    let gen =
-      Workload.Generator.create
-        ~rng:(Rng.split (Engine.rng engine))
-        ~read_fraction:b.Harness.read_fraction ~key_space:b.Harness.key_space
-        ~zipf_theta:b.Harness.zipf_theta ()
-    in
-    let expected_now key =
-      match Hashtbl.find checker.latest key with
-      | exception Not_found -> Timestamp.zero
-      | ts -> ts
-    in
-    let process_read ~shard expected result =
-      match result with
-      | Some { Coordinator.ts; _ } ->
-        record_completion ();
-        per_shard_ops.(shard) <- per_shard_ops.(shard) + 1;
-        if Timestamp.newer_than expected ts then
-          checker.violations <- checker.violations + 1
-      | None -> ()
-    in
-    let process_write ~shard key result =
-      match result with
-      | Some ts ->
-        record_completion ();
-        per_shard_ops.(shard) <- per_shard_ops.(shard) + 1;
-        Hashtbl.replace checker.latest key (Timestamp.max (expected_now key) ts)
-      | None -> ()
-    in
-    let remaining = ref 0 in
-    let cur_key = ref 0 in
-    let cur_shard = ref 0 in
-    let cur_expected = ref Timestamp.zero in
-    let rec dispatch () =
-      if !remaining = 0 then client_finished ()
-      else begin
-        match Workload.Generator.next gen with
-        | Workload.Generator.Read key ->
-          cur_key := key;
-          cur_shard := Shard_map.route smap key;
-          cur_expected := expected_now key;
-          Coordinator.read coords.(!cur_shard) ~key on_read
-        | Workload.Generator.Write (key, value) ->
-          cur_key := key;
-          cur_shard := Shard_map.route smap key;
-          Coordinator.write coords.(!cur_shard) ~key ~value on_write
-      end
-    and on_read result =
-      process_read ~shard:!cur_shard !cur_expected result;
-      continue ()
-    and on_write result =
-      process_write ~shard:!cur_shard !cur_key result;
-      continue ()
-    and continue () =
-      Engine.schedule engine
-        ~delay:(Workload.Generator.think_time gen ~mean:think)
-        advance
-    and advance () =
-      remaining := !remaining - 1;
-      dispatch ()
-    in
-    let step ops =
-      remaining := ops;
-      dispatch ()
-    in
-    (* Batched client: a window's ops are grouped per shard, one
-       read-batch plus one write-batch per touched shard.  At S=1 the
-       grouping is exactly one read-batch + one write-batch in Harness
-       order, so seeded runs stay byte-identical. *)
-    let run_batched bt =
-      let remaining = ref ops in
-      let slots = ref bt.Harness.pipeline in
-      let retire () =
-        decr slots;
-        if !slots = 0 then client_finished ()
-      in
-      let rec slot_step () =
-        if !remaining = 0 then retire ()
-        else begin
-          let wsize = min bt.Harness.batch_size !remaining in
-          remaining := !remaining - wsize;
-          let window = ref [] in
-          for _ = 1 to wsize do
-            window := Workload.Generator.next gen :: !window
-          done;
-          let window = List.rev !window in
-          let reads_by = Array.make max_shards [] in
-          let writes_by = Array.make max_shards [] in
-          List.iter
-            (function
-              | Workload.Generator.Read key ->
-                let s = Shard_map.route smap key in
-                reads_by.(s) <- (key, expected_now key) :: reads_by.(s)
-              | Workload.Generator.Write (key, value) ->
-                let s = Shard_map.route smap key in
-                writes_by.(s) <- (key, value) :: writes_by.(s))
-            window;
-          for s = 0 to max_shards - 1 do
-            reads_by.(s) <- List.rev reads_by.(s);
-            writes_by.(s) <- List.rev writes_by.(s)
-          done;
-          let parts = ref 0 in
-          Array.iter (fun l -> if l <> [] then incr parts) reads_by;
-          Array.iter (fun l -> if l <> [] then incr parts) writes_by;
-          let part_done () =
-            decr parts;
-            if !parts = 0 then
-              Engine.schedule engine
-                ~delay:(Workload.Generator.think_time gen ~mean:think)
-                slot_step
-          in
-          for s = 0 to max_shards - 1 do
-            let reads = reads_by.(s) in
-            if reads <> [] then
-              Coordinator.read_batch coords.(s) ~keys:(List.map fst reads)
-                (fun results ->
-                  List.iter2
-                    (fun (_, expected) (_, result) ->
-                      process_read ~shard:s expected result)
-                    reads results;
-                  part_done ())
-          done;
-          for s = 0 to max_shards - 1 do
-            let writes = writes_by.(s) in
-            if writes <> [] then
-              Coordinator.write_batch coords.(s) ~writes (fun results ->
-                  List.iter
-                    (fun (key, result) -> process_write ~shard:s key result)
-                    results;
-                  part_done ())
-          done
-        end
-      in
-      for _ = 1 to bt.Harness.pipeline do
-        slot_step ()
-      done
-    in
-    let start () =
-      match b.Harness.batching with None -> step ops | Some bt -> run_batched bt
-    in
-    if start_delay > 0.0 then Engine.schedule engine ~delay:start_delay start
-    else start ();
-    coords
-  in
-  let coords =
-    List.init b.Harness.n_clients (fun idx ->
-        run_client ~site:(n + idx) ~ops:b.Harness.ops_per_client
-          ~think:b.Harness.think_time ~start_delay:b.Harness.warmup)
-  in
-  (* --- online split/merge -------------------------------------------- *)
-  let migrated_keys = ref 0 in
-  let migration_failures = ref 0 in
-  let splits_done = ref 0 in
-  let merges_done = ref 0 in
-  (if scenario.reconfig <> [] then begin
-     let locks = Option.get locks in
-     (* Dedicated migration endpoints at the address past every client,
-        created after all clients so S=1 runs without reconfiguration
-        never allocate them. *)
-     let mig_site = n + b.Harness.n_clients in
-     let mig =
-       Array.of_list
-         (List.init max_shards (fun s ->
-              Quorum_rpc.create ~site:mig_site ~net:nets.(s) ~proto:protos.(s)
-                ?obs ()))
-     in
-     List.iteri
-       (fun idx rc ->
-         let owner = -(1001 + idx) in
-         Engine.schedule engine ~delay:rc.at (fun () ->
-             let change =
-               match rc.action with
-               | Split shard -> Shard_map.plan_split smap ~shard
-               | Merge { into; from_ } -> Shard_map.plan_merge smap ~into ~from_
-             in
-             let moved = change.Shard_map.moved in
-             let src = mig.(change.Shard_map.source) in
-             let dst = mig.(change.Shard_map.target) in
-             (* Flip the routing AND enqueue the fence in one virtual
-                instant.  Per-key FIFO lock queues then give a clean
-                cutover: every operation dispatched before this instant
-                routed to the source and sits ahead of the fence, so it
-                completes on the source before the copy reads it; every
-                operation dispatched after routes to the target and
-                blocks behind the fence until its key has been copied.
-                The source keeps its (now unreachable) copy, so nothing
-                is ever read-before-written. *)
-             Shard_map.commit smap change;
-             let finish () =
-               (match rc.action with
-               | Split _ -> incr splits_done
-               | Merge _ -> incr merges_done);
-               List.iter
-                 (fun key -> Lock_manager.release locks ~key ~owner)
-                 moved
-             in
-             let rec copy = function
-               | [] -> finish ()
-               | key :: rest -> copy_key ~attempts:0 key rest
-             and copy_key ~attempts key rest =
-               let retry () =
-                 if attempts < 40 then
-                   Engine.schedule engine ~delay:5.0 (fun () ->
-                       copy_key ~attempts:(attempts + 1) key rest)
-                 else begin
-                   incr migration_failures;
-                   copy rest
-                 end
-               in
-               Quorum_rpc.query src ~key (function
-                 | Some (ts, value) ->
-                   if ts = Timestamp.zero then copy rest
-                   else
-                     (* Forced-timestamp state transfer: reinstall the
-                        value on the target shard without minting a new
-                        version. *)
-                     Quorum_rpc.write dst ~key ~ts ~value (function
-                       | Some _ ->
-                         incr migrated_keys;
-                         copy rest
-                       | None -> retry ())
-                 | None -> retry ())
-             in
-             (* All fence locks are requested in this same instant —
-                sequential acquisition would leave later keys unfenced
-                while earlier grants wait out in-flight holders. *)
-             let granted = ref 0 in
-             let total = List.length moved in
-             if total = 0 then finish ()
-             else
-               List.iter
-                 (fun key ->
-                   Lock_manager.acquire locks ~key
-                     ~mode:Lock_manager.Exclusive ~owner (fun () ->
-                       incr granted;
-                       if !granted = total then copy moved))
-                 moved))
-       scenario.reconfig
-   end);
-  List.iter
-    (fun (s, entries) ->
-      if s < 0 || s >= max_shards then
-        invalid_arg "Shard_harness.run: shard_failures index out of range";
-      Failure.apply nets.(s) entries)
-    scenario.shard_failures;
-  Engine.run ~until:b.Harness.horizon engine;
-  let metrics =
-    List.concat_map
-      (fun cs -> Array.to_list (Array.map Coordinator.metrics cs))
-      coords
-  in
-  let sum f = List.fold_left (fun acc m -> acc + f m) 0 metrics in
-  let all_replicas = Array.concat (Array.to_list replicas) in
-  let sum_replicas f =
-    Array.fold_left (fun acc r -> acc + f r) 0 all_replicas
-  in
-  let counters = Array.map Network.counters nets in
-  let sum_net f = Array.fold_left (fun acc c -> acc + f c) 0 counters in
-  let agg =
-    {
-      Harness.duration = Engine.now engine;
-      reads_ok = sum (fun m -> m.Coordinator.reads_ok);
-      reads_failed = sum (fun m -> m.Coordinator.reads_failed);
-      writes_ok = sum (fun m -> m.Coordinator.writes_ok);
-      writes_failed = sum (fun m -> m.Coordinator.writes_failed);
-      retries = sum (fun m -> m.Coordinator.retries);
-      deadline_exceeded = sum (fun m -> m.Coordinator.deadline_exceeded);
-      safety_violations = checker.violations;
-      read_latency =
-        List.fold_left
-          (fun acc m -> Stats.merge acc m.Coordinator.read_latency)
-          (Stats.create ()) metrics;
-      write_latency =
-        List.fold_left
-          (fun acc m -> Stats.merge acc m.Coordinator.write_latency)
-          (Stats.create ()) metrics;
-      messages_sent = sum_net (fun c -> c.Network.sent);
-      messages_delivered = sum_net (fun c -> c.Network.delivered);
-      messages_dropped =
-        sum_net (fun c ->
-            c.Network.dropped_loss + c.Network.dropped_crash
-            + c.Network.dropped_partition + c.Network.dropped_no_handler
-            + c.Network.dropped_overload);
-      heartbeat_pings =
-        List.fold_left (fun acc hb -> acc + Detect.Heartbeat.pings_sent hb) 0
-          !monitors;
-      replica_reads_served = Array.map Replica.reads_served all_replicas;
-      replica_prepares_seen = Array.map Replica.prepares_seen all_replicas;
-      replica_writes_applied = Array.map Replica.writes_applied all_replicas;
-      stale_incarnation_rejections =
-        sum (fun m -> m.Coordinator.stale_incarnation_rejections);
-      replica_incarnations = Array.map Replica.incarnation all_replicas;
-      catchup_runs = sum_replicas Replica.catchup_runs;
-      catchup_keys_installed = sum_replicas Replica.catchup_keys_installed;
-      catchup_abandoned = sum_replicas Replica.catchup_abandoned;
-      stale_commits_nacked = sum_replicas Replica.stale_commits_nacked;
-      wal_records_replayed = sum_replicas Replica.wal_records_replayed;
-      wal_records_lost = sum_replicas Replica.wal_records_lost;
-      replicas_recovering =
-        sum_replicas (fun r -> if Replica.is_serving r then 0 else 1);
-      spans =
-        (match span_store with
-        | None -> []
-        | Some m -> Obs.Sink.memory_spans m);
-      replica_sheds = sum_replicas Replica.sheds;
-      busy_received = sum (fun m -> m.Coordinator.busy_received);
-      retries_suppressed = sum (fun m -> m.Coordinator.retries_suppressed);
-      overload_drops = sum_net (fun c -> c.Network.dropped_overload);
-      breaker_trips = 0;
-      queue_peak =
-        (let peak = ref 0 in
-         Array.iter
-           (fun net ->
-             for site = 0 to n - 1 do
-               peak := max !peak (Network.queue_peak net site)
-             done)
-           nets;
-         !peak);
-      completions = Array.init !n_completions (Float.Array.get !completions);
-      batches = sum (fun m -> m.Coordinator.batches);
-      coalesced_ops = sum_net (fun c -> c.Network.coalesced);
-      wal_syncs = sum_replicas Replica.wal_syncs;
-    }
-  in
-  {
-    agg;
-    shards = Shard_map.shards smap;
-    active_shards = Shard_map.active smap;
-    per_shard_ops;
-    per_shard_keys = Shard_map.counts smap;
-    migrated_keys = !migrated_keys;
-    migration_failures = !migration_failures;
-    splits = !splits_done;
-    merges = !merges_done;
-    map_well_formed = Shard_map.well_formed smap;
-    routing = Shard_map.snapshot smap;
-  }
-
-let throughput r =
-  if r.agg.Harness.duration <= 0.0 then 0.0
-  else float_of_int (Harness.completed r.agg) /. r.agg.Harness.duration

@@ -1,51 +1,24 @@
-(** Sharded end-to-end scenarios: a multi-tree control plane.
+(** Sharded end-to-end scenarios: a multi-tree control plane.  The types
+    are {!Harness}'s sharded ones and the run is {!Harness.run_core}; see
+    there for routing, per-shard instances and online split/merge.
 
-    The keyspace is partitioned by a deterministic {!Arbitrary.Shard_map}
-    into S independent tree instances — each with its own forked protocol
-    (private plan-cache scratch), its own network (latency stream, crash
-    schedule, optional per-replica service queues), its own replicas,
-    stores and WALs — all multiplexed over one shared {!Dsim.Engine}.
-    Clients keep one coordinator per shard and route every operation
-    through the shard map at issue time; a single global lock manager and
-    safety checker span all shards (keys are globally unique).
+    {b S=1 is byte-identical to {!Harness.run}}: both are the same loop
+    over one tree instance, so every field of the aggregate report, and
+    therefore its {!Eval.Batching.fingerprint}, matches the unsharded
+    run.  That identity is the control gated in CI. *)
 
-    {b S=1 is byte-identical to {!Harness.run}}: the construction order
-    (network, recovery config, replicas, then per client
-    coordinator + generator) reproduces the unsharded harness's RNG-split
-    sequence and event schedule exactly, so every field of the aggregate
-    report — and therefore its {!Eval.Batching.fingerprint} — matches the
-    unsharded run.  That identity is the control gated in CI.
-
-    {b Online resharding}: {!scenario.reconfig} schedules shard splits
-    and merges as virtual-time events.  A reconfiguration fences the
-    moving keys (exclusive locks, taken while routing still points at the
-    source shard), copies them to the target instance by forced-timestamp
-    state transfer ({!Quorum_rpc.write} with [~ts] — no new versions
-    minted), atomically flips the shard map, and releases the fences.
-    In-flight operations queue behind the fence; reads that started
-    before the flip stay regular because the source retains its copy. *)
-
-type reconfig_action =
+type reconfig_action = Harness.reconfig_action =
   | Split of int  (** split this shard; the new id is allocated at fire time *)
   | Merge of { into : int; from_ : int }
 
-type reconfig = { at : float; action : reconfig_action }
+type reconfig = Harness.reconfig = { at : float; action : reconfig_action }
 
-type scenario = {
+type scenario = Harness.sharded = {
   base : Harness.scenario;
-      (** per-shard tree ([proto]) and the client workload.  [failures]
-          must be empty (use [shard_failures]) and [overload] must be
-          [None] (use [service_time]); [batching], [crash_mode], [wal],
-          [catch_up], [check_consistency] and the detector all apply. *)
-  shards : int;  (** initial shard count S (>= 1) *)
+  shards : int;
   strategy : Arbitrary.Shard_map.strategy;
   service_time : float;
-      (** per-message processing cost at every replica of every shard
-          (0.0 = none).  This is what makes single-tree throughput
-          saturate, so shard-count scaling is measurable in virtual
-          time. *)
   shard_failures : (int * Dsim.Failure.entry list) list;
-      (** per-shard failure schedules, applied in list order *)
   reconfig : reconfig list;  (** online splits/merges; requires [use_locks] *)
 }
 
@@ -53,24 +26,24 @@ val default : proto:Quorum.Protocol.t -> shards:int -> scenario
 (** {!Harness.default_scenario} under hash partitioning, no service
     model, no failures, no resharding. *)
 
-type report = {
+type report = Harness.sharded_report = {
   agg : Harness.report;
-      (** the whole-system aggregate, field-compatible with the unsharded
-          report (byte-identical at S=1): latencies merged, counters and
-          per-replica arrays concatenated shard-major *)
-  shards : int;  (** shard ids allocated (including split targets) *)
+  shards : int;
   active_shards : int list;
-  per_shard_ops : int array;  (** successful ops routed to each shard *)
-  per_shard_keys : int array;  (** final keys owned per shard *)
-  migrated_keys : int;  (** keys copied by split/merge state transfer *)
-  migration_failures : int;  (** keys whose copy exhausted its retries *)
+  per_shard_ops : int array;
+  per_shard_keys : int array;
+  migrated_keys : int;
+  migration_failures : int;
   splits : int;
   merges : int;
-  map_well_formed : bool;  (** final map invariant ({!Arbitrary.Shard_map.well_formed}) *)
-  routing : int array;  (** final owner table: index = key, value = shard *)
+  map_well_formed : bool;
+  routing : int array;
 }
 
 val run : ?obs:Obs.t -> scenario -> report
+(** {!Harness.run_core}.  Raises [Invalid_argument] on a reconfiguration
+    without [base.use_locks]: the migration fence is only safe behind
+    client locks. *)
 
 val imbalance : report -> float * float
 (** (max, mean) successful ops per active shard — the skew report.  Both
@@ -78,6 +51,3 @@ val imbalance : report -> float * float
 
 val imbalance_ratio : report -> float
 (** max/mean (1.0 when degenerate): 1.0 = perfectly balanced. *)
-
-val throughput : report -> float
-(** Completed operations per unit virtual time. *)

@@ -1,7 +1,7 @@
 (** Cross-shard transaction scenarios: increment transactions whose keys
-    deliberately span several shard instances, driven through a sharded
-    {!Txn} manager (one quorum-RPC endpoint per shard, one global lock
-    manager).
+    deliberately span several shard instances.  The scenario and report
+    are {!Txn_harness}'s sharded ones and the run is its transaction loop;
+    this module adds the key picker.
 
     The conservation invariant of {!Txn_harness} carries over unchanged —
 
@@ -15,13 +15,11 @@
     partially-applied transactions whose phantom increments push the
     observed total above the bound. *)
 
-type scenario = {
-  proto : Quorum.Protocol.t;  (** per-shard tree *)
+type scenario = Txn_harness.scenario = {
+  proto : Quorum.Protocol.t;
   shards : int;
   strategy : Arbitrary.Shard_map.strategy;
   atomic : bool;
-      (** [false] disables the cross-shard prepare barrier (negative
-          control) *)
   n_clients : int;
   txns_per_client : int;
   keys_per_txn : int;
@@ -32,8 +30,6 @@ type scenario = {
   think_time : float;
   shard_failures : (int * Dsim.Failure.entry list) list;
   shard_loss : (int * float) list;
-      (** per-shard message-loss override (negative-control fuel: a lossy
-          shard's legs fail while its reads sometimes still succeed) *)
   seed : int;
   config : Txn.config;
   horizon : float;
@@ -43,18 +39,16 @@ val default_scenario : proto:Quorum.Protocol.t -> shards:int -> scenario
 (** 3 clients × 30 transactions, 2 keys/txn over 16 keys, hash
     partitioning, atomic, no failures. *)
 
-type report = {
+type report = Txn_harness.report = {
   committed : int;
   aborted : int;
-  uncertain : int;  (** aborted with in-doubt commit acks *)
+  uncertain : int;
   partial_commits : int;
-      (** non-atomic aborts where ≥1 shard leg applied and ≥1 did not —
-          always 0 when [atomic] *)
   committed_increments : int;
   uncertain_increments : int;
-  observed_total : int;  (** Σ final counter values across all shards *)
+  observed_total : int;
   conservation_ok : bool;
-  cross_shard_txns : int;  (** transactions whose keys spanned ≥2 shards *)
+  cross_shard_txns : int;
   duration : float;
 }
 

@@ -68,13 +68,10 @@ type t = {
   mutable held : (int * Lock_manager.mode) list;
 }
 
-let txn_counter = ref 0
-
 let begin_txn mgr =
-  incr txn_counter;
   {
     mgr;
-    owner = (!txn_counter * 1_000_003) + Quorum_rpc.site (primary mgr);
+    owner = Lock_manager.fresh_owner mgr.locks;
     span =
       (match mgr.obs with
       | None -> None

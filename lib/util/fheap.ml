@@ -1,5 +1,5 @@
 (* 4-ary min-heap specialized to float keys with FIFO tie-breaking — the
-   simulator's event queue.  The generic {!Heap} stores one boxed record
+   simulator's event queue.  A generic binary heap stores one boxed record
    and one boxed float per entry; at millions of events per run that is
    the single largest allocation source in the simulator.  Here keys live
    in a flat float array and payloads in plain arrays, so a push
@@ -12,8 +12,9 @@
 
    Entries are totally ordered by (time, insertion sequence) — a strict
    total order, so the pop order is a function of the ordering alone:
-   identical to [Heap.create ~compare:Float.compare] and independent of
-   heap arity or layout.  Three compiled-code effects shape the layout:
+   identical to a generic FIFO-stable heap over float keys (the test
+   suite's oracle) and independent of heap arity or layout.  Three
+   compiled-code effects shape the layout:
 
    - The heap proper is (time, seq, slot) in three scalar arrays; the
      handler/meta/payload live in side arrays indexed by [slot] and never

@@ -1,9 +1,8 @@
 (** Float-keyed binary min-heap with FIFO tie-breaking and flat (unboxed
     key) storage — the simulator's event queue.  A push allocates nothing
-    beyond amortized array growth; pop order is identical to
-    [Heap.create ~compare:Float.compare] (ties resolve in insertion
-    order), so swapping one for the other never changes a seeded
-    schedule.
+    beyond amortized array growth; pop order is that of a generic
+    FIFO-stable binary heap over float keys (ties resolve in insertion
+    order; the test suite checks it against one).
 
     Each entry carries a handler ['h], an int [meta] and a payload ['p]:
     callers that schedule millions of events keep one preallocated

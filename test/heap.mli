@@ -1,8 +1,9 @@
-(** Binary min-heap priority queue.
+(** Generic binary min-heap priority queue: the reference model that
+    [test_heap] checks {!Dsutil.Fheap}, the simulator's event queue,
+    against.
 
-    The simulator's event queue needs stable ordering between events with
-    equal keys, so every insertion is tagged with a monotonically increasing
-    sequence number and ties are broken FIFO. *)
+    Every insertion is tagged with a monotonically increasing sequence
+    number and ties are broken FIFO, the order the event queue needs. *)
 
 type ('k, 'v) t
 

@@ -3,6 +3,7 @@
    and the cold-rejoin cost comparison. *)
 
 module Churn_harness = Replication.Churn_harness
+module Harness = Replication.Harness
 module Failure = Dsim.Failure
 module Churn = Eval.Churn
 
@@ -14,11 +15,11 @@ let proto () =
 let test_quiet_run () =
   let s = Churn_harness.default_scenario ~proto:(proto ()) in
   let r = Churn_harness.run { s with Churn_harness.spares = 2 } in
-  Alcotest.(check int) "no violations" 0 r.Churn_harness.safety_violations;
+  Alcotest.(check int) "no violations" 0 r.Churn_harness.agg.Harness.safety_violations;
   Alcotest.(check bool) "work completed" true (Churn_harness.completed r > 0);
-  Alcotest.(check int) "no transfers" 0 r.Churn_harness.provision_runs;
+  Alcotest.(check int) "no transfers" 0 r.Churn_harness.agg.Harness.provision_runs;
   Alcotest.(check bool) "spares idle but serving" true
-    (Array.for_all (( = ) "serving") r.Churn_harness.replica_status)
+    (Array.for_all (( = ) "serving") r.Churn_harness.agg.Harness.replica_status)
 
 (* A scripted fenced decommission completes and leaves exactly one site
    permanently fenced, with zero violations. *)
@@ -35,18 +36,18 @@ let test_decommission_flow () =
           [ { Churn_harness.at = 100.0; position = 1; spare = n; fence = true } ];
       }
   in
-  Alcotest.(check int) "no violations" 0 r.Churn_harness.safety_violations;
+  Alcotest.(check int) "no violations" 0 r.Churn_harness.agg.Harness.safety_violations;
   Alcotest.(check int) "promotion completed" 1 r.Churn_harness.promotions_done;
   Alcotest.(check int) "decommission completed" 1
     r.Churn_harness.decommissions_done;
   let fenced =
-    Array.to_list r.Churn_harness.replica_status
+    Array.to_list r.Churn_harness.agg.Harness.replica_status
     |> List.filter (( = ) "decommissioned")
     |> List.length
   in
   Alcotest.(check int) "exactly one site fenced" 1 fenced;
   Alcotest.(check string) "the outgoing occupant" "decommissioned"
-    r.Churn_harness.replica_status.(1)
+    r.Churn_harness.agg.Harness.replica_status.(1)
 
 (* The four campaign scenarios on one config: fenced must be clean and
    must actually exercise failover, resume, promotion and decommission
@@ -61,15 +62,15 @@ let test_campaign_single_config () =
     List.fold_left (fun acc c -> acc + f c.Churn.c_report) 0 cells
   in
   Alcotest.(check bool) "donor failover exercised" true
-    (sum (fun r -> r.Churn_harness.provision_donor_failovers) >= 1);
+    (sum (fun r -> r.Churn_harness.agg.Harness.provision_donor_failovers) >= 1);
   Alcotest.(check bool) "resume exercised" true
-    (sum (fun r -> r.Churn_harness.provision_resumes) >= 1);
+    (sum (fun r -> r.Churn_harness.agg.Harness.provision_resumes) >= 1);
   Alcotest.(check bool) "promotions completed" true
     (sum (fun r -> r.Churn_harness.promotions_done) >= 4);
   Alcotest.(check bool) "a decommission completed" true
     (sum (fun r -> r.Churn_harness.decommissions_done) >= 1);
   Alcotest.(check int) "nothing stuck" 0
-    (sum (fun r -> r.Churn_harness.failed_rejoins))
+    (sum (fun r -> r.Churn_harness.agg.Harness.failed_rejoins))
 
 (* The negative control must leak: unfenced provisioning over an async
    WAL under a total blackout produces stale reads the oracle catches.

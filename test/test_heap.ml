@@ -1,5 +1,3 @@
-module Heap = Dsutil.Heap
-
 let test_empty () =
   let h = Heap.create ~compare:Int.compare in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);

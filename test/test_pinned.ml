@@ -126,55 +126,61 @@ let test_async_provisioning_run () =
   let n = 7 in
   let proto = Eval.Config_metrics.protocol_of Arbitrary.Config.Unmodified ~n in
   let r =
+    let s = Churn_harness.default_scenario ~proto in
     Churn_harness.run
       {
-        (Churn_harness.default_scenario ~proto) with
+        s with
         Churn_harness.spares = 1;
-        n_clients = 3;
-        ops_per_client = 40;
-        key_space = 8;
-        think_time = 3.0;
-        seed = 5;
-        horizon = 3000.0;
-        wal = Replication.Wal.Async 2.0;
         chunk_size = 1;
-        coordinator =
+        base =
           {
-            Coordinator.default_config with
-            Coordinator.max_retries = 8;
-            adaptive_timeout = true;
-            deadline = 600.0;
+            s.Churn_harness.base with
+            n_clients = 3;
+            ops_per_client = 40;
+            key_space = 8;
+            think_time = 3.0;
+            seed = 5;
+            horizon = 3000.0;
+            wal = Replication.Wal.Async 2.0;
+            coordinator =
+              {
+                Coordinator.default_config with
+                Coordinator.max_retries = 8;
+                adaptive_timeout = true;
+                deadline = 600.0;
+              };
+            failures =
+              Failure.
+                [
+                  { time = 60.0; event = Crash (n - 1) };
+                  { time = 100.0; event = Recover (n - 1) };
+                  { time = 104.0; event = Crash (n - 1) };
+                  { time = 160.0; event = Recover (n - 1) };
+                ];
           };
-        failures =
-          Failure.
-            [
-              { time = 60.0; event = Crash (n - 1) };
-              { time = 100.0; event = Recover (n - 1) };
-              { time = 104.0; event = Crash (n - 1) };
-              { time = 160.0; event = Recover (n - 1) };
-            ];
       }
   in
-  Alcotest.(check bool) "transfers ran" true (r.Churn_harness.provision_runs > 0);
+  let a = r.Churn_harness.agg in
+  Alcotest.(check bool) "transfers ran" true (a.Harness.provision_runs > 0);
   Alcotest.(check bool) "resumed from a durable mark" true
-    (r.Churn_harness.provision_resumes > 0);
+    (a.Harness.provision_resumes > 0);
   Alcotest.(check bool) "the crash truncated the log" true
-    (r.Churn_harness.wal_records_lost > 0);
+    (a.Harness.wal_records_lost > 0);
   Alcotest.(check bool) "recovery replayed the log" true
-    (r.Churn_harness.wal_records_replayed > 0);
+    (a.Harness.wal_records_replayed > 0);
   let fp =
     Printf.sprintf
       "dur=%h;r=%d/%d;w=%d/%d;retries=%d;sv=%d;pv=%d/%d/%d/%d/%d/%d;fr=%d;wal=%d/%d;inc=%s;st=%s;del=%d"
-      r.Churn_harness.duration r.Churn_harness.reads_ok r.Churn_harness.reads_failed
-      r.Churn_harness.writes_ok r.Churn_harness.writes_failed r.Churn_harness.retries
-      r.Churn_harness.safety_violations r.Churn_harness.provision_runs
-      r.Churn_harness.provision_chunks r.Churn_harness.provision_resumes
-      r.Churn_harness.provision_donor_failovers r.Churn_harness.provision_rounds
-      r.Churn_harness.provision_stale r.Churn_harness.failed_rejoins
-      r.Churn_harness.wal_records_replayed r.Churn_harness.wal_records_lost
-      (String.concat "," (Array.to_list (Array.map string_of_int r.Churn_harness.replica_incarnations)))
-      (String.concat "," (Array.to_list r.Churn_harness.replica_status))
-      r.Churn_harness.messages_delivered
+      a.Harness.duration a.Harness.reads_ok a.Harness.reads_failed
+      a.Harness.writes_ok a.Harness.writes_failed a.Harness.retries
+      a.Harness.safety_violations a.Harness.provision_runs
+      a.Harness.provision_chunks a.Harness.provision_resumes
+      a.Harness.provision_donor_failovers a.Harness.provision_rounds
+      a.Harness.provision_stale a.Harness.failed_rejoins
+      a.Harness.wal_records_replayed a.Harness.wal_records_lost
+      (String.concat "," (Array.to_list (Array.map string_of_int a.Harness.replica_incarnations)))
+      (String.concat "," (Array.to_list a.Harness.replica_status))
+      a.Harness.messages_delivered
   in
   Alcotest.(check string) "pinned fingerprint" "5e4309dd11e81fd0d4c7a486b26b8de3" (digest fp)
 

@@ -192,6 +192,128 @@ let test_reconfig_requires_locks () =
     (Invalid_argument "Shard_harness.run: reconfiguration requires use_locks")
     (fun () -> ignore (Shard_harness.run sc))
 
+(* --- combinations every shard count supports ------------------------------ *)
+
+(* Service queues with a bounded capacity and one slow replica, a shed
+   watermark, a shared retry budget, per-shard breakers and a flash crowd. *)
+let overload =
+  {
+    Harness.queue_capacity = 6;
+    service_time = 2.0;
+    slow_sites = [ (0, 6.0) ];
+    shed_watermark = 3;
+    retry_budget = Some { Detect.Budget.ratio = 0.2; burst = 10.0 };
+    breaker =
+      Some
+        {
+          Detect.Breaker.threshold = 3;
+          cooldown = 40.0;
+          cooldown_factor = 2.0;
+          max_cooldown = 160.0;
+        };
+    burst =
+      Some
+        {
+          Harness.burst_at = 10.0;
+          burst_clients = 16;
+          burst_ops = 10;
+          burst_think = 0.05;
+        };
+  }
+
+let overloaded_base () =
+  {
+    (base_scenario ~clients:4 ~ops:30 ~key_space:64 ()) with
+    overload = Some overload;
+    coordinator = { Eval.Chaos.chaos_coordinator with max_retries = 12 };
+  }
+
+let check_clean what r =
+  Alcotest.(check int) (what ^ ": no safety violations") 0
+    r.Shard_harness.agg.Harness.safety_violations;
+  let c = Consistency.check r.Shard_harness.agg.Harness.spans in
+  Alcotest.(check int) (what ^ ": trace checker clean") 0
+    (List.length c.Consistency.violations)
+
+let test_sharded_overload () =
+  let r = Shard_harness.run (sharded ~shards:4 (overloaded_base ())) in
+  check_clean "S=4 overload" r;
+  let a = r.Shard_harness.agg in
+  Alcotest.(check bool) "burst clients ran" true (Harness.completed a > 4 * 30);
+  Alcotest.(check bool) "queues filled to capacity" true (a.Harness.queue_peak > 6);
+  Alcotest.(check bool) "watermark shed" true (a.Harness.replica_sheds > 0);
+  Alcotest.(check bool) "busy nacks acted on" true (a.Harness.busy_received > 0);
+  Alcotest.(check bool) "a breaker tripped" true (a.Harness.breaker_trips > 0);
+  Array.iter
+    (fun ops -> Alcotest.(check bool) "every shard served ops" true (ops > 0))
+    r.Shard_harness.per_shard_ops
+
+let test_sharded_base_failures () =
+  (* The base schedule hits every shard: sites 0..2 of each tree crash
+     under amnesia and come back. *)
+  let failures =
+    List.concat_map
+      (fun s ->
+        [
+          { Failure.time = 15.0 +. float_of_int s; event = Failure.Crash s };
+          { Failure.time = 45.0 +. float_of_int s; event = Failure.Recover s };
+        ])
+      [ 0; 1; 2 ]
+  in
+  let base =
+    {
+      (base_scenario ~clients:4 ~ops:30 ~key_space:64 ()) with
+      crash_mode = Network.Amnesia;
+      failures;
+    }
+  in
+  let r = Shard_harness.run (sharded ~shards:4 base) in
+  check_clean "S=4 base failures" r;
+  let n = Array.length r.Shard_harness.agg.Harness.replica_incarnations / 4 in
+  for shard = 0 to 3 do
+    Alcotest.(check int)
+      (Printf.sprintf "shard %d: three replicas crashed and rejoined" shard)
+      3
+      (Array.fold_left ( + ) 0
+         (Array.sub r.Shard_harness.agg.Harness.replica_incarnations (shard * n) n))
+  done;
+  Alcotest.(check bool) "ops completed" true (Harness.completed r.Shard_harness.agg > 0)
+
+let test_s1_identity_overload () =
+  let base = overloaded_base () in
+  let unsharded = Harness.run base in
+  let r = Shard_harness.run (sharded ~shards:1 base) in
+  Alcotest.(check string)
+    "S=1 overload+burst fingerprint == unsharded"
+    (Batching.fingerprint unsharded)
+    (Batching.fingerprint r.Shard_harness.agg);
+  Alcotest.(check bool) "the crowd overloaded the tree" true
+    (unsharded.Harness.replica_sheds > 0)
+
+(* One client's per-shard coordinators share a site, a network size and
+   the lock manager: their lock owners must still be distinct, or two
+   writes to one key trip the manager's duplicate-owner check. *)
+let test_shared_site_lock_owners () =
+  let proto = proto_of_spec "1-3-5" in
+  let n = Quorum.Protocol.universe_size proto in
+  let engine = Dsim.Engine.create ~seed:3 () in
+  let locks = Replication.Lock_manager.create ~engine in
+  let coordinator () =
+    let net = Network.create ~engine ~n:(n + 1) () in
+    for site = 0 to n - 1 do
+      ignore (Replication.Replica.create ~site ~net ())
+    done;
+    Replication.Coordinator.create ~site:n ~net ~proto:(Quorum.Protocol.fork proto)
+      ~locks ()
+  in
+  let c1 = coordinator () and c2 = coordinator () in
+  let ok = ref 0 in
+  let count = function Some _ -> incr ok | None -> () in
+  Replication.Coordinator.write c1 ~key:0 ~value:"a" count;
+  Replication.Coordinator.write c2 ~key:0 ~value:"b" count;
+  Dsim.Engine.run engine;
+  Alcotest.(check int) "both locked writes commit" 2 !ok
+
 let suite =
   [
     Alcotest.test_case "S=1 byte-identical to unsharded" `Quick test_s1_identity;
@@ -206,4 +328,10 @@ let suite =
       test_sharded_crash_one_shard;
     Alcotest.test_case "online split and merge" `Quick test_online_split_and_merge;
     Alcotest.test_case "reconfig requires locks" `Quick test_reconfig_requires_locks;
+    Alcotest.test_case "S=4 with overload and burst" `Quick test_sharded_overload;
+    Alcotest.test_case "S=4 with base failures" `Quick test_sharded_base_failures;
+    Alcotest.test_case "S=1 overload+burst byte-identical" `Quick
+      test_s1_identity_overload;
+    Alcotest.test_case "per-shard coordinators draw distinct lock owners" `Quick
+      test_shared_site_lock_owners;
   ]

@@ -32,7 +32,13 @@ let test_conservation_under_churn () =
       in
       let r =
         Txn_harness.run
-          { s with Txn_harness.failures; loss_rate = 0.02; n_clients = 4; seed }
+          {
+            s with
+            Txn_harness.shard_failures = [ (0, failures) ];
+            loss_rate = 0.02;
+            n_clients = 4;
+            seed;
+          }
       in
       Alcotest.(check bool)
         (Printf.sprintf "conservation under churn (seed %d)" seed)
@@ -59,6 +65,38 @@ let test_validation () =
     (Invalid_argument "Txn_harness.run: keys_per_txn exceeds key_space")
     (fun () -> ignore (Txn_harness.run { s with Txn_harness.keys_per_txn = 99 }))
 
+(* [run] is the shared transaction loop with a shuffle picker.  The
+   pinned tallies were recorded before the two transaction harnesses were
+   merged; a lossy run may differ since the tally now turns loss off. *)
+let test_shared_loop_pinned () =
+  let s = Txn_harness.default_scenario ~proto:(proto_of 24) in
+  let fp (r : Txn_harness.report) =
+    Printf.sprintf "%d/%d/%d/%d/%d/%d/%b/%h" r.committed r.aborted r.uncertain
+      r.committed_increments r.uncertain_increments r.observed_total r.conservation_ok
+      r.duration
+  in
+  let shuffle (s : Txn_harness.scenario) rng _ =
+    let keys = Array.init s.key_space Fun.id in
+    Dsutil.Rng.shuffle rng keys;
+    Array.to_list (Array.sub keys 0 s.keys_per_txn)
+  in
+  let failures =
+    Dsim.Failure.random_crash_recovery ~rng:(Dsutil.Rng.create 3) ~n:24 ~horizon:400.0
+      ~mtbf:150.0 ~mttr:40.0
+  in
+  List.iter
+    (fun (what, s, pinned) ->
+      let r = Txn_harness.run s in
+      Alcotest.(check string) (what ^ ": pinned") pinned (fp r);
+      Alcotest.(check string) (what ^ ": shared loop") (fp r)
+        (fp (Txn_harness.run_with ~pick:(shuffle s) s)))
+    [
+      ("failure-free", s, "55/35/0/110/0/110/true/0x1.86b9p+16");
+      ( "crash/recovery",
+        { s with shard_failures = [ (0, failures) ]; n_clients = 4; seed = 3 },
+        "8/112/1/16/2/18/true/0x1.86b9p+16" );
+    ]
+
 let suite =
   [
     Alcotest.test_case "happy path conservation" `Quick test_happy_path;
@@ -68,4 +106,5 @@ let suite =
     Alcotest.test_case "single-key transactions" `Quick test_single_key_txns;
     Alcotest.test_case "wide transactions" `Quick test_wide_txns;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "the shared loop, pinned" `Quick test_shared_loop_pinned;
   ]
