@@ -126,7 +126,7 @@ let metrics_json_arg =
     & info [ "metrics-json" ] ~docv:"PATH"
         ~doc:
           "Attach the observability layer to the run and write a snapshot \
-           of every counter, gauge and histogram (plus span accounting) to \
+           of every counter and histogram (plus span accounting) to \
            PATH as JSON.")
 
 let spans_jsonl_arg =

@@ -56,9 +56,9 @@ let () =
   in
 
   (* Phase 1: writes on the read-tuned tree are expensive. *)
-  let before = (Network.counters net).Network.delivered in
+  let before = Network.delivered net in
   let ok = measure_writes engine coord ~ops:40 in
-  let phase1 = (Network.counters net).Network.delivered - before in
+  let phase1 = Network.delivered net - before in
   Format.printf "phase 1 (read-tuned): %d/40 writes ok, %.1f msgs/write@." ok
     (float_of_int phase1 /. 40.0);
 
@@ -84,9 +84,9 @@ let () =
   | None -> assert false);
 
   (* Phase 2: the same write workload is now much cheaper. *)
-  let before = (Network.counters net).Network.delivered in
+  let before = Network.delivered net in
   let ok = measure_writes engine coord ~ops:40 in
-  let phase2 = (Network.counters net).Network.delivered - before in
+  let phase2 = Network.delivered net - before in
   Format.printf "@.phase 2 (write-tuned): %d/40 writes ok, %.1f msgs/write@." ok
     (float_of_int phase2 /. 40.0);
   Format.printf

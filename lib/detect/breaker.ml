@@ -24,7 +24,7 @@ type t = {
   config : config;
   now : unit -> float;
   sites : site array;
-  mutable trips : int;
+  trips : Obs.Metrics.counter;
   mutable probes : int;
 }
 
@@ -42,7 +42,7 @@ let create ?(config = default_config) ~n ~now () =
             opened_at = 0.0;
             current_cooldown = config.cooldown;
           });
-    trips = 0;
+    trips = { value = 0 };
     probes = 0;
   }
 
@@ -85,7 +85,7 @@ let trip t s =
   s.state <- Open;
   s.failures <- 0;
   s.opened_at <- t.now ();
-  t.trips <- t.trips + 1
+  t.trips.value <- t.trips.value + 1
 
 (* Returns [true] exactly when this piece of evidence tripped the breaker
    (Closed with the threshold reached, or a failed half-open probe). *)
@@ -128,7 +128,8 @@ let filter t view =
   done;
   view
 
-let trips t = t.trips
+let trips t = t.trips.value
+let attach_obs t obs = Obs.Metrics.register (Obs.metrics obs) "breaker.trips" t.trips
 let probes t = t.probes
 
 let open_sites t =

@@ -63,8 +63,7 @@ val allowed : t -> int -> bool
 val record_failure : t -> int -> bool
 (** Negative evidence: a [Busy] nack or a phase timeout charged to this
     site.  Returns [true] exactly when this call tripped the breaker
-    (threshold reached, or a half-open probe failed), so callers can count
-    trips without polling. *)
+    (threshold reached, or a half-open probe failed). *)
 
 val record_ok : t -> int -> unit
 (** Positive evidence: an expected reply.  Closes a Half_open breaker and
@@ -77,6 +76,11 @@ val filter : t -> Dsutil.Bitset.t -> Dsutil.Bitset.t
 
 val trips : t -> int
 (** Total Closed/Half_open → Open transitions. *)
+
+val attach_obs : t -> Obs.t -> unit
+(** Register the trip count as [breaker.trips] (summed over breakers).
+    Attach a breaker to a registry once, however many coordinators share
+    it. *)
 
 val probes : t -> int
 (** Total Open → Half_open transitions. *)

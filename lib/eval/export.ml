@@ -116,11 +116,6 @@ let metrics_json obs =
       (fun (name, v) -> Printf.sprintf "\"%s\":%d" name v)
       (Obs.Metrics.counters m)
   in
-  let gauges =
-    List.map
-      (fun (name, v) -> Printf.sprintf "\"%s\":%.6g" name v)
-      (Obs.Metrics.gauges m)
-  in
   let histograms =
     List.map
       (fun (name, h) ->
@@ -146,7 +141,6 @@ let metrics_json obs =
     (obj
        [
          "\"counters\":" ^ obj counters;
-         "\"gauges\":" ^ obj gauges;
          "\"histograms\":" ^ obj histograms;
          Printf.sprintf "\"spans\":{\"started\":%d,\"closed\":%d,\"open\":%d}"
            (Obs.spans_started obs) (Obs.spans_closed obs) (Obs.spans_open obs);

@@ -32,7 +32,7 @@ val file_sink : path:string -> Obs.Sink.t * (unit -> unit)
 
 val metrics_json : Obs.t -> string
 (** Snapshot of the whole registry:
-    [{"counters":{..},"gauges":{..},
+    [{"counters":{..},
       "histograms":{name:{count,mean,min,max,p50,p95,p99},..},
       "spans":{started,closed,open}}].
     Metric names are sorted, so output is deterministic. *)

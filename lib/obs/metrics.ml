@@ -1,73 +1,41 @@
-type counter = { c_name : string; mutable c_value : int }
-type gauge = { g_name : string; mutable g_value : float }
-
-type histogram = {
-  h_name : string;
-  h_buckets : Dsutil.Histogram.t;
-  h_summary : Dsutil.Stats.t;
-}
+type counter = { mutable value : int }
+type histogram = Dsutil.Stats.t
 
 type t = {
-  m_counters : (string, counter) Hashtbl.t;
-  m_gauges : (string, gauge) Hashtbl.t;
+  m_counters : (string, counter list) Hashtbl.t;
   m_histograms : (string, histogram) Hashtbl.t;
 }
 
-let create () =
-  {
-    m_counters = Hashtbl.create 32;
-    m_gauges = Hashtbl.create 8;
-    m_histograms = Hashtbl.create 16;
-  }
+let create () = { m_counters = Hashtbl.create 32; m_histograms = Hashtbl.create 16 }
 
-let get_or_create table name make =
-  match Hashtbl.find_opt table name with
-  | Some v -> v
-  | None ->
-    let v = make () in
-    Hashtbl.replace table name v;
-    v
+let handles t name = Option.value (Hashtbl.find_opt t.m_counters name) ~default:[]
+let register t name c = Hashtbl.replace t.m_counters name (c :: handles t name)
 
 let counter t name =
-  get_or_create t.m_counters name (fun () -> { c_name = name; c_value = 0 })
+  match handles t name with
+  | c :: _ -> c
+  | [] ->
+    let c = { value = 0 } in
+    register t name c;
+    c
 
-let incr c = c.c_value <- c.c_value + 1
-let add c n = c.c_value <- c.c_value + n
-let counter_name c = c.c_name
-let counter_value c = c.c_value
+let sum cs = List.fold_left (fun acc c -> acc + c.value) 0 cs
+let counter_of t name = sum (handles t name)
 
-let counter_of t name =
-  match Hashtbl.find_opt t.m_counters name with
-  | Some c -> c.c_value
-  | None -> 0
+let histogram t name =
+  match Hashtbl.find_opt t.m_histograms name with
+  | Some h -> h
+  | None ->
+    let h = Dsutil.Stats.create () in
+    Hashtbl.replace t.m_histograms name h;
+    h
 
-let gauge t name =
-  get_or_create t.m_gauges name (fun () -> { g_name = name; g_value = 0.0 })
-
-let set g v = g.g_value <- v
-let gauge_name g = g.g_name
-let gauge_value g = g.g_value
-
-let histogram t ?(base = 2.0) ?(buckets = 64) name =
-  get_or_create t.m_histograms name (fun () ->
-      {
-        h_name = name;
-        h_buckets = Dsutil.Histogram.create ~base ~buckets ();
-        h_summary = Dsutil.Stats.create ();
-      })
-
-let observe h x =
-  Dsutil.Histogram.add h.h_buckets x;
-  Dsutil.Stats.add h.h_summary x
-
-let histogram_name h = h.h_name
-let summary h = h.h_summary
-let buckets h = h.h_buckets
+let observe = Dsutil.Stats.add
+let summary h = h
 
 let sorted_bindings table value =
   Hashtbl.fold (fun name v acc -> (name, value v) :: acc) table []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let counters t = sorted_bindings t.m_counters (fun c -> c.c_value)
-let gauges t = sorted_bindings t.m_gauges (fun g -> g.g_value)
+let counters t = sorted_bindings t.m_counters sum
 let histograms t = sorted_bindings t.m_histograms Fun.id

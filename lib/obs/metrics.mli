@@ -1,57 +1,51 @@
-(** Named-metric registry: counters, gauges and latency histograms.
+(** Named-metric registry: counters and latency histograms.
 
-    Metrics are created on first use ([counter], [gauge] and [histogram]
-    are get-or-create) and then held by reference, so an instrumentation
-    point pays one hashtable lookup when it attaches and a plain field
-    update per event afterwards.  Histograms pair a log-bucketed
-    {!Dsutil.Histogram} (cheap shape) with an exact {!Dsutil.Stats}
-    summary (percentiles). *)
+    A counter is a handle its owner allocates once, as [{ value = 0 }],
+    and increments directly.  The field is exposed so that an increment
+    is a field store even across the [-opaque] library boundary: no call,
+    no lookup.  The registry maps names to handles.  An owner {!register}s
+    its handles when an {!Obs.t} is attached, so counting never depends on
+    the registry and attaching late misses nothing.  Several handles may
+    share a name (one per shard network, replica or coordinator); the
+    name then reads their sum.
+
+    Histograms are get-or-create by name and keep an exact
+    {!Dsutil.Stats} summary. *)
 
 type t
 
-type counter
-type gauge
+type counter = { mutable value : int }
+
 type histogram
 
 val create : unit -> t
 
 (** {2 Counters} *)
 
-val counter : t -> string -> counter
-(** Get-or-create the named counter. *)
+val register : t -> string -> counter -> unit
+(** Add the handle under the name; the name reads the sum of its
+    handles.  Register a handle once per registry: a second registration
+    counts it twice. *)
 
-val incr : counter -> unit
-val add : counter -> int -> unit
-val counter_name : counter -> string
-val counter_value : counter -> int
+val counter : t -> string -> counter
+(** Get-or-create: a handle registered under the name, or a fresh one
+    registered there. *)
 
 val counter_of : t -> string -> int
-(** Current value of the named counter; 0 when it was never created. *)
-
-(** {2 Gauges} *)
-
-val gauge : t -> string -> gauge
-val set : gauge -> float -> unit
-val gauge_name : gauge -> string
-val gauge_value : gauge -> float
+(** Current value of the named counter (the sum of its handles); 0 when
+    nothing is registered under the name. *)
 
 (** {2 Histograms} *)
 
-val histogram : t -> ?base:float -> ?buckets:int -> string -> histogram
-(** Get-or-create; [base]/[buckets] (defaults 2.0/64) only apply to the
-    first creation of a name. *)
+val histogram : t -> string -> histogram
+(** Get-or-create. *)
 
 val observe : histogram -> float -> unit
-val histogram_name : histogram -> string
 
 val summary : histogram -> Dsutil.Stats.t
 (** Exact running summary of every observation (mean, percentiles). *)
 
-val buckets : histogram -> Dsutil.Histogram.t
-(** The log-bucketed shape, e.g. for {!Dsutil.Histogram.render}. *)
-
 (** {2 Enumeration (sorted by name)} *)
 
 val counters : t -> (string * int) list
-val gauges : t -> (string * float) list
 val histograms : t -> (string * histogram) list

@@ -27,7 +27,9 @@ let metrics t = t.m
 let add_sink t sink = t.sinks <- t.sinks @ [ sink ]
 let flush t = List.iter Sink.flush t.sinks
 
-let incr_named t name = Metrics.incr (Metrics.counter t.m name)
+let incr_named t name =
+  let c = Metrics.counter t.m name in
+  c.value <- c.value + 1
 
 let span t ~op ~site ?key () =
   let id = t.next_span_id in

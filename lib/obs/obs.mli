@@ -2,9 +2,10 @@
 
     [Obs] is the runtime handle instrumented components hold.  It owns a
     {!Metrics} registry, a span id allocator, and a list of {!Sink}s that
-    receive each span as it closes.  Components take an [Obs.t option];
-    [None] makes every instrumentation site a single pattern match with no
-    allocation, so the hot path is a no-op when observability is off.
+    receive each span as it closes.  Components take an [Obs.t option]
+    for spans; [None] makes every span site a single pattern match with no
+    allocation.  Their counters are {!Metrics.counter} handles they own and
+    always increment; an attached [Obs.t] registers those handles.
 
     Times are stamped from a pluggable clock.  In simulations the harness
     calls {!set_clock} with the engine's [now] after building the engine;
@@ -19,8 +20,8 @@
     - [phase.<kind>.latency] (histogram), [phase.<kind>.timeout] (counter)
     - [backoff.wait] (histogram of individual backoff pauses)
 
-    Call sites add their own counters on top (e.g. [net.sent],
-    [coord.deadline_exceeded]); see docs/PROTOCOL.md for the full
+    Components register their own counters on top (e.g. [net.sent],
+    [coord.deadline_exceeded]); see docs/PROTOCOL.md §8 for the full
     catalogue. *)
 
 module Metrics : module type of struct

@@ -30,22 +30,6 @@ let default_config =
 
 type read_result = { value : string; ts : Timestamp.t; attempts : int }
 
-type metrics = {
-  reads_ok : int;
-  reads_failed : int;
-  writes_ok : int;
-  writes_failed : int;
-  retries : int;
-  repairs_sent : int;
-  deadline_exceeded : int;
-  stale_incarnation_rejections : int;
-  busy_received : int;
-  retries_suppressed : int;
-  batches : int;
-  read_latency : Stats.t;
-  write_latency : Stats.t;
-}
-
 (* What an operation is and whom it answers.  A single-key op and a
    multi-key batch run the same machine; only the callback's shape (and
    the envelope, chosen by key count) differs. *)
@@ -148,17 +132,18 @@ type t = {
   suspects : (int, float) Hashtbl.t;  (** site -> suspicion expiry time
                                           (timeout-suspicion ablation) *)
   incs : (int, int) Hashtbl.t;  (** site -> newest incarnation seen *)
-  mutable stale_inc_rejections : int;
-  mutable reads_ok : int;
-  mutable reads_failed : int;
-  mutable writes_ok : int;
-  mutable writes_failed : int;
-  mutable retries : int;
-  mutable repairs_sent : int;
-  mutable deadline_exceeded : int;
-  mutable busy_received : int;
-  mutable retries_suppressed : int;
-  mutable batches : int;
+  (* Counters: handles the coordinator owns; [?obs] registers them. *)
+  reads_ok : Obs.Metrics.counter;
+  reads_failed : Obs.Metrics.counter;
+  writes_ok : Obs.Metrics.counter;
+  writes_failed : Obs.Metrics.counter;
+  retries : Obs.Metrics.counter;
+  repairs_sent : Obs.Metrics.counter;
+  deadline_exceeded : Obs.Metrics.counter;
+  stale_inc_rejected : Obs.Metrics.counter;
+  busy_received : Obs.Metrics.counter;
+  retries_suppressed : Obs.Metrics.counter;
+  batches : Obs.Metrics.counter;
   read_latency : Stats.t;
   write_latency : Stats.t;
 }
@@ -395,10 +380,22 @@ let oresult_ts t span ~version ~sid =
   | Some obs, Some sp -> Obs.set_result_ts obs sp ~version ~sid
   | _ -> ()
 
-let ocount t name =
-  match t.obs with
-  | None -> ()
-  | Some obs -> Obs.Metrics.incr (Obs.Metrics.counter (Obs.metrics obs) name)
+(* Counting is a field store: no call across the -opaque library boundary. *)
+let[@inline] bump (c : Obs.Metrics.counter) = c.value <- c.value + 1
+
+let register_counters t obs =
+  let reg = Obs.Metrics.register (Obs.metrics obs) in
+  reg "coord.reads.ok" t.reads_ok;
+  reg "coord.reads.failed" t.reads_failed;
+  reg "coord.writes.ok" t.writes_ok;
+  reg "coord.writes.failed" t.writes_failed;
+  reg "coord.retries" t.retries;
+  reg "coord.repairs_sent" t.repairs_sent;
+  reg "coord.deadline_exceeded" t.deadline_exceeded;
+  reg "coord.stale_inc.rejected" t.stale_inc_rejected;
+  reg "coord.busy_received" t.busy_received;
+  reg "coord.retries_suppressed" t.retries_suppressed;
+  reg "coord.batches" t.batches
 
 (* Overload evidence is charged to the breaker separately from the
    liveness view: a Busy nack rehabilitates the site in the detector
@@ -406,8 +403,7 @@ let ocount t name =
 let breaker_failure t site =
   match t.breaker with
   | None -> ()
-  | Some b ->
-    if Detect.Breaker.record_failure b site then ocount t "coord.breaker.trips"
+  | Some b -> ignore (Detect.Breaker.record_failure b site)
 
 let breaker_ok t site =
   match t.breaker with None -> () | Some b -> Detect.Breaker.record_ok b site
@@ -480,11 +476,11 @@ let account_ok t st i ~elapsed =
   oresult_ts t st.spans.(i) ~version:st.max_v.(i) ~sid;
   ofinish t st.spans.(i) Obs.Span.Ok;
   if write then begin
-    t.writes_ok <- t.writes_ok + 1;
+    bump t.writes_ok;
     Stats.add t.write_latency elapsed
   end
   else begin
-    t.reads_ok <- t.reads_ok + 1;
+    bump t.reads_ok;
     Stats.add t.read_latency elapsed
   end
 
@@ -505,8 +501,8 @@ let finish t st ~ok =
     else ofinish t st.spans.(i) (Obs.Span.Failed "gave_up")
   done;
   if not ok then
-    if is_write st then t.writes_failed <- t.writes_failed + k
-    else t.reads_failed <- t.reads_failed + k;
+    if is_write st then t.writes_failed.value <- t.writes_failed.value + k
+    else t.reads_failed.value <- t.reads_failed.value + k;
   (match st.kind with
   | Read_one cb -> cb (if ok then Some (read_result st 0) else None)
   | Write_one cb -> cb (if ok then Some (write_ts t st 0) else None)
@@ -549,8 +545,7 @@ let retry ?(timed_out = false) t st =
       Detect.Backoff.delay t.config.backoff ~rng:t.rng ~attempt:st.attempts
     in
     if Engine.now (engine t) +. delay >= st.started +. t.config.deadline then begin
-      t.deadline_exceeded <- t.deadline_exceeded + 1;
-      ocount t "coord.deadline_exceeded";
+      bump t.deadline_exceeded;
       finish t st ~ok:false
     end
     else if
@@ -561,12 +556,11 @@ let retry ?(timed_out = false) t st =
     then begin
       (* The global retry budget is drained: retrying now would feed the
          storm that drained it.  Fail fast. *)
-      t.retries_suppressed <- t.retries_suppressed + 1;
-      ocount t "coord.retries_suppressed";
+      bump t.retries_suppressed;
       finish t st ~ok:false
     end
     else begin
-      t.retries <- t.retries + 1;
+      bump t.retries;
       oretry t st ~backoff:delay;
       st.attempts <- st.attempts + 1;
       Engine.schedule_packed (engine t) ~delay t.timeout_h
@@ -622,7 +616,7 @@ let commit_timeout t st =
     finish t st ~ok:false
   end
   else begin
-    t.retries <- t.retries + 1;
+    bump t.retries;
     oretry t st ~backoff:0.0;
     st.attempts <- st.attempts + 1;
     ophase t st ~kind:Obs.Span.Commit;
@@ -662,8 +656,7 @@ let send_repairs t st =
     List.iter
       (fun (site, v, s) ->
         if Timestamp.newer_flat version sid v s then begin
-          t.repairs_sent <- t.repairs_sent + 1;
-          ocount t "coord.repairs_sent";
+          bump t.repairs_sent;
           send t ~dst:site
             (Message.Repair { op = st.op; key; version; sid; value })
         end)
@@ -753,8 +746,7 @@ let stale_incarnation t ~src msg =
     in
     if inc > newest then Hashtbl.replace t.incs src inc;
     if inc < newest then begin
-      t.stale_inc_rejections <- t.stale_inc_rejections + 1;
-      ocount t "coord.stale_inc.rejected";
+      bump t.stale_inc_rejected;
       true
     end
     else false
@@ -790,8 +782,7 @@ let handle_op t ~src st msg =
     (* The replica shed us: alive (the nack itself rehabilitated it in
        the detector) but drowning.  Charge the breaker and re-assemble
        elsewhere — the retry path's backoff and budget apply. *)
-    t.busy_received <- t.busy_received + 1;
-    ocount t "coord.busy_received";
+    bump t.busy_received;
     breaker_failure t src;
     retry t st
   | Prepare_nack _ when st.phase = Committing ->
@@ -852,17 +843,17 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       op_pool_n = 0;
       suspects = Hashtbl.create 16;
       incs = Hashtbl.create 16;
-      stale_inc_rejections = 0;
-      reads_ok = 0;
-      reads_failed = 0;
-      writes_ok = 0;
-      writes_failed = 0;
-      retries = 0;
-      repairs_sent = 0;
-      deadline_exceeded = 0;
-      busy_received = 0;
-      retries_suppressed = 0;
-      batches = 0;
+      reads_ok = { value = 0 };
+      reads_failed = { value = 0 };
+      writes_ok = { value = 0 };
+      writes_failed = { value = 0 };
+      retries = { value = 0 };
+      repairs_sent = { value = 0 };
+      deadline_exceeded = { value = 0 };
+      stale_inc_rejected = { value = 0 };
+      busy_received = { value = 0 };
+      retries_suppressed = { value = 0 };
+      batches = { value = 0 };
       read_latency = Stats.create ();
       write_latency = Stats.create ();
     }
@@ -890,6 +881,7 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
               if pc = 2 then commit_timeout t st
               else retry ~timed_out:true t st);
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
+  Option.iter (register_counters t) obs;
   t
 
 (* A span opens at operation entry — before any local lock wait — so its
@@ -940,8 +932,7 @@ let write t ?(retry = false) ~key ~value k =
    batching exists to create. *)
 let start_many t ~retry ~op ~n kind fill =
   if not retry then budget_attempt t;
-  t.batches <- t.batches + 1;
-  ocount t "coord.batches";
+  bump t.batches;
   let st = alloc_op t ~kind ~n in
   fill st;
   for i = 0 to n - 1 do
@@ -975,19 +966,16 @@ let set_protocol t proto =
     invalid_arg "Coordinator.set_protocol: replica universe changed";
   t.proto <- proto
 
-let metrics t =
-  {
-    reads_ok = t.reads_ok;
-    reads_failed = t.reads_failed;
-    writes_ok = t.writes_ok;
-    writes_failed = t.writes_failed;
-    retries = t.retries;
-    repairs_sent = t.repairs_sent;
-    deadline_exceeded = t.deadline_exceeded;
-    stale_incarnation_rejections = t.stale_inc_rejections;
-    busy_received = t.busy_received;
-    retries_suppressed = t.retries_suppressed;
-    batches = t.batches;
-    read_latency = t.read_latency;
-    write_latency = t.write_latency;
-  }
+let reads_ok t = t.reads_ok.value
+let reads_failed t = t.reads_failed.value
+let writes_ok t = t.writes_ok.value
+let writes_failed t = t.writes_failed.value
+let retries t = t.retries.value
+let repairs_sent t = t.repairs_sent.value
+let deadline_exceeded t = t.deadline_exceeded.value
+let stale_incarnation_rejections t = t.stale_inc_rejected.value
+let busy_received t = t.busy_received.value
+let retries_suppressed t = t.retries_suppressed.value
+let batches t = t.batches.value
+let read_latency t = t.read_latency
+let write_latency t = t.write_latency

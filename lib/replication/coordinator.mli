@@ -96,9 +96,9 @@ val create :
     flight on one key; multi-key batches take no locks.  [view] overrides
     the config-selected failure detector.  With [obs], every operation is
     traced as a span ([ops.read.*] / [ops.write.*], phases query/prepare/
-    commit, plus a lock phase when [locks] is in force) and the counters
-    [coord.deadline_exceeded] and [coord.repairs_sent] are maintained;
-    without it no instrumentation work is done. *)
+    commit, plus a lock phase when [locks] is in force) and the counter
+    handles below are registered in its registry; without it no span work
+    is done and no name is built. *)
 
 type read_result = { value : string; ts : Timestamp.t; attempts : int }
 
@@ -166,33 +166,38 @@ val set_protocol : t -> Quorum.Protocol.t -> unit
     guarantees this by holding every key's exclusive lock.  Raises
     [Invalid_argument] if the replica universe size changes. *)
 
-(** {2 Metrics} *)
+(** {2 Counters}
 
-type metrics = {
-  reads_ok : int;
-  reads_failed : int;
-  writes_ok : int;
-  writes_failed : int;
-  retries : int;
-  repairs_sent : int;
-  deadline_exceeded : int;
-      (** operations failed because the deadline budget ran out before the
-          retry budget *)
-  stale_incarnation_rejections : int;
-      (** replica replies dropped because they carried an incarnation older
-          than the newest one seen from that site — evidence from a
-          pre-crash life (always 0 under fail-stop) *)
-  busy_received : int;
-      (** [Busy] sheds received from admission-controlled replicas *)
-  retries_suppressed : int;
-      (** retries refused by the shared {!Detect.Budget} (operation failed
-          fast instead) *)
-  batches : int;
-      (** multi-key batches executed ({!read_batch}/{!write_batch} with
-          >= 2 keys; a batch of one key is a plain {!read}/{!write} and
-          is not counted).  Mirrored as the [coord.batches] metric. *)
-  read_latency : Dsutil.Stats.t;
-  write_latency : Dsutil.Stats.t;
-}
+    Counts since {!create}, read from the counter handles [obs] registers
+    under the [coord.*] names of docs/PROTOCOL.md §8. *)
 
-val metrics : t -> metrics
+val reads_ok : t -> int
+val reads_failed : t -> int
+val writes_ok : t -> int
+val writes_failed : t -> int
+val retries : t -> int
+val repairs_sent : t -> int
+
+val deadline_exceeded : t -> int
+(** Operations failed because the deadline budget ran out before the
+    retry budget. *)
+
+val stale_incarnation_rejections : t -> int
+(** Replica replies dropped because they carried an incarnation older than
+    the newest one seen from that site — evidence from a pre-crash life
+    (always 0 under fail-stop). *)
+
+val busy_received : t -> int
+(** [Busy] sheds received from admission-controlled replicas. *)
+
+val retries_suppressed : t -> int
+(** Retries refused by the shared {!Detect.Budget} (operation failed fast
+    instead). *)
+
+val batches : t -> int
+(** Multi-key batches executed ({!read_batch}/{!write_batch} with >= 2
+    keys; a batch of one key is a plain {!read}/{!write} and is not
+    counted). *)
+
+val read_latency : t -> Dsutil.Stats.t
+val write_latency : t -> Dsutil.Stats.t

@@ -364,7 +364,9 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
     let breaker =
       match overload with
       | Some { breaker = Some c; _ } ->
-        Some (Detect.Breaker.create ~config:c ~n ~now:(fun () -> Engine.now engine) ())
+        let b = Detect.Breaker.create ~config:c ~n ~now:(fun () -> Engine.now engine) () in
+        Option.iter (Detect.Breaker.attach_obs b) obs;
+        Some b
       | _ -> None
     in
     let admission =
@@ -619,44 +621,39 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
   Array.iter (fun net -> Failure.apply net b.failures) nets;
   List.iter (fun (s, entries) -> Failure.apply nets.(s) entries) sc.shard_failures;
   Engine.run ~until:b.horizon engine;
-  let metrics =
-    List.concat_map (fun cs -> Array.to_list (Array.map Coordinator.metrics cs))
-      (coords @ burst_coords)
-  in
-  let sum f = List.fold_left (fun acc m -> acc + f m) 0 metrics in
+  (* Every count is a sum of the components' counter handles: the handles
+     an attached registry reads, so the report cannot disagree with it. *)
+  let coords = List.concat_map Array.to_list (coords @ burst_coords) in
+  let sum f = List.fold_left (fun acc c -> acc + f c) 0 coords in
   let all_replicas = Array.concat (Array.to_list replicas) in
   let sum_replicas f = Array.fold_left (fun acc r -> acc + f r) 0 all_replicas in
-  let counters = Array.map Network.counters nets in
-  let sum_net f = Array.fold_left (fun acc c -> acc + f c) 0 counters in
-  let latency pick =
-    List.fold_left (fun acc m -> Stats.merge acc (pick m)) (Stats.create ()) metrics
-  in
+  let sum_net f = Array.fold_left (fun acc net -> acc + f net) 0 nets in
+  let latency pick = Stats.merge_all (List.map pick coords) in
   let agg =
     {
       duration = Engine.now engine;
-      reads_ok = sum (fun m -> m.Coordinator.reads_ok);
-      reads_failed = sum (fun m -> m.Coordinator.reads_failed);
-      writes_ok = sum (fun m -> m.Coordinator.writes_ok);
-      writes_failed = sum (fun m -> m.Coordinator.writes_failed);
-      retries = sum (fun m -> m.Coordinator.retries);
-      deadline_exceeded = sum (fun m -> m.Coordinator.deadline_exceeded);
+      reads_ok = sum Coordinator.reads_ok;
+      reads_failed = sum Coordinator.reads_failed;
+      writes_ok = sum Coordinator.writes_ok;
+      writes_failed = sum Coordinator.writes_failed;
+      retries = sum Coordinator.retries;
+      deadline_exceeded = sum Coordinator.deadline_exceeded;
       safety_violations = checker.violations;
-      read_latency = latency (fun m -> m.Coordinator.read_latency);
-      write_latency = latency (fun m -> m.Coordinator.write_latency);
-      messages_sent = sum_net (fun c -> c.Network.sent);
-      messages_delivered = sum_net (fun c -> c.Network.delivered);
+      read_latency = latency Coordinator.read_latency;
+      write_latency = latency Coordinator.write_latency;
+      messages_sent = sum_net Network.sent;
+      messages_delivered = sum_net Network.delivered;
       messages_dropped =
-        sum_net (fun c ->
-            c.Network.dropped_loss + c.Network.dropped_crash
-            + c.Network.dropped_partition + c.Network.dropped_no_handler
-            + c.Network.dropped_overload);
+        sum_net (fun net ->
+            Network.dropped_loss net + Network.dropped_crash net
+            + Network.dropped_partition net + Network.dropped_no_handler net
+            + Network.dropped_overload net);
       heartbeat_pings =
         List.fold_left (fun acc hb -> acc + Detect.Heartbeat.pings_sent hb) 0 !monitors;
       replica_reads_served = Array.map Replica.reads_served all_replicas;
       replica_prepares_seen = Array.map Replica.prepares_seen all_replicas;
       replica_writes_applied = Array.map Replica.writes_applied all_replicas;
-      stale_incarnation_rejections =
-        sum (fun m -> m.Coordinator.stale_incarnation_rejections);
+      stale_incarnation_rejections = sum Coordinator.stale_incarnation_rejections;
       replica_incarnations = Array.map Replica.incarnation all_replicas;
       catchup_runs = sum_replicas Replica.catchup_runs;
       catchup_keys_installed = sum_replicas Replica.catchup_keys_installed;
@@ -668,9 +665,9 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
         sum_replicas (fun r -> if Replica.is_serving r then 0 else 1);
       spans = (match span_store with None -> [] | Some m -> Obs.Sink.memory_spans m);
       replica_sheds = sum_replicas Replica.sheds;
-      busy_received = sum (fun m -> m.Coordinator.busy_received);
-      retries_suppressed = sum (fun m -> m.Coordinator.retries_suppressed);
-      overload_drops = sum_net (fun c -> c.Network.dropped_overload);
+      busy_received = sum Coordinator.busy_received;
+      retries_suppressed = sum Coordinator.retries_suppressed;
+      overload_drops = sum_net Network.dropped_overload;
       breaker_trips =
         Array.fold_left
           (fun acc br -> acc + Option.fold ~none:0 ~some:Detect.Breaker.trips br)
@@ -685,8 +682,8 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
             !p)
           0 nets;
       completions = Array.init !n_completions (Float.Array.get !completions);
-      batches = sum (fun m -> m.Coordinator.batches);
-      coalesced_ops = sum_net (fun c -> c.Network.coalesced);
+      batches = sum Coordinator.batches;
+      coalesced_ops = sum_net Network.coalesced;
       wal_syncs = sum_replicas Replica.wal_syncs;
       provision_runs = sum_replicas Replica.provision_runs;
       provision_chunks = sum_replicas Replica.provision_chunks;

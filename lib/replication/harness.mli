@@ -172,8 +172,8 @@ type report = {
       (** multi-key batches coordinators executed (0 when batching is off
           or every window degenerated to one op) *)
   coalesced_ops : int;
-      (** per-op messages saved by multi-op envelopes
-          ({!Dsim.Network.counters.coalesced}) *)
+      (** per-op messages saved by multi-op envelopes, summed over the
+          shard networks ({!Dsim.Network.coalesced}; [net.coalesced]) *)
   wal_syncs : int;
       (** synchronous WAL forces across all replicas; under group commit a
           whole batch counts one *)
@@ -278,11 +278,13 @@ val run :
   ?read_probe:(key:int -> Coordinator.read_result -> unit) ->
   scenario ->
   report
-(** With [obs], the harness points its clock at the engine's virtual time,
-    mirrors the network counters into its registry, and hands it to every
-    client coordinator, so spans and phase-latency histograms cover the
-    whole run.  Attaching [obs] never perturbs the simulation: it draws no
-    randomness and schedules no events.
+(** With [obs], the harness points its clock at the engine's virtual time
+    and attaches it to every network, breaker, replica, coordinator and
+    migration endpoint, whose counter handles it registers; spans and
+    phase-latency histograms cover the whole run.  The report sums the
+    same handles, so it equals the registry under each name.  Attaching
+    [obs] never perturbs the simulation: it draws no randomness and
+    schedules no events.
 
     [read_probe] is invoked on every {e successful} unbatched read with
     the key and the returned value/timestamp, in completion order — the

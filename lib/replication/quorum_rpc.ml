@@ -72,9 +72,11 @@ type t = {
   incs : (int, int) Hashtbl.t;  (** site -> newest incarnation seen *)
   prep_incs : (int, (int * int) list) Hashtbl.t;
       (** op -> (member, incarnation it acked the prepare under) *)
-  mutable stale_inc_rejections : int;
-  mutable busy_received : int;
-  mutable retries_suppressed : int;
+  (* Counters: handles the endpoint owns; [?obs] registers them. *)
+  stale_inc_rejected : Obs.Metrics.counter;
+  busy_received : Obs.Metrics.counter;
+  retries_suppressed : Obs.Metrics.counter;
+  deadline_exceeded : Obs.Metrics.counter;
 }
 
 let engine t = Network.engine t.net
@@ -107,9 +109,7 @@ let phase_timeout t =
   | None -> t.config.timeout
 
 let observed_timeout t = phase_timeout t
-let stale_incarnation_rejections t = t.stale_inc_rejections
-let busy_received t = t.busy_received
-let retries_suppressed t = t.retries_suppressed
+let retries_suppressed t = t.retries_suppressed.value
 
 (* --- observability hooks (single match, no work, when [obs = None]).
    Spans are threaded explicitly: [write] owns one span whose phases cover
@@ -150,16 +150,20 @@ let ofinish t span result =
     Obs.finish obs sp ~outcome
   | _ -> ()
 
-let ocount t name =
-  match t.obs with
-  | None -> ()
-  | Some obs -> Obs.Metrics.incr (Obs.Metrics.counter (Obs.metrics obs) name)
+(* Counting is a field store: no call across the -opaque library boundary. *)
+let[@inline] bump (c : Obs.Metrics.counter) = c.value <- c.value + 1
+
+let register_counters t obs =
+  let reg = Obs.Metrics.register (Obs.metrics obs) in
+  reg "rpc.stale_inc.rejected" t.stale_inc_rejected;
+  reg "rpc.busy_received" t.busy_received;
+  reg "rpc.retries_suppressed" t.retries_suppressed;
+  reg "rpc.deadline_exceeded" t.deadline_exceeded
 
 let breaker_failure t site =
   match t.breaker with
   | None -> ()
-  | Some b ->
-    if Detect.Breaker.record_failure b site then ocount t "rpc.breaker.trips"
+  | Some b -> ignore (Detect.Breaker.record_failure b site)
 
 let breaker_ok t site =
   match t.breaker with None -> () | Some b -> Detect.Breaker.record_ok b site
@@ -183,8 +187,7 @@ let stale_incarnation t ~src msg =
     in
     if inc > newest then Hashtbl.replace t.incs src inc;
     if inc < newest then begin
-      t.stale_inc_rejections <- t.stale_inc_rejections + 1;
-      ocount t "rpc.stale_inc.rejected";
+      bump t.stale_inc_rejected;
       true
     end
     else false
@@ -209,8 +212,7 @@ let handle t ~src msg =
         (* An overloaded member shed us: same fast failure as a refusal,
            plus breaker evidence.  Commit gathers ignore Busy — commits
            ride the replica's priority lane. *)
-        t.busy_received <- t.busy_received + 1;
-        ocount t "rpc.busy_received";
+        bump t.busy_received;
         breaker_failure t src;
         Hashtbl.remove t.pending op;
         g.failed ()
@@ -294,12 +296,14 @@ let create ~site ~net ~proto ?view ?budget ?breaker ?obs
       pending = Hashtbl.create 16;
       incs = Hashtbl.create 16;
       prep_incs = Hashtbl.create 16;
-      stale_inc_rejections = 0;
-      busy_received = 0;
-      retries_suppressed = 0;
+      stale_inc_rejected = { value = 0 };
+      busy_received = { value = 0 };
+      retries_suppressed = { value = 0 };
+      deadline_exceeded = { value = 0 };
     }
   in
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
+  Option.iter (register_counters t) obs;
   t
 
 (* One gather phase over [members]: send [mk_msg op] to each, then either
@@ -346,15 +350,14 @@ let run_phase t ~span ~phase ~members ~mk_msg ~on_success ~on_timeout =
 let backoff t ~op_started ~attempt ?(on_retry = fun _ -> ()) retry give_up =
   let delay = Detect.Backoff.delay t.config.backoff ~rng:t.rng ~attempt in
   if Engine.now (engine t) +. delay >= op_started +. t.config.deadline then begin
-    ocount t "rpc.deadline_exceeded";
+    bump t.deadline_exceeded;
     give_up ()
   end
   else if
     not (match t.budget with None -> true | Some b -> Detect.Budget.try_retry b)
   then begin
     (* Global retry budget drained: this retry would feed the storm. *)
-    t.retries_suppressed <- t.retries_suppressed + 1;
-    ocount t "rpc.retries_suppressed";
+    bump t.retries_suppressed;
     give_up ()
   end
   else begin

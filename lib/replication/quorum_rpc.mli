@@ -49,9 +49,11 @@ val create :
     [observe]s its sender, every phase timeout [suspect]s the members
     still waiting.  With [obs], {!query} and {!write} are traced as
     [rpc.read] / [rpc.write] spans (one span per operation, covering a
-    write's version query, prepare and commit phases) and the counter
-    [rpc.deadline_exceeded] is maintained; without it the endpoint does no
-    instrumentation work.
+    write's version query, prepare and commit phases) and the endpoint's
+    counter handles are registered as [rpc.stale_inc.rejected],
+    [rpc.busy_received], [rpc.retries_suppressed] and
+    [rpc.deadline_exceeded]; without it the endpoint does no span work and
+    builds no name.
 
     [budget] (a shared {!Detect.Budget}) gates every backoff retry —
     commit-phase resends excepted — failing the operation fast when the
@@ -70,13 +72,6 @@ val current_view : t -> Dsutil.Bitset.t
 
 val observed_timeout : t -> float
 (** The per-phase deadline currently in force (adaptive or fixed). *)
-
-val stale_incarnation_rejections : t -> int
-(** Replica replies dropped for carrying a pre-crash incarnation (always 0
-    under fail-stop; see {!Coordinator}). *)
-
-val busy_received : t -> int
-(** [Busy] sheds received from admission-controlled replicas. *)
 
 val retries_suppressed : t -> int
 (** Retries refused by the shared {!Detect.Budget}. *)

@@ -134,16 +134,6 @@ type t = {
   mutable lost_state : bool;  (* amnesia crash happened; recovery pending *)
   mutable gather : gather option;
   mutable next_seq : int;
-  mutable reads_served : int;
-  mutable sheds : int;
-  mutable writes_applied : int;
-  mutable prepares_seen : int;
-  mutable repairs_applied : int;
-  mutable catchup_runs : int;
-  mutable catchup_keys_installed : int;
-  mutable catchup_abandoned : int;
-  mutable stale_commits_nacked : int;
-  mutable wal_records_replayed : int;
   mutable prov : prov option;
   mutable prov_resume : (int option * bool * (unit -> unit) option) option;
       (* (donor, pinned, continuation) of a transfer interrupted by an
@@ -151,23 +141,59 @@ type t = {
          promotion's completion callback eventually fires *)
   mutable tail_wait : tail_wait option;
   mutable last_tail_index : int;  (* newest donor cut this replica holds *)
-  mutable catchup_rounds : int;
-  mutable failed_rejoins : int;
-  mutable provision_runs : int;
-  mutable provision_chunks : int;
-  mutable provision_resumes : int;
-  mutable provision_failovers : int;
-  mutable provision_stale : int;
-  mutable provision_rounds : int;
+  (* Counters: handles the replica owns; [?obs] registers them. *)
+  reads_served : Obs.Metrics.counter;
+  sheds : Obs.Metrics.counter;
+  writes_applied : Obs.Metrics.counter;
+  prepares_seen : Obs.Metrics.counter;
+  repairs_applied : Obs.Metrics.counter;
+  recoveries : Obs.Metrics.counter;
+  wal_records_replayed : Obs.Metrics.counter;
+  stale_commits_nacked : Obs.Metrics.counter;
+  catchup_runs : Obs.Metrics.counter;
+  catchup_rounds : Obs.Metrics.counter;
+  catchup_keys_installed : Obs.Metrics.counter;
+  catchup_abandoned : Obs.Metrics.counter;
+  failed_rejoins : Obs.Metrics.counter;
+  decommissioned : Obs.Metrics.counter;
+  provision_starts : Obs.Metrics.counter;
+  provision_runs : Obs.Metrics.counter;
+  provision_chunks : Obs.Metrics.counter;
+  provision_resumes : Obs.Metrics.counter;
+  provision_failovers : Obs.Metrics.counter;
+  provision_stale : Obs.Metrics.counter;
+  provision_rounds : Obs.Metrics.counter;
 }
 
 let engine t = Network.engine t.net
 let now t = Engine.now (engine t)
 
-let ocount t name =
-  match t.obs with
-  | None -> ()
-  | Some obs -> Obs.Metrics.incr (Obs.Metrics.counter (Obs.metrics obs) name)
+(* Counting is a field store: no call across the -opaque library boundary. *)
+let[@inline] bump (c : Obs.Metrics.counter) = c.value <- c.value + 1
+
+let register_counters t obs =
+  let reg = Obs.Metrics.register (Obs.metrics obs) in
+  reg "replica.reads_served" t.reads_served;
+  reg "replica.shed" t.sheds;
+  reg "replica.writes_applied" t.writes_applied;
+  reg "replica.prepares_seen" t.prepares_seen;
+  reg "replica.repairs_applied" t.repairs_applied;
+  reg "replica.recoveries" t.recoveries;
+  reg "replica.wal.replayed" t.wal_records_replayed;
+  reg "replica.stale_inc.nacked" t.stale_commits_nacked;
+  reg "replica.catchup.runs" t.catchup_runs;
+  reg "replica.catchup.rounds" t.catchup_rounds;
+  reg "replica.catchup.keys_installed" t.catchup_keys_installed;
+  reg "replica.catchup.abandoned" t.catchup_abandoned;
+  reg "replica.rejoin.failed" t.failed_rejoins;
+  reg "replica.decommissioned" t.decommissioned;
+  reg "provision.starts" t.provision_starts;
+  reg "provision.runs" t.provision_runs;
+  reg "provision.chunks" t.provision_chunks;
+  reg "provision.resumes" t.provision_resumes;
+  reg "provision.donor_failovers" t.provision_failovers;
+  reg "provision.stale" t.provision_stale;
+  reg "provision.rounds" t.provision_rounds
 
 let ohist t name v =
   match t.obs with
@@ -209,8 +235,7 @@ let catchup_view t proto =
 
 let finish_catchup t ~t0 =
   t.status <- Serving;
-  t.catchup_runs <- t.catchup_runs + 1;
-  ocount t "replica.catchup.runs";
+  bump t.catchup_runs;
   ohist t "replica.catchup.duration" (now t -. t0)
 
 let rec catchup_key t ~inc ~keys ~attempt ~t0 =
@@ -225,7 +250,7 @@ let rec catchup_key t ~inc ~keys ~attempt ~t0 =
            too, so a long outage drains the budget instead of looping. *)
         catchup_retry t ~inc ~keys ~attempt:(attempt + 1) ~t0
       | Some quorum ->
-        t.catchup_rounds <- t.catchup_rounds + 1;
+        bump t.catchup_rounds;
         let members = Bitset.elements quorum in
         let g =
           {
@@ -261,11 +286,9 @@ and catchup_retry t ~inc ~keys ~attempt ~t0 =
        catch-up reads keep being answered from durable state, clients are
        refused), visibly stuck rather than "recovering" forever, until
        the next crash/recover cycle starts a fresh attempt. *)
-    t.catchup_abandoned <- t.catchup_abandoned + 1;
-    ocount t "replica.catchup.abandoned";
+    bump t.catchup_abandoned;
     t.status <- Failed_rejoin;
-    t.failed_rejoins <- t.failed_rejoins + 1;
-    ocount t "replica.rejoin.failed"
+    bump t.failed_rejoins
   end
   else begin
     let delay =
@@ -291,8 +314,7 @@ let catchup_gather_reply t g ~src ~ts ~value =
         && Store.install t.store ~key:g.g_key ~ts:g.g_max_ts ~value:g.g_max_value
       then begin
         wal_append t (Wal.Install { key = g.g_key; ts = g.g_max_ts; value = g.g_max_value });
-        t.catchup_keys_installed <- t.catchup_keys_installed + 1;
-        ocount t "replica.catchup.keys_installed"
+        bump t.catchup_keys_installed
       end;
       catchup_key t ~inc:t.incarnation ~keys:g.g_rest ~attempt:0 ~t0:g.g_t0
     end
@@ -362,15 +384,14 @@ let apply_tail_entries t entries =
   | _ -> ()
 
 let prov_stale t =
-  t.provision_stale <- t.provision_stale + 1;
-  ocount t "provision.stale"
+  bump t.provision_stale
 
 let rec prov_request t p =
   (* (Re)issue the transfer from the current cursor under a fresh op id —
      anything still in flight under the old id is thereby fenced. *)
   let pv = match prov_config t with Some pv -> pv | None -> assert false in
   p.p_op <- fresh_op t;
-  t.provision_rounds <- t.provision_rounds + 1;
+  bump t.provision_rounds;
   send t ~dst:p.p_donor
     (Message.Provision_request
        {
@@ -384,7 +405,7 @@ let rec prov_request t p =
 and prov_tail_request t p =
   let from_index = if p.p_wal_index = max_int then 0 else p.p_wal_index in
   p.p_op <- fresh_op t;
-  t.provision_rounds <- t.provision_rounds + 1;
+  bump t.provision_rounds;
   send t ~dst:p.p_donor (Message.Tail_request { op = p.p_op; from_index });
   prov_watch t p
 
@@ -407,11 +428,9 @@ and prov_stalled t p =
     p.p_tried <- p.p_donor :: p.p_tried;
     match prov_pick_donor t p with
     | Some d when d <> p.p_donor ->
-      t.provision_failovers <- t.provision_failovers + 1;
-      ocount t "provision.donor_failovers";
+      bump t.provision_failovers;
       if p.p_next_chunk > 0 && not p.p_tailing then begin
-        t.provision_resumes <- t.provision_resumes + 1;
-        ocount t "provision.resumes"
+        bump t.provision_resumes
       end;
       p.p_donor <- d;
       p.p_dinc <- -1
@@ -476,15 +495,14 @@ let prov_chunk t p ~src ~chunk ~n_chunks ~wal_index ~dinc ~entries =
       done;
       Wal.append_batch wal !records
     | None -> ());
-    t.provision_chunks <- t.provision_chunks + 1;
-    ocount t "provision.chunks";
+    bump t.provision_chunks;
     p.p_next_chunk <- chunk + 1;
     if p.p_next_chunk >= n_chunks then begin
       p.p_tailing <- true;
       prov_tail_request t p
     end
     else begin
-      t.provision_rounds <- t.provision_rounds + 1;
+      bump t.provision_rounds;
       send t ~dst:p.p_donor
         (Message.Chunk_ack
            {
@@ -516,8 +534,7 @@ let prov_tail t p ~src ~dinc ~next_index ~entries =
     | Some wal -> Wal.append wal (Wal.Mark { chunk = -1; wal_index = next_index })
     | None -> ());
     t.prov <- None;
-    t.provision_runs <- t.provision_runs + 1;
-    ocount t "provision.runs";
+    bump t.provision_runs;
     ohist t "provision.duration" (now t -. p.p_t0);
     if t.status = Recovering then t.status <- Serving;
     match p.p_done with Some k -> k () | None -> ()
@@ -567,11 +584,10 @@ let start_provision t ?(pinned = false) ?donor ?on_done () =
          keeps re-picking until someone answers *)
       p.p_donor <- (if t.site = 0 then 1 else 0)));
   t.prov <- Some p;
-  ocount t "provision.starts";
+  bump t.provision_starts;
   if resume_chunk > 0 then begin
     (* restarting from the last durable chunk of an interrupted transfer *)
-    t.provision_resumes <- t.provision_resumes + 1;
-    ocount t "provision.resumes"
+    bump t.provision_resumes
   end;
   if resume_chunk >= n_chunks && resume_index <> max_int then begin
     (* every chunk was already durable: only the tail is missing *)
@@ -604,11 +620,11 @@ let on_recover t =
   if t.lost_state then begin
     t.lost_state <- false;
     t.incarnation <- t.incarnation + 1;
-    ocount t "replica.recoveries";
+    bump t.recoveries;
     (match t.wal with
     | Some wal ->
       let n = Wal.replay wal t.store in
-      t.wal_records_replayed <- t.wal_records_replayed + n
+      t.wal_records_replayed.value <- t.wal_records_replayed.value + n
     | None -> ());
     if t.status = Decommissioned then ()
       (* a decommissioned site stays fenced through crashes *)
@@ -644,8 +660,7 @@ let nack t ~dst ~op reason =
 let is_peer t src = match t.universe with Some n -> src < n | None -> false
 
 let shed t ~dst ~op =
-  t.sheds <- t.sheds + 1;
-  ocount t "replica.shed";
+  bump t.sheds;
   send t ~dst (Message.Busy { op })
 
 (* Watermark admission: once the ingress queue is deeper than the
@@ -671,7 +686,7 @@ let shed_client_work t ~src msg =
 let handle_serving t ~src msg =
   match (msg : Message.t) with
   | Read_request { op; key } ->
-    t.reads_served <- t.reads_served + 1;
+    bump t.reads_served;
     (* Flat serving path: no tuple, no boxed timestamp — only the reply
        message itself is allocated. *)
     let store = t.store in
@@ -686,7 +701,7 @@ let handle_serving t ~src msg =
            inc = t.incarnation;
          })
   | Prepare { op; key; version; sid; value } ->
-    t.prepares_seen <- t.prepares_seen + 1;
+    bump t.prepares_seen;
     Store.stage_flat t.store ~op ~key ~version ~sid ~value;
     (match t.wal with
     | Some wal -> Wal.stage wal ~op ~key ~version ~sid ~value
@@ -697,8 +712,7 @@ let handle_serving t ~src msg =
       (* The stage this commit refers to belonged to a previous life; its
          volatile state is gone.  Refuse so the coordinator retries the
          whole write instead of counting a lost write as applied. *)
-      t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-      ocount t "replica.stale_inc.nacked";
+      bump t.stale_commits_nacked;
       nack t ~dst:src ~op "stale-incarnation"
     end
     else begin
@@ -712,7 +726,7 @@ let handle_serving t ~src msg =
              ~sid:(Store.slot_sid store slot) ~value:(Store.slot_value store slot)
          | None -> ());
          if Store.commit_staged store ~op then
-           t.writes_applied <- t.writes_applied + 1
+           bump t.writes_applied
        end
        else
          let n = Store.staged_batch_size t.store ~op in
@@ -730,7 +744,7 @@ let handle_serving t ~src msg =
              | None -> ())
            | None -> ());
            if Store.commit_staged t.store ~op then
-             t.writes_applied <- t.writes_applied + n
+             t.writes_applied.value <- t.writes_applied.value + n
          end);
       (* Ack even when nothing was staged: a same-incarnation resend means
          the first commit already applied (nothing can have been lost
@@ -746,12 +760,12 @@ let handle_serving t ~src msg =
       (match t.wal with
       | Some wal -> Wal.install wal ~key ~version ~sid ~value
       | None -> ());
-      t.repairs_applied <- t.repairs_applied + 1
+      bump t.repairs_applied
     end
   | Read_batch { op; n_keys; keys } ->
     (* Coalesced reads: one envelope in, one envelope out, each counted
        as one message by the network but as [n_keys] logical reads here. *)
-    t.reads_served <- t.reads_served + n_keys;
+    t.reads_served.value <- t.reads_served.value + n_keys;
     let store = t.store in
     let entries =
       Batch.init n_keys (fun i ->
@@ -764,7 +778,7 @@ let handle_serving t ~src msg =
     send t ~dst:src ~units:n_keys
       (Message.Read_batch_reply { op; entries; inc = t.incarnation })
   | Prepare_batch { op; writes } ->
-    t.prepares_seen <- t.prepares_seen + Batch.length writes;
+    t.prepares_seen.value <- t.prepares_seen.value + Batch.length writes;
     Store.stage_many t.store ~op writes;
     (match t.wal with
     | Some _ ->
@@ -825,8 +839,7 @@ let handle_recovering t ~src msg =
   | Prepare { op; _ } | Prepare_batch { op; _ } ->
     nack t ~dst:src ~op "recovering"
   | Commit { op; _ } ->
-    t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-    ocount t "replica.stale_inc.nacked";
+    bump t.stale_commits_nacked;
     nack t ~dst:src ~op "stale-incarnation"
   | Abort { op } -> Store.abort_staged t.store ~op
   | Repair { key; version; sid; value; _ } ->
@@ -834,7 +847,7 @@ let handle_recovering t ~src msg =
       (match t.wal with
       | Some wal -> Wal.install wal ~key ~version ~sid ~value
       | None -> ());
-      t.repairs_applied <- t.repairs_applied + 1
+      bump t.repairs_applied
     end
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
   | Read_reply { version; sid; value; _ } -> (
@@ -877,8 +890,7 @@ let handle_decommissioned t ~src msg =
   | Tail_request { op; _ } ->
     nack t ~dst:src ~op "decommissioned"
   | Commit { op; _ } ->
-    t.stale_commits_nacked <- t.stale_commits_nacked + 1;
-    ocount t "replica.stale_inc.nacked";
+    bump t.stale_commits_nacked;
     nack t ~dst:src ~op "stale-incarnation"
   | Abort { op } -> Store.abort_staged t.store ~op
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
@@ -1012,31 +1024,35 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
       lost_state = false;
       gather = None;
       next_seq = 0;
-      reads_served = 0;
-      sheds = 0;
-      writes_applied = 0;
-      prepares_seen = 0;
-      repairs_applied = 0;
-      catchup_runs = 0;
-      catchup_keys_installed = 0;
-      catchup_abandoned = 0;
-      stale_commits_nacked = 0;
-      wal_records_replayed = 0;
       prov = None;
       prov_resume = None;
       tail_wait = None;
       last_tail_index = 0;
-      catchup_rounds = 0;
-      failed_rejoins = 0;
-      provision_runs = 0;
-      provision_chunks = 0;
-      provision_resumes = 0;
-      provision_failovers = 0;
-      provision_stale = 0;
-      provision_rounds = 0;
+      reads_served = { value = 0 };
+      sheds = { value = 0 };
+      writes_applied = { value = 0 };
+      prepares_seen = { value = 0 };
+      repairs_applied = { value = 0 };
+      recoveries = { value = 0 };
+      wal_records_replayed = { value = 0 };
+      stale_commits_nacked = { value = 0 };
+      catchup_runs = { value = 0 };
+      catchup_rounds = { value = 0 };
+      catchup_keys_installed = { value = 0 };
+      catchup_abandoned = { value = 0 };
+      failed_rejoins = { value = 0 };
+      decommissioned = { value = 0 };
+      provision_starts = { value = 0 };
+      provision_runs = { value = 0 };
+      provision_chunks = { value = 0 };
+      provision_resumes = { value = 0 };
+      provision_failovers = { value = 0 };
+      provision_stale = { value = 0 };
+      provision_rounds = { value = 0 };
     }
   in
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
+  Option.iter (register_counters t) obs;
   (* Admission control plugs into the network's service model: the
      priority lane exempts protocol traffic from the capacity bound, and
      the overflow hook turns silent queue-full drops into Busy nacks.
@@ -1071,7 +1087,7 @@ let request_tail t ~donor k =
   let rec go () =
     match t.tail_wait with
     | Some tw' when tw' == tw ->
-      t.provision_rounds <- t.provision_rounds + 1;
+      bump t.provision_rounds;
       send t ~dst:donor
         (Message.Tail_request { op = tw.tw_op; from_index = t.last_tail_index });
       Engine.schedule (engine t) ~delay go
@@ -1084,15 +1100,15 @@ let decommission t =
   t.prov <- None;
   t.gather <- None;
   t.tail_wait <- None;
-  ocount t "replica.decommissioned"
+  bump t.decommissioned
 
 let site t = t.site
 let store t = t.store
-let reads_served t = t.reads_served
-let sheds t = t.sheds
-let writes_applied t = t.writes_applied
-let prepares_seen t = t.prepares_seen
-let repairs_applied t = t.repairs_applied
+let reads_served t = t.reads_served.value
+let sheds t = t.sheds.value
+let writes_applied t = t.writes_applied.value
+let prepares_seen t = t.prepares_seen.value
+let repairs_applied t = t.repairs_applied.value
 let incarnation t = t.incarnation
 let is_serving t = t.status = Serving
 let is_decommissioned t = t.status = Decommissioned
@@ -1106,19 +1122,19 @@ let status_label t =
   | Failed_rejoin -> "failed-rejoin"
   | Decommissioned -> "decommissioned"
 
-let catchup_runs t = t.catchup_runs
-let catchup_keys_installed t = t.catchup_keys_installed
-let catchup_abandoned t = t.catchup_abandoned
-let stale_commits_nacked t = t.stale_commits_nacked
-let wal_records_replayed t = t.wal_records_replayed
+let catchup_runs t = t.catchup_runs.value
+let catchup_keys_installed t = t.catchup_keys_installed.value
+let catchup_abandoned t = t.catchup_abandoned.value
+let stale_commits_nacked t = t.stale_commits_nacked.value
+let wal_records_replayed t = t.wal_records_replayed.value
 let wal_records_lost t = match t.wal with None -> 0 | Some w -> Wal.lost_total w
 let wal_syncs t = match t.wal with None -> 0 | Some w -> Wal.syncs w
-let catchup_rounds t = t.catchup_rounds
-let failed_rejoins t = t.failed_rejoins
-let provision_runs t = t.provision_runs
-let provision_chunks t = t.provision_chunks
-let provision_resumes t = t.provision_resumes
-let provision_donor_failovers t = t.provision_failovers
-let provision_stale t = t.provision_stale
-let provision_rounds t = t.provision_rounds
+let catchup_rounds t = t.catchup_rounds.value
+let failed_rejoins t = t.failed_rejoins.value
+let provision_runs t = t.provision_runs.value
+let provision_chunks t = t.provision_chunks.value
+let provision_resumes t = t.provision_resumes.value
+let provision_donor_failovers t = t.provision_failovers.value
+let provision_stale t = t.provision_stale.value
+let provision_rounds t = t.provision_rounds.value
 let last_tail_index t = t.last_tail_index

@@ -130,7 +130,11 @@ val create :
     the records are stamped exactly as individual appends at the same
     instant would stamp them — so crash truncation and replay behave
     identically; only the {!wal_syncs} cost model differs.  No effect on
-    unbatched traffic. *)
+    unbatched traffic.
+
+    Every count below is a counter handle the replica owns; [obs]
+    registers them under the [replica.*] and [provision.*] names of
+    docs/PROTOCOL.md §8. *)
 
 val site : t -> int
 val store : t -> Store.t
@@ -144,7 +148,7 @@ val repairs_applied : t -> int
 
 val sheds : t -> int
 (** Client requests answered with [Busy] — watermark sheds plus
-    queue-full overflows.  Mirrored as the [replica.shed] metric. *)
+    queue-full overflows ([replica.shed]). *)
 
 (** {2 Recovery observables} *)
 
@@ -216,7 +220,7 @@ val catchup_rounds : t -> int
 
 val failed_rejoins : t -> int
 (** Times the rejoin machinery gave up and entered failed-rejoin.
-    Mirrored as the [replica.rejoin.failed] metric. *)
+    Registered as [replica.rejoin.failed]. *)
 
 val provision_runs : t -> int
 (** Completed snapshot provisionings (tail applied, back to serving). *)

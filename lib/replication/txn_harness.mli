@@ -69,9 +69,9 @@ type report = {
 val run : ?obs:Obs.t -> scenario -> report
 (** {!run_with} picking each transaction's [keys_per_txn] keys from a
     fresh shuffle of the key space.  With [obs], the harness points its
-    clock at the engine, mirrors the network counters, and traces every
-    transaction ([txn] spans) and the RPC operations underneath
-    ([rpc.read] / [rpc.write]).  The final tallying quorum reads run on an
+    clock at the engine, registers the network and endpoint counters, and
+    traces every transaction ([txn] spans) and the RPC operations
+    underneath ([rpc.read] / [rpc.write]).  The final tallying quorum reads run on an
     uninstrumented endpoint so span accounting covers exactly the
     workload's operations. *)
 

@@ -8,33 +8,6 @@ type crash_hooks = {
   on_recover : unit -> unit;
 }
 
-type counters = {
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped_loss : int;
-  mutable dropped_crash : int;
-  mutable dropped_partition : int;
-  mutable dropped_no_handler : int;
-  mutable dropped_overload : int;
-  mutable coalesced : int;
-}
-
-(* Pre-resolved metric handles: looked up once in [attach_obs] so the send
-   path never hashes a metric name. *)
-type obs_counters = {
-  o_sent : Obs.Metrics.counter;
-  o_delivered : Obs.Metrics.counter;
-  o_drop_loss : Obs.Metrics.counter;
-  o_drop_crash : Obs.Metrics.counter;
-  o_drop_partition : Obs.Metrics.counter;
-  o_drop_no_handler : Obs.Metrics.counter;
-  o_drop_overload : Obs.Metrics.counter;
-  o_coalesced : Obs.Metrics.counter;
-  o_queue_depth : Obs.Metrics.histogram;
-  o_site_sent : Obs.Metrics.counter array;
-  o_site_delivered : Obs.Metrics.counter array;
-}
-
 (* Per-site ingress queue and service model, allocated only for sites that
    opted in through [set_service]/[set_priority]/[set_overflow]; every
    other site keeps the instant-delivery path untouched.  The queue is a
@@ -71,10 +44,20 @@ type 'msg t = {
   mutable mode : crash_mode;
   hooks : crash_hooks option array;
   services : 'msg service option array;
-  counters : counters;
-  delivered_to : int array;
+  (* Counters: handles the network owns and always increments; an attached
+     [Obs.t] registers these same handles ([attach_obs]). *)
+  sent : Obs.Metrics.counter;
+  delivered : Obs.Metrics.counter;
+  dropped_loss : Obs.Metrics.counter;
+  dropped_crash : Obs.Metrics.counter;
+  dropped_partition : Obs.Metrics.counter;
+  dropped_no_handler : Obs.Metrics.counter;
+  dropped_overload : Obs.Metrics.counter;
+  coalesced : Obs.Metrics.counter;
+  site_sent : Obs.Metrics.counter array;
+  site_delivered : Obs.Metrics.counter array;
+  mutable queue_depth : Obs.Metrics.histogram option;
   mutable trace : 'msg tracer option;
-  mutable obs : obs_counters option;
   mutable deferred : Engine.handler;
       (* preallocated arrival handler: (src, dst) packed in the event's
          int slot, the message in its payload slot, so a send schedules
@@ -115,20 +98,18 @@ let create ~engine ~n ?(latency = Latency.Exponential 1.0) ?(loss_rate = 0.0)
     mode = Fail_stop;
     hooks = Array.make n None;
     services = Array.make n None;
-    counters =
-      {
-        sent = 0;
-        delivered = 0;
-        dropped_loss = 0;
-        dropped_crash = 0;
-        dropped_partition = 0;
-        dropped_no_handler = 0;
-        dropped_overload = 0;
-        coalesced = 0;
-      };
-    delivered_to = Array.make n 0;
+    sent = { value = 0 };
+    delivered = { value = 0 };
+    dropped_loss = { value = 0 };
+    dropped_crash = { value = 0 };
+    dropped_partition = { value = 0 };
+    dropped_no_handler = { value = 0 };
+    dropped_overload = { value = 0 };
+    coalesced = { value = 0 };
+    site_sent = Array.init n (fun _ -> { Obs.Metrics.value = 0 });
+    site_delivered = Array.init n (fun _ -> { Obs.Metrics.value = 0 });
+    queue_depth = None;
     trace = None;
-    obs = None;
     deferred = uninit_deferred;
     completion = uninit_deferred;
   }
@@ -141,40 +122,23 @@ let attach_trace t ?(describe = fun _ -> "") sink =
 
 let attach_obs t obs =
   let m = Obs.metrics obs in
-  (* Seed each counter with the struct counter's current value: obs may be
-     attached after traffic already flowed (or after a mid-run
-     [set_loss_rate] produced drops), and the two sources must agree — the
-     struct counters are the source of truth, the obs counters a view. *)
-  let c name seed =
-    let counter = Obs.Metrics.counter m name in
-    let behind = seed - Obs.Metrics.counter_value counter in
-    if behind > 0 then Obs.Metrics.add counter behind;
-    counter
-  in
-  t.obs <-
-    Some
-      {
-        o_sent = c "net.sent" t.counters.sent;
-        o_delivered = c "net.delivered" t.counters.delivered;
-        o_drop_loss = c "net.dropped.loss" t.counters.dropped_loss;
-        o_drop_crash = c "net.dropped.crash" t.counters.dropped_crash;
-        o_drop_partition =
-          c "net.dropped.partition" t.counters.dropped_partition;
-        o_drop_no_handler =
-          c "net.dropped.no_handler" t.counters.dropped_no_handler;
-        o_drop_overload = c "net.dropped.overload" t.counters.dropped_overload;
-        o_coalesced = c "net.coalesced" t.counters.coalesced;
-        o_queue_depth = Obs.Metrics.histogram m "net.queue.depth";
-        o_site_sent =
-          (* no per-site struct counter for sends; seed 0 *)
-          Array.init t.n (fun i -> c (Printf.sprintf "net.site.%d.sent" i) 0);
-        o_site_delivered =
-          Array.init t.n (fun i ->
-              c (Printf.sprintf "net.site.%d.delivered" i) t.delivered_to.(i));
-      }
+  let reg = Obs.Metrics.register m in
+  reg "net.sent" t.sent;
+  reg "net.delivered" t.delivered;
+  reg "net.dropped.loss" t.dropped_loss;
+  reg "net.dropped.crash" t.dropped_crash;
+  reg "net.dropped.partition" t.dropped_partition;
+  reg "net.dropped.no_handler" t.dropped_no_handler;
+  reg "net.dropped.overload" t.dropped_overload;
+  reg "net.coalesced" t.coalesced;
+  (* Per-site names are formatted here, never on an untraced run. *)
+  let sites what = Array.iteri (fun i -> reg (Printf.sprintf "net.site.%d.%s" i what)) in
+  sites "sent" t.site_sent;
+  sites "delivered" t.site_delivered;
+  t.queue_depth <- Some (Obs.Metrics.histogram m "net.queue.depth")
 
-let obs_incr t f =
-  match t.obs with None -> () | Some o -> Obs.Metrics.incr (f o)
+(* Counting is a field store: no call across the -opaque library boundary. *)
+let[@inline] bump (c : Obs.Metrics.counter) = c.value <- c.value + 1
 
 let emit t event =
   match t.trace with
@@ -217,17 +181,11 @@ let deliver t ~src ~dst msg =
   | None ->
     (* A missing handler is a wiring problem, not a crash: count it
        separately so crash statistics stay truthful. *)
-    t.counters.dropped_no_handler <- t.counters.dropped_no_handler + 1;
-    obs_incr t (fun o -> o.o_drop_no_handler);
+    bump t.dropped_no_handler;
     emit t (Trace.Drop { src; dst; reason = "no handler" })
   | Some h ->
-    t.counters.delivered <- t.counters.delivered + 1;
-    t.delivered_to.(dst) <- t.delivered_to.(dst) + 1;
-    (match t.obs with
-    | None -> ()
-    | Some o ->
-      Obs.Metrics.incr o.o_delivered;
-      Obs.Metrics.incr o.o_site_delivered.(dst));
+    bump t.delivered;
+    bump t.site_delivered.(dst);
     emit_deliver t ~src ~dst msg;
     h ~src msg
 
@@ -298,8 +256,7 @@ let enqueue t ~src ~dst s msg =
     match s.priority with None -> false | Some p -> p ~src msg
   in
   if (not priority) && s.capacity > 0 && s.q_len >= s.capacity then begin
-    t.counters.dropped_overload <- t.counters.dropped_overload + 1;
-    obs_incr t (fun o -> o.o_drop_overload);
+    bump t.dropped_overload;
     emit t (Trace.Drop { src; dst; reason = "overload" });
     match s.overflow with None -> () | Some f -> f ~src msg
   end
@@ -307,33 +264,22 @@ let enqueue t ~src ~dst s msg =
     ring_push s ~src msg;
     let depth = s.q_len in
     if depth > s.peak then s.peak <- depth;
-    (match t.obs with
+    (match t.queue_depth with
     | None -> ()
-    | Some o -> Obs.Metrics.observe o.o_queue_depth (float_of_int depth));
+    | Some h -> Obs.Metrics.observe h (float_of_int depth));
     if not s.busy then serve t ~dst s
   end
-
-(* The one place a loss drop is accounted: struct counter, obs counter and
-   trace move together, so the sources cannot diverge no matter when
-   [set_loss_rate] changes the rate (the decision samples [t.loss_rate] at
-   send time; the accounting is rate-independent). *)
-let count_loss_drop t ~src ~dst =
-  t.counters.dropped_loss <- t.counters.dropped_loss + 1;
-  obs_incr t (fun o -> o.o_drop_loss);
-  emit t (Trace.Drop { src; dst; reason = "loss" })
 
 (* Message arrival (the deferred half of [send]): crash/partition checks
    happen at delivery time, so in-flight messages die with their
    destination. *)
 let arrive t ~src ~dst msg =
   if not t.up.(dst) then begin
-    t.counters.dropped_crash <- t.counters.dropped_crash + 1;
-    obs_incr t (fun o -> o.o_drop_crash);
+    bump t.dropped_crash;
     emit t (Trace.Drop { src; dst; reason = "destination down" })
   end
   else if t.group.(src) <> t.group.(dst) then begin
-    t.counters.dropped_partition <- t.counters.dropped_partition + 1;
-    obs_incr t (fun o -> o.o_drop_partition);
+    bump t.dropped_partition;
     emit t (Trace.Drop { src; dst; reason = "partition" })
   end
   else begin
@@ -358,26 +304,16 @@ let init_handlers t =
 let send t ?(units = 1) ~src ~dst msg =
   check_site t src;
   check_site t dst;
-  t.counters.sent <- t.counters.sent + 1;
+  bump t.sent;
+  bump t.site_sent.(src);
   (* A coalesced envelope carries [units] logical operations in one
      message: one send, one service-queue slot, one delivery — that is
      the amortization.  The counter records how many per-op messages the
      coalescing saved. *)
-  if units > 1 then begin
-    t.counters.coalesced <- t.counters.coalesced + (units - 1);
-    match t.obs with
-    | None -> ()
-    | Some o -> Obs.Metrics.add o.o_coalesced (units - 1)
-  end;
-  (match t.obs with
-  | None -> ()
-  | Some o ->
-    Obs.Metrics.incr o.o_sent;
-    Obs.Metrics.incr o.o_site_sent.(src));
+  if units > 1 then t.coalesced.value <- t.coalesced.value + (units - 1);
   emit_send t ~src ~dst msg;
   if not t.up.(src) then begin
-    t.counters.dropped_crash <- t.counters.dropped_crash + 1;
-    obs_incr t (fun o -> o.o_drop_crash);
+    bump t.dropped_crash;
     emit t (Trace.Drop { src; dst; reason = "sender down" })
   end
   else if
@@ -385,7 +321,10 @@ let send t ?(units = 1) ~src ~dst msg =
        uniform draw is not a boxed float *)
     t.loss_rate > 0.0
     && float_of_int (Rng.bits53 t.rng) /. 9007199254740992.0 < t.loss_rate
-  then count_loss_drop t ~src ~dst
+  then begin
+    bump t.dropped_loss;
+    emit t (Trace.Drop { src; dst; reason = "loss" })
+  end
   else begin
     (* The latency draw lands in the engine's delay slot, and
        [schedule_slot] reads it there: no float crosses a module
@@ -480,10 +419,7 @@ let crash t i =
     | Some s ->
       let pending = s.q_len in
       if pending > 0 then begin
-        t.counters.dropped_crash <- t.counters.dropped_crash + pending;
-        (match t.obs with
-        | None -> ()
-        | Some o -> Obs.Metrics.add o.o_drop_crash pending);
+        t.dropped_crash.value <- t.dropped_crash.value + pending;
         ring_clear s
       end;
       s.epoch <- s.epoch + 1;
@@ -534,5 +470,12 @@ let set_loss_rate t rate =
     invalid_arg "Network.set_loss_rate: loss_rate out of [0,1)";
   t.loss_rate <- rate
 
-let counters t = t.counters
-let per_site_delivered t = Array.copy t.delivered_to
+let sent t = t.sent.value
+let delivered t = t.delivered.value
+let dropped_loss t = t.dropped_loss.value
+let dropped_crash t = t.dropped_crash.value
+let dropped_partition t = t.dropped_partition.value
+let dropped_no_handler t = t.dropped_no_handler.value
+let dropped_overload t = t.dropped_overload.value
+let coalesced t = t.coalesced.value
+let per_site_delivered t = Array.map (fun c -> c.Obs.Metrics.value) t.site_delivered

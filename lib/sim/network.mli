@@ -39,16 +39,15 @@ val attach_trace :
     to the empty string). *)
 
 val attach_obs : 'msg t -> Obs.t -> unit
-(** Mirror the counters into [obs]'s metrics registry: [net.sent],
+(** Register the network's counter handles in [obs]'s registry: [net.sent],
     [net.delivered], [net.dropped.loss] / [.crash] / [.partition] /
-    [.no_handler] / [.overload], the [net.queue.depth] histogram, plus
-    per-site [net.site.<i>.sent] and [net.site.<i>.delivered].  Metric
-    handles are resolved once here, so the send path does no name lookups;
-    without this call the send path is untouched.  The obs counters are
-    seeded from the struct counters at attach time, so both sources agree
-    even when obs is attached mid-run — in particular [net.dropped.loss]
-    matches {!counters}[.dropped_loss] across mid-run {!set_loss_rate}
-    changes. *)
+    [.no_handler] / [.overload], [net.coalesced], and per-site
+    [net.site.<i>.sent] / [.delivered]; and start the [net.queue.depth]
+    histogram.  The handles are the network's only counters, so the
+    registry reads every message since {!create}, however late the
+    attach; networks attached to one registry sum under each name.  Attach
+    a network to a registry once.  Per-site names are formatted here, so
+    an unattached network builds none. *)
 
 val set_handler : 'msg t -> site:int -> (src:int -> 'msg -> unit) -> unit
 (** Installs the message handler for a site.  A site without a handler
@@ -64,8 +63,8 @@ val send : 'msg t -> ?units:int -> src:int -> dst:int -> 'msg -> unit
     carries.  A coalesced envelope with [units = k] is still ONE message —
     one send, one loss/latency draw, one service-queue slot at the
     destination — which is exactly the amortization batching buys; the
-    [units - 1] per-op messages it saved are tallied in
-    [counters.coalesced] (metric [net.coalesced]).  Passing [units = 1]
+    [units - 1] per-op messages it saved are tallied in {!coalesced}
+    (metric [net.coalesced]).  Passing [units = 1]
     is byte-identical to omitting it. *)
 
 val broadcast : 'msg t -> src:int -> dst:int list -> 'msg -> unit
@@ -77,7 +76,7 @@ val broadcast : 'msg t -> src:int -> dst:int list -> 'msg -> unit
     into a single-server bounded FIFO ingress queue: each arrival waits
     for the messages ahead of it, each costs [service_time] simulated
     time to process, and arrivals beyond [capacity] are dropped at the
-    door (counted in [dropped_overload], traced as reason ["overload"]).
+    door (counted in {!dropped_overload}, traced as reason ["overload"]).
     This is what makes overload {e possible} in the simulation: without a
     service cost, no burst can outrun a replica.
 
@@ -166,23 +165,26 @@ val reachable : 'msg t -> int -> int -> bool
 
 (** {2 Metrics} *)
 
-type counters = {
-  mutable sent : int;
-  mutable delivered : int;
-  mutable dropped_loss : int;
-  mutable dropped_crash : int;
-  mutable dropped_partition : int;
-  mutable dropped_no_handler : int;
-      (** delivered to an up, reachable site that never installed a
-          handler — a wiring bug, counted apart from crash drops *)
-  mutable dropped_overload : int;
-      (** turned away by a full ingress queue ({!set_service}) — load
-          shedding, not loss, so it gets its own bucket *)
-  mutable coalesced : int;
-      (** per-op messages saved by multi-op envelopes: the sum over all
-          sends of [units - 1] (see {!send}) *)
-}
+(** Every message since {!create}: the values of the handles
+    {!attach_obs} registers. *)
 
-val counters : 'msg t -> counters
+val sent : 'msg t -> int
+val delivered : 'msg t -> int
+val dropped_loss : 'msg t -> int
+val dropped_crash : 'msg t -> int
+val dropped_partition : 'msg t -> int
+
+val dropped_no_handler : 'msg t -> int
+(** Delivered to an up, reachable site that never installed a handler — a
+    wiring bug, counted apart from crash drops. *)
+
+val dropped_overload : 'msg t -> int
+(** Turned away by a full ingress queue ({!set_service}) — load shedding,
+    not loss, so it gets its own bucket. *)
+
+val coalesced : 'msg t -> int
+(** Per-op messages saved by multi-op envelopes: the sum over all sends of
+    [units - 1] (see {!send}). *)
+
 val per_site_delivered : 'msg t -> int array
 (** Messages delivered {e to} each site — the measured per-replica load. *)

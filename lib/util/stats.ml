@@ -83,14 +83,23 @@ let ci95 t =
    exactly the order the former list representation produced
    ([rev_append a.samples b.samples] over newest-first lists), so merged
    Welford state is unchanged. *)
+let add_newest_first t b =
+  for i = b.n - 1 downto 0 do
+    add t (Float.Array.get b.samples i)
+  done
+
 let merge a b =
   let t = create () in
   for i = 0 to a.n - 1 do
     add t (Float.Array.get a.samples i)
   done;
-  for i = b.n - 1 downto 0 do
-    add t (Float.Array.get b.samples i)
-  done;
+  add_newest_first t b;
+  t
+
+(* [merge (merge (create ()) a) b ...] without the intermediate copies. *)
+let merge_all ts =
+  let t = create () in
+  List.iter (add_newest_first t) ts;
   t
 
 let mean_of xs =

@@ -33,5 +33,10 @@ val ci95 : t -> float
 
 val merge : t -> t -> t
 
+val merge_all : t list -> t
+(** [merge_all [a; b; c]] equals [merge (merge (merge (create ()) a) b) c],
+    samples and float state alike, in one pass: the fold copies every
+    earlier sample again at each step. *)
+
 val mean_of : float list -> float
 val stddev_of : float list -> float

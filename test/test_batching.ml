@@ -48,10 +48,9 @@ let test_write_batch_then_read_batch () =
         Alcotest.(check string) "batched read returns the write" v value
       | None -> Alcotest.fail "batched read failed")
     writes !read;
-  let m = Coordinator.metrics coord in
-  Alcotest.(check int) "per-key read accounting" 4 m.Coordinator.reads_ok;
-  Alcotest.(check int) "per-key write accounting" 4 m.Coordinator.writes_ok;
-  Alcotest.(check int) "two multi-key batches" 2 m.Coordinator.batches
+  Alcotest.(check int) "per-key read accounting" 4 (Coordinator.reads_ok coord);
+  Alcotest.(check int) "per-key write accounting" 4 (Coordinator.writes_ok coord);
+  Alcotest.(check int) "two multi-key batches" 2 (Coordinator.batches coord)
 
 let test_duplicate_key_last_writer_wins () =
   let engine, _, coord, _ = setup () in
@@ -91,9 +90,8 @@ let test_batch_failure_reports_every_key () =
   List.iter
     (fun (_, r) -> Alcotest.(check bool) "read key failed" true (r = None))
     !read;
-  let m = Coordinator.metrics coord in
-  Alcotest.(check int) "per-key failure accounting" 3 m.Coordinator.reads_failed;
-  Alcotest.(check int) "per-key write failures" 2 m.Coordinator.writes_failed
+  Alcotest.(check int) "per-key failure accounting" 3 (Coordinator.reads_failed coord);
+  Alcotest.(check int) "per-key write failures" 2 (Coordinator.writes_failed coord)
 
 let test_singleton_and_empty_batches_delegate () =
   let engine, _, coord, _ = setup () in
@@ -106,10 +104,9 @@ let test_singleton_and_empty_batches_delegate () =
   (match !single with
   | [ (7, Some _) ] -> ()
   | _ -> Alcotest.fail "singleton write did not delegate cleanly");
-  let m = Coordinator.metrics coord in
   Alcotest.(check int) "singleton is not counted as a batch" 0
-    m.Coordinator.batches;
-  Alcotest.(check int) "but is a plain write" 1 m.Coordinator.writes_ok
+    (Coordinator.batches coord);
+  Alcotest.(check int) "but is a plain write" 1 (Coordinator.writes_ok coord)
 
 (* --- harness-level determinism and throughput --------------------------- *)
 

@@ -66,7 +66,7 @@ let test_op_succeeds_after_partition_heals () =
   Engine.run engine;
   Alcotest.(check bool) "read eventually succeeds" true (!result <> None);
   Alcotest.(check bool) "retries were needed" true
-    ((Coordinator.metrics coord).Coordinator.retries >= 1)
+    (Coordinator.retries coord >= 1)
 
 let test_latency_stats_recorded () =
   let engine, _, _, coord, _ = build () in
@@ -74,11 +74,10 @@ let test_latency_stats_recorded () =
     Coordinator.write coord ~key:i ~value:"x" (fun _ -> ())
   done;
   Engine.run engine;
-  let m = Coordinator.metrics coord in
-  Alcotest.(check int) "five writes measured" 5 (Stats.count m.Coordinator.write_latency);
+  Alcotest.(check int) "five writes measured" 5 (Stats.count (Coordinator.write_latency coord));
   Alcotest.(check bool) "positive latency" true
-    (Stats.mean m.Coordinator.write_latency > 0.0);
-  Alcotest.(check int) "no read latencies" 0 (Stats.count m.Coordinator.read_latency)
+    (Stats.mean (Coordinator.write_latency coord) > 0.0);
+  Alcotest.(check int) "no read latencies" 0 (Stats.count (Coordinator.read_latency coord))
 
 let test_concurrent_ops_different_keys () =
   let engine, _, _, coord, _ = build () in
@@ -140,9 +139,8 @@ let test_reissue_storm_cannot_refill_budget () =
     (Detect.Budget.granted budget);
   Alcotest.(check bool) "bucket drained for good" true
     (Detect.Budget.tokens budget < 1.0);
-  let m = Coordinator.metrics coord in
   Alcotest.(check bool) "suppression is sustained" true
-    (m.Coordinator.retries_suppressed >= 17);
+    (Coordinator.retries_suppressed coord >= 17);
   (* A second wave meets the same wall: no grants, only suppression. *)
   let suppressed_before = Detect.Budget.suppressed budget in
   for i = 0 to 9 do

@@ -15,9 +15,8 @@ let test_delivery () =
   Network.send net ~src:0 ~dst:1 "hello";
   Engine.run engine;
   Alcotest.(check bool) "delivered" true (!received = [ (0, "hello") ]);
-  let c = Network.counters net in
-  Alcotest.(check int) "sent" 1 c.Network.sent;
-  Alcotest.(check int) "delivered count" 1 c.Network.delivered
+  Alcotest.(check int) "sent" 1 (Network.sent net);
+  Alcotest.(check int) "delivered count" 1 (Network.delivered net)
 
 let test_latency_applied () =
   let engine, net = make ~latency:(Latency.Constant 7.0) () in
@@ -35,7 +34,7 @@ let test_crash_drops () =
   Network.send net ~src:0 ~dst:1 ();
   Engine.run engine;
   Alcotest.(check int) "nothing delivered" 0 !got;
-  Alcotest.(check int) "dropped_crash" 1 (Network.counters net).Network.dropped_crash;
+  Alcotest.(check int) "dropped_crash" 1 (Network.dropped_crash net);
   (* Recovery restores delivery. *)
   Network.recover net 1;
   Network.send net ~src:0 ~dst:1 ();
@@ -76,7 +75,7 @@ let test_partition () =
   Alcotest.(check int) "same side delivered" 1 got.(1);
   Alcotest.(check int) "cross partition dropped" 0 got.(2);
   Alcotest.(check int) "dropped_partition" 1
-    (Network.counters net).Network.dropped_partition;
+    (Network.dropped_partition net);
   Network.heal net;
   Network.send net ~src:0 ~dst:2 ();
   Engine.run engine;
@@ -292,16 +291,14 @@ let test_no_handler_counter () =
   let engine, net = make () in
   Network.send net ~src:0 ~dst:1 ();
   Engine.run engine;
-  let c = Network.counters net in
-  Alcotest.(check int) "no_handler" 1 c.Network.dropped_no_handler;
-  Alcotest.(check int) "not a crash" 0 c.Network.dropped_crash;
+  Alcotest.(check int) "no_handler" 1 (Network.dropped_no_handler net);
+  Alcotest.(check int) "not a crash" 0 (Network.dropped_crash net);
   (* A genuinely crashed destination still books as a crash drop. *)
   Network.crash net 2;
   Network.send net ~src:0 ~dst:2 ();
   Engine.run engine;
-  let c = Network.counters net in
-  Alcotest.(check int) "crash unchanged by wiring bugs" 1 c.Network.dropped_crash;
-  Alcotest.(check int) "no_handler stays" 1 c.Network.dropped_no_handler
+  Alcotest.(check int) "crash unchanged by wiring bugs" 1 (Network.dropped_crash net);
+  Alcotest.(check int) "no_handler stays" 1 (Network.dropped_no_handler net)
 
 let test_obs_mirrors_counters () =
   let engine, net = make () in
@@ -323,11 +320,57 @@ let test_obs_mirrors_counters () =
   Alcotest.(check int) "per-site delivered" 1
     (Obs.Metrics.counter_of m "net.site.1.delivered")
 
+(* A late attach misses nothing: per-site names read the whole run. *)
+let test_late_attach_counts_every_send () =
+  let engine, net = make () in
+  Network.set_handler net ~site:1 (fun ~src:_ _ -> ());
+  let send k =
+    for _ = 1 to k do
+      Network.send net ~src:0 ~dst:1 ()
+    done;
+    Engine.run engine
+  in
+  send 50;
+  let obs = Obs.create () in
+  Network.attach_obs net obs;
+  send 10;
+  let m = Obs.metrics obs in
+  Alcotest.(check int) "net.site.0.sent" 60 (Obs.Metrics.counter_of m "net.site.0.sent");
+  Alcotest.(check int) "net.site.1.delivered" 60
+    (Obs.Metrics.counter_of m "net.site.1.delivered");
+  Alcotest.(check int) "net.sent" 60 (Obs.Metrics.counter_of m "net.sent")
+
+(* Networks attached to one registry sum under each name. *)
+let test_attached_networks_sum () =
+  let engine = Engine.create ~seed:5 () in
+  let net () =
+    let net = Network.create ~engine ~n:4 () in
+    Network.set_handler net ~site:1 (fun ~src:_ _ -> ());
+    net
+  in
+  let a = net () and b = net () in
+  for _ = 1 to 7 do
+    Network.send a ~src:0 ~dst:1 ()
+  done;
+  for _ = 1 to 3 do
+    Network.send b ~src:2 ~dst:1 ()
+  done;
+  Engine.run engine;
+  let obs = Obs.create () in
+  Network.attach_obs a obs;
+  Network.attach_obs b obs;
+  let m = Obs.metrics obs in
+  Alcotest.(check int) "net.sent" 10 (Obs.Metrics.counter_of m "net.sent");
+  Alcotest.(check int) "net.delivered" 10 (Obs.Metrics.counter_of m "net.delivered");
+  Alcotest.(check int) "net.site.1.delivered" 10
+    (Obs.Metrics.counter_of m "net.site.1.delivered");
+  Alcotest.(check int) "net.site.2.sent" 3 (Obs.Metrics.counter_of m "net.site.2.sent")
+
 let test_loss_rate_midrun_counter_consistency () =
   (* The rate starts at zero, rises mid-run, and obs is only attached
-     after drops already happened: the obs counter must be seeded from the
-     struct counter so the two sources agree (the PR-9 end-of-run healing
-     path flips the rate back to zero the same way). *)
+     after drops already happened: the registry reads the network's own
+     counter, so the two agree (end-of-run healing flips the rate back to
+     zero the same way). *)
   let engine, net = make ~latency:(Latency.Constant 1.0) () in
   Network.set_handler net ~site:1 (fun ~src:_ _ -> ());
   for _ = 1 to 50 do
@@ -335,18 +378,18 @@ let test_loss_rate_midrun_counter_consistency () =
   done;
   Engine.run engine;
   Alcotest.(check int) "no drops at rate 0" 0
-    (Network.counters net).Network.dropped_loss;
+    (Network.dropped_loss net);
   Network.set_loss_rate net 0.9;
   for _ = 1 to 200 do
     Network.send net ~src:0 ~dst:1 ()
   done;
   Engine.run engine;
-  let before_attach = (Network.counters net).Network.dropped_loss in
+  let before_attach = Network.dropped_loss net in
   Alcotest.(check bool) "raised rate drops" true (before_attach > 0);
   let obs = Obs.create () in
   Network.attach_obs net obs;
   let m = Obs.metrics obs in
-  Alcotest.(check int) "obs seeded from struct counter" before_attach
+  Alcotest.(check int) "registry counts drops before the attach" before_attach
     (Obs.Metrics.counter_of m "net.dropped.loss");
   (* back to lossless (end-of-run healing): both sources freeze together *)
   Network.set_loss_rate net 0.0;
@@ -354,12 +397,11 @@ let test_loss_rate_midrun_counter_consistency () =
     Network.send net ~src:0 ~dst:1 ()
   done;
   Engine.run engine;
-  let c = Network.counters net in
   Alcotest.(check int) "no further drops after reset" before_attach
-    c.Network.dropped_loss;
-  Alcotest.(check int) "sources agree at the end" c.Network.dropped_loss
+    (Network.dropped_loss net);
+  Alcotest.(check int) "sources agree at the end" (Network.dropped_loss net)
     (Obs.Metrics.counter_of m "net.dropped.loss");
-  Alcotest.(check int) "delivered seed agrees too" c.Network.delivered
+  Alcotest.(check int) "delivered seed agrees too" (Network.delivered net)
     (Obs.Metrics.counter_of m "net.delivered")
 
 (* -- Overload model ------------------------------------------------------ *)
@@ -393,10 +435,9 @@ let test_overload_drop_counter () =
   done;
   Engine.run engine;
   Alcotest.(check int) "peak tracks bound" 2 (Network.queue_peak net 1);
-  let c = Network.counters net in
   Alcotest.(check int) "two delivered" 2 !got;
-  Alcotest.(check int) "dropped.overload" 4 c.Network.dropped_overload;
-  Alcotest.(check int) "not conflated with loss" 0 c.Network.dropped_loss;
+  Alcotest.(check int) "dropped.overload" 4 (Network.dropped_overload net);
+  Alcotest.(check int) "not conflated with loss" 0 (Network.dropped_loss net);
   Alcotest.(check int) "drained" 0 (Network.queue_depth net 1)
 
 let test_overflow_callback_and_priority () =
@@ -421,7 +462,7 @@ let test_overflow_callback_and_priority () =
     [ (2, "b"); (3, "c") ]
     (List.rev !overflowed);
   Alcotest.(check int) "counted" 2
-    (Network.counters net).Network.dropped_overload
+    (Network.dropped_overload net)
 
 let test_crash_clears_service_queue () =
   let engine, net = make ~latency:(Latency.Constant 0.0) () in
@@ -436,7 +477,7 @@ let test_crash_clears_service_queue () =
   Engine.run engine;
   Alcotest.(check int) "only the head was served" 1 !got;
   Alcotest.(check int) "queued messages die with the crash" 3
-    (Network.counters net).Network.dropped_crash;
+    (Network.dropped_crash net);
   Alcotest.(check int) "queue empty" 0 (Network.queue_depth net 1);
   (* Recovery serves fresh traffic; no stale completion fires. *)
   Network.recover net 1;
@@ -494,6 +535,10 @@ let suite =
     Alcotest.test_case "no-handler drop counter" `Quick test_no_handler_counter;
     Alcotest.test_case "obs mirrors net counters" `Quick
       test_obs_mirrors_counters;
+    Alcotest.test_case "late attach counts every send" `Quick
+      test_late_attach_counts_every_send;
+    Alcotest.test_case "networks on one registry sum" `Quick
+      test_attached_networks_sum;
     Alcotest.test_case "mid-run set_loss_rate keeps counter sources agreeing"
       `Quick test_loss_rate_midrun_counter_consistency;
     Alcotest.test_case "service time serializes delivery" `Quick

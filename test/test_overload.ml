@@ -101,7 +101,7 @@ let rpc_messages_with_deadline deadline =
   | `Done None -> ()
   | `Done (Some _) -> Alcotest.fail "query cannot succeed without replicas"
   | `Pending -> Alcotest.fail "query never resolved");
-  (Network.counters net).Network.sent
+  Network.sent net
 
 let test_rpc_deadline_boundary () =
   (* Retry would start at 10 + 5 = op start + deadline exactly: the >=
@@ -198,9 +198,8 @@ let test_coordinator_busy_counts_and_retries () =
       Coordinator.read coord ~key:0 (fun r -> result := `Done r));
   Engine.run engine;
   Alcotest.(check bool) "operation resolved" true (!result <> `Pending);
-  let m = Coordinator.metrics coord in
   Alcotest.(check bool) "coordinator saw Busy nacks" true
-    (m.Coordinator.busy_received > 0)
+    (Coordinator.busy_received coord > 0)
 
 (* -- Harness overload scenario ------------------------------------------- *)
 

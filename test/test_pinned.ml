@@ -47,11 +47,10 @@ let service_trace latency =
   Engine.schedule engine ~delay:3.2 (fun () -> Network.recover net 0);
   Engine.schedule engine ~delay:3.5 (fun () -> burst 100);
   Engine.run engine;
-  let c = Network.counters net in
   Printf.bprintf b "sent=%d;del=%d;crash=%d;over=%d;peak=%d;end=%h"
-    c.Network.sent c.Network.delivered c.Network.dropped_crash
-    c.Network.dropped_overload (Network.queue_peak net 0) (Engine.now engine);
-  (!depth_at_crash, c.Network.dropped_overload, Buffer.contents b)
+    (Network.sent net) (Network.delivered net) (Network.dropped_crash net)
+    (Network.dropped_overload net) (Network.queue_peak net 0) (Engine.now engine);
+  (!depth_at_crash, Network.dropped_overload net, Buffer.contents b)
 
 let check_service_trace name latency fp =
   let depth, overflowed, log = service_trace latency in

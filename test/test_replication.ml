@@ -147,11 +147,10 @@ let test_metrics_counted () =
   ignore (do_write ctx 1 "a");
   ignore (do_read ctx 1);
   (match do_read ctx 9 with _ -> ());
-  let m = Coordinator.metrics ctx.coord in
-  Alcotest.(check int) "writes ok" 1 m.Coordinator.writes_ok;
-  Alcotest.(check int) "reads ok" 2 m.Coordinator.reads_ok;
+  Alcotest.(check int) "writes ok" 1 (Coordinator.writes_ok ctx.coord);
+  Alcotest.(check int) "reads ok" 2 (Coordinator.reads_ok ctx.coord);
   Alcotest.(check int) "no failures" 0
-    (m.Coordinator.reads_failed + m.Coordinator.writes_failed)
+    (Coordinator.reads_failed ctx.coord + Coordinator.writes_failed ctx.coord)
 
 let test_replica_counters () =
   let ctx = setup () in
@@ -278,9 +277,8 @@ let test_read_repair_heals_stale_replica () =
     (not (Timestamp.equal healed_ts Timestamp.zero));
   Alcotest.(check bool) "replica counted the repair" true
     (Replica.repairs_applied ctx.replicas.(7) = 1);
-  let m = Coordinator.metrics ctx.coord in
   Alcotest.(check bool) "coordinator counted the repair" true
-    (m.Coordinator.repairs_sent >= 1)
+    (Coordinator.repairs_sent ctx.coord >= 1)
 
 let test_read_repair_off_by_default () =
   let ctx = setup () in
@@ -291,7 +289,7 @@ let test_read_repair_off_by_default () =
   ignore (do_read ctx 1);
   Engine.run ctx.engine;
   Alcotest.(check int) "no repairs sent" 0
-    (Coordinator.metrics ctx.coord).Coordinator.repairs_sent
+    (Coordinator.repairs_sent ctx.coord)
 
 let test_timeout_based_failure_detector () =
   (* oracle_view = false: the coordinator discovers crashes by timeouts and
@@ -306,9 +304,8 @@ let test_timeout_based_failure_detector () =
   (match do_write ctx 1 "detected" with
   | Some _ -> ()
   | None -> Alcotest.fail "write must succeed after suspicion");
-  let m = Coordinator.metrics ctx.coord in
   Alcotest.(check bool) "at least one retry happened" true
-    (m.Coordinator.retries >= 1);
+    (Coordinator.retries ctx.coord >= 1);
   match do_read ctx 1 with
   | Some { Coordinator.value; _ } -> Alcotest.(check string) "value" "detected" value
   | None -> Alcotest.fail "read must succeed"

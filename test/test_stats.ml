@@ -77,6 +77,30 @@ let test_merge () =
   Alcotest.(check int) "merged count" 4 (Stats.count m);
   Alcotest.(check bool) "merged mean" true (feq (Stats.mean m) 2.5)
 
+(* One pass equals the pairwise fold, float state included: merged
+   latencies in reports and fingerprints stay bit-identical. *)
+let test_merge_all_equals_fold () =
+  let rng = Dsutil.Rng.create 9 in
+  let parts =
+    List.init 5 (fun k ->
+        let s = Stats.create () in
+        for _ = 1 to 3 * k do
+          Stats.add s (Dsutil.Rng.float rng 10.0)
+        done;
+        s)
+  in
+  let fold = List.fold_left Stats.merge (Stats.create ()) parts in
+  let all = Stats.merge_all parts in
+  Alcotest.(check int) "count" (Stats.count fold) (Stats.count all);
+  Alcotest.(check bool) "mean bit-identical" true (Stats.mean fold = Stats.mean all);
+  Alcotest.(check bool) "variance bit-identical" true
+    (Stats.variance fold = Stats.variance all);
+  List.iter
+    (fun q ->
+      Alcotest.(check bool) "percentile" true
+        (Stats.percentile fold q = Stats.percentile all q))
+    [ 0.0; 0.5; 0.99; 1.0 ]
+
 let test_ci95_shrinks () =
   let wide = Stats.create () and narrow = Stats.create () in
   let rng = Dsutil.Rng.create 41 in
@@ -99,5 +123,7 @@ let suite =
       test_percentile_after_add;
     Alcotest.test_case "welford matches naive" `Quick test_welford_matches_naive;
     Alcotest.test_case "merge" `Quick test_merge;
+    Alcotest.test_case "merge_all equals the merge fold" `Quick
+      test_merge_all_equals_fold;
     Alcotest.test_case "ci95 shrinks with samples" `Quick test_ci95_shrinks;
   ]
