@@ -21,20 +21,6 @@
 let overload_path = "BENCH_overload.json"
 let churn_path = "BENCH_churn.json"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let overload_cell_json (c : Eval.Overload.cell) =
   let r = c.Eval.Overload.report in
   Printf.sprintf
@@ -43,7 +29,7 @@ let overload_cell_json (c : Eval.Overload.cell) =
     (Eval.Overload.mode_to_string c.Eval.Overload.mode)
     c.Eval.Overload.pre_goodput c.Eval.Overload.post_goodput
     c.Eval.Overload.recovery
-    (r.Replication.Harness.reads_ok + r.Replication.Harness.writes_ok)
+    (Replication.Harness.completed r)
     r.Replication.Harness.replica_sheds r.Replication.Harness.overload_drops
     r.Replication.Harness.retries_suppressed
     r.Replication.Harness.breaker_trips r.Replication.Harness.queue_peak
@@ -55,28 +41,13 @@ let run_overload () =
   print_string (Eval.Overload.table campaign);
   let verdict = Eval.Overload.gate campaign in
   let json =
-    Printf.sprintf
-      "{\"schema\":\"bench-overload/1\",\"cells\":[%s],\"gate\":{\"pass\":%b,\"failures\":[%s]}}"
+    Printf.sprintf "{\"schema\":\"bench-overload/1\",\"cells\":[%s],\"gate\":%s}"
       (String.concat ","
          (List.map overload_cell_json campaign.Eval.Overload.cells))
-      verdict.Eval.Overload.pass
-      (String.concat ","
-         (List.map
-            (fun f -> Printf.sprintf "\"%s\"" (json_escape f))
-            verdict.Eval.Overload.failures))
+      (Artifact.verdict_json verdict)
   in
-  let oc = open_out overload_path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n" overload_path;
-  if not verdict.Eval.Overload.pass then begin
-    List.iter
-      (fun f -> Printf.eprintf "overload gate: %s\n" f)
-      verdict.Eval.Overload.failures;
-    prerr_endline "FAIL: overload gate";
-    exit 1
-  end;
+  print_newline ();
+  Artifact.publish ~name:"overload" ~path:overload_path ~keys:[] verdict json;
   Printf.printf "overload gate OK\n"
 
 let churn_cell_json (c : Eval.Churn.cell) =
@@ -86,7 +57,7 @@ let churn_cell_json (c : Eval.Churn.cell) =
     "{\"config\":\"%s\",\"n\":%d,\"scenario\":\"%s\",\"reads_ok\":%d,\"writes_ok\":%d,\"promotions_done\":%d,\"decommissions_done\":%d,\"provision_runs\":%d,\"provision_chunks\":%d,\"provision_resumes\":%d,\"provision_donor_failovers\":%d,\"failed_rejoins\":%d,\"violations\":%d}"
     (Arbitrary.Config.name_to_string c.Eval.Churn.c_config)
     c.Eval.Churn.c_n
-    (json_escape c.Eval.Churn.c_kind)
+    (Artifact.json_escape c.Eval.Churn.c_kind)
     a.Replication.Harness.reads_ok a.Replication.Harness.writes_ok
     r.Replication.Churn_harness.promotions_done
     r.Replication.Churn_harness.decommissions_done
@@ -121,47 +92,30 @@ let run_churn () =
     Eval.Churn.violations fenced + Eval.Churn.violations sharded
   in
   let negative_violations = Eval.Churn.violations negative in
-  let failures = ref [] in
-  if fenced_violations > 0 then
-    failures :=
-      Printf.sprintf "%d violations in the fenced campaign (expected 0)"
-        fenced_violations
-      :: !failures;
-  if negative_violations = 0 then
-    failures :=
-      "negative control leaked nothing — the churn oracle is not catching \
-       stale reads"
-      :: !failures;
-  if not (rj.Eval.Churn.rj_catchup_serving && rj.Eval.Churn.rj_provision_serving)
-  then failures := "a cold rejoin failed to reach serving" :: !failures;
-  if rj.Eval.Churn.rj_speedup < 5.0 then
-    failures :=
-      Printf.sprintf "cold-rejoin speedup %.1fx below the 5x gate"
-        rj.Eval.Churn.rj_speedup
-      :: !failures;
-  let failures = List.rev !failures in
-  let pass = failures = [] in
+  let g = Eval.Gate.create () in
+  let check cond = Eval.Gate.check g cond in
+  check (fenced_violations = 0) "%d violations in the fenced campaign (expected 0)"
+    fenced_violations;
+  check (negative_violations > 0)
+    "negative control leaked nothing — the churn oracle is not catching \
+     stale reads";
+  check
+    (rj.Eval.Churn.rj_catchup_serving && rj.Eval.Churn.rj_provision_serving)
+    "a cold rejoin failed to reach serving";
+  check (rj.Eval.Churn.rj_speedup >= 5.0) "cold-rejoin speedup %.1fx below the 5x gate"
+    rj.Eval.Churn.rj_speedup;
+  let verdict = Eval.Gate.verdict g in
   let json =
     Printf.sprintf
-      "{\"schema\":\"bench-churn/1\",\"cells\":[%s],\"cold_rejoin\":{\"keys\":%d,\"catchup_rounds\":%d,\"provision_rounds\":%d,\"speedup\":%.4f},\"negative_violations\":%d,\"gate\":{\"pass\":%b,\"failures\":[%s]}}"
+      "{\"schema\":\"bench-churn/1\",\"cells\":[%s],\"cold_rejoin\":{\"keys\":%d,\"catchup_rounds\":%d,\"provision_rounds\":%d,\"speedup\":%.4f},\"negative_violations\":%d,\"gate\":%s}"
       (String.concat ","
          (List.map churn_cell_json (fenced @ sharded @ negative)))
       rj.Eval.Churn.rj_keys rj.Eval.Churn.rj_catchup_rounds
       rj.Eval.Churn.rj_provision_rounds rj.Eval.Churn.rj_speedup
-      negative_violations pass
-      (String.concat ","
-         (List.map (fun f -> Printf.sprintf "\"%s\"" (json_escape f)) failures))
+      negative_violations
+      (Artifact.verdict_json verdict)
   in
-  let oc = open_out churn_path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "wrote %s\n" churn_path;
-  if not pass then begin
-    List.iter (fun f -> Printf.eprintf "churn gate: %s\n" f) failures;
-    prerr_endline "FAIL: churn gate";
-    exit 1
-  end;
+  Artifact.publish ~name:"churn" ~path:churn_path ~keys:[] verdict json;
   Printf.printf "churn gate OK\n"
 
 let () =
@@ -204,27 +158,18 @@ let () =
   let negative_violations = Eval.Chaos.amnesia_violations negative in
   Printf.printf "\nnegative-control violations: %d (must be >= 1)\n"
     negative_violations;
-  if campaign.Eval.Chaos.safety_violations > 0 then begin
-    prerr_endline "FAIL: safety violated under chaos";
-    exit 1
-  end;
-  if gap > 0.10 then begin
-    prerr_endline
-      "FAIL: heartbeat detection degrades availability by more than 10 \
-       points on crash-only schedules";
-    exit 1
-  end;
-  if amnesia_violations > 0 then begin
-    prerr_endline
-      "FAIL: consistency violated under amnesia crashes despite durable \
-       WAL and quorum catch-up";
-    exit 1
-  end;
-  if negative_violations = 0 then begin
-    prerr_endline
-      "FAIL: negative control detected no violations — the consistency \
-       checker is not catching lost writes";
-    exit 1
-  end;
+  let g = Eval.Gate.create () in
+  let check cond = Eval.Gate.check g cond in
+  check (campaign.Eval.Chaos.safety_violations = 0) "safety violated under chaos";
+  check (gap <= 0.10)
+    "heartbeat detection degrades availability by more than 10 points on \
+     crash-only schedules";
+  check (amnesia_violations = 0)
+    "consistency violated under amnesia crashes despite durable WAL and \
+     quorum catch-up";
+  check (negative_violations > 0)
+    "negative control detected no violations — the consistency checker is \
+     not catching lost writes";
+  Artifact.enforce ~name:"chaos" (Eval.Gate.verdict g);
   run_overload ();
   print_endline "chaos campaign OK"

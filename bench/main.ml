@@ -158,26 +158,6 @@ let planner_section () =
 
 let baseline_path = "BENCH_baseline.json"
 
-(* Cheap structural check of the payload we just wrote: schema marker,
-   every configuration present, object closed.  Catches truncated or
-   garbled writes without a JSON parser. *)
-let baseline_json_valid json =
-  let contains needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec at i = i + nl <= jl && (String.sub json i nl = needle || at (i + 1)) in
-    at 0
-  in
-  String.length json > 2
-  && String.sub json 0 1 = "{"
-  && json.[String.length json - 1] = '}'
-  && contains "\"schema\":\"bench-baseline/1\""
-  && contains "\"max_load_error\""
-  && contains "\"spans\""
-  && List.for_all
-       (fun (name, _, _) ->
-         contains (Printf.sprintf "\"config\":\"%s\"" (Arbitrary.Config.name_to_string name)))
-       Eval.Baseline.default_cases
-
 let baseline_section () =
   hr "B0 | Baseline: instrumented workloads vs Equation 3.2";
   let seed = Eval.Baseline.default_seed and n = Eval.Baseline.default_n in
@@ -188,20 +168,20 @@ let baseline_section () =
   Printf.printf "\nmax per-site load deviation vs closed form: %.1f%% (gate: 10%%)\n"
     (100.0 *. err);
   Printf.printf "span accounting: %d leaked (gate: 0)\n" leaks;
-  let json = Eval.Baseline.to_json ~seed ~n rows in
-  let oc = open_out baseline_path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  let valid = baseline_json_valid json in
-  Printf.printf "wrote %s (%d bytes, structural check %s)\n" baseline_path
-    (String.length json + 1)
-    (if valid then "OK" else "FAILED");
-  let ok = err <= 0.10 && leaks = 0 && valid in
-  if not ok then begin
-    print_endline "BASELINE GATE FAILED";
-    exit 1
-  end
+  let g = Eval.Gate.create () in
+  Eval.Gate.check g (err <= 0.10) "per-site load %.1f%% off the closed form"
+    (100.0 *. err);
+  Eval.Gate.check g (leaks = 0) "%d spans leaked" leaks;
+  Artifact.publish ~name:"baseline" ~path:baseline_path
+    ~keys:
+      ("\"schema\":\"bench-baseline/1\"" :: "\"max_load_error\"" :: "\"spans\""
+      :: List.map
+           (fun (name, _, _) ->
+             Printf.sprintf "\"config\":\"%s\""
+               (Arbitrary.Config.name_to_string name))
+           Eval.Baseline.default_cases)
+    (Eval.Gate.verdict g)
+    (Eval.Baseline.to_json ~seed ~n rows)
 
 (* --- hot-path benchmark (BENCH_hotpath.json) ----------------------------- *)
 
@@ -279,22 +259,6 @@ let quorum_hotpath () =
       n iters (json rd) (json wr) (json rd_d) (json wr_d),
     fst rd >= snd rd && fst wr >= snd wr )
 
-(* The §4 workload scenario every hot-path probe runs: single client,
-   2000 ops, seed 42.  [read_fraction] picks the op mix. *)
-let hotpath_scenario ~read_fraction name =
-  let n = Eval.Config_metrics.feasible_n name 33 in
-  let proto = Eval.Config_metrics.protocol_of name ~n in
-  let s = Replication.Harness.default_scenario ~proto in
-  ( {
-      s with
-      Replication.Harness.n_clients = 1;
-      ops_per_client = 2000;
-      read_fraction;
-      think_time = 0.1;
-      seed = 42;
-    },
-    n )
-
 (* End-to-end simulated operations per wall-clock second for each §4
    workload configuration (mixed 50/50, single client).  The seed column
    was recorded by this same probe at the pre-flattening head (commit
@@ -308,11 +272,17 @@ let e2e_seed_ops_s =
     (Arbitrary.Config.Arbitrary, 87317.0);
   ]
 
+(* Client operations a run attempted, successful or not. *)
+let attempted r =
+  Replication.Harness.(r.reads_ok + r.reads_failed + r.writes_ok + r.writes_failed)
+
 let e2e_hotpath () =
   let cases =
     List.map
       (fun (name, seed_rate) ->
-        let scenario, n = hotpath_scenario ~read_fraction:0.5 name in
+        let n, scenario =
+          Eval.Batching.scenario ~name ~n:33 ~ops:2000 ~seed:42
+        in
         (* Steady state: one warm-up run (lazy plan/table initialization,
            allocator ramp-up), then best of three timed runs — wall clock
            on a shared box is noisy and a single cold shot under-reads by
@@ -323,10 +293,7 @@ let e2e_hotpath () =
         let ops = ref 0 in
         for _ = 1 to 3 do
           let r, dt = wall (fun () -> Replication.Harness.run scenario) in
-          ops :=
-            r.Replication.Harness.reads_ok + r.Replication.Harness.reads_failed
-            + r.Replication.Harness.writes_ok
-            + r.Replication.Harness.writes_failed;
+          ops := attempted r;
           if dt > 0.0 then rate := Float.max !rate (float_of_int !ops /. dt)
         done;
         let rate = !rate and ops = !ops in
@@ -363,7 +330,8 @@ let alloc_seed_w_op =
 
 let alloc_hotpath () =
   let words_per_op ~read_fraction name =
-    let scenario, _ = hotpath_scenario ~read_fraction name in
+    let _, s = Eval.Batching.scenario ~name ~n:33 ~ops:2000 ~seed:42 in
+    let scenario = { s with read_fraction } in
     ignore (Replication.Harness.run scenario);
     let w0 = Gc.minor_words () in
     let r = Replication.Harness.run scenario in
@@ -412,12 +380,9 @@ let batch_hotpath () =
         in
         let r_u, dt_u = wall (fun () -> Replication.Harness.run plain) in
         let r_b, dt_b = wall (fun () -> Replication.Harness.run batched) in
-        let count r =
-          r.Replication.Harness.reads_ok + r.Replication.Harness.reads_failed
-          + r.Replication.Harness.writes_ok
-          + r.Replication.Harness.writes_failed
+        let rate r dt =
+          if dt <= 0.0 then 0.0 else float_of_int (attempted r) /. dt
         in
-        let rate r dt = if dt <= 0.0 then 0.0 else float_of_int (count r) /. dt in
         let ru = rate r_u dt_u and rb = rate r_b dt_b in
         let speedup = if ru <= 0.0 then 0.0 else rb /. ru in
         let violations =
@@ -460,8 +425,8 @@ let batch_hotpath () =
     (if identical then "byte-identical" else "DIVERGED");
   ( Printf.sprintf
       "{\"batch_size\":%d,\"pipeline\":%d,\"group_commit\":%b,\"cases\":[%s],\"best_speedup\":%.3f,\"batch1_identical\":%b}"
-      knobs.Eval.Batching.batch_size knobs.Eval.Batching.pipeline
-      knobs.Eval.Batching.group_commit
+      knobs.Replication.Harness.batch_size knobs.Replication.Harness.pipeline
+      knobs.Replication.Harness.group_commit
       (String.concat "," (List.map fst results))
       best identical,
     best >= 5.0 && violations = 0 && identical )
@@ -498,10 +463,7 @@ let campaign_hotpath () =
 (* Zipfian shard-imbalance probe: one S=16 cell at θ=0.99, the compact
    form of the skew report the shard campaign (--shard) expands on. *)
 let shard_hotpath () =
-  let name = Arbitrary.Config.Arbitrary in
-  let n = Eval.Config_metrics.feasible_n name 9 in
-  let proto = Eval.Config_metrics.protocol_of name ~n in
-  let s = Replication.Harness.default_scenario ~proto in
+  let _, s = Eval.Config_metrics.scenario Arbitrary.Config.Arbitrary ~n:9 in
   let base =
     {
       s with
@@ -530,23 +492,6 @@ let shard_hotpath () =
       imb_max imb_mean ratio violations,
     violations = 0 )
 
-let hotpath_json_valid json =
-  let contains needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec at i = i + nl <= jl && (String.sub json i nl = needle || at (i + 1)) in
-    at 0
-  in
-  String.length json > 2
-  && String.sub json 0 1 = "{"
-  && json.[String.length json - 1] = '}'
-  && contains "\"schema\":\"bench-hotpath/3\""
-  && contains "\"quorum\""
-  && contains "\"e2e\""
-  && contains "\"alloc\""
-  && contains "\"batch\""
-  && contains "\"campaign\""
-  && contains "\"shard\""
-
 let hotpath_section () =
   hr "B1 | Hot paths: plan cache, simulator throughput, multicore campaign";
   let quorum_json, cache_floor_ok = quorum_hotpath () in
@@ -561,14 +506,6 @@ let hotpath_section () =
       (Domain.recommended_domain_count ())
       quorum_json e2e_json alloc_json batch_json campaign_json shard_json
   in
-  let oc = open_out hotpath_path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  let valid = hotpath_json_valid json in
-  Printf.printf "wrote %s (%d bytes, structural check %s)\n" hotpath_path
-    (String.length json + 1)
-    (if valid then "OK" else "FAILED");
   (* Gated claims: the cached path must not be slower than the reference
      it replaced; minor-heap words/op must be at least halved vs the
      recorded seed numbers ([Gc.minor_words] is deterministic, so this
@@ -578,57 +515,40 @@ let hotpath_section () =
      must deliver its relative speedup without safety violations;
      parallel output must match sequential output; the skew probe must
      stay violation-free; and the payload must be well-formed. *)
-  if
-    not
-      (valid && cache_floor_ok && e2e_ok && alloc_ok && batch_ok && identical
-     && shard_ok)
-  then begin
-    print_endline "HOTPATH GATE FAILED";
-    exit 1
-  end
+  let g = Eval.Gate.create () in
+  let check cond = Eval.Gate.check g cond in
+  check cache_floor_ok "cached quorum assembly slower than the reference";
+  check e2e_ok "e2e throughput below 1.3x the seed rate on every configuration";
+  check alloc_ok "minor words/op not halved vs the seed on some configuration";
+  check batch_ok
+    "batching: below 5x, a safety violation, or the batch-1 control diverged";
+  check identical "parallel campaign output diverged";
+  check shard_ok "skew probe violated safety";
+  Artifact.publish ~name:"hotpath" ~path:hotpath_path
+    ~keys:
+      [
+        "\"schema\":\"bench-hotpath/3\""; "\"quorum\""; "\"e2e\""; "\"alloc\"";
+        "\"batch\""; "\"campaign\""; "\"shard\"";
+      ]
+    (Eval.Gate.verdict g) json
 
 (* --- shard-scaling benchmark (BENCH_shard.json) -------------------------- *)
 
 let shard_path = "BENCH_shard.json"
-
-let shard_json_valid json =
-  let contains needle =
-    let nl = String.length needle and jl = String.length json in
-    let rec at i = i + nl <= jl && (String.sub json i nl = needle || at (i + 1)) in
-    at 0
-  in
-  String.length json > 2
-  && String.sub json 0 1 = "{"
-  && json.[String.length json - 1] = '}'
-  && contains "\"schema\":\"bench-shard/1\""
-  && contains "\"scaling\""
-  && contains "\"speedup_s16\""
-  && contains "\"skew\""
-  && contains "\"identity\""
-  && contains "\"atomicity\""
-  && contains "\"reconfig\""
-  && contains "\"pass\""
 
 let shard_section () =
   hr "S1 | Shard scaling: multi-tree control plane over one engine";
   let campaign, w = wall (fun () -> Eval.Sharding.run ()) in
   print_string (Eval.Sharding.table campaign);
   Printf.printf "\ncampaign wall-clock %.2fs\n" w;
-  let json = Eval.Sharding.json campaign in
-  let oc = open_out shard_path in
-  output_string oc json;
-  output_char oc '\n';
-  close_out oc;
-  let valid = shard_json_valid json in
-  Printf.printf "wrote %s (%d bytes, structural check %s)\n" shard_path
-    (String.length json + 1)
-    (if valid then "OK" else "FAILED");
-  let v = Eval.Sharding.gate campaign in
-  List.iter (Printf.printf "  GATE: %s\n") v.Eval.Sharding.failures;
-  if not (valid && v.Eval.Sharding.pass) then begin
-    print_endline "SHARD GATE FAILED";
-    exit 1
-  end
+  Artifact.publish ~name:"shard" ~path:shard_path
+    ~keys:
+      [
+        "\"schema\":\"bench-shard/1\""; "\"scaling\""; "\"speedup_s16\"";
+        "\"skew\""; "\"identity\""; "\"atomicity\""; "\"reconfig\""; "\"pass\"";
+      ]
+    (Eval.Sharding.gate campaign)
+    (Eval.Sharding.json campaign)
 
 (* --- bechamel micro-benchmarks ------------------------------------------ *)
 

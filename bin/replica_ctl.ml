@@ -14,24 +14,32 @@ open Cmdliner
 
 (* --- shared arguments ---------------------------------------------------- *)
 
-let config_conv =
+(* A case-insensitive choice among named values; an unknown name is
+   reported with the list of choices.  A value prints as its name, found
+   by physical equality, so the values need not be comparable (chaos
+   schedules hold closures). *)
+let choice_conv ~what choices =
   let parse s =
-    match String.lowercase_ascii s with
-    | "binary" -> Ok Arbitrary.Config.Binary
-    | "unmodified" -> Ok Arbitrary.Config.Unmodified
-    | "arbitrary" -> Ok Arbitrary.Config.Arbitrary
-    | "hqc" -> Ok Arbitrary.Config.Hqc
-    | "mostly-read" -> Ok Arbitrary.Config.Mostly_read
-    | "mostly-write" -> Ok Arbitrary.Config.Mostly_write
-    | _ ->
+    match List.assoc_opt (String.lowercase_ascii s) choices with
+    | Some v -> Ok v
+    | None ->
       Error
         (`Msg
-          (Printf.sprintf
-             "unknown configuration %S (binary|unmodified|arbitrary|hqc|mostly-read|mostly-write)"
-             s))
+          (Printf.sprintf "unknown %s %S (%s)" what s
+             (String.concat "|" (List.map fst choices))))
   in
-  let print ppf c = Format.pp_print_string ppf (Arbitrary.Config.name_to_string c) in
+  let print ppf v =
+    Format.pp_print_string ppf (fst (List.find (fun (_, v') -> v' == v) choices))
+  in
   Arg.conv (parse, print)
+
+let config_conv =
+  choice_conv ~what:"configuration"
+    Arbitrary.Config.
+      [
+        ("binary", Binary); ("unmodified", Unmodified); ("arbitrary", Arbitrary);
+        ("hqc", Hqc); ("mostly-read", Mostly_read); ("mostly-write", Mostly_write);
+      ]
 
 let spec_arg =
   Arg.(
@@ -87,15 +95,10 @@ let shards_arg =
            (multi-tree control plane).")
 
 let shard_strategy_conv =
-  let parse s =
-    match Arbitrary.Shard_map.strategy_of_string (String.lowercase_ascii s) with
-    | Some st -> Ok st
-    | None -> Error (`Msg (Printf.sprintf "unknown strategy %S (hash|range)" s))
-  in
-  let print ppf st =
-    Format.pp_print_string ppf (Arbitrary.Shard_map.strategy_to_string st)
-  in
-  Arg.conv (parse, print)
+  choice_conv ~what:"strategy"
+    (List.map
+       (fun st -> (Arbitrary.Shard_map.strategy_to_string st, st))
+       [ Arbitrary.Shard_map.Hash; Arbitrary.Shard_map.Range ])
 
 let shard_strategy_arg =
   Arg.(
@@ -103,6 +106,16 @@ let shard_strategy_arg =
     & opt shard_strategy_conv Arbitrary.Shard_map.Hash
     & info [ "shard-strategy" ] ~docv:"STRATEGY"
         ~doc:"Key partitioning: $(b,hash) (default) or $(b,range).")
+
+(* Runs [base] over [shards] tree instances, shard i under [failures i]. *)
+let run_shards ?obs ~shards ~strategy ~failures base =
+  Replication.Shard_harness.run ?obs
+    {
+      (Replication.Harness.one_tree base) with
+      shards;
+      strategy;
+      shard_failures = List.init shards (fun i -> (i, failures i));
+    }
 
 (* The sharding trailer printed by simulate/chaos when S > 1: routing and
    balance, so skew is visible from the CLI. *)
@@ -479,8 +492,7 @@ let simulate_cmd =
     in
     let name = Option.value config ~default:Arbitrary.Config.Arbitrary in
     or_fail @@ fun () ->
-    let proto = Eval.Config_metrics.protocol_of name ~n in
-    let n_replicas = Quorum.Protocol.universe_size proto in
+    let n_replicas, s = Eval.Config_metrics.scenario name ~n in
     (* Per-shard failure schedules draw from seed+1+shard, so shard 0 of a
        sharded run churns exactly like the unsharded run (seed+1) — the
        S=1 byte-identity carries through --mtbf. *)
@@ -492,16 +504,9 @@ let simulate_cmd =
           ~rng:(Dsutil.Rng.create (seed + 1 + shard))
           ~n:n_replicas ~horizon:10_000.0 ~mtbf ~mttr
     in
-    let s = Replication.Harness.default_scenario ~proto in
     let batching =
       if batch < 1 then None
-      else
-        Some
-          {
-            Replication.Harness.batch_size = batch;
-            group_commit;
-            pipeline = max 1 pipeline;
-          }
+      else Some { Replication.Harness.batch_size = batch; group_commit; pipeline }
     in
     let base =
       {
@@ -517,13 +522,7 @@ let simulate_cmd =
     in
     let obs, obs_finish = obs_setup ~metrics_json ~spans_jsonl in
     let sharded =
-      Replication.Shard_harness.run ?obs
-        {
-          (Replication.Harness.one_tree base) with
-          shards;
-          strategy;
-          shard_failures = List.init shards (fun i -> (i, failures_for i));
-        }
+      run_shards ?obs ~shards ~strategy ~failures:failures_for base
     in
     let report = sharded.Replication.Harness.agg in
     Format.printf "%s over %d replicas:@.%a@."
@@ -531,7 +530,7 @@ let simulate_cmd =
       n_replicas Replication.Harness.pp_report report;
     if batch >= 1 then
       Format.printf "batching: batch=%d pipeline=%d batches=%d coalesced=%d wal syncs=%d@."
-        batch (max 1 pipeline) report.Replication.Harness.batches
+        batch pipeline report.Replication.Harness.batches
         report.Replication.Harness.coalesced_ops
         report.Replication.Harness.wal_syncs;
     if shards > 1 then
@@ -558,22 +557,8 @@ let chaos_cmd =
     ]
   in
   let schedule_conv =
-    let parse s =
-      match
-        List.find_opt
-          (fun sc -> sc.Eval.Chaos.label = String.lowercase_ascii s)
-          all_schedules
-      with
-      | Some sc -> Ok sc
-      | None ->
-        Error
-          (`Msg
-            (Printf.sprintf
-               "unknown schedule %S (crashes|partitions|loss|combined|blackout)"
-               s))
-    in
-    let print ppf sc = Format.pp_print_string ppf sc.Eval.Chaos.label in
-    Arg.conv (parse, print)
+    choice_conv ~what:"schedule"
+      (List.map (fun sc -> (sc.Eval.Chaos.label, sc)) all_schedules)
   in
   let schedule_arg =
     Arg.(
@@ -585,20 +570,8 @@ let chaos_cmd =
              $(b,combined) or $(b,blackout) (all replicas down at once).")
   in
   let crash_mode_conv =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "failstop" -> Ok Dsim.Network.Fail_stop
-      | "amnesia" -> Ok Dsim.Network.Amnesia
-      | _ ->
-        Error (`Msg (Printf.sprintf "unknown crash mode %S (failstop|amnesia)" s))
-    in
-    let print ppf m =
-      Format.pp_print_string ppf
-        (match m with
-        | Dsim.Network.Fail_stop -> "failstop"
-        | Dsim.Network.Amnesia -> "amnesia")
-    in
-    Arg.conv (parse, print)
+    choice_conv ~what:"crash mode"
+      [ ("failstop", Dsim.Network.Fail_stop); ("amnesia", Dsim.Network.Amnesia) ]
   in
   let crash_mode_arg =
     Arg.(
@@ -611,19 +584,8 @@ let chaos_cmd =
              recover via WAL replay and quorum catch-up).")
   in
   let wal_conv =
-    let parse s =
-      match String.lowercase_ascii s with
-      | "commit" -> Ok `Commit
-      | "prepare" -> Ok `Prepare
-      | "async" -> Ok `Async
-      | _ ->
-        Error (`Msg (Printf.sprintf "unknown WAL policy %S (commit|prepare|async)" s))
-    in
-    let print ppf p =
-      Format.pp_print_string ppf
-        (match p with `Commit -> "commit" | `Prepare -> "prepare" | `Async -> "async")
-    in
-    Arg.conv (parse, print)
+    choice_conv ~what:"WAL policy"
+      [ ("commit", `Commit); ("prepare", `Prepare); ("async", `Async) ]
   in
   let wal_arg =
     Arg.(
@@ -660,8 +622,9 @@ let chaos_cmd =
       no_catch_up check_consistency shards strategy =
     or_fail @@ fun () ->
     let name = Option.value config ~default:Arbitrary.Config.Arbitrary in
-    let n = Eval.Config_metrics.feasible_n name n in
-    let proto = Eval.Config_metrics.protocol_of name ~n in
+    let n, s =
+      Eval.Chaos.make_scenario name ~n ~clients ~ops ~seed ~horizon schedule
+    in
     (* Shard s draws its schedule from seed+s: shard 0 of a sharded run
        fails exactly like the unsharded run. *)
     let entries_for shard =
@@ -675,35 +638,17 @@ let chaos_cmd =
       | `Async -> Replication.Wal.Async wal_lag
     in
     let catch_up = not no_catch_up in
-    let s = Replication.Harness.default_scenario ~proto in
     let base =
       {
         s with
-        Replication.Harness.n_clients = clients;
-        ops_per_client = ops;
-        read_fraction = 0.5;
-        key_space = 8;
-        think_time = 3.0;
-        loss_rate = schedule.Eval.Chaos.loss_rate;
-        seed;
-        coordinator = Eval.Chaos.chaos_coordinator;
-        horizon;
-        warmup = 1.0;
+        Replication.Harness.failures = [];
         crash_mode;
         wal = wal_policy;
         catch_up;
         check_consistency;
       }
     in
-    let sharded =
-      Replication.Shard_harness.run
-        {
-          (Replication.Harness.one_tree base) with
-          shards;
-          strategy;
-          shard_failures = List.init shards (fun i -> (i, entries_for i));
-        }
-    in
+    let sharded = run_shards ~shards ~strategy ~failures:entries_for base in
     let report = sharded.Replication.Harness.agg in
     Format.printf "%s over %d replicas: schedule=%s crash-mode=%a wal=%a \
                    catch-up=%s@."
@@ -808,8 +753,7 @@ let overload_cmd =
       shed_watermark retry_budget breaker burst_clients burst_ops max_retries =
     or_fail @@ fun () ->
     let name = Option.value config ~default:Arbitrary.Config.Arbitrary in
-    let n = Eval.Config_metrics.feasible_n name n in
-    let proto = Eval.Config_metrics.protocol_of name ~n in
+    let n, s = Eval.Config_metrics.scenario name ~n in
     let burst_at = horizon /. 4.0 in
     let overload =
       {
@@ -834,7 +778,6 @@ let overload_cmd =
                });
       }
     in
-    let s = Replication.Harness.default_scenario ~proto in
     let report =
       Replication.Harness.run
         {
@@ -867,13 +810,8 @@ let overload_cmd =
       (if breaker then "on" else "off")
       burst_clients;
     Format.printf "%a@." Replication.Harness.pp_report report;
-    let goodput (t0, t1) =
-      let hits =
-        Array.fold_left
-          (fun acc t -> if t >= t0 && t < t1 then acc + 1 else acc)
-          0 report.Replication.Harness.completions
-      in
-      float_of_int hits /. (t1 -. t0)
+    let goodput window =
+      Eval.Overload.goodput report.Replication.Harness.completions ~window
     in
     let pre = goodput (horizon *. 0.05, burst_at)
     and post = goodput (horizon *. 0.65, horizon *. 0.95) in
@@ -905,38 +843,14 @@ let overload_cmd =
 
 (* --- membership: provision / promote / decommission ----------------------- *)
 
-(* Shared driver: a Churn_harness run over config × n with a failure and
-   membership script, printing the provisioning / membership counters and
-   failing the process on any freshness violation. *)
-let run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size ~fence
-    ~failures ~membership =
-  let n = Eval.Config_metrics.feasible_n name n in
-  let proto = Eval.Config_metrics.protocol_of name ~n in
-  let s = Replication.Churn_harness.default_scenario ~proto in
-  let scenario =
-    {
-      s with
-      Replication.Churn_harness.base =
-        {
-          s.Replication.Churn_harness.base with
-          Replication.Harness.n_clients = clients;
-          ops_per_client = ops;
-          failures = failures ~n;
-          seed;
-          coordinator = Eval.Chaos.chaos_coordinator;
-          horizon;
-        };
-      spares = 2;
-      membership = membership ~n;
-      chunk_size;
-      fence_provisioning = fence;
-    }
-  in
-  (n, Replication.Churn_harness.run scenario)
-
-let print_churn_report ~name ~n ~fence (r : Replication.Churn_harness.report) =
+(* Shared driver: runs the campaign's churn cell ({!Eval.Churn.make_scenario})
+   with this command's chunk size and fencing, prints the provisioning /
+   membership counters and fails the process on any freshness
+   violation. *)
+let run_churn ~name ~chunk_size ~fence (n, s) =
   let module Ch = Replication.Churn_harness in
   let module H = Replication.Harness in
+  let r = Ch.run { s with Ch.chunk_size; fence_provisioning = fence } in
   let a = r.Ch.agg in
   Format.printf "%s over %d replicas (+2 spares): fence=%s@."
     (Arbitrary.Config.name_to_string name)
@@ -998,30 +912,11 @@ let provision_cmd =
     (* The rejoiner is the last occupant; its first donor pick is the
        lowest live occupant (site 0) — whom --crash-donor kills. *)
     let failures ~n =
-      [
-        { Dsim.Failure.time = 60.0; event = Dsim.Failure.Crash (n - 1) };
-        { Dsim.Failure.time = 100.0; event = Dsim.Failure.Recover (n - 1) };
-      ]
-      @ (if crash_donor then
-           [
-             { Dsim.Failure.time = 103.0; event = Dsim.Failure.Crash 0 };
-             { Dsim.Failure.time = 220.0; event = Dsim.Failure.Recover 0 };
-           ]
-         else [])
-      @
-      if crash_recipient then
-        [
-          { Dsim.Failure.time = 104.0; event = Dsim.Failure.Crash (n - 1) };
-          { Dsim.Failure.time = 160.0; event = Dsim.Failure.Recover (n - 1) };
-        ]
-      else []
+      Eval.Churn.rejoin_failures ~n ~crash_donor ~crash_recipient
     in
-    let n, report =
-      run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size
-        ~fence:(not no_fence) ~failures
-        ~membership:(fun ~n:_ -> [])
-    in
-    print_churn_report ~name ~n ~fence:(not no_fence) report
+    Eval.Churn.make_scenario name ~n ~clients ~ops ~seed ~horizon ~failures
+      ~membership:(fun ~n:_ -> [])
+    |> run_churn ~name ~chunk_size ~fence:(not no_fence)
   in
   Cmd.v
     (Cmd.info "provision"
@@ -1070,11 +965,9 @@ let promote_cmd =
         invalid_arg "promote: --position out of range";
       [ { Replication.Churn_harness.at; position; spare = n; fence = false } ]
     in
-    let n, report =
-      run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size
-        ~fence:true ~failures ~membership
-    in
-    print_churn_report ~name ~n ~fence:true report
+    Eval.Churn.make_scenario name ~n ~clients ~ops ~seed ~horizon ~failures
+      ~membership
+    |> run_churn ~name ~chunk_size ~fence:true
   in
   Cmd.v
     (Cmd.info "promote"
@@ -1097,11 +990,9 @@ let decommission_cmd =
         invalid_arg "decommission: --position out of range";
       [ { Replication.Churn_harness.at; position; spare = n; fence = true } ]
     in
-    let n, report =
-      run_churn_cell ~name ~n ~clients ~ops ~seed ~horizon ~chunk_size
-        ~fence:true ~failures:(fun ~n:_ -> []) ~membership
-    in
-    print_churn_report ~name ~n ~fence:true report
+    Eval.Churn.make_scenario name ~n ~clients ~ops ~seed ~horizon
+      ~failures:(fun ~n:_ -> []) ~membership
+    |> run_churn ~name ~chunk_size ~fence:true
   in
   Cmd.v
     (Cmd.info "decommission"

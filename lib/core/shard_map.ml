@@ -2,11 +2,6 @@ type strategy = Hash | Range
 
 let strategy_to_string = function Hash -> "hash" | Range -> "range"
 
-let strategy_of_string = function
-  | "hash" -> Some Hash
-  | "range" -> Some Range
-  | _ -> None
-
 type t = {
   strategy : strategy;
   key_space : int;

@@ -20,9 +20,6 @@ type strategy =
 
 val strategy_to_string : strategy -> string
 
-val strategy_of_string : string -> strategy option
-(** ["hash"] / ["range"]. *)
-
 type t
 
 val create : strategy:strategy -> shards:int -> key_space:int -> seed:int -> unit -> t

@@ -36,20 +36,6 @@ let default_cases =
     (Config.Arbitrary, 8_000, 8_000);
   ]
 
-let scenario_for proto ~read_fraction ~ops ~seed =
-  let s = Harness.default_scenario ~proto in
-  {
-    s with
-    Harness.n_clients = 1;
-    ops_per_client = ops;
-    read_fraction;
-    think_time = 0.1;
-    seed;
-    (* Long runs: the default 100k horizon would truncate mid-workload
-       and leave spans open. *)
-    horizon = 10_000_000.0;
-  }
-
 let pct stats q =
   if Stats.count stats = 0 then 0.0 else Stats.percentile stats q
 
@@ -87,47 +73,43 @@ let with_span_clock obs =
   last_end
 
 let measure ?(seed = default_seed) ?(n = default_n) name ~reads ~writes =
-  let n = Config_metrics.feasible_n name n in
+  let run s =
+    let obs = Obs.create () in
+    let last_end = with_span_clock obs in
+    (* Long runs: the default 100k horizon would truncate mid-workload
+       and leave spans open. *)
+    let r = Harness.run ~obs { s with Harness.horizon = 10_000_000.0 } in
+    (r, obs, !last_end)
+  in
+  let n, (r, obs_r, end_r), (w, obs_w, end_w) =
+    Simulate.read_write_runs ~run name ~n ~reads ~writes ~seed
+  in
   let metrics = Config_metrics.compute name ~n ~p:Figures.default_p in
-  let proto = Config_metrics.protocol_of name ~n in
-  let obs_r = Obs.create () in
-  let end_r = with_span_clock obs_r in
-  let r =
-    Harness.run ~obs:obs_r
-      (scenario_for proto ~read_fraction:1.0 ~ops:reads ~seed)
-  in
-  let obs_w = Obs.create () in
-  let end_w = with_span_clock obs_w in
-  let w =
-    Harness.run ~obs:obs_w
-      (scenario_for proto ~read_fraction:0.0 ~ops:writes ~seed:(seed + 1))
-  in
   {
     case_name = Config.name_to_string name;
     n;
     reads =
       side_of ~ops:reads ~ok:r.Harness.reads_ok ~failed:r.Harness.reads_failed
-        ~duration:!end_r ~stats:r.Harness.read_latency
+        ~duration:end_r ~stats:r.Harness.read_latency
         ~measured_load:(Harness.measured_read_load r)
         ~analytic_load:metrics.Config_metrics.rd_load ~obs:obs_r
         ~retries:r.Harness.retries;
     writes =
       side_of ~ops:writes ~ok:w.Harness.writes_ok
-        ~failed:w.Harness.writes_failed ~duration:!end_w
+        ~failed:w.Harness.writes_failed ~duration:end_w
         ~stats:w.Harness.write_latency
         ~measured_load:(Harness.measured_write_load w)
         ~analytic_load:metrics.Config_metrics.wr_load ~obs:obs_w
         ~retries:w.Harness.retries;
   }
 
-let measure_all ?(seed = default_seed) ?(n = default_n)
-    ?(cases = default_cases) ?domains () =
+let measure_all ?(seed = default_seed) ?(n = default_n) ?domains () =
   (* Each case builds its own protocol, engine and observability handle,
      so the four §4 configurations can run on separate domains; results
      come back in case order regardless of scheduling. *)
   Parallel.map ?domains
     (fun (name, reads, writes) -> measure ~seed ~n name ~reads ~writes)
-    cases
+    default_cases
 
 let load_error side =
   if side.analytic_load = 0.0 then 0.0

@@ -1,8 +1,8 @@
 (** First benchmark baseline: instrumented end-to-end runs of the §4
     workload configurations, checked against the closed forms.
 
-    Each case runs the {!Replication.Harness} twice — a read-only and a
-    write-only pass, mirroring {!Simulate.measure} so the measured
+    Each case is a {!Simulate.read_write_runs} pair — a read-only and a
+    write-only pass, as in {!Simulate.measure}, so the measured
     per-site load is the empirical counterpart of the paper's system load
     L (Equation 3.2) — with an {!Obs} handle attached.  The op counts are
     calibrated per configuration so the max-over-sites load estimator
@@ -43,14 +43,8 @@ val default_cases : (Arbitrary.Config.name * int * int) list
 val measure :
   ?seed:int -> ?n:int -> Arbitrary.Config.name -> reads:int -> writes:int -> row
 
-val measure_all :
-  ?seed:int ->
-  ?n:int ->
-  ?cases:(Arbitrary.Config.name * int * int) list ->
-  ?domains:int ->
-  unit ->
-  row list
-(** Measures every case, fanning cases across [domains] cores
+val measure_all : ?seed:int -> ?n:int -> ?domains:int -> unit -> row list
+(** Measures every {!default_cases} entry, fanning cases across [domains] cores
     ({!Parallel}); rows come back in case order, so the report is
     byte-identical for any domain count. *)
 

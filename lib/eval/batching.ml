@@ -1,35 +1,24 @@
 module Harness = Replication.Harness
 module Stats = Dsutil.Stats
 
-type knobs = { batch_size : int; group_commit : bool; pipeline : int }
+let default_knobs = { Harness.batch_size = 32; group_commit = true; pipeline = 8 }
+let identity_knobs = { Harness.batch_size = 1; group_commit = true; pipeline = 1 }
 
-let default_knobs = { batch_size = 32; group_commit = true; pipeline = 8 }
-let identity_knobs = { batch_size = 1; group_commit = true; pipeline = 1 }
-
-let to_batching k =
-  {
-    Harness.batch_size = k.batch_size;
-    group_commit = k.group_commit;
-    pipeline = k.pipeline;
-  }
-
-let scenario ?batching ~name ~n ~ops ~seed () =
-  let n = Config_metrics.feasible_n name n in
-  let proto = Config_metrics.protocol_of name ~n in
-  let s = Harness.default_scenario ~proto in
-  {
-    s with
-    Harness.n_clients = 1;
-    ops_per_client = ops;
-    read_fraction = 0.5;
-    think_time = 0.1;
-    seed;
-    batching;
-  }
+let scenario ~name ~n ~ops ~seed =
+  let n, s = Config_metrics.scenario name ~n in
+  ( n,
+    {
+      s with
+      Harness.n_clients = 1;
+      ops_per_client = ops;
+      read_fraction = 0.5;
+      think_time = 0.1;
+      seed;
+    } )
 
 let pair ?(knobs = default_knobs) ~name ~n ~ops ~seed () =
-  ( scenario ~name ~n ~ops ~seed (),
-    scenario ~batching:(to_batching knobs) ~name ~n ~ops ~seed () )
+  let _, s = scenario ~name ~n ~ops ~seed in
+  (s, { s with Harness.batching = Some knobs })
 
 (* Floats are rendered with %h (exact hexadecimal representation), so the
    digest distinguishes runs that differ in the last ulp. *)

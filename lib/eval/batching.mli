@@ -5,38 +5,28 @@
     and fingerprints reports so byte-identity claims (batch size 1 ==
     unbatched; same seed == same run) are one string comparison. *)
 
-type knobs = {
-  batch_size : int;
-  group_commit : bool;
-  pipeline : int;
-}
-(** Mirror of {!Replication.Harness.batching} so callers can talk about
-    batch shapes without opening the harness. *)
-
-val default_knobs : knobs
+val default_knobs : Replication.Harness.batching
 (** The shape the benchmark gate runs: batch 32, group commit on,
     pipeline 8. *)
 
-val identity_knobs : knobs
+val identity_knobs : Replication.Harness.batching
 (** The determinism control: batch 1, pipeline 1 — must reproduce the
     unbatched run byte-for-byte. *)
 
-val to_batching : knobs -> Replication.Harness.batching
-
 val scenario :
-  ?batching:Replication.Harness.batching ->
   name:Arbitrary.Config.name ->
   n:int ->
   ops:int ->
   seed:int ->
-  unit ->
-  Replication.Harness.scenario
-(** The benchmark workload on a §4 configuration: one client, [ops]
-    operations, 50/50 read mix, short think time.  [n] is adjusted with
-    {!Config_metrics.feasible_n}. *)
+  int * Replication.Harness.scenario
+(** The §4 single-client workload on a configuration: one client, [ops]
+    operations, 50/50 read mix, short think time, unbatched.  Returns
+    [Config_metrics.feasible_n name n] with it.  Every single-client
+    probe (the simulated-vs-analytic ablation, the baseline, the hot-path
+    benchmarks) runs this cell with its own fields updated. *)
 
 val pair :
-  ?knobs:knobs ->
+  ?knobs:Replication.Harness.batching ->
   name:Arbitrary.Config.name ->
   n:int ->
   ops:int ->

@@ -134,9 +134,26 @@ let rate ok failed =
   let total = ok + failed in
   if total = 0 then 1.0 else float_of_int ok /. float_of_int total
 
+let make_scenario name ~n ~clients ~ops ~seed ~horizon sched =
+  let n, s = Config_metrics.scenario name ~n in
+  ( n,
+    {
+      s with
+      Harness.n_clients = clients;
+      ops_per_client = ops;
+      read_fraction = 0.5;
+      key_space = 8;
+      think_time = 3.0;
+      loss_rate = sched.loss_rate;
+      failures = sched.entries ~rng:(Rng.create seed) ~n ~horizon;
+      seed;
+      coordinator = chaos_coordinator;
+      horizon;
+      warmup = 1.0;
+    } )
+
 let run ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42) ?(horizon = 3000.0)
-    ?(configs = default_configs) ?(schedules = default_schedules)
-    ?(detectors = [ Oracle; Heartbeat ]) ?domains () =
+    ?(configs = default_configs) ?(schedules = default_schedules) ?domains () =
   (* Flatten the config × schedule × detector sweep into self-contained
      cell specs so the domain pool can fan them out; submission order is
      the sequential iteration order, so [Parallel.map] returns cells in
@@ -148,42 +165,29 @@ let run ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42) ?(horizon = 3000.0)
            List.concat
              (List.mapi
                 (fun si sched ->
-                  List.map (fun detector -> (ci, name, si, sched, detector)) detectors)
+                  List.map
+                    (fun detector -> (ci, name, si, sched, detector))
+                    [ Oracle; Heartbeat ])
                 schedules))
          configs)
   in
   let run_cell (ci, name, si, sched, detector) =
-    let n = Config_metrics.feasible_n name n in
-    (* Per-cell protocol instance: cells may run on different domains. *)
-    let proto = Config_metrics.protocol_of name ~n in
     (* One failure trace and one workload seed per (config, schedule):
-       detector modes face identical adversity.  [entries] is a pure
-       function of the seeded rng, so recomputing it per detector cell
-       yields the same trace the shared computation used to. *)
-    let cell_seed = seed + (1000 * ci) + (100 * si) in
-    let entries = sched.entries ~rng:(Rng.create cell_seed) ~n ~horizon in
-    let s = Harness.default_scenario ~proto in
-    let scenario =
-      {
-        s with
-        Harness.n_clients = clients;
-        ops_per_client = ops;
-        read_fraction = 0.5;
-        key_space = 8;
-        think_time = 3.0;
-        loss_rate = sched.loss_rate;
-        failures = entries;
-        seed = cell_seed;
-        coordinator = chaos_coordinator;
-        detector =
-          (match detector with
-          | Oracle -> Harness.Oracle
-          | Heartbeat -> Harness.Heartbeat chaos_heartbeat);
-        horizon;
-        warmup = 1.0;
-      }
+       detector modes face identical adversity. *)
+    let n, s =
+      make_scenario name ~n ~clients ~ops ~seed:(seed + (1000 * ci) + (100 * si))
+        ~horizon sched
     in
-    let report = Harness.run scenario in
+    let report =
+      Harness.run
+        {
+          s with
+          Harness.detector =
+            (match detector with
+            | Oracle -> Harness.Oracle
+            | Heartbeat -> Harness.Heartbeat chaos_heartbeat);
+        }
+    in
     {
       config = name;
       schedule = sched.label;
@@ -220,27 +224,14 @@ let run_amnesia ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42)
     ?(wal = Replication.Wal.Sync_on_commit) ?(catch_up = true)
     ?(schedule = crashes_schedule) ?domains () =
   let run_cell (ci, name) =
-    let n = Config_metrics.feasible_n name n in
-    let proto = Config_metrics.protocol_of name ~n in
-    let cell_seed = seed + (1000 * ci) in
-    let entries = schedule.entries ~rng:(Rng.create cell_seed) ~n ~horizon in
-    let s = Harness.default_scenario ~proto in
+    let n, s =
+      make_scenario name ~n ~clients ~ops ~seed:(seed + (1000 * ci)) ~horizon
+        schedule
+    in
     let scenario =
       {
         s with
-        Harness.n_clients = clients;
-        ops_per_client = ops;
-        read_fraction = 0.5;
-        key_space = 8;
-        think_time = 3.0;
-        loss_rate = schedule.loss_rate;
-        failures = entries;
-        seed = cell_seed;
-        coordinator = chaos_coordinator;
-        detector = Harness.Oracle;
-        horizon;
-        warmup = 1.0;
-        crash_mode = Dsim.Network.Amnesia;
+        Harness.crash_mode = Dsim.Network.Amnesia;
         wal;
         catch_up;
         check_consistency = true;
@@ -380,10 +371,10 @@ let parity_table campaign =
    write-all quorum under heavy churn fails with ground-truth knowledge
    too (P(all n up) ≈ availability^n), and comparing two near-zero rates
    measures sampling luck, not detector quality.  Components whose oracle
-   rate is below [floor] are skipped. *)
-let crash_parity_gap ?(floor = 0.5) campaign =
+   rate is below 0.5 are skipped. *)
+let crash_parity_gap campaign =
   let component oracle_rate hb_rate =
-    if oracle_rate < floor then 0.0 else Float.abs (oracle_rate -. hb_rate)
+    if oracle_rate < 0.5 then 0.0 else Float.abs (oracle_rate -. hb_rate)
   in
   List.fold_left
     (fun acc (o, h) ->

@@ -51,6 +51,24 @@ val chaos_coordinator : Replication.Coordinator.config
 (** The degradation-tolerant coordinator every campaign cell uses: 8
     retries, adaptive timeouts, 600-unit operation deadline. *)
 
+val make_scenario :
+  Arbitrary.Config.name ->
+  n:int ->
+  clients:int ->
+  ops:int ->
+  seed:int ->
+  horizon:float ->
+  schedule ->
+  int * Replication.Harness.scenario
+(** The chaos cell: [clients] × [ops] operations, 50/50 over 8 keys, think
+    time 3, {!chaos_coordinator}, the schedule's loss rate and its failure
+    entries drawn from [seed], oracle detection, fail-stop crashes.
+    Returns the snapped [n] with it.  {!run}, {!run_amnesia} and
+    [replica-ctl chaos] update only the fields they vary. *)
+
+val rate : int -> int -> float
+(** [rate ok failed]: the success rate, 1.0 when nothing was attempted. *)
+
 type cell = {
   config : Arbitrary.Config.name;
   schedule : string;
@@ -74,7 +92,6 @@ val run :
   ?horizon:float ->
   ?configs:Arbitrary.Config.name list ->
   ?schedules:schedule list ->
-  ?detectors:detector list ->
   ?domains:int ->
   unit ->
   campaign
@@ -94,14 +111,13 @@ val parity_table : campaign -> string
 (** Oracle vs heartbeat success-rate deltas per (configuration,
     schedule). *)
 
-val crash_parity_gap : ?floor:float -> campaign -> float
+val crash_parity_gap : campaign -> float
 (** Largest |oracle − heartbeat| success-rate gap (reads or writes, in
     rate points) across the crash-only schedule cells — the acceptance
-    bound is 0.10.  Components whose oracle-mode rate is below [floor]
-    (default 0.5) are skipped: where ground-truth detection cannot
-    assemble a quorum either (e.g. write-all under churn), the gap
-    between two near-zero rates measures sampling luck, not the
-    detector. *)
+    bound is 0.10.  Components whose oracle-mode rate is below 0.5 are
+    skipped: where ground-truth detection cannot assemble a quorum
+    either (e.g. write-all under churn), the gap between two near-zero
+    rates measures sampling luck, not the detector. *)
 
 (** {2 Amnesia crash-recovery campaign}
 

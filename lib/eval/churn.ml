@@ -1,7 +1,6 @@
 module Config = Arbitrary.Config
 module Churn_harness = Replication.Churn_harness
 module Harness = Replication.Harness
-module Coordinator = Replication.Coordinator
 module Replica = Replication.Replica
 module Store = Replication.Store
 module Failure = Dsim.Failure
@@ -27,36 +26,35 @@ let default_kinds =
 let default_configs =
   [ Config.Mostly_read; Config.Mostly_write; Config.Arbitrary; Config.Unmodified ]
 
-(* Same degradation-tolerant coordinator the chaos campaign uses. *)
-let churn_coordinator =
-  {
-    Coordinator.default_config with
-    Coordinator.max_retries = 8;
-    adaptive_timeout = true;
-    deadline = 600.0;
-  }
-
 (* Failure scripts are phrased against the identity assignment the run
    starts with: site p holds position p, sites n.. are spares.  The
    rejoining replica is the last occupant (site n-1); its first donor
    pick is the lowest live occupant, i.e. site 0 — which is exactly who
    the donor-crash script kills mid-transfer. *)
-let failures_of kind ~n =
-  match kind with
-  | Donor_crash ->
+let rejoin_failures ~n ~crash_donor ~crash_recipient =
+  [
+    { Failure.time = 60.0; event = Failure.Crash (n - 1) };
+    { Failure.time = 100.0; event = Failure.Recover (n - 1) };
+  ]
+  @ (if crash_donor then
+       [
+         { Failure.time = 103.0; event = Failure.Crash 0 };
+         { Failure.time = 220.0; event = Failure.Recover 0 };
+       ]
+     else [])
+  @
+  if crash_recipient then
     [
-      { Failure.time = 60.0; event = Failure.Crash (n - 1) };
-      { Failure.time = 100.0; event = Failure.Recover (n - 1) };
-      { Failure.time = 103.0; event = Failure.Crash 0 };
-      { Failure.time = 220.0; event = Failure.Recover 0 };
-    ]
-  | Recipient_crash ->
-    [
-      { Failure.time = 60.0; event = Failure.Crash (n - 1) };
-      { Failure.time = 100.0; event = Failure.Recover (n - 1) };
       { Failure.time = 104.0; event = Failure.Crash (n - 1) };
       { Failure.time = 160.0; event = Failure.Recover (n - 1) };
     ]
+  else []
+
+let failures_of kind ~n =
+  match kind with
+  | Donor_crash -> rejoin_failures ~n ~crash_donor:true ~crash_recipient:false
+  | Recipient_crash ->
+    rejoin_failures ~n ~crash_donor:false ~crash_recipient:true
   | Partition_promotion ->
     (* isolate the spare (site n) shortly after its promotion starts *)
     [
@@ -94,45 +92,45 @@ type cell = {
   c_report : Churn_harness.report;
 }
 
-let make_scenario ~proto ~n ~kind ~clients ~ops ~seed ~horizon ~fence ~wal =
-  let s = Churn_harness.default_scenario ~proto in
-  {
-    s with
-    Churn_harness.base =
-      {
-        s.Churn_harness.base with
-        Harness.n_clients = clients;
-        ops_per_client = ops;
-        failures = failures_of kind ~n;
-        seed;
-        coordinator = churn_coordinator;
-        horizon;
-        wal;
-      };
-    spares = 2;
-    membership = membership_of kind ~n;
-    (* one key per chunk: transfers span enough virtual time that the
-       scripted mid-transfer crashes actually land mid-transfer *)
-    chunk_size = 1;
-    fence_provisioning = fence;
-  }
+let make_scenario name ~n ~clients ~ops ~seed ~horizon ~failures ~membership =
+  let n = Config_metrics.feasible_n name n in
+  let s =
+    Churn_harness.default_scenario ~proto:(Config_metrics.protocol_of name ~n)
+  in
+  ( n,
+    {
+      s with
+      Churn_harness.base =
+        {
+          s.Churn_harness.base with
+          Harness.n_clients = clients;
+          ops_per_client = ops;
+          failures = failures ~n;
+          seed;
+          coordinator = Chaos.chaos_coordinator;
+          horizon;
+        };
+      spares = 2;
+      membership = membership ~n;
+      (* one key per chunk: transfers span enough virtual time that the
+         scripted mid-transfer crashes actually land mid-transfer *)
+      chunk_size = 1;
+    } )
 
-let run ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42) ?(horizon = 3000.0)
-    ?(configs = default_configs) ?(kinds = default_kinds)
-    ?(fence = true) ?(wal = Replication.Wal.Sync_on_commit) ?domains () =
+let run ?(n = 45) ?(configs = default_configs) ?domains () =
   let specs =
     List.concat
       (List.mapi
-         (fun ci name -> List.mapi (fun si kind -> (ci, name, si, kind)) kinds)
+         (fun ci name ->
+           List.mapi (fun si kind -> (ci, name, si, kind)) default_kinds)
          configs)
   in
   let run_cell (ci, name, si, kind) =
-    let n = Config_metrics.feasible_n name n in
-    let proto = Config_metrics.protocol_of name ~n in
-    let cell_seed = seed + (1000 * ci) + (100 * si) in
-    let scenario =
-      make_scenario ~proto ~n ~kind ~clients ~ops ~seed:cell_seed ~horizon
-        ~fence ~wal
+    let n, scenario =
+      make_scenario name ~n ~clients:3 ~ops:25
+        ~seed:(42 + (1000 * ci) + (100 * si))
+        ~horizon:3000.0 ~failures:(failures_of kind)
+        ~membership:(membership_of kind)
     in
     {
       c_config = name;
@@ -155,30 +153,23 @@ let blackout_failures ~n =
            { Failure.time = 140.0; event = Failure.Recover i };
          ]))
 
-let run_negative ?(n = 45) ?(clients = 3) ?(ops = 40) ?(seed = 42)
-    ?(horizon = 3000.0) ?(configs = default_configs) ?domains () =
+let run_negative ?(n = 45) ?(configs = default_configs) () =
   let run_cell (ci, name) =
-    let n = Config_metrics.feasible_n name n in
-    let proto = Config_metrics.protocol_of name ~n in
-    let cell_seed = seed + (1000 * ci) in
-    let s = Churn_harness.default_scenario ~proto in
+    let n, s =
+      make_scenario name ~n ~clients:3 ~ops:40 ~seed:(42 + (1000 * ci))
+        ~horizon:3000.0 ~failures:blackout_failures
+        ~membership:(fun ~n:_ -> [])
+    in
     let scenario =
       {
         s with
         Churn_harness.base =
           {
             s.Churn_harness.base with
-            Harness.n_clients = clients;
-            ops_per_client = ops;
-            key_space = 4;
-            failures = blackout_failures ~n;
-            seed = cell_seed;
-            coordinator = churn_coordinator;
-            horizon;
+            Harness.key_space = 4;
             wal = Replication.Wal.Async 60.0;
           };
         spares = 0;
-        chunk_size = 1;
         fence_provisioning = false;
       }
     in
@@ -189,29 +180,20 @@ let run_negative ?(n = 45) ?(clients = 3) ?(ops = 40) ?(seed = 42)
       c_report = Churn_harness.run scenario;
     }
   in
-  Parallel.map ?domains run_cell (List.mapi (fun ci name -> (ci, name)) configs)
+  Parallel.map run_cell (List.mapi (fun ci name -> (ci, name)) configs)
 
-(* A sharded control plane churning: S independent tree instances (one
-   per key shard), each under its own donor-crash rejoin plus a rolling
-   membership script, seeded per shard.  Shards share nothing, so the
-   campaign runs them as separate cells and the gate sums them. *)
-let run_sharded ?(shards = 3) ?(n = 45) ?(clients = 3) ?(ops = 25)
-    ?(seed = 42) ?(horizon = 3000.0) ?(config = Config.Unmodified) ?domains ()
-    =
+(* A sharded control plane churning: three independent tree instances
+   (one per key shard), each under its own donor-crash rejoin plus a
+   rolling membership script, seeded per shard.  Shards share nothing,
+   so the campaign runs them as separate single-tree cells and the gate
+   sums them. *)
+let run_sharded ?(n = 45) () =
+  let config = Config.Unmodified in
   let run_cell shard =
-    let n = Config_metrics.feasible_n config n in
-    let proto = Config_metrics.protocol_of config ~n in
-    let cell_seed = seed + (17 * shard) in
-    let scenario =
-      make_scenario ~proto ~n ~kind:Rolling ~clients ~ops ~seed:cell_seed
-        ~horizon ~fence:true ~wal:Replication.Wal.Sync_on_commit
-    in
-    let scenario =
-      {
-        scenario with
-        Churn_harness.base =
-          { scenario.Churn_harness.base with failures = failures_of Donor_crash ~n };
-      }
+    let n, scenario =
+      make_scenario config ~n ~clients:3 ~ops:25 ~seed:(42 + (17 * shard))
+        ~horizon:3000.0 ~failures:(failures_of Donor_crash)
+        ~membership:(membership_of Rolling)
     in
     {
       c_config = config;
@@ -220,16 +202,12 @@ let run_sharded ?(shards = 3) ?(n = 45) ?(clients = 3) ?(ops = 25)
       c_report = Churn_harness.run scenario;
     }
   in
-  Parallel.map ?domains run_cell (List.init shards Fun.id)
+  Parallel.map run_cell [ 0; 1; 2 ]
 
 let violations cells =
   List.fold_left
     (fun acc c -> acc + c.c_report.Churn_harness.agg.Harness.safety_violations)
     0 cells
-
-let rate ok failed =
-  let total = ok + failed in
-  if total = 0 then 1.0 else float_of_int ok /. float_of_int total
 
 let table cells =
   let rows =
@@ -241,8 +219,8 @@ let table cells =
           Config.name_to_string c.c_config;
           string_of_int c.c_n;
           c.c_kind;
-          Tablefmt.f4 (rate a.Harness.reads_ok a.Harness.reads_failed);
-          Tablefmt.f4 (rate a.Harness.writes_ok a.Harness.writes_failed);
+          Tablefmt.f4 (Chaos.rate a.Harness.reads_ok a.Harness.reads_failed);
+          Tablefmt.f4 (Chaos.rate a.Harness.writes_ok a.Harness.writes_failed);
           Printf.sprintf "%d/%d" r.Churn_harness.promotions_done
             r.Churn_harness.promotions_started;
           string_of_int r.Churn_harness.decommissions_done;
@@ -276,16 +254,15 @@ type rejoin_comparison = {
   rj_speedup : float;
 }
 
-(* Identical worlds: [n] replicas whose committed stores hold [keys]
-   keys, the last replica amnesia-crashes cold (nothing in its WAL) and
-   rejoins — through per-key quorum catch-up in one world, through
+(* Identical worlds: seven UNMODIFIED replicas whose committed stores
+   hold [keys] keys, the last replica amnesia-crashes cold (nothing in its
+   WAL) and rejoins — through per-key quorum catch-up in one world, through
    chunked snapshot provisioning in the other.  The comparison counts
    protocol rounds, the unit both rejoin paths share. *)
-let cold_rejoin ~n ~keys ~chunk_size ~seed ~provisioned =
-  let name = Config.Unmodified in
-  let n = Config_metrics.feasible_n name n in
-  let proto = Config_metrics.protocol_of name ~n in
-  let engine = Engine.create ~seed () in
+let cold_rejoin ~keys ~chunk_size ~provisioned =
+  let n = 7 in
+  let proto = Config_metrics.protocol_of Config.Unmodified ~n in
+  let engine = Engine.create ~seed:42 () in
   let net = Network.create ~engine ~n () in
   Network.set_crash_mode net Network.Amnesia;
   let recovery =
@@ -328,13 +305,12 @@ let cold_rejoin ~n ~keys ~chunk_size ~seed ~provisioned =
     Replica.provision_chunks r,
     Replica.is_serving r )
 
-let cold_rejoin_comparison ?(n = 7) ?(keys = 10_000) ?(chunk_size = 512)
-    ?(seed = 42) () =
+let cold_rejoin_comparison ?(keys = 10_000) ?(chunk_size = 512) () =
   let rj_n, rj_catchup_rounds, _, _, rj_catchup_serving =
-    cold_rejoin ~n ~keys ~chunk_size ~seed ~provisioned:false
+    cold_rejoin ~keys ~chunk_size ~provisioned:false
   in
   let _, _, rj_provision_rounds, rj_provision_chunks, rj_provision_serving =
-    cold_rejoin ~n ~keys ~chunk_size ~seed ~provisioned:true
+    cold_rejoin ~keys ~chunk_size ~provisioned:true
   in
   {
     rj_keys = keys;

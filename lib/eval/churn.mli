@@ -28,6 +28,35 @@ val kind_to_string : kind -> string
 val default_kinds : kind list
 val default_configs : Arbitrary.Config.name list
 
+val rejoin_failures :
+  n:int ->
+  crash_donor:bool ->
+  crash_recipient:bool ->
+  Dsim.Failure.entry list
+(** The provisioning rejoin script: the last occupant (site [n−1])
+    crashes at t=60 and recovers at t=100; with [crash_donor] its first
+    donor (site 0) crashes mid-transfer at t=103, with [crash_recipient]
+    it crashes again itself at t=104.  The donor-crash and
+    recipient-crash scenarios are this script with one flag set. *)
+
+val make_scenario :
+  Arbitrary.Config.name ->
+  n:int ->
+  clients:int ->
+  ops:int ->
+  seed:int ->
+  horizon:float ->
+  failures:(n:int -> Dsim.Failure.entry list) ->
+  membership:(n:int -> Replication.Churn_harness.membership_op list) ->
+  int * Replication.Churn_harness.scenario
+(** The churn cell: the configuration at the snapped [n] (returned with
+    it) plus two spares, [clients] × [ops] operations under
+    {!Chaos.chaos_coordinator}, one key per snapshot chunk, fenced
+    provisioning over a commit-durable WAL, and the [failures] and
+    [membership] scripts applied to the snapped [n].  {!run},
+    {!run_negative}, {!run_sharded} and [replica-ctl
+    provision/promote/decommission] update only the fields they vary. *)
+
 type cell = {
   c_config : Arbitrary.Config.name;
   c_kind : string;
@@ -36,50 +65,24 @@ type cell = {
 }
 
 val run :
-  ?n:int ->
-  ?clients:int ->
-  ?ops:int ->
-  ?seed:int ->
-  ?horizon:float ->
-  ?configs:Arbitrary.Config.name list ->
-  ?kinds:kind list ->
-  ?fence:bool ->
-  ?wal:Replication.Wal.policy ->
-  ?domains:int ->
-  unit ->
+  ?n:int -> ?configs:Arbitrary.Config.name list -> ?domains:int -> unit ->
   cell list
-(** The positive campaign: every [configs] × [kinds] cell, fenced
-    provisioning over a commit-durable WAL by default. *)
+(** The positive campaign: every [configs] × {!default_kinds} cell, 3
+    clients × 25 ops, seed 42, horizon 3000. *)
 
 val run_negative :
-  ?n:int ->
-  ?clients:int ->
-  ?ops:int ->
-  ?seed:int ->
-  ?horizon:float ->
-  ?configs:Arbitrary.Config.name list ->
-  ?domains:int ->
-  unit ->
-  cell list
-(** The control that must leak: every occupant blacks out at once under
+  ?n:int -> ?configs:Arbitrary.Config.name list -> unit -> cell list
+(** The control that must leak: 3 clients × 40 ops over 4 keys, seed 42,
+    horizon 3000; every occupant blacks out at once under
     [Wal.Async] while [fence_provisioning = false], so recovered
     replicas serve from gutted stores.  A campaign where this control
     shows zero violations is not testing anything. *)
 
-val run_sharded :
-  ?shards:int ->
-  ?n:int ->
-  ?clients:int ->
-  ?ops:int ->
-  ?seed:int ->
-  ?horizon:float ->
-  ?config:Arbitrary.Config.name ->
-  ?domains:int ->
-  unit ->
-  cell list
-(** Independent churn per key shard: [shards] separate tree instances,
-    each running the rolling membership script plus a donor-crash rejoin
-    under a distinct seed.  One cell per shard. *)
+val run_sharded : ?n:int -> unit -> cell list
+(** Three independently seeded single-tree cells on UNMODIFIED, one per
+    key shard of a sharded control plane: each runs the rolling
+    membership script plus a donor-crash rejoin.  No cell is a sharded
+    harness run; the shards share nothing, so the gate sums them. *)
 
 val violations : cell list -> int
 (** Total trace-checker violations across the cells. *)
@@ -100,9 +103,9 @@ type rejoin_comparison = {
 }
 
 val cold_rejoin_comparison :
-  ?n:int -> ?keys:int -> ?chunk_size:int -> ?seed:int -> unit ->
-  rejoin_comparison
-(** Two identical worlds with [keys] committed keys; the last replica
+  ?keys:int -> ?chunk_size:int -> unit -> rejoin_comparison
+(** Two identical worlds of seven UNMODIFIED replicas with [keys]
+    committed keys (seed 42); the last replica
     amnesia-crashes cold and rejoins via catch-up in one and chunked
     provisioning in the other.  Counts protocol rounds — the BENCH gate
     requires [rj_speedup >= 5] at 10k keys. *)

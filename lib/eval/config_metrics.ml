@@ -130,3 +130,7 @@ let protocol_of name ~n =
   | Config.Unmodified | Config.Arbitrary | Config.Mostly_read
   | Config.Mostly_write ->
     Arbitrary.Quorums.protocol (Config.build name ~n)
+
+let scenario name ~n =
+  let n = feasible_n name n in
+  (n, Replication.Harness.default_scenario ~proto:(protocol_of name ~n))

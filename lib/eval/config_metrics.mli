@@ -27,3 +27,8 @@ val compute : Arbitrary.Config.name -> n:int -> p:float -> t
 val protocol_of : Arbitrary.Config.name -> n:int -> Quorum.Protocol.t
 (** An executable protocol instance for the configuration at
     [feasible_n name n] — used by the simulation-vs-analytic ablation. *)
+
+val scenario :
+  Arbitrary.Config.name -> n:int -> int * Replication.Harness.scenario
+(** [feasible_n name n] and the harness's default scenario on
+    [protocol_of name ~n]: the base every campaign cell overrides. *)

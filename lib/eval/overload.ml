@@ -113,8 +113,6 @@ let overload_for kind mode =
        learn to route around it, the naive system keeps stumbling. *)
     { base with Harness.slow_sites = [ (0, 60.0) ] }
 
-let ok_ops report = report.Harness.reads_ok + report.Harness.writes_ok
-
 let goodput completions ~window:(t0, t1) =
   let hits =
     Array.fold_left
@@ -123,10 +121,8 @@ let goodput completions ~window:(t0, t1) =
   in
   float_of_int hits /. (t1 -. t0)
 
-let run_cell ~n ~seed (kind, mode) =
-  let n = Config_metrics.feasible_n Config.Arbitrary n in
-  let proto = Config_metrics.protocol_of Config.Arbitrary ~n in
-  let s = Harness.default_scenario ~proto in
+let run_cell (kind, mode) =
+  let _, s = Config_metrics.scenario Config.Arbitrary ~n:9 in
   let scenario =
     {
       s with
@@ -140,7 +136,7 @@ let run_cell ~n ~seed (kind, mode) =
       read_fraction = 0.8;
       key_space = 64;
       think_time = steady_think;
-      seed;
+      seed = 42;
       coordinator = overload_coordinator;
       horizon;
       warmup = 1.0;
@@ -174,21 +170,16 @@ let all_cells =
     (Retry_storm, Protected);
   ]
 
-let run ?(n = 9) ?(seed = 42) ?domains () =
-  { cells = Parallel.map ?domains (run_cell ~n ~seed) all_cells }
+let run ?domains () = { cells = Parallel.map ?domains run_cell all_cells }
 
 let find campaign kind mode =
   List.find (fun c -> c.kind = kind && c.mode = mode) campaign.cells
 
 (* --- acceptance gate ---------------------------------------------------- *)
 
-type verdict = { pass : bool; failures : string list }
-
 let gate campaign =
-  let failures = ref [] in
-  let check cond fmt =
-    Printf.ksprintf (fun msg -> if not cond then failures := msg :: !failures) fmt
-  in
+  let g = Gate.create () in
+  let check cond = Gate.check g cond in
   let storm_naive = find campaign Retry_storm Naive in
   let storm_prot = find campaign Retry_storm Protected in
   let flash_prot = find campaign Flash_crowd Protected in
@@ -213,9 +204,9 @@ let gate campaign =
     flash_prot.recovery;
   (* Routing around the slow replica must beat stumbling into it. *)
   check
-    (ok_ops slow_prot.report >= ok_ops slow_naive.report)
+    (Harness.completed slow_prot.report >= Harness.completed slow_naive.report)
     "slow-replica/protected completed %d ops < naive's %d"
-    (ok_ops slow_prot.report) (ok_ops slow_naive.report);
+    (Harness.completed slow_prot.report) (Harness.completed slow_naive.report);
   (* The protections must actually engage in the storm cell. *)
   check
     (storm_prot.report.Harness.replica_sheds > 0)
@@ -231,7 +222,7 @@ let gate campaign =
         "%s/%s: %d consistency violations (want 0)" (kind_to_string c.kind)
         (mode_to_string c.mode) c.consistency_violations)
     campaign.cells;
-  { pass = !failures = []; failures = List.rev !failures }
+  Gate.verdict g
 
 let table campaign =
   let rows =
@@ -243,7 +234,7 @@ let table campaign =
           Tablefmt.f2 c.pre_goodput;
           Tablefmt.f2 c.post_goodput;
           Tablefmt.f2 c.recovery;
-          string_of_int (ok_ops c.report);
+          string_of_int (Harness.completed c.report);
           string_of_int c.report.Harness.replica_sheds;
           string_of_int c.report.Harness.overload_drops;
           string_of_int c.report.Harness.retries_suppressed;

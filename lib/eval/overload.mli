@@ -44,15 +44,16 @@ type cell = {
 
 type campaign = { cells : cell list }
 
-val run : ?n:int -> ?seed:int -> ?domains:int -> unit -> campaign
-(** Run all six cells (deterministic for a fixed seed; [domains] only
-    fans the independent cells out over cores). *)
+val goodput : float array -> window:float * float -> float
+(** Completions per unit time inside [\[t0, t1)]. *)
+
+val run : ?domains:int -> unit -> campaign
+(** Run all six cells on ARBITRARY n=9, seed 42 (deterministic;
+    [domains] only fans the independent cells out over cores). *)
 
 val find : campaign -> kind -> mode -> cell
 
-type verdict = { pass : bool; failures : string list }
-
-val gate : campaign -> verdict
+val gate : campaign -> Gate.verdict
 (** The acceptance predicate described above, plus: the protections must
     actually engage in the storm cell (nonzero sheds and suppressed
     retries), the protected slow-replica cell must complete at least as

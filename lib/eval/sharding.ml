@@ -83,11 +83,10 @@ type campaign = {
    in-flight ops — queues stay short enough that a long coordinator
    timeout never fires and no retry traffic pollutes the capacity
    measurement. *)
-let workload ~name ~seed ~theta () =
-  let n = Config_metrics.feasible_n name 9 in
-  let proto = Config_metrics.protocol_of name ~n in
-  let s = Harness.default_scenario ~proto in
-  ( {
+let workload name ~theta =
+  let n, s = Config_metrics.scenario name ~n:9 in
+  ( n,
+    {
       s with
       Harness.n_clients = 128;
       ops_per_client = 32;
@@ -95,7 +94,7 @@ let workload ~name ~seed ~theta () =
       key_space = 4096;
       zipf_theta = theta;
       think_time = 0.1;
-      seed;
+      seed = 42;
       check_consistency = true;
       coordinator =
         {
@@ -103,8 +102,7 @@ let workload ~name ~seed ~theta () =
           Replication.Coordinator.timeout = 10_000.0;
           max_retries = 1;
         };
-    },
-    n )
+    } )
 
 let sharded ~shards ~service_time base =
   { (Harness.one_tree base) with shards; service_time }
@@ -115,14 +113,13 @@ let sharded ~shards ~service_time base =
 let makespan (r : Shard_harness.report) =
   Array.fold_left Float.max 0.0 r.Shard_harness.agg.Harness.completions
 
-let run_workload_cell ~seed (name, shards, theta) =
-  let base, n = workload ~name ~seed ~theta () in
-  let r = Shard_harness.run (sharded ~shards ~service_time base) in
-  (name, shards, n, r)
+let run_workload_cell (name, shards, theta) =
+  let n, base = workload name ~theta in
+  (n, Shard_harness.run (sharded ~shards ~service_time base))
 
-let run_identity ~seed () =
+let run_identity () =
   let name = Config.Arbitrary in
-  let base, _ = workload ~name ~seed ~theta:0.0 () in
+  let _, base = workload name ~theta:0.0 in
   let base = { base with Harness.n_clients = 4; ops_per_client = 50 } in
   let unsharded = Batching.fingerprint (Harness.run base) in
   let r = Shard_harness.run (sharded ~shards:1 ~service_time:0.0 base) in
@@ -134,15 +131,13 @@ let run_identity ~seed () =
     identical = sharded_fp = unsharded;
   }
 
-let run_atomicity ~seed ~atomic () =
-  let name = Config.Arbitrary in
-  let n = Config_metrics.feasible_n name 9 in
-  let proto = Config_metrics.protocol_of name ~n in
+let run_atomicity ~atomic =
+  let proto = Config_metrics.protocol_of Config.Arbitrary ~n:9 in
   let sc =
     {
       (Shard_txn_harness.default_scenario ~proto ~shards:4) with
       Shard_txn_harness.atomic;
-      seed;
+      seed = 42;
       txns_per_client = 25;
       shard_loss = [ (1, 0.3) ];
     }
@@ -166,17 +161,15 @@ let run_atomicity ~seed ~atomic () =
     cross_shard = r.Shard_txn_harness.cross_shard_txns;
   }
 
-let run_reconfig ~seed () =
-  let name = Config.Arbitrary in
-  let n = Config_metrics.feasible_n name 9 in
-  let proto = Config_metrics.protocol_of name ~n in
+let run_reconfig () =
+  let _, s = Config_metrics.scenario Config.Arbitrary ~n:9 in
   let base =
     {
-      (Harness.default_scenario ~proto) with
+      s with
       Harness.n_clients = 4;
       ops_per_client = 60;
       key_space = 48;
-      seed;
+      seed = 42;
       check_consistency = true;
     }
   in
@@ -208,7 +201,7 @@ let run_reconfig ~seed () =
     active_shards = r.Shard_harness.active_shards;
   }
 
-let run ?(seed = 42) ?domains () =
+let run ?domains () =
   (* Every (config, S, θ) workload cell is independent: fan the whole
      grid out at once, then fold the scaling ratios per configuration. *)
   let grid =
@@ -217,23 +210,15 @@ let run ?(seed = 42) ?domains () =
       configs
     @ List.map (fun name -> (name, 16, skew_theta)) configs
   in
-  let results = Parallel.map ?domains (run_workload_cell ~seed) grid in
   let uniform, skewed =
     List.partition
       (fun ((_, _, theta), _) -> theta = 0.0)
-      (List.combine grid results)
+      (List.combine grid (Parallel.map ?domains run_workload_cell grid))
   in
-  let base_duration name =
-    let _, (_, _, _, r) =
-      List.find
-        (fun ((n, s, _), _) -> n = name && s = 1)
-        uniform
-    in
-    makespan r
-  in
+  let base_duration name = makespan (snd (List.assoc (name, 1, 0.0) uniform)) in
   let scaling =
     List.map
-      (fun ((_, _, _), (name, shards, n, r)) ->
+      (fun ((name, shards, _), (n, r)) ->
         let duration = makespan r in
         let completed = Harness.completed r.Shard_harness.agg in
         let speedup =
@@ -256,7 +241,7 @@ let run ?(seed = 42) ?domains () =
   in
   let skew =
     List.map
-      (fun ((_, _, theta), (name, shards, _, r)) ->
+      (fun ((name, shards, theta), (_, r)) ->
         let imb_max, imb_mean = Shard_harness.imbalance r in
         {
           sk_config = name;
@@ -271,83 +256,64 @@ let run ?(seed = 42) ?domains () =
         })
       skewed
   in
-  let controls =
-    Parallel.map ?domains
-      (fun f -> f ())
-      [
-        (fun () -> `Identity (run_identity ~seed ()));
-        (fun () -> `Atomic (run_atomicity ~seed ~atomic:true ()));
-        (fun () -> `Nonatomic (run_atomicity ~seed ~atomic:false ()));
-        (fun () -> `Reconfig (run_reconfig ~seed ()));
-      ]
-  in
-  let identity =
-    List.find_map (function `Identity c -> Some c | _ -> None) controls
-    |> Option.get
-  in
-  let atomic_cell =
-    List.find_map (function `Atomic c -> Some c | _ -> None) controls
-    |> Option.get
-  in
-  let nonatomic_cell =
-    List.find_map (function `Nonatomic c -> Some c | _ -> None) controls
-    |> Option.get
-  in
-  let reconfig =
-    List.find_map (function `Reconfig c -> Some c | _ -> None) controls
-    |> Option.get
-  in
-  { scaling; skew; identity; atomic_cell; nonatomic_cell; reconfig }
+  {
+    scaling;
+    skew;
+    identity = run_identity ();
+    atomic_cell = run_atomicity ~atomic:true;
+    nonatomic_cell = run_atomicity ~atomic:false;
+    reconfig = run_reconfig ();
+  }
 
 let speedup_at campaign ~shards =
   List.fold_left
     (fun acc c -> if c.shards = shards then Float.max acc c.speedup else acc)
     0.0 campaign.scaling
 
-type verdict = { pass : bool; failures : string list }
-
 let scaling_threshold = 0.7 *. 16.0
 
 let gate campaign =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let g = Gate.create () in
+  let check cond = Gate.check g cond in
   let s16 = speedup_at campaign ~shards:16 in
-  if s16 < scaling_threshold then
-    fail "scaling: best S=16 speedup %.2f < %.2f (0.7 x ideal)" s16
-      scaling_threshold;
+  check (s16 >= scaling_threshold)
+    "scaling: best S=16 speedup %.2f < %.2f (0.7 x ideal)" s16
+    scaling_threshold;
   List.iter
     (fun c ->
-      if c.violations > 0 then
-        fail "scaling %s S=%d: %d safety violations"
-          (Config.name_to_string c.config)
-          c.shards c.violations)
+      check (c.violations = 0) "scaling %s S=%d: %d safety violations"
+        (Config.name_to_string c.config)
+        c.shards c.violations)
     campaign.scaling;
   List.iter
     (fun c ->
-      if c.sk_violations > 0 then
-        fail "skew %s S=%d: %d safety violations"
-          (Config.name_to_string c.sk_config)
-          c.sk_shards c.sk_violations)
+      check (c.sk_violations = 0) "skew %s S=%d: %d safety violations"
+        (Config.name_to_string c.sk_config)
+        c.sk_shards c.sk_violations)
     campaign.skew;
-  if not campaign.identity.identical then
-    fail "identity: S=1 fingerprint diverged from the unsharded harness";
-  if not campaign.atomic_cell.conserved then
-    fail "atomicity: 2PC run violated increment conservation";
-  if campaign.atomic_cell.partial_commits > 0 then
-    fail "atomicity: 2PC run reported %d partial commits"
-      campaign.atomic_cell.partial_commits;
-  if campaign.nonatomic_cell.phantoms = 0 then
-    fail "atomicity: negative control produced no phantom increments";
-  if campaign.reconfig.rc_violations > 0 then
-    fail "reconfig: %d consistency violations" campaign.reconfig.rc_violations;
-  if not campaign.reconfig.well_formed then
-    fail "reconfig: final shard map not well-formed";
-  if campaign.reconfig.migration_failures > 0 then
-    fail "reconfig: %d keys failed to migrate"
-      campaign.reconfig.migration_failures;
-  if campaign.reconfig.splits < 1 || campaign.reconfig.merges < 1 then
-    fail "reconfig: expected at least one split and one merge";
-  { pass = !failures = []; failures = List.rev !failures }
+  check campaign.identity.identical
+    "identity: S=1 fingerprint diverged from the unsharded harness";
+  check campaign.atomic_cell.conserved
+    "atomicity: 2PC run violated increment conservation";
+  check
+    (campaign.atomic_cell.partial_commits = 0)
+    "atomicity: 2PC run reported %d partial commits"
+    campaign.atomic_cell.partial_commits;
+  check
+    (campaign.nonatomic_cell.phantoms > 0)
+    "atomicity: negative control produced no phantom increments";
+  check
+    (campaign.reconfig.rc_violations = 0)
+    "reconfig: %d consistency violations" campaign.reconfig.rc_violations;
+  check campaign.reconfig.well_formed
+    "reconfig: final shard map not well-formed";
+  check
+    (campaign.reconfig.migration_failures = 0)
+    "reconfig: %d keys failed to migrate" campaign.reconfig.migration_failures;
+  check
+    (campaign.reconfig.splits >= 1 && campaign.reconfig.merges >= 1)
+    "reconfig: expected at least one split and one merge";
+  Gate.verdict g
 
 (* --- rendering ----------------------------------------------------------- *)
 

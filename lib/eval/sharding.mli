@@ -94,16 +94,14 @@ type campaign = {
   reconfig : reconfig_cell;
 }
 
-val run : ?seed:int -> ?domains:int -> unit -> campaign
-(** Deterministic for a fixed seed; [domains] only fans the independent
+val run : ?domains:int -> unit -> campaign
+(** Seed 42, deterministic; [domains] only fans the independent workload
     cells over cores. *)
 
 val speedup_at : campaign -> shards:int -> float
 (** Best speedup over the configurations at the given shard count. *)
 
-type verdict = { pass : bool; failures : string list }
-
-val gate : campaign -> verdict
+val gate : campaign -> Gate.verdict
 (** The acceptance predicate: scaling ≥ 0.7 × ideal at S=16 on some
     configuration; zero safety violations in every scaling, skew and
     reconfig cell; the S=1 fingerprint control identical; the atomic

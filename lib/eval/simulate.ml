@@ -18,37 +18,35 @@ type row = {
   measured_wr_load : float;
 }
 
-let scenario_for proto ~read_fraction ~ops ~seed =
-  let s = Harness.default_scenario ~proto in
-  {
-    s with
-    Harness.n_clients = 1;
-    ops_per_client = ops;
-    read_fraction;
-    think_time = 0.1;
-    seed;
-  }
-
 let sum = Array.fold_left ( + ) 0
 
 let per_op counts ops =
   if ops = 0 then 0.0 else float_of_int (sum counts) /. float_of_int ops
 
+let read_write_runs ~run name ~n ~reads ~writes ~seed =
+  let n, s = Batching.scenario ~name ~n ~ops:reads ~seed in
+  let r = run { s with Harness.read_fraction = 1.0 } in
+  let w =
+    run
+      {
+        s with
+        Harness.read_fraction = 0.0;
+        ops_per_client = writes;
+        seed = seed + 1;
+      }
+  in
+  (n, r, w)
+
 let measure name ~n ~ops ~seed =
   (* Compare at the size the protocol instance actually has (HQC and BINARY
      snap to 3^L resp. 2^(h+1)−1 replicas). *)
-  let n = Config_metrics.feasible_n name n in
+  let n, reads, writes =
+    read_write_runs ~run:Harness.run name ~n ~reads:ops ~writes:ops ~seed
+  in
   let metrics = Config_metrics.compute name ~n ~p:Figures.default_p in
-  let proto = Config_metrics.protocol_of name ~n in
-  let reads =
-    Harness.run (scenario_for proto ~read_fraction:1.0 ~ops ~seed)
-  in
-  let writes =
-    Harness.run (scenario_for proto ~read_fraction:0.0 ~ops ~seed:(seed + 1))
-  in
   {
     config = name;
-    n = Protocol.universe_size proto;
+    n;
     analytic_rd_cost = metrics.Config_metrics.rd_cost;
     measured_rd_cost = per_op reads.Harness.replica_reads_served reads.Harness.reads_ok;
     analytic_wr_cost = metrics.Config_metrics.wr_cost;
@@ -119,11 +117,8 @@ let latency_table ?(n = 65) ?(ops = 300) ?(seed = 42) () =
   let rows =
     List.map
       (fun name ->
-        let n = Config_metrics.feasible_n name n in
-        let proto = Config_metrics.protocol_of name ~n in
-        let r =
-          Harness.run (scenario_for proto ~read_fraction:0.5 ~ops ~seed)
-        in
+        let n, s = Batching.scenario ~name ~n ~ops ~seed in
+        let r = Harness.run s in
         let cell stats =
           if Dsutil.Stats.count stats = 0 then "-"
           else
@@ -208,8 +203,7 @@ let availability_table ?(n = 65) ?(p = Figures.default_p) ?(trials = 4000)
        ~rows)
 
 let failure_injection_run name ~n ~p ~ops ~seed =
-  let proto = Config_metrics.protocol_of name ~n in
-  let n_replicas = Protocol.universe_size proto in
+  let n_replicas, s = Config_metrics.scenario name ~n in
   let rng = Rng.create seed in
   let failures =
     List.filter_map
@@ -218,7 +212,6 @@ let failure_injection_run name ~n ~p ~ops ~seed =
         else Some { Dsim.Failure.time = 0.0; event = Dsim.Failure.Crash site })
       (List.init n_replicas Fun.id)
   in
-  let s = Harness.default_scenario ~proto in
   Harness.run
     {
       s with
@@ -241,15 +234,12 @@ let failure_availability_table ?(n = 33) ?(p = Figures.default_p)
       (fun name -> List.init patterns (fun i -> (name, i)))
       Config.all_names
   in
-  let run_pattern (name, i) =
-    let r = failure_injection_run name ~n ~p ~ops:10 ~seed:(seed + i) in
-    ( name,
-      r.Harness.reads_ok,
-      r.Harness.reads_ok + r.Harness.reads_failed,
-      r.Harness.writes_ok,
-      r.Harness.writes_ok + r.Harness.writes_failed )
+  let results =
+    Parallel.map ?domains
+      (fun (name, i) ->
+        (name, failure_injection_run name ~n ~p ~ops:10 ~seed:(seed + i)))
+      tasks
   in
-  let results = Parallel.map ?domains run_pattern tasks in
   let rows =
     List.map
       (fun name ->
@@ -267,24 +257,23 @@ let failure_availability_table ?(n = 33) ?(p = Figures.default_p)
             in
             Arbitrary.Analysis.write_operation_availability tree ~p
         in
-        let reads_ok = ref 0 and reads_all = ref 0 in
-        let writes_ok = ref 0 and writes_all = ref 0 in
-        List.iter
-          (fun (name', rok, rall, wok, wall) ->
-            if name' = name then begin
-              reads_ok := !reads_ok + rok;
-              reads_all := !reads_all + rall;
-              writes_ok := !writes_ok + wok;
-              writes_all := !writes_all + wall
-            end)
-          results;
-        let rate ok all = if all = 0 then 0.0 else float_of_int ok /. float_of_int all in
+        let total f =
+          List.fold_left
+            (fun acc (name', r) -> if name' = name then acc + f r else acc)
+            0 results
+        in
+        let rate ok failed =
+          let ok = total ok and all = total ok + total failed in
+          if all = 0 then 0.0 else float_of_int ok /. float_of_int all
+        in
         [
           Config.name_to_string name;
           Tablefmt.f4 metrics.Config_metrics.rd_avail;
-          Tablefmt.f4 (rate !reads_ok !reads_all);
+          Tablefmt.f4
+            (rate (fun r -> r.Harness.reads_ok) (fun r -> r.Harness.reads_failed));
           Tablefmt.f4 wr_op_avail;
-          Tablefmt.f4 (rate !writes_ok !writes_all);
+          Tablefmt.f4
+            (rate (fun r -> r.Harness.writes_ok) (fun r -> r.Harness.writes_failed));
         ])
       Config.all_names
   in

@@ -20,9 +20,21 @@ type row = {
   measured_wr_load : float;
 }
 
+val read_write_runs :
+  run:(Replication.Harness.scenario -> 'a) ->
+  Arbitrary.Config.name ->
+  n:int ->
+  reads:int ->
+  writes:int ->
+  seed:int ->
+  int * 'a * 'a
+(** The {!Batching.scenario} workload run once read-only with [reads]
+    operations at [seed], then once write-only with [writes] operations
+    at [seed + 1], each through [run]; with the snapped [n].  The pair
+    every measured cost and load comes from. *)
+
 val measure : Arbitrary.Config.name -> n:int -> ops:int -> seed:int -> row
-(** Runs one read-only and one write-only scenario (single client, no
-    failures) and extracts measured cost (replicas contacted per
+(** {!read_write_runs} with [ops] each way; extracts measured cost (replicas contacted per
     operation) and measured load (most-loaded replica's share of
     operations). *)
 

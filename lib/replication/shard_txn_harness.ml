@@ -59,8 +59,8 @@ let pick_keys ~count rng smap =
   List.rev !chosen
 
 let run ?obs sc =
-  if sc.keys_per_txn > sc.key_space then
-    invalid_arg "Shard_txn_harness.run: keys_per_txn exceeds key_space";
+  if sc.keys_per_txn < 1 || sc.keys_per_txn > sc.key_space then
+    invalid_arg "Shard_txn_harness.run: keys_per_txn must be in [1, key_space]";
   Txn_harness.run_with ?obs ~pick:(pick_keys ~count:sc.keys_per_txn) sc
 
 let pp_report ppf r =

@@ -53,5 +53,6 @@ type report = Txn_harness.report = {
 }
 
 val run : ?obs:Obs.t -> scenario -> report
+(** Raises [Invalid_argument] unless [1 <= keys_per_txn <= key_space]. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -203,8 +203,8 @@ let run_with ?obs ~pick sc =
   }
 
 let run ?obs s =
-  if s.keys_per_txn > s.key_space then
-    invalid_arg "Txn_harness.run: keys_per_txn exceeds key_space";
+  if s.keys_per_txn < 1 || s.keys_per_txn > s.key_space then
+    invalid_arg "Txn_harness.run: keys_per_txn must be in [1, key_space]";
   let pick rng _ =
     let keys = Array.init s.key_space Fun.id in
     Rng.shuffle rng keys;

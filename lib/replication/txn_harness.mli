@@ -73,7 +73,8 @@ val run : ?obs:Obs.t -> scenario -> report
     traces every transaction ([txn] spans) and the RPC operations
     underneath ([rpc.read] / [rpc.write]).  The final tallying quorum reads run on an
     uninstrumented endpoint so span accounting covers exactly the
-    workload's operations. *)
+    workload's operations.  Raises [Invalid_argument] unless
+    [1 <= keys_per_txn <= key_space]. *)
 
 val run_with :
   ?obs:Obs.t ->

@@ -79,8 +79,21 @@ let test_deterministic () =
           c.Chaos.report.Harness.messages_delivered ))
       campaign.Chaos.cells
   in
-  let a = summary (small ()) and b = summary (small ()) in
-  Alcotest.(check bool) "same seed, same campaign" true (a = b)
+  let campaign = small () in
+  let a = summary campaign and b = summary (small ()) in
+  Alcotest.(check bool) "same seed, same campaign" true (a = b);
+  (* Digests of the rendered campaigns, recorded before the chaos cell got
+     its single builder: a change to any cell field moves them. *)
+  let digest s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "pinned table + parity"
+    "ce47df3f2be2f6b156def761c64d0a88"
+    (digest (Chaos.table campaign ^ Chaos.parity_table campaign));
+  Alcotest.(check string) "pinned amnesia table"
+    "6e3fa04271ccbc1c684ef26989399636"
+    (digest
+       (Chaos.amnesia_table
+          (Chaos.run_amnesia ~n:9 ~clients:2 ~ops:10 ~seed:42 ~horizon:1500.0
+             ())))
 
 (* The amnesia acceptance gates at test size: durable WAL + catch-up keeps
    every configuration consistent; the negative control (async WAL, no

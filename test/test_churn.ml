@@ -70,7 +70,10 @@ let test_campaign_single_config () =
   Alcotest.(check bool) "a decommission completed" true
     (sum (fun r -> r.Churn_harness.decommissions_done) >= 1);
   Alcotest.(check int) "nothing stuck" 0
-    (sum (fun r -> r.Churn_harness.agg.Harness.failed_rejoins))
+    (sum (fun r -> r.Churn_harness.agg.Harness.failed_rejoins));
+  (* Recorded before the churn cell got its single builder. *)
+  Alcotest.(check string) "pinned table" "d61913be9ee2114d98d6ffad8a16c6a8"
+    (Digest.to_hex (Digest.string (Churn.table cells)))
 
 (* The negative control must leak: unfenced provisioning over an async
    WAL under a total blackout produces stale reads the oracle catches.
@@ -80,7 +83,9 @@ let test_negative_control_leaks () =
     Churn.run_negative ~n:13 ~configs:[ Arbitrary.Config.Mostly_read ] ()
   in
   Alcotest.(check bool) "at least one violation" true
-    (Churn.violations cells >= 1)
+    (Churn.violations cells >= 1);
+  Alcotest.(check string) "pinned table" "36a7669a0e870b27cb92aa49f625f20b"
+    (Digest.to_hex (Digest.string (Churn.table cells)))
 
 (* Provisioning must beat per-key catch-up by a wide margin on a cold
    rejoin; the bench gate requires 5x, the unit test just checks the

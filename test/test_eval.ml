@@ -156,7 +156,13 @@ let test_simulate_measure_smoke () =
     < 0.5);
   Alcotest.(check bool) "write cost close" true
     (abs_float (r.Eval.Simulate.measured_wr_cost -. r.Eval.Simulate.analytic_wr_cost)
-    < 0.8)
+    < 0.8);
+  (* All six configurations at n=9, recorded before the §4 single-client
+     cell got its single builder. *)
+  Alcotest.(check string) "pinned cost/load table"
+    "1cb98b98242210bd21b79467b02b820c"
+    (Digest.to_hex
+       (Digest.string (Eval.Simulate.cost_load_table ~n:9 ~ops:40 ())))
 
 let test_failure_injection_run_smoke () =
   let r =

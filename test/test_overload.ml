@@ -289,9 +289,9 @@ let test_harness_no_overload_unchanged () =
 let test_campaign_gate () =
   let campaign = Eval.Overload.run () in
   let verdict = Eval.Overload.gate campaign in
-  if not verdict.Eval.Overload.pass then
+  if not verdict.Eval.Gate.pass then
     Alcotest.failf "overload gate failed:\n%s"
-      (String.concat "\n" verdict.Eval.Overload.failures);
+      (String.concat "\n" verdict.Eval.Gate.failures);
   let naive =
     Eval.Overload.find campaign Eval.Overload.Retry_storm Eval.Overload.Naive
   in

@@ -117,6 +117,19 @@ let test_deterministic () =
   let a = run () and b = run () in
   Alcotest.(check (triple int int int)) "same seed, same outcome" a b
 
+let test_validation () =
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "keys_per_txn %d outside [1, key_space]" k)
+        (Invalid_argument
+           "Shard_txn_harness.run: keys_per_txn must be in [1, key_space]")
+        (fun () ->
+          ignore
+            (Shard_txn_harness.run
+               { (scenario ()) with Shard_txn_harness.keys_per_txn = k })))
+    [ 99; 0 ]
+
 let suite =
   [
     Alcotest.test_case "healthy cross-shard txns conserve" `Quick
@@ -131,4 +144,5 @@ let suite =
       test_nonatomic_healthy_is_silent;
     Alcotest.test_case "seeded cross-shard runs deterministic" `Quick
       test_deterministic;
+    Alcotest.test_case "validation" `Quick test_validation;
   ]

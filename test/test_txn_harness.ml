@@ -61,9 +61,13 @@ let test_wide_txns () =
 
 let test_validation () =
   let s = Txn_harness.default_scenario ~proto:(proto_of 24) in
-  Alcotest.check_raises "keys_per_txn too large"
-    (Invalid_argument "Txn_harness.run: keys_per_txn exceeds key_space")
-    (fun () -> ignore (Txn_harness.run { s with Txn_harness.keys_per_txn = 99 }))
+  List.iter
+    (fun k ->
+      Alcotest.check_raises
+        (Printf.sprintf "keys_per_txn %d outside [1, key_space]" k)
+        (Invalid_argument "Txn_harness.run: keys_per_txn must be in [1, key_space]")
+        (fun () -> ignore (Txn_harness.run { s with Txn_harness.keys_per_txn = k })))
+    [ 99; 0 ]
 
 (* [run] is the shared transaction loop with a shuffle picker.  The
    pinned tallies were recorded before the two transaction harnesses were
