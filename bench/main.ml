@@ -54,22 +54,18 @@ let txn_section () =
   let proto =
     Arbitrary.Quorums.protocol (Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:24)
   in
-  let s = Replication.Txn_harness.default_scenario ~proto in
-  Format.printf "failure-free:@.  %a@." Replication.Txn_harness.pp_report
-    (Replication.Txn_harness.run s);
+  let s = Replication.Harness.txn_scenario ~proto in
+  let run s =
+    Option.get (Replication.Harness.run s).Replication.Harness.transactions
+  in
+  Format.printf "failure-free:@.  %a@." Replication.Harness.pp_txn_report (run s);
   let rng = Dsutil.Rng.create 5 in
   let failures =
     Dsim.Failure.random_crash_recovery ~rng ~n:24 ~horizon:400.0 ~mtbf:150.0
       ~mttr:40.0
   in
-  Format.printf "churn + 2%% loss:@.  %a@." Replication.Txn_harness.pp_report
-    (Replication.Txn_harness.run
-       {
-         s with
-         Replication.Txn_harness.shard_failures = [ (0, failures) ];
-         loss_rate = 0.02;
-         n_clients = 4;
-       })
+  Format.printf "churn + 2%% loss:@.  %a@." Replication.Harness.pp_txn_report
+    (run { s with Replication.Harness.failures; loss_rate = 0.02; n_clients = 4 })
 
 let generalized_section () =
   hr "Extension: per-level (r,w) thresholds (Generalized protocol)";
@@ -592,11 +588,11 @@ let bench_tests () =
            let s = Replication.Harness.default_scenario ~proto in
            Replication.Harness.run
              { s with Replication.Harness.n_clients = 1; ops_per_client = 20 }));
-    Test.make ~name:"txn harness (1 client, 10 increment txns)"
+    Test.make ~name:"transaction clients (1 client, 10 increment txns)"
       (Staged.stage (fun () ->
-           let s = Replication.Txn_harness.default_scenario ~proto in
-           Replication.Txn_harness.run
-             { s with Replication.Txn_harness.n_clients = 1; txns_per_client = 10 }));
+           let s = Replication.Harness.txn_scenario ~proto in
+           Replication.Harness.run
+             { s with Replication.Harness.n_clients = 1; ops_per_client = 10 }));
   ]
 
 let run_benchmarks () =

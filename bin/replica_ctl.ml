@@ -353,23 +353,24 @@ let txn_cmd =
           ~rng:(Dsutil.Rng.create (seed + 1))
           ~n:n_replicas ~horizon:2000.0 ~mtbf ~mttr:(mtbf /. 4.0)
     in
-    let s = Replication.Txn_harness.default_scenario ~proto in
+    let s = Replication.Harness.txn_scenario ~proto in
     let obs, obs_finish = obs_setup ~metrics_json ~spans_jsonl in
     let report =
-      Replication.Txn_harness.run ?obs
+      Replication.Harness.run ?obs
         {
           s with
-          Replication.Txn_harness.n_clients = clients;
-          txns_per_client = txns;
-          keys_per_txn = keys;
+          Replication.Harness.n_clients = clients;
+          ops_per_client = txns;
+          txn = Some { Replication.Harness.keys_per_txn = keys; atomic = true };
           loss_rate = loss;
-          shard_failures = [ (0, failures) ];
+          failures;
           seed;
         }
     in
     Format.printf "%s over %d replicas:@.%a@."
       (Arbitrary.Config.name_to_string name)
-      n_replicas Replication.Txn_harness.pp_report report;
+      n_replicas Replication.Harness.pp_txn_report
+      (Option.get report.Replication.Harness.transactions);
     obs_finish ()
   in
   Cmd.v

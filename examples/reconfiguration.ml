@@ -50,8 +50,10 @@ let () =
       ~proto:(Arbitrary.Quorums.protocol read_tree)
       ~locks ()
   in
-  let rpc =
-    Replication.Quorum_rpc.create ~site:(n + 1) ~net
+  (* The reconfigurator's coordinator takes no locks: the migration
+     holds every key's lock itself. *)
+  let mig =
+    Coordinator.create ~site:(n + 1) ~net
       ~proto:(Arbitrary.Quorums.protocol read_tree) ()
   in
 
@@ -65,7 +67,7 @@ let () =
   (* Seed some state so the migration has data to carry. *)
   Format.printf "@.reconfiguring online...@.";
   let migrated = ref None in
-  Replication.Reconfig.migrate ~rpc ~locks
+  Replication.Reconfig.migrate ~coord:mig ~locks
     ~new_proto:(Arbitrary.Quorums.protocol write_tree) ~key_space
     ~on_switch:(fun () ->
       Coordinator.set_protocol coord (Arbitrary.Quorums.protocol write_tree))

@@ -55,7 +55,6 @@ val read_availability_per_site : Tree.t -> p:(int -> float) -> float
     [p] (§2.2); the per-site form supports placing reliable replicas on
     the small levels, which dominate both availabilities. *)
 
-val write_fail_per_site : Tree.t -> p:(int -> float) -> float
 val write_availability_per_site : Tree.t -> p:(int -> float) -> float
 
 val read_resilience : Tree.t -> int

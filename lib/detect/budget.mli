@@ -40,9 +40,9 @@ val on_attempt : t -> unit
 (** Record a first attempt: deposits [ratio] tokens.  The deposit happens
     on {e every} call, so callers must never route retries through it —
     a retry that deposits refills the very bucket meant to throttle it.
-    [Quorum_rpc] and [Coordinator] expose [?retry:true] on their entry
-    points for caller-level re-issues, which skip this call; their
-    internal retry loops only ever go through {!try_retry}. *)
+    The coordinator exposes [?retry:true] on its entry points for
+    caller-level re-issues, which skip this call; its internal retry
+    loop only ever goes through {!try_retry}. *)
 
 val try_retry : t -> bool
 (** Ask to retry: [true] withdraws one token; [false] means the budget is

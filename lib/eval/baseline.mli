@@ -48,9 +48,6 @@ val measure_all : ?seed:int -> ?n:int -> ?domains:int -> unit -> row list
     ({!Parallel}); rows come back in case order, so the report is
     byte-identical for any domain count. *)
 
-val load_error : side -> float
-(** Relative deviation |measured − analytic| / analytic. *)
-
 val max_load_error : row list -> float
 
 val span_leaks : row list -> int

@@ -40,9 +40,6 @@ val blackout_schedule : schedule
     with an async WAL this loses the un-flushed suffix on {e all} copies
     at once (the negative-control schedule). *)
 
-val default_schedules : schedule list
-(** The four original schedules (the blackout is amnesia-only). *)
-
 type detector = Oracle | Heartbeat
 
 val detector_to_string : detector -> string

@@ -25,7 +25,6 @@
 type kind = Donor_crash | Recipient_crash | Partition_promotion | Rolling
 
 val kind_to_string : kind -> string
-val default_kinds : kind list
 val default_configs : Arbitrary.Config.name list
 
 val rejoin_failures :
@@ -67,7 +66,7 @@ type cell = {
 val run :
   ?n:int -> ?configs:Arbitrary.Config.name list -> ?domains:int -> unit ->
   cell list
-(** The positive campaign: every [configs] × {!default_kinds} cell, 3
+(** The positive campaign: every [configs] × kind cell, 3
     clients × 25 ops, seed 42, horizon 3000. *)
 
 val run_negative :

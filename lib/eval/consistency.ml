@@ -129,10 +129,3 @@ let check_conservation ~committed ~uncertain ~observed =
   }
 
 let conserved c = c.phantom_increments = 0 && c.lost_increments = 0
-
-let pp_conservation ppf c =
-  Format.fprintf ppf
-    "committed=%d uncertain=%d observed=%d phantom=%d lost=%d (%s)"
-    c.committed_increments c.uncertain_increments c.observed_increments
-    c.phantom_increments c.lost_increments
-    (if conserved c then "conserved" else "VIOLATED")

@@ -44,12 +44,11 @@ val ok : report -> bool
 
 val pp : Format.formatter -> report -> unit
 
-val pp_violation : Format.formatter -> violation -> unit
-
 (** {2 Increment conservation}
 
-    The transaction harnesses run increment transactions whose committed
-    effects are exactly countable, giving the atomicity invariant
+    Transaction clients ({!Replication.Harness.txn}) run increment
+    transactions whose committed effects are exactly countable, giving
+    the atomicity invariant
 
     {v committed ≤ observed ≤ committed + uncertain v}
 
@@ -72,5 +71,3 @@ val check_conservation :
 
 val conserved : conservation -> bool
 (** No phantoms, nothing lost. *)
-
-val pp_conservation : Format.formatter -> conservation -> unit

@@ -91,11 +91,6 @@ let spans_jsonl spans =
     spans;
   Buffer.contents buf
 
-let write_spans_jsonl ~path spans =
-  let oc = open_out path in
-  output_string oc (spans_jsonl spans);
-  close_out oc
-
 let file_sink ~path =
   let oc = open_out path in
   let sink =

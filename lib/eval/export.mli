@@ -24,8 +24,6 @@ val write_all : ?sizes:int list -> ?p:float -> dir:string -> unit -> string list
 val spans_jsonl : Obs.Span.t list -> string
 (** One {!Obs.Span.to_json} line per span. *)
 
-val write_spans_jsonl : path:string -> Obs.Span.t list -> unit
-
 val file_sink : path:string -> Obs.Sink.t * (unit -> unit)
 (** A sink that streams each closed span to [path] as JSONL, plus the
     close function (call it after {!Obs.flush} when the run ends). *)

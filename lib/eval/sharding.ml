@@ -1,6 +1,5 @@
 module Harness = Replication.Harness
 module Shard_harness = Replication.Shard_harness
-module Shard_txn_harness = Replication.Shard_txn_harness
 module Shard_map = Arbitrary.Shard_map
 module Config = Arbitrary.Config
 
@@ -133,32 +132,32 @@ let run_identity () =
 
 let run_atomicity ~atomic =
   let proto = Config_metrics.protocol_of Config.Arbitrary ~n:9 in
-  let sc =
+  let base =
     {
-      (Shard_txn_harness.default_scenario ~proto ~shards:4) with
-      Shard_txn_harness.atomic;
+      (Harness.txn_scenario ~proto) with
+      Harness.ops_per_client = 50;
+      key_space = 16;
       seed = 42;
-      txns_per_client = 25;
+      txn = Some { Harness.keys_per_txn = 2; atomic };
       shard_loss = [ (1, 0.3) ];
     }
   in
-  let r = Shard_txn_harness.run sc in
+  let r = Shard_harness.run { (Harness.one_tree base) with shards = 4 } in
+  let t = Option.get r.Shard_harness.agg.Harness.transactions in
   let c =
-    Consistency.check_conservation
-      ~committed:r.Shard_txn_harness.committed_increments
-      ~uncertain:r.Shard_txn_harness.uncertain_increments
-      ~observed:r.Shard_txn_harness.observed_total
+    Consistency.check_conservation ~committed:t.Harness.committed_increments
+      ~uncertain:t.Harness.uncertain_increments ~observed:t.Harness.observed_total
   in
   {
     atomic;
-    committed = r.Shard_txn_harness.committed;
-    aborted = r.Shard_txn_harness.aborted;
-    uncertain = r.Shard_txn_harness.uncertain;
-    partial_commits = r.Shard_txn_harness.partial_commits;
+    committed = t.Harness.committed;
+    aborted = t.Harness.aborted;
+    uncertain = t.Harness.uncertain;
+    partial_commits = t.Harness.partial_commits;
     phantoms = c.Consistency.phantom_increments;
     lost = c.Consistency.lost_increments;
     conserved = Consistency.conserved c;
-    cross_shard = r.Shard_txn_harness.cross_shard_txns;
+    cross_shard = t.Harness.cross_shard_txns;
   }
 
 let run_reconfig () =

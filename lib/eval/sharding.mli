@@ -28,9 +28,6 @@
 val configs : Arbitrary.Config.name list
 (** The four §4 configurations of the arbitrary protocol. *)
 
-val shard_counts : int list
-(** [[1; 4; 16; 64]] *)
-
 type scale_cell = {
   config : Arbitrary.Config.name;
   shards : int;
@@ -97,9 +94,6 @@ type campaign = {
 val run : ?domains:int -> unit -> campaign
 (** Seed 42, deterministic; [domains] only fans the independent workload
     cells over cores. *)
-
-val speedup_at : campaign -> shards:int -> float
-(** Best speedup over the configurations at the given shard count. *)
 
 val gate : campaign -> Gate.verdict
 (** The acceptance predicate: scaling ≥ 0.7 × ideal at S=16 on some

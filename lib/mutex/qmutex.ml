@@ -19,13 +19,6 @@ type message =
   | Yield
   | Release
 
-let pp_message ppf = function
-  | Request p -> Format.fprintf ppf "request(%d@%d)" p.clock p.site
-  | Grant -> Format.pp_print_string ppf "grant"
-  | Inquire -> Format.pp_print_string ppf "inquire"
-  | Yield -> Format.pp_print_string ppf "yield"
-  | Release -> Format.pp_print_string ppf "release"
-
 (* --- arbiter (replica side) ---------------------------------------------- *)
 
 type arbiter = {

@@ -22,8 +22,6 @@
 type message
 (** Wire messages (request / grant / inquire / yield / release). *)
 
-val pp_message : Format.formatter -> message -> unit
-
 (** {2 Arbiters (replica side)} *)
 
 type arbiter

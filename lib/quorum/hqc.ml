@@ -29,7 +29,6 @@ let name _ = "HQC"
 let universe_size t = t.n
 let universe t = t.n
 let depth t = t.depth
-let branching t = t.s
 
 (* The subtree at [lo] of size [len] (a power of s) covers the leaves
    lo .. lo+len-1.  A quorum needs subquorums from [threshold] of its s

@@ -25,7 +25,6 @@ val of_n : n:int -> t
 
 val protocol : t -> Protocol.t
 val depth : t -> int
-val branching : t -> int
 val n_of_depth : int -> int
 (** Ternary: 3^depth (for {!create}/{!of_n} instances). *)
 

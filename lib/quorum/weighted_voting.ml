@@ -26,9 +26,6 @@ let rowa ~n = uniform ~n ~r:1 ~w:n
 
 let name _ = "WeightedVoting"
 let universe_size t = Array.length t.votes
-let total_votes t = t.total
-let read_threshold t = t.r
-let write_threshold t = t.w
 
 (* Assemble a quorum reaching [threshold] votes from alive replicas,
    preferring a random order so load spreads; greedy by arrival order is

@@ -24,9 +24,6 @@ val rowa : n:int -> t
 (** Uniform votes with r = 1, w = n. *)
 
 val protocol : t -> Protocol.t
-val total_votes : t -> int
-val read_threshold : t -> int
-val write_threshold : t -> int
 
 val min_read_quorum_size : t -> int
 (** Fewest replicas that can gather [r] votes (heaviest voters first). *)

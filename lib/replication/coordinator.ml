@@ -30,20 +30,13 @@ let default_config =
 
 type read_result = { value : string; ts : Timestamp.t; attempts : int }
 
-(* What an operation is and whom it answers.  A single-key op and a
-   multi-key batch run the same machine; only the callback's shape (and
-   the envelope, chosen by key count) differs. *)
-type kind =
-  | Read_one of (read_result option -> unit)
-  | Write_one of (Timestamp.t option -> unit)
-  | Read_many of ((int * read_result option) list -> unit)
-  | Write_many of ((int * Timestamp.t option) list -> unit)
-
 type phase =
   | Querying  (** collecting Read_replies (a read, or a write's version
                   phase) *)
   | Preparing
   | Committing
+  | Prepared  (** a held prepare: staged everywhere, awaiting the caller's
+                  commit or abort *)
 
 (* Pooled per-operation quorum scratch.  [q] holds the members of the
    current phase, with replied members overwritten by -1 (so "waiting" is
@@ -76,13 +69,26 @@ let make_scratch n =
    double-release guard ([release_scratch] is a no-op once it is in). *)
 let dummy_scratch = make_scratch 0
 
+(* What an operation is and whom it answers.  A single-key op and a
+   multi-key batch run the same machine; only the callback's shape (and
+   the envelope, chosen by key count) differs.  A held prepare answers
+   twice: [Prepare_hold] when its prepare completes (or fails), then
+   [Commit_held] once the caller's commit completes. *)
+type kind =
+  | Read_one of (read_result option -> unit)
+  | Write_one of (Timestamp.t option -> unit)
+  | Read_many of ((int * read_result option) list -> unit)
+  | Write_many of ((int * Timestamp.t option) list -> unit)
+  | Prepare_hold of ((staged, [ `Version | `Prepare ]) result -> unit)
+  | Commit_held of (bool -> unit)
+
 (* One operation over [n_keys] >= 1 keys, from entry to outcome, across
    every attempt.  Every field is mutable so a finished operation's record
    can go back to a pool and be re-initialized in place: a steady stream
    of operations allocates no op_state at all.  The per-position columns
    keep their capacity across reuses, so a single-key op allocates none of
    them either. *)
-type op_state = {
+and op_state = {
   mutable op : int;  (** the id of the {e current attempt} *)
   mutable kind : kind;
   mutable n_keys : int;
@@ -92,8 +98,8 @@ type op_state = {
       (** one span per position (a key may repeat), across attempts *)
   mutable max_v : int array;
       (** per position, the newest (version, sid, value) seen while
-          querying; once a write prepares, [max_v] holds the version
-          being written *)
+          querying; once a write prepares, [max_v]/[max_s] hold the
+          timestamp being written *)
   mutable max_s : int array;
   mutable max_val : string array;
   mutable attempts : int;  (** mutated in place by commit resends *)
@@ -104,7 +110,14 @@ type op_state = {
   mutable replies : (int * int * int) list;
       (** (member, version, sid) gathered while querying; only populated
           for single-key reads with read repair on *)
+  mutable forced : Timestamp.t option;
+      (** a single-key write's caller-chosen timestamp: no version phase *)
 }
+
+(* A held prepare's record, with the op id it parked under: a pooled
+   record can park again under another op, and the id tells a spent
+   handle from the new hold. *)
+and staged = { st : op_state; held_op : int }
 
 type t = {
   site : int;
@@ -153,7 +166,12 @@ let engine t = Network.engine t.net
 (* Placeholder until [create] installs the real handler. *)
 let uninit_timeout_h = Engine.handler (fun _ _ -> ())
 
-let phase_code = function Querying -> 0 | Preparing -> 1 | Committing -> 2
+(* A parked op arms no timer and has no code: 3 is the backoff's. *)
+let phase_code = function
+  | Querying -> 0
+  | Preparing -> 1
+  | Committing -> 2
+  | Prepared -> invalid_arg "Coordinator: a held prepare arms no timer"
 
 (* Event code of a backoff wake-up: the op record rides as the payload. *)
 let backoff_code = 3
@@ -209,6 +227,7 @@ let make_op cap =
     phase = Querying;
     phase_started = 0.0;
     replies = [];
+    forced = None;
   }
 
 (* Placeholder filling vacated pool slots so released records are not
@@ -255,6 +274,7 @@ let release_op t st =
       st.max_val.(i) <- ""
     done;
     st.replies <- [];
+    st.forced <- None;
     let cap = Array.length t.op_pool in
     if t.op_pool_n = cap then begin
       let grown = Array.make (max 4 (2 * cap)) dummy_op in
@@ -463,17 +483,18 @@ let read_result st i =
     attempts = st.attempts + 1;
   }
 
-let write_ts t st i = Timestamp.make ~version:st.max_v.(i) ~sid:t.site
+let write_ts st i = Timestamp.make ~version:st.max_v.(i) ~sid:st.max_s.(i)
 
 let is_write st =
-  match st.kind with Write_one _ | Write_many _ -> true | _ -> false
+  match st.kind with
+  | Write_one _ | Write_many _ | Prepare_hold _ | Commit_held _ -> true
+  | Read_one _ | Read_many _ -> false
 
 (* Per position: stamp the span, count the key, record its latency.  A
-   write's timestamp is the version it prepared under this site's id. *)
+   write's timestamp is the one it prepared. *)
 let account_ok t st i ~elapsed =
   let write = is_write st in
-  let sid = if write then t.site else st.max_s.(i) in
-  oresult_ts t st.spans.(i) ~version:st.max_v.(i) ~sid;
+  oresult_ts t st.spans.(i) ~version:st.max_v.(i) ~sid:st.max_s.(i);
   ofinish t st.spans.(i) Obs.Span.Ok;
   if write then begin
     bump t.writes_ok;
@@ -505,11 +526,15 @@ let finish t st ~ok =
     else t.reads_failed.value <- t.reads_failed.value + k;
   (match st.kind with
   | Read_one cb -> cb (if ok then Some (read_result st 0) else None)
-  | Write_one cb -> cb (if ok then Some (write_ts t st 0) else None)
+  | Write_one cb -> cb (if ok then Some (write_ts st 0) else None)
   | Read_many cb ->
     cb (per_key st (fun i -> if ok then Some (read_result st i) else None))
   | Write_many cb ->
-    cb (per_key st (fun i -> if ok then Some (write_ts t st i) else None)));
+    cb (per_key st (fun i -> if ok then Some (write_ts st i) else None))
+  | Prepare_hold cb ->
+    (* Only failure ends a held prepare here; success parks it. *)
+    cb (Error (if st.phase = Querying then `Version else `Prepare))
+  | Commit_held cb -> cb ok);
   (* Pool the record only after the completion callback has run: anything
      it started took a different record, and nothing reaches this one
      anymore. *)
@@ -568,11 +593,52 @@ let retry ?(timed_out = false) t st =
     end
   end
 
+(* 2PC over a write quorum of the timestamps in [max_v]/[max_s]: stage
+   every key on every member with one [Prepare] (one key) or
+   [Prepare_batch] envelope (several). *)
+let start_prepare t st =
+  st.phase <- Preparing;
+  match Protocol.write_quorum t.proto ~alive:(current_view t) ~rng:t.rng with
+  | None -> retry t st
+  | Some quorum ->
+    let sc = st.sc in
+    let n = Bitset.fill_elements quorum sc.w in
+    sc.n_w <- n;
+    Array.blit sc.w 0 sc.q 0 n;
+    Array.fill sc.winc 0 n 0;
+    sc.n_q <- n;
+    sc.waiting_n <- n;
+    st.phase_started <- Engine.now (engine t);
+    ophase t st ~kind:Obs.Span.Prepare;
+    arm_timeout t st;
+    let k = st.n_keys in
+    fan_out t st
+      (if k = 1 then
+         Message.Prepare
+           {
+             op = st.op;
+             key = st.keys.(0);
+             version = st.max_v.(0);
+             sid = st.max_s.(0);
+             value = st.values.(0);
+           }
+       else
+         Message.Prepare_batch
+           {
+             op = st.op;
+             writes =
+               Batch.make ~keys:(Array.sub st.keys 0 k)
+                 ~versions:(Array.sub st.max_v 0 k)
+                 ~sids:(Array.sub st.max_s 0 k)
+                 ~values:(Array.sub st.values 0 k);
+           })
+
 (* One attempt: assemble a read quorum and send every member the query —
    a [Read_request] for one key, one [Read_batch] envelope (one message,
    one service slot) for several.  A write continues into 2PC from
-   [query_complete].  Retries re-run the whole operation against fresh
-   quorums: a round either assembled its quorum or it did not. *)
+   [query_complete]; a write with a forced timestamp starts there.
+   Retries re-run the whole operation against fresh quorums: a round
+   either assembled its quorum or it did not. *)
 let start_attempt t st =
   let op = fresh_op t in
   st.op <- op;
@@ -589,20 +655,26 @@ let start_attempt t st =
   sc.waiting_n <- 0;
   sc.n_w <- 0;
   Hashtbl.replace t.pending op st;
-  let view = current_view t in
-  match Protocol.read_quorum t.proto ~alive:view ~rng:t.rng with
-  | None -> retry t st
-  | Some quorum ->
-    let n = Bitset.fill_elements quorum sc.q in
-    sc.n_q <- n;
-    sc.waiting_n <- n;
-    ophase t st ~kind:Obs.Span.Query;
-    arm_timeout t st;
-    fan_out t st
-      (if st.n_keys = 1 then Message.Read_request { op; key = st.keys.(0) }
-       else
-         Message.Read_batch
-           { op; n_keys = st.n_keys; keys = Array.sub st.keys 0 st.n_keys })
+  match st.forced with
+  | Some ts ->
+    st.max_v.(0) <- ts.Timestamp.version;
+    st.max_s.(0) <- ts.Timestamp.sid;
+    start_prepare t st
+  | None -> (
+    let view = current_view t in
+    match Protocol.read_quorum t.proto ~alive:view ~rng:t.rng with
+    | None -> retry t st
+    | Some quorum ->
+      let n = Bitset.fill_elements quorum sc.q in
+      sc.n_q <- n;
+      sc.waiting_n <- n;
+      ophase t st ~kind:Obs.Span.Query;
+      arm_timeout t st;
+      fan_out t st
+        (if st.n_keys = 1 then Message.Read_request { op; key = st.keys.(0) }
+         else
+           Message.Read_batch
+             { op; n_keys = st.n_keys; keys = Array.sub st.keys 0 st.n_keys }))
 
 let commit_timeout t st =
   (* The decision is already commit; resend to the laggards instead of
@@ -676,48 +748,13 @@ let query_complete t st =
   send_repairs t st;
   match st.kind with
   | Read_one _ | Read_many _ -> finish t st ~ok:true
-  | Write_one _ | Write_many _ -> begin
-    (* Versions obtained; move to 2PC over a write quorum. *)
-    let view = current_view t in
-    match Protocol.write_quorum t.proto ~alive:view ~rng:t.rng with
-    | None -> retry t st
-    | Some quorum ->
-      let sc = st.sc in
-      let n = Bitset.fill_elements quorum sc.w in
-      sc.n_w <- n;
-      Array.blit sc.w 0 sc.q 0 n;
-      Array.fill sc.winc 0 n 0;
-      sc.n_q <- n;
-      sc.waiting_n <- n;
-      let k = st.n_keys in
-      for i = 0 to k - 1 do
-        st.max_v.(i) <- base_version st i (i - 1) + 1
-      done;
-      st.phase <- Preparing;
-      st.phase_started <- Engine.now (engine t);
-      ophase t st ~kind:Obs.Span.Prepare;
-      arm_timeout t st;
-      fan_out t st
-        (if k = 1 then
-           Message.Prepare
-             {
-               op = st.op;
-               key = st.keys.(0);
-               version = st.max_v.(0);
-               sid = t.site;
-               value = st.values.(0);
-             }
-         else
-           Message.Prepare_batch
-             {
-               op = st.op;
-               writes =
-                 Batch.make ~keys:(Array.sub st.keys 0 k)
-                   ~versions:(Array.sub st.max_v 0 k)
-                   ~sids:(Array.make k t.site)
-                   ~values:(Array.sub st.values 0 k);
-             })
-  end
+  | Write_one _ | Write_many _ | Prepare_hold _ | Commit_held _ ->
+    (* Versions obtained: write one past each under this site's id. *)
+    for i = 0 to st.n_keys - 1 do
+      st.max_v.(i) <- base_version st i (i - 1) + 1;
+      st.max_s.(i) <- t.site
+    done;
+    start_prepare t st
 
 let prepare_complete t st =
   let sc = st.sc in
@@ -773,7 +810,16 @@ let handle_op t ~src st msg =
     let sc = st.sc in
     let i = member_index sc src 0 in
     if i < sc.n_w then sc.winc.(i) <- inc;
-    if sc.waiting_n = 0 then prepare_complete t st
+    if sc.waiting_n = 0 then begin
+      match st.kind with
+      | Prepare_hold cb ->
+        (* Staged everywhere: park until the caller decides. *)
+        oend_phase t st ~timed_out:false;
+        st.phase <- Prepared;
+        cb (Ok { st; held_op = st.op })
+      | Read_one _ | Write_one _ | Read_many _ | Write_many _ | Commit_held _ ->
+        prepare_complete t st
+    end
   | Prepare_nack _ when st.phase = Querying || st.phase = Preparing ->
     (* Refusal: a queried or prepared member cannot take part (it is
        recovering, or our commit raced its crash).  Re-assemble. *)
@@ -877,7 +923,9 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
           match Hashtbl.find t.pending (meta lsr 2) with
           | exception Not_found -> ()
           | st ->
-            if phase_code st.phase = pc && st.sc.waiting_n > 0 then
+            if st.phase <> Prepared && phase_code st.phase = pc
+               && st.sc.waiting_n > 0
+            then
               if pc = 2 then commit_timeout t st
               else retry ~timed_out:true t st);
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
@@ -902,11 +950,12 @@ let open_span t ~op ~key =
 let budget_attempt t =
   match t.budget with None -> () | Some b -> Detect.Budget.on_attempt b
 
-let start_one t kind ~key ~value ~span =
+let start_one t kind ~key ~value ~span ~forced =
   let st = alloc_op t ~kind ~n:1 in
   st.keys.(0) <- key;
   st.values.(0) <- value;
   st.spans.(0) <- span;
+  st.forced <- forced;
   start_attempt t st
 
 let read t ?(retry = false) ~key k =
@@ -914,14 +963,19 @@ let read t ?(retry = false) ~key k =
   let span = open_span t ~op:"read" ~key in
   with_lock t ~key ~mode:Lock_manager.Shared (fun unlock ->
       start_one t (Read_one (fun r -> unlock (fun () -> k r))) ~key ~value:""
-        ~span)
+        ~span ~forced:None)
 
-let write t ?(retry = false) ~key ~value k =
+(* A forced write is state transfer, which runs under its caller's
+   fences: it takes no lock of its own. *)
+let write t ?(retry = false) ~key ?ts ~value k =
   if not retry then budget_attempt t;
   let span = open_span t ~op:"write" ~key in
-  with_lock t ~key ~mode:Lock_manager.Exclusive (fun unlock ->
-      start_one t (Write_one (fun r -> unlock (fun () -> k r))) ~key ~value
-        ~span)
+  match ts with
+  | Some _ -> start_one t (Write_one k) ~key ~value ~span ~forced:ts
+  | None ->
+    with_lock t ~key ~mode:Lock_manager.Exclusive (fun unlock ->
+        start_one t (Write_one (fun r -> unlock (fun () -> k r))) ~key ~value
+          ~span ~forced:None)
 
 (* Multi-key entries.  A batch of one key is a plain single-key op — locks,
    spans, RNG draws and all — so batch size 1 is byte-identical to
@@ -932,7 +986,7 @@ let write t ?(retry = false) ~key ~value k =
    batching exists to create. *)
 let start_many t ~retry ~op ~n kind fill =
   if not retry then budget_attempt t;
-  bump t.batches;
+  if n > 1 then bump t.batches;
   let st = alloc_op t ~kind ~n in
   fill st;
   for i = 0 to n - 1 do
@@ -948,18 +1002,58 @@ let read_batch t ?(retry = false) ~keys k =
     start_many t ~retry ~op:"read" ~n:(List.length keys) (Read_many k)
       (fun st -> List.iteri (fun i key -> st.keys.(i) <- key) keys)
 
+let fill_writes writes st =
+  List.iteri
+    (fun i (key, value) ->
+      st.keys.(i) <- key;
+      st.values.(i) <- value)
+    writes
+
 let write_batch t ?(retry = false) ~writes k =
   match writes with
   | [] -> k []
   | [ (key, value) ] -> write t ~retry ~key ~value (fun r -> k [ (key, r) ])
   | _ ->
     start_many t ~retry ~op:"write" ~n:(List.length writes) (Write_many k)
-      (fun st ->
-        List.iteri
-          (fun i (key, value) ->
-            st.keys.(i) <- key;
-            st.values.(i) <- value)
-          writes)
+      (fill_writes writes)
+
+(* A held prepare is a write batch whose machine parks in [Prepared]
+   between the prepare and commit phases: the same record, quorum and op
+   id carry on into [commit_staged]'s commit phase, or end with
+   [abort_staged]'s rollback.  Any key count, one included, and no locks:
+   the caller owns concurrency control. *)
+let prepare_batch t ~writes k =
+  if writes = [] then invalid_arg "Coordinator.prepare_batch: no writes";
+  start_many t ~retry:false ~op:"write" ~n:(List.length writes) (Prepare_hold k)
+    (fill_writes writes)
+
+let check_held fn { st; held_op } =
+  if st.op <> held_op || st.phase <> Prepared then
+    invalid_arg ("Coordinator." ^ fn ^ ": not a held prepare");
+  st
+
+let commit_staged t h k =
+  let st = check_held "commit_staged" h in
+  st.kind <- Commit_held k;
+  prepare_complete t st
+
+let abort_staged t h =
+  let st = check_held "abort_staged" h in
+  let sc = st.sc in
+  let abort = Message.Abort { op = st.op } in
+  for i = 0 to sc.n_w - 1 do
+    send t ~dst:sc.w.(i) abort
+  done;
+  (* Rolled back: each key's span closes failed, and the keys count as
+     failed writes. *)
+  for i = 0 to st.n_keys - 1 do
+    ofinish t st.spans.(i) (Obs.Span.Failed "aborted");
+    st.spans.(i) <- None
+  done;
+  st.kind <- Commit_held ignore;
+  finish t st ~ok:false
+
+let protocol t = t.proto
 
 let set_protocol t proto =
   if Protocol.universe_size proto <> t.n_replicas then

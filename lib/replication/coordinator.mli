@@ -112,9 +112,21 @@ val read : t -> ?retry:bool -> key:int -> (read_result option -> unit) -> unit
     attempts).  Default [false]. *)
 
 val write :
-  t -> ?retry:bool -> key:int -> value:string -> (Timestamp.t option -> unit) -> unit
+  t ->
+  ?retry:bool ->
+  key:int ->
+  ?ts:Timestamp.t ->
+  value:string ->
+  (Timestamp.t option -> unit) ->
+  unit
 (** On success, the timestamp under which the value was committed.
-    [~retry:true] as in {!read}. *)
+    [~retry:true] as in {!read}.
+
+    A forced [ts] skips the version phase: the value is prepared and
+    committed under exactly [ts].  State transfer uses it to re-install
+    values without minting new versions; re-installing the same [ts] is
+    idempotent at the replicas.  A forced write takes no lock, whatever
+    [locks] says: state transfer runs under its caller's fences. *)
 
 val read_batch :
   t -> ?retry:bool -> keys:int list -> ((int * read_result option) list -> unit) -> unit
@@ -150,6 +162,45 @@ val write_batch :
     A key written twice in one batch gets strictly increasing versions,
     so its last value wins.  Singleton, locking and budget semantics as
     in {!read_batch}. *)
+
+(** {2 Held prepares}
+
+    The 2PC of a multi-key write, split at its decision point so a caller
+    can make one decision across several coordinators (a cross-shard
+    transaction).  A held prepare is a {!write_batch} whose operation
+    parks after the prepare phase; {!commit_staged} resumes it into the
+    commit phase and {!abort_staged} rolls it back. *)
+
+type staged
+(** A write staged on every member of a write quorum.  Consumed by one
+    {!commit_staged} or {!abort_staged}; a spent handle raises
+    [Invalid_argument], also once its pooled record holds another
+    prepare. *)
+
+val prepare_batch :
+  t ->
+  writes:(int * string) list ->
+  ((staged, [ `Version | `Prepare ]) result -> unit) ->
+  unit
+(** Version phase, then prepare, of [writes] (any number >= 1 of keys,
+    versions as in {!write_batch}); the callback gets the held prepare,
+    or the phase the last attempt failed in.  Takes no locks whatever
+    [locks] says: the caller owns concurrency control.  Spans, counters
+    and the retry budget as in {!write_batch}: a held prepare's keys count
+    (and close their spans) when it commits or aborts.  Raises
+    [Invalid_argument] on an empty [writes]. *)
+
+val commit_staged : t -> staged -> (bool -> unit) -> unit
+(** Commit a held prepare, resending to laggards on timeout; [false] when
+    some member never acknowledged or lost its stage to a crash (the
+    outcome is in doubt). *)
+
+val abort_staged : t -> staged -> unit
+(** Roll a held prepare back: [Abort] to every member, fire and forget.
+    Its keys count as failed writes and their spans close failed. *)
+
+val protocol : t -> Quorum.Protocol.t
+(** The quorum geometry in force. *)
 
 val view : t -> Detect.View.t
 (** The failure-detector view in force. *)

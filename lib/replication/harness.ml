@@ -33,6 +33,8 @@ type batching = {
   pipeline : int;  (** outstanding windows per client (>= 1) *)
 }
 
+type txn = { keys_per_txn : int; atomic : bool }
+
 type scenario = {
   proto : Protocol.t;
   n_clients : int;
@@ -56,6 +58,8 @@ type scenario = {
   check_consistency : bool;
   overload : overload option;
   batching : batching option;
+  txn : txn option;
+  shard_loss : (int * float) list;
 }
 
 let overload_defaults =
@@ -93,6 +97,30 @@ let default_scenario ~proto =
     check_consistency = false;
     overload = None;
     batching = None;
+    txn = None;
+    shard_loss = [];
+  }
+
+type txn_report = {
+  committed : int;
+  aborted : int;
+  uncertain : int;
+  partial_commits : int;
+  committed_increments : int;
+  uncertain_increments : int;
+  observed_total : int;
+  conservation_ok : bool;
+  cross_shard_txns : int;
+}
+
+let txn_scenario ~proto =
+  {
+    (default_scenario ~proto) with
+    n_clients = 3;
+    ops_per_client = 30;
+    key_space = 6;
+    think_time = 2.0;
+    txn = Some { keys_per_txn = 2; atomic = true };
   }
 
 type report = {
@@ -144,6 +172,7 @@ type report = {
   provision_stale : int;
   failed_rejoins : int;
   replica_status : string array;
+  transactions : txn_report option;
 }
 
 type reconfig_action = Split of int | Merge of { into : int; from_ : int }
@@ -194,17 +223,19 @@ type world = {
    check: one checker spans every shard, since keys are globally unique. *)
 type checker = { latest : (int, Timestamp.t) Hashtbl.t; mutable violations : int }
 
+(* Coordinators at [site] on every shard's network, outside the client
+   counters, spans and locks: the migration copies and the final
+   transaction tally. *)
+let service_coords ~nets ~protos ~site =
+  Array.mapi (fun s net -> Coordinator.create ~site ~net ~proto:protos.(s) ()) nets
+
 (* Online split/merge: at each [rc.at] the shard map flips and the moving
    keys are fenced, copied to the target instance by forced-timestamp
-   state transfer, and released.  The migration endpoints sit at
+   state transfer, and released.  The migration coordinators sit at
    [mig_site], on every shard's network. *)
-let schedule_reconfig ~engine ~locks ~smap ~nets ~protos ~mig_site ?obs
-    ~migrated ~failed ~splits ~merges reconfig =
-  let mig =
-    Array.mapi
-      (fun s net -> Quorum_rpc.create ~site:mig_site ~net ~proto:protos.(s) ?obs ())
-      nets
-  in
+let schedule_reconfig ~engine ~locks ~smap ~nets ~protos ~mig_site ~migrated
+    ~failed ~splits ~merges reconfig =
+  let mig = service_coords ~nets ~protos ~site:mig_site in
   List.iter
     (fun rc ->
       let owner = Lock_manager.fresh_owner locks in
@@ -243,13 +274,13 @@ let schedule_reconfig ~engine ~locks ~smap ~nets ~protos ~mig_site ?obs
                 copy rest
               end
             in
-            Quorum_rpc.query src ~key (function
-              | Some (ts, value) ->
+            Coordinator.read src ~key (function
+              | Some { Coordinator.ts; value; _ } ->
                 if ts = Timestamp.zero then copy rest
                 else
                   (* Reinstall the value on the target shard without
                      minting a new version. *)
-                  Quorum_rpc.write dst ~key ~ts ~value (function
+                  Coordinator.write dst ~key ~ts ~value (function
                     | Some _ ->
                       incr migrated;
                       copy rest
@@ -272,6 +303,131 @@ let schedule_reconfig ~engine ~locks ~smap ~nets ~protos ~mig_site ?obs
               moved))
     reconfig
 
+(* --- transaction clients -------------------------------------------------- *)
+
+let value_of v = if v = "" then 0 else int_of_string v
+
+(* The [j]-th key, in key order, that [smap] routes to shard [s]. *)
+let rec nth_key smap s j k =
+  if Shard_map.route smap k <> s then nth_key smap s j (k + 1)
+  else if j = 0 then k
+  else nth_key smap s (j - 1) (k + 1)
+
+(* Pick [count] distinct keys spread over as many distinct shards as the
+   map allows: shuffle the active shards, then draw one random key from
+   each in round-robin, rejecting duplicates.  On one shard: distinct
+   uniform keys.  A key is drawn as an index among its shard's keys, so
+   nothing lists them. *)
+let pick_keys ~count rng smap =
+  let shards = Array.of_list (Shard_map.active smap) in
+  Rng.shuffle rng shards;
+  let owned = Shard_map.counts smap in
+  let n_sh = Array.length shards in
+  let chosen = ref [] in
+  for i = 0 to count - 1 do
+    let s = shards.(i mod n_sh) in
+    if owned.(s) > 0 then begin
+      let draw () = nth_key smap s (Rng.int rng owned.(s)) 0 in
+      let attempts = ref 0 in
+      let key = ref (draw ()) in
+      while List.mem !key !chosen && !attempts < 50 do
+        key := draw ();
+        incr attempts
+      done;
+      if not (List.mem !key !chosen) then chosen := !key :: !chosen
+    end
+  done;
+  List.rev !chosen
+
+let spans_shards smap keys =
+  match keys with
+  | [] -> false
+  | first :: rest ->
+    let s0 = Shard_map.route smap first in
+    List.exists (fun k -> Shard_map.route smap k <> s0) rest
+
+(* Read every chosen counter, write each back + 1, commit. *)
+let increment_txn mgr ~keys k =
+  let txn = Txn.begin_txn mgr in
+  let rec step = function
+    | [] -> Txn.commit txn k
+    | key :: rest ->
+      Txn.read txn ~key (function
+        | None -> k (Txn.Aborted "read failed")
+        | Some v ->
+          Txn.write txn ~key ~value:(string_of_int (value_of v + 1));
+          step rest)
+  in
+  step keys
+
+(* The conservation tally of increment transactions:
+
+     committed increments <= final counter total
+                          <= committed + in-doubt increments
+
+   [partial] transactions (the non-atomic control) count toward neither
+   bound, so the phantoms they leave must break it. *)
+let no_txns =
+  {
+    committed = 0;
+    aborted = 0;
+    uncertain = 0;
+    partial_commits = 0;
+    committed_increments = 0;
+    uncertain_increments = 0;
+    observed_total = 0;
+    conservation_ok = true;
+    cross_shard_txns = 0;
+  }
+
+let count_txn r ~keys = function
+  | Txn.Committed ->
+    { r with committed = r.committed + 1; committed_increments = r.committed_increments + keys }
+  | Txn.In_doubt ->
+    {
+      r with
+      aborted = r.aborted + 1;
+      uncertain = r.uncertain + 1;
+      uncertain_increments = r.uncertain_increments + keys;
+    }
+  | Txn.Partial _ -> { r with aborted = r.aborted + 1; partial_commits = r.partial_commits + 1 }
+  | Txn.Aborted _ -> { r with aborted = r.aborted + 1 }
+
+(* Heal every shard, turn loss off, and read every counter through fresh
+   coordinators at [site]: one read batch per shard. *)
+let tally_report ~engine ~smap ~nets ~protos ~n ~site r =
+  Array.iter
+    (fun net ->
+      for s = 0 to n - 1 do
+        Network.recover net s
+      done;
+      Network.heal net;
+      Network.set_loss_rate net 0.0)
+    nets;
+  let readers = service_coords ~nets ~protos ~site in
+  let observed = ref 0 in
+  let pending = ref 0 in
+  Array.iteri
+    (fun s reader ->
+      incr pending;
+      Coordinator.read_batch reader ~keys:(Shard_map.keys_of smap s) (fun rs ->
+          List.iter
+            (function
+              | _, Some { Coordinator.value; _ } -> observed := !observed + value_of value
+              | _, None -> ())
+            rs;
+          decr pending))
+    readers;
+  Engine.run engine;
+  assert (!pending = 0);
+  {
+    r with
+    observed_total = !observed;
+    conservation_ok =
+      !observed >= r.committed_increments
+      && !observed <= r.committed_increments + r.uncertain_increments;
+  }
+
 let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
   let b = sc.base in
   if b.n_clients < 1 then invalid_arg "Harness.run: need a client";
@@ -279,6 +435,12 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
   (match b.batching with
   | Some bt when bt.batch_size < 1 || bt.pipeline < 1 ->
     invalid_arg "Harness.run: batch_size and pipeline must be >= 1"
+  | _ -> ());
+  (match b.txn with
+  | Some tx when tx.keys_per_txn < 1 || tx.keys_per_txn > b.key_space ->
+    invalid_arg "Harness.run: keys_per_txn must be in [1, key_space]"
+  | Some _ when b.batching <> None ->
+    invalid_arg "Harness.run: transactions and batching exclude each other"
   | _ -> ());
   (* Split targets exist from the start (their id is allocated when the
      split fires); until then they own no keys and see no traffic. *)
@@ -294,6 +456,11 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
       if s < 0 || s >= max_shards then
         invalid_arg "Harness.run: shard_failures index out of range")
     sc.shard_failures;
+  List.iter
+    (fun (s, _) ->
+      if s < 0 || s >= max_shards then
+        invalid_arg "Harness.run: shard_loss index out of range")
+    b.shard_loss;
   let smap =
     Shard_map.create ~strategy:sc.strategy ~shards:sc.shards ~key_space:b.key_space
       ~seed:b.seed ()
@@ -341,15 +508,19 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
      stream, crash schedule, service queues), breaker and replicas.  Shards
      are built in id order, so the RNG-split sequence depends only on S. *)
   let n = Protocol.universe_size b.proto in
-  (* Replicas, then clients, then burst clients; a resharding run adds
-     its migration endpoint's address past them. *)
+  (* Replicas, then clients, then burst clients; a resharding or
+     transaction run adds the address of its migration and tally
+     coordinators past them. *)
   let mig_site = n + b.n_clients + n_burst in
-  let addresses = if sc.reconfig = [] then mig_site else mig_site + 1 in
+  let addresses =
+    if sc.reconfig = [] && b.txn = None then mig_site else mig_site + 1
+  in
   let create_shard s =
     let proto = Protocol.fork b.proto in
-    let net =
-      Network.create ~engine ~n:addresses ~latency:b.latency ~loss_rate:b.loss_rate ()
+    let loss_rate =
+      Option.value (List.assoc_opt s b.shard_loss) ~default:b.loss_rate
     in
+    let net = Network.create ~engine ~n:addresses ~latency:b.latency ~loss_rate () in
     Network.set_crash_mode net b.crash_mode;
     Option.iter
       (fun o ->
@@ -396,7 +567,13 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
   let nets = Array.map (fun (_, net, _, _) -> net) trees in
   let breakers = Array.map (fun (_, _, br, _) -> br) trees in
   let replicas = Array.map (fun (_, _, _, reps) -> reps) trees in
-  let locks = if b.use_locks then Some (Lock_manager.create ~engine) else None in
+  (* Transactions bring their own strict 2PL on the shared lock manager;
+     their coordinators take no locks. *)
+  let locks =
+    if b.use_locks || b.txn <> None then Some (Lock_manager.create ~engine) else None
+  in
+  let coord_locks = if b.txn = None then locks else None in
+  let tally = ref no_txns in
   let checker = { latest = Hashtbl.create 16; violations = 0 } in
   let clients_done = ref 0 in
   let monitors = ref [] in
@@ -443,14 +620,13 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
               monitors := hb :: !monitors;
               Some (Detect.Heartbeat.view hb)
           in
-          Coordinator.create ~site ~net:nets.(s) ~proto:protos.(s) ?locks ?view
-            ?budget ?breaker:breakers.(s) ?obs ~config:b.coordinator ())
+          Coordinator.create ~site ~net:nets.(s) ~proto:protos.(s) ?locks:coord_locks
+            ?view ?budget ?breaker:breakers.(s) ?obs ~config:b.coordinator ())
     in
+    let rng = Rng.split (Engine.rng engine) in
     let gen =
-      Workload.Generator.create
-        ~rng:(Rng.split (Engine.rng engine))
-        ~read_fraction:b.read_fraction ~key_space:b.key_space
-        ~zipf_theta:b.zipf_theta ()
+      Workload.Generator.create ~rng ~read_fraction:b.read_fraction
+        ~key_space:b.key_space ~zipf_theta:b.zipf_theta ()
     in
     let expected_now key =
       match Hashtbl.find checker.latest key with
@@ -589,8 +765,33 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
         slot_step ()
       done
     in
+    (* Transaction client: [ops] increment transactions over the client's
+       per-shard coordinators, each on keys drawn by [pick_keys]. *)
+    let run_txns tx =
+      let mgr =
+        Txn.create_sharded_manager ~site ~engine ~coords ~route:(Shard_map.route smap)
+          ~locks:(Option.get locks) ~atomic:tx.atomic ?obs ()
+      in
+      let rec go remaining =
+        if remaining = 0 then client_finished ()
+        else begin
+          let keys = pick_keys ~count:tx.keys_per_txn rng smap in
+          if spans_shards smap keys then
+            tally := { !tally with cross_shard_txns = !tally.cross_shard_txns + 1 };
+          increment_txn mgr ~keys (fun outcome ->
+              tally := count_txn !tally ~keys:(List.length keys) outcome;
+              Engine.schedule engine
+                ~delay:(Workload.Generator.think_time gen ~mean:think)
+                (fun () -> go (remaining - 1)))
+        end
+      in
+      go ops
+    in
     let start () =
-      match b.batching with None -> step ops | Some bt -> run_batched bt
+      match (b.txn, b.batching) with
+      | Some tx, _ -> run_txns tx
+      | None, None -> step ops
+      | None, Some bt -> run_batched bt
     in
     if start_delay > 0.0 then Engine.schedule engine ~delay:start_delay start
     else start ();
@@ -616,7 +817,7 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
      reconfiguration never allocate them. *)
   if sc.reconfig <> [] then
     schedule_reconfig ~engine ~locks:(Option.get locks) ~smap ~nets ~protos ~mig_site
-      ?obs ~migrated ~failed ~splits ~merges sc.reconfig;
+      ~migrated ~failed ~splits ~merges sc.reconfig;
   extend { engine; locks; replicas };
   Array.iter (fun net -> Failure.apply net b.failures) nets;
   List.iter (fun (s, entries) -> Failure.apply nets.(s) entries) sc.shard_failures;
@@ -693,7 +894,17 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
       provision_stale = sum_replicas Replica.provision_stale;
       failed_rejoins = sum_replicas Replica.failed_rejoins;
       replica_status = Array.map Replica.status_label all_replicas;
+      transactions = None;
     }
+  in
+  (* The tally runs after the report is taken, so its traffic is not
+     counted. *)
+  let agg =
+    match b.txn with
+    | None -> agg
+    | Some _ ->
+      let t = tally_report ~engine ~smap ~nets ~protos ~n ~site:mig_site !tally in
+      { agg with transactions = Some t }
   in
   {
     agg;
@@ -713,6 +924,16 @@ let run ?obs ?read_probe scenario =
   (run_core ?obs ?read_probe (one_tree scenario)).agg
 
 let completed r = r.reads_ok + r.writes_ok
+
+let pp_txn_report ppf r =
+  Format.fprintf ppf
+    "@[<v>transactions: %d committed, %d aborted (%d in-doubt, %d partial)@,\
+     cross-shard: %d@,\
+     increments: %d committed + %d uncertain; observed total %d@,\
+     conservation: %s@]"
+    r.committed r.aborted r.uncertain r.partial_commits r.cross_shard_txns
+    r.committed_increments r.uncertain_increments r.observed_total
+    (if r.conservation_ok then "OK" else "VIOLATED")
 
 let messages_per_op r =
   if completed r = 0 then 0.0

@@ -6,9 +6,10 @@
     one tree instance per shard (network, replicas, breaker), the clients
     and their loop, and assembles the report; the plain run ({!run}), the
     sharded run ({!Shard_harness}) and the membership-churn run
-    ({!Churn_harness}) are calls into it.  Shards, overload, batching,
-    failures, crash recovery and the detector are independent fields, and
-    every combination of them runs.
+    ({!Churn_harness}) are calls into it.  A client runs one operation at
+    a time, in batch windows, or as transactions ({!txn}).  Shards,
+    overload, batching, failures, crash recovery and the detector are
+    independent fields, and every combination of them runs.
 
     The safety property monitored is one-copy read freshness: a read that
     {e starts} after a write to the same key {e completed successfully}
@@ -78,6 +79,25 @@ type batching = {
     it too is byte-identical — the determinism control for the batching
     layer. *)
 
+type txn = {
+  keys_per_txn : int;
+      (** keys each increment transaction reads and writes back + 1, in
+          [1, key_space], spread over as many shards as the map allows *)
+  atomic : bool;
+      (** [false] drops the cross-shard prepare barrier: the negative
+          control ({!Txn.create_sharded_manager}'s [atomic]) *)
+}
+(** Transaction clients.  Each client runs [ops_per_client] increment
+    transactions ({!Txn}, strict 2PL on the run's lock manager) over its
+    per-shard coordinators, which then take no locks themselves.  Strict
+    2PL makes a committed increment add exactly one, so the run checks
+
+    {v  Σ committed increments ≤ Σ final counter values
+                                ≤ Σ committed + Σ in-doubt increments  v}
+
+    by reading every counter after the run ({!txn_report}).  The
+    freshness checker and [completions] cover operation clients only. *)
+
 type scenario = {
   proto : Quorum.Protocol.t;
   n_clients : int;
@@ -117,12 +137,40 @@ type scenario = {
   batching : batching option;
       (** windowed batched clients, WAL group commit and pipelining
           (default [None]: the classic one-op loop) *)
+  txn : txn option;
+      (** transaction clients instead of operation clients (default
+          [None]); excludes [batching] *)
+  shard_loss : (int * float) list;
+      (** per-shard message-loss overrides of [loss_rate] (default [[]]):
+          a lossy shard's legs fail while its reads sometimes succeed *)
 }
 
 val default_scenario : proto:Quorum.Protocol.t -> scenario
 (** 4 clients × 50 ops, 50% reads, 8 keys, uniform keys, exponential(1)
     latency, no loss, no failures, locks on, oracle detector, horizon
     100000. *)
+
+type txn_report = {
+  committed : int;
+  aborted : int;  (** every transaction that did not commit *)
+  uncertain : int;  (** in doubt: commit decided, acks incomplete *)
+  partial_commits : int;
+      (** non-atomic transactions where some shard legs applied and some
+          did not — always 0 when [atomic] *)
+  committed_increments : int;
+  uncertain_increments : int;
+  observed_total : int;  (** Σ final counter values across all shards *)
+  conservation_ok : bool;
+  cross_shard_txns : int;  (** transactions whose keys spanned ≥2 shards *)
+}
+(** The conservation tally of a transaction run.  After the horizon every
+    shard is healed and loss turned off, and fresh coordinators outside
+    the client counters and spans read every counter; their traffic is
+    not in the report. *)
+
+val txn_scenario : proto:Quorum.Protocol.t -> scenario
+(** {!default_scenario} with transaction clients: 3 clients × 30 atomic
+    two-key increment transactions over 6 keys, think time 2. *)
 
 type report = {
   duration : float;  (** virtual time at completion *)
@@ -188,6 +236,7 @@ type report = {
   provision_stale : int;
   failed_rejoins : int;
   replica_status : string array;  (** per-replica {!Replica.status_label} *)
+  transactions : txn_report option;  (** [Some] iff [txn] is set *)
 }
 
 (** {2 Sharded runs}
@@ -224,7 +273,7 @@ type sharded = {
       (** online splits and merges.  A reconfiguration fences the moving
           keys (exclusive locks, taken while routing still points at the
           source shard), copies them to the target instance by
-          forced-timestamp state transfer ({!Quorum_rpc.write} with [~ts]),
+          forced-timestamp state transfer ({!Coordinator.write} with [~ts]),
           atomically flips the shard map, and releases the fences.  The
           fence is only safe behind client locks, so it needs
           [base.use_locks]. *)
@@ -266,7 +315,8 @@ val run_core :
   sharded_report
 (** The one harness loop.  Each shard's network has an address per
     replica, then per client, then per burst client, plus one for the
-    migration endpoints when [reconfig] is not empty.  [provision] joins
+    migration and tally coordinators when [reconfig] is not empty or
+    [txn] is set.  [provision] joins
     every amnesia replica's recovery config; [extend] runs after the
     clients are started and before the failure schedules are applied
     (the membership schedule of {!Churn_harness}).  [obs] and
@@ -279,8 +329,9 @@ val run :
   scenario ->
   report
 (** With [obs], the harness points its clock at the engine's virtual time
-    and attaches it to every network, breaker, replica, coordinator and
-    migration endpoint, whose counter handles it registers; spans and
+    and attaches it to every network, breaker, replica, client
+    coordinator and transaction manager, whose counter handles it
+    registers; spans and
     phase-latency histograms cover the whole run.  The report sums the
     same handles, so it equals the registry under each name.  Attaching
     [obs] never perturbs the simulation: it draws no randomness and
@@ -295,6 +346,8 @@ val run :
 
 val completed : report -> int
 (** Successful operations: [reads_ok + writes_ok]. *)
+
+val pp_txn_report : Format.formatter -> txn_report -> unit
 
 val messages_per_op : report -> float
 (** Delivered messages divided by completed operations — the measured

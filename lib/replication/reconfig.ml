@@ -50,7 +50,7 @@ let decommission ~locks ~relabel ~position ~outgoing ~spare ~key_space
     ?on_switch k =
   promote ~locks ~relabel ~position ~spare ~outgoing ~key_space ?on_switch k
 
-let migrate ~rpc ~locks ~new_proto ~key_space ?(on_switch = fun () -> ()) k =
+let migrate ~coord ~locks ~new_proto ~key_space ?(on_switch = fun () -> ()) k =
   if key_space < 1 then invalid_arg "Reconfig.migrate: empty key space";
   let owner = Lock_manager.fresh_owner locks in
   let migrated = ref 0 in
@@ -63,7 +63,7 @@ let migrate ~rpc ~locks ~new_proto ~key_space ?(on_switch = fun () -> ()) k =
   let finish () =
     (* Every key has been carried over: flip the geometry (the caller swaps
        its coordinators' protocols in [on_switch]) and let clients back in. *)
-    Quorum_rpc.set_protocol rpc new_proto;
+    Coordinator.set_protocol coord new_proto;
     on_switch ();
     release_all ();
     k { migrated = !migrated; failed = List.rev !failed }
@@ -74,11 +74,11 @@ let migrate ~rpc ~locks ~new_proto ~key_space ?(on_switch = fun () -> ()) k =
   let rec transfer key =
     if key = key_space then finish ()
     else
-      Quorum_rpc.query rpc ~key (function
+      Coordinator.read coord ~key (function
         | None ->
           failed := key :: !failed;
           transfer (key + 1)
-        | Some (ts, value) ->
+        | Some { Coordinator.ts; value; _ } ->
           if Timestamp.equal ts Timestamp.zero then begin
             (* Never written: nothing to carry over. *)
             incr migrated;
@@ -87,10 +87,10 @@ let migrate ~rpc ~locks ~new_proto ~key_space ?(on_switch = fun () -> ()) k =
           else begin
             (* Address the new tree for the install, then return to the old
                geometry for the remaining reads. *)
-            let old_proto = Quorum_rpc.protocol rpc in
-            Quorum_rpc.set_protocol rpc new_proto;
-            Quorum_rpc.write rpc ~key ~ts ~value (fun r ->
-                Quorum_rpc.set_protocol rpc old_proto;
+            let old_proto = Coordinator.protocol coord in
+            Coordinator.set_protocol coord new_proto;
+            Coordinator.write coord ~key ~ts ~value (fun r ->
+                Coordinator.set_protocol coord old_proto;
                 (match r with
                 | Some _ -> incr migrated
                 | None -> failed := key :: !failed);

@@ -11,7 +11,7 @@
       quorum and re-installs it — under its {e original} timestamp — on a
       {e new-tree} write quorum,
     + invokes [on_switch] (where callers swap the protocol of their
-      coordinators / RPC endpoints) and releases the locks.
+      coordinators) and releases the locks.
 
     After the switch, every new-tree read quorum intersects the new-tree
     write quorum that received the transfer, so no committed write is
@@ -24,15 +24,18 @@ type result = {
 }
 
 val migrate :
-  rpc:Quorum_rpc.t ->
+  coord:Coordinator.t ->
   locks:Lock_manager.t ->
   new_proto:Quorum.Protocol.t ->
   key_space:int ->
   ?on_switch:(unit -> unit) ->
   (result -> unit) ->
   unit
-(** [rpc] must currently carry the {e old} protocol; on completion it has
-    been switched to [new_proto].  Clients must confine their keys to
+(** [coord] must currently carry the {e old} protocol; on completion it
+    has been switched to [new_proto].  It must have been created without
+    [?locks] (the migration holds every key's lock itself); the transfer
+    is its {!Coordinator.read}s under the old tree and forced-timestamp
+    {!Coordinator.write}s under the new one.  Clients must confine their keys to
     [0 .. key_space-1].  The fence locks are held by one fresh owner
     ({!Lock_manager.fresh_owner}). *)
 

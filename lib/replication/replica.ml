@@ -203,16 +203,6 @@ let ohist t name v =
 let wal_append t record =
   match t.wal with None -> () | Some wal -> Wal.append wal record
 
-(* A batch's log records share one durability point under group commit;
-   without it they are appended (and synced) one by one, exactly as if
-   the operations had arrived unbatched. *)
-let wal_append_many t records =
-  match t.wal with
-  | None -> ()
-  | Some wal ->
-    if t.group_commit then Wal.append_batch wal records
-    else List.iter (Wal.append wal) records
-
 let send t ?units ~dst msg = Network.send t.net ?units ~src:t.site ~dst msg
 
 let fresh_op t =
@@ -365,23 +355,7 @@ let serve_tail t ~dst ~op ~from_index =
    crash. *)
 let apply_tail_entries t entries =
   ignore (Store.import_chunk t.store entries);
-  match t.wal with
-  | Some wal when Batch.length entries > 0 ->
-    let records = ref [] in
-    for i = Batch.length entries - 1 downto 0 do
-      records :=
-        Wal.Install
-          {
-            key = Batch.key entries i;
-            ts =
-              Timestamp.make ~version:(Batch.version entries i)
-                ~sid:(Batch.sid entries i);
-            value = Batch.value entries i;
-          }
-        :: !records
-    done;
-    Wal.append_batch wal !records
-  | _ -> ()
+  match t.wal with Some wal -> Wal.install_batch wal entries | None -> ()
 
 let prov_stale t =
   bump t.provision_stale
@@ -734,13 +708,9 @@ let handle_serving t ~src msg =
            (* A staged batch commits atomically: every write's Commit
               record shares the batch's durability point. *)
            (match t.wal with
-           | Some _ -> (
+           | Some wal -> (
              match Store.staged_many t.store ~op with
-             | Some writes ->
-               wal_append_many t
-                 (List.map
-                    (fun (key, ts, value) -> Wal.Commit { op; key; ts; value })
-                    (Batch.to_list writes))
+             | Some writes -> Wal.commit_batch wal ~op ~group:t.group_commit writes
              | None -> ())
            | None -> ());
            if Store.commit_staged t.store ~op then
@@ -781,11 +751,7 @@ let handle_serving t ~src msg =
     t.prepares_seen.value <- t.prepares_seen.value + Batch.length writes;
     Store.stage_many t.store ~op writes;
     (match t.wal with
-    | Some _ ->
-      wal_append_many t
-        (List.map
-           (fun (key, ts, value) -> Wal.Stage { op; key; ts; value })
-           (Batch.to_list writes))
+    | Some wal -> Wal.stage_batch wal ~op ~group:t.group_commit writes
     | None -> ());
     send t ~dst:src (Message.Prepare_ack { op; inc = t.incarnation })
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
@@ -1113,7 +1079,6 @@ let incarnation t = t.incarnation
 let is_serving t = t.status = Serving
 let is_decommissioned t = t.status = Decommissioned
 let is_failed_rejoin t = t.status = Failed_rejoin
-let provisioning_active t = t.prov <> None
 
 let status_label t =
   match t.status with
@@ -1137,4 +1102,3 @@ let provision_resumes t = t.provision_resumes.value
 let provision_donor_failovers t = t.provision_failovers.value
 let provision_stale t = t.provision_stale.value
 let provision_rounds t = t.provision_rounds.value
-let last_tail_index t = t.last_tail_index

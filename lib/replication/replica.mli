@@ -161,9 +161,6 @@ val is_serving : t -> bool
 val is_decommissioned : t -> bool
 val is_failed_rejoin : t -> bool
 
-val provisioning_active : t -> bool
-(** A snapshot transfer is currently in flight on this replica. *)
-
 val status_label : t -> string
 (** ["serving"], ["recovering"], ["failed-rejoin"] or ["decommissioned"]. *)
 
@@ -189,7 +186,7 @@ val provision_now :
 
 val request_tail : t -> donor:int -> (unit -> unit) -> unit
 (** One-shot delta: fetch from [donor] the committed WAL tail since the
-    newest cut this replica holds ({!last_tail_index}), install it, then
+    newest donor WAL cut this replica holds, install it, then
     run the continuation.  Retried until answered.  The promotion flow
     calls this while every key is write-locked, making the reply the
     donor's final committed word. *)
@@ -199,10 +196,6 @@ val decommission : t -> unit
     refused with [Prepare_nack "decommissioned"], commits are nacked, and
     crash/recover cycles do not resurrect it.  Heartbeats still answer —
     a decommissioned site is up, just out of every quorum. *)
-
-val last_tail_index : t -> int
-(** The donor-side WAL cut of the newest snapshot tail or delta this
-    replica applied; 0 if it never provisioned. *)
 
 val catchup_runs : t -> int
 (** Completed catch-ups (back to serving). *)

@@ -1,60 +1,65 @@
 module Engine = Dsim.Engine
 module Network = Dsim.Network
 
-type config = { rpc : Quorum_rpc.config; lock_timeout : float }
-
-let default_config = { rpc = Quorum_rpc.default_config; lock_timeout = 200.0 }
+(* Deadline for commit-time lock acquisition: a cross-key lock cycle
+   aborts after it. *)
+let lock_timeout = 200.0
 
 type manager = {
-  rpcs : Quorum_rpc.t array;  (* one endpoint per shard *)
-  route : int -> int;  (* key -> index into rpcs *)
+  site : int;
+  coords : Coordinator.t array;  (* one per shard *)
+  route : int -> int;  (* key -> index into coords *)
   atomic : bool;  (* false = per-shard legs commit independently *)
   locks : Lock_manager.t;
-  lock_timeout : float;
   engine : Engine.t;
   obs : Obs.t option;
-  mutable committed : int;
-  mutable aborted : int;
+  (* Counters: handles the manager owns; [?obs] registers them. *)
+  committed : Obs.Metrics.counter;
+  aborted : Obs.Metrics.counter;
 }
 
-(* The primary endpoint: site identity, span site and version sid.  All
-   endpoints of a manager share one client site, so any of them serves. *)
-let primary mgr = mgr.rpcs.(0)
-let rpc_for mgr key = mgr.rpcs.(mgr.route key)
-
-let create_sharded_manager ~site ~endpoints ~route ~locks ?(atomic = true)
-    ?view ?obs ?(config = default_config) () =
-  if Array.length endpoints = 0 then
-    invalid_arg "Txn.create_sharded_manager: need at least one endpoint";
-  let rpcs =
-    Array.map
-      (fun (net, proto) ->
-        Quorum_rpc.create ~site ~net ~proto ?view ?obs ~config:config.rpc ())
-      endpoints
+let create_sharded_manager ~site ~engine ~coords ~route ~locks ?(atomic = true)
+    ?obs () =
+  if Array.length coords = 0 then
+    invalid_arg "Txn.create_sharded_manager: need at least one coordinator";
+  let mgr =
+    {
+      site;
+      coords;
+      route;
+      atomic;
+      locks;
+      engine;
+      obs;
+      committed = { value = 0 };
+      aborted = { value = 0 };
+    }
   in
-  {
-    rpcs;
-    route;
-    atomic;
-    locks;
-    lock_timeout = config.lock_timeout;
-    engine = Network.engine (fst endpoints.(0));
+  Option.iter
+    (fun obs ->
+      let reg = Obs.Metrics.register (Obs.metrics obs) in
+      reg "txn.committed" mgr.committed;
+      reg "txn.aborted" mgr.aborted)
     obs;
-    committed = 0;
-    aborted = 0;
-  }
+  mgr
 
-let create_manager ~site ~net ~proto ~locks ?view ?obs ?config () =
-  create_sharded_manager ~site ~endpoints:[| (net, proto) |]
+let create_manager ~site ~net ~proto ~locks () =
+  create_sharded_manager ~site ~engine:(Network.engine net)
+    ~coords:[| Coordinator.create ~site ~net ~proto () |]
     ~route:(fun _ -> 0)
-    ~locks ?view ?obs ?config ()
+    ~locks ()
 
-let committed mgr = mgr.committed
-let aborted mgr = mgr.aborted
+let committed mgr = mgr.committed.value
+let aborted mgr = mgr.aborted.value
+let coord_for mgr key = mgr.coords.(mgr.route key)
 
 (* --- transactions -------------------------------------------------------- *)
 
-type outcome = Committed | Aborted of string
+type outcome =
+  | Committed
+  | Aborted of string
+  | In_doubt
+  | Partial of { applied : int; legs : int }
 
 type state = Active | Committing | Done of outcome
 
@@ -75,8 +80,7 @@ let begin_txn mgr =
     span =
       (match mgr.obs with
       | None -> None
-      | Some obs ->
-        Some (Obs.span obs ~op:"txn" ~site:(Quorum_rpc.site (primary mgr)) ()));
+      | Some obs -> Some (Obs.span obs ~op:"txn" ~site:mgr.site ()));
     state = Active;
     read_cache = Hashtbl.create 8;
     write_buf = Hashtbl.create 8;
@@ -109,11 +113,12 @@ let finish t outcome =
       ~outcome:
         (match outcome with
         | Committed -> Obs.Span.Ok
-        | Aborted reason -> Obs.Span.Failed reason)
+        | Aborted reason -> Obs.Span.Failed reason
+        | In_doubt -> Obs.Span.Failed "in doubt"
+        | Partial _ -> Obs.Span.Failed "partial")
   | _ -> ());
-  match outcome with
-  | Committed -> t.mgr.committed <- t.mgr.committed + 1
-  | Aborted _ -> t.mgr.aborted <- t.mgr.aborted + 1
+  let c = match outcome with Committed -> t.mgr.committed | _ -> t.mgr.aborted in
+  c.value <- c.value + 1
 
 let abort t =
   match t.state with
@@ -131,9 +136,9 @@ let read t ~key k =
       | Some v -> k (Some v)  (* repeatable read *)
       | None ->
         let proceed () =
-          Quorum_rpc.query (rpc_for t.mgr key) ~key (fun result ->
+          Coordinator.read (coord_for t.mgr key) ~key (fun result ->
               match (t.state, result) with
-              | Active, Some (_, value) ->
+              | Active, Some { Coordinator.value; _ } ->
                 Hashtbl.replace t.read_cache key value;
                 k (Some value)
               | Active, None ->
@@ -163,7 +168,7 @@ let write t ~key ~value =
 let acquire_write_locks t keys k =
   let deadline_hit = ref false in
   let current_wait = ref None in
-  Engine.schedule t.mgr.engine ~delay:t.mgr.lock_timeout (fun () ->
+  Engine.schedule t.mgr.engine ~delay:lock_timeout (fun () ->
       if t.state = Committing && !current_wait <> None then begin
         deadline_hit := true;
         (match !current_wait with
@@ -212,63 +217,69 @@ let acquire_write_locks t keys k =
   in
   next keys
 
-(* Gather bumped version timestamps for every written key (in parallel). *)
-let version_all t keys k =
-  let results = Hashtbl.create 8 in
-  let remaining = ref (List.length keys) in
-  let failed = ref false in
-  let site = Quorum_rpc.site (primary t.mgr) in
+(* The write set, one leg per shard in shard order, keys ascending. *)
+let legs t keys =
+  let by_shard = Array.make (Array.length t.mgr.coords) [] in
   List.iter
     (fun key ->
-      Quorum_rpc.query (rpc_for t.mgr key) ~key (fun r ->
-          (match r with
-          | Some (ts, _) ->
-            Hashtbl.replace results key
-              (Timestamp.make ~version:(ts.Timestamp.version + 1) ~sid:site)
-          | None -> failed := true);
-          decr remaining;
-          if !remaining = 0 then if !failed then k None else k (Some results)))
-    keys
+      let s = t.mgr.route key in
+      by_shard.(s) <- (key, Hashtbl.find t.write_buf key) :: by_shard.(s))
+    (List.rev keys);
+  List.filter_map
+    (fun s -> if by_shard.(s) = [] then None else Some (s, by_shard.(s)))
+    (List.init (Array.length by_shard) Fun.id)
 
-(* Prepare every key on its own write quorum (in parallel); on any failure
-   roll back whatever was staged. *)
-let prepare_all t keys versions k =
-  let staged = Hashtbl.create 8 in
-  let remaining = ref (List.length keys) in
-  let failed = ref false in
+(* Prepare every leg and hold it (in parallel).  All held: [Ok] with the
+   handles.  Any leg failed: abort the held ones, [Error] with the
+   reason — a failed version phase is named first. *)
+let prepare_all t legs k =
+  let staged = ref [] and failed = ref [] in
+  let remaining = ref (List.length legs) in
   List.iter
-    (fun key ->
-      let ts = Hashtbl.find versions key in
-      let value = Hashtbl.find t.write_buf key in
-      Quorum_rpc.prepare (rpc_for t.mgr key) ~key ~ts ~value (fun r ->
+    (fun (s, writes) ->
+      let coord = t.mgr.coords.(s) in
+      Coordinator.prepare_batch coord ~writes (fun r ->
           (match r with
-          | Some (op, members) -> Hashtbl.replace staged key (op, members)
-          | None -> failed := true);
+          | Ok h -> staged := (coord, h) :: !staged
+          | Error phase -> failed := phase :: !failed);
           decr remaining;
           if !remaining = 0 then
-            if !failed then begin
-              Hashtbl.iter
-                (fun key (op, members) ->
-                  Quorum_rpc.abort_staged (rpc_for t.mgr key) ~op ~members)
-                staged;
-              k None
-            end
-            else k (Some staged)))
-    keys
+            if !failed = [] then k (Ok !staged)
+            else begin
+              List.iter (fun (c, h) -> Coordinator.abort_staged c h) !staged;
+              k
+                (Error
+                   (if List.mem `Version !failed then "version phase failed"
+                    else "prepare phase failed"))
+            end))
+    legs
 
-(* Commit every staged key; all keys are already decided, so failures here
-   only mean uncertain delivery. *)
-let commit_all t staged k =
-  let entries = Hashtbl.fold (fun key v acc -> (key, v) :: acc) staged [] in
-  let remaining = ref (List.length entries) in
-  let failed = ref false in
+(* Commit every held leg; the decision is already commit, so a failure
+   here leaves the outcome in doubt. *)
+let commit_all staged k =
+  let remaining = ref (List.length staged) and all_ok = ref true in
   List.iter
-    (fun (key, (op, members)) ->
-      Quorum_rpc.commit_staged (rpc_for t.mgr key) ~op ~members (fun ok ->
-          if not ok then failed := true;
+    (fun (c, h) ->
+      Coordinator.commit_staged c h (fun ok ->
+          if not ok then all_ok := false;
           decr remaining;
-          if !remaining = 0 then k (not !failed)))
-    entries
+          if !remaining = 0 then k !all_ok))
+    staged
+
+(* Negative control: each leg is an independent write batch — version,
+   prepare and commit on its own shard, with no cross-shard barrier.  A
+   shard that cannot commit fails only its own leg, so a transaction
+   spanning it and a healthy shard applies partially: exactly the
+   phantom the conservation checker must catch. *)
+let write_legs t legs k =
+  let remaining = ref (List.length legs) and applied = ref 0 in
+  List.iter
+    (fun (s, writes) ->
+      Coordinator.write_batch t.mgr.coords.(s) ~writes (fun results ->
+          if List.for_all (fun (_, r) -> r <> None) results then incr applied;
+          decr remaining;
+          if !remaining = 0 then k !applied))
+    legs
 
 let commit t k =
   match t.state with
@@ -278,100 +289,33 @@ let commit t k =
       List.sort Int.compare
         (Hashtbl.fold (fun key _ acc -> key :: acc) t.write_buf [])
     in
-    if keys = [] then begin
-      finish t Committed;
-      k Committed
-    end
+    let done_ outcome =
+      finish t outcome;
+      k outcome
+    in
+    if keys = [] then done_ Committed
     else begin
       t.state <- Committing;
       ophase t ~kind:Obs.Span.Lock ~quorum:keys;
       acquire_write_locks t keys (function
-        | Error reason ->
-          finish t (Aborted reason);
-          k (Aborted reason)
+        | Error reason -> done_ (Aborted reason)
         | Ok () ->
-          ophase t ~kind:Obs.Span.Query ~quorum:keys;
-          version_all t keys (function
-            | None ->
-              finish t (Aborted "version phase failed");
-              k (Aborted "version phase failed")
-            | Some versions ->
-              ophase t ~kind:Obs.Span.Prepare ~quorum:keys;
-              if t.mgr.atomic then
-                prepare_all t keys versions (function
-                  | None ->
-                    finish t (Aborted "prepare phase failed");
-                    k (Aborted "prepare phase failed")
-                  | Some staged ->
-                    ophase t ~kind:Obs.Span.Commit ~quorum:keys;
-                    commit_all t staged (fun ok ->
-                        if ok then begin
-                          finish t Committed;
-                          k Committed
-                        end
-                        else begin
-                          let reason = "commit acks incomplete (outcome uncertain)" in
-                          finish t (Aborted reason);
-                          k (Aborted reason)
-                        end))
-              else begin
-                (* Negative control: every shard's leg prepares and
-                   commits independently — the cross-shard all-prepared
-                   barrier is gone.  A shard that cannot assemble a
-                   quorum aborts only its own leg, so a transaction
-                   spanning a crashed shard and a healthy one applies
-                   partially: exactly the phantom the conservation
-                   checker must catch. *)
+          let legs = legs t keys in
+          if t.mgr.atomic then begin
+            ophase t ~kind:Obs.Span.Prepare ~quorum:keys;
+            prepare_all t legs (function
+              | Error reason -> done_ (Aborted reason)
+              | Ok staged ->
                 ophase t ~kind:Obs.Span.Commit ~quorum:keys;
-                let groups = Hashtbl.create 4 in
-                List.iter
-                  (fun key ->
-                    let s = t.mgr.route key in
-                    let prev =
-                      try Hashtbl.find groups s with Not_found -> []
-                    in
-                    Hashtbl.replace groups s (key :: prev))
-                  keys;
-                let legs =
-                  List.sort
-                    (fun (a, _) (b, _) -> Int.compare a b)
-                    (Hashtbl.fold
-                       (fun s ks acc -> (s, List.rev ks) :: acc)
-                       groups [])
-                in
-                let total = List.length legs in
-                let done_legs = ref 0 in
-                let applied = ref 0 in
-                let uncertain = ref false in
-                let leg_finished ~applied_leg ~unc =
-                  if applied_leg then incr applied;
-                  if unc then uncertain := true;
-                  incr done_legs;
-                  if !done_legs = total then
-                    if !applied = total && not !uncertain then begin
-                      finish t Committed;
-                      k Committed
-                    end
-                    else begin
-                      let reason =
-                        if !uncertain then
-                          "commit acks incomplete (outcome uncertain)"
-                        else
-                          Printf.sprintf
-                            "non-atomic commit: %d/%d shard legs applied"
-                            !applied total
-                      in
-                      finish t (Aborted reason);
-                      k (Aborted reason)
-                    end
-                in
-                List.iter
-                  (fun (_shard, gkeys) ->
-                    prepare_all t gkeys versions (function
-                      | None -> leg_finished ~applied_leg:false ~unc:false
-                      | Some staged ->
-                        commit_all t staged (fun ok ->
-                            leg_finished ~applied_leg:true ~unc:(not ok))))
-                  legs
-              end))
+                commit_all staged (fun ok -> done_ (if ok then Committed else In_doubt)))
+          end
+          else begin
+            ophase t ~kind:Obs.Span.Commit ~quorum:keys;
+            let n = List.length legs in
+            write_legs t legs (fun applied ->
+                done_
+                  (if applied = n then Committed
+                   else if applied = 0 then Aborted "no shard leg committed"
+                   else Partial { applied; legs = n }))
+          end)
     end

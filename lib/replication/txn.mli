@@ -3,14 +3,18 @@
     operations … if a transaction contains write operations, a
     2-phase-commit protocol at the end of the transaction is executed".
 
-    Concurrency control is strict two-phase locking against the
-    centralized {!Lock_manager}: reads take shared locks as they execute,
-    writes are buffered and take exclusive locks (sorted by key, with
+    Concurrency control is strict two-phase locking against the shared
+    {!Lock_manager}: reads take shared locks as they execute, writes are
+    buffered and take exclusive locks (sorted by key, with
     shared→exclusive upgrades) when {!commit} starts; all locks are held
-    to the end.  Commit then runs, per written key, a version-phase read
-    quorum and a prepare on a write quorum — and only after {e every} key
-    is prepared sends the commits, so the transaction is atomic across
-    keys.  Any failure before that point aborts all staged writes.
+    to the end.  The quorum work runs on one {!Coordinator} per shard,
+    created without [?locks] (the transaction's own locks are the
+    concurrency control): a read is {!Coordinator.read}, and commit
+    prepares each shard's written keys with {!Coordinator.prepare_batch}
+    — version phase and prepare, held — and only once {e every} shard
+    holds its prepare commits them all, so the transaction is atomic
+    across keys and shards.  Any failure before that point aborts every
+    held prepare.
 
     Deadlocks (cross-key lock cycles) are resolved by a lock-acquisition
     timeout that aborts the transaction; upgrade-upgrade conflicts abort
@@ -18,63 +22,52 @@
 
 type manager
 
-type config = {
-  rpc : Quorum_rpc.config;
-      (** per-phase deadlines, retry budget, backoff and deadline policy
-          of the underlying quorum RPC endpoint *)
-  lock_timeout : float;  (** deadline for commit-time lock acquisition *)
-}
+val create_sharded_manager :
+  site:int ->
+  engine:Dsim.Engine.t ->
+  coords:Coordinator.t array ->
+  route:(int -> int) ->
+  locks:Lock_manager.t ->
+  ?atomic:bool ->
+  ?obs:Obs.t ->
+  unit ->
+  manager
+(** A manager at client [site] over one coordinator per shard, with
+    [route] mapping a key to its coordinator's index.  The coordinators
+    must have been created without [?locks].  With [obs], every
+    transaction is traced as a [txn] span whose lock/prepare/commit
+    phases mark the commit barriers (their quorum lists carry the
+    write-key set), and the counter handles below are registered as
+    [txn.committed] and [txn.aborted].
 
-val default_config : config
+    [atomic:false] is the negative control: commit runs one independent
+    {!Coordinator.write_batch} per shard, with no cross-shard barrier, so
+    a transaction spanning a failing shard and a healthy one applies
+    partially ({!Partial}: phantom increments a conservation checker must
+    flag). *)
 
 val create_manager :
   site:int ->
   net:Message.t Dsim.Network.t ->
   proto:Quorum.Protocol.t ->
   locks:Lock_manager.t ->
-  ?view:Detect.View.t ->
-  ?obs:Obs.t ->
-  ?config:config ->
   unit ->
   manager
-(** One manager per client site; it installs the site's message handler
-    (do not combine with a {!Coordinator} on the same site).  [view] is
-    the failure-detector view quorums are assembled from; the ground-truth
-    oracle when omitted.  With [obs], every transaction is traced as a
-    [txn] span whose lock/query/prepare/commit phases mark the commit
-    barriers (their quorum lists carry the write-key set), and the
-    underlying RPC endpoint is instrumented too. *)
-
-val create_sharded_manager :
-  site:int ->
-  endpoints:(Message.t Dsim.Network.t * Quorum.Protocol.t) array ->
-  route:(int -> int) ->
-  locks:Lock_manager.t ->
-  ?atomic:bool ->
-  ?view:Detect.View.t ->
-  ?obs:Obs.t ->
-  ?config:config ->
-  unit ->
-  manager
-(** A manager spanning several shard instances: one quorum-RPC endpoint
-    per shard (each [(net, proto)] pair is a shard's network and
-    protocol; all endpoints use the same client [site]), with [route]
-    mapping a key to its endpoint index.  Commit keeps the cross-key
-    all-prepared barrier, so a transaction is atomic {e across shards}:
-    no shard's leg commits until every key on every shard is staged.
-
-    [atomic:false] is the negative control: each shard's prepare/commit
-    leg runs independently with no cross-shard barrier, so a transaction
-    spanning an unavailable shard and a healthy one applies partially
-    (the outcome is [Aborted] but some legs persist — phantom
-    increments a conservation checker must flag).  Single-endpoint
-    managers from {!create_manager} are unaffected: with one shard both
-    modes coincide with the unsharded commit. *)
+(** One shard: a manager over a fresh default {!Coordinator} at [site],
+    which takes over the site's message handler. *)
 
 type t
 (** An open transaction. *)
 
-type outcome = Committed | Aborted of string
+type outcome =
+  | Committed
+  | Aborted of string  (** nothing was applied; the reason *)
+  | In_doubt
+      (** the decision was commit but not every commit ack arrived (the
+          2PC in-doubt window): the effects may or may not be visible *)
+  | Partial of { applied : int; legs : int }
+      (** negative control only ([atomic:false]): [applied] of the
+          transaction's [legs] shard legs committed, the others did not *)
 
 val begin_txn : manager -> t
 
@@ -88,16 +81,18 @@ val write : t -> key:int -> value:string -> unit
 (** Buffers the write; all network work happens at commit. *)
 
 val commit : t -> (outcome -> unit) -> unit
-(** Runs 2PL lock acquisition + cross-key two-phase commit.  The callback
-    receives [Committed] or [Aborted reason]; locks are released either
-    way. *)
+(** Runs 2PL lock acquisition + cross-key two-phase commit; locks are
+    released whatever the outcome. *)
 
 val abort : t -> unit
 (** Drops buffered writes and releases locks.  No-op if finished. *)
 
 val is_finished : t -> bool
 
-(** {2 Metrics} *)
+(** {2 Counters} *)
 
 val committed : manager -> int
+
 val aborted : manager -> int
+(** Every finished transaction that did not commit: aborted, in doubt or
+    partial. *)

@@ -149,6 +149,21 @@ let commit t ~op ~key ~version ~sid ~value =
 let install t ~key ~version ~sid ~value =
   push_forced t k_install ~op:0 ~key ~version ~sid ~value
 
+(* Every write of [batch] as a [kind] record of [op], in order, without
+   building a record.  With [group] they share one durability point. *)
+let push_batch t kind ~op ~group batch =
+  let n = Batch.length batch in
+  if n > 0 && forces t.policy kind then
+    t.syncs <- t.syncs + if group then 1 else n;
+  for i = 0 to n - 1 do
+    push t kind ~op ~key:(Batch.key batch i) ~version:(Batch.version batch i)
+      ~sid:(Batch.sid batch i) ~value:(Batch.value batch i)
+  done
+
+let stage_batch t ~op ~group batch = push_batch t k_stage ~op ~group batch
+let commit_batch t ~op ~group batch = push_batch t k_commit ~op ~group batch
+let install_batch t batch = push_batch t k_install ~op:0 ~group:true batch
+
 let kind_of = function
   | Stage _ -> k_stage
   | Commit _ -> k_commit

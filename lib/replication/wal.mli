@@ -86,6 +86,19 @@ val commit :
 val install : t -> key:int -> version:int -> sid:int -> value:string -> unit
 (** [append] of an [Install] record, allocation-free like {!stage}. *)
 
+val stage_batch : t -> op:int -> group:bool -> Batch.t -> unit
+(** A [Stage] record of [op] for every write of the batch, in order,
+    allocation-free like {!stage}.  With [group] the records share one
+    durability point as in {!append_batch}; without, each is charged as
+    {!append} would. *)
+
+val commit_batch : t -> op:int -> group:bool -> Batch.t -> unit
+(** {!stage_batch} for [Commit] records. *)
+
+val install_batch : t -> Batch.t -> unit
+(** {!stage_batch} for [Install] records, always grouped: the batch is
+    charged at most one sync, as {!append_batch} would charge it. *)
+
 val append_batch : t -> record list -> unit
 (** Group commit: appends the records in order with the same per-record
     durability stamps {!append} would give them (all at the same virtual

@@ -8,17 +8,8 @@ type t = {
   zipf_theta : float;
 }
 
-val update_heavy : t
-(** 50% reads / 50% writes, skewed keys (YCSB-A). *)
-
-val read_mostly : t
-(** 95% reads (YCSB-B). *)
-
 val read_only : t
 (** 100% reads (YCSB-C). *)
-
-val write_heavy : t
-(** 5% reads — the regime MOSTLY-WRITE trees are built for. *)
 
 val all : t list
 

@@ -134,10 +134,45 @@ let test_write_wide_run () =
   Alcotest.(check int) "every op completed" (clients * ops) !completed;
   check_bound "write-wide op" ~bound:1000.0 per_op
 
+(* Transaction clients on the write-wide shape: each increment transaction
+   reads its keys and commits them with one held prepare over all 33
+   replicas.  Counted per key written by a committed transaction, set-up
+   and the final tally included; the bound is 1.5x write-wide's 440 words
+   per op. *)
+let test_txn_run () =
+  let n = 33 in
+  let proto = Arbitrary.Quorums.protocol (Arbitrary.Config.build Arbitrary.Config.Mostly_read ~n) in
+  let scenario =
+    {
+      (Harness.txn_scenario ~proto) with
+      Harness.n_clients = 8;
+      ops_per_client = 50;
+      key_space = 1024;
+      think_time = 0.1;
+      seed = 1;
+      txn = Some { Harness.keys_per_txn = 4; atomic = true };
+      crash_mode = Network.Amnesia;
+      wal = Wal.Sync_on_commit;
+    }
+  in
+  let tally = ref None in
+  let per_key =
+    words_per (fun () ->
+        let r = Harness.run_core (Harness.one_tree scenario) in
+        let t = Option.get r.Harness.agg.Harness.transactions in
+        tally := Some t;
+        t.Harness.committed_increments)
+  in
+  let t = Option.get !tally in
+  Alcotest.(check bool) "conserved" true t.Harness.conservation_ok;
+  Alcotest.(check bool) "most transactions commit" true (t.Harness.committed > 300);
+  check_bound "transaction key written" ~bound:660.0 per_key
+
 let suite =
   [
     Alcotest.test_case "send->deliver allocates nothing" `Quick test_network_send_deliver;
     Alcotest.test_case "flat WAL appends allocate nothing" `Quick test_wal_flat_appends;
     Alcotest.test_case "stage->commit allocates nothing" `Quick test_store_stage_commit;
     Alcotest.test_case "write-wide op under 1,000 words" `Quick test_write_wide_run;
+    Alcotest.test_case "transaction key under 660 words" `Quick test_txn_run;
   ]

@@ -1,10 +1,10 @@
-(* Edge cases for the coordinator and the low-level quorum RPC. *)
+(* Edge cases for the coordinator: single-key and batched operations,
+   forced-timestamp writes and held prepares. *)
 
 module Engine = Dsim.Engine
 module Network = Dsim.Network
 module Coordinator = Replication.Coordinator
 module Replica = Replication.Replica
-module Quorum_rpc = Replication.Quorum_rpc
 module Timestamp = Replication.Timestamp
 module Stats = Dsutil.Stats
 
@@ -16,8 +16,10 @@ let build ?(spec = "1-3-5") ?(seed = 42) ?(loss_rate = 0.0) ?config () =
   let net = Network.create ~engine ~n:(n + 2) ~loss_rate () in
   let replicas = Array.init n (fun site -> Replica.create ~site ~net ()) in
   let coord = Coordinator.create ~site:n ~net ~proto ?config () in
-  let rpc = Quorum_rpc.create ~site:(n + 1) ~net ~proto () in
-  (engine, net, replicas, coord, rpc)
+  (* A second coordinator on the default config, as state transfer and
+     transactions use one. *)
+  let other = Coordinator.create ~site:(n + 1) ~net ~proto () in
+  (engine, net, replicas, coord, other)
 
 let test_single_replica_system () =
   let engine, net, _, coord, _ = build ~spec:"1" () in
@@ -154,8 +156,8 @@ let test_reissue_storm_cannot_refill_budget () =
     (Detect.Budget.suppressed budget > suppressed_before)
 
 let test_rpc_retry_flag_skips_deposit () =
-  (* Same contract one layer down: [Quorum_rpc.query ~retry:true] leaves
-     the bucket untouched while a plain call deposits. *)
+  (* A single read: [~retry:true] leaves the bucket untouched while a
+     plain call deposits. *)
   let tree = Arbitrary.Tree.of_spec "1-3" in
   let proto = Arbitrary.Quorums.protocol tree in
   let n = Arbitrary.Tree.n tree in
@@ -165,31 +167,31 @@ let test_rpc_retry_flag_skips_deposit () =
   let budget =
     Detect.Budget.create ~config:{ Detect.Budget.ratio = 0.5; burst = 2.0 } ()
   in
-  let rpc = Quorum_rpc.create ~site:n ~net ~proto ~budget () in
-  Quorum_rpc.query rpc ~retry:true ~key:0 (fun _ -> ());
+  let coord = Coordinator.create ~site:n ~net ~proto ~budget () in
+  Coordinator.read coord ~retry:true ~key:0 (fun _ -> ());
   Engine.run engine;
   Alcotest.(check int) "re-issue deposits nothing" 0
     (Detect.Budget.attempts budget);
-  Quorum_rpc.query rpc ~key:0 (fun _ -> ());
+  Coordinator.read coord ~key:0 (fun _ -> ());
   Engine.run engine;
   Alcotest.(check int) "first attempt deposits" 1
     (Detect.Budget.attempts budget)
 
 let test_rpc_query_no_quorum () =
-  let engine, net, _, _, rpc = build () in
+  let engine, net, _, _, other = build () in
   List.iter (Network.crash net) [ 0; 1; 2 ];
-  let result = ref (Some (Timestamp.zero, "unset")) in
-  Quorum_rpc.query rpc ~key:0 (fun r -> result := r);
+  let result = ref (Some { Coordinator.value = "unset"; ts = Timestamp.zero; attempts = 0 }) in
+  Coordinator.read other ~key:0 (fun r -> result := r);
   Engine.run engine;
   Alcotest.(check bool) "None without read quorum" true (!result = None)
 
 let test_rpc_forced_ts_idempotent () =
-  let engine, _, replicas, _, rpc = build () in
+  let engine, _, replicas, _, other = build () in
   let ts = Timestamp.make ~version:5 ~sid:2 in
   let first = ref None and second = ref None in
-  Quorum_rpc.write rpc ~key:3 ~ts ~value:"once" (fun r ->
+  Coordinator.write other ~key:3 ~ts ~value:"once" (fun r ->
       first := r;
-      Quorum_rpc.write rpc ~key:3 ~ts ~value:"once" (fun r -> second := r));
+      Coordinator.write other ~key:3 ~ts ~value:"once" (fun r -> second := r));
   Engine.run engine;
   Alcotest.(check bool) "both writes acknowledged" true
     (!first <> None && !second <> None);
@@ -200,29 +202,89 @@ let test_rpc_forced_ts_idempotent () =
   Alcotest.(check bool) "no double apply" true (applied <= 8)
 
 let test_rpc_commit_incomplete_on_crash () =
-  let engine, net, _, _, rpc = build ~spec:"2-2" () in
-  (* Prepare on the only... with spec 2-2 both levels have 2 replicas; the
-     write quorum is one full level.  Crash one member after prepare. *)
+  let engine, net, _, _, other = build ~spec:"2-2" () in
+  (* With spec 2-2 both levels have 2 replicas; the write quorum is one
+     full level.  Hold a prepare, then crash one replica of each level
+     before the commit round: whichever level holds it, one member is
+     down and the other still acks. *)
   let outcome = ref None in
-  Quorum_rpc.prepare rpc ~key:0 ~ts:(Timestamp.make ~version:1 ~sid:9)
-    ~value:"v" (function
-    | None -> Alcotest.fail "prepare must succeed"
-    | Some (op, members) ->
-      (* Kill one member before the commit round. *)
-      Network.crash net (List.hd members);
-      Quorum_rpc.commit_staged rpc ~op ~members (fun ok -> outcome := Some ok));
+  Coordinator.prepare_batch other ~writes:[ (0, "v") ] (function
+    | Error _ -> Alcotest.fail "prepare must succeed"
+    | Ok staged ->
+      List.iter (Network.crash net) [ 0; 2 ];
+      Coordinator.commit_staged other staged (fun ok -> outcome := Some ok));
   Engine.run engine;
   Alcotest.(check bool) "commit reported incomplete" true (!outcome = Some false)
 
+(* A held prepare over two keys: committing it installs both and counts
+   both as written, once; the spent handle is refused, also while its
+   pooled record holds the next prepare. *)
+let test_held_prepare_commits () =
+  let engine, _, _, coord, _ = build () in
+  let committed = ref None and staged = ref None in
+  Coordinator.prepare_batch coord ~writes:[ (1, "a"); (2, "b") ] (function
+    | Error _ -> Alcotest.fail "prepare must succeed"
+    | Ok h ->
+      staged := Some h;
+      Alcotest.(check int) "nothing counted while held" 0 (Coordinator.writes_ok coord);
+      Coordinator.commit_staged coord h (fun ok -> committed := Some ok));
+  Engine.run engine;
+  Alcotest.(check (option bool)) "commit acknowledged" (Some true) !committed;
+  Alcotest.(check int) "both keys written" 2 (Coordinator.writes_ok coord);
+  Alcotest.(check int) "one batch" 1 (Coordinator.batches coord);
+  let values = ref [] in
+  Coordinator.read_batch coord ~keys:[ 1; 2 ] (fun rs ->
+      values := List.map (fun (_, r) -> Option.map (fun r -> r.Coordinator.value) r) rs);
+  Engine.run engine;
+  Alcotest.(check (list (option string))) "installed" [ Some "a"; Some "b" ] !values;
+  Alcotest.check_raises "a spent handle is refused"
+    (Invalid_argument "Coordinator.commit_staged: not a held prepare") (fun () ->
+      Coordinator.commit_staged coord (Option.get !staged) ignore);
+  let next = ref None in
+  Coordinator.prepare_batch coord ~writes:[ (3, "c") ] (function
+    | Error _ -> Alcotest.fail "prepare must succeed"
+    | Ok h -> next := Some h);
+  Engine.run engine;
+  Alcotest.check_raises "a spent handle is refused beside a new hold"
+    (Invalid_argument "Coordinator.abort_staged: not a held prepare") (fun () ->
+      Coordinator.abort_staged coord (Option.get !staged));
+  let committed = ref None in
+  Coordinator.commit_staged coord (Option.get !next) (fun ok -> committed := Some ok);
+  Engine.run engine;
+  Alcotest.(check (option bool)) "the new hold still commits" (Some true) !committed
+
+(* An aborted held prepare installs nothing, counts as failed writes and
+   closes its spans failed: it never reads as a successful write. *)
+let test_held_prepare_aborts () =
+  let tree = Arbitrary.Tree.of_spec "1-3-5" in
+  let proto = Arbitrary.Quorums.protocol tree in
+  let n = Arbitrary.Tree.n tree in
+  let engine = Engine.create ~seed:42 () in
+  let net = Network.create ~engine ~n:(n + 1) () in
+  let _replicas = Array.init n (fun site -> Replica.create ~site ~net ()) in
+  let obs = Obs.create () in
+  let coord = Coordinator.create ~site:n ~net ~proto ~obs () in
+  Coordinator.prepare_batch coord ~writes:[ (1, "a"); (2, "b") ] (function
+    | Error _ -> Alcotest.fail "prepare must succeed"
+    | Ok h -> Coordinator.abort_staged coord h);
+  Engine.run engine;
+  let m = Obs.metrics obs in
+  Alcotest.(check int) "no write counted ok" 0 (Coordinator.writes_ok coord);
+  Alcotest.(check int) "both keys failed" 2 (Coordinator.writes_failed coord);
+  Alcotest.(check int) "no span closed ok" 0 (Obs.Metrics.counter_of m "ops.write.ok");
+  Alcotest.(check int) "both spans closed failed" 2
+    (Obs.Metrics.counter_of m "ops.write.failed");
+  let value = ref None in
+  Coordinator.read coord ~key:1 (fun r -> value := Option.map (fun r -> r.Coordinator.value) r);
+  Engine.run engine;
+  Alcotest.(check (option string)) "nothing installed" (Some "") !value
+
 let test_set_protocol_validation () =
-  let _, _, _, coord, rpc = build () in
+  let _, _, _, coord, _ = build () in
   let other = Arbitrary.Quorums.protocol (Arbitrary.Tree.of_spec "1-2-3") in
   Alcotest.check_raises "coordinator rejects size change"
     (Invalid_argument "Coordinator.set_protocol: replica universe changed")
-    (fun () -> Coordinator.set_protocol coord other);
-  Alcotest.check_raises "rpc rejects size change"
-    (Invalid_argument "Quorum_rpc.set_protocol: replica universe changed")
-    (fun () -> Quorum_rpc.set_protocol rpc other)
+    (fun () -> Coordinator.set_protocol coord other)
 
 let suite =
   [
@@ -243,5 +305,7 @@ let suite =
       test_rpc_forced_ts_idempotent;
     Alcotest.test_case "rpc commit incomplete on crash" `Quick
       test_rpc_commit_incomplete_on_crash;
+    Alcotest.test_case "held prepare commits" `Quick test_held_prepare_commits;
+    Alcotest.test_case "held prepare aborts" `Quick test_held_prepare_aborts;
     Alcotest.test_case "set_protocol validation" `Quick test_set_protocol_validation;
   ]

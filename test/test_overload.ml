@@ -1,6 +1,6 @@
 (* Overload-protection integration tests: replica admission control,
    coordinator Busy handling, the retry-budget and breaker wired into the
-   RPC layer, the deadline-vs-retry boundary, the harness overload
+   coordinator, the deadline-vs-retry boundary, the harness overload
    scenario, and the eval campaign's metastable gate. *)
 
 module Engine = Dsim.Engine
@@ -9,7 +9,6 @@ module Latency = Dsim.Latency
 module Message = Replication.Message
 module Replica = Replication.Replica
 module Coordinator = Replication.Coordinator
-module Quorum_rpc = Replication.Quorum_rpc
 module Harness = Replication.Harness
 module Protocol = Quorum.Protocol
 
@@ -73,7 +72,7 @@ let test_admission_rejects_negative_watermark () =
     (Invalid_argument "Replica.admission: negative shed watermark")
     (fun () -> ignore (Replica.admission ~shed_watermark:(-1) ()))
 
-(* -- Quorum_rpc: deadline-vs-retry boundary ------------------------------ *)
+(* -- Deadline-vs-retry boundary --------------------------------------------- *)
 
 (* Replicas absent (no handlers): phases always time out, so the retry
    cadence is deterministic: phase timeout T, jitter-free backoff B.  The
@@ -85,17 +84,17 @@ let rpc_messages_with_deadline deadline =
   let net = Network.create ~engine ~n:(n + 1) ~latency:(Latency.Constant 0.0) () in
   let config =
     {
-      Quorum_rpc.default_config with
-      Quorum_rpc.timeout = 10.0;
+      Coordinator.default_config with
+      Coordinator.timeout = 10.0;
       max_retries = 1;
       deadline;
       backoff =
         { Detect.Backoff.base = 5.0; factor = 1.0; max_delay = 5.0; jitter = 0.0 };
     }
   in
-  let rpc = Quorum_rpc.create ~site:n ~net ~proto ~config () in
+  let coord = Coordinator.create ~site:n ~net ~proto ~config () in
   let result = ref `Pending in
-  Quorum_rpc.query rpc ~key:0 (fun r -> result := `Done r);
+  Coordinator.read coord ~key:0 (fun r -> result := `Done r);
   Engine.run engine;
   (match !result with
   | `Done None -> ()
@@ -114,7 +113,7 @@ let test_rpc_deadline_boundary () =
     past_boundary (2 * at_boundary);
   Alcotest.(check bool) "sanity: someone sent something" true (at_boundary > 0)
 
-(* -- Budget and breaker at the RPC layer --------------------------------- *)
+(* -- Budget and breaker at the coordinator ----------------------------------- *)
 
 let test_rpc_budget_suppresses_retries () =
   let proto = fig1_proto () in
@@ -125,14 +124,14 @@ let test_rpc_budget_suppresses_retries () =
   (* Drain the single banked token so the very first retry is refused. *)
   Alcotest.(check bool) "drain" true (Detect.Budget.try_retry budget);
   let config =
-    { Quorum_rpc.default_config with Quorum_rpc.timeout = 10.0; max_retries = 5 }
+    { Coordinator.default_config with Coordinator.timeout = 10.0; max_retries = 5 }
   in
-  let rpc = Quorum_rpc.create ~site:n ~net ~proto ~budget ~config () in
+  let coord = Coordinator.create ~site:n ~net ~proto ~budget ~config () in
   let result = ref `Pending in
-  Quorum_rpc.query rpc ~key:0 (fun r -> result := `Done r);
+  Coordinator.read coord ~key:0 (fun r -> result := `Done r);
   Engine.run engine;
   Alcotest.(check bool) "failed fast" true (!result = `Done None);
-  Alcotest.(check int) "retry suppressed" 1 (Quorum_rpc.retries_suppressed rpc);
+  Alcotest.(check int) "retry suppressed" 1 (Coordinator.retries_suppressed coord);
   Alcotest.(check int) "budget counted it" 1 (Detect.Budget.suppressed budget)
 
 let test_rpc_breaker_steers_quorums () =
@@ -152,9 +151,9 @@ let test_rpc_breaker_steers_quorums () =
       ()
   in
   Alcotest.(check bool) "tripped" true (Detect.Breaker.record_failure breaker 0);
-  let rpc = Quorum_rpc.create ~site:n ~net ~proto ~breaker () in
+  let coord = Coordinator.create ~site:n ~net ~proto ~breaker () in
   let result = ref `Pending in
-  Quorum_rpc.query rpc ~key:0 (fun r -> result := `Done r);
+  Coordinator.read coord ~key:0 (fun r -> result := `Done r);
   Engine.run engine;
   (match !result with
   | `Done (Some _) -> ()

@@ -136,15 +136,15 @@ let prop_reconfig_preserves_values =
         Replication.Coordinator.create ~site:n ~net
           ~proto:(Quorums.protocol tree_a) ~locks ()
       in
-      let rpc =
-        Replication.Quorum_rpc.create ~site:(n + 1) ~net
+      let mig =
+        Replication.Coordinator.create ~site:(n + 1) ~net
           ~proto:(Quorums.protocol tree_a) ()
       in
       let ok = ref true in
       Replication.Coordinator.write coord ~key:0 ~value:"before" (fun r ->
           if r = None then ok := false
           else
-            Replication.Reconfig.migrate ~rpc ~locks
+            Replication.Reconfig.migrate ~coord:mig ~locks
               ~new_proto:(Quorums.protocol tree_b) ~key_space:2
               ~on_switch:(fun () ->
                 Replication.Coordinator.set_protocol coord (Quorums.protocol tree_b))

@@ -3,7 +3,6 @@ module Network = Dsim.Network
 module Replica = Replication.Replica
 module Coordinator = Replication.Coordinator
 module Lock_manager = Replication.Lock_manager
-module Quorum_rpc = Replication.Quorum_rpc
 module Reconfig = Replication.Reconfig
 module Timestamp = Replication.Timestamp
 
@@ -18,7 +17,7 @@ type ctx = {
   net : Replication.Message.t Network.t;
   locks : Lock_manager.t;
   coord : Coordinator.t;  (* client on site 8 *)
-  rpc : Quorum_rpc.t;  (* reconfigurator on site 9 *)
+  mig : Coordinator.t;  (* reconfigurator on site 9, no locks *)
 }
 
 let setup ?(seed = 42) () =
@@ -31,10 +30,10 @@ let setup ?(seed = 42) () =
       ~proto:(Arbitrary.Quorums.protocol old_tree)
       ~locks ()
   in
-  let rpc =
-    Quorum_rpc.create ~site:9 ~net ~proto:(Arbitrary.Quorums.protocol old_tree) ()
+  let mig =
+    Coordinator.create ~site:9 ~net ~proto:(Arbitrary.Quorums.protocol old_tree) ()
   in
-  { engine; net; locks; coord; rpc }
+  { engine; net; locks; coord; mig }
 
 let write_sync ctx key value =
   let r = ref None in
@@ -53,7 +52,7 @@ let read_sync ctx key =
 
 let migrate_sync ?(key_space = 4) ctx =
   let result = ref None in
-  Reconfig.migrate ~rpc:ctx.rpc ~locks:ctx.locks
+  Reconfig.migrate ~coord:ctx.mig ~locks:ctx.locks
     ~new_proto:(Arbitrary.Quorums.protocol new_tree) ~key_space
     ~on_switch:(fun () ->
       Coordinator.set_protocol ctx.coord (Arbitrary.Quorums.protocol new_tree))
@@ -105,7 +104,7 @@ let test_client_blocked_during_migration () =
   (* Start the migration, then immediately issue a client write: it must
      wait for the locks and complete after the switch, on the new tree. *)
   let mig_done = ref false in
-  Reconfig.migrate ~rpc:ctx.rpc ~locks:ctx.locks
+  Reconfig.migrate ~coord:ctx.mig ~locks:ctx.locks
     ~new_proto:(Arbitrary.Quorums.protocol new_tree) ~key_space:4
     ~on_switch:(fun () ->
       Coordinator.set_protocol ctx.coord (Arbitrary.Quorums.protocol new_tree))
@@ -136,7 +135,7 @@ let test_quorum_rpc_forced_ts () =
   let ctx = setup () in
   let done_ = ref None in
   let ts = Timestamp.make ~version:7 ~sid:1 in
-  Quorum_rpc.write ctx.rpc ~key:5 ~ts ~value:"forced" (fun r -> done_ := r);
+  Coordinator.write ctx.mig ~key:5 ~ts ~value:"forced" (fun r -> done_ := r);
   Engine.run ctx.engine;
   (match !done_ with
   | Some ts' -> Alcotest.(check bool) "echoes forced ts" true (Timestamp.equal ts ts')
@@ -151,7 +150,7 @@ let test_chained_migrations () =
   let ts0 = write_sync ctx 0 "v" in
   let hop target =
     let result = ref None in
-    Reconfig.migrate ~rpc:ctx.rpc ~locks:ctx.locks
+    Reconfig.migrate ~coord:ctx.mig ~locks:ctx.locks
       ~new_proto:(Arbitrary.Quorums.protocol target) ~key_space:4
       ~on_switch:(fun () ->
         Coordinator.set_protocol ctx.coord (Arbitrary.Quorums.protocol target))

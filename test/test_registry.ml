@@ -96,10 +96,7 @@ let provisioning obs =
 
 let transactions obs =
   let tree = Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:13 in
-  let s =
-    Replication.Txn_harness.default_scenario ~proto:(Arbitrary.Quorums.protocol tree)
-  in
-  ignore (Replication.Txn_harness.run ~obs s)
+  ignore (Harness.run ~obs (Harness.txn_scenario ~proto:(Arbitrary.Quorums.protocol tree)))
 
 let names obs =
   let m = Obs.metrics obs in

@@ -39,7 +39,7 @@ let read_sync ctx txn key =
   | `Done v -> v
   | `Pending -> Alcotest.fail "read did not complete"
 
-let committed o = match o with Txn.Committed -> true | Txn.Aborted _ -> false
+let committed o = o = Txn.Committed
 
 let test_empty_commit () =
   let ctx = setup () in
@@ -114,7 +114,7 @@ let test_atomic_abort_when_no_write_quorum () =
   Txn.write t ~key:2 ~value:"b";
   (match commit_sync ctx t with
   | Txn.Aborted _ -> ()
-  | Txn.Committed -> Alcotest.fail "must abort without write quorums");
+  | _ -> Alcotest.fail "must abort without write quorums");
   (* Neither key leaked. *)
   let t2 = Txn.begin_txn ctx.m2 in
   Alcotest.(check (option string)) "k1 clean" (Some "") (read_sync ctx t2 1);
@@ -134,7 +134,7 @@ let test_version_phase_failure_aborts () =
   | Txn.Aborted reason ->
     Alcotest.(check bool) "version phase blamed" true
       (reason = "version phase failed")
-  | Txn.Committed -> Alcotest.fail "cannot commit without read quorum"
+  | _ -> Alcotest.fail "cannot commit without read quorum"
 
 let test_writer_waits_for_reader () =
   let ctx = setup () in

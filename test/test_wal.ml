@@ -161,6 +161,40 @@ let test_group_commit_force_detection () =
     [ commit ~op:1 ~key:0 ~v:1 "a"; commit ~op:2 ~key:1 ~v:1 "b" ];
   Alcotest.(check int) "async batch never syncs" 0 (Wal.syncs async)
 
+(* The flat batch appends write the rows, charge the syncs and replay
+   exactly as the record appends they stand for: [~group:false] as one
+   [append] per write, [~group:true] and [install_batch] as one
+   [append_batch]. *)
+let test_flat_batches_match_records () =
+  let batch =
+    Batch.of_list [ (0, ts 1, "a"); (1, ts 1, "b"); (2, ts 2, "c") ]
+  in
+  let rows f = List.map (fun (key, t, value) -> f key t value) (Batch.to_list batch) in
+  List.iter
+    (fun policy ->
+      let flat = Wal.create ~policy ~now:(fst (clock ())) () in
+      let recs = Wal.create ~policy ~now:(fst (clock ())) () in
+      Wal.stage_batch flat ~op:7 ~group:false batch;
+      List.iter (Wal.append recs)
+        (rows (fun key ts value -> Wal.Stage { op = 7; key; ts; value }));
+      Wal.commit_batch flat ~op:7 ~group:true batch;
+      Wal.append_batch recs
+        (rows (fun key ts value -> Wal.Commit { op = 7; key; ts; value }));
+      Wal.install_batch flat batch;
+      Wal.append_batch recs (rows (fun key ts value -> Wal.Install { key; ts; value }));
+      let name = Wal.policy_to_string policy in
+      Alcotest.(check int) (name ^ ": syncs") (Wal.syncs recs) (Wal.syncs flat);
+      Alcotest.(check int) (name ^ ": rows") (Wal.length recs) (Wal.length flat);
+      Wal.crash flat;
+      Wal.crash recs;
+      let s1 = Store.create () and s2 = Store.create () in
+      Alcotest.(check int) (name ^ ": replay") (Wal.replay recs s1) (Wal.replay flat s2);
+      for key = 0 to 2 do
+        Alcotest.(check bool) (name ^ ": same value") true
+          (Store.read s1 ~key = Store.read s2 ~key)
+      done)
+    [ Wal.Sync_on_commit; Wal.Sync_on_prepare; Wal.Async 5.0 ]
+
 (* Replaying the per-record Stage entries of one batched prepare must
    rebuild the whole staged batch — a second Stage under the same op id
    accumulates instead of clobbering. *)
@@ -494,6 +528,8 @@ let suite =
       test_group_commit_one_sync_per_batch;
     Alcotest.test_case "group commit: force detection per policy" `Quick
       test_group_commit_force_detection;
+    Alcotest.test_case "flat batch appends match record appends" `Quick
+      test_flat_batches_match_records;
     Alcotest.test_case "replay rebuilds a batched stage" `Quick
       test_replay_rebuilds_batch_stage;
     Alcotest.test_case "replay keeps installs monotone" `Quick
