@@ -51,16 +51,15 @@ let run_overload () =
   Printf.printf "overload gate OK\n"
 
 let churn_cell_json (c : Eval.Churn.cell) =
-  let r = c.Eval.Churn.c_report in
-  let a = r.Replication.Churn_harness.agg in
+  let a = c.Eval.Churn.c_report in
   Printf.sprintf
     "{\"config\":\"%s\",\"n\":%d,\"scenario\":\"%s\",\"reads_ok\":%d,\"writes_ok\":%d,\"promotions_done\":%d,\"decommissions_done\":%d,\"provision_runs\":%d,\"provision_chunks\":%d,\"provision_resumes\":%d,\"provision_donor_failovers\":%d,\"failed_rejoins\":%d,\"violations\":%d}"
     (Arbitrary.Config.name_to_string c.Eval.Churn.c_config)
     c.Eval.Churn.c_n
     (Artifact.json_escape c.Eval.Churn.c_kind)
     a.Replication.Harness.reads_ok a.Replication.Harness.writes_ok
-    r.Replication.Churn_harness.promotions_done
-    r.Replication.Churn_harness.decommissions_done
+    a.Replication.Harness.promotions_done
+    a.Replication.Harness.decommissions_done
     a.Replication.Harness.provision_runs
     a.Replication.Harness.provision_chunks
     a.Replication.Harness.provision_resumes

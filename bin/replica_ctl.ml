@@ -63,9 +63,18 @@ let n_arg =
     value & opt int 65
     & info [ "n" ] ~docv:"N" ~doc:"Number of replicas.")
 
+(* A probability: a float in [0, 1]. *)
+let probability_conv =
+  let parse s =
+    match float_of_string_opt s with
+    | Some p when p >= 0.0 && p <= 1.0 -> Ok p
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a probability in [0, 1]" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
+
 let p_arg =
   Arg.(
-    value & opt float 0.7
+    value & opt probability_conv 0.7
     & info [ "p" ] ~docv:"P" ~doc:"Per-replica availability probability.")
 
 let seed_arg =
@@ -849,10 +858,10 @@ let overload_cmd =
    membership counters and fails the process on any freshness
    violation. *)
 let run_churn ~name ~chunk_size ~fence (n, s) =
-  let module Ch = Replication.Churn_harness in
   let module H = Replication.Harness in
-  let r = Ch.run { s with Ch.chunk_size; fence_provisioning = fence } in
-  let a = r.Ch.agg in
+  let a =
+    H.run { s with H.churn = Option.map (fun c -> { c with H.chunk_size; fence }) s.H.churn }
+  in
   Format.printf "%s over %d replicas (+2 spares): fence=%s@."
     (Arbitrary.Config.name_to_string name)
     n
@@ -866,7 +875,7 @@ let run_churn ~name ~chunk_size ~fence (n, s) =
     a.H.provision_donor_failovers a.H.provision_rounds a.H.provision_stale
     a.H.failed_rejoins;
   Format.printf "membership: promotions=%d/%d decommissions=%d@."
-    r.Ch.promotions_done r.Ch.promotions_started r.Ch.decommissions_done;
+    a.H.promotions_done a.H.promotions_started a.H.decommissions_done;
   Format.printf "status: [%s]@."
     (String.concat ";" (Array.to_list a.H.replica_status));
   Format.printf "violations: %d@." a.H.safety_violations;
@@ -964,7 +973,7 @@ let promote_cmd =
     let membership ~n =
       if position < 0 || position >= n then
         invalid_arg "promote: --position out of range";
-      [ { Replication.Churn_harness.at; position; spare = n; fence = false } ]
+      [ { Replication.Harness.at; position; spare = n; fence = false } ]
     in
     Eval.Churn.make_scenario name ~n ~clients ~ops ~seed ~horizon ~failures
       ~membership
@@ -989,7 +998,7 @@ let decommission_cmd =
     let membership ~n =
       if position < 0 || position >= n then
         invalid_arg "decommission: --position out of range";
-      [ { Replication.Churn_harness.at; position; spare = n; fence = true } ]
+      [ { Replication.Harness.at; position; spare = n; fence = true } ]
     in
     Eval.Churn.make_scenario name ~n ~clients ~ops ~seed ~horizon
       ~failures:(fun ~n:_ -> []) ~membership

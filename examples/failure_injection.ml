@@ -75,10 +75,7 @@ let () =
      knowledge: quorums are assembled from a per-client heartbeat monitor
      (φ-accrual, explicit suspicion on missed phase deadlines).  The delta
      against the oracle is the price of realistic detection. *)
-  let hb =
-    Harness.Heartbeat
-      { Detect.Heartbeat.default_config with Detect.Heartbeat.period = 2.5 }
-  in
+  let hb = Harness.Heartbeat { Detect.Heartbeat.period = 2.5 } in
   (* Both columns get the degradation-tolerant retry policy: per-phase
      timeouts from observed RTT quantiles, jittered exponential backoff,
      and a hard per-operation deadline so an op abandons a dead quorum

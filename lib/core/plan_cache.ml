@@ -1,8 +1,6 @@
 module Bitset = Dsutil.Bitset
 module Rng = Dsutil.Rng
 
-type policy = Uniform | First_alive
-
 type t = {
   tree : Tree.t;
   n : int;
@@ -52,13 +50,9 @@ let fork t = create t.tree
    alive: [fast] (everything alive) skips the candidate filter.  A
    top-level function over explicit arguments, so a quorum assembly
    allocates no closure. *)
-let level_site t ~policy ~alive ~rng ~fast level =
+let level_site t ~alive ~rng ~fast level =
   let reps = t.replicas.(level) in
-  if fast then begin
-    match policy with
-    | First_alive -> reps.(0)
-    | Uniform -> reps.(Rng.int rng (Array.length reps))
-  end
+  if fast then reps.(Rng.int rng (Array.length reps))
   else begin
     let c = ref 0 in
     for j = 0 to Array.length reps - 1 do
@@ -68,20 +62,16 @@ let level_site t ~policy ~alive ~rng ~fast level =
         incr c
       end
     done;
-    if !c = 0 then -1
-    else
-      match policy with
-      | First_alive -> t.scratch.(0)
-      | Uniform -> t.scratch.(Rng.int rng !c)
+    if !c = 0 then -1 else t.scratch.(Rng.int rng !c)
   end
 
-let read_quorum ?(policy = Uniform) t ~alive ~rng =
+let read_quorum t ~alive ~rng =
   let q = Bitset.create t.n in
   let fast = Bitset.equal alive t.full in
   let n_levels = Array.length t.replicas in
   let level = ref 0 and site = ref 0 in
   while !site >= 0 && !level < n_levels do
-    site := level_site t ~policy ~alive ~rng ~fast !level;
+    site := level_site t ~alive ~rng ~fast !level;
     if !site >= 0 then begin
       Bitset.add q !site;
       incr level
@@ -96,17 +86,13 @@ let n_levels t = Array.length t.replicas
    count), so a caller walking levels 0..n_levels-1 in order consumes the
    RNG exactly as one [read_quorum] call would — stopping, like it, at
    the first level with no alive candidate (returned as -1). *)
-let read_site ?(policy = Uniform) t ~alive ~rng ~level =
-  level_site t ~policy ~alive ~rng ~fast:(Bitset.equal alive t.full) level
+let read_site t ~alive ~rng ~level =
+  level_site t ~alive ~rng ~fast:(Bitset.equal alive t.full) level
 
-let write_quorum ?(policy = Uniform) t ~alive ~rng =
+let write_quorum t ~alive ~rng =
   let n_levels = Array.length t.replicas in
-  if Bitset.equal alive t.full then begin
-    let i =
-      match policy with First_alive -> 0 | Uniform -> Rng.int rng n_levels
-    in
-    Some (Bitset.copy t.write_masks.(i))
-  end
+  if Bitset.equal alive t.full then
+    Some (Bitset.copy t.write_masks.(Rng.int rng n_levels))
   else begin
     let c = ref 0 in
     for i = 0 to n_levels - 1 do
@@ -116,12 +102,5 @@ let write_quorum ?(policy = Uniform) t ~alive ~rng =
       end
     done;
     if !c = 0 then None
-    else begin
-      let i =
-        match policy with
-        | First_alive -> t.level_scratch.(0)
-        | Uniform -> t.level_scratch.(Rng.int rng !c)
-      in
-      Some (Bitset.copy t.write_masks.(i))
-    end
+    else Some (Bitset.copy t.write_masks.(t.level_scratch.(Rng.int rng !c)))
   end

@@ -34,10 +34,6 @@
 
 type t
 
-type policy = Uniform | First_alive
-(** Mirrors {!Quorums.policy} (defined here to avoid a dependency cycle;
-    [Quorums.policy] is a re-export). *)
-
 val create : Tree.t -> t
 (** Precomputes per-level replica arrays, per-level write-quorum bitsets
     and the full-universe alive view.  O(n) time and space. *)
@@ -48,34 +44,18 @@ val fork : t -> t
 (** A fresh plan over the same tree with private scratch buffers, safe to
     use from another domain. *)
 
-val read_quorum :
-  ?policy:policy ->
-  t ->
-  alive:Dsutil.Bitset.t ->
-  rng:Dsutil.Rng.t ->
-  Dsutil.Bitset.t option
+val read_quorum : t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
 (** Same contract (and same RNG draws) as {!Quorums.read_quorum}. *)
 
 val n_levels : t -> int
 (** Number of physical levels (the per-level quorum groups of §3.2). *)
 
-val read_site :
-  ?policy:policy ->
-  t ->
-  alive:Dsutil.Bitset.t ->
-  rng:Dsutil.Rng.t ->
-  level:int ->
-  int
+val read_site : t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> level:int -> int
 (** The read-quorum member for one physical level (index in
     [0, n_levels)), or -1 when the level has no alive candidate.  Walking
     the levels in ascending order and stopping at the first -1 draws the
     RNG exactly like one {!read_quorum} call — this is the per-level hook
     behind tree-level pipelined reads. *)
 
-val write_quorum :
-  ?policy:policy ->
-  t ->
-  alive:Dsutil.Bitset.t ->
-  rng:Dsutil.Rng.t ->
-  Dsutil.Bitset.t option
+val write_quorum : t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
 (** Same contract (and same RNG draws) as {!Quorums.write_quorum}. *)

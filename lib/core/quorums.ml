@@ -1,13 +1,11 @@
 module Bitset = Dsutil.Bitset
 module Rng = Dsutil.Rng
 
-type policy = Plan_cache.policy = Uniform | First_alive
-
 let alive_at_level tree ~alive k =
   Array.to_list (Tree.replicas_at tree k)
   |> List.filter (Bitset.mem alive)
 
-let read_quorum ?(policy = Uniform) tree ~alive ~rng =
+let read_quorum tree ~alive ~rng =
   let n = Tree.n tree in
   let q = Bitset.create n in
   let ok =
@@ -15,13 +13,8 @@ let read_quorum ?(policy = Uniform) tree ~alive ~rng =
       (fun k ->
         match alive_at_level tree ~alive k with
         | [] -> false
-        | first :: _ as candidates ->
-          let site =
-            match policy with
-            | First_alive -> first
-            | Uniform -> Rng.pick rng (Array.of_list candidates)
-          in
-          Bitset.add q site;
+        | candidates ->
+          Bitset.add q (Rng.pick rng (Array.of_list candidates));
           true)
       (Tree.physical_levels tree)
   in
@@ -36,18 +29,14 @@ let write_quorum_of_level tree ~level =
 let level_fully_alive tree ~alive k =
   Array.for_all (Bitset.mem alive) (Tree.replicas_at tree k)
 
-let write_quorum ?(policy = Uniform) tree ~alive ~rng =
+let write_quorum tree ~alive ~rng =
   let candidates =
     List.filter (level_fully_alive tree ~alive) (Tree.physical_levels tree)
   in
   match candidates with
   | [] -> None
-  | first :: _ ->
-    let k =
-      match policy with
-      | First_alive -> first
-      | Uniform -> Rng.pick rng (Array.of_list candidates)
-    in
+  | _ ->
+    let k = Rng.pick rng (Array.of_list candidates) in
     Some (write_quorum_of_level tree ~level:k)
 
 let enumerate_read_quorums tree =

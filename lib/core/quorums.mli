@@ -4,31 +4,18 @@
     Write quorum: {e all} physical nodes of one physical level.
 
     The pair forms a bicoterie (proved by induction in §3.2.3 and verified
-    by property tests here). *)
-
-type policy = Plan_cache.policy =
-  | Uniform  (** the paper's strategy: quorums drawn uniformly *)
-  | First_alive
-      (** deterministic: lowest-numbered alive replica per level / shallowest
-          fully-alive level.  Used by the ablation benchmarks. *)
+    by property tests here).  Quorums are drawn uniformly, the paper's
+    strategy (§3.2). *)
 
 val read_quorum :
-  ?policy:policy ->
-  Tree.t ->
-  alive:Dsutil.Bitset.t ->
-  rng:Dsutil.Rng.t ->
-  Dsutil.Bitset.t option
-(** One alive replica from every physical level, or [None] when some level
-    has no alive replica. *)
+  Tree.t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
+(** One alive replica, drawn uniformly, from every physical level, or
+    [None] when some level has no alive replica. *)
 
 val write_quorum :
-  ?policy:policy ->
-  Tree.t ->
-  alive:Dsutil.Bitset.t ->
-  rng:Dsutil.Rng.t ->
-  Dsutil.Bitset.t option
-(** All replicas of a fully-alive physical level, or [None] when every
-    level has at least one dead replica. *)
+  Tree.t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
+(** All replicas of a fully-alive physical level, drawn uniformly, or
+    [None] when every level has at least one dead replica. *)
 
 val write_quorum_of_level : Tree.t -> level:int -> Dsutil.Bitset.t
 (** The write quorum consisting of the given physical level.  Raises
@@ -41,7 +28,7 @@ val enumerate_write_quorums : Tree.t -> Dsutil.Bitset.t Seq.t
 (** The m(W) = |K_phy| write quorums. *)
 
 val protocol : Tree.t -> Quorum.Protocol.t
-(** Packages a tree as a generic protocol instance (uniform policy).
+(** Packages a tree as a generic protocol instance.
     Quorum assembly goes through a precomputed {!Plan_cache} — same quorums
     and same RNG draw sequence as the reference functions above, without
     the per-operation list round trips.  Reconfiguration swaps in a new

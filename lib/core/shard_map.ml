@@ -5,7 +5,6 @@ let strategy_to_string = function Hash -> "hash" | Range -> "range"
 type t = {
   strategy : strategy;
   key_space : int;
-  seed : int;
   owner : int array;  (* key -> shard id *)
   mutable n_shards : int;  (* ids allocated so far *)
   mutable active : bool array;  (* id -> participates in routing *)
@@ -47,13 +46,11 @@ let create ~strategy ~shards ~key_space ~seed () =
       done;
       owner
   in
-  { strategy; key_space; seed; owner; n_shards = shards;
+  { strategy; key_space; owner; n_shards = shards;
     active = Array.make shards true }
 
 let shards t = t.n_shards
-let key_space t = t.key_space
 let strategy t = t.strategy
-let seed t = t.seed
 
 let route t key =
   if key < 0 || key >= t.key_space then invalid_arg "Shard_map.route: key out of range";

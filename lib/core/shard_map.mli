@@ -31,11 +31,7 @@ val shards : t -> int
 (** Number of shard ids ever allocated (including planned-but-uncommitted
     splits and merged-away sources); ids are [0 .. shards - 1]. *)
 
-val key_space : t -> int
-
 val strategy : t -> strategy
-
-val seed : t -> int
 
 val route : t -> int -> int
 (** [route t key] is the owning shard id.  O(1).  Raises [Invalid_argument]

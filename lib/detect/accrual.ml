@@ -1,33 +1,21 @@
 module Stats = Dsutil.Stats
 
-type config = {
-  threshold : float;
-  min_samples : int;
-  min_stddev : float;
-  max_interval_factor : float;
-}
-
-let default_config =
-  {
-    threshold = 8.0;
-    min_samples = 3;
-    min_stddev = 0.5;
-    max_interval_factor = 4.0;
-  }
+(* The estimator's parameters, documented at [create] in the interface. *)
+let threshold = 8.0
+let min_samples = 3
+let min_stddev = 0.5
+let max_interval_factor = 4.0
 
 type site_state = {
   mutable last : float option;  (* arrival time of the newest heartbeat *)
   intervals : Stats.t;
 }
 
-type t = { config : config; sites : site_state array }
+type t = { sites : site_state array }
 
-let create ~n ?(config = default_config) () =
+let create ~n () =
   if n < 1 then invalid_arg "Accrual.create: need at least one site";
-  {
-    config;
-    sites = Array.init n (fun _ -> { last = None; intervals = Stats.create () });
-  }
+  { sites = Array.init n (fun _ -> { last = None; intervals = Stats.create () }) }
 
 let check t site =
   if site < 0 || site >= Array.length t.sites then
@@ -45,9 +33,9 @@ let heartbeat t ~site ~now =
        of the run.  Cap at a multiple of the current mean once a baseline
        exists. *)
     let interval =
-      if Stats.count s.intervals >= t.config.min_samples then
+      if Stats.count s.intervals >= min_samples then
         Float.min interval
-          (t.config.max_interval_factor *. Stats.mean s.intervals)
+          (max_interval_factor *. Stats.mean s.intervals)
       else interval
     in
     Stats.add s.intervals interval
@@ -80,10 +68,10 @@ let phi t ~site ~now =
   match s.last with
   | None -> 0.0
   | Some last ->
-    if Stats.count s.intervals < t.config.min_samples then 0.0
+    if Stats.count s.intervals < min_samples then 0.0
     else begin
       let mean = Stats.mean s.intervals in
-      let sd = Float.max (Stats.stddev s.intervals) t.config.min_stddev in
+      let sd = Float.max (Stats.stddev s.intervals) min_stddev in
       let z = (now -. last -. mean) /. sd in
       if z <= 0.0 then 0.0
       else begin
@@ -97,7 +85,7 @@ let phi t ~site ~now =
       end
     end
 
-let suspected t ~site ~now = phi t ~site ~now > t.config.threshold
+let suspected t ~site ~now = phi t ~site ~now > threshold
 let samples t ~site =
   check t site;
   Stats.count t.sites.(site).intervals

@@ -15,31 +15,17 @@
     All times are the simulation's virtual clock; the estimator itself
     never reads a clock, callers pass [now]. *)
 
-type config = {
-  threshold : float;
-      (** suspect when φ exceeds this.  φ = 1 tolerates a silence that
-          happens 10% of the time, φ = 3 one in 10³, … *)
-  min_samples : int;
-      (** below this many inter-arrival samples the site is never
-          suspected (bootstrap grace) *)
-  min_stddev : float;
-      (** floor on the inter-arrival stddev, so a perfectly regular
-          heartbeat stream does not make the detector hair-triggered *)
-  max_interval_factor : float;
-      (** clamp recorded inter-arrivals at this multiple of the current
-          mean (once past bootstrap): the first heartbeat after an outage
-          would otherwise record the whole outage as one sample and blind
-          the detector *)
-}
-
-val default_config : config
-(** [{ threshold = 8.0; min_samples = 3; min_stddev = 0.5;
-      max_interval_factor = 4.0 }] *)
-
 type t
 
-val create : n:int -> ?config:config -> unit -> t
-(** Monitor sites [0..n-1]. *)
+val create : n:int -> unit -> t
+(** Monitor sites [0..n-1].  A site is suspected when φ exceeds 8 (φ = 1
+    tolerates a silence that happens 10% of the time, φ = 3 one in 10³,
+    …), never before 3 inter-arrival samples (bootstrap grace).  The
+    inter-arrival stddev is floored at 0.5, so a perfectly regular
+    heartbeat stream does not make the detector hair-triggered, and once
+    past bootstrap recorded inter-arrivals are clamped at 4× the current
+    mean: the first heartbeat after an outage would otherwise record the
+    whole outage as one sample and blind the detector. *)
 
 val heartbeat : t -> site:int -> now:float -> unit
 (** Record proof of life from [site] at time [now]. *)
@@ -48,7 +34,7 @@ val phi : t -> site:int -> now:float -> float
 (** Current suspicion level; 0.0 while the site is in bootstrap grace. *)
 
 val suspected : t -> site:int -> now:float -> bool
-(** [phi > threshold]. *)
+(** [phi > 8]. *)
 
 val samples : t -> site:int -> int
 (** Inter-arrival samples recorded for [site]. *)

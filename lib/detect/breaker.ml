@@ -46,8 +46,6 @@ let create ?(config = default_config) ~n ~now () =
     probes = 0;
   }
 
-let size t = Array.length t.sites
-
 let check_site t i =
   if i < 0 || i >= Array.length t.sites then invalid_arg "Breaker: bad site id"
 

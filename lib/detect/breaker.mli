@@ -45,8 +45,6 @@ val create : ?config:config -> n:int -> now:(unit -> float) -> unit -> t
 
     @raise Invalid_argument on a non-positive threshold or cooldown. *)
 
-val size : t -> int
-
 val state : t -> int -> state
 (** Current {e effective} state, evaluating the cooldown clock: an Open
     site whose cooldown has elapsed is reported as Half_open.  Pure —

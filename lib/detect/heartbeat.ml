@@ -1,9 +1,7 @@
 module Bitset = Dsutil.Bitset
 module Engine = Dsim.Engine
 
-type config = { period : float; accrual : Accrual.config }
-
-let default_config = { period = 5.0; accrual = Accrual.default_config }
+type config = { period : float }
 
 type t = {
   engine : Engine.t;
@@ -26,7 +24,7 @@ let rec tick t () =
     Engine.schedule t.engine ~delay:t.config.period (tick t)
   end
 
-let create ~engine ~n ?(config = default_config) ~send_ping () =
+let create ~engine ~n ~config ~send_ping () =
   if config.period <= 0.0 then
     invalid_arg "Heartbeat.create: period must be positive";
   let t =
@@ -34,7 +32,7 @@ let create ~engine ~n ?(config = default_config) ~send_ping () =
       engine;
       n;
       config;
-      accrual = Accrual.create ~n ~config:config.accrual ();
+      accrual = Accrual.create ~n ();
       explicit_suspects = Array.make n false;
       send_ping;
       pings_sent = 0;
@@ -55,10 +53,6 @@ let suspect t ~site =
   check t site;
   t.explicit_suspects.(site) <- true
 
-let phi t ~site =
-  check t site;
-  Accrual.phi t.accrual ~site ~now:(Engine.now t.engine)
-
 let suspected t ~site =
   check t site;
   t.explicit_suspects.(site)
@@ -72,10 +66,11 @@ let alive t () =
   view
 
 let view t =
-  View.make ~alive:(alive t)
-    ~observe:(fun site -> observe t ~site)
-    ~suspect:(fun site -> suspect t ~site)
-    ()
+  {
+    View.alive = alive t;
+    observe = (fun site -> observe t ~site);
+    suspect = (fun site -> suspect t ~site);
+  }
 
 let pings_sent t = t.pings_sent
 let stop t = t.stopped <- true

@@ -18,20 +18,14 @@
     silence — which is exactly the realistic failure knowledge the chaos
     campaign exercises. *)
 
-type config = {
-  period : float;  (** ping cadence per monitored site *)
-  accrual : Accrual.config;
-}
-
-val default_config : config
-(** period 5.0 with {!Accrual.default_config}. *)
+type config = { period : float  (** ping cadence per monitored site *) }
 
 type t
 
 val create :
   engine:Dsim.Engine.t ->
   n:int ->
-  ?config:config ->
+  config:config ->
   send_ping:(int -> unit) ->
   unit ->
   t
@@ -49,9 +43,6 @@ val suspect : t -> site:int -> unit
 val view : t -> View.t
 (** The believed-alive view backed by this monitor, with [observe] and
     [suspect] wired to the functions above. *)
-
-val phi : t -> site:int -> float
-(** Current suspicion level of [site]. *)
 
 val suspected : t -> site:int -> bool
 

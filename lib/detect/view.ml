@@ -7,9 +7,6 @@ type t = {
   suspect : int -> unit;
 }
 
-let make ~alive ?(observe = ignore) ?(suspect = ignore) () =
-  { alive; observe; suspect }
-
 let oracle ~net ~self ~n =
   let alive () =
     let view = Bitset.create n in
@@ -20,10 +17,3 @@ let oracle ~net ~self ~n =
     view
   in
   { alive; observe = ignore; suspect = ignore }
-
-let always_up ~n =
-  let full = Bitset.create n in
-  for i = 0 to n - 1 do
-    Bitset.add full i
-  done;
-  { alive = (fun () -> Bitset.copy full); observe = ignore; suspect = ignore }

@@ -24,19 +24,7 @@ type t = {
   suspect : int -> unit;  (** this site missed a response deadline *)
 }
 
-val make :
-  alive:(unit -> Dsutil.Bitset.t) ->
-  ?observe:(int -> unit) ->
-  ?suspect:(int -> unit) ->
-  unit ->
-  t
-(** [observe] and [suspect] default to no-ops. *)
-
 val oracle : net:'msg Dsim.Network.t -> self:int -> n:int -> t
 (** Ground truth from the simulator over the replica universe [0..n-1]
     (sites ≥ n are clients): up sites reachable from [self] (§2.2's
     detectable-failures assumption).  Ignores evidence. *)
-
-val always_up : n:int -> t
-(** Believes every site is alive, always — the degenerate detector that
-    makes every failure a timeout.  Useful as an ablation baseline. *)

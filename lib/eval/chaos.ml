@@ -127,8 +127,7 @@ let chaos_coordinator =
    default φ threshold keeps false suspicions rare — essential because a
    write quorum needs {e every} node of a level, so one false suspect
    fails the whole attempt. *)
-let chaos_heartbeat =
-  { Detect.Heartbeat.default_config with Detect.Heartbeat.period = 2.5 }
+let chaos_heartbeat = { Detect.Heartbeat.period = 2.5 }
 
 let rate ok failed =
   let total = ok + failed in

@@ -1,5 +1,4 @@
 module Config = Arbitrary.Config
-module Churn_harness = Replication.Churn_harness
 module Harness = Replication.Harness
 module Replica = Replication.Replica
 module Store = Replication.Store
@@ -72,49 +71,39 @@ let membership_of kind ~n =
   match kind with
   | Donor_crash | Recipient_crash -> []
   | Partition_promotion ->
-    [ { Churn_harness.at = 100.0; position = min 1 (n - 1); spare = n;
-        fence = false } ]
+    [ { Harness.at = 100.0; position = min 1 (n - 1); spare = n; fence = false } ]
   | Rolling ->
     (* roll position 0 out to the spare and back (unfenced: the displaced
        occupant keeps its history and is re-promoted), then properly
        decommission position 1's occupant onto the second spare *)
     [
-      { Churn_harness.at = 80.0; position = 0; spare = n; fence = false };
-      { Churn_harness.at = 500.0; position = 0; spare = 0; fence = false };
-      { Churn_harness.at = 900.0; position = min 1 (n - 1); spare = n + 1;
-        fence = true };
+      { Harness.at = 80.0; position = 0; spare = n; fence = false };
+      { Harness.at = 500.0; position = 0; spare = 0; fence = false };
+      { Harness.at = 900.0; position = min 1 (n - 1); spare = n + 1; fence = true };
     ]
 
 type cell = {
   c_config : Config.name;
   c_kind : string;
   c_n : int;
-  c_report : Churn_harness.report;
+  c_report : Harness.report;
 }
 
 let make_scenario name ~n ~clients ~ops ~seed ~horizon ~failures ~membership =
   let n = Config_metrics.feasible_n name n in
-  let s =
-    Churn_harness.default_scenario ~proto:(Config_metrics.protocol_of name ~n)
-  in
   ( n,
     {
-      s with
-      Churn_harness.base =
-        {
-          s.Churn_harness.base with
-          Harness.n_clients = clients;
-          ops_per_client = ops;
-          failures = failures ~n;
-          seed;
-          coordinator = Chaos.chaos_coordinator;
-          horizon;
-        };
-      spares = 2;
-      membership = membership ~n;
+      (Harness.churn_scenario ~proto:(Config_metrics.protocol_of name ~n)) with
+      Harness.n_clients = clients;
+      ops_per_client = ops;
+      failures = failures ~n;
+      seed;
+      coordinator = Chaos.chaos_coordinator;
+      horizon;
       (* one key per chunk: transfers span enough virtual time that the
          scripted mid-transfer crashes actually land mid-transfer *)
-      chunk_size = 1;
+      churn =
+        Some { spares = 2; membership = membership ~n; chunk_size = 1; fence = true };
     } )
 
 let run ?(n = 45) ?(configs = default_configs) ?domains () =
@@ -136,7 +125,7 @@ let run ?(n = 45) ?(configs = default_configs) ?domains () =
       c_config = name;
       c_kind = kind_to_string kind;
       c_n = n;
-      c_report = Churn_harness.run scenario;
+      c_report = Harness.run scenario;
     }
   in
   Parallel.map ?domains run_cell specs
@@ -163,21 +152,16 @@ let run_negative ?(n = 45) ?(configs = default_configs) () =
     let scenario =
       {
         s with
-        Churn_harness.base =
-          {
-            s.Churn_harness.base with
-            Harness.key_space = 4;
-            wal = Replication.Wal.Async 60.0;
-          };
-        spares = 0;
-        fence_provisioning = false;
+        Harness.key_space = 4;
+        wal = Replication.Wal.Async 60.0;
+        churn = Option.map (fun c -> { c with Harness.spares = 0; fence = false }) s.churn;
       }
     in
     {
       c_config = name;
       c_kind = "blackout-unfenced";
       c_n = n;
-      c_report = Churn_harness.run scenario;
+      c_report = Harness.run scenario;
     }
   in
   Parallel.map run_cell (List.mapi (fun ci name -> (ci, name)) configs)
@@ -199,31 +183,29 @@ let run_sharded ?(n = 45) () =
       c_config = config;
       c_kind = Printf.sprintf "shard-%d" shard;
       c_n = n;
-      c_report = Churn_harness.run scenario;
+      c_report = Harness.run scenario;
     }
   in
   Parallel.map run_cell [ 0; 1; 2 ]
 
 let violations cells =
   List.fold_left
-    (fun acc c -> acc + c.c_report.Churn_harness.agg.Harness.safety_violations)
+    (fun acc c -> acc + c.c_report.Harness.safety_violations)
     0 cells
 
 let table cells =
   let rows =
     List.map
       (fun c ->
-        let r = c.c_report in
-        let a = r.Churn_harness.agg in
+        let a = c.c_report in
         [
           Config.name_to_string c.c_config;
           string_of_int c.c_n;
           c.c_kind;
           Tablefmt.f4 (Chaos.rate a.Harness.reads_ok a.Harness.reads_failed);
           Tablefmt.f4 (Chaos.rate a.Harness.writes_ok a.Harness.writes_failed);
-          Printf.sprintf "%d/%d" r.Churn_harness.promotions_done
-            r.Churn_harness.promotions_started;
-          string_of_int r.Churn_harness.decommissions_done;
+          Printf.sprintf "%d/%d" a.Harness.promotions_done a.Harness.promotions_started;
+          string_of_int a.Harness.decommissions_done;
           string_of_int a.Harness.provision_runs;
           string_of_int a.Harness.provision_chunks;
           string_of_int a.Harness.provision_resumes;

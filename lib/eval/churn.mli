@@ -1,7 +1,7 @@
 (** §4-style membership-churn campaign: fault-injected provisioning,
     promotion and decommission over the four paper configurations.
 
-    Each cell is one {!Replication.Churn_harness} run: a client workload
+    Each cell is one {!Replication.Harness.run} with [churn]: a client workload
     over a {!Quorum.Relabel}-wrapped tree while a scripted fault and
     membership schedule churns the sites.  Four scenario shapes:
 
@@ -22,11 +22,6 @@
     {!run_negative} blackout control (fencing off, volatile-suffix WAL)
     must leak at least one stale read. *)
 
-type kind = Donor_crash | Recipient_crash | Partition_promotion | Rolling
-
-val kind_to_string : kind -> string
-val default_configs : Arbitrary.Config.name list
-
 val rejoin_failures :
   n:int ->
   crash_donor:bool ->
@@ -46,8 +41,8 @@ val make_scenario :
   seed:int ->
   horizon:float ->
   failures:(n:int -> Dsim.Failure.entry list) ->
-  membership:(n:int -> Replication.Churn_harness.membership_op list) ->
-  int * Replication.Churn_harness.scenario
+  membership:(n:int -> Replication.Harness.membership_op list) ->
+  int * Replication.Harness.scenario
 (** The churn cell: the configuration at the snapped [n] (returned with
     it) plus two spares, [clients] × [ops] operations under
     {!Chaos.chaos_coordinator}, one key per snapshot chunk, fenced
@@ -60,7 +55,7 @@ type cell = {
   c_config : Arbitrary.Config.name;
   c_kind : string;
   c_n : int;
-  c_report : Replication.Churn_harness.report;
+  c_report : Replication.Harness.report;
 }
 
 val run :
@@ -73,7 +68,7 @@ val run_negative :
   ?n:int -> ?configs:Arbitrary.Config.name list -> unit -> cell list
 (** The control that must leak: 3 clients × 40 ops over 4 keys, seed 42,
     horizon 3000; every occupant blacks out at once under
-    [Wal.Async] while [fence_provisioning = false], so recovered
+    [Wal.Async] with provisioning unfenced, so recovered
     replicas serve from gutted stores.  A campaign where this control
     shows zero violations is not testing anything. *)
 

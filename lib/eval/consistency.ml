@@ -42,7 +42,7 @@ let newest_before writes ~key ~t =
     None
     (match Hashtbl.find_opt writes key with Some l -> l | None -> [])
 
-let check ?(read_op = "read") ?(write_op = "write") spans =
+let check spans =
   (* key -> (span id, ended, committed ts) list *)
   let writes : (int, (int * float * Timestamp.t) list) Hashtbl.t =
     Hashtbl.create 16
@@ -54,7 +54,7 @@ let check ?(read_op = "read") ?(write_op = "write") spans =
   List.iter
     (fun (sp : Span.t) ->
       if completed_ok sp then
-        if sp.Span.op = write_op then begin
+        if sp.Span.op = "write" then begin
           match (result_ts sp, sp.Span.key, sp.Span.ended) with
           | Some ts, Some key, Some ended ->
             incr writes_indexed;
@@ -64,7 +64,7 @@ let check ?(read_op = "read") ?(write_op = "write") spans =
             Hashtbl.replace writes key ((sp.Span.id, ended, ts) :: l)
           | _ -> incr unstamped
         end
-        else if sp.Span.op = read_op then begin
+        else if sp.Span.op = "read" then begin
           match (result_ts sp, sp.Span.key) with
           | Some observed, Some key -> begin
             incr reads_checked;

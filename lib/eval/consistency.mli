@@ -33,11 +33,9 @@ type report = {
   violations : violation list;  (** in read-completion order *)
 }
 
-val check :
-  ?read_op:string -> ?write_op:string -> Obs.Span.t list -> report
-(** [check spans] examines spans whose [op] equals [read_op] (default
-    ["read"]) or [write_op] (default ["write"]); only spans that finished
-    with outcome [Ok] and carry a [result_ts] take part. *)
+val check : Obs.Span.t list -> report
+(** [check spans] examines the ["read"] and ["write"] spans; only spans
+    that finished with outcome [Ok] and carry a [result_ts] take part. *)
 
 val ok : report -> bool
 (** No violations. *)

@@ -82,15 +82,6 @@ let write_all ?(sizes = Figures.default_sizes) ?(p = Figures.default_p) ~dir () 
 
 (* --- observability exports ---------------------------------------------- *)
 
-let spans_jsonl spans =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun sp ->
-      Buffer.add_string buf (Obs.Span.to_json sp);
-      Buffer.add_char buf '\n')
-    spans;
-  Buffer.contents buf
-
 let file_sink ~path =
   let oc = open_out path in
   let sink =

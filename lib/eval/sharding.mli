@@ -25,9 +25,6 @@
     Cells are independent and fan out over {!Parallel.map}; output is
     byte-identical for any domain count. *)
 
-val configs : Arbitrary.Config.name list
-(** The four §4 configurations of the arbitrary protocol. *)
-
 type scale_cell = {
   config : Arbitrary.Config.name;
   shards : int;

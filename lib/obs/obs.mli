@@ -40,7 +40,6 @@ type t
 
 val create : ?clock:(unit -> float) -> unit -> t
 val set_clock : t -> (unit -> float) -> unit
-val now : t -> float
 val metrics : t -> Metrics.t
 val add_sink : t -> Sink.t -> unit
 

@@ -8,13 +8,6 @@ let random_alive rng ~n ~p =
   done;
   s
 
-let random_alive_hetero rng ~n ~p =
-  let s = Bitset.create n in
-  for i = 0 to n - 1 do
-    if Rng.bernoulli rng (p i) then Bitset.add s i
-  done;
-  s
-
 let exact_hetero ~n ~p pred =
   if n > 22 then invalid_arg "Availability.exact_hetero: n too large";
   let total = ref 0.0 in

@@ -8,10 +8,6 @@
 val random_alive : Dsutil.Rng.t -> n:int -> p:float -> Dsutil.Bitset.t
 (** Each of the [n] sites is up independently with probability [p]. *)
 
-val random_alive_hetero :
-  Dsutil.Rng.t -> n:int -> p:(int -> float) -> Dsutil.Bitset.t
-(** Heterogeneous variant: site [i] is up with probability [p i]. *)
-
 val exact_hetero :
   n:int -> p:(int -> float) -> (alive:Dsutil.Bitset.t -> bool) -> float
 (** Exact availability with per-site probabilities (n ≤ 22). *)
@@ -24,18 +20,6 @@ val monte_carlo :
   (alive:Dsutil.Bitset.t -> bool) ->
   float
 (** Fraction of sampled alive patterns in which the predicate holds. *)
-
-val monte_carlo_hits :
-  trials:int ->
-  rng:Dsutil.Rng.t ->
-  n:int ->
-  p:float ->
-  (alive:Dsutil.Bitset.t -> bool) ->
-  int
-(** Number of sampled alive patterns in which the predicate holds —
-    the integer counterpart of {!monte_carlo}, so trial batches can be
-    split into independently seeded chunks and their hit counts summed
-    without floating-point accumulation order mattering. *)
 
 val exact :
   n:int -> p:float -> (alive:Dsutil.Bitset.t -> bool) -> float

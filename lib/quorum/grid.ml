@@ -12,8 +12,6 @@ let square ~n =
   let k = int_of_float (sqrt (float_of_int n)) in
   create ~rows:(max 1 k) ~cols:(max 1 k)
 
-let rows t = t.rows
-let cols t = t.cols
 let name _ = "Grid"
 let universe_size t = t.rows * t.cols
 let site t ~row ~col = (row * t.cols) + col

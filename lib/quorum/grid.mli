@@ -12,9 +12,6 @@ val square : n:int -> t
 (** Largest square grid with at most [n] sites; raises if [n < 1]. *)
 
 val protocol : t -> Protocol.t
-val rows : t -> int
-val cols : t -> int
-val site : t -> row:int -> col:int -> int
 val read_cost : t -> int
 val write_cost : t -> int
 val read_load : t -> float

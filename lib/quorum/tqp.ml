@@ -16,7 +16,6 @@ let create ~d ~height =
 
 let name _ = "TreeQuorumVLDB90"
 let universe_size t = t.n
-let height t = t.height
 let fanout t = t.fanout
 let n t = t.n
 

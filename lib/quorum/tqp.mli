@@ -20,7 +20,6 @@ val create : d:int -> height:int -> t
 (** Every node has 2d+1 children ([d ≥ 1]); [height ≥ 0]. *)
 
 val protocol : t -> Protocol.t
-val height : t -> int
 val fanout : t -> int
 (** 2d+1. *)
 

@@ -62,12 +62,6 @@ let of_list writes =
 let to_list b =
   List.init (length b) (fun i -> (key b i, ts b i, value b i))
 
-let iter f b =
-  for i = 0 to length b - 1 do
-    f ~key:b.keys.(i) ~version:b.versions.(i) ~sid:b.sids.(i)
-      ~value:b.values.(i)
-  done
-
 module Builder = struct
   type batch = t
 

@@ -15,7 +15,6 @@ type t = {
   values : string array;
 }
 
-val empty : t
 val length : t -> int
 
 val make :
@@ -31,17 +30,11 @@ val version : t -> int -> int
 val sid : t -> int -> int
 val value : t -> int -> string
 
-val ts : t -> int -> Timestamp.t
-(** Boxes the timestamp of entry [i] — convenience for cold paths. *)
-
 val init : int -> (int -> int * int * int * string) -> t
 (** [init n f] builds a batch from [f i = (key, version, sid, value)]. *)
 
 val of_list : (int * Timestamp.t * string) list -> t
 val to_list : t -> (int * Timestamp.t * string) list
-
-val iter :
-  (key:int -> version:int -> sid:int -> value:string -> unit) -> t -> unit
 
 (** Amortized-doubling accumulator, the efficient replacement for the
     [writes @ [w]] quadratic append that WAL replay used to do per staged

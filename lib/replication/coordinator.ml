@@ -8,24 +8,20 @@ module Protocol = Quorum.Protocol
 type config = {
   timeout : float;
   max_retries : int;
-  oracle_view : bool;
   read_repair : bool;
   adaptive_timeout : bool;
   deadline : float;
   backoff : Detect.Backoff.policy;
-  rto : Detect.Rto.config;
 }
 
 let default_config =
   {
     timeout = 25.0;
     max_retries = 4;
-    oracle_view = true;
     read_repair = false;
     adaptive_timeout = false;
     deadline = Float.infinity;
     backoff = Detect.Backoff.default;
-    rto = Detect.Rto.default_config;
   }
 
 type read_result = { value : string; ts : Timestamp.t; attempts : int }
@@ -126,7 +122,7 @@ type t = {
   locks : Lock_manager.t option;
   config : config;
   obs : Obs.t option;
-  mutable view : Detect.View.t;
+  view : Detect.View.t;
   budget : Detect.Budget.t option;  (* shared across a process's coordinators *)
   breaker : Detect.Breaker.t option;  (* likewise shared *)
   rto : Detect.Rto.t option;  (* [Some] iff [config.adaptive_timeout] *)
@@ -142,8 +138,6 @@ type t = {
   mutable pool_n : int;
   mutable op_pool : op_state array;  (* free op records, filled [0, op_pool_n) *)
   mutable op_pool_n : int;
-  suspects : (int, float) Hashtbl.t;  (** site -> suspicion expiry time
-                                          (timeout-suspicion ablation) *)
   incs : (int, int) Hashtbl.t;  (** site -> newest incarnation seen *)
   (* Counters: handles the coordinator owns; [?obs] registers them. *)
   reads_ok : Obs.Metrics.counter;
@@ -297,8 +291,7 @@ let live_members sc =
   go (sc.n_q - 1) []
 
 (* The believed-alive replica view comes from the pluggable detector:
-   ground truth by default (the paper assumes detectable failures), a
-   timeout-suspicion ablation with [oracle_view = false], or any
+   ground truth by default (the paper assumes detectable failures), or a
    caller-supplied view (e.g. Detect.Heartbeat).  The circuit breaker
    filters it: an Open site is alive but drowning, and quorum assembly
    must route around it. *)
@@ -307,32 +300,6 @@ let current_view t =
   match t.breaker with
   | None -> view
   | Some b -> Detect.Breaker.filter b view
-
-let view t = t.view
-
-(* Legacy timeout-based suspicion, packaged as a detector view: sites are
-   suspected for a fixed window after missing a deadline and — the crucial
-   rehabilitation rule — cleared the moment they are heard from again. *)
-let suspicion_view t =
-  let alive () =
-    let now = Engine.now (engine t) in
-    let view = Bitset.create t.n_replicas in
-    for i = 0 to t.n_replicas - 1 do
-      let believed_up =
-        match Hashtbl.find_opt t.suspects i with
-        | Some expiry when expiry > now -> false
-        | _ -> true
-      in
-      if believed_up && Network.reachable t.net t.site i then Bitset.add view i
-    done;
-    view
-  in
-  Detect.View.make ~alive
-    ~observe:(fun site -> Hashtbl.remove t.suspects site)
-    ~suspect:(fun site ->
-      let expiry = Engine.now (engine t) +. (4.0 *. t.config.timeout) in
-      Hashtbl.replace t.suspects site expiry)
-    ()
 
 let phase_timeout t =
   match t.rto with
@@ -343,8 +310,6 @@ let observe_rtt t ~since =
   match t.rto with
   | Some rto -> Detect.Rto.observe rto (Engine.now (engine t) -. since)
   | None -> ()
-
-let observed_timeout t = phase_timeout t
 
 let send t ~dst msg = Network.send t.net ~src:t.site ~dst msg
 
@@ -852,8 +817,8 @@ let handle_op t ~src st msg =
     ()
 
 let handle t ~src msg =
-  (* Any message is proof of life: rehabilitate its sender (clears both
-     the ablation suspect list and any pluggable detector's suspicion). *)
+  (* Any message is proof of life: rehabilitate its sender (clears any
+     pluggable detector's suspicion). *)
   if src >= 0 && src < t.n_replicas then t.view.Detect.View.observe src;
   if not (stale_incarnation t ~src msg) then
     match Hashtbl.find t.pending (Message.op_id msg) with
@@ -871,12 +836,15 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       locks;
       config;
       obs;
-      view = Detect.View.always_up ~n:1;  (* placeholder, set below *)
+      view =
+        (match view with
+        | Some v -> v
+        | None -> Detect.View.oracle ~net ~self:site ~n:n_replicas);
       budget;
       breaker;
       rto =
         (if config.adaptive_timeout then
-           Some (Detect.Rto.create ~config:config.rto ())
+           Some (Detect.Rto.create ())
          else None);
       rng = Rng.split (Engine.rng (Network.engine net));
       n_replicas;
@@ -887,7 +855,6 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       pool_n = 0;
       op_pool = Array.make 4 dummy_op;
       op_pool_n = 0;
-      suspects = Hashtbl.create 16;
       incs = Hashtbl.create 16;
       reads_ok = { value = 0 };
       reads_failed = { value = 0 };
@@ -904,13 +871,6 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       write_latency = Stats.create ();
     }
   in
-  (t.view <-
-     (match view with
-     | Some v -> v
-     | None ->
-       if config.oracle_view then
-         Detect.View.oracle ~net ~self:site ~n:n_replicas
-       else suspicion_view t));
   (* One handler serves every timed event, capturing only [t].  A phase
      timeout carries its op id and phase in the int slot, and the check
      drops events whose op finished or moved on; a backoff wake-up carries
@@ -984,8 +944,8 @@ let write t ?(retry = false) ~key ?ts ~value k =
    multi-key writes safe without it (timestamps totally order by (version,
    sid)), and one lock per batch would serialize exactly the parallelism
    batching exists to create. *)
-let start_many t ~retry ~op ~n kind fill =
-  if not retry then budget_attempt t;
+let start_many t ~op ~n kind fill =
+  budget_attempt t;
   if n > 1 then bump t.batches;
   let st = alloc_op t ~kind ~n in
   fill st;
@@ -994,12 +954,12 @@ let start_many t ~retry ~op ~n kind fill =
   done;
   start_attempt t st
 
-let read_batch t ?(retry = false) ~keys k =
+let read_batch t ~keys k =
   match keys with
   | [] -> k []
-  | [ key ] -> read t ~retry ~key (fun r -> k [ (key, r) ])
+  | [ key ] -> read t ~key (fun r -> k [ (key, r) ])
   | _ ->
-    start_many t ~retry ~op:"read" ~n:(List.length keys) (Read_many k)
+    start_many t ~op:"read" ~n:(List.length keys) (Read_many k)
       (fun st -> List.iteri (fun i key -> st.keys.(i) <- key) keys)
 
 let fill_writes writes st =
@@ -1009,12 +969,12 @@ let fill_writes writes st =
       st.values.(i) <- value)
     writes
 
-let write_batch t ?(retry = false) ~writes k =
+let write_batch t ~writes k =
   match writes with
   | [] -> k []
-  | [ (key, value) ] -> write t ~retry ~key ~value (fun r -> k [ (key, r) ])
+  | [ (key, value) ] -> write t ~key ~value (fun r -> k [ (key, r) ])
   | _ ->
-    start_many t ~retry ~op:"write" ~n:(List.length writes) (Write_many k)
+    start_many t ~op:"write" ~n:(List.length writes) (Write_many k)
       (fill_writes writes)
 
 (* A held prepare is a write batch whose machine parks in [Prepared]
@@ -1024,7 +984,7 @@ let write_batch t ?(retry = false) ~writes k =
    the caller owns concurrency control. *)
 let prepare_batch t ~writes k =
   if writes = [] then invalid_arg "Coordinator.prepare_batch: no writes";
-  start_many t ~retry:false ~op:"write" ~n:(List.length writes) (Prepare_hold k)
+  start_many t ~op:"write" ~n:(List.length writes) (Prepare_hold k)
     (fill_writes writes)
 
 let check_held fn { st; held_op } =

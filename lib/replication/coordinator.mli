@@ -23,12 +23,10 @@
 
     The failure-detector view is pluggable ({!Detect.View}).  Per §2.2
     failures are detectable, so the default is the simulator's
-    ground-truth oracle; [oracle_view = false] selects a purely
-    timeout-driven suspect list (suspicion expires after a fixed window
-    {e and} is cleared the moment the site is heard from again), and a
-    caller-supplied [view] — e.g. a {!Detect.Heartbeat} monitor — replaces
-    both.  Every received message rehabilitates its sender in the view;
-    every missed deadline reports the laggards as suspects.
+    ground-truth oracle, and a caller-supplied [view] — a
+    {!Detect.Heartbeat} monitor — replaces it.  Every received message
+    rehabilitates its sender in the view; every missed deadline reports
+    the laggards as suspects.
 
     Under amnesia crash-recovery ({!Dsim.Network.crash_mode}) the
     coordinator additionally tracks each replica's newest incarnation
@@ -52,24 +50,19 @@
 type config = {
   timeout : float;  (** fixed per-phase response deadline *)
   max_retries : int;  (** quorum re-assembly attempts per operation *)
-  oracle_view : bool;  (** ground-truth failure detector (default) vs.
-                           timeout-based suspicion; ignored when an
-                           explicit [view] is supplied *)
   read_repair : bool;
       (** after a successful single-key query, push the newest value
           back to quorum members that answered with an older timestamp
           (off by default; batches never repair) *)
   adaptive_timeout : bool;
       (** derive the phase deadline from observed RTT quantiles
-          ({!Detect.Rto}) instead of the fixed [timeout] *)
+          ({!Detect.Rto}, at its default parameters) instead of the fixed
+          [timeout] *)
   deadline : float;
       (** per-operation time budget; a retry that cannot start before
           [op start + deadline] fails the operation.  [infinity] (default)
           disables the budget. *)
   backoff : Detect.Backoff.policy;  (** retry pause policy *)
-  rto : Detect.Rto.config;
-      (** adaptive-timeout estimator parameters; unused (and unchecked)
-          unless [adaptive_timeout] *)
 }
 
 val default_config : config
@@ -93,8 +86,8 @@ val create :
     writes exclusive per-key locks around the quorum protocol.  Each
     operation is its own lock owner (a fresh {!Lock_manager.fresh_owner}
     id per operation), so one client may have several operations in
-    flight on one key; multi-key batches take no locks.  [view] overrides
-    the config-selected failure detector.  With [obs], every operation is
+    flight on one key; multi-key batches take no locks.  [view] replaces
+    the ground-truth failure detector.  With [obs], every operation is
     traced as a span ([ops.read.*] / [ops.write.*], phases query/prepare/
     commit, plus a lock phase when [locks] is in force) and the counter
     handles below are registered in its registry; without it no span work
@@ -129,7 +122,7 @@ val write :
     [locks] says: state transfer runs under its caller's fences. *)
 
 val read_batch :
-  t -> ?retry:bool -> keys:int list -> ((int * read_result option) list -> unit) -> unit
+  t -> keys:int list -> ((int * read_result option) list -> unit) -> unit
 (** Batched read: ONE quorum round answers every key.  Each quorum member
     receives a single {!Message.t.Read_batch} envelope (one message, one
     service-queue slot) and answers all keys at once; the callback gets a
@@ -141,13 +134,12 @@ val read_batch :
     byte-identical to unbatched operation.  Larger batches skip the
     per-key lock manager: monotone installs and quorum intersection make
     them safe without it.  Phases and retries are traced on single-key
-    spans only; a batch's per-key spans record their outcome.  [~retry]
-    as in {!read}; a batch deposits once into the retry budget, whatever
-    its size (it consumes one quorum round of capacity). *)
+    spans only; a batch's per-key spans record their outcome.  A batch
+    deposits once into the retry budget, whatever its size (it consumes
+    one quorum round of capacity). *)
 
 val write_batch :
   t ->
-  ?retry:bool ->
   writes:(int * string) list ->
   ((int * Timestamp.t option) list -> unit) ->
   unit
@@ -201,15 +193,6 @@ val abort_staged : t -> staged -> unit
 
 val protocol : t -> Quorum.Protocol.t
 (** The quorum geometry in force. *)
-
-val view : t -> Detect.View.t
-(** The failure-detector view in force. *)
-
-val current_view : t -> Dsutil.Bitset.t
-(** The believed-alive replica set right now. *)
-
-val observed_timeout : t -> float
-(** The per-phase deadline currently in force (adaptive or fixed). *)
 
 val set_protocol : t -> Quorum.Protocol.t -> unit
 (** Swap the quorum geometry (reconfiguration, §3.3).  Only safe while the

@@ -6,6 +6,7 @@ module Rng = Dsutil.Rng
 module Stats = Dsutil.Stats
 module Protocol = Quorum.Protocol
 module Shard_map = Arbitrary.Shard_map
+module Relabel = Quorum.Relabel
 
 type detector_mode = Oracle | Heartbeat of Detect.Heartbeat.config
 
@@ -35,6 +36,19 @@ type batching = {
 
 type txn = { keys_per_txn : int; atomic : bool }
 
+(* One scripted membership change: promote [spare] into [position] at
+   virtual time [at]; with [fence] the displaced occupant is
+   decommissioned (drain-fence-remove), without it the occupant becomes a
+   re-promotable spare (a rolling restart step). *)
+type membership_op = { at : float; position : int; spare : int; fence : bool }
+
+type churn = {
+  spares : int;
+  membership : membership_op list;
+  chunk_size : int;
+  fence : bool;
+}
+
 type scenario = {
   proto : Protocol.t;
   n_clients : int;
@@ -60,6 +74,7 @@ type scenario = {
   batching : batching option;
   txn : txn option;
   shard_loss : (int * float) list;
+  churn : churn option;
 }
 
 let overload_defaults =
@@ -99,6 +114,7 @@ let default_scenario ~proto =
     batching = None;
     txn = None;
     shard_loss = [];
+    churn = None;
   }
 
 type txn_report = {
@@ -121,6 +137,16 @@ let txn_scenario ~proto =
     key_space = 6;
     think_time = 2.0;
     txn = Some { keys_per_txn = 2; atomic = true };
+  }
+
+let churn_scenario ~proto =
+  {
+    (default_scenario ~proto) with
+    n_clients = 3;
+    ops_per_client = 40;
+    think_time = 3.0;
+    horizon = 3000.0;
+    churn = Some { spares = 1; membership = []; chunk_size = 4; fence = true };
   }
 
 type report = {
@@ -173,6 +199,9 @@ type report = {
   failed_rejoins : int;
   replica_status : string array;
   transactions : txn_report option;
+  promotions_started : int;
+  promotions_done : int;
+  decommissions_done : int;
 }
 
 type reconfig_action = Split of int | Merge of { into : int; from_ : int }
@@ -211,13 +240,6 @@ type sharded_report = {
   map_well_formed : bool;
   routing : int array;
 }
-
-type world = {
-  engine : Engine.t;
-  locks : Lock_manager.t option;
-  replicas : Replica.t array array;
-}
-
 
 (* Per-key newest successfully committed timestamp, for the freshness
    check: one checker spans every shard, since keys are globally unique. *)
@@ -302,6 +324,24 @@ let schedule_reconfig ~engine ~locks ~smap ~nets ~protos ~mig_site ~migrated
                     if !granted = total then copy moved))
               moved))
     reconfig
+
+(* Scripted membership changes ride the engine like failures do.
+   [replicas] spans the whole site universe, spares included. *)
+let schedule_membership ~engine ~locks ~relabel ~replicas ~key_space ~started
+    ~promoted ~decommissioned membership =
+  List.iter
+    (fun (m : membership_op) ->
+      Engine.schedule engine ~delay:m.at (fun () ->
+          incr started;
+          let outgoing =
+            if m.fence then Some replicas.(Relabel.site_of relabel ~position:m.position)
+            else None
+          in
+          Reconfig.promote ~locks ~relabel ~position:m.position
+            ~spare:replicas.(m.spare) ?outgoing ~key_space (fun () ->
+              incr promoted;
+              if m.fence then incr decommissioned)))
+    membership
 
 (* --- transaction clients -------------------------------------------------- *)
 
@@ -428,10 +468,15 @@ let tally_report ~engine ~smap ~nets ~protos ~n ~site r =
       && !observed <= r.committed_increments + r.uncertain_increments;
   }
 
-let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
+let run_core ?obs sc =
   let b = sc.base in
   if b.n_clients < 1 then invalid_arg "Harness.run: need a client";
+  if b.ops_per_client < 0 then invalid_arg "Harness.run: negative ops_per_client";
   if sc.service_time < 0.0 then invalid_arg "Harness.run: negative service_time";
+  (match b.overload with
+  | Some { burst = Some bu; _ } when bu.burst_clients < 0 || bu.burst_ops < 0 ->
+    invalid_arg "Harness.run: negative burst_clients or burst_ops"
+  | _ -> ());
   (match b.batching with
   | Some bt when bt.batch_size < 1 || bt.pipeline < 1 ->
     invalid_arg "Harness.run: batch_size and pipeline must be >= 1"
@@ -461,6 +506,52 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
       if s < 0 || s >= max_shards then
         invalid_arg "Harness.run: shard_loss index out of range")
     b.shard_loss;
+  (match b.churn with
+  | None -> ()
+  | Some c ->
+    if max_shards > 1 then invalid_arg "Harness.run: churn needs a single shard";
+    if c.spares < 0 then invalid_arg "Harness.run: negative spares";
+    let n = Protocol.universe_size b.proto in
+    List.iter
+      (fun (m : membership_op) ->
+        if m.position < 0 || m.position >= n then
+          invalid_arg "Harness.run: membership position out of range";
+        if m.spare < 0 || m.spare >= n + c.spares then
+          invalid_arg "Harness.run: membership spare out of range")
+      c.membership);
+  (* A churn run wraps the tree in a relabel map over [n + spares] sites,
+     and always runs amnesia crashes, client locks and provisioning in
+     place of quorum catch-up: the membership flows need all three.  The
+     map is shared between the wrapper and every fork of it, so a
+     promotion's remap is visible to every coordinator at once. *)
+  let b, churn, provision =
+    match b.churn with
+    | None -> (b, None, None)
+    | Some c ->
+      let relabel =
+        Relabel.make
+          ~universe:(Protocol.universe_size b.proto + c.spares)
+          (Protocol.fork b.proto)
+      in
+      (* Donor candidates are the sites currently holding tree positions:
+         spares may be arbitrarily stale, occupants answer for their
+         positions' commits.  The closure reads the live map, so failover
+         always aims at the membership of the moment. *)
+      let donors () =
+        List.init (Relabel.positions relabel) (fun p -> Relabel.site_of relabel ~position:p)
+      in
+      ( {
+          b with
+          proto = Relabel.pack relabel;
+          use_locks = true;
+          crash_mode = Network.Amnesia;
+          catch_up = false;
+        },
+        Some (c, relabel),
+        Some
+          (Replica.provision ~key_space:b.key_space ~chunk_size:c.chunk_size
+             ~fence:c.fence ~donors ()) )
+  in
   let smap =
     Shard_map.create ~strategy:sc.strategy ~shards:sc.shards ~key_space:b.key_space
       ~seed:b.seed ()
@@ -671,9 +762,6 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
           Coordinator.write coords.(!cur_shard) ~key ~value on_write
       end
     and on_read result =
-      (match (read_probe, result) with
-      | Some f, Some r -> f ~key:!cur_key r
-      | _ -> ());
       process_read ~shard:!cur_shard !cur_expected result;
       continue ()
     and on_write result =
@@ -818,7 +906,13 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
   if sc.reconfig <> [] then
     schedule_reconfig ~engine ~locks:(Option.get locks) ~smap ~nets ~protos ~mig_site
       ~migrated ~failed ~splits ~merges sc.reconfig;
-  extend { engine; locks; replicas };
+  let started = ref 0 and promoted = ref 0 and decommissioned = ref 0 in
+  Option.iter
+    (fun (c, relabel) ->
+      schedule_membership ~engine ~locks:(Option.get locks) ~relabel
+        ~replicas:replicas.(0) ~key_space:b.key_space ~started ~promoted
+        ~decommissioned c.membership)
+    churn;
   Array.iter (fun net -> Failure.apply net b.failures) nets;
   List.iter (fun (s, entries) -> Failure.apply nets.(s) entries) sc.shard_failures;
   Engine.run ~until:b.horizon engine;
@@ -895,6 +989,9 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
       failed_rejoins = sum_replicas Replica.failed_rejoins;
       replica_status = Array.map Replica.status_label all_replicas;
       transactions = None;
+      promotions_started = !started;
+      promotions_done = !promoted;
+      decommissions_done = !decommissioned;
     }
   in
   (* The tally runs after the report is taken, so its traffic is not
@@ -920,8 +1017,7 @@ let run_core ?obs ?read_probe ?provision ?(extend = ignore) sc =
     routing = Shard_map.snapshot smap;
   }
 
-let run ?obs ?read_probe scenario =
-  (run_core ?obs ?read_probe (one_tree scenario)).agg
+let run ?obs scenario = (run_core ?obs (one_tree scenario)).agg
 
 let completed r = r.reads_ok + r.writes_ok
 

@@ -4,12 +4,13 @@
 
     This module is the one harness core.  {!run_core} builds the engine,
     one tree instance per shard (network, replicas, breaker), the clients
-    and their loop, and assembles the report; the plain run ({!run}), the
-    sharded run ({!Shard_harness}) and the membership-churn run
-    ({!Churn_harness}) are calls into it.  A client runs one operation at
-    a time, in batch windows, or as transactions ({!txn}).  Shards,
-    overload, batching, failures, crash recovery and the detector are
-    independent fields, and every combination of them runs.
+    and their loop, and assembles the report; the plain run ({!run}) and
+    the sharded run ({!Shard_harness}) are calls into it.  A client runs
+    one operation at a time, in batch windows, or as transactions
+    ({!txn}).  Shards, overload, batching, failures, crash recovery,
+    membership churn ({!churn}) and the detector are independent fields,
+    and every combination of them runs, except churn over several
+    shards.
 
     The safety property monitored is one-copy read freshness: a read that
     {e starts} after a write to the same key {e completed successfully}
@@ -19,9 +20,8 @@
 
 type detector_mode =
   | Oracle
-      (** the coordinator's config-selected view: ground truth by default,
-          or the timeout-suspicion ablation when its [oracle_view] is
-          off *)
+      (** ground truth: the simulator's up-and-reachable sites (§2.2's
+          detectable failures) *)
   | Heartbeat of Detect.Heartbeat.config
       (** one φ-accrual heartbeat monitor per client, pinging every
           replica; quorums are assembled from its believed-alive view and
@@ -98,6 +98,37 @@ type txn = {
     by reading every counter after the run ({!txn_report}).  The
     freshness checker and [completions] cover operation clients only. *)
 
+type membership_op = {
+  at : float;  (** virtual time of the flow's start *)
+  position : int;  (** tree position whose occupant is replaced *)
+  spare : int;  (** site id promoted into the position *)
+  fence : bool;
+      (** decommission the displaced occupant (drain-fence-remove);
+          without it the occupant becomes a re-promotable spare *)
+}
+
+type churn = {
+  spares : int;  (** extra sites beyond the tree universe (>= 0) *)
+  membership : membership_op list;
+      (** {!Reconfig.promote} flows, scheduled after the clients start *)
+  chunk_size : int;  (** keys per snapshot chunk ({!Replica.provision}) *)
+  fence : bool;
+      (** keep a provisioning replica out of service until its WAL tail
+          lands; [false] is the negative control that serves while
+          provisioning *)
+}
+(** Membership churn: provisioning, promotion and decommission under
+    fault injection.  The run wraps [proto] in a {!Quorum.Relabel} map
+    over [n + spares] sites (the spares start outside every quorum) and
+    overlays the membership schedule on the failure schedule.  Whatever
+    the scenario says, it runs amnesia crashes, client locks and
+    snapshot + WAL-tail provisioning in place of quorum catch-up: the
+    membership flows need all three.  Provisioning draws donors from the
+    sites holding tree positions at the moment, so crashed sites rejoin
+    through the transfer's resume and failover machinery.  With [fence]
+    and a commit-durable WAL the freshness checker must count zero
+    violations; the unfenced control must leak. *)
+
 type scenario = {
   proto : Quorum.Protocol.t;
   n_clients : int;
@@ -143,6 +174,8 @@ type scenario = {
   shard_loss : (int * float) list;
       (** per-shard message-loss overrides of [loss_rate] (default [[]]):
           a lossy shard's legs fail while its reads sometimes succeed *)
+  churn : churn option;
+      (** membership churn (default [None]); needs a single shard *)
 }
 
 val default_scenario : proto:Quorum.Protocol.t -> scenario
@@ -171,6 +204,11 @@ type txn_report = {
 val txn_scenario : proto:Quorum.Protocol.t -> scenario
 (** {!default_scenario} with transaction clients: 3 clients × 30 atomic
     two-key increment transactions over 6 keys, think time 2. *)
+
+val churn_scenario : proto:Quorum.Protocol.t -> scenario
+(** {!default_scenario} with churn: 3 clients × 40 ops, think time 3,
+    horizon 3000, one spare, four keys per chunk, fenced provisioning, no
+    membership changes. *)
 
 type report = {
   duration : float;  (** virtual time at completion *)
@@ -227,8 +265,7 @@ type report = {
           whole batch counts one *)
   provision_runs : int;
       (** snapshot + WAL-tail transfers started, summed over replicas (0
-          without a {!Replica.provision} config, as in every run but
-          {!Churn_harness}'s) *)
+          in every run without [churn]) *)
   provision_chunks : int;
   provision_resumes : int;
   provision_donor_failovers : int;
@@ -237,6 +274,9 @@ type report = {
   failed_rejoins : int;
   replica_status : string array;  (** per-replica {!Replica.status_label} *)
   transactions : txn_report option;  (** [Some] iff [txn] is set *)
+  promotions_started : int;  (** membership flows begun (0 without [churn]) *)
+  promotions_done : int;
+  decommissions_done : int;  (** fenced flows whose occupant was retired *)
 }
 
 (** {2 Sharded runs}
@@ -299,35 +339,22 @@ type sharded_report = {
   routing : int array;  (** final owner table: index = key, value = shard *)
 }
 
-type world = {
-  engine : Dsim.Engine.t;
-  locks : Lock_manager.t option;
-  replicas : Replica.t array array;  (** per shard, indexed by site *)
-}
-(** What a run built, handed to an entry point's [extend] hook. *)
-
-val run_core :
-  ?obs:Obs.t ->
-  ?read_probe:(key:int -> Coordinator.read_result -> unit) ->
-  ?provision:Replica.provision ->
-  ?extend:(world -> unit) ->
-  sharded ->
-  sharded_report
+val run_core : ?obs:Obs.t -> sharded -> sharded_report
 (** The one harness loop.  Each shard's network has an address per
     replica, then per client, then per burst client, plus one for the
     migration and tally coordinators when [reconfig] is not empty or
-    [txn] is set.  [provision] joins
-    every amnesia replica's recovery config; [extend] runs after the
-    clients are started and before the failure schedules are applied
-    (the membership schedule of {!Churn_harness}).  [obs] and
-    [read_probe] are those of {!run}.  Reconfiguration requires
-    [base.use_locks] ({!Shard_harness.run} checks it). *)
+    [txn] is set.  The membership schedule of [churn] is laid after the
+    clients are started and before the failure schedules are applied.
+    [obs] is that of {!run}.  Reconfiguration requires [base.use_locks]
+    ({!Shard_harness.run} checks it).
 
-val run :
-  ?obs:Obs.t ->
-  ?read_probe:(key:int -> Coordinator.read_result -> unit) ->
-  scenario ->
-  report
+    @raise Invalid_argument on no client, a negative op count (steady or
+    burst) or service time, bad batching or transaction sizes, a shard
+    index out of range, or a churn that is sharded, has negative spares,
+    or names a position or spare outside the tree or the site
+    universe. *)
+
+val run : ?obs:Obs.t -> scenario -> report
 (** With [obs], the harness points its clock at the engine's virtual time
     and attaches it to every network, breaker, replica, client
     coordinator and transaction manager, whose counter handles it
@@ -336,11 +363,6 @@ val run :
     same handles, so it equals the registry under each name.  Attaching
     [obs] never perturbs the simulation: it draws no randomness and
     schedules no events.
-
-    [read_probe] is invoked on every {e successful} unbatched read with
-    the key and the returned value/timestamp, in completion order — the
-    raw material for result-equivalence checks.  Batched clients do not
-    invoke it.  Like [obs], it never perturbs the simulation.
 
     This is {!run_core} at S = 1. *)
 

@@ -103,14 +103,6 @@ let incarnation = function
   | Wal_tail _ ->
     no_incarnation
 
-let batch_size = function
-  | Read_batch { n_keys; _ } -> n_keys
-  | Read_batch_reply { entries; _ } -> Batch.length entries
-  | Prepare_batch { writes; _ } -> Batch.length writes
-  | Snapshot_chunk { entries; _ } | Wal_tail { entries; _ } ->
-    max 1 (Batch.length entries)
-  | _ -> 1
-
 let pp ppf = function
   | Read_request { op; key } -> Format.fprintf ppf "read-req(op=%d key=%d)" op key
   | Read_reply { op; key; version; sid; _ } ->

@@ -127,9 +127,4 @@ val incarnation : t -> int
     on every other message.  An int, not an option, so matching a reply
     allocates nothing. *)
 
-val batch_size : t -> int
-(** Logical operations the message carries: the batch length for the
-    coalesced envelopes (an O(1) field read, not a list walk), 1 for
-    everything else.  Feeds the network's [?units] accounting. *)
-
 val pp : Format.formatter -> t -> unit

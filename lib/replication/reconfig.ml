@@ -11,8 +11,7 @@ type result = { migrated : int; failed : int list }
    write-locked — therefore hands over the entire set of commits the
    position is answerable for. *)
 
-let promote ~locks ~relabel ~position ~spare ?outgoing ~key_space
-    ?(on_switch = fun () -> ()) k =
+let promote ~locks ~relabel ~position ~spare ?outgoing ~key_space k =
   if key_space < 1 then invalid_arg "Reconfig.promote: empty key space";
   let donor = Quorum.Relabel.site_of relabel ~position in
   let owner = Lock_manager.fresh_owner locks in
@@ -27,7 +26,6 @@ let promote ~locks ~relabel ~position ~spare ?outgoing ~key_space
        window exists in which both sites could serve the position. *)
     (match outgoing with Some o -> Replica.decommission o | None -> ());
     Quorum.Relabel.remap relabel ~position ~site:(Replica.site spare);
-    on_switch ();
     release_all ();
     k ()
   in
@@ -44,11 +42,7 @@ let promote ~locks ~relabel ~position ~spare ?outgoing ~key_space
   in
   (* Bulk provisioning runs before any lock is taken: clients keep
      committing while the snapshot streams; the locked delta is small. *)
-  Replica.provision_now spare ~pinned:true ~donor ~on_done:(fun () -> lock 0) ()
-
-let decommission ~locks ~relabel ~position ~outgoing ~spare ~key_space
-    ?on_switch k =
-  promote ~locks ~relabel ~position ~spare ~outgoing ~key_space ?on_switch k
+  Replica.provision_now spare ~donor (fun () -> lock 0)
 
 let migrate ~coord ~locks ~new_proto ~key_space ?(on_switch = fun () -> ()) k =
   if key_space < 1 then invalid_arg "Reconfig.migrate: empty key space";

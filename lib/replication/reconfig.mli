@@ -65,7 +65,6 @@ val promote :
   spare:Replica.t ->
   ?outgoing:Replica.t ->
   key_space:int ->
-  ?on_switch:(unit -> unit) ->
   (unit -> unit) ->
   unit
 (** Promotes [spare] (an empty or stale site outside every quorum) into
@@ -75,9 +74,8 @@ val promote :
     spare again — it still holds the position's history, so it can later
     be re-promoted, which is what a rolling restart does.  [spare] needs
     a {!Replica.provision} config; the fence locks are held by one fresh
-    owner ({!Lock_manager.fresh_owner}).  [on_switch] runs after the
-    remap, before the locks release.  The continuation fires once clients
-    are readmitted.
+    owner ({!Lock_manager.fresh_owner}).  The continuation fires once
+    clients are readmitted.
 
     The transfer survives donor and recipient crashes: the bulk phase
     retries/resumes ({!Replica.provision_now} with a pinned donor), and
@@ -87,19 +85,3 @@ val promote :
     quorum-intersection argument itself); replace dead occupants by
     provisioning from surviving same-level members via
     {!Replica.provision} [~donors] instead. *)
-
-val decommission :
-  locks:Lock_manager.t ->
-  relabel:Quorum.Relabel.t ->
-  position:int ->
-  outgoing:Replica.t ->
-  spare:Replica.t ->
-  key_space:int ->
-  ?on_switch:(unit -> unit) ->
-  (unit -> unit) ->
-  unit
-(** Drain-fence-remove of [position]'s occupant: {!promote} with the
-    fence made mandatory.  The outgoing site ends {e decommissioned}
-    (refusing every quorum role for good) and [spare] holds the
-    position.  Removing a position outright would change the tree; use
-    {!migrate} to a smaller tree for that. *)

@@ -16,36 +16,38 @@ type provision = {
   pv_key_space : int;
   pv_chunk_size : int;
   pv_fence : bool;
-  pv_timeout : float;
   pv_donors : (unit -> int list) option;
 }
 
-let provision ?(chunk_size = 256) ?(fence = true) ?(timeout = 30.0) ?donors
-    ~key_space () =
+(* A transfer making no progress for this long fails over to the next
+   donor. *)
+let provision_timeout = 30.0
+
+let provision ?(chunk_size = 256) ?(fence = true) ?donors ~key_space () =
   if key_space < 1 then invalid_arg "Replica.provision: key_space < 1";
   if chunk_size < 1 then invalid_arg "Replica.provision: chunk_size < 1";
-  if timeout <= 0.0 then invalid_arg "Replica.provision: timeout <= 0";
   { pv_key_space = key_space; pv_chunk_size = chunk_size; pv_fence = fence;
-    pv_timeout = timeout; pv_donors = donors }
+    pv_donors = donors }
 
 type recovery = {
   wal_policy : Wal.policy;
   catch_up : bool;
   keys : (unit -> int list) option;
   proto : Protocol.t option;
-  catchup_timeout : float;
-  catchup_max_attempts : int;
-  backoff : Detect.Backoff.policy;
   prov_config : provision option;
 }
 
+(* Each per-key catch-up gather times out after [catchup_timeout] and is
+   retried with {!Detect.Backoff.default} pauses, up to
+   [catchup_max_attempts] times. *)
+let catchup_timeout = 25.0
+let catchup_max_attempts = 20
+
 let recovery ?(wal_policy = Wal.Sync_on_commit) ?(catch_up = true) ?keys ?proto
-    ?(catchup_timeout = 25.0) ?(catchup_max_attempts = 20)
-    ?(backoff = Detect.Backoff.default) ?provision () =
+    ?provision () =
   if catch_up && proto = None then
     invalid_arg "Replica.recovery: catch_up requires a protocol";
-  { wal_policy; catch_up; keys; proto; catchup_timeout; catchup_max_attempts;
-    backoff; prov_config = provision }
+  { wal_policy; catch_up; keys; proto; prov_config = provision }
 
 (* Overload admission policy.  [shed_watermark] is in queue-depth units of
    the site's network service queue: above it, client work is answered
@@ -255,8 +257,7 @@ let rec catchup_key t ~inc ~keys ~attempt ~t0 =
           }
         in
         t.gather <- Some g;
-        let r = Option.get t.recovery in
-        Engine.schedule (engine t) ~delay:r.catchup_timeout (fun () ->
+        Engine.schedule (engine t) ~delay:catchup_timeout (fun () ->
             match t.gather with
             | Some g' when g' == g ->
               t.gather <- None;
@@ -268,8 +269,7 @@ let rec catchup_key t ~inc ~keys ~attempt ~t0 =
   end
 
 and catchup_retry t ~inc ~keys ~attempt ~t0 =
-  let r = Option.get t.recovery in
-  if attempt >= r.catchup_max_attempts then begin
+  if attempt >= catchup_max_attempts then begin
     (* Peers never assembled into a willing quorum (e.g. everyone else is
        recovering too).  Serving would risk stale reads, so the rejoin
        lands in the terminal [Failed_rejoin] state: still safe (peer
@@ -283,7 +283,7 @@ and catchup_retry t ~inc ~keys ~attempt ~t0 =
   else begin
     let delay =
       match t.rng with
-      | Some rng -> Detect.Backoff.delay r.backoff ~rng ~attempt
+      | Some rng -> Detect.Backoff.delay Detect.Backoff.default ~rng ~attempt
       | None -> 1.0
     in
     Engine.schedule (engine t) ~delay (fun () ->
@@ -384,9 +384,8 @@ and prov_tail_request t p =
   prov_watch t p
 
 and prov_watch t p =
-  let pv = match prov_config t with Some pv -> pv | None -> assert false in
   let snap = p.p_progress in
-  Engine.schedule (engine t) ~delay:pv.pv_timeout (fun () ->
+  Engine.schedule (engine t) ~delay:provision_timeout (fun () ->
       match t.prov with
       | Some p' when p' == p && p.p_progress = snap -> prov_stalled t p
       | _ -> ())
@@ -1040,8 +1039,7 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
 
 (* --- membership operations ------------------------------------------------ *)
 
-let provision_now t ?(pinned = false) ?donor ?on_done () =
-  start_provision t ~pinned ?donor ?on_done ()
+let provision_now t ~donor k = start_provision t ~pinned:true ~donor ~on_done:k ()
 
 (* One-shot fenced delta: fetch the committed tail since the newest cut
    this replica holds, then run [k].  The promotion flow calls this while
@@ -1049,7 +1047,9 @@ let provision_now t ?(pinned = false) ?donor ?on_done () =
 let request_tail t ~donor k =
   let tw = { tw_op = fresh_op t; tw_donor = donor; tw_k = k } in
   t.tail_wait <- Some tw;
-  let delay = match prov_config t with Some pv -> pv.pv_timeout | None -> 25.0 in
+  let delay =
+    if Option.is_some (prov_config t) then provision_timeout else catchup_timeout
+  in
   let rec go () =
     match t.tail_wait with
     | Some tw' when tw' == tw ->

@@ -51,7 +51,6 @@ val admission : ?shed_watermark:int -> ?universe:int -> unit -> admission
 val provision :
   ?chunk_size:int ->
   ?fence:bool ->
-  ?timeout:float ->
   ?donors:(unit -> int list) ->
   key_space:int ->
   unit ->
@@ -63,8 +62,8 @@ val provision :
     meaning across donor failover and recipient restarts, and the donor
     holds no per-transfer state.  Every applied chunk is WAL-logged with
     a progress mark, so an amnesia crash mid-transfer resumes after the
-    last durable chunk.  A transfer making no progress for [timeout]
-    (default 30.0) fails over to the next donor candidate ([donors]
+    last durable chunk.  A transfer making no progress for 30 virtual
+    time units fails over to the next donor candidate ([donors]
     enumerates candidates in preference order; default: every site of the
     recovery protocol's universe), fenced by donor incarnation against
     chunks of a broken (pre-restart) transfer.
@@ -76,17 +75,13 @@ val provision :
     that proves the consistency checker would catch the races fencing
     prevents.
 
-    @raise Invalid_argument on a non-positive key space, chunk size or
-    timeout. *)
+    @raise Invalid_argument on a non-positive key space or chunk size. *)
 
 val recovery :
   ?wal_policy:Wal.policy ->
   ?catch_up:bool ->
   ?keys:(unit -> int list) ->
   ?proto:Quorum.Protocol.t ->
-  ?catchup_timeout:float ->
-  ?catchup_max_attempts:int ->
-  ?backoff:Detect.Backoff.policy ->
   ?provision:provision ->
   unit ->
   recovery
@@ -96,9 +91,9 @@ val recovery :
     protocol scratch state with coordinators.  [keys] enumerates the keys
     to catch up on (default: the keys present in the store after replay —
     pass the full key space to also recover keys whose WAL records were
-    lost).  Each per-key quorum gather times out after [catchup_timeout]
-    (default 25.0) and is retried with [backoff] jitter up to
-    [catchup_max_attempts] (default 20) times; on exhaustion the replica
+    lost).  Each per-key quorum gather times out after 25 virtual time
+    units and is retried with {!Detect.Backoff.default} jitter up to 20
+    times; on exhaustion the replica
     enters the terminal failed-rejoin state (safe but unavailable; see
     {!failed_rejoins}) until its next crash/recover cycle.
 
@@ -171,16 +166,15 @@ val status_label : t -> string
     an occupant) live in {!Reconfig}; these are the per-replica
     primitives they compose. *)
 
-val provision_now :
-  t -> ?pinned:bool -> ?donor:int -> ?on_done:(unit -> unit) -> unit -> unit
-(** Starts (or restarts) a snapshot transfer immediately, without waiting
-    for a crash/recover cycle.  [donor] overrides donor selection for the
-    first attempt; [pinned] disables failover — used by promotion, where
-    the outgoing occupant is the only safe donor (its acked writes are
-    exactly what quorum intersection makes the incoming occupant
-    answerable for).  [on_done] fires when the tail is applied; it
-    survives recipient amnesia crashes (the restarted transfer
-    re-attaches it).  Requires a {!provision} config.
+val provision_now : t -> donor:int -> (unit -> unit) -> unit
+(** Starts (or restarts) a snapshot transfer from [donor] immediately,
+    without waiting for a crash/recover cycle.  The donor is pinned: no
+    failover, because promotion, the caller, has exactly one safe donor,
+    the outgoing occupant (its acked writes are exactly what quorum
+    intersection makes the incoming occupant answerable for).  The
+    continuation fires when the tail is applied; it survives recipient
+    amnesia crashes (the restarted transfer re-attaches it).  Requires a
+    {!provision} config.
 
     @raise Invalid_argument without a provisioning config. *)
 

@@ -99,8 +99,6 @@ let of_list capacity l =
   List.iter (add t) l;
   t
 
-let compare a b = Stdlib.compare (a.capacity, a.words) (b.capacity, b.words)
-
 let pp ppf t =
   Format.fprintf ppf "{%a}"
     (Format.pp_print_list

@@ -39,5 +39,4 @@ val fill_elements : t -> int array -> int
     always fit); @raise Invalid_argument otherwise. *)
 
 val of_list : int -> int list -> t
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit

@@ -2,7 +2,6 @@
    rejoin under a client workload, plus the campaign's negative control
    and the cold-rejoin cost comparison. *)
 
-module Churn_harness = Replication.Churn_harness
 module Harness = Replication.Harness
 module Failure = Dsim.Failure
 module Churn = Eval.Churn
@@ -12,42 +11,58 @@ let proto () =
 
 (* Plain run, no faults, no membership: behaves like an ordinary
    harness run with two idle spares. *)
+let churn ?(spares = 1) ?(chunk_size = 4) membership =
+  { (Harness.churn_scenario ~proto:(proto ())) with
+    churn = Some { spares; membership; chunk_size; fence = true } }
+
 let test_quiet_run () =
-  let s = Churn_harness.default_scenario ~proto:(proto ()) in
-  let r = Churn_harness.run { s with Churn_harness.spares = 2 } in
-  Alcotest.(check int) "no violations" 0 r.Churn_harness.agg.Harness.safety_violations;
-  Alcotest.(check bool) "work completed" true (Churn_harness.completed r > 0);
-  Alcotest.(check int) "no transfers" 0 r.Churn_harness.agg.Harness.provision_runs;
+  let r = Harness.run (churn ~spares:2 []) in
+  Alcotest.(check int) "no violations" 0 r.Harness.safety_violations;
+  Alcotest.(check bool) "work completed" true (Harness.completed r > 0);
+  Alcotest.(check int) "no transfers" 0 r.Harness.provision_runs;
   Alcotest.(check bool) "spares idle but serving" true
-    (Array.for_all (( = ) "serving") r.Churn_harness.agg.Harness.replica_status)
+    (Array.for_all (( = ) "serving") r.Harness.replica_status)
 
 (* A scripted fenced decommission completes and leaves exactly one site
    permanently fenced, with zero violations. *)
 let test_decommission_flow () =
-  let s = Churn_harness.default_scenario ~proto:(proto ()) in
   let n = Quorum.Protocol.universe_size (proto ()) in
   let r =
-    Churn_harness.run
-      {
-        s with
-        Churn_harness.spares = 1;
-        chunk_size = 1;
-        membership =
-          [ { Churn_harness.at = 100.0; position = 1; spare = n; fence = true } ];
-      }
+    Harness.run
+      (churn ~chunk_size:1
+         [ { Harness.at = 100.0; position = 1; spare = n; fence = true } ])
   in
-  Alcotest.(check int) "no violations" 0 r.Churn_harness.agg.Harness.safety_violations;
-  Alcotest.(check int) "promotion completed" 1 r.Churn_harness.promotions_done;
-  Alcotest.(check int) "decommission completed" 1
-    r.Churn_harness.decommissions_done;
+  Alcotest.(check int) "no violations" 0 r.Harness.safety_violations;
+  Alcotest.(check int) "promotion completed" 1 r.Harness.promotions_done;
+  Alcotest.(check int) "decommission completed" 1 r.Harness.decommissions_done;
   let fenced =
-    Array.to_list r.Churn_harness.agg.Harness.replica_status
+    Array.to_list r.Harness.replica_status
     |> List.filter (( = ) "decommissioned")
     |> List.length
   in
   Alcotest.(check int) "exactly one site fenced" 1 fenced;
   Alcotest.(check string) "the outgoing occupant" "decommissioned"
-    r.Churn_harness.agg.Harness.replica_status.(1)
+    r.Harness.replica_status.(1)
+
+(* The churn checks of the harness's validation block: each bad schedule
+   is refused before anything runs. *)
+let test_churn_validation () =
+  let n = Quorum.Protocol.universe_size (proto ()) in
+  let refused what msg s =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (Harness.run s))
+  in
+  refused "negative spares" "Harness.run: negative spares" (churn ~spares:(-1) []);
+  refused "position past the tree" "Harness.run: membership position out of range"
+    (churn [ { Harness.at = 1.0; position = n; spare = n; fence = false } ]);
+  refused "negative position" "Harness.run: membership position out of range"
+    (churn [ { Harness.at = 1.0; position = -1; spare = n; fence = false } ]);
+  refused "spare past the universe" "Harness.run: membership spare out of range"
+    (churn [ { Harness.at = 1.0; position = 0; spare = n + 1; fence = false } ]);
+  Alcotest.check_raises "churn over two shards"
+    (Invalid_argument "Harness.run: churn needs a single shard") (fun () ->
+      ignore
+        (Replication.Shard_harness.run
+           { (Harness.one_tree (churn [])) with Harness.shards = 2 }))
 
 (* The four campaign scenarios on one config: fenced must be clean and
    must actually exercise failover, resume, promotion and decommission
@@ -62,15 +77,15 @@ let test_campaign_single_config () =
     List.fold_left (fun acc c -> acc + f c.Churn.c_report) 0 cells
   in
   Alcotest.(check bool) "donor failover exercised" true
-    (sum (fun r -> r.Churn_harness.agg.Harness.provision_donor_failovers) >= 1);
+    (sum (fun r -> r.Harness.provision_donor_failovers) >= 1);
   Alcotest.(check bool) "resume exercised" true
-    (sum (fun r -> r.Churn_harness.agg.Harness.provision_resumes) >= 1);
+    (sum (fun r -> r.Harness.provision_resumes) >= 1);
   Alcotest.(check bool) "promotions completed" true
-    (sum (fun r -> r.Churn_harness.promotions_done) >= 4);
+    (sum (fun r -> r.Harness.promotions_done) >= 4);
   Alcotest.(check bool) "a decommission completed" true
-    (sum (fun r -> r.Churn_harness.decommissions_done) >= 1);
+    (sum (fun r -> r.Harness.decommissions_done) >= 1);
   Alcotest.(check int) "nothing stuck" 0
-    (sum (fun r -> r.Churn_harness.agg.Harness.failed_rejoins));
+    (sum (fun r -> r.Harness.failed_rejoins));
   (* Recorded before the churn cell got its single builder. *)
   Alcotest.(check string) "pinned table" "d61913be9ee2114d98d6ffad8a16c6a8"
     (Digest.to_hex (Digest.string (Churn.table cells)))
@@ -106,6 +121,7 @@ let suite =
     Alcotest.test_case "quiet run with spares" `Quick test_quiet_run;
     Alcotest.test_case "fenced decommission flow" `Quick
       test_decommission_flow;
+    Alcotest.test_case "churn validation" `Quick test_churn_validation;
     Alcotest.test_case "campaign on one config" `Quick
       test_campaign_single_config;
     Alcotest.test_case "negative control leaks" `Quick

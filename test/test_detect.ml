@@ -496,9 +496,7 @@ let monitor_setup ?(n = 3) ?(rtt = 1.0) () =
       Engine.schedule engine ~delay:rtt (fun () ->
           Heartbeat.observe (Option.get !hb) ~site:dst)
   in
-  let config =
-    { Heartbeat.period = 5.0; accrual = Accrual.default_config }
-  in
+  let config = { Heartbeat.period = 5.0 } in
   hb := Some (Heartbeat.create ~engine ~n ~config ~send_ping ());
   (engine, Option.get !hb, down, pings)
 
@@ -559,15 +557,7 @@ let test_heartbeat_stop () =
 
 (* -- Views -------------------------------------------------------------- *)
 
-let test_always_up_view () =
-  let v = View.always_up ~n:5 in
-  let alive = v.View.alive () in
-  Alcotest.(check int) "all alive" 5 (Bitset.cardinal alive);
-  v.View.suspect 3;
-  Alcotest.(check bool) "suspicion ignored" true
-    (Bitset.mem (v.View.alive ()) 3)
-
-let test_oracle_view () =
+let test_oracle_tracks_ground_truth () =
   let engine = Engine.create ~seed:1 () in
   (* 4 replicas + 1 client site; the view covers only the replicas. *)
   let net = Network.create ~engine ~n:5 () in
@@ -650,7 +640,6 @@ let suite =
     Alcotest.test_case "heartbeat: explicit suspicion sticky" `Quick
       test_heartbeat_explicit_suspicion_sticky;
     Alcotest.test_case "heartbeat: stop drains" `Quick test_heartbeat_stop;
-    Alcotest.test_case "view: always_up" `Quick test_always_up_view;
     Alcotest.test_case "view: oracle tracks ground truth" `Quick
-      test_oracle_view;
+      test_oracle_tracks_ground_truth;
   ]

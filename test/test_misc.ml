@@ -138,6 +138,30 @@ let test_harness_zero_op_edge () =
   Alcotest.(check (float 1e-9)) "no load" 0.0
     (Replication.Harness.measured_read_load r)
 
+(* A negative op count, steady or burst, is refused up front: a client
+   counting down from it would never reach zero. *)
+let test_harness_negative_ops () =
+  let module H = Replication.Harness in
+  let proto = Arbitrary.Quorums.protocol (Arbitrary.Tree.figure1 ()) in
+  let s = H.default_scenario ~proto in
+  let refused what msg s =
+    Alcotest.check_raises what (Invalid_argument msg) (fun () -> ignore (H.run s))
+  in
+  refused "steady" "Harness.run: negative ops_per_client" { s with ops_per_client = -1 };
+  let burst burst_clients burst_ops =
+    {
+      s with
+      overload =
+        Some
+          {
+            H.overload_defaults with
+            burst = Some { burst_at = 0.0; burst_clients; burst_ops; burst_think = 1.0 };
+          };
+    }
+  in
+  refused "burst clients" "Harness.run: negative burst_clients or burst_ops" (burst (-3) 1);
+  refused "burst ops" "Harness.run: negative burst_clients or burst_ops" (burst 1 (-1))
+
 let test_bitset_pp () =
   let s = Format.asprintf "%a" Dsutil.Bitset.pp (Dsutil.Bitset.of_list 8 [ 1; 5 ]) in
   Alcotest.(check string) "set syntax" "{1,5}" s
@@ -169,6 +193,7 @@ let suite =
     Alcotest.test_case "protocol dynamic accessors" `Quick test_protocol_all_alive;
     Alcotest.test_case "analysis summary pp" `Quick test_analysis_pp_summary;
     Alcotest.test_case "harness zero-op edge" `Quick test_harness_zero_op_edge;
+    Alcotest.test_case "harness negative op counts" `Quick test_harness_negative_ops;
     Alcotest.test_case "bitset pp" `Quick test_bitset_pp;
     Alcotest.test_case "quorum_set pp" `Quick test_quorum_set_pp;
     Alcotest.test_case "tablefmt ragged rows" `Quick test_tablefmt_ragged;

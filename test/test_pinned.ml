@@ -15,7 +15,6 @@ module Network = Dsim.Network
 module Latency = Dsim.Latency
 module Failure = Dsim.Failure
 module Harness = Replication.Harness
-module Churn_harness = Replication.Churn_harness
 module Coordinator = Replication.Coordinator
 
 let digest s = Digest.to_hex (Digest.string s)
@@ -124,42 +123,35 @@ let test_service_model_run () =
 let test_async_provisioning_run () =
   let n = 7 in
   let proto = Eval.Config_metrics.protocol_of Arbitrary.Config.Unmodified ~n in
-  let r =
-    let s = Churn_harness.default_scenario ~proto in
-    Churn_harness.run
+  let a =
+    Harness.run
       {
-        s with
-        Churn_harness.spares = 1;
-        chunk_size = 1;
-        base =
+        (Harness.churn_scenario ~proto) with
+        n_clients = 3;
+        ops_per_client = 40;
+        key_space = 8;
+        think_time = 3.0;
+        seed = 5;
+        horizon = 3000.0;
+        wal = Replication.Wal.Async 2.0;
+        coordinator =
           {
-            s.Churn_harness.base with
-            n_clients = 3;
-            ops_per_client = 40;
-            key_space = 8;
-            think_time = 3.0;
-            seed = 5;
-            horizon = 3000.0;
-            wal = Replication.Wal.Async 2.0;
-            coordinator =
-              {
-                Coordinator.default_config with
-                Coordinator.max_retries = 8;
-                adaptive_timeout = true;
-                deadline = 600.0;
-              };
-            failures =
-              Failure.
-                [
-                  { time = 60.0; event = Crash (n - 1) };
-                  { time = 100.0; event = Recover (n - 1) };
-                  { time = 104.0; event = Crash (n - 1) };
-                  { time = 160.0; event = Recover (n - 1) };
-                ];
+            Coordinator.default_config with
+            Coordinator.max_retries = 8;
+            adaptive_timeout = true;
+            deadline = 600.0;
           };
+        failures =
+          Failure.
+            [
+              { time = 60.0; event = Crash (n - 1) };
+              { time = 100.0; event = Recover (n - 1) };
+              { time = 104.0; event = Crash (n - 1) };
+              { time = 160.0; event = Recover (n - 1) };
+            ];
+        churn = Some { spares = 1; membership = []; chunk_size = 1; fence = true };
       }
   in
-  let a = r.Churn_harness.agg in
   Alcotest.(check bool) "transfers ran" true (a.Harness.provision_runs > 0);
   Alcotest.(check bool) "resumed from a durable mark" true
     (a.Harness.provision_resumes > 0);

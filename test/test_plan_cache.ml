@@ -52,7 +52,7 @@ let alive_patterns tree seed =
     (* nothing alive: both must answer None without desync *)
   ]
 
-let equiv_prop ~name ~policy reference cached =
+let equiv_prop ~name reference cached =
   QCheck.Test.make ~name ~count:200
     (QCheck.pair arb_tree QCheck.(int_bound 10_000))
     (fun (tree, seed) ->
@@ -61,34 +61,18 @@ let equiv_prop ~name ~policy reference cached =
         (fun alive ->
           let rng_a = Rng.create (seed + 1) in
           let rng_b = Rng.create (seed + 1) in
-          let a = reference ~policy tree ~alive ~rng:rng_a in
-          let b = cached ~policy plan ~alive ~rng:rng_b in
+          let a = reference tree ~alive ~rng:rng_a in
+          let b = cached plan ~alive ~rng:rng_b in
           same_quorum a b && same_draw rng_a rng_b)
         (alive_patterns tree seed))
 
 let prop_read_equiv =
   equiv_prop ~name:"plan cache: read quorums and rng draws match reference"
-    ~policy:Quorums.Uniform
-    (fun ~policy tree -> Quorums.read_quorum ~policy tree)
-    (fun ~policy plan -> Plan_cache.read_quorum ~policy plan)
+    Quorums.read_quorum Plan_cache.read_quorum
 
 let prop_write_equiv =
   equiv_prop ~name:"plan cache: write quorums and rng draws match reference"
-    ~policy:Quorums.Uniform
-    (fun ~policy tree -> Quorums.write_quorum ~policy tree)
-    (fun ~policy plan -> Plan_cache.write_quorum ~policy plan)
-
-let prop_read_equiv_first_alive =
-  equiv_prop ~name:"plan cache: first-alive read quorums match reference"
-    ~policy:Quorums.First_alive
-    (fun ~policy tree -> Quorums.read_quorum ~policy tree)
-    (fun ~policy plan -> Plan_cache.read_quorum ~policy plan)
-
-let prop_write_equiv_first_alive =
-  equiv_prop ~name:"plan cache: first-alive write quorums match reference"
-    ~policy:Quorums.First_alive
-    (fun ~policy tree -> Quorums.write_quorum ~policy tree)
-    (fun ~policy plan -> Plan_cache.write_quorum ~policy plan)
+    Quorums.write_quorum Plan_cache.write_quorum
 
 let test_fork_independent () =
   let tree = Tree.figure1 () in
@@ -127,8 +111,6 @@ let suite =
   [
     QCheck_alcotest.to_alcotest prop_read_equiv;
     QCheck_alcotest.to_alcotest prop_write_equiv;
-    QCheck_alcotest.to_alcotest prop_read_equiv_first_alive;
-    QCheck_alcotest.to_alcotest prop_write_equiv_first_alive;
     Alcotest.test_case "fork isolates scratch state" `Quick
       test_fork_independent;
     Alcotest.test_case "baseline golden counters (BENCH_baseline.json)" `Slow

@@ -25,8 +25,7 @@ type ctx = {
 
 let key_space = 8
 
-let setup ?(seed = 42) ?(chunk_size = 1) ?(fence = true) ?(timeout = 10.0)
-    ?obs () =
+let setup ?(seed = 42) ?(chunk_size = 1) ?(fence = true) ?obs () =
   let proto = fig1_proto () in
   let n = Protocol.universe_size proto in
   let engine = Engine.create ~seed () in
@@ -35,7 +34,7 @@ let setup ?(seed = 42) ?(chunk_size = 1) ?(fence = true) ?(timeout = 10.0)
   let recovery =
     Replica.recovery ~catch_up:false
       ~provision:
-        (Replica.provision ~key_space ~chunk_size ~fence ~timeout
+        (Replica.provision ~key_space ~chunk_size ~fence
            ~donors:(fun () -> List.init n Fun.id)
            ())
       ()
@@ -117,7 +116,7 @@ let test_recipient_crash_resumes () =
 (* Crash the donor mid-transfer: the watchdog fires, the recipient fails
    over to another donor and the transfer still completes. *)
 let test_donor_crash_fails_over () =
-  let ctx = setup ~timeout:5.0 () in
+  let ctx = setup () in
   seed_stores ctx;
   let site = ctx.n - 1 in
   (* the first donor pick is the lowest live site that is not the
@@ -188,7 +187,7 @@ let test_catchup_exhaustion_is_terminal_failed_rejoin () =
   let recovery =
     Replica.recovery ~catch_up:true ~proto
       ~keys:(fun () -> [ 0 ])
-      ~catchup_timeout:5.0 ~catchup_max_attempts:2 ()
+      ()
   in
   let replicas =
     Array.init n (fun site -> Replica.create ~site ~net ~recovery ~obs ())

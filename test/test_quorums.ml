@@ -69,19 +69,6 @@ let test_write_blocked_without_full_level () =
     (Quorums.write_quorum fig1 ~alive ~rng = None);
   Alcotest.(check bool) "read ok" true (Quorums.read_quorum fig1 ~alive ~rng <> None)
 
-let test_first_alive_policy_deterministic () =
-  let rng = Rng.create 11 in
-  let alive = Protocol.all_alive (Quorums.protocol fig1) in
-  let q1 = Quorums.read_quorum ~policy:Quorums.First_alive fig1 ~alive ~rng in
-  let q2 = Quorums.read_quorum ~policy:Quorums.First_alive fig1 ~alive ~rng in
-  (match (q1, q2) with
-  | Some a, Some b -> Alcotest.(check bool) "deterministic" true (Bitset.equal a b)
-  | _ -> Alcotest.fail "quorums must exist");
-  match Quorums.write_quorum ~policy:Quorums.First_alive fig1 ~alive ~rng with
-  | Some q ->
-    Alcotest.(check (list int)) "shallowest level" [ 0; 1; 2 ] (Bitset.elements q)
-  | None -> Alcotest.fail "write quorum must exist"
-
 (* --- the paper's bicoterie theorem, property-tested over random trees --- *)
 
 let tree_gen =
@@ -144,8 +131,6 @@ let suite =
       test_read_blocked_by_dead_level;
     Alcotest.test_case "no full level blocks writes only" `Quick
       test_write_blocked_without_full_level;
-    Alcotest.test_case "first-alive policy" `Quick
-      test_first_alive_policy_deterministic;
     QCheck_alcotest.to_alcotest prop_bicoterie;
     QCheck_alcotest.to_alcotest prop_quorum_counts;
     QCheck_alcotest.to_alcotest prop_assembly_complete;

@@ -71,28 +71,24 @@ let batched () =
     batching = Some { Harness.batch_size = 8; group_commit = true; pipeline = 2 };
   }
 
-(* A provisioning rejoin, as a churn run makes it: amnesia, locks, no
-   catch-up, and a snapshot + tail transfer when site 1 comes back. *)
+(* A provisioning rejoin through a churn run without spares: a snapshot
+   + tail transfer when site 1 comes back. *)
 let provisioning obs =
-  let base =
+  let scenario =
     {
       (Harness.default_scenario ~proto:(proto ())) with
       n_clients = 3;
       ops_per_client = 30;
       seed = 3;
-      crash_mode = Dsim.Network.Amnesia;
-      catch_up = false;
       failures =
         [
           { Failure.time = 20.0; event = Failure.Crash 1 };
           { Failure.time = 60.0; event = Failure.Recover 1 };
         ];
+      churn = Some { spares = 0; membership = []; chunk_size = 2; fence = true };
     }
   in
-  let provision =
-    Replication.Replica.provision ~key_space:base.Harness.key_space ~chunk_size:2 ()
-  in
-  ignore (Harness.run_core ~obs ~provision (Harness.one_tree base))
+  ignore (Harness.run ~obs scenario)
 
 let transactions obs =
   let tree = Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:13 in

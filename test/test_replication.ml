@@ -291,25 +291,6 @@ let test_read_repair_off_by_default () =
   Alcotest.(check int) "no repairs sent" 0
     (Coordinator.repairs_sent ctx.coord)
 
-let test_timeout_based_failure_detector () =
-  (* oracle_view = false: the coordinator discovers crashes by timeouts and
-     suspicion, and still completes operations. *)
-  let config =
-    { Coordinator.default_config with Coordinator.oracle_view = false }
-  in
-  let ctx = setup ~config () in
-  Network.crash ctx.net 0;
-  (* First attempt will include replica 0 (not yet suspected), time out,
-     suspect it, and retry successfully. *)
-  (match do_write ctx 1 "detected" with
-  | Some _ -> ()
-  | None -> Alcotest.fail "write must succeed after suspicion");
-  Alcotest.(check bool) "at least one retry happened" true
-    (Coordinator.retries ctx.coord >= 1);
-  match do_read ctx 1 with
-  | Some { Coordinator.value; _ } -> Alcotest.(check string) "value" "detected" value
-  | None -> Alcotest.fail "read must succeed"
-
 let test_harness_with_read_repair_under_churn () =
   let proto = fig1_proto () in
   let rng = Dsutil.Rng.create 77 in
@@ -356,8 +337,6 @@ let suite =
       test_read_repair_heals_stale_replica;
     Alcotest.test_case "read repair off by default" `Quick
       test_read_repair_off_by_default;
-    Alcotest.test_case "timeout-based failure detector" `Quick
-      test_timeout_based_failure_detector;
     Alcotest.test_case "read repair under churn stays safe" `Quick
       test_harness_with_read_repair_under_churn;
     Alcotest.test_case "zipf workload stays safe" `Quick test_zipf_workload_safe;
