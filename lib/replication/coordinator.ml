@@ -36,12 +36,14 @@ type phase =
 
 (* Pooled per-operation quorum scratch.  [q] holds the members of the
    current phase, with replied members overwritten by -1 (so "waiting" is
-   the >= 0 entries, in original send order, and a reply is matched by a
-   linear scan — no list filtering, no allocation).  [w]/[winc] hold the
-   2PC member set and the incarnation each member acked its prepare under.
-   A scratch is taken from the coordinator's pool when an operation starts
-   and returned when it ends, so a steady stream of operations allocates
-   none of this. *)
+   the >= 0 entries, in original send order).  [w]/[winc] hold the 2PC
+   member set and the incarnation each member acked its prepare under.
+   [pos] maps a site to its position in [q] and [w]: a 2PC phase's [q] is
+   a copy of [w], so one position serves both, and a lookup is trusted
+   only when the array still holds the site there — stale entries from an
+   earlier phase or operation need no reset.  A scratch is taken from the
+   coordinator's pool when an operation starts and returned when it ends,
+   so a steady stream of operations allocates none of this. *)
 type op_scratch = {
   q : int array;
   mutable n_q : int;  (** members in the current phase *)
@@ -49,6 +51,7 @@ type op_scratch = {
   w : int array;
   mutable n_w : int;
   winc : int array;
+  pos : int array;  (** site -> position in [q]/[w], by replica universe *)
 }
 
 let make_scratch n =
@@ -59,6 +62,7 @@ let make_scratch n =
     w = Array.make (max n 1) 0;
     n_w = 0;
     winc = Array.make (max n 1) 0;
+    pos = Array.make (max n 1) 0;
   }
 
 (* Placeholder installed in place of a released scratch; doubles as the
@@ -115,6 +119,18 @@ and op_state = {
    handle from the new hold. *)
 and staged = { st : op_state; held_op : int }
 
+(* Pending operations by op id: an int table hashes and compares without
+   the polymorphic [caml_hash] and [compare]. *)
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  (* Op ids of one coordinator step by the network size: mix the high
+     bits into the low ones the bucket index keeps. *)
+  let hash x = (x * 0x2545F4914F6CDD1D) lsr 32
+end)
+
 type t = {
   site : int;
   net : Message.t Network.t;
@@ -133,12 +149,12 @@ type t = {
       (* preallocated handler for phase timeouts, which carry (op, phase)
          in the event's int slot, and backoff wake-ups, which carry the op
          record as payload: neither allocates a closure *)
-  pending : (int, op_state) Hashtbl.t;
+  pending : op_state Int_tbl.t;
   mutable pool : op_scratch array;  (* free scratches, filled [0, pool_n) *)
   mutable pool_n : int;
   mutable op_pool : op_state array;  (* free op records, filled [0, op_pool_n) *)
   mutable op_pool_n : int;
-  incs : (int, int) Hashtbl.t;  (** site -> newest incarnation seen *)
+  incs : int array;  (** replica site -> newest incarnation seen *)
   (* Counters: handles the coordinator owns; [?obs] registers them. *)
   reads_ok : Obs.Metrics.counter;
   reads_failed : Obs.Metrics.counter;
@@ -410,23 +426,24 @@ let with_lock t ~key ~mode body =
 
 (* --- operation lifecycle ------------------------------------------------ *)
 
-(* Reply matching scans the scratch with top-level loops over explicit
-   arguments: a local [let rec] would capture [sc] and the sender and so
-   allocate a closure on every reply. *)
+(* Record where each of the first [n] members of [a] sits. *)
+let place sc a n =
+  for i = 0 to n - 1 do
+    sc.pos.(a.(i)) <- i
+  done
 
-(* Position of [m] in the 2PC member set, or [n_w]. *)
-let rec member_index sc m i =
-  if i = sc.n_w || sc.w.(i) = m then i else member_index sc m (i + 1)
-
-(* Position of [src] among the current phase's members still waiting
-   (replied members are -1), or [n_q]. *)
-let rec waiting_index sc src i =
-  if i = sc.n_q || sc.q.(i) = src then i else waiting_index sc src (i + 1)
+(* Position of site [m] among the first [n] entries of [a] (the scratch's
+   [q] or [w]), or [n]: one probe of [pos], checked against [a]. *)
+let index sc a n m =
+  if m < 0 || m >= Array.length sc.pos then n
+  else
+    let i = sc.pos.(m) in
+    if i < n && a.(i) = m then i else n
 
 (* Incarnation this member acked the prepare under (0 when it has never
    crashed with amnesia — i.e. always, under fail-stop). *)
 let member_inc sc m =
-  let i = member_index sc m 0 in
+  let i = index sc sc.w sc.n_w m in
   if i = sc.n_w then 0 else sc.winc.(i)
 
 (* Suspect (and optionally charge the breaker for) every member still
@@ -478,7 +495,7 @@ let per_key st f =
   go (st.n_keys - 1) []
 
 let finish t st ~ok =
-  Hashtbl.remove t.pending st.op;
+  Int_tbl.remove t.pending st.op;
   release_scratch t st;
   let elapsed = Engine.now (engine t) -. st.started in
   let k = st.n_keys in
@@ -510,7 +527,7 @@ let arm_timeout t st =
     ~meta:((st.op lsl 2) lor phase_code st.phase) ~payload:(Obj.repr 0)
 
 let retry ?(timed_out = false) t st =
-  Hashtbl.remove t.pending st.op;
+  Int_tbl.remove t.pending st.op;
   let sc = st.sc in
   (* Roll back any prepared members of this attempt. *)
   if st.phase = Preparing then begin
@@ -569,6 +586,7 @@ let start_prepare t st =
     let sc = st.sc in
     let n = Bitset.fill_elements quorum sc.w in
     sc.n_w <- n;
+    place sc sc.w n;
     Array.blit sc.w 0 sc.q 0 n;
     Array.fill sc.winc 0 n 0;
     sc.n_q <- n;
@@ -577,6 +595,8 @@ let start_prepare t st =
     ophase t st ~kind:Obs.Span.Prepare;
     arm_timeout t st;
     let k = st.n_keys in
+    (* Every member that never lost its state answers with this one ack. *)
+    let reply = Message.Prepare_ack { op = st.op; inc = 0 } in
     fan_out t st
       (if k = 1 then
          Message.Prepare
@@ -586,6 +606,7 @@ let start_prepare t st =
              version = st.max_v.(0);
              sid = st.max_s.(0);
              value = st.values.(0);
+             reply;
            }
        else
          Message.Prepare_batch
@@ -596,6 +617,7 @@ let start_prepare t st =
                  ~versions:(Array.sub st.max_v 0 k)
                  ~sids:(Array.sub st.max_s 0 k)
                  ~values:(Array.sub st.values 0 k);
+             reply;
            })
 
 (* One attempt: assemble a read quorum and send every member the query —
@@ -619,7 +641,7 @@ let start_attempt t st =
   sc.n_q <- 0;
   sc.waiting_n <- 0;
   sc.n_w <- 0;
-  Hashtbl.replace t.pending op st;
+  Int_tbl.replace t.pending op st;
   match st.forced with
   | Some ts ->
     st.max_v.(0) <- ts.Timestamp.version;
@@ -631,6 +653,7 @@ let start_attempt t st =
     | None -> retry t st
     | Some quorum ->
       let n = Bitset.fill_elements quorum sc.q in
+      place sc sc.q n;
       sc.n_q <- n;
       sc.waiting_n <- n;
       ophase t st ~kind:Obs.Span.Query;
@@ -640,6 +663,11 @@ let start_attempt t st =
          else
            Message.Read_batch
              { op; n_keys = st.n_keys; keys = Array.sub st.keys 0 st.n_keys }))
+
+(* A commit for the members that acked their prepare under [inc], with the
+   ack they answer it with. *)
+let commit_msg op inc =
+  Message.Commit { op; inc; reply = Message.Commit_ack { op; inc } }
 
 let commit_timeout t st =
   (* The decision is already commit; resend to the laggards instead of
@@ -661,14 +689,13 @@ let commit_timeout t st =
     let sc = st.sc in
     for i = 0 to sc.n_q - 1 do
       let m = sc.q.(i) in
-      if m >= 0 then
-        send t ~dst:m (Message.Commit { op = st.op; inc = member_inc sc m })
+      if m >= 0 then send t ~dst:m (commit_msg st.op (member_inc sc m))
     done
   end
 
 let reply_received t st ~src =
   let sc = st.sc in
-  let i = waiting_index sc src 0 in
+  let i = index sc sc.q sc.n_q src in
   if i < sc.n_q then begin
     sc.q.(i) <- -1;
     sc.waiting_n <- sc.waiting_n - 1;
@@ -730,23 +757,28 @@ let prepare_complete t st =
   sc.waiting_n <- sc.n_w;
   ophase t st ~kind:Obs.Span.Commit;
   arm_timeout t st;
+  (* One [Commit] per run of members that acked under the same
+     incarnation: a failure-free round sends every member the same one. *)
+  let commit = ref (commit_msg st.op sc.winc.(0)) in
   for i = 0 to sc.n_w - 1 do
-    let m = sc.w.(i) in
-    send t ~dst:m (Message.Commit { op = st.op; inc = sc.winc.(i) })
+    let inc = sc.winc.(i) in
+    (match !commit with
+    | Message.Commit { inc = c; _ } when c = inc -> ()
+    | _ -> commit := commit_msg st.op inc);
+    send t ~dst:sc.w.(i) !commit
   done
 
 (* A reply stamped with an incarnation older than the newest one seen from
    its sender is evidence from a pre-crash life: the state it vouches for
    was (possibly) lost, so it must not complete a quorum.  Returns whether
-   the message should be dropped. *)
+   the message should be dropped.  Only replicas stamp incarnations, so a
+   sender outside the replica universe is never fenced. *)
 let stale_incarnation t ~src msg =
   let inc = Message.incarnation msg in
-  if inc = Message.no_incarnation then false
+  if inc = Message.no_incarnation || src < 0 || src >= t.n_replicas then false
   else
-    let newest =
-      match Hashtbl.find t.incs src with i -> i | exception Not_found -> 0
-    in
-    if inc > newest then Hashtbl.replace t.incs src inc;
+    let newest = t.incs.(src) in
+    if inc > newest then t.incs.(src) <- inc;
     if inc < newest then begin
       bump t.stale_inc_rejected;
       true
@@ -773,7 +805,7 @@ let handle_op t ~src st msg =
   | Prepare_ack { inc; _ } when st.phase = Preparing ->
     reply_received t st ~src;
     let sc = st.sc in
-    let i = member_index sc src 0 in
+    let i = index sc sc.w sc.n_w src in
     if i < sc.n_w then sc.winc.(i) <- inc;
     if sc.waiting_n = 0 then begin
       match st.kind with
@@ -821,7 +853,7 @@ let handle t ~src msg =
      pluggable detector's suspicion). *)
   if src >= 0 && src < t.n_replicas then t.view.Detect.View.observe src;
   if not (stale_incarnation t ~src msg) then
-    match Hashtbl.find t.pending (Message.op_id msg) with
+    match Int_tbl.find t.pending (Message.op_id msg) with
     | st -> handle_op t ~src st msg
     | exception Not_found -> ()
 
@@ -850,12 +882,12 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       n_replicas;
       next_seq = 0;
       timeout_h = uninit_timeout_h;
-      pending = Hashtbl.create 16;
+      pending = Int_tbl.create 16;
       pool = Array.make 4 dummy_scratch;
       pool_n = 0;
       op_pool = Array.make 4 dummy_op;
       op_pool_n = 0;
-      incs = Hashtbl.create 16;
+      incs = Array.make n_replicas 0;
       reads_ok = { value = 0 };
       reads_failed = { value = 0 };
       writes_ok = { value = 0 };
@@ -880,7 +912,7 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
         let pc = meta land 3 in
         if pc = backoff_code then start_attempt t (Obj.obj payload : op_state)
         else
-          match Hashtbl.find t.pending (meta lsr 2) with
+          match Int_tbl.find t.pending (meta lsr 2) with
           | exception Not_found -> ()
           | st ->
             if st.phase <> Prepared && phase_code st.phase = pc

@@ -8,10 +8,17 @@ type t =
       value : string;
       inc : int;
     }
-  | Prepare of { op : int; key : int; version : int; sid : int; value : string }
+  | Prepare of {
+      op : int;
+      key : int;
+      version : int;
+      sid : int;
+      value : string;
+      reply : t;
+    }
   | Prepare_ack of { op : int; inc : int }
   | Prepare_nack of { op : int; reason : string }
-  | Commit of { op : int; inc : int }
+  | Commit of { op : int; inc : int; reply : t }
   | Commit_ack of { op : int; inc : int }
   | Abort of { op : int }
   | Repair of { op : int; key : int; version : int; sid : int; value : string }
@@ -25,7 +32,7 @@ type t =
           many keys.  The first [n_keys] entries of [keys] are live, so a
           pooled oversized buffer can ride as-is. *)
   | Read_batch_reply of { op : int; entries : Batch.t; inc : int }
-  | Prepare_batch of { op : int; writes : Batch.t }
+  | Prepare_batch of { op : int; writes : Batch.t; reply : t }
       (** coalesced 2PC stage: the batch is staged (and later committed or
           aborted) atomically under one op id; acked with [Prepare_ack] *)
   | Provision_request of {
@@ -123,7 +130,7 @@ let pp ppf = function
   | Read_batch_reply { op; entries; _ } ->
     Format.fprintf ppf "read-batch-reply(op=%d |entries|=%d)" op
       (Batch.length entries)
-  | Prepare_batch { op; writes } ->
+  | Prepare_batch { op; writes; _ } ->
     Format.fprintf ppf "prepare-batch(op=%d |writes|=%d)" op (Batch.length writes)
   | Provision_request { op; from_chunk; chunk_size; key_space } ->
     Format.fprintf ppf "provision-req(op=%d from=%d cs=%d ks=%d)" op from_chunk

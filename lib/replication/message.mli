@@ -23,7 +23,12 @@
     [Prepare_ack]: the replica nacks a commit from a previous incarnation,
     because its staged write — if it ever had one — belonged to a life
     whose volatile state is gone.  Coordinators likewise drop replies from
-    pre-crash incarnations.  See docs/PROTOCOL.md §10. *)
+    pre-crash incarnations.  See docs/PROTOCOL.md §10.
+
+    {b Carried replies.}  [Prepare], [Prepare_batch] and [Commit] carry
+    the reply they expect ([reply]), built once per round by the
+    coordinator.  Messages are immutable, so one reply record may be in
+    flight from many replicas at once. *)
 
 type t =
   | Read_request of { op : int; key : int }
@@ -35,14 +40,31 @@ type t =
       value : string;
       inc : int;
     }
-  | Prepare of { op : int; key : int; version : int; sid : int; value : string }
+  | Prepare of {
+      op : int;
+      key : int;
+      version : int;
+      sid : int;
+      value : string;
+      reply : t;
+    }
+      (** [reply] is the ack the coordinator expects back: a
+          [Prepare_ack] for [op] at incarnation 0, the ack of a replica
+          that never lost its state.  A replica sends it as-is when it
+          names the replica's current incarnation, and builds its own ack
+          otherwise (a rejoined replica), so a failure-free round
+          allocates one ack, not one per member *)
   | Prepare_ack of { op : int; inc : int }
   | Prepare_nack of { op : int; reason : string }
       (** refusal: the replica cannot take part right now (e.g. it is
           recovering, or the commit's incarnation is stale); the
           coordinator retries the whole attempt *)
-  | Commit of { op : int; inc : int }
-      (** [inc] is the incarnation this member acked the prepare under *)
+  | Commit of { op : int; inc : int; reply : t }
+      (** [inc] is the incarnation the receiving members acked the prepare
+          under; [reply] is [Commit_ack {op; inc}].  A replica acks a
+          commit only at incarnation [inc], so the carried ack is always
+          the right answer, and one [Commit] (with its ack) serves every
+          member that acked under the same incarnation *)
   | Commit_ack of { op : int; inc : int }
   | Abort of { op : int }
   | Repair of { op : int; key : int; version : int; sid : int; value : string }
@@ -62,12 +84,12 @@ type t =
           Answered by [Read_batch_reply] with one entry per requested key
           (in key order), or refused via [Busy] when shed *)
   | Read_batch_reply of { op : int; entries : Batch.t; inc : int }
-  | Prepare_batch of { op : int; writes : Batch.t }
+  | Prepare_batch of { op : int; writes : Batch.t; reply : t }
       (** coalesced 2PC stage: the writes are staged atomically under one
           op id and later committed or aborted together by the ordinary
-          [Commit]/[Abort] for that op.  Acked with [Prepare_ack], so the
-          rest of the 2PC machinery (incarnation echo included) is
-          unchanged *)
+          [Commit]/[Abort] for that op.  Acked with [Prepare_ack] (the
+          carried [reply], as for [Prepare]), so the rest of the 2PC
+          machinery (incarnation echo included) is unchanged *)
   | Provision_request of {
       op : int;
       from_chunk : int;

@@ -656,6 +656,21 @@ let shed_client_work t ~src msg =
       | _ -> None
     else None
 
+(* The ack a request carries ([Message.Prepare]'s and [Commit]'s [reply])
+   is sent as-is when it is exactly the ack this replica would build: same
+   op, stamped with its current incarnation.  Otherwise (a rejoined
+   replica answering a prepare that expects incarnation 0) a fresh ack
+   carries the replica's own incarnation. *)
+let prepare_ack t ~op (reply : Message.t) =
+  match reply with
+  | Prepare_ack { op = o; inc } when o = op && inc = t.incarnation -> reply
+  | _ -> Message.Prepare_ack { op; inc = t.incarnation }
+
+let commit_ack t ~op (reply : Message.t) =
+  match reply with
+  | Commit_ack { op = o; inc } when o = op && inc = t.incarnation -> reply
+  | _ -> Message.Commit_ack { op; inc = t.incarnation }
+
 let handle_serving t ~src msg =
   match (msg : Message.t) with
   | Read_request { op; key } ->
@@ -673,14 +688,14 @@ let handle_serving t ~src msg =
            value = Store.value_of store ~key;
            inc = t.incarnation;
          })
-  | Prepare { op; key; version; sid; value } ->
+  | Prepare { op; key; version; sid; value; reply } ->
     bump t.prepares_seen;
     Store.stage_flat t.store ~op ~key ~version ~sid ~value;
     (match t.wal with
     | Some wal -> Wal.stage wal ~op ~key ~version ~sid ~value
     | None -> ());
-    send t ~dst:src (Message.Prepare_ack { op; inc = t.incarnation })
-  | Commit { op; inc } ->
+    send t ~dst:src (prepare_ack t ~op reply)
+  | Commit { op; inc; reply } ->
     if inc <> t.incarnation then begin
       (* The stage this commit refers to belonged to a previous life; its
          volatile state is gone.  Refuse so the coordinator retries the
@@ -718,7 +733,7 @@ let handle_serving t ~src msg =
       (* Ack even when nothing was staged: a same-incarnation resend means
          the first commit already applied (nothing can have been lost
          within one incarnation). *)
-      send t ~dst:src (Message.Commit_ack { op; inc = t.incarnation })
+      send t ~dst:src (commit_ack t ~op reply)
     end
   | Abort { op } ->
     if Store.has_staged t.store ~op || Store.staged_batch_size t.store ~op > 0
@@ -746,13 +761,13 @@ let handle_serving t ~src msg =
     in
     send t ~dst:src ~units:n_keys
       (Message.Read_batch_reply { op; entries; inc = t.incarnation })
-  | Prepare_batch { op; writes } ->
+  | Prepare_batch { op; writes; reply } ->
     t.prepares_seen.value <- t.prepares_seen.value + Batch.length writes;
     Store.stage_many t.store ~op writes;
     (match t.wal with
     | Some wal -> Wal.stage_batch wal ~op ~group:t.group_commit writes
     | None -> ());
-    send t ~dst:src (Message.Prepare_ack { op; inc = t.incarnation })
+    send t ~dst:src (prepare_ack t ~op reply)
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
   | Provision_request { op; from_chunk; chunk_size; key_space } ->
     (* donor duty: serve the requested chunk from local committed state *)

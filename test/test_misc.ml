@@ -54,12 +54,15 @@ let test_message_pp_and_op_id () =
             version = ts.Replication.Timestamp.version;
             sid = ts.Replication.Timestamp.sid;
             value = "v";
+            reply = Replication.Message.Prepare_ack { op = 3; inc = 0 };
           },
         3, "prepare" );
       (Replication.Message.Prepare_ack { op = 4; inc = 0 }, 4, "prepare-ack");
       ( Replication.Message.Prepare_nack { op = 5; reason = "r" },
         5, "prepare-nack" );
-      (Replication.Message.Commit { op = 6; inc = 0 }, 6, "commit");
+      ( Replication.Message.Commit
+          { op = 6; inc = 0; reply = Replication.Message.Commit_ack { op = 6; inc = 0 } },
+        6, "commit" );
       (Replication.Message.Commit_ack { op = 7; inc = 0 }, 7, "commit-ack");
       (Replication.Message.Abort { op = 8 }, 8, "abort");
       ( Replication.Message.Repair

@@ -161,13 +161,63 @@ let test_stale_commit_nacked () =
   Alcotest.(check int) "rejoined at incarnation 1" 1 (Replica.incarnation r);
   let nacks = ref [] in
   Network.set_handler ctx.net ~site:n (fun ~src:_ msg -> nacks := msg :: !nacks);
-  Network.send ctx.net ~src:n ~dst:0 (Message.Commit { op = 99; inc = 0 });
+  Network.send ctx.net ~src:n ~dst:0
+    (Message.Commit
+       { op = 99; inc = 0; reply = Message.Commit_ack { op = 99; inc = 0 } });
   Engine.run ctx.engine;
   Alcotest.(check int) "nack counter" 1 (Replica.stale_commits_nacked r);
   match !nacks with
   | [ Message.Prepare_nack { op = 99; reason } ] ->
     Alcotest.(check string) "reason" "stale-incarnation" reason
   | _ -> Alcotest.fail "expected exactly one stale-incarnation nack"
+
+(* Prepares and commits carry the ack they expect, and a replica sends it
+   only when it names the replica's current incarnation.  A replica that
+   never crashed echoes the carried ack itself; a rejoined one answers a
+   prepare that expects incarnation 0 with an ack of its own incarnation;
+   a stale-incarnation commit is nacked, never answered with its ack. *)
+let test_carried_reply_incarnation () =
+  let ctx = setup () in
+  let n = Array.length ctx.replicas in
+  let got = ref [] in
+  Network.set_handler ctx.net ~site:n (fun ~src msg -> got := (src, msg) :: !got);
+  let deliver ~dst msg =
+    got := [];
+    Network.send ctx.net ~src:n ~dst msg;
+    Engine.run ctx.engine;
+    match !got with
+    | [ (src, reply) ] when src = dst -> reply
+    | _ -> Alcotest.fail "expected exactly one reply"
+  in
+  let prepare op =
+    let ack = Message.Prepare_ack { op; inc = 0 } in
+    (ack, Message.Prepare { op; key = 1; version = 1; sid = n; value = "x"; reply = ack })
+  in
+  let ack, msg = prepare 10 in
+  Alcotest.(check bool) "incarnation 0 echoes the carried ack" true
+    (deliver ~dst:1 msg == ack);
+  Network.crash ctx.net 0;
+  Network.recover ctx.net 0;
+  Engine.run ctx.engine;
+  let r = ctx.replicas.(0) in
+  Alcotest.(check int) "rejoined at incarnation 1" 1 (Replica.incarnation r);
+  let ack, msg = prepare 11 in
+  (match deliver ~dst:0 msg with
+  | Message.Prepare_ack { op = 11; inc } as m ->
+    Alcotest.(check int) "ack stamped with incarnation 1" 1 inc;
+    Alcotest.(check bool) "not the carried ack" false (m == ack)
+  | _ -> Alcotest.fail "expected a prepare ack");
+  let stale_ack = Message.Commit_ack { op = 11; inc = 0 } in
+  (match deliver ~dst:0 (Message.Commit { op = 11; inc = 0; reply = stale_ack }) with
+  | Message.Prepare_nack { op = 11; reason } ->
+    Alcotest.(check string) "reason" "stale-incarnation" reason
+  | _ -> Alcotest.fail "expected a stale-incarnation nack");
+  Alcotest.(check int) "nack counter" 1 (Replica.stale_commits_nacked r);
+  let commit_ack = Message.Commit_ack { op = 11; inc = 1 } in
+  Alcotest.(check bool) "current incarnation echoes the carried commit ack" true
+    (deliver ~dst:0 (Message.Commit { op = 11; inc = 1; reply = commit_ack })
+    == commit_ack);
+  Alcotest.(check string) "commit applied" "x" (snd (Store.read (Replica.store r) ~key:1))
 
 (* Replies are stamped with the sender's incarnation so coordinators can
    fence replies that predate a crash. *)
@@ -277,4 +327,6 @@ let suite =
       test_negative_control_detects;
     Alcotest.test_case "checker attachment is inert" `Quick
       test_checker_attachment_inert;
+    Alcotest.test_case "carried replies never cross an incarnation" `Quick
+      test_carried_reply_incarnation;
   ]
