@@ -88,6 +88,11 @@ type campaign = {
   reconfig : reconfig_cell;
 }
 
+val workload : Arbitrary.Config.name -> theta:float -> int * Replication.Harness.scenario
+(** The saturating cell every scaling and skew run shards: 128 clients × 32
+    ops over 4096 keys on the configuration at n = 9 (snapped size
+    returned), Zipf [theta], consistency checking on. *)
+
 val run : ?domains:int -> unit -> campaign
 (** Seed 42, deterministic; [domains] only fans the independent workload
     cells over cores. *)

@@ -88,6 +88,10 @@ let overload_defaults =
     burst = None;
   }
 
+let batching_defaults = { batch_size = 1; group_commit = false; pipeline = 1 }
+let txn_defaults = { keys_per_txn = 2; atomic = true }
+let churn_defaults = { spares = 1; membership = []; chunk_size = 4; fence = true }
+
 let default_scenario ~proto =
   {
     proto;
@@ -136,7 +140,7 @@ let txn_scenario ~proto =
     ops_per_client = 30;
     key_space = 6;
     think_time = 2.0;
-    txn = Some { keys_per_txn = 2; atomic = true };
+    txn = Some txn_defaults;
   }
 
 let churn_scenario ~proto =
@@ -146,7 +150,7 @@ let churn_scenario ~proto =
     ops_per_client = 40;
     think_time = 3.0;
     horizon = 3000.0;
-    churn = Some { spares = 1; membership = []; chunk_size = 4; fence = true };
+    churn = Some churn_defaults;
   }
 
 type report = {
@@ -470,55 +474,50 @@ let tally_report ~engine ~smap ~nets ~protos ~n ~site r =
 
 let run_core ?obs sc =
   let b = sc.base in
-  if b.n_clients < 1 then invalid_arg "Harness.run: need a client";
-  if b.ops_per_client < 0 then invalid_arg "Harness.run: negative ops_per_client";
-  if sc.service_time < 0.0 then invalid_arg "Harness.run: negative service_time";
-  (match b.overload with
-  | Some { burst = Some bu; _ } when bu.burst_clients < 0 || bu.burst_ops < 0 ->
-    invalid_arg "Harness.run: negative burst_clients or burst_ops"
-  | _ -> ());
-  (match b.batching with
-  | Some bt when bt.batch_size < 1 || bt.pipeline < 1 ->
-    invalid_arg "Harness.run: batch_size and pipeline must be >= 1"
-  | _ -> ());
-  (match b.txn with
-  | Some tx when tx.keys_per_txn < 1 || tx.keys_per_txn > b.key_space ->
-    invalid_arg "Harness.run: keys_per_txn must be in [1, key_space]"
-  | Some _ when b.batching <> None ->
-    invalid_arg "Harness.run: transactions and batching exclude each other"
-  | _ -> ());
+  let check ok msg = if not ok then invalid_arg ("Harness.run: " ^ msg) in
+  check (b.n_clients >= 1) "need a client";
+  check (b.ops_per_client >= 0) "negative ops_per_client";
+  check (sc.service_time >= 0.0) "negative service_time";
+  (* [x >= 0.0] also refuses NaN. *)
+  check (b.horizon >= 0.0 && b.warmup >= 0.0 && b.think_time >= 0.0)
+    "negative horizon, warmup or think_time";
+  Option.iter
+    (fun bu ->
+      check (bu.burst_clients >= 0 && bu.burst_ops >= 0) "negative burst_clients or burst_ops";
+      check (bu.burst_at >= 0.0 && bu.burst_think >= 0.0) "negative burst_at or burst_think")
+    (Option.bind b.overload (fun o -> o.burst));
+  check (sc.reconfig = [] || b.use_locks) "reconfiguration requires use_locks";
+  Option.iter
+    (fun bt ->
+      check (bt.batch_size >= 1 && bt.pipeline >= 1) "batch_size and pipeline must be >= 1")
+    b.batching;
+  Option.iter
+    (fun tx ->
+      check (tx.keys_per_txn >= 1 && tx.keys_per_txn <= b.key_space)
+        "keys_per_txn must be in [1, key_space]";
+      check (b.batching = None) "transactions and batching exclude each other")
+    b.txn;
   (* Split targets exist from the start (their id is allocated when the
      split fires); until then they own no keys and see no traffic. *)
-  let max_shards =
-    sc.shards
-    + List.length
-        (List.filter
-           (function { action = Split _; _ } -> true | _ -> false)
-           sc.reconfig)
-  in
+  let splits = List.filter (function { action = Split _; _ } -> true | _ -> false) sc.reconfig in
+  let max_shards = sc.shards + List.length splits in
   List.iter
-    (fun (s, _) ->
-      if s < 0 || s >= max_shards then
-        invalid_arg "Harness.run: shard_failures index out of range")
+    (fun (s, _) -> check (s >= 0 && s < max_shards) "shard_failures index out of range")
     sc.shard_failures;
   List.iter
-    (fun (s, _) ->
-      if s < 0 || s >= max_shards then
-        invalid_arg "Harness.run: shard_loss index out of range")
+    (fun (s, _) -> check (s >= 0 && s < max_shards) "shard_loss index out of range")
     b.shard_loss;
-  (match b.churn with
-  | None -> ()
-  | Some c ->
-    if max_shards > 1 then invalid_arg "Harness.run: churn needs a single shard";
-    if c.spares < 0 then invalid_arg "Harness.run: negative spares";
-    let n = Protocol.universe_size b.proto in
-    List.iter
-      (fun (m : membership_op) ->
-        if m.position < 0 || m.position >= n then
-          invalid_arg "Harness.run: membership position out of range";
-        if m.spare < 0 || m.spare >= n + c.spares then
-          invalid_arg "Harness.run: membership spare out of range")
-      c.membership);
+  Option.iter
+    (fun c ->
+      check (max_shards <= 1) "churn needs a single shard";
+      check (c.spares >= 0) "negative spares";
+      let n = Protocol.universe_size b.proto in
+      List.iter
+        (fun (m : membership_op) ->
+          check (m.position >= 0 && m.position < n) "membership position out of range";
+          check (m.spare >= 0 && m.spare < n + c.spares) "membership spare out of range")
+        c.membership)
+    b.churn;
   (* A churn run wraps the tree in a relabel map over [n + spares] sites,
      and always runs amnesia crashes, client locks and provisioning in
      place of quorum catch-up: the membership flows need all three.  The

@@ -178,6 +178,15 @@ type scenario = {
       (** membership churn (default [None]); needs a single shard *)
 }
 
+val batching_defaults : batching
+(** [batch_size = 1], no group commit, [pipeline = 1]. *)
+
+val txn_defaults : txn
+(** Two keys per transaction, atomic. *)
+
+val churn_defaults : churn
+(** One spare, no membership changes, four keys per chunk, fenced. *)
+
 val default_scenario : proto:Quorum.Protocol.t -> scenario
 (** 4 clients × 50 ops, 50% reads, 8 keys, uniform keys, exponential(1)
     latency, no loss, no failures, locks on, oracle detector, horizon
@@ -345,13 +354,14 @@ val run_core : ?obs:Obs.t -> sharded -> sharded_report
     migration and tally coordinators when [reconfig] is not empty or
     [txn] is set.  The membership schedule of [churn] is laid after the
     clients are started and before the failure schedules are applied.
-    [obs] is that of {!run}.  Reconfiguration requires [base.use_locks]
-    ({!Shard_harness.run} checks it).
+    [obs] is that of {!run}.
 
     @raise Invalid_argument on no client, a negative op count (steady or
-    burst) or service time, bad batching or transaction sizes, a shard
-    index out of range, or a churn that is sharded, has negative spares,
-    or names a position or spare outside the tree or the site
+    burst), service time, horizon, warmup, think time or burst time, bad
+    batching or transaction sizes, a shard index out of range, a
+    reconfiguration without [base.use_locks] (the migration fence is only
+    safe behind client locks), or a churn that is sharded, has negative
+    spares, or names a position or spare outside the tree or the site
     universe. *)
 
 val run : ?obs:Obs.t -> scenario -> report

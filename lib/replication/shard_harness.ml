@@ -30,10 +30,7 @@ type report = Harness.sharded_report = {
   routing : int array;
 }
 
-let run ?obs sc =
-  if sc.reconfig <> [] && not sc.base.Harness.use_locks then
-    invalid_arg "Shard_harness.run: reconfiguration requires use_locks";
-  Harness.run_core ?obs sc
+let run = Harness.run_core
 
 let imbalance r =
   let ops = List.map (fun s -> r.per_shard_ops.(s)) r.active_shards in

@@ -41,9 +41,7 @@ type report = Harness.sharded_report = {
 }
 
 val run : ?obs:Obs.t -> scenario -> report
-(** {!Harness.run_core}.  Raises [Invalid_argument] on a reconfiguration
-    without [base.use_locks]: the migration fence is only safe behind
-    client locks. *)
+(** {!Harness.run_core}. *)
 
 val imbalance : report -> float * float
 (** (max, mean) successful ops per active shard — the skew report.  Both

@@ -301,4 +301,3 @@ let length t = t.n
 let lost_total t = t.lost
 let syncs t = t.syncs
 
-let pp_policy ppf p = Format.pp_print_string ppf (policy_to_string p)

@@ -168,4 +168,3 @@ val syncs : t -> int
     {!append}, at most one per {!append_batch}.  The batched-over-unbatched
     ratio of this counter is the group-commit amortization. *)
 
-val pp_policy : Format.formatter -> policy -> unit

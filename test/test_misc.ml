@@ -163,7 +163,22 @@ let test_harness_negative_ops () =
     }
   in
   refused "burst clients" "Harness.run: negative burst_clients or burst_ops" (burst (-3) 1);
-  refused "burst ops" "Harness.run: negative burst_clients or burst_ops" (burst 1 (-1))
+  refused "burst ops" "Harness.run: negative burst_clients or burst_ops" (burst 1 (-1));
+  (* Negative times: a negative horizon ran nothing, a negative warmup was
+     read as 0 and a negative think time failed mid-run in the engine. *)
+  let times = "Harness.run: negative horizon, warmup or think_time" in
+  refused "horizon" times { s with horizon = -10.0 };
+  refused "warmup" times { s with warmup = -1.0 };
+  refused "think time" times { s with think_time = -1.0 };
+  refused "NaN think time" times { s with think_time = Float.nan };
+  let burst_think t =
+    match (burst 1 1).overload with
+    | Some o ->
+      let burst = Option.map (fun b -> { b with H.burst_think = t }) o.burst in
+      { s with overload = Some { o with burst } }
+    | None -> assert false
+  in
+  refused "burst think" "Harness.run: negative burst_at or burst_think" (burst_think (-1.0))
 
 let test_bitset_pp () =
   let s = Format.asprintf "%a" Dsutil.Bitset.pp (Dsutil.Bitset.of_list 8 [ 1; 5 ]) in

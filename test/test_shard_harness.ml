@@ -189,7 +189,7 @@ let test_reconfig_requires_locks () =
     }
   in
   Alcotest.check_raises "reconfig without locks rejected"
-    (Invalid_argument "Shard_harness.run: reconfiguration requires use_locks")
+    (Invalid_argument "Harness.run: reconfiguration requires use_locks")
     (fun () -> ignore (Shard_harness.run sc))
 
 (* --- combinations every shard count supports ------------------------------ *)
