@@ -24,23 +24,6 @@ let sid b i = b.sids.(i)
 let value b i = b.values.(i)
 let ts b i = Timestamp.make ~version:b.versions.(i) ~sid:b.sids.(i)
 
-let init n f =
-  if n = 0 then empty
-  else begin
-    let keys = Array.make n 0
-    and versions = Array.make n 0
-    and sids = Array.make n 0
-    and values = Array.make n "" in
-    for i = 0 to n - 1 do
-      let k, v, s, value = f i in
-      keys.(i) <- k;
-      versions.(i) <- v;
-      sids.(i) <- s;
-      values.(i) <- value
-    done;
-    { keys; versions; sids; values }
-  end
-
 let of_list writes =
   let n = List.length writes in
   if n = 0 then empty
@@ -83,20 +66,6 @@ module Builder = struct
       len = 0;
     }
 
-  let length b = b.len
-
-  (* Wrap an immutable batch without copying: the builder's arrays alias
-     the batch's, but [len = capacity] means the first [push] grows (and
-     therefore copies) before writing, so the original stays intact. *)
-  let of_batch (src : batch) =
-    {
-      b_keys = src.keys;
-      b_versions = src.versions;
-      b_sids = src.sids;
-      b_values = src.values;
-      len = Array.length src.keys;
-    }
-
   let grow b needed =
     let cap = max 4 (max needed (2 * Array.length b.b_keys)) in
     let keys = Array.make cap 0
@@ -120,15 +89,9 @@ module Builder = struct
     b.b_values.(b.len) <- value;
     b.len <- b.len + 1
 
-  let key b i = b.b_keys.(i)
-  let version b i = b.b_versions.(i)
-  let sid b i = b.b_sids.(i)
-  let value b i = b.b_values.(i)
-
-  (* A trimmed immutable snapshot.  When the builder is exactly full —
-     the [of_batch] round trip, or a lucky exact fill — the arrays are
-     shared rather than copied; the builder is then in the same aliased
-     state [of_batch] produces, which stays safe for the same reason. *)
+  (* A trimmed immutable snapshot.  When the builder is exactly full the
+     arrays are shared rather than copied: the next [push] grows (and so
+     copies) before it writes, leaving the snapshot intact. *)
   let snapshot b : batch =
     if b.len = Array.length b.b_keys then
       {

@@ -15,6 +15,7 @@ type t = {
   values : string array;
 }
 
+val empty : t
 val length : t -> int
 
 val make :
@@ -30,32 +31,17 @@ val version : t -> int -> int
 val sid : t -> int -> int
 val value : t -> int -> string
 
-val init : int -> (int -> int * int * int * string) -> t
-(** [init n f] builds a batch from [f i = (key, version, sid, value)]. *)
-
 val of_list : (int * Timestamp.t * string) list -> t
 val to_list : t -> (int * Timestamp.t * string) list
 
-(** Amortized-doubling accumulator, the efficient replacement for the
-    [writes @ [w]] quadratic append that WAL replay used to do per staged
-    record. *)
+(** Amortized-doubling accumulator, for the exports that collect an
+    unknown number of writes (snapshot chunks, WAL tails). *)
 module Builder : sig
   type batch = t
   type t
 
   val create : ?capacity:int -> unit -> t
-  val length : t -> int
-
-  val of_batch : batch -> t
-  (** Wraps an immutable batch as a full builder {e without copying}; a
-      subsequent [push] copies on growth, leaving the original intact. *)
-
   val push : t -> key:int -> version:int -> sid:int -> value:string -> unit
-
-  val key : t -> int -> int
-  val version : t -> int -> int
-  val sid : t -> int -> int
-  val value : t -> int -> string
 
   val snapshot : t -> batch
   (** Trimmed immutable view; shares the arrays when the builder is

@@ -71,14 +71,15 @@ let dummy_scratch = make_scratch 0
 
 (* What an operation is and whom it answers.  A single-key op and a
    multi-key batch run the same machine; only the callback's shape (and
-   the envelope, chosen by key count) differs.  A held prepare answers
-   twice: [Prepare_hold] when its prepare completes (or fails), then
-   [Commit_held] once the caller's commit completes. *)
+   the envelope, chosen by key count) differs.  A batch's callback gets
+   the finished record itself, read through the [outcome_*] accessors.  A
+   held prepare answers twice: [Prepare_hold] when its prepare completes
+   (or fails), then [Commit_held] once the caller's commit completes. *)
 type kind =
   | Read_one of (read_result option -> unit)
   | Write_one of (Timestamp.t option -> unit)
-  | Read_many of ((int * read_result option) list -> unit)
-  | Write_many of ((int * Timestamp.t option) list -> unit)
+  | Read_many of (op_state -> unit)
+  | Write_many of (op_state -> unit)
   | Prepare_hold of ((staged, [ `Version | `Prepare ]) result -> unit)
   | Commit_held of (bool -> unit)
 
@@ -103,15 +104,22 @@ and op_state = {
   mutable max_s : int array;
   mutable max_val : string array;
   mutable attempts : int;  (** mutated in place by commit resends *)
-  mutable started : float;
+  times : Float.Array.t;
+      (** [\[| started; phase started |\]]: when the operation began, and
+          when the current phase's requests went out.  Unboxed: a float
+          field of this record would be a fresh box at every store. *)
   mutable sc : op_scratch;
   mutable phase : phase;
-  mutable phase_started : float;  (** when this phase's requests went out *)
   mutable replies : (int * int * int) list;
       (** (member, version, sid) gathered while querying; only populated
           for single-key reads with read repair on *)
   mutable forced : Timestamp.t option;
       (** a single-key write's caller-chosen timestamp: no version phase *)
+  mutable owner : int;
+      (** a single-key op's lock owner while it holds its key's lock, else
+          [no_owner] *)
+  mutable slice_pos : int;  (** where the caller's slice of keys starts *)
+  mutable ok : bool;  (** the outcome, set as the operation finishes *)
 }
 
 (* A held prepare's record, with the op id it parked under: a pooled
@@ -173,6 +181,14 @@ type t = {
 
 let engine t = Network.engine t.net
 
+(* The virtual time, read from the engine's clock slot: [Engine.now]
+   would return it boxed. *)
+let[@inline] now t = Float.Array.get (Engine.clock (engine t)) 0
+
+let[@inline] started st = Float.Array.get st.times 0
+let[@inline] set_started t st = Float.Array.set st.times 0 (now t)
+let[@inline] set_phase_started t st = Float.Array.set st.times 1 (now t)
+
 (* Placeholder until [create] installs the real handler. *)
 let uninit_timeout_h = Engine.handler (fun _ _ -> ())
 
@@ -220,6 +236,8 @@ let dummy_kind = Read_one (fun _ -> ())
    guard in [release_op]. *)
 let released = min_int
 
+let no_owner = -1
+
 let make_op cap =
   {
     op = released;
@@ -232,17 +250,22 @@ let make_op cap =
     max_s = Array.make cap 0;
     max_val = Array.make cap "";
     attempts = 0;
-    started = 0.0;
+    times = Float.Array.make 2 0.0;
     sc = dummy_scratch;
     phase = Querying;
-    phase_started = 0.0;
     replies = [];
     forced = None;
+    owner = no_owner;
+    slice_pos = 0;
+    ok = false;
   }
 
 (* Placeholder filling vacated pool slots so released records are not
    retained twice. *)
 let dummy_op = make_op 0
+
+(* What an empty batch answers with at once. *)
+let empty_outcome = { (make_op 0) with ok = true }
 
 (* A record for a new operation over [n] keys; the caller fills [keys],
    [values] and [spans] for positions [0, n). *)
@@ -267,7 +290,7 @@ let alloc_op t ~kind ~n =
   st.kind <- kind;
   st.n_keys <- n;
   st.attempts <- 0;
-  st.started <- Engine.now (engine t);
+  set_started t st;
   st.sc <- alloc_scratch t;
   st
 
@@ -322,9 +345,9 @@ let phase_timeout t =
   | Some rto -> Detect.Rto.timeout rto
   | None -> t.config.timeout
 
-let observe_rtt t ~since =
+let observe_rtt t st =
   match t.rto with
-  | Some rto -> Detect.Rto.observe rto (Engine.now (engine t) -. since)
+  | Some rto -> Detect.Rto.observe rto (now t -. Float.Array.get st.times 1)
   | None -> ()
 
 let send t ~dst msg = Network.send t.net ~src:t.site ~dst msg
@@ -409,20 +432,15 @@ let breaker_failure t site =
 let breaker_ok t site =
   match t.breaker with None -> () | Some b -> Detect.Breaker.record_ok b site
 
-(* Each locked operation is its own lock owner, so one client may have
-   several operations in flight on a key (pipelined windows, or one window
-   spread over shards).  Owner ids come from the shared lock manager, so
-   coordinators that share one (a client's per-shard coordinators, on one
-   site) never collide. *)
-let with_lock t ~key ~mode body =
-  match t.locks with
-  | None -> body (fun k -> k ())
-  | Some lm ->
-    let owner = Lock_manager.fresh_owner lm in
-    Lock_manager.acquire lm ~key ~mode ~owner (fun () ->
-        body (fun k ->
-            Lock_manager.release lm ~key ~owner;
-            k ()))
+(* A locked single-key op releases its key's lock as it finishes, before
+   its callback runs, so the next holder may start in the same instant. *)
+let unlock t st =
+  if st.owner <> no_owner then begin
+    (match t.locks with
+    | Some lm -> Lock_manager.release lm ~key:st.keys.(0) ~owner:st.owner
+    | None -> ());
+    st.owner <- no_owner
+  end
 
 (* --- operation lifecycle ------------------------------------------------ *)
 
@@ -487,17 +505,10 @@ let account_ok t st i ~elapsed =
     Stats.add t.read_latency elapsed
   end
 
-(* [(key, f i)] for every position, in request order. *)
-let per_key st f =
-  let rec go i acc =
-    if i < 0 then acc else go (i - 1) ((st.keys.(i), f i) :: acc)
-  in
-  go (st.n_keys - 1) []
-
 let finish t st ~ok =
   Int_tbl.remove t.pending st.op;
   release_scratch t st;
-  let elapsed = Engine.now (engine t) -. st.started in
+  let elapsed = now t -. started st in
   let k = st.n_keys in
   for i = 0 to k - 1 do
     if ok then account_ok t st i ~elapsed
@@ -506,13 +517,12 @@ let finish t st ~ok =
   if not ok then
     if is_write st then t.writes_failed.value <- t.writes_failed.value + k
     else t.reads_failed.value <- t.reads_failed.value + k;
+  st.ok <- ok;
+  unlock t st;
   (match st.kind with
   | Read_one cb -> cb (if ok then Some (read_result st 0) else None)
   | Write_one cb -> cb (if ok then Some (write_ts st 0) else None)
-  | Read_many cb ->
-    cb (per_key st (fun i -> if ok then Some (read_result st i) else None))
-  | Write_many cb ->
-    cb (per_key st (fun i -> if ok then Some (write_ts st i) else None))
+  | Read_many cb | Write_many cb -> cb st
   | Prepare_hold cb ->
     (* Only failure ends a held prepare here; success parks it. *)
     cb (Error (if st.phase = Querying then `Version else `Prepare))
@@ -551,7 +561,7 @@ let retry ?(timed_out = false) t st =
     let delay =
       Detect.Backoff.delay t.config.backoff ~rng:t.rng ~attempt:st.attempts
     in
-    if Engine.now (engine t) +. delay >= st.started +. t.config.deadline then begin
+    if now t +. delay >= started st +. t.config.deadline then begin
       bump t.deadline_exceeded;
       finish t st ~ok:false
     end
@@ -591,7 +601,7 @@ let start_prepare t st =
     Array.fill sc.winc 0 n 0;
     sc.n_q <- n;
     sc.waiting_n <- n;
-    st.phase_started <- Engine.now (engine t);
+    set_phase_started t st;
     ophase t st ~kind:Obs.Span.Prepare;
     arm_timeout t st;
     let k = st.n_keys in
@@ -630,7 +640,7 @@ let start_attempt t st =
   let op = fresh_op t in
   st.op <- op;
   st.phase <- Querying;
-  st.phase_started <- Engine.now (engine t);
+  set_phase_started t st;
   for i = 0 to st.n_keys - 1 do
     st.max_v.(i) <- 0;
     st.max_s.(i) <- 0;
@@ -699,7 +709,7 @@ let reply_received t st ~src =
   if i < sc.n_q then begin
     sc.q.(i) <- -1;
     sc.waiting_n <- sc.waiting_n - 1;
-    observe_rtt t ~since:st.phase_started;
+    observe_rtt t st;
     breaker_ok t src
   end
 
@@ -751,7 +761,7 @@ let query_complete t st =
 let prepare_complete t st =
   let sc = st.sc in
   st.phase <- Committing;
-  st.phase_started <- Engine.now (engine t);
+  set_phase_started t st;
   Array.blit sc.w 0 sc.q 0 sc.n_w;
   sc.n_q <- sc.n_w;
   sc.waiting_n <- sc.n_w;
@@ -942,82 +952,123 @@ let open_span t ~op ~key =
 let budget_attempt t =
   match t.budget with None -> () | Some b -> Detect.Budget.on_attempt b
 
-let start_one t kind ~key ~value ~span ~forced =
+(* A single-key op.  With [locks] (and no forced timestamp) it starts once
+   its key's lock is granted, and each locked operation is its own lock
+   owner, so one client may have several operations in flight on a key
+   (pipelined windows, or one window spread over shards).  Owner ids come
+   from the shared lock manager, so coordinators that share one (a
+   client's per-shard coordinators, on one site) never collide.  A forced
+   write is state transfer, which runs under its caller's fences: it takes
+   no lock of its own. *)
+let launch_one t kind ~key ~pos ~value ~span ~forced ~owner =
   let st = alloc_op t ~kind ~n:1 in
   st.keys.(0) <- key;
   st.values.(0) <- value;
   st.spans.(0) <- span;
   st.forced <- forced;
+  st.slice_pos <- pos;
+  st.owner <- owner;
   start_attempt t st
+
+let start_one t kind ~op ~mode ~key ~pos ~value ~forced =
+  let span = open_span t ~op ~key in
+  match (t.locks, forced) with
+  | Some lm, None ->
+    let owner = Lock_manager.fresh_owner lm in
+    Lock_manager.acquire lm ~key ~mode ~owner (fun () ->
+        launch_one t kind ~key ~pos ~value ~span ~forced ~owner)
+  | _ -> launch_one t kind ~key ~pos ~value ~span ~forced ~owner:no_owner
 
 let read t ?(retry = false) ~key k =
   if not retry then budget_attempt t;
-  let span = open_span t ~op:"read" ~key in
-  with_lock t ~key ~mode:Lock_manager.Shared (fun unlock ->
-      start_one t (Read_one (fun r -> unlock (fun () -> k r))) ~key ~value:""
-        ~span ~forced:None)
+  start_one t (Read_one k) ~op:"read" ~mode:Lock_manager.Shared ~key ~pos:0
+    ~value:"" ~forced:None
 
-(* A forced write is state transfer, which runs under its caller's
-   fences: it takes no lock of its own. *)
 let write t ?(retry = false) ~key ?ts ~value k =
   if not retry then budget_attempt t;
-  let span = open_span t ~op:"write" ~key in
-  match ts with
-  | Some _ -> start_one t (Write_one k) ~key ~value ~span ~forced:ts
-  | None ->
-    with_lock t ~key ~mode:Lock_manager.Exclusive (fun unlock ->
-        start_one t (Write_one (fun r -> unlock (fun () -> k r))) ~key ~value
-          ~span ~forced:None)
+  start_one t (Write_one k) ~op:"write" ~mode:Lock_manager.Exclusive ~key
+    ~pos:0 ~value ~forced:ts
 
-(* Multi-key entries.  A batch of one key is a plain single-key op — locks,
-   spans, RNG draws and all — so batch size 1 is byte-identical to
-   unbatched operation.  Batches of >= 2 keys skip the per-key lock
-   manager: monotone installs plus quorum intersection make concurrent
-   multi-key writes safe without it (timestamps totally order by (version,
-   sid)), and one lock per batch would serialize exactly the parallelism
-   batching exists to create. *)
-let start_many t ~op ~n kind fill =
+(* Multi-key entries, over the caller's slice [pos, pos + len) of [keys]
+   (and [values]), copied into the record's columns.  A batch of one key
+   is a plain single-key op — locks, spans, RNG draws and all — so batch
+   size 1 is byte-identical to unbatched operation.  Batches of >= 2 keys
+   skip the per-key lock manager: monotone installs plus quorum
+   intersection make concurrent multi-key writes safe without it
+   (timestamps totally order by (version, sid)), and one lock per batch
+   would serialize exactly the parallelism batching exists to create. *)
+let check_slice fn keys ~pos ~len =
+  if pos < 0 || len < 0 || pos > Array.length keys - len then
+    invalid_arg ("Coordinator." ^ fn ^ ": slice out of bounds")
+
+let no_values : string array = [||]
+
+let start_many t kind ~op ~keys ~values ~pos ~len =
   budget_attempt t;
-  if n > 1 then bump t.batches;
-  let st = alloc_op t ~kind ~n in
-  fill st;
-  for i = 0 to n - 1 do
+  if len > 1 then bump t.batches;
+  let st = alloc_op t ~kind ~n:len in
+  Array.blit keys pos st.keys 0 len;
+  if values != no_values then Array.blit values pos st.values 0 len;
+  st.slice_pos <- pos;
+  for i = 0 to len - 1 do
     st.spans.(i) <- ospan t ~op ~key:st.keys.(i)
   done;
   start_attempt t st
 
-let read_batch t ~keys k =
-  match keys with
-  | [] -> k []
-  | [ key ] -> read t ~key (fun r -> k [ (key, r) ])
-  | _ ->
-    start_many t ~op:"read" ~n:(List.length keys) (Read_many k)
-      (fun st -> List.iteri (fun i key -> st.keys.(i) <- key) keys)
+let read_batch t ~keys ~pos ~len k =
+  check_slice "read_batch" keys ~pos ~len;
+  if len = 0 then k empty_outcome
+  else if len = 1 then begin
+    budget_attempt t;
+    start_one t (Read_many k) ~op:"read" ~mode:Lock_manager.Shared
+      ~key:keys.(pos) ~pos ~value:"" ~forced:None
+  end
+  else start_many t (Read_many k) ~op:"read" ~keys ~values:no_values ~pos ~len
 
-let fill_writes writes st =
-  List.iteri
-    (fun i (key, value) ->
-      st.keys.(i) <- key;
-      st.values.(i) <- value)
-    writes
+let check_values fn keys values ~pos ~len =
+  check_slice fn keys ~pos ~len;
+  check_slice fn values ~pos ~len
 
-let write_batch t ~writes k =
-  match writes with
-  | [] -> k []
-  | [ (key, value) ] -> write t ~key ~value (fun r -> k [ (key, r) ])
-  | _ ->
-    start_many t ~op:"write" ~n:(List.length writes) (Write_many k)
-      (fill_writes writes)
+let write_batch t ~keys ~values ~pos ~len k =
+  check_values "write_batch" keys values ~pos ~len;
+  if len = 0 then k empty_outcome
+  else if len = 1 then begin
+    budget_attempt t;
+    start_one t (Write_many k) ~op:"write" ~mode:Lock_manager.Exclusive
+      ~key:keys.(pos) ~pos ~value:values.(pos) ~forced:None
+  end
+  else start_many t (Write_many k) ~op:"write" ~keys ~values ~pos ~len
 
 (* A held prepare is a write batch whose machine parks in [Prepared]
    between the prepare and commit phases: the same record, quorum and op
    id carry on into [commit_staged]'s commit phase, or end with
    [abort_staged]'s rollback.  Any key count, one included, and no locks:
    the caller owns concurrency control. *)
-let prepare_batch t ~writes k =
-  if writes = [] then invalid_arg "Coordinator.prepare_batch: no writes";
-  start_many t ~op:"write" ~n:(List.length writes) (Prepare_hold k)
-    (fill_writes writes)
+let prepare_batch t ~keys ~values ~pos ~len k =
+  check_values "prepare_batch" keys values ~pos ~len;
+  if len = 0 then invalid_arg "Coordinator.prepare_batch: no writes";
+  start_many t (Prepare_hold k) ~op:"write" ~keys ~values ~pos ~len
+
+type outcome = op_state
+
+let outcome_ok o = o.ok
+let outcome_pos o = o.slice_pos
+let outcome_length o = o.n_keys
+
+let check_position o i =
+  if i < 0 || i >= o.n_keys then invalid_arg "Coordinator.outcome: position out of range"
+
+let outcome_version o i =
+  check_position o i;
+  o.max_v.(i)
+
+let outcome_sid o i =
+  check_position o i;
+  o.max_s.(i)
+
+let outcome_value o i =
+  check_position o i;
+  o.max_val.(i)
 
 let check_held fn { st; held_op } =
   if st.op <> held_op || st.phase <> Prepared then

@@ -121,14 +121,47 @@ val write :
     idempotent at the replicas.  A forced write takes no lock, whatever
     [locks] says: state transfer runs under its caller's fences. *)
 
+(** {2 Batches}
+
+    A batch runs over the caller's slice [\[pos, pos + len)] of a key
+    array (and, for writes, of a value array of the same layout); the
+    keys and values are copied when the call is made, so the caller may
+    reuse its arrays at once.  Its callback gets an {!outcome}: the
+    finished operation itself, read position by position. *)
+
+type outcome
+(** A finished batch.  Valid only while its callback runs: the record
+    behind it is reused by a later operation once the callback returns. *)
+
+val outcome_ok : outcome -> bool
+(** Whether every position succeeded.  A batch retries as a whole, so its
+    positions succeed or fail together. *)
+
+val outcome_pos : outcome -> int
+(** The [pos] of the slice the batch was issued over. *)
+
+val outcome_length : outcome -> int
+(** The [len] of that slice. *)
+
+val outcome_version : outcome -> int -> int
+(** [outcome_version o i]: the timestamp version at slice position [i]
+    ([0 <= i < outcome_length o]) of a successful batch: the newest one
+    read, or the one written.  Raises [Invalid_argument] outside the
+    slice. *)
+
+val outcome_sid : outcome -> int -> int
+(** Likewise, the timestamp's writer site. *)
+
+val outcome_value : outcome -> int -> string
+(** The value a successful read batch read at slice position [i]. *)
+
 val read_batch :
-  t -> keys:int list -> ((int * read_result option) list -> unit) -> unit
+  t -> keys:int array -> pos:int -> len:int -> (outcome -> unit) -> unit
 (** Batched read: ONE quorum round answers every key.  Each quorum member
     receives a single {!Message.t.Read_batch} envelope (one message, one
-    service-queue slot) and answers all keys at once; the callback gets a
-    per-key result in request order — per-key success/failure reporting,
-    though with whole-batch retry a round either answers every key or
-    (after the retry budget) fails every key.
+    service-queue slot) and answers all keys at once; with whole-batch
+    retry a round either answers every key or (after the retry budget)
+    fails every key.  An empty slice answers at once, successfully.
 
     A batch of one key is a {!read} (locks included), so batch size 1 is
     byte-identical to unbatched operation.  Larger batches skip the
@@ -136,20 +169,24 @@ val read_batch :
     them safe without it.  Phases and retries are traced on single-key
     spans only; a batch's per-key spans record their outcome.  A batch
     deposits once into the retry budget, whatever its size (it consumes
-    one quorum round of capacity). *)
+    one quorum round of capacity).  Raises [Invalid_argument] when the
+    slice is out of bounds. *)
 
 val write_batch :
   t ->
-  writes:(int * string) list ->
-  ((int * Timestamp.t option) list -> unit) ->
+  keys:int array ->
+  values:string array ->
+  pos:int ->
+  len:int ->
+  (outcome -> unit) ->
   unit
-(** Batched write: one version-query round (a {!Message.t.Read_batch}
-    over a read quorum) obtains every key's newest version, then ONE
-    two-phase-commit exchange carries all keys — a single
-    {!Message.t.Prepare_batch} envelope per write-quorum member, staged
-    and committed atomically under one op id, one [Commit]/[Commit_ack]
-    pair per member.  The callback gets each key's commit timestamp (or
-    [None] for the whole batch on failure), in request order.
+(** Batched write of [values.(i)] to [keys.(i)] over the slice: one
+    version-query round (a {!Message.t.Read_batch} over a read quorum)
+    obtains every key's newest version, then ONE two-phase-commit
+    exchange carries all keys — a single {!Message.t.Prepare_batch}
+    envelope per write-quorum member, staged and committed atomically
+    under one op id, one [Commit]/[Commit_ack] pair per member.  The
+    outcome holds each position's commit timestamp.
 
     A key written twice in one batch gets strictly increasing versions,
     so its last value wins.  Singleton, locking and budget semantics as
@@ -171,16 +208,19 @@ type staged
 
 val prepare_batch :
   t ->
-  writes:(int * string) list ->
+  keys:int array ->
+  values:string array ->
+  pos:int ->
+  len:int ->
   ((staged, [ `Version | `Prepare ]) result -> unit) ->
   unit
-(** Version phase, then prepare, of [writes] (any number >= 1 of keys,
-    versions as in {!write_batch}); the callback gets the held prepare,
-    or the phase the last attempt failed in.  Takes no locks whatever
-    [locks] says: the caller owns concurrency control.  Spans, counters
-    and the retry budget as in {!write_batch}: a held prepare's keys count
-    (and close their spans) when it commits or aborts.  Raises
-    [Invalid_argument] on an empty [writes]. *)
+(** Version phase, then prepare, of the slice's writes (any number >= 1
+    of keys, versions as in {!write_batch}); the callback gets the held
+    prepare, or the phase the last attempt failed in.  Takes no locks
+    whatever [locks] says: the caller owns concurrency control.  Spans,
+    counters and the retry budget as in {!write_batch}: a held prepare's
+    keys count (and close their spans) when it commits or aborts.  Raises
+    [Invalid_argument] on an empty or out-of-bounds slice. *)
 
 val commit_staged : t -> staged -> (bool -> unit) -> unit
 (** Commit a held prepare, resending to laggards on timeout; [false] when

@@ -454,12 +454,12 @@ let tally_report ~engine ~smap ~nets ~protos ~n ~site r =
   Array.iteri
     (fun s reader ->
       incr pending;
-      Coordinator.read_batch reader ~keys:(Shard_map.keys_of smap s) (fun rs ->
-          List.iter
-            (function
-              | _, Some { Coordinator.value; _ } -> observed := !observed + value_of value
-              | _, None -> ())
-            rs;
+      let keys = Array.of_list (Shard_map.keys_of smap s) in
+      Coordinator.read_batch reader ~keys ~pos:0 ~len:(Array.length keys) (fun o ->
+          if Coordinator.outcome_ok o then
+            for i = 0 to Coordinator.outcome_length o - 1 do
+              observed := !observed + value_of (Coordinator.outcome_value o i)
+            done;
           decr pending))
     readers;
   Engine.run engine;
@@ -472,11 +472,107 @@ let tally_report ~engine ~smap ~nets ~protos ~n ~site r =
       && !observed <= r.committed_increments + r.uncertain_increments;
   }
 
+(* One pipeline slot of a batched client.  A window is drawn in issue
+   order into the [d_*] columns, then grouped by shard with a counting
+   sort: the reads of shard [s] land in [r_*] positions
+   [r_start.(s), r_start.(s) + r_count.(s)), the writes likewise in the
+   [w_*] columns, each shard's run in issue order.  Every buffer is
+   allocated with the slot and reused by each of its windows. *)
+type window = {
+  d_key : int array;
+  d_read : bool array;
+  d_value : string array;
+  d_shard : int array;
+  r_key : int array;
+  r_expected : Timestamp.t array;  (** the checker's newest at issue *)
+  r_shard : int array;
+  w_key : int array;
+  w_value : string array;
+  w_shard : int array;
+  r_count : int array;  (** per shard *)
+  r_start : int array;
+  w_count : int array;
+  w_start : int array;
+  cursor : int array;  (** per shard: the next free position while placing *)
+  mutable parts : int;  (** read and write batches still in flight *)
+}
+
+let make_window ~size ~shards =
+  {
+    d_key = Array.make size 0;
+    d_read = Array.make size false;
+    d_value = Array.make size "";
+    d_shard = Array.make size 0;
+    r_key = Array.make size 0;
+    r_expected = Array.make size Timestamp.zero;
+    r_shard = Array.make size 0;
+    w_key = Array.make size 0;
+    w_value = Array.make size "";
+    w_shard = Array.make size 0;
+    r_count = Array.make shards 0;
+    r_start = Array.make shards 0;
+    w_count = Array.make shards 0;
+    w_start = Array.make shards 0;
+    cursor = Array.make shards 0;
+    parts = 0;
+  }
+
+(* Group the window's first [n] drawn ops by shard (see [window]);
+   [expected key] is read as each read is placed, and [parts] counts the
+   non-empty runs. *)
+let group_window w n ~expected =
+  let shards = Array.length w.r_count in
+  Array.fill w.r_count 0 shards 0;
+  Array.fill w.w_count 0 shards 0;
+  for j = 0 to n - 1 do
+    let s = w.d_shard.(j) in
+    if w.d_read.(j) then w.r_count.(s) <- w.r_count.(s) + 1
+    else w.w_count.(s) <- w.w_count.(s) + 1
+  done;
+  let r = ref 0 and wr = ref 0 in
+  w.parts <- 0;
+  for s = 0 to shards - 1 do
+    w.r_start.(s) <- !r;
+    w.w_start.(s) <- !wr;
+    r := !r + w.r_count.(s);
+    wr := !wr + w.w_count.(s);
+    if w.r_count.(s) > 0 then w.parts <- w.parts + 1;
+    if w.w_count.(s) > 0 then w.parts <- w.parts + 1
+  done;
+  (* Reads first: their cursors start at [r_start]. *)
+  Array.blit w.r_start 0 w.cursor 0 shards;
+  for j = 0 to n - 1 do
+    if w.d_read.(j) then begin
+      let s = w.d_shard.(j) in
+      let p = w.cursor.(s) in
+      w.cursor.(s) <- p + 1;
+      w.r_key.(p) <- w.d_key.(j);
+      w.r_expected.(p) <- expected w.d_key.(j);
+      w.r_shard.(p) <- s
+    end
+  done;
+  Array.blit w.w_start 0 w.cursor 0 shards;
+  for j = 0 to n - 1 do
+    if not w.d_read.(j) then begin
+      let s = w.d_shard.(j) in
+      let p = w.cursor.(s) in
+      w.cursor.(s) <- p + 1;
+      w.w_key.(p) <- w.d_key.(j);
+      w.w_value.(p) <- w.d_value.(j);
+      w.w_shard.(p) <- s
+    end
+  done
+
 let run_core ?obs sc =
   let b = sc.base in
   let check ok msg = if not ok then invalid_arg ("Harness.run: " ^ msg) in
   check (b.n_clients >= 1) "need a client";
   check (b.ops_per_client >= 0) "negative ops_per_client";
+  (* Range checks are written [lo <= x && x <= hi] so that NaN fails them. *)
+  check (b.key_space >= 1) "key_space must be >= 1";
+  check (b.zipf_theta >= 0.0 && b.zipf_theta <= 2.0) "zipf_theta out of [0, 2]";
+  check (b.read_fraction >= 0.0 && b.read_fraction <= 1.0)
+    "read_fraction out of [0, 1]";
   check (sc.service_time >= 0.0) "negative service_time";
   (* [x >= 0.0] also refuses NaN. *)
   check (b.horizon >= 0.0 && b.warmup >= 0.0 && b.think_time >= 0.0)
@@ -555,6 +651,9 @@ let run_core ?obs sc =
     Shard_map.create ~strategy:sc.strategy ~shards:sc.shards ~key_space:b.key_space
       ~seed:b.seed ()
   in
+  (* One key distribution for the whole run: every client samples it with
+     its own RNG stream. *)
+  let keys = Workload.Zipf.create ~n:b.key_space ~theta:b.zipf_theta in
   let engine = Engine.create ~seed:b.seed () in
   (* A positive [service_time] sets every replica's service time. *)
   let overload =
@@ -714,10 +813,7 @@ let run_core ?obs sc =
             ?view ?budget ?breaker:breakers.(s) ?obs ~config:b.coordinator ())
     in
     let rng = Rng.split (Engine.rng engine) in
-    let gen =
-      Workload.Generator.create ~rng ~read_fraction:b.read_fraction
-        ~key_space:b.key_space ~zipf_theta:b.zipf_theta ()
-    in
+    let gen = Workload.Generator.create ~rng ~read_fraction:b.read_fraction ~keys in
     let expected_now key =
       match Hashtbl.find checker.latest key with
       | exception Not_found -> Timestamp.zero
@@ -737,6 +833,13 @@ let run_core ?obs sc =
         record_completion shard;
         Hashtbl.replace checker.latest key (Timestamp.max (expected_now key) ts)
       | None -> ()
+    in
+    (* [process_write]'s checker update for a flat timestamp, which is
+       boxed only when it becomes the key's newest. *)
+    let note_write key ~version ~sid =
+      let cur = expected_now key in
+      if Timestamp.newer_flat version sid cur.Timestamp.version cur.Timestamp.sid then
+        Hashtbl.replace checker.latest key (Timestamp.make ~version ~sid)
     in
     (* Unbatched loop with preallocated per-client closures: the current
        op's key, shard and expected timestamp ride in mutable slots
@@ -779,11 +882,13 @@ let run_core ?obs sc =
       dispatch ()
     in
     (* Batched client: ops are issued in windows of [batch_size], grouped
-       per shard into one read-batch plus one write-batch per touched
-       shard, with up to [pipeline] windows outstanding.  Think time is
-       drawn after a window completes, so [batch_size = 1, pipeline = 1]
-       draws the RNG in exactly the unbatched order and every run is
-       byte-identical to [step]. *)
+       per shard into one read batch plus one write batch per touched
+       shard (every read batch in shard order, then every write batch),
+       with up to [pipeline] windows outstanding.  Think time is drawn
+       after a window completes, so [batch_size = 1, pipeline = 1] draws
+       the RNG in exactly the unbatched order and every run is
+       byte-identical to [step].  Each slot owns its window buffers and
+       its callbacks, so a window allocates neither. *)
     let run_batched bt =
       let remaining = ref ops in
       let slots = ref bt.pipeline in
@@ -791,65 +896,70 @@ let run_core ?obs sc =
         decr slots;
         if !slots = 0 then client_finished ()
       in
-      let rec slot_step () =
-        if !remaining = 0 then retire ()
-        else begin
-          let wsize = min bt.batch_size !remaining in
-          remaining := !remaining - wsize;
-          (* Draw the whole window up front, in issue order. *)
-          let window = ref [] in
-          for _ = 1 to wsize do
-            window := Workload.Generator.next gen :: !window
-          done;
-          let reads_by = Array.make max_shards [] in
-          let writes_by = Array.make max_shards [] in
-          List.iter
-            (function
+      let slot () =
+        let w = make_window ~size:bt.batch_size ~shards:max_shards in
+        let rec window () =
+          if !remaining = 0 then retire ()
+          else begin
+            let wsize = min bt.batch_size !remaining in
+            remaining := !remaining - wsize;
+            (* Draw the whole window up front, in issue order. *)
+            for j = 0 to wsize - 1 do
+              match Workload.Generator.next gen with
               | Workload.Generator.Read key ->
-                let s = Shard_map.route smap key in
-                reads_by.(s) <- (key, expected_now key) :: reads_by.(s)
+                w.d_key.(j) <- key;
+                w.d_read.(j) <- true;
+                w.d_shard.(j) <- Shard_map.route smap key
               | Workload.Generator.Write (key, value) ->
-                let s = Shard_map.route smap key in
-                writes_by.(s) <- (key, value) :: writes_by.(s))
-            (List.rev !window);
-          let parts = ref 0 in
-          for s = 0 to max_shards - 1 do
-            reads_by.(s) <- List.rev reads_by.(s);
-            writes_by.(s) <- List.rev writes_by.(s);
-            if reads_by.(s) <> [] then incr parts;
-            if writes_by.(s) <> [] then incr parts
-          done;
-          let part_done () =
-            decr parts;
-            if !parts = 0 then
-              Engine.schedule engine
-                ~delay:(Workload.Generator.think_time gen ~mean:think)
-                slot_step
-          in
-          Array.iteri
-            (fun s reads ->
-              if reads <> [] then
-                Coordinator.read_batch coords.(s) ~keys:(List.map fst reads)
-                  (fun results ->
-                    List.iter2
-                      (fun (_, expected) (_, result) ->
-                        process_read ~shard:s expected result)
-                      reads results;
-                    part_done ()))
-            reads_by;
-          Array.iteri
-            (fun s writes ->
-              if writes <> [] then
-                Coordinator.write_batch coords.(s) ~writes (fun results ->
-                    List.iter
-                      (fun (key, result) -> process_write ~shard:s key result)
-                      results;
-                    part_done ()))
-            writes_by
-        end
+                w.d_key.(j) <- key;
+                w.d_read.(j) <- false;
+                w.d_value.(j) <- value;
+                w.d_shard.(j) <- Shard_map.route smap key
+            done;
+            group_window w wsize ~expected:expected_now;
+            for s = 0 to max_shards - 1 do
+              if w.r_count.(s) > 0 then
+                Coordinator.read_batch coords.(s) ~keys:w.r_key ~pos:w.r_start.(s)
+                  ~len:w.r_count.(s) reads_done
+            done;
+            for s = 0 to max_shards - 1 do
+              if w.w_count.(s) > 0 then
+                Coordinator.write_batch coords.(s) ~keys:w.w_key ~values:w.w_value
+                  ~pos:w.w_start.(s) ~len:w.w_count.(s) writes_done
+            done
+          end
+        and reads_done o =
+          let pos = Coordinator.outcome_pos o in
+          if Coordinator.outcome_ok o then
+            for i = 0 to Coordinator.outcome_length o - 1 do
+              let expected = w.r_expected.(pos + i) in
+              record_completion w.r_shard.(pos + i);
+              if
+                Timestamp.newer_flat expected.Timestamp.version expected.Timestamp.sid
+                  (Coordinator.outcome_version o i) (Coordinator.outcome_sid o i)
+              then checker.violations <- checker.violations + 1
+            done;
+          part_done ()
+        and writes_done o =
+          let pos = Coordinator.outcome_pos o in
+          if Coordinator.outcome_ok o then
+            for i = 0 to Coordinator.outcome_length o - 1 do
+              record_completion w.w_shard.(pos + i);
+              note_write w.w_key.(pos + i) ~version:(Coordinator.outcome_version o i)
+                ~sid:(Coordinator.outcome_sid o i)
+            done;
+          part_done ()
+        and part_done () =
+          w.parts <- w.parts - 1;
+          if w.parts = 0 then
+            Engine.schedule engine
+              ~delay:(Workload.Generator.think_time gen ~mean:think)
+              window
+        in
+        window ()
       in
       for _ = 1 to bt.pipeline do
-        slot_step ()
+        slot ()
       done
     in
     (* Transaction client: [ops] increment transactions over the client's

@@ -64,7 +64,8 @@ val overload_defaults : overload
 type batching = {
   batch_size : int;
       (** client ops per batch window (>= 1); a window becomes one
-          {!Coordinator.read_batch} plus one {!Coordinator.write_batch} *)
+          {!Coordinator.read_batch} plus one {!Coordinator.write_batch}
+          per shard it touches *)
   group_commit : bool;
       (** replicas WAL one batch under a single durability point
           ({!Replica.create}'s [group_commit]) *)
@@ -356,9 +357,13 @@ val run_core : ?obs:Obs.t -> sharded -> sharded_report
     clients are started and before the failure schedules are applied.
     [obs] is that of {!run}.
 
+    Every client's generator samples one key distribution, built once
+    for the run, through the client's own RNG stream.
+
     @raise Invalid_argument on no client, a negative op count (steady or
-    burst), service time, horizon, warmup, think time or burst time, bad
-    batching or transaction sizes, a shard index out of range, a
+    burst), service time, horizon, warmup, think time or burst time, no
+    key, a [zipf_theta] outside [\[0, 2\]] or a [read_fraction] outside
+    [\[0, 1\]] (NaN included), bad batching or transaction sizes, a shard index out of range, a
     reconfiguration without [base.use_locks] (the migration fence is only
     safe behind client locks), or a churn that is sharded, has negative
     spares, or names a position or spare outside the tree or the site

@@ -342,7 +342,7 @@ let serve_chunk t ~dst ~op ~chunk ~chunk_size ~key_space =
 let serve_tail t ~dst ~op ~from_index =
   let next_index, entries =
     match t.wal with
-    | None -> (0, Batch.init 0 (fun _ -> (0, 0, 0, "")))
+    | None -> (0, Batch.empty)
     | Some w -> (Wal.next_index w, Wal.committed_since w ~index:from_index)
   in
   send t ~units:(max 1 (Batch.length entries)) ~dst
@@ -717,17 +717,17 @@ let handle_serving t ~src msg =
            bump t.writes_applied
        end
        else
-         let n = Store.staged_batch_size t.store ~op in
-         if n > 0 then begin
+         let slot = Store.staged_batch_slot store ~op in
+         if slot >= 0 then begin
            (* A staged batch commits atomically: every write's Commit
               record shares the batch's durability point. *)
+           let n = Store.slot_length store slot in
            (match t.wal with
-           | Some wal -> (
-             match Store.staged_many t.store ~op with
-             | Some writes -> Wal.commit_batch wal ~op ~group:t.group_commit writes
-             | None -> ())
+           | Some wal ->
+             Wal.commit_batch wal ~op ~group:t.group_commit ~len:n
+               (Store.slot_batch store slot)
            | None -> ());
-           if Store.commit_staged t.store ~op then
+           if Store.commit_staged store ~op then
              t.writes_applied.value <- t.writes_applied.value + n
          end);
       (* Ack even when nothing was staged: a same-incarnation resend means
@@ -736,7 +736,7 @@ let handle_serving t ~src msg =
       send t ~dst:src (commit_ack t ~op reply)
     end
   | Abort { op } ->
-    if Store.has_staged t.store ~op || Store.staged_batch_size t.store ~op > 0
+    if Store.has_staged t.store ~op || Store.staged_batch_slot t.store ~op >= 0
     then wal_append t (Wal.Abort { op });
     Store.abort_staged t.store ~op
   | Repair { key; version; sid; value; _ } ->
@@ -751,16 +751,24 @@ let handle_serving t ~src msg =
        as one message by the network but as [n_keys] logical reads here. *)
     t.reads_served.value <- t.reads_served.value + n_keys;
     let store = t.store in
-    let entries =
-      Batch.init n_keys (fun i ->
-          let key = keys.(i) in
-          ( key,
-            Store.version_of store ~key,
-            Store.sid_of store ~key,
-            Store.value_of store ~key ))
-    in
+    (* The reply's columns are filled directly.  The request's key array
+       is immutable like the reply, so an exact-size one is shared. *)
+    let versions = Array.make n_keys 0 and sids = Array.make n_keys 0 in
+    let values = Array.make n_keys "" in
+    for i = 0 to n_keys - 1 do
+      let key = keys.(i) in
+      versions.(i) <- Store.version_of store ~key;
+      sids.(i) <- Store.sid_of store ~key;
+      values.(i) <- Store.value_of store ~key
+    done;
+    let keys = if Array.length keys = n_keys then keys else Array.sub keys 0 n_keys in
     send t ~dst:src ~units:n_keys
-      (Message.Read_batch_reply { op; entries; inc = t.incarnation })
+      (Message.Read_batch_reply
+         {
+           op;
+           entries = Batch.make ~keys ~versions ~sids ~values;
+           inc = t.incarnation;
+         })
   | Prepare_batch { op; writes; reply } ->
     t.prepares_seen.value <- t.prepares_seen.value + Batch.length writes;
     Store.stage_many t.store ~op writes;

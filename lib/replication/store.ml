@@ -9,13 +9,19 @@
 
 let dense_limit = 1 lsl 16
 
-(* Staged single writes live in an open-addressing table keyed by op id:
-   linear probing over parallel columns, at most half full, with
-   backward-shift deletion (no tombstones), so lookups stay O(1) expected
-   however many stages leak (an Abort lost under faults never clears its
-   stage).  Staging and committing allocate nothing beyond amortized
-   table growth, and the table is only allocated by the first stage. *)
+(* Staged writes live in an open-addressing table keyed by op id: linear
+   probing over parallel columns, at most half full, with backward-shift
+   deletion (no tombstones), so lookups stay O(1) expected however many
+   stages leak (an Abort lost under faults never clears its stage).  A
+   slot holds one op's stage: a single write in the key/version/sid/value
+   columns, or a batch in [s_batch] (the first [s_len] writes of it).  So
+   a stage of either kind replaces the other under the same op id, and
+   staging and committing allocate nothing beyond amortized table
+   growth; the table is only allocated by the first stage. *)
 let no_op = min_int  (* an empty slot of [s_ops] *)
+
+(* [s_batch] of a slot holding a single write. *)
+let no_batch = Batch.make ~keys:[||] ~versions:[||] ~sids:[||] ~values:[||]
 
 type t = {
   mutable versions : int array;
@@ -28,9 +34,11 @@ type t = {
   mutable s_versions : int array;
   mutable s_sids : int array;
   mutable s_values : string array;
+  mutable s_batch : Batch.t array;
+      (* a staged batch, write order: the Prepare_batch envelope's own
+         arrays until WAL replay appends to it, which copies on growth *)
+  mutable s_len : int array;  (* writes of [s_batch] in force *)
   mutable s_count : int;
-  pending_batch : (int, Batch.Builder.t) Hashtbl.t;
-      (* op -> staged batch, write order *)
 }
 
 let create () =
@@ -44,8 +52,9 @@ let create () =
     s_versions = [||];
     s_sids = [||];
     s_values = [||];
+    s_batch = [||];
+    s_len = [||];
     s_count = 0;
-    pending_batch = Hashtbl.create 4;
   }
 
 let is_dense key = key >= 0 && key < dense_limit
@@ -128,12 +137,12 @@ let install_flat t ~key ~version ~sid ~value =
 let install t ~key ~(ts : Timestamp.t) ~value =
   install_flat t ~key ~version:ts.Timestamp.version ~sid:ts.Timestamp.sid ~value
 
-(* --- staged single writes ------------------------------------------------- *)
+(* --- staged writes --------------------------------------------------------- *)
 
 let home t op = ((op * 0x9E3779B97F4A7C1) lsr 20) land (Array.length t.s_ops - 1)
 
-(* Slot holding [op], or -1. *)
-let staged_slot t ~op =
+(* Slot holding [op]'s stage, or -1. *)
+let find_slot t ~op =
   if t.s_count = 0 then -1
   else begin
     let mask = Array.length t.s_ops - 1 in
@@ -147,42 +156,79 @@ let staged_slot t ~op =
     if Array.unsafe_get t.s_ops !i = op then !i else -1
   end
 
+let is_batch t i = t.s_batch.(i) != no_batch
+
+let staged_slot t ~op =
+  let i = find_slot t ~op in
+  if i >= 0 && not (is_batch t i) then i else -1
+
 let slot_key t i = t.s_keys.(i)
 let slot_version t i = t.s_versions.(i)
 let slot_sid t i = t.s_sids.(i)
 let slot_value t i = t.s_values.(i)
 
-(* Insert [op] (known absent) into a table with room for it. *)
-let insert_fresh t ~op ~key ~version ~sid ~value =
+let staged_batch_slot t ~op =
+  let i = find_slot t ~op in
+  if i >= 0 && is_batch t i then i else -1
+
+let slot_batch t i = t.s_batch.(i)
+let slot_length t i = t.s_len.(i)
+
+(* Insert [op] (known absent) into a table with room for it; returns its
+   slot. *)
+let insert_fresh t ~op =
   let mask = Array.length t.s_ops - 1 in
   let i = ref (home t op) in
   while Array.unsafe_get t.s_ops !i <> no_op do
     i := (!i + 1) land mask
   done;
-  let i = !i in
-  t.s_ops.(i) <- op;
-  t.s_keys.(i) <- key;
-  t.s_versions.(i) <- version;
-  t.s_sids.(i) <- sid;
-  t.s_values.(i) <- value;
-  t.s_count <- t.s_count + 1
+  t.s_ops.(!i) <- op;
+  t.s_count <- t.s_count + 1;
+  !i
+
+let move_slot t ~src ~dst =
+  t.s_ops.(dst) <- t.s_ops.(src);
+  t.s_keys.(dst) <- t.s_keys.(src);
+  t.s_versions.(dst) <- t.s_versions.(src);
+  t.s_sids.(dst) <- t.s_sids.(src);
+  t.s_values.(dst) <- t.s_values.(src);
+  t.s_batch.(dst) <- t.s_batch.(src);
+  t.s_len.(dst) <- t.s_len.(src)
 
 let grow_staging t =
   let ops = t.s_ops and keys = t.s_keys and versions = t.s_versions
-  and sids = t.s_sids and values = t.s_values in
+  and sids = t.s_sids and values = t.s_values and batch = t.s_batch
+  and len = t.s_len in
   let cap = max 16 (2 * Array.length ops) in
   t.s_ops <- Array.make cap no_op;
   t.s_keys <- Array.make cap 0;
   t.s_versions <- Array.make cap 0;
   t.s_sids <- Array.make cap 0;
   t.s_values <- Array.make cap "";
+  t.s_batch <- Array.make cap no_batch;
+  t.s_len <- Array.make cap 0;
   t.s_count <- 0;
   Array.iteri
     (fun i op ->
-      if op <> no_op then
-        insert_fresh t ~op ~key:keys.(i) ~version:versions.(i) ~sid:sids.(i)
-          ~value:values.(i))
+      if op <> no_op then begin
+        let j = insert_fresh t ~op in
+        t.s_keys.(j) <- keys.(i);
+        t.s_versions.(j) <- versions.(i);
+        t.s_sids.(j) <- sids.(i);
+        t.s_values.(j) <- values.(i);
+        t.s_batch.(j) <- batch.(i);
+        t.s_len.(j) <- len.(i)
+      end)
     ops
+
+(* The slot for a new stage of [op]: its current one, or a fresh one. *)
+let slot_for t ~op =
+  let i = find_slot t ~op in
+  if i >= 0 then i
+  else begin
+    if 2 * (t.s_count + 1) > Array.length t.s_ops then grow_staging t;
+    insert_fresh t ~op
+  end
 
 (* Backward-shift deletion: pull every later member of the probe run that
    may live at or before the hole into it, so probing never needs a
@@ -196,38 +242,26 @@ let remove_slot t i =
     (* [k] cyclically in (h, jj]: the entry must stay where it is *)
     let stays = if h <= jj then h < k && k <= jj else h < k || k <= jj in
     if not stays then begin
-      t.s_ops.(h) <- t.s_ops.(jj);
-      t.s_keys.(h) <- t.s_keys.(jj);
-      t.s_versions.(h) <- t.s_versions.(jj);
-      t.s_sids.(h) <- t.s_sids.(jj);
-      t.s_values.(h) <- t.s_values.(jj);
+      move_slot t ~src:jj ~dst:h;
       hole := jj
     end;
     j := (jj + 1) land mask
   done;
   t.s_ops.(!hole) <- no_op;
   t.s_values.(!hole) <- "";
+  t.s_batch.(!hole) <- no_batch;
   t.s_count <- t.s_count - 1
 
-let remove_single t ~op =
-  let i = staged_slot t ~op in
-  if i >= 0 then remove_slot t i
-
 let put_single t ~op ~key ~version ~sid ~value =
-  let i = staged_slot t ~op in
-  if i >= 0 then begin
-    t.s_keys.(i) <- key;
-    t.s_versions.(i) <- version;
-    t.s_sids.(i) <- sid;
-    t.s_values.(i) <- value
-  end
-  else begin
-    if 2 * (t.s_count + 1) > Array.length t.s_ops then grow_staging t;
-    insert_fresh t ~op ~key ~version ~sid ~value
-  end
+  let i = slot_for t ~op in
+  t.s_keys.(i) <- key;
+  t.s_versions.(i) <- version;
+  t.s_sids.(i) <- sid;
+  t.s_values.(i) <- value;
+  t.s_batch.(i) <- no_batch;
+  t.s_len.(i) <- 0
 
 let stage_flat t ~op ~key ~version ~sid ~value =
-  Hashtbl.remove t.pending_batch op;
   put_single t ~op ~key ~version ~sid ~value
 
 let stage t ~op ~key ~(ts : Timestamp.t) ~value =
@@ -246,66 +280,104 @@ let staged t ~op =
         t.s_values.(i) )
 
 let stage_many t ~op (writes : Batch.t) =
-  remove_single t ~op;
-  Hashtbl.replace t.pending_batch op (Batch.Builder.of_batch writes)
+  let i = slot_for t ~op in
+  t.s_values.(i) <- "";
+  t.s_batch.(i) <- writes;
+  t.s_len.(i) <- Batch.length writes
 
 let staged_many t ~op =
-  match Hashtbl.find t.pending_batch op with
-  | b -> Some (Batch.Builder.snapshot b)
-  | exception Not_found -> None
+  let i = staged_batch_slot t ~op in
+  if i < 0 then None
+  else
+    let b = t.s_batch.(i) and n = t.s_len.(i) in
+    if n = Batch.length b then Some b
+    else
+      Some
+        (Batch.make ~keys:(Array.sub b.keys 0 n) ~versions:(Array.sub b.versions 0 n)
+           ~sids:(Array.sub b.sids 0 n) ~values:(Array.sub b.values 0 n))
 
 let staged_batch_size t ~op =
-  match Hashtbl.find t.pending_batch op with
-  | b -> Batch.Builder.length b
-  | exception Not_found -> 0
+  let i = staged_batch_slot t ~op in
+  if i < 0 then 0 else t.s_len.(i)
+
+(* Append a write to the batch in slot [i].  A batch whose arrays are full
+   may share them with the envelope it came in, so growth copies into
+   doubled arrays that this store alone owns. *)
+let push_write t i ~key ~version ~sid ~value =
+  let b = t.s_batch.(i) and n = t.s_len.(i) in
+  let b =
+    if n < Batch.length b then b
+    else begin
+      let cap = max 4 (2 * n) in
+      let grow a empty =
+        let g = Array.make cap empty in
+        Array.blit a 0 g 0 n;
+        g
+      in
+      let g =
+        Batch.make ~keys:(grow b.keys 0) ~versions:(grow b.versions 0)
+          ~sids:(grow b.sids 0) ~values:(grow b.values "")
+      in
+      t.s_batch.(i) <- g;
+      g
+    end
+  in
+  b.keys.(n) <- key;
+  b.versions.(n) <- version;
+  b.sids.(n) <- sid;
+  b.values.(n) <- value;
+  t.s_len.(i) <- n + 1
 
 (* WAL replay path: successive Stage records of one op accumulate into a
    batch instead of clobbering each other (plain [stage] keeps last-write-
-   wins semantics for re-prepared single writes).  The builder appends in
-   amortized O(1); replaying a k-write batch is O(k), not the O(k²) the
-   old list-append accumulation cost. *)
+   wins semantics for re-prepared single writes).  Appends are amortized
+   O(1), so replaying a k-write batch is O(k), not the O(k²) the old
+   list-append accumulation cost. *)
 let stage_accum t ~op ~key ~version ~sid ~value =
-  match Hashtbl.find t.pending_batch op with
-  | b -> Batch.Builder.push b ~key ~version ~sid ~value
-  | exception Not_found ->
-    let i = staged_slot t ~op in
-    if i >= 0 then begin
-      let b = Batch.Builder.create ~capacity:4 () in
-      Batch.Builder.push b ~key:t.s_keys.(i) ~version:t.s_versions.(i)
-        ~sid:t.s_sids.(i) ~value:t.s_values.(i);
-      remove_slot t i;
-      Batch.Builder.push b ~key ~version ~sid ~value;
-      Hashtbl.replace t.pending_batch op b
-    end
-    else put_single t ~op ~key ~version ~sid ~value
+  let i = find_slot t ~op in
+  if i < 0 then put_single t ~op ~key ~version ~sid ~value
+  else begin
+    if not (is_batch t i) then begin
+      (* The single write becomes the batch's first. *)
+      let first =
+        Batch.make ~keys:[| t.s_keys.(i) |] ~versions:[| t.s_versions.(i) |]
+          ~sids:[| t.s_sids.(i) |] ~values:[| t.s_values.(i) |]
+      in
+      t.s_values.(i) <- "";
+      t.s_batch.(i) <- first;
+      t.s_len.(i) <- 1
+    end;
+    push_write t i ~key ~version ~sid ~value
+  end
 
 let commit_staged t ~op =
-  let i = staged_slot t ~op in
-  if i >= 0 then begin
-    let key = t.s_keys.(i) and version = t.s_versions.(i)
-    and sid = t.s_sids.(i) and value = t.s_values.(i) in
-    remove_slot t i;
-    ignore (install_flat t ~key ~version ~sid ~value);
+  let i = find_slot t ~op in
+  if i < 0 then false
+  else begin
+    let b = t.s_batch.(i) in
+    if b == no_batch then begin
+      let key = t.s_keys.(i) and version = t.s_versions.(i)
+      and sid = t.s_sids.(i) and value = t.s_values.(i) in
+      remove_slot t i;
+      ignore (install_flat t ~key ~version ~sid ~value)
+    end
+    else begin
+      let n = t.s_len.(i) in
+      remove_slot t i;
+      for j = 0 to n - 1 do
+        ignore
+          (install_flat t ~key:b.keys.(j) ~version:b.versions.(j) ~sid:b.sids.(j)
+             ~value:b.values.(j))
+      done
+    end;
     true
   end
-  else
-    match Hashtbl.find t.pending_batch op with
-    | b ->
-      Hashtbl.remove t.pending_batch op;
-      for i = 0 to Batch.Builder.length b - 1 do
-        ignore
-          (install_flat t ~key:(Batch.Builder.key b i)
-             ~version:(Batch.Builder.version b i) ~sid:(Batch.Builder.sid b i)
-             ~value:(Batch.Builder.value b i))
-      done;
-      true
-    | exception Not_found -> false
 
 let abort_staged t ~op =
-  remove_single t ~op;
-  Hashtbl.remove t.pending_batch op
+  let i = find_slot t ~op in
+  if i >= 0 then remove_slot t i
 
-let staged_count t = t.s_count + Hashtbl.length t.pending_batch
+let staged_count t = t.s_count
 
 (* Snapshot export: the committed entries with lo <= key < hi, ascending.
    The store is mutated only between engine events, so any single-event

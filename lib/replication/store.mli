@@ -10,11 +10,13 @@
     and a string value column, plus a hashtable spill for negative or
     very large key ids.  The flat accessors ({!version_of}, {!sid_of},
     {!value_of}) read it without boxing a timestamp or a tuple — the
-    replica's serving path goes through them.  Staged single writes live
-    in an open-addressing table of flat columns keyed by op id, read by
-    slot ({!staged_slot}), so a stage and its commit allocate nothing.
-    Staged batches are flat {!Batch} arrays, and WAL replay accumulates
-    them in amortized O(1) per record.
+    replica's serving path goes through them.  Staged writes live in an
+    open-addressing table of flat columns keyed by op id, one slot per
+    op: a single write's fields, or a staged batch's {!Batch} arrays
+    (shared with the envelope that brought them) and length.  Both are
+    read by slot ({!staged_slot}, {!staged_batch_slot}), so a stage and
+    its commit allocate nothing, and WAL replay accumulates a batch in
+    amortized O(1) per record.
 
     The store itself is plain volatile memory.  What survives a crash is
     decided one layer up: under the paper's fail-stop model (§2.2) the
@@ -64,7 +66,8 @@ val staged : t -> op:int -> (int * Timestamp.t * string) option
 
 val staged_slot : t -> op:int -> int
 (** The slot of the single write staged under [op], or [-1]; O(1)
-    expected.  Valid until the next stage, commit or abort. *)
+    expected.  Valid until the next stage, commit or abort (a slot
+    number, like the ones below, names no op once its stage is gone). *)
 
 val slot_key : t -> int -> int
 val slot_version : t -> int -> int
@@ -76,13 +79,26 @@ val has_staged : t -> op:int -> bool
 (** Whether a single write is staged under [op], without allocating the
     option {!staged} returns. *)
 
+val staged_batch_slot : t -> op:int -> int
+(** The slot of the batch staged under [op], or [-1]; as {!staged_slot}. *)
+
+val slot_batch : t -> int -> Batch.t
+(** The batch staged in a slot from {!staged_batch_slot}: its first
+    {!slot_length} writes are the stage, in write order.  Read it, never
+    mutate it. *)
+
+val slot_length : t -> int -> int
+
 val stage_many : t -> op:int -> Batch.t -> unit
 (** Stages a whole batch of writes under one op id (a batched prepare);
     clears any single stage under the same id.  Committed or aborted
-    atomically by {!commit_staged} / {!abort_staged}.  The store takes
-    ownership of the batch's arrays (sharing, not copying). *)
+    atomically by {!commit_staged} / {!abort_staged}.  The store shares
+    the batch's arrays rather than copying them, and never writes to
+    them: {!stage_accum} copies before it appends. *)
 
 val staged_many : t -> op:int -> Batch.t option
+(** The batch staged under [op], for inspection; the commit path reads it
+    by slot ({!staged_batch_slot}) instead. *)
 
 val staged_batch_size : t -> op:int -> int
 (** Number of writes in the batch staged under [op]; 0 when none is. *)

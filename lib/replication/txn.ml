@@ -217,16 +217,22 @@ let acquire_write_locks t keys k =
   in
   next keys
 
-(* The write set, one leg per shard in shard order, keys ascending. *)
+(* The write set, one leg per shard in shard order, keys ascending: each
+   leg is its shard and its keys' and values' arrays. *)
 let legs t keys =
   let by_shard = Array.make (Array.length t.mgr.coords) [] in
   List.iter
     (fun key ->
       let s = t.mgr.route key in
-      by_shard.(s) <- (key, Hashtbl.find t.write_buf key) :: by_shard.(s))
+      by_shard.(s) <- key :: by_shard.(s))
     (List.rev keys);
   List.filter_map
-    (fun s -> if by_shard.(s) = [] then None else Some (s, by_shard.(s)))
+    (fun s ->
+      match by_shard.(s) with
+      | [] -> None
+      | leg ->
+        let keys = Array.of_list leg in
+        Some (s, keys, Array.map (Hashtbl.find t.write_buf) keys))
     (List.init (Array.length by_shard) Fun.id)
 
 (* Prepare every leg and hold it (in parallel).  All held: [Ok] with the
@@ -236,9 +242,10 @@ let prepare_all t legs k =
   let staged = ref [] and failed = ref [] in
   let remaining = ref (List.length legs) in
   List.iter
-    (fun (s, writes) ->
+    (fun (s, keys, values) ->
       let coord = t.mgr.coords.(s) in
-      Coordinator.prepare_batch coord ~writes (fun r ->
+      Coordinator.prepare_batch coord ~keys ~values ~pos:0
+        ~len:(Array.length keys) (fun r ->
           (match r with
           | Ok h -> staged := (coord, h) :: !staged
           | Error phase -> failed := phase :: !failed);
@@ -274,9 +281,10 @@ let commit_all staged k =
 let write_legs t legs k =
   let remaining = ref (List.length legs) and applied = ref 0 in
   List.iter
-    (fun (s, writes) ->
-      Coordinator.write_batch t.mgr.coords.(s) ~writes (fun results ->
-          if List.for_all (fun (_, r) -> r <> None) results then incr applied;
+    (fun (s, keys, values) ->
+      Coordinator.write_batch t.mgr.coords.(s) ~keys ~values ~pos:0
+        ~len:(Array.length keys) (fun o ->
+          if Coordinator.outcome_ok o then incr applied;
           decr remaining;
           if !remaining = 0 then k !applied))
     legs

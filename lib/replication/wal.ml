@@ -149,10 +149,10 @@ let commit t ~op ~key ~version ~sid ~value =
 let install t ~key ~version ~sid ~value =
   push_forced t k_install ~op:0 ~key ~version ~sid ~value
 
-(* Every write of [batch] as a [kind] record of [op], in order, without
-   building a record.  With [group] they share one durability point. *)
-let push_batch t kind ~op ~group batch =
-  let n = Batch.length batch in
+(* The first [n] writes of [batch] as [kind] records of [op], in order,
+   without building a record.  With [group] they share one durability
+   point. *)
+let push_batch t kind ~op ~group ~n batch =
   if n > 0 && forces t.policy kind then
     t.syncs <- t.syncs + if group then 1 else n;
   for i = 0 to n - 1 do
@@ -160,9 +160,16 @@ let push_batch t kind ~op ~group batch =
       ~sid:(Batch.sid batch i) ~value:(Batch.value batch i)
   done
 
-let stage_batch t ~op ~group batch = push_batch t k_stage ~op ~group batch
-let commit_batch t ~op ~group batch = push_batch t k_commit ~op ~group batch
-let install_batch t batch = push_batch t k_install ~op:0 ~group:true batch
+let stage_batch t ~op ~group batch =
+  push_batch t k_stage ~op ~group ~n:(Batch.length batch) batch
+
+let commit_batch t ~op ~group ~len batch =
+  if len < 0 || len > Batch.length batch then
+    invalid_arg "Wal.commit_batch: len out of range";
+  push_batch t k_commit ~op ~group ~n:len batch
+
+let install_batch t batch =
+  push_batch t k_install ~op:0 ~group:true ~n:(Batch.length batch) batch
 
 let kind_of = function
   | Stage _ -> k_stage

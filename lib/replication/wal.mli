@@ -92,8 +92,9 @@ val stage_batch : t -> op:int -> group:bool -> Batch.t -> unit
     durability point as in {!append_batch}; without, each is charged as
     {!append} would. *)
 
-val commit_batch : t -> op:int -> group:bool -> Batch.t -> unit
-(** {!stage_batch} for [Commit] records. *)
+val commit_batch : t -> op:int -> group:bool -> len:int -> Batch.t -> unit
+(** {!stage_batch} for [Commit] records of the batch's first [len] writes
+    (a staged batch, {!Store.slot_batch}, may be longer than its stage). *)
 
 val install_batch : t -> Batch.t -> unit
 (** {!stage_batch} for [Install] records, always grouped: the batch is

@@ -9,19 +9,18 @@ type t = {
   mutable next_payload : int;
 }
 
-let create ~rng ~read_fraction ~key_space ?(zipf_theta = 0.0) () =
-  if read_fraction < 0.0 || read_fraction > 1.0 then
+let create ~rng ~read_fraction ~keys =
+  (* Written so that NaN fails the check too. *)
+  if not (read_fraction >= 0.0 && read_fraction <= 1.0) then
     invalid_arg "Generator.create: read_fraction out of [0,1]";
-  {
-    rng;
-    read_fraction;
-    keys = Zipf.create ~n:key_space ~theta:zipf_theta;
-    next_payload = 0;
-  }
+  { rng; read_fraction; keys; next_payload = 0 }
 
 let next t =
   let key = Zipf.sample t.keys t.rng in
-  if Rng.bernoulli t.rng t.read_fraction then Read key
+  (* [Rng.bernoulli t.rng t.read_fraction], rebuilt from the raw bits so
+     the uniform draw is not a boxed float. *)
+  if float_of_int (Rng.bits53 t.rng) /. 9007199254740992.0 < t.read_fraction
+  then Read key
   else begin
     (* [Printf.sprintf "v%d"] would build the same bytes through a
        format interpreter, at ten times the allocation. *)

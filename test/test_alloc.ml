@@ -137,7 +137,7 @@ let mostly_read_words ~n ~read_fraction =
 (* The write-wide benchmark's shape at a small size: 95% writes on
    MOSTLY-READ n=33, so every write runs 2PC over all 33 replicas. *)
 let test_write_wide_run () =
-  check_bound "write-wide op" ~bound:300.0
+  check_bound "write-wide op" ~bound:150.0
     (mostly_read_words ~n:33 ~read_fraction:0.05)
 
 (* A write's per-member 2PC replies are carried by its requests and one
@@ -185,12 +185,57 @@ let test_txn_run () =
   Alcotest.(check bool) "most transactions commit" true (t.Harness.committed > 300);
   check_bound "transaction key written" ~bound:600.0 per_key
 
+(* The batch-sharded benchmark's shape at a small size: batched,
+   pipelined, group-committed clients over 16 hash shards of ARBITRARY
+   n=9 and 16,384 Zipf keys.  Counted per op, set-up and report included:
+   the run's one key table, one client window's buffers per pipeline slot
+   and every batch's envelopes. *)
+let test_batch_sharded_run () =
+  let proto = Arbitrary.Quorums.protocol (Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:9) in
+  let b = Harness.default_scenario ~proto in
+  let clients = 16 and ops = 512 in
+  let scenario =
+    {
+      (Harness.one_tree
+         {
+           b with
+           Harness.n_clients = clients;
+           ops_per_client = ops;
+           read_fraction = 0.5;
+           key_space = 16384;
+           zipf_theta = 0.99;
+           think_time = 0.1;
+           seed = 1;
+           use_locks = false;
+           coordinator = { b.Harness.coordinator with Replication.Coordinator.timeout = 10000.0 };
+           horizon = Float.infinity;
+           crash_mode = Network.Amnesia;
+           wal = Wal.Sync_on_commit;
+           batching = Some { Harness.batch_size = 32; group_commit = true; pipeline = 4 };
+         })
+      with
+      Harness.shards = 16;
+      service_time = 0.5;
+    }
+  in
+  let completed = ref 0 in
+  let per_op =
+    words_per (fun () ->
+        let r = (Harness.run_core scenario).Harness.agg in
+        completed := Harness.completed r;
+        clients * ops)
+  in
+  Alcotest.(check int) "every op completed" (clients * ops) !completed;
+  check_bound "batch-sharded op" ~bound:130.0 per_op
+
 let suite =
   [
     Alcotest.test_case "send->deliver allocates nothing" `Quick test_network_send_deliver;
     Alcotest.test_case "flat WAL appends allocate nothing" `Quick test_wal_flat_appends;
     Alcotest.test_case "stage->commit allocates nothing" `Quick test_store_stage_commit;
-    Alcotest.test_case "write-wide op allocates under 300 words" `Quick test_write_wide_run;
+    Alcotest.test_case "write-wide op allocates under 150 words" `Quick test_write_wide_run;
     Alcotest.test_case "transaction key under 600 words" `Quick test_txn_run;
     Alcotest.test_case "write words flat in quorum size" `Quick test_write_words_flat_in_n;
+    Alcotest.test_case "batch-sharded op allocates under 130 words" `Quick
+      test_batch_sharded_run;
   ]

@@ -27,25 +27,44 @@ let setup ?(spec = "1-3-5") ?(seed = 42) () =
   let coord = Coordinator.create ~site:n ~net ~proto () in
   (engine, net, coord, n)
 
+(* Issue a batch over a whole key (and value) array. *)
+let read_batch coord keys k =
+  let keys = Array.of_list keys in
+  Coordinator.read_batch coord ~keys ~pos:0 ~len:(Array.length keys) k
+
+let write_batch coord writes k =
+  let keys = Array.of_list (List.map fst writes) in
+  let values = Array.of_list (List.map snd writes) in
+  Coordinator.write_batch coord ~keys ~values ~pos:0 ~len:(Array.length keys) k
+
+(* An outcome's positions, copied out while its callback runs: the
+   timestamp and value of each, or [None] for a failed batch. *)
+let positions o =
+  List.init (Coordinator.outcome_length o) (fun i ->
+      if Coordinator.outcome_ok o then
+        Some
+          ( Timestamp.make ~version:(Coordinator.outcome_version o i)
+              ~sid:(Coordinator.outcome_sid o i),
+            Coordinator.outcome_value o i )
+      else None)
+
 let test_write_batch_then_read_batch () =
   let engine, _, coord, _ = setup () in
   let writes = [ (0, "a"); (1, "b"); (2, "c"); (3, "d") ] in
   let wrote = ref [] in
-  Coordinator.write_batch coord ~writes (fun rs -> wrote := rs);
+  write_batch coord writes (fun o -> wrote := positions o);
   Engine.run engine;
   Alcotest.(check int) "every key acked" 4 (List.length !wrote);
-  List.iter
-    (fun (_, r) -> Alcotest.(check bool) "committed" true (r <> None))
-    !wrote;
+  List.iter (fun r -> Alcotest.(check bool) "committed" true (r <> None)) !wrote;
   let read = ref [] in
-  Coordinator.read_batch coord ~keys:[ 0; 1; 2; 3 ] (fun rs -> read := rs);
+  read_batch coord [ 0; 1; 2; 3 ] (fun o -> read := positions o);
   Engine.run engine;
   List.iter2
-    (fun (k, v) (k', r) ->
-      Alcotest.(check int) "request order preserved" k k';
+    (fun (_, v) r ->
       match r with
-      | Some { Coordinator.value; _ } ->
-        Alcotest.(check string) "batched read returns the write" v value
+      | Some (_, value) ->
+        Alcotest.(check string) "batched read returns the write in request order"
+          v value
       | None -> Alcotest.fail "batched read failed")
     writes !read;
   Alcotest.(check int) "per-key read accounting" 4 (Coordinator.reads_ok coord);
@@ -55,12 +74,11 @@ let test_write_batch_then_read_batch () =
 let test_duplicate_key_last_writer_wins () =
   let engine, _, coord, _ = setup () in
   let result = ref [] in
-  Coordinator.write_batch coord
-    ~writes:[ (5, "first"); (6, "x"); (5, "second") ]
-    (fun rs -> result := rs);
+  write_batch coord [ (5, "first"); (6, "x"); (5, "second") ] (fun o ->
+      result := positions o);
   Engine.run engine;
   (match !result with
-  | [ (5, Some ts1); (6, Some _); (5, Some ts2) ] ->
+  | [ Some (ts1, _); Some _; Some (ts2, _) ] ->
     Alcotest.(check bool) "later occurrence stamped newer" true
       (Timestamp.newer_than ts2 ts1)
   | _ -> Alcotest.fail "unexpected result shape");
@@ -78,31 +96,26 @@ let test_batch_failure_reports_every_key () =
     Network.crash net site
   done;
   let wrote = ref [] and read = ref [] in
-  Coordinator.write_batch coord ~writes:[ (0, "x"); (1, "y") ] (fun rs ->
-      wrote := rs);
-  Coordinator.read_batch coord ~keys:[ 2; 3; 4 ] (fun rs -> read := rs);
+  write_batch coord [ (0, "x"); (1, "y") ] (fun o -> wrote := positions o);
+  read_batch coord [ 2; 3; 4 ] (fun o -> read := positions o);
   Engine.run engine;
   Alcotest.(check int) "write batch reports every key" 2 (List.length !wrote);
-  List.iter
-    (fun (_, r) -> Alcotest.(check bool) "write key failed" true (r = None))
-    !wrote;
+  List.iter (fun r -> Alcotest.(check bool) "write key failed" true (r = None)) !wrote;
   Alcotest.(check int) "read batch reports every key" 3 (List.length !read);
-  List.iter
-    (fun (_, r) -> Alcotest.(check bool) "read key failed" true (r = None))
-    !read;
+  List.iter (fun r -> Alcotest.(check bool) "read key failed" true (r = None)) !read;
   Alcotest.(check int) "per-key failure accounting" 3 (Coordinator.reads_failed coord);
   Alcotest.(check int) "per-key write failures" 2 (Coordinator.writes_failed coord)
 
 let test_singleton_and_empty_batches_delegate () =
   let engine, _, coord, _ = setup () in
   let empty = ref None and single = ref [] in
-  Coordinator.read_batch coord ~keys:[] (fun rs -> empty := Some rs);
+  read_batch coord [] (fun o -> empty := Some (positions o));
   Alcotest.(check bool) "empty batch answers synchronously" true
     (!empty = Some []);
-  Coordinator.write_batch coord ~writes:[ (7, "solo") ] (fun rs -> single := rs);
+  write_batch coord [ (7, "solo") ] (fun o -> single := positions o);
   Engine.run engine;
   (match !single with
-  | [ (7, Some _) ] -> ()
+  | [ Some _ ] -> ()
   | _ -> Alcotest.fail "singleton write did not delegate cleanly");
   Alcotest.(check int) "singleton is not counted as a batch" 0
     (Coordinator.batches coord);

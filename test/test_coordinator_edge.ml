@@ -201,6 +201,12 @@ let test_rpc_forced_ts_idempotent () =
   in
   Alcotest.(check bool) "no double apply" true (applied <= 8)
 
+(* Hold a prepare of [writes], given as (key, value) pairs. *)
+let prepare coord writes k =
+  let keys = Array.of_list (List.map fst writes) in
+  let values = Array.of_list (List.map snd writes) in
+  Coordinator.prepare_batch coord ~keys ~values ~pos:0 ~len:(Array.length keys) k
+
 let test_rpc_commit_incomplete_on_crash () =
   let engine, net, _, _, other = build ~spec:"2-2" () in
   (* With spec 2-2 both levels have 2 replicas; the write quorum is one
@@ -208,7 +214,7 @@ let test_rpc_commit_incomplete_on_crash () =
      before the commit round: whichever level holds it, one member is
      down and the other still acks. *)
   let outcome = ref None in
-  Coordinator.prepare_batch other ~writes:[ (0, "v") ] (function
+  prepare other [ (0, "v") ] (function
     | Error _ -> Alcotest.fail "prepare must succeed"
     | Ok staged ->
       List.iter (Network.crash net) [ 0; 2 ];
@@ -222,7 +228,7 @@ let test_rpc_commit_incomplete_on_crash () =
 let test_held_prepare_commits () =
   let engine, _, _, coord, _ = build () in
   let committed = ref None and staged = ref None in
-  Coordinator.prepare_batch coord ~writes:[ (1, "a"); (2, "b") ] (function
+  prepare coord [ (1, "a"); (2, "b") ] (function
     | Error _ -> Alcotest.fail "prepare must succeed"
     | Ok h ->
       staged := Some h;
@@ -233,15 +239,18 @@ let test_held_prepare_commits () =
   Alcotest.(check int) "both keys written" 2 (Coordinator.writes_ok coord);
   Alcotest.(check int) "one batch" 1 (Coordinator.batches coord);
   let values = ref [] in
-  Coordinator.read_batch coord ~keys:[ 1; 2 ] (fun rs ->
-      values := List.map (fun (_, r) -> Option.map (fun r -> r.Coordinator.value) r) rs);
+  Coordinator.read_batch coord ~keys:[| 1; 2 |] ~pos:0 ~len:2 (fun o ->
+      values :=
+        List.init (Coordinator.outcome_length o) (fun i ->
+            if Coordinator.outcome_ok o then Some (Coordinator.outcome_value o i)
+            else None));
   Engine.run engine;
   Alcotest.(check (list (option string))) "installed" [ Some "a"; Some "b" ] !values;
   Alcotest.check_raises "a spent handle is refused"
     (Invalid_argument "Coordinator.commit_staged: not a held prepare") (fun () ->
       Coordinator.commit_staged coord (Option.get !staged) ignore);
   let next = ref None in
-  Coordinator.prepare_batch coord ~writes:[ (3, "c") ] (function
+  prepare coord [ (3, "c") ] (function
     | Error _ -> Alcotest.fail "prepare must succeed"
     | Ok h -> next := Some h);
   Engine.run engine;
@@ -264,7 +273,7 @@ let test_held_prepare_aborts () =
   let _replicas = Array.init n (fun site -> Replica.create ~site ~net ()) in
   let obs = Obs.create () in
   let coord = Coordinator.create ~site:n ~net ~proto ~obs () in
-  Coordinator.prepare_batch coord ~writes:[ (1, "a"); (2, "b") ] (function
+  prepare coord [ (1, "a"); (2, "b") ] (function
     | Error _ -> Alcotest.fail "prepare must succeed"
     | Ok h -> Coordinator.abort_staged coord h);
   Engine.run engine;

@@ -88,8 +88,8 @@ let test_presets_sane () =
       (* Every preset must be accepted by the generator. *)
       let gen =
         Workload.Generator.create ~rng:(Rng.create 7)
-          ~read_fraction:p.Presets.read_fraction ~key_space:4
-          ~zipf_theta:p.Presets.zipf_theta ()
+          ~read_fraction:p.Presets.read_fraction
+          ~keys:(Workload.Zipf.create ~n:4 ~theta:p.Presets.zipf_theta)
       in
       ignore (Workload.Generator.next gen))
     Presets.all
@@ -98,8 +98,8 @@ let test_read_only_preset_generates_no_writes () =
   let p = Presets.read_only in
   let gen =
     Workload.Generator.create ~rng:(Rng.create 9)
-      ~read_fraction:p.Presets.read_fraction ~key_space:4
-      ~zipf_theta:p.Presets.zipf_theta ()
+      ~read_fraction:p.Presets.read_fraction
+      ~keys:(Workload.Zipf.create ~n:4 ~theta:p.Presets.zipf_theta)
   in
   for _ = 1 to 1000 do
     match Workload.Generator.next gen with

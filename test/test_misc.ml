@@ -178,7 +178,19 @@ let test_harness_negative_ops () =
       { s with overload = Some { o with burst } }
     | None -> assert false
   in
-  refused "burst think" "Harness.run: negative burst_at or burst_think" (burst_think (-1.0))
+  refused "burst think" "Harness.run: negative burst_at or burst_think" (burst_think (-1.0));
+  (* The workload fields are checked before anything is built: they used
+     to surface mid-set-up as Shard_map/Zipf/Generator messages, and NaN
+     passed those checks. *)
+  refused "no keys" "Harness.run: key_space must be >= 1" { s with key_space = 0 };
+  let theta = "Harness.run: zipf_theta out of [0, 2]" in
+  refused "negative theta" theta { s with zipf_theta = -0.5 };
+  refused "theta past 2" theta { s with zipf_theta = 2.5 };
+  refused "NaN theta" theta { s with zipf_theta = Float.nan };
+  let fraction = "Harness.run: read_fraction out of [0, 1]" in
+  refused "negative read fraction" fraction { s with read_fraction = -0.1 };
+  refused "read fraction past 1" fraction { s with read_fraction = 1.5 };
+  refused "NaN read fraction" fraction { s with read_fraction = Float.nan }
 
 let test_bitset_pp () =
   let s = Format.asprintf "%a" Dsutil.Bitset.pp (Dsutil.Bitset.of_list 8 [ 1; 5 ]) in

@@ -177,7 +177,7 @@ let test_flat_batches_match_records () =
       Wal.stage_batch flat ~op:7 ~group:false batch;
       List.iter (Wal.append recs)
         (rows (fun key ts value -> Wal.Stage { op = 7; key; ts; value }));
-      Wal.commit_batch flat ~op:7 ~group:true batch;
+      Wal.commit_batch flat ~op:7 ~group:true ~len:(Batch.length batch) batch;
       Wal.append_batch recs
         (rows (fun key ts value -> Wal.Commit { op = 7; key; ts; value }));
       Wal.install_batch flat batch;

@@ -39,11 +39,54 @@ let test_zipf_validation () =
   Alcotest.check_raises "n=0" (Invalid_argument "Zipf.create: need at least one key")
     (fun () -> ignore (Zipf.create ~n:0 ~theta:1.0));
   Alcotest.check_raises "theta" (Invalid_argument "Zipf.create: theta out of [0,2]")
-    (fun () -> ignore (Zipf.create ~n:5 ~theta:3.0))
+    (fun () -> ignore (Zipf.create ~n:5 ~theta:3.0));
+  (* NaN passes no comparison, so a check written [x < lo || x > hi] let
+     it through and every cdf entry but the last came out NaN. *)
+  Alcotest.check_raises "NaN theta" (Invalid_argument "Zipf.create: theta out of [0,2]")
+    (fun () -> ignore (Zipf.create ~n:5 ~theta:Float.nan))
+
+(* The table as it was first built: [Array.init] weights, a [fold_left]
+   total and a running sum, in key order.  The loop version must
+   reproduce it bit for bit, or every seeded run would move. *)
+let reference_cdf ~n ~theta =
+  let weights = Array.init n (fun i -> 1.0 /. (float_of_int (i + 1) ** theta)) in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let cdf = Array.make n 0.0 in
+  let acc = ref 0.0 in
+  Array.iteri
+    (fun i w ->
+      acc := !acc +. (w /. total);
+      cdf.(i) <- !acc)
+    weights;
+  cdf.(n - 1) <- 1.0;
+  cdf
+
+let test_zipf_cdf_bit_identical () =
+  List.iter
+    (fun (n, theta) ->
+      let z = Zipf.create ~n ~theta and reference = reference_cdf ~n ~theta in
+      for i = 0 to n - 1 do
+        if Int64.bits_of_float (Zipf.cdf z i) <> Int64.bits_of_float reference.(i) then
+          Alcotest.failf "n=%d theta=%g: cdf.(%d) = %h, reference %h" n theta i
+            (Zipf.cdf z i) reference.(i)
+      done)
+    [ (1, 0.0); (4, 0.0); (100, 1.0); (16384, 0.99) ]
+
+(* The table is one flat float array, which at this size goes straight to
+   the major heap: building it allocates a constant number of minor
+   words, not one box per key. *)
+let test_zipf_create_allocation () =
+  ignore (Zipf.create ~n:16384 ~theta:0.99);
+  let w0 = Gc.minor_words () in
+  let z = Zipf.create ~n:16384 ~theta:0.99 in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity z);
+  if words > 16.0 then Alcotest.failf "16,384-key table: %.0f minor words" words
 
 let test_generator_mix () =
   let gen =
-    Generator.create ~rng:(Rng.create 67) ~read_fraction:0.7 ~key_space:4 ()
+    Generator.create ~rng:(Rng.create 67) ~read_fraction:0.7
+      ~keys:(Zipf.create ~n:4 ~theta:0.0)
   in
   let reads = ref 0 and writes = ref 0 in
   for _ = 1 to 50_000 do
@@ -56,7 +99,8 @@ let test_generator_mix () =
 
 let test_generator_payload_unique () =
   let gen =
-    Generator.create ~rng:(Rng.create 71) ~read_fraction:0.0 ~key_space:2 ()
+    Generator.create ~rng:(Rng.create 71) ~read_fraction:0.0
+      ~keys:(Zipf.create ~n:2 ~theta:0.0)
   in
   let seen = Hashtbl.create 64 in
   for _ = 1 to 1000 do
@@ -69,7 +113,8 @@ let test_generator_payload_unique () =
 
 let test_generator_keys_in_range () =
   let gen =
-    Generator.create ~rng:(Rng.create 73) ~read_fraction:0.5 ~key_space:3 ()
+    Generator.create ~rng:(Rng.create 73) ~read_fraction:0.5
+      ~keys:(Zipf.create ~n:3 ~theta:0.0)
   in
   for _ = 1 to 1000 do
     let key =
@@ -80,9 +125,14 @@ let test_generator_keys_in_range () =
   done
 
 let test_generator_validation () =
+  let keys = Zipf.create ~n:2 ~theta:0.0 in
   Alcotest.check_raises "bad fraction"
     (Invalid_argument "Generator.create: read_fraction out of [0,1]") (fun () ->
-      ignore (Generator.create ~rng:(Rng.create 1) ~read_fraction:1.5 ~key_space:2 ()))
+      ignore (Generator.create ~rng:(Rng.create 1) ~read_fraction:1.5 ~keys));
+  (* A NaN fraction made every op a write: no draw is below NaN. *)
+  Alcotest.check_raises "NaN fraction"
+    (Invalid_argument "Generator.create: read_fraction out of [0,1]") (fun () ->
+      ignore (Generator.create ~rng:(Rng.create 1) ~read_fraction:Float.nan ~keys))
 
 let suite =
   [
@@ -91,6 +141,10 @@ let suite =
     Alcotest.test_case "zipf sampling matches pmf" `Quick
       test_zipf_sampling_matches_pmf;
     Alcotest.test_case "zipf validation" `Quick test_zipf_validation;
+    Alcotest.test_case "zipf cdf bit-identical to the reference" `Quick
+      test_zipf_cdf_bit_identical;
+    Alcotest.test_case "zipf table allocates O(1) minor words" `Quick
+      test_zipf_create_allocation;
     Alcotest.test_case "generator mix" `Quick test_generator_mix;
     Alcotest.test_case "generator payload uniqueness" `Quick
       test_generator_payload_unique;
