@@ -222,12 +222,25 @@ let trace_cmd =
     let n_replicas = Arbitrary.Tree.n tree in
     let engine = Dsim.Engine.create ~seed () in
     let net = Dsim.Network.create ~engine ~n:(n_replicas + 1) () in
-    let trace = Dsim.Trace.create () in
-    Dsim.Network.attach_trace net ~describe:(Format.asprintf "%a" Replication.Message.pp) trace;
     let _replicas =
       Array.init n_replicas (fun site -> Replication.Replica.create ~site ~net ())
     in
     let coord = Replication.Coordinator.create ~site:n_replicas ~net ~proto () in
+    (* Every site's handler is wrapped to log each delivery before it runs;
+       the last [max_lines] lines are kept. *)
+    let lines = Queue.create () in
+    for site = 0 to n_replicas do
+      Option.iter
+        (fun h ->
+          Dsim.Network.set_handler net ~site (fun ~src msg ->
+              Queue.add
+                (Format.asprintf "%10.3f  deliver %d->%d %a" (Dsim.Engine.now engine) src site
+                   Replication.Message.pp msg)
+                lines;
+              if Queue.length lines > max_lines then ignore (Queue.pop lines);
+              h ~src msg))
+        (Dsim.Network.handler net ~site)
+    done;
     let rec go i =
       if i < ops then begin
         if i mod 2 = 0 then
@@ -238,10 +251,13 @@ let trace_cmd =
     in
     go 0;
     Dsim.Engine.run engine;
-    print_endline (Dsim.Trace.dump trace ~max:max_lines)
+    Queue.iter print_endline lines
   in
   Cmd.v
-    (Cmd.info "trace" ~doc:"Run a few operations and dump the message-level trace.")
+    (Cmd.info "trace"
+       ~doc:
+         "Run a few operations, alternating writes and reads, and print every message \
+          delivery: virtual time, sender, receiver and message.")
     Term.(
       const run $ spec_arg $ config_arg $ n_arg
       $ opt_arg Arg.int 3 "ops" ~docv:"OPS" "Operations to trace."
@@ -265,8 +281,8 @@ let field_flags =
     ("loss", "loss_rate", "Message loss rate.");
     ("read-fraction", "read_fraction", "Fraction of reads.");
     ("keys-per-txn", "txn.keys_per_txn", "Keys read+written per transaction.");
-    ("pipeline", "batching.pipeline", "Outstanding batch windows per client (with --batch).");
-    ("group-commit", "batching.group_commit=true", "One WAL sync per batch (with --batch).");
+    ("pipeline", "batching.pipeline", "Outstanding batch windows per client.");
+    ("group-commit", "batching.group_commit=true", "One WAL sync per batch.");
     ("shards", "shards", "Partition the keyspace over S independent tree instances.");
     ("shard-strategy", "strategy", "Key partitioning: $(b,hash) (default) or $(b,range).");
     ("crash-mode", "crash_mode", "What a crash destroys: $(b,failstop) or $(b,amnesia).");
@@ -423,8 +439,10 @@ let simulate_cmd =
             | Some (p : Workload.Presets.t) ->
               { b with read_fraction = p.read_fraction; zipf_theta = p.zipf_theta }
           in
-          let bt = Option.value b.batching ~default:H.batching_defaults in
-          { b with batching = (if batch < 1 then None else Some { bt with batch_size = batch }) })
+          if batch < 1 then b
+          else
+            let bt = Option.value b.batching ~default:H.batching_defaults in
+            { b with batching = Some { bt with batch_size = batch } })
     in
     (* Shard i's failure schedule draws from seed+1+i, so shard 0 of a
        sharded run churns exactly like the unsharded run (seed+1). *)
@@ -456,8 +474,8 @@ let simulate_cmd =
           "Workload preset: update-heavy, read-mostly, read-only or write-heavy (overrides \
            --read-fraction)."
       $ opt_arg Arg.int 0 "batch" ~docv:"B"
-          "Client ops per batch window (0 = classic one-op loop; 1 is byte-identical to 0 \
-           by construction)."
+          "Client ops per batch window (0 = unset: a window of one, the report's batching \
+           line only with $(b,--pipeline) or $(b,--group-commit))."
       $ metrics_json_arg $ spans_jsonl_arg)
 
 let txn_cmd =

@@ -8,8 +8,9 @@ type t = {
 }
 
 let oracle ~net ~self ~n =
+  let view = Bitset.create n in
   let alive () =
-    let view = Bitset.create n in
+    Bitset.clear view;
     for i = 0 to n - 1 do
       if Network.is_up net i && Network.reachable net self i then
         Bitset.add view i

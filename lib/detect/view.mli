@@ -11,7 +11,8 @@
     Contract expected by consumers:
     - [alive ()] returns the current believed-up replica set; it may be
       stale or wrong — the protocol only loses liveness, never safety, on a
-      bad view.
+      bad view.  Consumers use it before the next call and may mutate
+      it; an implementation may hand out the same set each call.
     - [observe src] is called on {e every} message received from [src];
       implementations must treat it as proof of life and rehabilitate any
       suspicion of [src].
@@ -27,4 +28,6 @@ type t = {
 val oracle : net:'msg Dsim.Network.t -> self:int -> n:int -> t
 (** Ground truth from the simulator over the replica universe [0..n-1]
     (sites ≥ n are clients): up sites reachable from [self] (§2.2's
-    detectable-failures assumption).  Ignores evidence. *)
+    detectable-failures assumption).  Ignores evidence.  [alive ()]
+    refills one bitset per view in place, so its result is valid until
+    the next call. *)

@@ -10,8 +10,9 @@ val default_knobs : Replication.Harness.batching
     pipeline 8. *)
 
 val identity_knobs : Replication.Harness.batching
-(** The determinism control: batch 1, pipeline 1 — must reproduce the
-    unbatched run byte-for-byte. *)
+(** The determinism control: batch 1, pipeline 1 — the
+    {!Replication.Harness.batching_defaults} a scenario without batching
+    runs, so it must reproduce that run byte-for-byte. *)
 
 val scenario :
   name:Arbitrary.Config.name ->

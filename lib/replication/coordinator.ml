@@ -34,41 +34,6 @@ type phase =
   | Prepared  (** a held prepare: staged everywhere, awaiting the caller's
                   commit or abort *)
 
-(* Pooled per-operation quorum scratch.  [q] holds the members of the
-   current phase, with replied members overwritten by -1 (so "waiting" is
-   the >= 0 entries, in original send order).  [w]/[winc] hold the 2PC
-   member set and the incarnation each member acked its prepare under.
-   [pos] maps a site to its position in [q] and [w]: a 2PC phase's [q] is
-   a copy of [w], so one position serves both, and a lookup is trusted
-   only when the array still holds the site there — stale entries from an
-   earlier phase or operation need no reset.  A scratch is taken from the
-   coordinator's pool when an operation starts and returned when it ends,
-   so a steady stream of operations allocates none of this. *)
-type op_scratch = {
-  q : int array;
-  mutable n_q : int;  (** members in the current phase *)
-  mutable waiting_n : int;  (** of which, still to reply *)
-  w : int array;
-  mutable n_w : int;
-  winc : int array;
-  pos : int array;  (** site -> position in [q]/[w], by replica universe *)
-}
-
-let make_scratch n =
-  {
-    q = Array.make (max n 1) (-1);
-    n_q = 0;
-    waiting_n = 0;
-    w = Array.make (max n 1) 0;
-    n_w = 0;
-    winc = Array.make (max n 1) 0;
-    pos = Array.make (max n 1) 0;
-  }
-
-(* Placeholder installed in place of a released scratch; doubles as the
-   double-release guard ([release_scratch] is a no-op once it is in). *)
-let dummy_scratch = make_scratch 0
-
 (* What an operation is and whom it answers.  A single-key op and a
    multi-key batch run the same machine; only the callback's shape (and
    the envelope, chosen by key count) differs.  A batch's callback gets
@@ -88,7 +53,16 @@ type kind =
    can go back to a pool and be re-initialized in place: a steady stream
    of operations allocates no op_state at all.  The per-position columns
    keep their capacity across reuses, so a single-key op allocates none of
-   them either. *)
+   them either.
+
+   The quorum columns, sized by the replica universe: [q] holds the
+   members of the current phase, with replied members overwritten by -1
+   (so "waiting" is the >= 0 entries, in original send order).  [w]/[winc]
+   hold the 2PC member set and the incarnation each member acked its
+   prepare under.  [pos] maps a site to its position in [q] and [w]: a 2PC
+   phase's [q] is a copy of [w], so one position serves both, and a lookup
+   is trusted only when the array still holds the site there — stale
+   entries from an earlier phase or operation need no reset. *)
 and op_state = {
   mutable op : int;  (** the id of the {e current attempt} *)
   mutable kind : kind;
@@ -108,7 +82,13 @@ and op_state = {
       (** [\[| started; phase started |\]]: when the operation began, and
           when the current phase's requests went out.  Unboxed: a float
           field of this record would be a fresh box at every store. *)
-  mutable sc : op_scratch;
+  q : int array;
+  mutable n_q : int;  (** members in the current phase *)
+  mutable waiting_n : int;  (** of which, still to reply *)
+  w : int array;
+  mutable n_w : int;
+  winc : int array;
+  pos : int array;  (** site -> position in [q]/[w], by replica universe *)
   mutable phase : phase;
   mutable replies : (int * int * int) list;
       (** (member, version, sid) gathered while querying; only populated
@@ -158,10 +138,8 @@ type t = {
          in the event's int slot, and backoff wake-ups, which carry the op
          record as payload: neither allocates a closure *)
   pending : op_state Int_tbl.t;
-  mutable pool : op_scratch array;  (* free scratches, filled [0, pool_n) *)
+  mutable pool : op_state array;  (* free op records, filled [0, pool_n) *)
   mutable pool_n : int;
-  mutable op_pool : op_state array;  (* free op records, filled [0, op_pool_n) *)
-  mutable op_pool_n : int;
   incs : int array;  (** replica site -> newest incarnation seen *)
   (* Counters: handles the coordinator owns; [?obs] registers them. *)
   reads_ok : Obs.Metrics.counter;
@@ -207,29 +185,6 @@ let fresh_op t =
   t.next_seq <- t.next_seq + 1;
   id
 
-let alloc_scratch t =
-  if t.pool_n > 0 then begin
-    t.pool_n <- t.pool_n - 1;
-    let sc = t.pool.(t.pool_n) in
-    t.pool.(t.pool_n) <- dummy_scratch;
-    sc
-  end
-  else make_scratch t.n_replicas
-
-let release_scratch t st =
-  let sc = st.sc in
-  if sc != dummy_scratch then begin
-    st.sc <- dummy_scratch;
-    let cap = Array.length t.pool in
-    if t.pool_n = cap then begin
-      let grown = Array.make (max 4 (2 * cap)) dummy_scratch in
-      Array.blit t.pool 0 grown 0 cap;
-      t.pool <- grown
-    end;
-    t.pool.(t.pool_n) <- sc;
-    t.pool_n <- t.pool_n + 1
-  end
-
 let dummy_kind = Read_one (fun _ -> ())
 
 (* op id of a pooled (released) record; doubles as the double-release
@@ -238,7 +193,8 @@ let released = min_int
 
 let no_owner = -1
 
-let make_op cap =
+let make_op ~replicas cap =
+  let r = max replicas 1 in
   {
     op = released;
     kind = dummy_kind;
@@ -251,7 +207,13 @@ let make_op cap =
     max_val = Array.make cap "";
     attempts = 0;
     times = Float.Array.make 2 0.0;
-    sc = dummy_scratch;
+    q = Array.make r (-1);
+    n_q = 0;
+    waiting_n = 0;
+    w = Array.make r 0;
+    n_w = 0;
+    winc = Array.make r 0;
+    pos = Array.make r 0;
     phase = Querying;
     replies = [];
     forced = None;
@@ -262,22 +224,22 @@ let make_op cap =
 
 (* Placeholder filling vacated pool slots so released records are not
    retained twice. *)
-let dummy_op = make_op 0
+let dummy_op = make_op ~replicas:0 0
 
 (* What an empty batch answers with at once. *)
-let empty_outcome = { (make_op 0) with ok = true }
+let empty_outcome = { (make_op ~replicas:0 0) with ok = true }
 
 (* A record for a new operation over [n] keys; the caller fills [keys],
    [values] and [spans] for positions [0, n). *)
 let alloc_op t ~kind ~n =
   let st =
-    if t.op_pool_n > 0 then begin
-      t.op_pool_n <- t.op_pool_n - 1;
-      let st = t.op_pool.(t.op_pool_n) in
-      t.op_pool.(t.op_pool_n) <- dummy_op;
+    if t.pool_n > 0 then begin
+      t.pool_n <- t.pool_n - 1;
+      let st = t.pool.(t.pool_n) in
+      t.pool.(t.pool_n) <- dummy_op;
       st
     end
-    else make_op (max n 1)
+    else make_op ~replicas:t.n_replicas (max n 1)
   in
   if Array.length st.keys < n then begin
     st.keys <- Array.make n 0;
@@ -291,7 +253,6 @@ let alloc_op t ~kind ~n =
   st.n_keys <- n;
   st.attempts <- 0;
   set_started t st;
-  st.sc <- alloc_scratch t;
   st
 
 (* Only safe once nothing can reach [st] again: it must already be out of
@@ -308,26 +269,26 @@ let release_op t st =
     done;
     st.replies <- [];
     st.forced <- None;
-    let cap = Array.length t.op_pool in
-    if t.op_pool_n = cap then begin
+    let cap = Array.length t.pool in
+    if t.pool_n = cap then begin
       let grown = Array.make (max 4 (2 * cap)) dummy_op in
-      Array.blit t.op_pool 0 grown 0 cap;
-      t.op_pool <- grown
+      Array.blit t.pool 0 grown 0 cap;
+      t.pool <- grown
     end;
-    t.op_pool.(t.op_pool_n) <- st;
-    t.op_pool_n <- t.op_pool_n + 1
+    t.pool.(t.pool_n) <- st;
+    t.pool_n <- t.pool_n + 1
   end
 
 (* The members of the current phase yet to reply, as a list (allocating:
    only for observability and detector bookkeeping on cold paths). *)
-let live_members sc =
+let live_members st =
   let rec go i acc =
     if i < 0 then acc
     else
-      let m = sc.q.(i) in
+      let m = st.q.(i) in
       go (i - 1) (if m >= 0 then m :: acc else acc)
   in
-  go (sc.n_q - 1) []
+  go (st.n_q - 1) []
 
 (* The believed-alive replica view comes from the pluggable detector:
    ground truth by default (the paper assumes detectable failures), or a
@@ -355,10 +316,9 @@ let send t ~dst msg = Network.send t.net ~src:t.site ~dst msg
 (* Send [msg] to every member of the current phase.  A multi-key envelope
    counts as [n_keys] logical messages at the network. *)
 let fan_out t st msg =
-  let sc = st.sc in
   let units = if st.n_keys = 1 then None else Some st.n_keys in
-  for i = 0 to sc.n_q - 1 do
-    Network.send t.net ?units ~src:t.site ~dst:sc.q.(i) msg
+  for i = 0 to st.n_q - 1 do
+    Network.send t.net ?units ~src:t.site ~dst:st.q.(i) msg
   done
 
 (* --- observability hooks (single match, no work, when [obs = None]) ----- *)
@@ -374,7 +334,7 @@ let ophase t st ~kind =
   match t.obs with
   | Some obs when st.n_keys = 1 -> (
     match st.spans.(0) with
-    | Some sp -> Obs.phase obs sp ~kind ~quorum:(live_members st.sc) ()
+    | Some sp -> Obs.phase obs sp ~kind ~quorum:(live_members st) ()
     | None -> ())
   | _ -> ()
 
@@ -445,31 +405,30 @@ let unlock t st =
 (* --- operation lifecycle ------------------------------------------------ *)
 
 (* Record where each of the first [n] members of [a] sits. *)
-let place sc a n =
+let place st a n =
   for i = 0 to n - 1 do
-    sc.pos.(a.(i)) <- i
+    st.pos.(a.(i)) <- i
   done
 
-(* Position of site [m] among the first [n] entries of [a] (the scratch's
+(* Position of site [m] among the first [n] entries of [a] (the record's
    [q] or [w]), or [n]: one probe of [pos], checked against [a]. *)
-let index sc a n m =
-  if m < 0 || m >= Array.length sc.pos then n
+let index st a n m =
+  if m < 0 || m >= Array.length st.pos then n
   else
-    let i = sc.pos.(m) in
+    let i = st.pos.(m) in
     if i < n && a.(i) = m then i else n
 
 (* Incarnation this member acked the prepare under (0 when it has never
    crashed with amnesia — i.e. always, under fail-stop). *)
-let member_inc sc m =
-  let i = index sc sc.w sc.n_w m in
-  if i = sc.n_w then 0 else sc.winc.(i)
+let member_inc st m =
+  let i = index st st.w st.n_w m in
+  if i = st.n_w then 0 else st.winc.(i)
 
 (* Suspect (and optionally charge the breaker for) every member still
    waiting in the current phase. *)
 let blame_waiting t st ~charge_breaker =
-  let sc = st.sc in
-  for i = 0 to sc.n_q - 1 do
-    let m = sc.q.(i) in
+  for i = 0 to st.n_q - 1 do
+    let m = st.q.(i) in
     if m >= 0 then begin
       t.view.Detect.View.suspect m;
       if charge_breaker then breaker_failure t m
@@ -507,7 +466,6 @@ let account_ok t st i ~elapsed =
 
 let finish t st ~ok =
   Int_tbl.remove t.pending st.op;
-  release_scratch t st;
   let elapsed = now t -. started st in
   let k = st.n_keys in
   for i = 0 to k - 1 do
@@ -538,12 +496,11 @@ let arm_timeout t st =
 
 let retry ?(timed_out = false) t st =
   Int_tbl.remove t.pending st.op;
-  let sc = st.sc in
   (* Roll back any prepared members of this attempt. *)
   if st.phase = Preparing then begin
     let abort = Message.Abort { op = st.op } in
-    for i = 0 to sc.n_w - 1 do
-      send t ~dst:sc.w.(i) abort
+    for i = 0 to st.n_w - 1 do
+      send t ~dst:st.w.(i) abort
     done
   end;
   oend_phase t st ~timed_out;
@@ -593,14 +550,13 @@ let start_prepare t st =
   match Protocol.write_quorum t.proto ~alive:(current_view t) ~rng:t.rng with
   | None -> retry t st
   | Some quorum ->
-    let sc = st.sc in
-    let n = Bitset.fill_elements quorum sc.w in
-    sc.n_w <- n;
-    place sc sc.w n;
-    Array.blit sc.w 0 sc.q 0 n;
-    Array.fill sc.winc 0 n 0;
-    sc.n_q <- n;
-    sc.waiting_n <- n;
+    let n = Bitset.fill_elements quorum st.w in
+    st.n_w <- n;
+    place st st.w n;
+    Array.blit st.w 0 st.q 0 n;
+    Array.fill st.winc 0 n 0;
+    st.n_q <- n;
+    st.waiting_n <- n;
     set_phase_started t st;
     ophase t st ~kind:Obs.Span.Prepare;
     arm_timeout t st;
@@ -647,10 +603,9 @@ let start_attempt t st =
     st.max_val.(i) <- ""
   done;
   st.replies <- [];
-  let sc = st.sc in
-  sc.n_q <- 0;
-  sc.waiting_n <- 0;
-  sc.n_w <- 0;
+  st.n_q <- 0;
+  st.waiting_n <- 0;
+  st.n_w <- 0;
   Int_tbl.replace t.pending op st;
   match st.forced with
   | Some ts ->
@@ -662,10 +617,10 @@ let start_attempt t st =
     match Protocol.read_quorum t.proto ~alive:view ~rng:t.rng with
     | None -> retry t st
     | Some quorum ->
-      let n = Bitset.fill_elements quorum sc.q in
-      place sc sc.q n;
-      sc.n_q <- n;
-      sc.waiting_n <- n;
+      let n = Bitset.fill_elements quorum st.q in
+      place st st.q n;
+      st.n_q <- n;
+      st.waiting_n <- n;
       ophase t st ~kind:Obs.Span.Query;
       arm_timeout t st;
       fan_out t st
@@ -696,19 +651,17 @@ let commit_timeout t st =
     st.attempts <- st.attempts + 1;
     ophase t st ~kind:Obs.Span.Commit;
     arm_timeout t st;
-    let sc = st.sc in
-    for i = 0 to sc.n_q - 1 do
-      let m = sc.q.(i) in
-      if m >= 0 then send t ~dst:m (commit_msg st.op (member_inc sc m))
+    for i = 0 to st.n_q - 1 do
+      let m = st.q.(i) in
+      if m >= 0 then send t ~dst:m (commit_msg st.op (member_inc st m))
     done
   end
 
 let reply_received t st ~src =
-  let sc = st.sc in
-  let i = index sc sc.q sc.n_q src in
-  if i < sc.n_q then begin
-    sc.q.(i) <- -1;
-    sc.waiting_n <- sc.waiting_n - 1;
+  let i = index st st.q st.n_q src in
+  if i < st.n_q then begin
+    st.q.(i) <- -1;
+    st.waiting_n <- st.waiting_n - 1;
     observe_rtt t st;
     breaker_ok t src
   end
@@ -759,23 +712,22 @@ let query_complete t st =
     start_prepare t st
 
 let prepare_complete t st =
-  let sc = st.sc in
   st.phase <- Committing;
   set_phase_started t st;
-  Array.blit sc.w 0 sc.q 0 sc.n_w;
-  sc.n_q <- sc.n_w;
-  sc.waiting_n <- sc.n_w;
+  Array.blit st.w 0 st.q 0 st.n_w;
+  st.n_q <- st.n_w;
+  st.waiting_n <- st.n_w;
   ophase t st ~kind:Obs.Span.Commit;
   arm_timeout t st;
   (* One [Commit] per run of members that acked under the same
      incarnation: a failure-free round sends every member the same one. *)
-  let commit = ref (commit_msg st.op sc.winc.(0)) in
-  for i = 0 to sc.n_w - 1 do
-    let inc = sc.winc.(i) in
+  let commit = ref (commit_msg st.op st.winc.(0)) in
+  for i = 0 to st.n_w - 1 do
+    let inc = st.winc.(i) in
     (match !commit with
     | Message.Commit { inc = c; _ } when c = inc -> ()
     | _ -> commit := commit_msg st.op inc);
-    send t ~dst:sc.w.(i) !commit
+    send t ~dst:st.w.(i) !commit
   done
 
 (* A reply stamped with an incarnation older than the newest one seen from
@@ -802,7 +754,7 @@ let handle_op t ~src st msg =
     if t.config.read_repair then
       st.replies <- (src, version, sid) :: st.replies;
     observe_value st 0 ~version ~sid ~value;
-    if st.sc.waiting_n = 0 then query_complete t st
+    if st.waiting_n = 0 then query_complete t st
   | Read_batch_reply { entries; _ } when st.phase = Querying ->
     (* Entries answer the request positions in order, so a repeated key's
        positions all see the same entry values. *)
@@ -811,13 +763,12 @@ let handle_op t ~src st msg =
       observe_value st i ~version:(Batch.version entries i)
         ~sid:(Batch.sid entries i) ~value:(Batch.value entries i)
     done;
-    if st.sc.waiting_n = 0 then query_complete t st
+    if st.waiting_n = 0 then query_complete t st
   | Prepare_ack { inc; _ } when st.phase = Preparing ->
     reply_received t st ~src;
-    let sc = st.sc in
-    let i = index sc sc.w sc.n_w src in
-    if i < sc.n_w then sc.winc.(i) <- inc;
-    if sc.waiting_n = 0 then begin
+    let i = index st st.w st.n_w src in
+    if i < st.n_w then st.winc.(i) <- inc;
+    if st.waiting_n = 0 then begin
       match st.kind with
       | Prepare_hold cb ->
         (* Staged everywhere: park until the caller decides. *)
@@ -845,9 +796,9 @@ let handle_op t ~src st msg =
     oend_phase t st ~timed_out:false;
     finish t st ~ok:false
   | Commit_ack { inc; _ }
-    when st.phase = Committing && inc = member_inc st.sc src ->
+    when st.phase = Committing && inc = member_inc st src ->
     reply_received t st ~src;
-    if st.sc.waiting_n = 0 then finish t st ~ok:true
+    if st.waiting_n = 0 then finish t st ~ok:true
   | Read_reply _ | Read_batch_reply _ | Prepare_ack _ | Prepare_nack _
   | Commit_ack _ | Busy _ | Read_request _ | Prepare _ | Commit _ | Abort _
   | Repair _ | Read_batch _ | Prepare_batch _ | Ping _ | Pong _
@@ -893,10 +844,8 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       next_seq = 0;
       timeout_h = uninit_timeout_h;
       pending = Int_tbl.create 16;
-      pool = Array.make 4 dummy_scratch;
+      pool = Array.make 4 dummy_op;
       pool_n = 0;
-      op_pool = Array.make 4 dummy_op;
-      op_pool_n = 0;
       incs = Array.make n_replicas 0;
       reads_ok = { value = 0 };
       reads_failed = { value = 0 };
@@ -926,7 +875,7 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
           | exception Not_found -> ()
           | st ->
             if st.phase <> Prepared && phase_code st.phase = pc
-               && st.sc.waiting_n > 0
+               && st.waiting_n > 0
             then
               if pc = 2 then commit_timeout t st
               else retry ~timed_out:true t st);
@@ -991,10 +940,9 @@ let write t ?(retry = false) ~key ?ts ~value k =
 
 (* Multi-key entries, over the caller's slice [pos, pos + len) of [keys]
    (and [values]), copied into the record's columns.  A batch of one key
-   is a plain single-key op — locks, spans, RNG draws and all — so batch
-   size 1 is byte-identical to unbatched operation.  Batches of >= 2 keys
-   skip the per-key lock manager: monotone installs plus quorum
-   intersection make concurrent multi-key writes safe without it
+   is a plain single-key op — locks, spans, RNG draws and all.  Batches
+   of >= 2 keys skip the per-key lock manager: monotone installs plus
+   quorum intersection make concurrent multi-key writes safe without it
    (timestamps totally order by (version, sid)), and one lock per batch
    would serialize exactly the parallelism batching exists to create. *)
 let check_slice fn keys ~pos ~len =
@@ -1082,10 +1030,9 @@ let commit_staged t h k =
 
 let abort_staged t h =
   let st = check_held "abort_staged" h in
-  let sc = st.sc in
   let abort = Message.Abort { op = st.op } in
-  for i = 0 to sc.n_w - 1 do
-    send t ~dst:sc.w.(i) abort
+  for i = 0 to st.n_w - 1 do
+    send t ~dst:st.w.(i) abort
   done;
   (* Rolled back: each key's span closes failed, and the keys count as
      failed writes. *)

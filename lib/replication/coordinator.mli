@@ -163,8 +163,9 @@ val read_batch :
     retry a round either answers every key or (after the retry budget)
     fails every key.  An empty slice answers at once, successfully.
 
-    A batch of one key is a {!read} (locks included), so batch size 1 is
-    byte-identical to unbatched operation.  Larger batches skip the
+    A batch of one key is a {!read}: locks, spans and RNG draws are a
+    single-key op's, which is how a harness client with a window of one
+    runs one op at a time ({!Harness.batching}).  Larger batches skip the
     per-key lock manager: monotone installs and quorum intersection make
     them safe without it.  Phases and retries are traced on single-key
     spans only; a batch's per-key spans record their outcome.  A batch

@@ -691,7 +691,8 @@ let run_core ?obs sc =
     | Some { retry_budget = Some c; _ } -> Some (Detect.Budget.create ~config:c ())
     | _ -> None
   in
-  let group_commit = match b.batching with Some bt -> bt.group_commit | None -> false in
+  (* No batching is a window of one. *)
+  let batching = Option.value b.batching ~default:batching_defaults in
   (* One tree instance per shard, all over the one engine: a forked
      protocol (private plan-cache scratch), its own network (latency
      stream, crash schedule, service queues), breaker and replicas.  Shards
@@ -747,7 +748,8 @@ let run_core ?obs sc =
     in
     let replicas =
       Array.init n (fun site ->
-          Replica.create ~site ~net ?recovery ?admission ~group_commit ?obs ())
+          Replica.create ~site ~net ?recovery ?admission
+            ~group_commit:batching.group_commit ?obs ())
     in
     (proto, net, breaker, replicas)
   in
@@ -819,77 +821,22 @@ let run_core ?obs sc =
       | exception Not_found -> Timestamp.zero
       | ts -> ts
     in
-    let process_read ~shard expected result =
-      match result with
-      | Some { Coordinator.ts; _ } ->
-        record_completion shard;
-        if Timestamp.newer_than expected ts then
-          checker.violations <- checker.violations + 1
-      | None -> ()
-    in
-    let process_write ~shard key result =
-      match result with
-      | Some ts ->
-        record_completion shard;
-        Hashtbl.replace checker.latest key (Timestamp.max (expected_now key) ts)
-      | None -> ()
-    in
-    (* [process_write]'s checker update for a flat timestamp, which is
-       boxed only when it becomes the key's newest. *)
+    (* The checker's update for a successful write's flat timestamp, which
+       is boxed only when it becomes the key's newest. *)
     let note_write key ~version ~sid =
       let cur = expected_now key in
       if Timestamp.newer_flat version sid cur.Timestamp.version cur.Timestamp.sid then
         Hashtbl.replace checker.latest key (Timestamp.make ~version ~sid)
     in
-    (* Unbatched loop with preallocated per-client closures: the current
-       op's key, shard and expected timestamp ride in mutable slots
-       instead of fresh closures, so issuing an operation allocates
-       nothing on the client side. *)
-    let remaining = ref 0 in
-    let cur_key = ref 0 in
-    let cur_shard = ref 0 in
-    let cur_expected = ref Timestamp.zero in
-    let rec dispatch () =
-      if !remaining = 0 then client_finished ()
-      else begin
-        match Workload.Generator.next gen with
-        | Workload.Generator.Read key ->
-          cur_key := key;
-          cur_shard := Shard_map.route smap key;
-          cur_expected := expected_now key;
-          Coordinator.read coords.(!cur_shard) ~key on_read
-        | Workload.Generator.Write (key, value) ->
-          cur_key := key;
-          cur_shard := Shard_map.route smap key;
-          Coordinator.write coords.(!cur_shard) ~key ~value on_write
-      end
-    and on_read result =
-      process_read ~shard:!cur_shard !cur_expected result;
-      continue ()
-    and on_write result =
-      process_write ~shard:!cur_shard !cur_key result;
-      continue ()
-    and continue () =
-      Engine.schedule engine
-        ~delay:(Workload.Generator.think_time gen ~mean:think)
-        advance
-    and advance () =
-      remaining := !remaining - 1;
-      dispatch ()
-    in
-    let step ops =
-      remaining := ops;
-      dispatch ()
-    in
-    (* Batched client: ops are issued in windows of [batch_size], grouped
+    (* Operation client: ops are issued in windows of [batch_size], grouped
        per shard into one read batch plus one write batch per touched
        shard (every read batch in shard order, then every write batch),
        with up to [pipeline] windows outstanding.  Think time is drawn
-       after a window completes, so [batch_size = 1, pipeline = 1] draws
-       the RNG in exactly the unbatched order and every run is
-       byte-identical to [step].  Each slot owns its window buffers and
-       its callbacks, so a window allocates neither. *)
-    let run_batched bt =
+       after a window completes, so a window of one issues one plain
+       single-key operation and draws the RNG once per op.  Each slot owns
+       its window buffers and its callbacks, so a window allocates
+       neither. *)
+    let run_ops bt =
       let remaining = ref ops in
       let slots = ref bt.pipeline in
       let retire () =
@@ -985,10 +932,9 @@ let run_core ?obs sc =
       go ops
     in
     let start () =
-      match (b.txn, b.batching) with
-      | Some tx, _ -> run_txns tx
-      | None, None -> step ops
-      | None, Some bt -> run_batched bt
+      match b.txn with
+      | Some tx -> run_txns tx
+      | None -> run_ops batching
     in
     if start_delay > 0.0 then Engine.schedule engine ~delay:start_delay start
     else start ();

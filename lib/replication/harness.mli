@@ -6,8 +6,7 @@
     one tree instance per shard (network, replicas, breaker), the clients
     and their loop, and assembles the report; the plain run ({!run}) and
     the sharded run ({!Shard_harness}) are calls into it.  A client runs
-    one operation at a time, in batch windows, or as transactions
-    ({!txn}).  Shards, overload, batching, failures, crash recovery,
+    operations in windows ({!batching}) or transactions ({!txn}).  Shards, overload, batching, failures, crash recovery,
     membership churn ({!churn}) and the detector are independent fields,
     and every combination of them runs, except churn over several
     shards.
@@ -73,12 +72,11 @@ type batching = {
       (** outstanding batch windows per client (>= 1): the next window
           is issued without waiting for the previous one *)
 }
-(** Client-side batching.  [None] in {!scenario.batching} keeps the
-    one-op-at-a-time client loop, byte-identical to before; and
-    [batch_size = 1, pipeline = 1] draws the client RNG in exactly the
-    unbatched order (think time is drawn after each window completes), so
-    it too is byte-identical — the determinism control for the batching
-    layer. *)
+(** Client-side batching.  [None] in {!scenario.batching} is
+    {!batching_defaults}: a window of one op, one window outstanding.  A
+    window of one issues a plain single-key operation, and think time is
+    drawn after each window completes, so such a client runs one op at a
+    time. *)
 
 type txn = {
   keys_per_txn : int;
@@ -168,7 +166,7 @@ type scenario = {
           flash-crowd injection (default [None]: none of it exists) *)
   batching : batching option;
       (** windowed batched clients, WAL group commit and pipelining
-          (default [None]: the classic one-op loop) *)
+          (default [None]: {!batching_defaults}) *)
   txn : txn option;
       (** transaction clients instead of operation clients (default
           [None]); excludes [batching] *)

@@ -16,6 +16,5 @@ let newer_flat av asid bv bsid = av > bv || (av = bv && asid < bsid)
 let compare a b =
   if newer_than a b then 1 else if newer_than b a then -1 else 0
 
-let max a b = if newer_than b a then b else a
 let equal a b = a.version = b.version && a.sid = b.sid
 let pp ppf t = Format.fprintf ppf "v%d@@%d" t.version t.sid

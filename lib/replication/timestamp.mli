@@ -20,6 +20,5 @@ val newer_flat : int -> int -> int -> int -> bool
 val compare : t -> t -> int
 (** Total order with [compare a b > 0] iff [newer_than a b]. *)
 
-val max : t -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

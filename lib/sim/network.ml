@@ -57,7 +57,6 @@ type 'msg t = {
   site_sent : Obs.Metrics.counter array;
   site_delivered : Obs.Metrics.counter array;
   mutable queue_depth : Obs.Metrics.histogram option;
-  mutable trace : 'msg tracer option;
   mutable deferred : Engine.handler;
       (* preallocated arrival handler: (src, dst) packed in the event's
          int slot, the message in its payload slot, so a send schedules
@@ -66,8 +65,6 @@ type 'msg t = {
       (* preallocated service-completion handler: (epoch, dst) packed in
          the event's int slot *)
 }
-
-and 'msg tracer = { sink : Trace.t; describe : 'msg -> string }
 
 (* Sentinel handler installed by [create]; the first send (or the first
    service start) swaps in the real handler, defined below next to the
@@ -109,16 +106,12 @@ let create ~engine ~n ?(latency = Latency.Exponential 1.0) ?(loss_rate = 0.0)
     site_sent = Array.init n (fun _ -> { Obs.Metrics.value = 0 });
     site_delivered = Array.init n (fun _ -> { Obs.Metrics.value = 0 });
     queue_depth = None;
-    trace = None;
     deferred = uninit_deferred;
     completion = uninit_deferred;
   }
 
 let engine t = t.engine
 let size t = t.n
-
-let attach_trace t ?(describe = fun _ -> "") sink =
-  t.trace <- Some { sink; describe }
 
 let attach_obs t obs =
   let m = Obs.metrics obs in
@@ -131,7 +124,7 @@ let attach_obs t obs =
   reg "net.dropped.no_handler" t.dropped_no_handler;
   reg "net.dropped.overload" t.dropped_overload;
   reg "net.coalesced" t.coalesced;
-  (* Per-site names are formatted here, never on an untraced run. *)
+  (* Per-site names are formatted here, never on an unattached network. *)
   let sites what = Array.iteri (fun i -> reg (Printf.sprintf "net.site.%d.%s" i what)) in
   sites "sent" t.site_sent;
   sites "delivered" t.site_delivered;
@@ -140,34 +133,16 @@ let attach_obs t obs =
 (* Counting is a field store: no call across the -opaque library boundary. *)
 let[@inline] bump (c : Obs.Metrics.counter) = c.value <- c.value + 1
 
-let emit t event =
-  match t.trace with
-  | None -> ()
-  | Some { sink; _ } -> Trace.record sink ~time:(Engine.now t.engine) event
-
-(* Send/deliver trace events take src/dst directly rather than a [mk]
-   closure: the closure literal would be allocated per message even with
-   tracing off. *)
-let emit_send t ~src ~dst msg =
-  match t.trace with
-  | None -> ()
-  | Some { sink; describe } ->
-    Trace.record sink ~time:(Engine.now t.engine)
-      (Trace.Send { src; dst; info = describe msg })
-
-let emit_deliver t ~src ~dst msg =
-  match t.trace with
-  | None -> ()
-  | Some { sink; describe } ->
-    Trace.record sink ~time:(Engine.now t.engine)
-      (Trace.Deliver { src; dst; info = describe msg })
-
 let check_site t i =
   if i < 0 || i >= t.n then invalid_arg "Network: bad site id"
 
 let set_handler t ~site f =
   check_site t site;
   t.handlers.(site) <- Some f
+
+let handler t ~site =
+  check_site t site;
+  t.handlers.(site)
 
 let reachable t a b =
   check_site t a;
@@ -181,12 +156,10 @@ let deliver t ~src ~dst msg =
   | None ->
     (* A missing handler is a wiring problem, not a crash: count it
        separately so crash statistics stay truthful. *)
-    bump t.dropped_no_handler;
-    emit t (Trace.Drop { src; dst; reason = "no handler" })
+    bump t.dropped_no_handler
   | Some h ->
     bump t.delivered;
     bump t.site_delivered.(dst);
-    emit_deliver t ~src ~dst msg;
     h ~src msg
 
 (* --- the service ring ------------------------------------------------------ *)
@@ -257,7 +230,6 @@ let enqueue t ~src ~dst s msg =
   in
   if (not priority) && s.capacity > 0 && s.q_len >= s.capacity then begin
     bump t.dropped_overload;
-    emit t (Trace.Drop { src; dst; reason = "overload" });
     match s.overflow with None -> () | Some f -> f ~src msg
   end
   else begin
@@ -274,14 +246,8 @@ let enqueue t ~src ~dst s msg =
    happen at delivery time, so in-flight messages die with their
    destination. *)
 let arrive t ~src ~dst msg =
-  if not t.up.(dst) then begin
-    bump t.dropped_crash;
-    emit t (Trace.Drop { src; dst; reason = "destination down" })
-  end
-  else if t.group.(src) <> t.group.(dst) then begin
-    bump t.dropped_partition;
-    emit t (Trace.Drop { src; dst; reason = "partition" })
-  end
+  if not t.up.(dst) then bump t.dropped_crash
+  else if t.group.(src) <> t.group.(dst) then bump t.dropped_partition
   else begin
     match t.services.(dst) with
     | None -> deliver t ~src ~dst msg
@@ -311,20 +277,13 @@ let send t ?(units = 1) ~src ~dst msg =
      the amortization.  The counter records how many per-op messages the
      coalescing saved. *)
   if units > 1 then t.coalesced.value <- t.coalesced.value + (units - 1);
-  emit_send t ~src ~dst msg;
-  if not t.up.(src) then begin
-    bump t.dropped_crash;
-    emit t (Trace.Drop { src; dst; reason = "sender down" })
-  end
+  if not t.up.(src) then bump t.dropped_crash
   else if
     (* [Rng.bernoulli t.rng t.loss_rate], rebuilt from the raw bits so the
        uniform draw is not a boxed float *)
     t.loss_rate > 0.0
     && float_of_int (Rng.bits53 t.rng) /. 9007199254740992.0 < t.loss_rate
-  then begin
-    bump t.dropped_loss;
-    emit t (Trace.Drop { src; dst; reason = "loss" })
-  end
+  then bump t.dropped_loss
   else begin
     (* The latency draw lands in the engine's delay slot, and
        [schedule_slot] reads it there: no float crosses a module
@@ -403,13 +362,12 @@ let set_crash_hooks t ~site ?(on_crash = fun _ -> ()) ?(on_recover = fun () -> (
   t.hooks.(site) <- Some { on_crash; on_recover }
 
 (* Crash/recover are transition-guarded: a redundant call is a no-op — no
-   duplicate trace event, no hook invocation, and the alive bitset stays in
-   lockstep with [up].  Hooks fire after the state change, so an [on_crash]
-   callback already sees its site as down. *)
+   hook invocation, and the alive bitset stays in lockstep with [up].
+   Hooks fire after the state change, so an [on_crash] callback already
+   sees its site as down. *)
 let crash t i =
   check_site t i;
   if t.up.(i) then begin
-    emit t (Trace.Crash i);
     t.up.(i) <- false;
     Bitset.remove t.alive i;
     (* Queued-but-unserved messages die with the site; the epoch bump
@@ -430,7 +388,6 @@ let crash t i =
 let recover t i =
   check_site t i;
   if not t.up.(i) then begin
-    emit t (Trace.Recover i);
     t.up.(i) <- true;
     Bitset.add t.alive i;
     match t.hooks.(i) with Some h -> h.on_recover () | None -> ()
@@ -445,12 +402,6 @@ let is_up t i =
 let alive_view t = Bitset.copy t.alive
 
 let partition t groups =
-  emit t
-    (Trace.Partition_change
-       (String.concat " | "
-          (List.map
-             (fun g -> String.concat "," (List.map string_of_int g))
-             groups)));
   Array.fill t.group 0 t.n 0;
   List.iteri
     (fun g sites ->
@@ -461,9 +412,7 @@ let partition t groups =
         sites)
     groups
 
-let heal t =
-  emit t (Trace.Partition_change "healed");
-  Array.fill t.group 0 t.n 0
+let heal t = Array.fill t.group 0 t.n 0
 
 let set_loss_rate t rate =
   if rate < 0.0 || rate >= 1.0 then

@@ -32,12 +32,6 @@ val create :
 val engine : 'msg t -> Engine.t
 val size : 'msg t -> int
 
-val attach_trace :
-  'msg t -> ?describe:('msg -> string) -> Trace.t -> unit
-(** Start recording sends, deliveries, drops, crash/recover and partition
-    changes into the trace; [describe] renders message payloads (defaults
-    to the empty string). *)
-
 val attach_obs : 'msg t -> Obs.t -> unit
 (** Register the network's counter handles in [obs]'s registry: [net.sent],
     [net.delivered], [net.dropped.loss] / [.crash] / [.partition] /
@@ -52,6 +46,10 @@ val attach_obs : 'msg t -> Obs.t -> unit
 val set_handler : 'msg t -> site:int -> (src:int -> 'msg -> unit) -> unit
 (** Installs the message handler for a site.  A site without a handler
     drops messages. *)
+
+val handler : 'msg t -> site:int -> (src:int -> 'msg -> unit) option
+(** The handler installed for a site, if any.  Re-installing it wrapped
+    ([set_handler]) observes every message delivered to the site. *)
 
 val send : 'msg t -> ?units:int -> src:int -> dst:int -> 'msg -> unit
 (** Queues delivery after a sampled latency.  The message is dropped when
@@ -76,7 +74,7 @@ val broadcast : 'msg t -> src:int -> dst:int list -> 'msg -> unit
     into a single-server bounded FIFO ingress queue: each arrival waits
     for the messages ahead of it, each costs [service_time] simulated
     time to process, and arrivals beyond [capacity] are dropped at the
-    door (counted in {!dropped_overload}, traced as reason ["overload"]).
+    door (counted in {!dropped_overload}).
     This is what makes overload {e possible} in the simulation: without a
     service cost, no burst can outrun a replica.
 
@@ -135,12 +133,12 @@ val set_crash_hooks :
 
 val crash : 'msg t -> int -> unit
 (** Marks the site down and fires its [on_crash] hook.  Idempotent: calling
-    it on an already-down site changes nothing — no trace event, no hook,
-    and the alive set is untouched. *)
+    it on an already-down site changes nothing — no hook, and the alive
+    set is untouched. *)
 
 val recover : 'msg t -> int -> unit
 (** Marks the site up and fires its [on_recover] hook.  Idempotent on an
-    already-up site (no trace event, no hook). *)
+    already-up site (no hook). *)
 
 val is_up : 'msg t -> int -> bool
 val alive_view : 'msg t -> Dsutil.Bitset.t

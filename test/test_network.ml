@@ -300,6 +300,35 @@ let test_no_handler_counter () =
   Alcotest.(check int) "crash unchanged by wiring bugs" 1 (Network.dropped_crash net);
   Alcotest.(check int) "no_handler stays" 1 (Network.dropped_no_handler net)
 
+(* Wrapping every installed handler observes each delivery once, before
+   the site's own handler runs: here, a write's full 2PC message flow. *)
+let test_wrapped_handlers () =
+  let proto = Arbitrary.Quorums.protocol (Arbitrary.Tree.figure1 ()) in
+  let engine = Engine.create () in
+  let net = Network.create ~engine ~n:10 () in
+  let _replicas = Array.init 8 (fun site -> Replication.Replica.create ~site ~net ()) in
+  let coord = Replication.Coordinator.create ~site:8 ~net ~proto () in
+  Alcotest.(check bool) "no handler at site 9" true (Network.handler net ~site:9 = None);
+  let seen = ref [] in
+  for site = 0 to 9 do
+    Option.iter
+      (fun h ->
+        Network.set_handler net ~site (fun ~src msg ->
+            seen := Format.asprintf "%a" Replication.Message.pp msg :: !seen;
+            h ~src msg))
+      (Network.handler net ~site)
+  done;
+  let ok = ref false in
+  Replication.Coordinator.write coord ~key:1 ~value:"x" (fun r -> ok := r <> None);
+  Engine.run engine;
+  Alcotest.(check bool) "write completed" true !ok;
+  Alcotest.(check int) "one line per delivery" (Network.delivered net) (List.length !seen);
+  let count prefix =
+    List.length (List.filter (String.starts_with ~prefix) !seen)
+  in
+  Alcotest.(check bool) "prepares seen" true (count "prepare(" > 0);
+  Alcotest.(check int) "one commit per prepare" (count "prepare(") (count "commit(")
+
 let test_obs_mirrors_counters () =
   let engine, net = make () in
   let obs = Obs.create () in
@@ -533,6 +562,7 @@ let suite =
     Alcotest.test_case "random crash/recovery alternates per site" `Quick
       test_random_crash_recovery_alternates;
     Alcotest.test_case "no-handler drop counter" `Quick test_no_handler_counter;
+    Alcotest.test_case "wrapped handlers see every delivery" `Quick test_wrapped_handlers;
     Alcotest.test_case "obs mirrors net counters" `Quick
       test_obs_mirrors_counters;
     Alcotest.test_case "late attach counts every send" `Quick

@@ -16,8 +16,7 @@ let test_compare_consistent () =
   let a = ts 3 1 and b = ts 3 4 in
   Alcotest.(check bool) "compare positive" true (Timestamp.compare a b > 0);
   Alcotest.(check bool) "compare negative" true (Timestamp.compare b a < 0);
-  Alcotest.(check int) "compare zero" 0 (Timestamp.compare a a);
-  Alcotest.(check bool) "max picks newer" true (Timestamp.max b a = a)
+  Alcotest.(check int) "compare zero" 0 (Timestamp.compare a a)
 
 let test_total_order_transitive () =
   let all = [ Timestamp.zero; ts 1 3; ts 1 1; ts 2 9; ts 2 2; ts 3 0 ] in
