@@ -20,24 +20,27 @@ let verdict_json (v : Eval.Gate.verdict) =
     (String.concat ","
        (List.map (fun f -> Printf.sprintf "\"%s\"" (json_escape f)) v.failures))
 
-(* Lists the failures on stderr and exits 1 unless the gate passed. *)
-let enforce ~name (v : Eval.Gate.verdict) =
-  if not v.pass then begin
-    List.iter (Printf.eprintf "%s gate: %s\n" name) v.failures;
-    Printf.printf "%s GATE FAILED\n" (String.uppercase_ascii name);
-    exit 1
-  end
+(* Lists every failed gate's failures on stderr, then exits 1 unless all
+   the named verdicts passed. *)
+let enforce verdicts =
+  let failed = List.filter (fun (_, (v : Eval.Gate.verdict)) -> not v.pass) verdicts in
+  List.iter
+    (fun (name, (v : Eval.Gate.verdict)) ->
+      List.iter (Printf.eprintf "%s gate: %s\n" name) v.failures;
+      Printf.printf "%s GATE FAILED\n" (String.uppercase_ascii name))
+    failed;
+  if failed <> [] then exit 1
 
 let contains s needle =
   let nl = String.length needle and sl = String.length s in
   let rec at i = i + nl <= sl && (String.sub s i nl = needle || at (i + 1)) in
   at 0
 
-(* Writes [json] to [path], then gates on [verdict] plus a structural
+(* Writes [json] to [path] and hands back [verdict] plus a structural
    check without a JSON parser: one object holding every [keys] needle,
    which catches a truncated or garbled write.  Artifacts checked
    against [keys] report their size and check on stdout. *)
-let publish ~name ~path ~keys verdict json =
+let publish ~path ~keys verdict json =
   let oc = open_out path in
   output_string oc json;
   output_char oc '\n';
@@ -53,11 +56,9 @@ let publish ~name ~path ~keys verdict json =
     Printf.printf "wrote %s (%d bytes, structural check %s)\n" path
       (String.length json + 1)
       (if valid then "OK" else "FAILED");
-  enforce ~name
-    (if valid then verdict
-     else
-       {
-         Eval.Gate.pass = false;
-         failures =
-           verdict.Eval.Gate.failures @ [ path ^ ": structural check failed" ];
-       })
+  if valid then verdict
+  else
+    {
+      Eval.Gate.pass = false;
+      failures = verdict.Eval.Gate.failures @ [ path ^ ": structural check failed" ];
+    }

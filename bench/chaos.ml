@@ -21,51 +21,41 @@
 let overload_path = "BENCH_overload.json"
 let churn_path = "BENCH_churn.json"
 
-let overload_cell_json (c : Eval.Overload.cell) =
-  let r = c.Eval.Overload.report in
+module Campaign = Eval.Campaign
+
+let overload_cell_json (c : Campaign.cell) =
+  let r = c.report.agg in
   Printf.sprintf
     "{\"scenario\":\"%s\",\"mode\":\"%s\",\"pre_goodput\":%.6f,\"post_goodput\":%.6f,\"recovery\":%.4f,\"ops_ok\":%d,\"sheds\":%d,\"overload_drops\":%d,\"retries_suppressed\":%d,\"breaker_trips\":%d,\"queue_peak\":%d,\"consistency_violations\":%d}"
-    (Eval.Overload.kind_to_string c.Eval.Overload.kind)
-    (Eval.Overload.mode_to_string c.Eval.Overload.mode)
-    c.Eval.Overload.pre_goodput c.Eval.Overload.post_goodput
-    c.Eval.Overload.recovery
+    c.label
+    (Eval.Overload.mode_to_string (Eval.Overload.mode c))
+    (Eval.Overload.pre_goodput c) (Eval.Overload.post_goodput c) (Eval.Overload.recovery c)
     (Replication.Harness.completed r)
-    r.Replication.Harness.replica_sheds r.Replication.Harness.overload_drops
-    r.Replication.Harness.retries_suppressed
-    r.Replication.Harness.breaker_trips r.Replication.Harness.queue_peak
-    c.Eval.Overload.consistency_violations
+    r.replica_sheds r.overload_drops r.retries_suppressed r.breaker_trips r.queue_peak
+    (Campaign.violations [ c ])
 
 let run_overload () =
   Printf.printf "\n== Overload / metastable-failure campaign ==\n\n";
-  let campaign = Eval.Overload.run () in
-  print_string (Eval.Overload.table campaign);
-  let verdict = Eval.Overload.gate campaign in
+  let cells = Eval.Overload.run () in
+  print_string (Eval.Overload.table cells);
+  let verdict = Eval.Overload.gate cells in
   let json =
     Printf.sprintf "{\"schema\":\"bench-overload/1\",\"cells\":[%s],\"gate\":%s}"
-      (String.concat ","
-         (List.map overload_cell_json campaign.Eval.Overload.cells))
+      (String.concat "," (List.map overload_cell_json cells))
       (Artifact.verdict_json verdict)
   in
   print_newline ();
-  Artifact.publish ~name:"overload" ~path:overload_path ~keys:[] verdict json;
+  Artifact.enforce [ ("overload", Artifact.publish ~path:overload_path ~keys:[] verdict json) ];
   Printf.printf "overload gate OK\n"
 
-let churn_cell_json (c : Eval.Churn.cell) =
-  let a = c.Eval.Churn.c_report in
+let churn_cell_json (c : Campaign.cell) =
+  let a = c.report.agg in
   Printf.sprintf
     "{\"config\":\"%s\",\"n\":%d,\"scenario\":\"%s\",\"reads_ok\":%d,\"writes_ok\":%d,\"promotions_done\":%d,\"decommissions_done\":%d,\"provision_runs\":%d,\"provision_chunks\":%d,\"provision_resumes\":%d,\"provision_donor_failovers\":%d,\"failed_rejoins\":%d,\"violations\":%d}"
-    (Arbitrary.Config.name_to_string c.Eval.Churn.c_config)
-    c.Eval.Churn.c_n
-    (Artifact.json_escape c.Eval.Churn.c_kind)
-    a.Replication.Harness.reads_ok a.Replication.Harness.writes_ok
-    a.Replication.Harness.promotions_done
-    a.Replication.Harness.decommissions_done
-    a.Replication.Harness.provision_runs
-    a.Replication.Harness.provision_chunks
-    a.Replication.Harness.provision_resumes
-    a.Replication.Harness.provision_donor_failovers
-    a.Replication.Harness.failed_rejoins
-    a.Replication.Harness.safety_violations
+    (Arbitrary.Config.name_to_string c.line.config)
+    c.line.n (Artifact.json_escape c.label) a.reads_ok a.writes_ok a.promotions_done
+    a.decommissions_done a.provision_runs a.provision_chunks a.provision_resumes
+    a.provision_donor_failovers a.failed_rejoins (Campaign.violations [ c ])
 
 (* Membership-churn smoke gate: the fenced campaign (four configs × four
    scenarios, plus the sharded run) must be violation-free, the unfenced
@@ -85,36 +75,29 @@ let run_churn () =
   Printf.printf
     "\ncold rejoin (%d keys, n=%d): catch-up %d rounds vs provisioning %d \
      rounds (%.1fx)\n"
-    rj.Eval.Churn.rj_keys rj.Eval.Churn.rj_n rj.Eval.Churn.rj_catchup_rounds
-    rj.Eval.Churn.rj_provision_rounds rj.Eval.Churn.rj_speedup;
-  let fenced_violations =
-    Eval.Churn.violations fenced + Eval.Churn.violations sharded
-  in
-  let negative_violations = Eval.Churn.violations negative in
+    rj.rj_keys rj.rj_n rj.rj_catchup_rounds rj.rj_provision_rounds rj.rj_speedup;
+  let fenced_violations = Campaign.violations (fenced @ sharded) in
+  let negative_violations = Campaign.violations negative in
   let g = Eval.Gate.create () in
   let check cond = Eval.Gate.check g cond in
-  check (fenced_violations = 0) "%d violations in the fenced campaign (expected 0)"
-    fenced_violations;
+  check (fenced_violations = 0) "%d violations in the fenced campaign (expected 0)%s"
+    fenced_violations (Campaign.blame (fenced @ sharded));
   check (negative_violations > 0)
     "negative control leaked nothing — the churn oracle is not catching \
      stale reads";
-  check
-    (rj.Eval.Churn.rj_catchup_serving && rj.Eval.Churn.rj_provision_serving)
+  check (rj.rj_catchup_serving && rj.rj_provision_serving)
     "a cold rejoin failed to reach serving";
-  check (rj.Eval.Churn.rj_speedup >= 5.0) "cold-rejoin speedup %.1fx below the 5x gate"
-    rj.Eval.Churn.rj_speedup;
+  check (rj.rj_speedup >= 5.0) "cold-rejoin speedup %.1fx below the 5x gate" rj.rj_speedup;
   let verdict = Eval.Gate.verdict g in
   let json =
     Printf.sprintf
       "{\"schema\":\"bench-churn/1\",\"cells\":[%s],\"cold_rejoin\":{\"keys\":%d,\"catchup_rounds\":%d,\"provision_rounds\":%d,\"speedup\":%.4f},\"negative_violations\":%d,\"gate\":%s}"
-      (String.concat ","
-         (List.map churn_cell_json (fenced @ sharded @ negative)))
-      rj.Eval.Churn.rj_keys rj.Eval.Churn.rj_catchup_rounds
-      rj.Eval.Churn.rj_provision_rounds rj.Eval.Churn.rj_speedup
+      (String.concat "," (List.map churn_cell_json (fenced @ sharded @ negative)))
+      rj.rj_keys rj.rj_catchup_rounds rj.rj_provision_rounds rj.rj_speedup
       negative_violations
       (Artifact.verdict_json verdict)
   in
-  Artifact.publish ~name:"churn" ~path:churn_path ~keys:[] verdict json;
+  Artifact.enforce [ ("churn", Artifact.publish ~path:churn_path ~keys:[] verdict json) ];
   Printf.printf "churn gate OK\n"
 
 let () =
@@ -127,7 +110,7 @@ let () =
     run_overload ();
     exit 0
   end;
-  let campaign =
+  let cells =
     if smoke then
       Eval.Chaos.run ~n:45 ~clients:3 ~ops:20 ~horizon:3000.0
         ~schedules:[ Eval.Chaos.crashes_schedule; Eval.Chaos.combined_schedule ]
@@ -135,40 +118,41 @@ let () =
     else Eval.Chaos.run ()
   in
   let label = if smoke then "smoke" else "full" in
-  Printf.printf "== Chaos campaign (%s): %d cells ==\n\n" label
-    (List.length campaign.Eval.Chaos.cells);
-  print_string (Eval.Chaos.table campaign);
+  Printf.printf "== Chaos campaign (%s): %d cells ==\n\n" label (List.length cells);
+  print_string (Eval.Chaos.table cells);
   Printf.printf "\n== Oracle vs heartbeat detection parity ==\n\n";
-  print_string (Eval.Chaos.parity_table campaign);
-  let gap = Eval.Chaos.crash_parity_gap campaign in
+  print_string (Eval.Chaos.parity_table cells);
+  let gap = Eval.Chaos.crash_parity_gap cells in
+  let violations = Campaign.violations cells in
   Printf.printf
     "\ntotal safety violations: %d\nmax crash-schedule success-rate gap \
      (oracle vs heartbeat): %.4f\n"
-    campaign.Eval.Chaos.safety_violations gap;
+    violations gap;
   Printf.printf "\n== Amnesia crash-recovery campaign ==\n\n";
   let amnesia = Eval.Chaos.run_amnesia () in
   print_string (Eval.Chaos.amnesia_table amnesia);
-  let amnesia_violations = Eval.Chaos.amnesia_violations amnesia in
+  let amnesia_violations = Campaign.violations amnesia in
   Printf.printf "\namnesia (durable WAL + catch-up) violations: %d\n"
     amnesia_violations;
   Printf.printf "\n== Negative control (async WAL, no catch-up) ==\n\n";
   let negative = Eval.Chaos.run_amnesia_negative () in
   print_string (Eval.Chaos.amnesia_table negative);
-  let negative_violations = Eval.Chaos.amnesia_violations negative in
+  let negative_violations = Campaign.violations negative in
   Printf.printf "\nnegative-control violations: %d (must be >= 1)\n"
     negative_violations;
   let g = Eval.Gate.create () in
   let check cond = Eval.Gate.check g cond in
-  check (campaign.Eval.Chaos.safety_violations = 0) "safety violated under chaos";
+  check (violations = 0) "safety violated under chaos%s" (Campaign.blame cells);
   check (gap <= 0.10)
     "heartbeat detection degrades availability by more than 10 points on \
      crash-only schedules";
   check (amnesia_violations = 0)
     "consistency violated under amnesia crashes despite durable WAL and \
-     quorum catch-up";
+     quorum catch-up%s"
+    (Campaign.blame amnesia);
   check (negative_violations > 0)
     "negative control detected no violations — the consistency checker is \
      not catching lost writes";
-  Artifact.enforce ~name:"chaos" (Eval.Gate.verdict g);
+  Artifact.enforce [ ("chaos", Eval.Gate.verdict g) ];
   run_overload ();
   print_endline "chaos campaign OK"

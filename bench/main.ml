@@ -168,7 +168,7 @@ let baseline_section () =
   Eval.Gate.check g (err <= 0.10) "per-site load %.1f%% off the closed form"
     (100.0 *. err);
   Eval.Gate.check g (leaks = 0) "%d spans leaked" leaks;
-  Artifact.publish ~name:"baseline" ~path:baseline_path
+  Artifact.publish ~path:baseline_path
     ~keys:
       ("\"schema\":\"bench-baseline/1\"" :: "\"max_load_error\"" :: "\"spans\""
       :: List.map
@@ -443,7 +443,7 @@ let campaign_hotpath () =
     Eval.Chaos.table c1 = Eval.Chaos.table cn
     && Eval.Chaos.parity_table c1 = Eval.Chaos.parity_table cn
   in
-  let cells = List.length c1.Eval.Chaos.cells in
+  let cells = List.length c1 in
   Printf.printf
     "  campaign (%d cells): %.2fs at 1 domain, %.2fs at %d domains (%.2fx), output %s\n"
     cells w1 wn nd
@@ -520,7 +520,7 @@ let hotpath_section () =
     "batching: below 5x, a safety violation, or the batch-1 control diverged";
   check identical "parallel campaign output diverged";
   check shard_ok "skew probe violated safety";
-  Artifact.publish ~name:"hotpath" ~path:hotpath_path
+  Artifact.publish ~path:hotpath_path
     ~keys:
       [
         "\"schema\":\"bench-hotpath/3\""; "\"quorum\""; "\"e2e\""; "\"alloc\"";
@@ -537,7 +537,7 @@ let shard_section () =
   let campaign, w = wall (fun () -> Eval.Sharding.run ()) in
   print_string (Eval.Sharding.table campaign);
   Printf.printf "\ncampaign wall-clock %.2fs\n" w;
-  Artifact.publish ~name:"shard" ~path:shard_path
+  Artifact.publish ~path:shard_path
     ~keys:
       [
         "\"schema\":\"bench-shard/1\""; "\"scaling\""; "\"speedup_s16\"";
@@ -631,9 +631,9 @@ let () =
   let smoke = Array.exists (( = ) "--smoke") Sys.argv in
   let hotpath_only = Array.exists (( = ) "--hotpath") Sys.argv in
   let shard_only = Array.exists (( = ) "--shard") Sys.argv in
-  if smoke then baseline_section ()
-  else if hotpath_only then hotpath_section ()
-  else if shard_only then shard_section ()
+  if smoke then Artifact.enforce [ ("baseline", baseline_section ()) ]
+  else if hotpath_only then Artifact.enforce [ ("hotpath", hotpath_section ()) ]
+  else if shard_only then Artifact.enforce [ ("shard", shard_section ()) ]
   else begin
     analytic_sections ();
     planner_section ();
@@ -641,9 +641,11 @@ let () =
     txn_section ();
     placement_section ();
     generalized_section ();
-    baseline_section ();
-    hotpath_section ();
-    shard_section ();
+    (* Every section writes its artifact before any gate exits. *)
+    let baseline = baseline_section () in
+    let hotpath = hotpath_section () in
+    let shard = shard_section () in
     run_benchmarks ();
-    print_newline ()
+    print_newline ();
+    Artifact.enforce [ ("baseline", baseline); ("hotpath", hotpath); ("shard", shard) ]
   end

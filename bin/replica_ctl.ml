@@ -319,12 +319,9 @@ let field_args flags =
   in
   List.fold_left (fun acc fl -> Term.(const ( @ ) $ acc $ arg fl)) (Term.const []) flags
 
-(* A preset's base scenario as a line, with the table flags applied. *)
-let line name (n, base) kvs =
-  List.fold_left
-    (fun t (k, v) -> Line.set t k v)
-    { Line.config = name; n; sharded = H.one_tree base }
-    kvs
+(* A preset's base line with the table flags applied. *)
+let apply kvs t = List.fold_left (fun t (k, v) -> Line.set t k v) t kvs
+let line name base kvs = apply kvs (Line.one_tree name base)
 
 let with_base (t : Line.t) f = { t with sharded = { t.sharded with base = f t.sharded.base } }
 
@@ -521,9 +518,7 @@ let chaos_cmd =
     or_fail @@ fun () ->
     let name = default_config config in
     let t =
-      line name
-        (Eval.Chaos.make_scenario name ~n ~clients:3 ~ops:25 ~seed:42 ~horizon:3000.0 schedule)
-        kvs
+      apply kvs (Eval.Chaos.line name ~n ~clients:3 ~ops:25 ~seed:42 ~horizon:3000.0 schedule)
     in
     let wal =
       match wal with
@@ -637,16 +632,15 @@ let overload_cmd =
           "Flash-crowd size joining at a quarter of the horizon (0 = none).")
 
 (* The membership presets run the churn campaign's cell
-   ({!Eval.Churn.make_scenario}). *)
+   ({!Eval.Churn.line}). *)
 let churn_cmd cmd ~doc script =
   let run config n kvs (failures, membership, fence) =
     or_fail @@ fun () ->
     let name = default_config config in
     let t =
-      line name
-        (Eval.Churn.make_scenario name ~n ~clients:3 ~ops:25 ~seed:42 ~horizon:3000.0 ~failures
+      apply kvs
+        (Eval.Churn.line name ~n ~clients:3 ~ops:25 ~seed:42 ~horizon:3000.0 ~failures
            ~membership)
-        kvs
     in
     let t =
       with_base t (fun b ->

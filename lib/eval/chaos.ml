@@ -90,24 +90,6 @@ let blackout_schedule =
 let default_schedules =
   [ crashes_schedule; partitions_schedule; loss_schedule; combined_schedule ]
 
-type detector = Oracle | Heartbeat
-
-let detector_to_string = function
-  | Oracle -> "oracle"
-  | Heartbeat -> "heartbeat"
-
-type cell = {
-  config : Config.name;
-  schedule : string;
-  detector : detector;
-  n : int;
-  report : Harness.report;
-  read_rate : float;
-  write_rate : float;
-}
-
-type campaign = { cells : cell list; safety_violations : int }
-
 let default_configs =
   [ Config.Mostly_read; Config.Mostly_write; Config.Arbitrary; Config.Unmodified ]
 
@@ -127,13 +109,9 @@ let chaos_coordinator =
    default φ threshold keeps false suspicions rare — essential because a
    write quorum needs {e every} node of a level, so one false suspect
    fails the whole attempt. *)
-let chaos_heartbeat = { Detect.Heartbeat.period = 2.5 }
+let chaos_heartbeat = Harness.Heartbeat { Detect.Heartbeat.period = 2.5 }
 
-let rate ok failed =
-  let total = ok + failed in
-  if total = 0 then 1.0 else float_of_int ok /. float_of_int total
-
-let make_scenario name ~n ~clients ~ops ~seed ~horizon sched =
+let scenario name ~n ~clients ~ops ~seed ~horizon sched =
   let n, s = Config_metrics.scenario name ~n in
   ( n,
     {
@@ -151,236 +129,164 @@ let make_scenario name ~n ~clients ~ops ~seed ~horizon sched =
       warmup = 1.0;
     } )
 
+let line name ~n ~clients ~ops ~seed ~horizon sched =
+  Scenario_line.one_tree name (scenario name ~n ~clients ~ops ~seed ~horizon sched)
+
+let detector (c : Campaign.cell) =
+  match c.line.sharded.base.detector with
+  | Harness.Oracle -> "oracle"
+  | Harness.Heartbeat _ -> "heartbeat"
+
+(* The config × schedule × detector sweep in iteration order.  One failure
+   trace and one workload seed per (config, schedule): detector modes face
+   identical adversity.  Every cell builds its own protocol instance. *)
 let run ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42) ?(horizon = 3000.0)
     ?(configs = default_configs) ?(schedules = default_schedules) ?domains () =
-  (* Flatten the config × schedule × detector sweep into self-contained
-     cell specs so the domain pool can fan them out; submission order is
-     the sequential iteration order, so [Parallel.map] returns cells in
-     exactly the order the old nested loops produced them. *)
-  let specs =
-    List.concat
-      (List.mapi
-         (fun ci name ->
-           List.concat
-             (List.mapi
-                (fun si sched ->
-                  List.map
-                    (fun detector -> (ci, name, si, sched, detector))
-                    [ Oracle; Heartbeat ])
-                schedules))
-         configs)
-  in
-  let run_cell (ci, name, si, sched, detector) =
-    (* One failure trace and one workload seed per (config, schedule):
-       detector modes face identical adversity. *)
-    let n, s =
-      make_scenario name ~n ~clients ~ops ~seed:(seed + (1000 * ci) + (100 * si))
-        ~horizon sched
-    in
-    let report =
-      Harness.run
-        {
-          s with
-          Harness.detector =
-            (match detector with
-            | Oracle -> Harness.Oracle
-            | Heartbeat -> Harness.Heartbeat chaos_heartbeat);
-        }
-    in
-    {
-      config = name;
-      schedule = sched.label;
-      detector;
-      n;
-      report;
-      read_rate = rate report.Harness.reads_ok report.Harness.reads_failed;
-      write_rate = rate report.Harness.writes_ok report.Harness.writes_failed;
-    }
-  in
-  let cells = Parallel.map ?domains run_cell specs in
-  {
-    cells;
-    safety_violations =
-      List.fold_left
-        (fun acc c -> acc + c.report.Harness.safety_violations)
-        0 cells;
-  }
+  Campaign.run ?domains
+    (List.concat
+       (List.mapi
+          (fun ci name ->
+            List.concat
+              (List.mapi
+                 (fun si sched ->
+                   List.map
+                     (fun detector ->
+                       let n, s =
+                         scenario name ~n ~clients ~ops
+                           ~seed:(seed + (1000 * ci) + (100 * si))
+                           ~horizon sched
+                       in
+                       (sched.label, Scenario_line.one_tree name (n, { s with Harness.detector })))
+                     [ Harness.Oracle; chaos_heartbeat ])
+                 schedules))
+          configs))
+
+let read_rate (c : Campaign.cell) = Campaign.rate c.report.agg.reads_ok c.report.agg.reads_failed
+let write_rate (c : Campaign.cell) = Campaign.rate c.report.agg.writes_ok c.report.agg.writes_failed
 
 (* --- amnesia crash-recovery campaign ------------------------------------ *)
 
-type amnesia_cell = {
-  a_config : Config.name;
-  a_n : int;
-  a_wal : Replication.Wal.policy;
-  a_catch_up : bool;
-  a_schedule : string;
-  a_report : Harness.report;
-  a_consistency : Consistency.report;
-}
+let amnesia ~wal ~catch_up ~schedule ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42)
+    ?(horizon = 3000.0) ?(configs = default_configs) ?domains () =
+  Campaign.run ?domains
+    (List.mapi
+       (fun ci name ->
+         let n, s =
+           scenario name ~n ~clients ~ops ~seed:(seed + (1000 * ci)) ~horizon schedule
+         in
+         ( schedule.label,
+           Scenario_line.one_tree name
+             ( n,
+               {
+                 s with
+                 Harness.crash_mode = Dsim.Network.Amnesia;
+                 wal;
+                 catch_up;
+                 check_consistency = true;
+               } ) ))
+       configs)
 
-let run_amnesia ?(n = 45) ?(clients = 3) ?(ops = 25) ?(seed = 42)
-    ?(horizon = 3000.0) ?(configs = default_configs)
-    ?(wal = Replication.Wal.Sync_on_commit) ?(catch_up = true)
-    ?(schedule = crashes_schedule) ?domains () =
-  let run_cell (ci, name) =
-    let n, s =
-      make_scenario name ~n ~clients ~ops ~seed:(seed + (1000 * ci)) ~horizon
-        schedule
-    in
-    let scenario =
-      {
-        s with
-        Harness.crash_mode = Dsim.Network.Amnesia;
-        wal;
-        catch_up;
-        check_consistency = true;
-      }
-    in
-    let report = Harness.run scenario in
-    {
-      a_config = name;
-      a_n = n;
-      a_wal = wal;
-      a_catch_up = catch_up;
-      a_schedule = schedule.label;
-      a_report = report;
-      a_consistency = Consistency.check report.Harness.spans;
-    }
-  in
-  Parallel.map ?domains run_cell (List.mapi (fun ci name -> (ci, name)) configs)
+let run_amnesia =
+  amnesia ~wal:Replication.Wal.Sync_on_commit ~catch_up:true ~schedule:crashes_schedule
 
 (* The unsafe configuration that must fail: volatile-suffix WAL, no
    catch-up, and a simultaneous blackout of every replica. *)
-let run_amnesia_negative ?n ?(clients = 3) ?(ops = 25) ?seed ?horizon ?configs
-    ?domains () =
-  run_amnesia ?n ~clients ~ops ?seed ?horizon ?configs
-    ~wal:(Replication.Wal.Async 60.0) ~catch_up:false
-    ~schedule:blackout_schedule ?domains ()
+let run_amnesia_negative =
+  amnesia ~wal:(Replication.Wal.Async 60.0) ~catch_up:false ~schedule:blackout_schedule
 
-let amnesia_violations cells =
-  List.fold_left
-    (fun acc c ->
-      acc
-      + List.length c.a_consistency.Consistency.violations
-      + c.a_report.Harness.safety_violations)
-    0 cells
-
-let amnesia_table cells =
-  let rows =
-    List.map
-      (fun c ->
-        [
-          Config.name_to_string c.a_config;
-          string_of_int c.a_n;
-          c.a_schedule;
-          Replication.Wal.policy_to_string c.a_wal;
-          (if c.a_catch_up then "on" else "off");
-          Tablefmt.f4
-            (rate c.a_report.Harness.reads_ok c.a_report.Harness.reads_failed);
-          Tablefmt.f4
-            (rate c.a_report.Harness.writes_ok c.a_report.Harness.writes_failed);
-          string_of_int c.a_report.Harness.catchup_runs;
-          string_of_int c.a_report.Harness.catchup_keys_installed;
-          string_of_int c.a_report.Harness.wal_records_lost;
-          string_of_int c.a_report.Harness.stale_incarnation_rejections;
-          string_of_int c.a_report.Harness.stale_commits_nacked;
-          string_of_int (List.length c.a_consistency.Consistency.violations);
-        ])
-      cells
-  in
-  Tablefmt.render
-    ~header:
-      [
-        "config"; "n"; "schedule"; "wal"; "catchup"; "rd rate"; "wr rate";
-        "rejoins"; "keys"; "wal lost"; "stale rej"; "stale nack"; "viol";
-      ]
-    ~rows
+let amnesia_table =
+  let b (c : Campaign.cell) = c.line.sharded.base in
+  let int f (c : Campaign.cell) = string_of_int (f c.report.agg) in
+  Campaign.table
+    [
+      ("config", fun c -> Config.name_to_string c.line.config);
+      ("n", fun c -> string_of_int c.line.n);
+      ("schedule", fun c -> c.label);
+      ("wal", fun c -> Replication.Wal.policy_to_string (b c).wal);
+      ("catchup", fun c -> if (b c).catch_up then "on" else "off");
+      ("rd rate", fun c -> Tablefmt.f4 (read_rate c));
+      ("wr rate", fun c -> Tablefmt.f4 (write_rate c));
+      ("rejoins", int (fun r -> r.catchup_runs));
+      ("keys", int (fun r -> r.catchup_keys_installed));
+      ("wal lost", int (fun r -> r.wal_records_lost));
+      ("stale rej", int (fun r -> r.stale_incarnation_rejections));
+      ("stale nack", int (fun r -> r.stale_commits_nacked));
+      ("viol", fun c -> string_of_int (List.length c.consistency.violations));
+    ]
 
 let p99 stats =
   if Stats.count stats = 0 then "-"
   else Printf.sprintf "%.1f" (Stats.percentile stats 0.99)
 
-let table campaign =
-  let rows =
-    List.map
-      (fun c ->
-        [
-          Config.name_to_string c.config;
-          string_of_int c.n;
-          c.schedule;
-          detector_to_string c.detector;
-          Tablefmt.f4 c.read_rate;
-          Tablefmt.f4 c.write_rate;
-          p99 c.report.Harness.read_latency;
-          p99 c.report.Harness.write_latency;
-          string_of_int c.report.Harness.retries;
-          string_of_int c.report.Harness.deadline_exceeded;
-          string_of_int c.report.Harness.messages_delivered;
-          string_of_int c.report.Harness.safety_violations;
-        ])
-      campaign.cells
-  in
-  Tablefmt.render
-    ~header:
-      [
-        "config"; "n"; "schedule"; "detector"; "rd rate"; "wr rate";
-        "rd p99"; "wr p99"; "retries"; "ddl"; "msgs"; "viol";
-      ]
-    ~rows
+let table =
+  let int f (c : Campaign.cell) = string_of_int (f c.report.agg) in
+  Campaign.table
+    [
+      ("config", fun c -> Config.name_to_string c.line.config);
+      ("n", fun c -> string_of_int c.line.n);
+      ("schedule", fun c -> c.label);
+      ("detector", detector);
+      ("rd rate", fun c -> Tablefmt.f4 (read_rate c));
+      ("wr rate", fun c -> Tablefmt.f4 (write_rate c));
+      ("rd p99", fun c -> p99 c.report.agg.read_latency);
+      ("wr p99", fun c -> p99 c.report.agg.write_latency);
+      ("retries", int (fun r -> r.retries));
+      ("ddl", int (fun r -> r.deadline_exceeded));
+      ("msgs", int (fun r -> r.messages_delivered));
+      ("viol", fun c -> string_of_int (Campaign.violations [ c ]));
+    ]
 
 (* Pair up oracle/heartbeat cells of the same (config, schedule). *)
-let pairs campaign =
+let pairs cells =
   List.filter_map
-    (fun c ->
-      if c.detector <> Oracle then None
+    (fun (c : Campaign.cell) ->
+      if detector c <> "oracle" then None
       else
         List.find_opt
-          (fun c' ->
-            c'.detector = Heartbeat && c'.config = c.config
-            && c'.schedule = c.schedule)
-          campaign.cells
+          (fun (c' : Campaign.cell) ->
+            detector c' = "heartbeat" && c'.line.config = c.line.config && c'.label = c.label)
+          cells
         |> Option.map (fun c' -> (c, c')))
-    campaign.cells
+    cells
 
-let parity_table campaign =
-  let rows =
-    List.map
-      (fun (o, h) ->
-        [
-          Config.name_to_string o.config;
-          o.schedule;
-          Tablefmt.f4 o.read_rate;
-          Tablefmt.f4 h.read_rate;
-          Printf.sprintf "%+.4f" (h.read_rate -. o.read_rate);
-          Tablefmt.f4 o.write_rate;
-          Tablefmt.f4 h.write_rate;
-          Printf.sprintf "%+.4f" (h.write_rate -. o.write_rate);
-        ])
-      (pairs campaign)
-  in
+let parity_table cells =
+  let delta f (o, h) = Printf.sprintf "%+.4f" (f h -. f o) in
   Tablefmt.render
     ~header:
       [
         "config"; "schedule"; "rd oracle"; "rd hb"; "rd delta";
         "wr oracle"; "wr hb"; "wr delta";
       ]
-    ~rows
+    ~rows:
+      (List.map
+         (fun ((o : Campaign.cell), h) ->
+           [
+             Config.name_to_string o.line.config;
+             o.label;
+             Tablefmt.f4 (read_rate o);
+             Tablefmt.f4 (read_rate h);
+             delta read_rate (o, h);
+             Tablefmt.f4 (write_rate o);
+             Tablefmt.f4 (write_rate h);
+             delta write_rate (o, h);
+           ])
+         (pairs cells))
 
 (* Parity is only meaningful where the oracle itself can succeed: a
    write-all quorum under heavy churn fails with ground-truth knowledge
    too (P(all n up) ≈ availability^n), and comparing two near-zero rates
    measures sampling luck, not detector quality.  Components whose oracle
    rate is below 0.5 are skipped. *)
-let crash_parity_gap campaign =
+let crash_parity_gap cells =
   let component oracle_rate hb_rate =
     if oracle_rate < 0.5 then 0.0 else Float.abs (oracle_rate -. hb_rate)
   in
   List.fold_left
-    (fun acc (o, h) ->
-      if o.schedule <> crashes_schedule.label then acc
+    (fun acc ((o : Campaign.cell), h) ->
+      if o.label <> crashes_schedule.label then acc
       else
         Float.max acc
           (Float.max
-             (component o.read_rate h.read_rate)
-             (component o.write_rate h.write_rate)))
-    0.0 (pairs campaign)
+             (component (read_rate o) (read_rate h))
+             (component (write_rate o) (write_rate h))))
+    0.0 (pairs cells)

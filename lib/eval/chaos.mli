@@ -40,15 +40,11 @@ val blackout_schedule : schedule
     with an async WAL this loses the un-flushed suffix on {e all} copies
     at once (the negative-control schedule). *)
 
-type detector = Oracle | Heartbeat
-
-val detector_to_string : detector -> string
-
 val chaos_coordinator : Replication.Coordinator.config
 (** The degradation-tolerant coordinator every campaign cell uses: 8
     retries, adaptive timeouts, 600-unit operation deadline. *)
 
-val make_scenario :
+val line :
   Arbitrary.Config.name ->
   n:int ->
   clients:int ->
@@ -56,30 +52,15 @@ val make_scenario :
   seed:int ->
   horizon:float ->
   schedule ->
-  int * Replication.Harness.scenario
+  Scenario_line.t
 (** The chaos cell: [clients] × [ops] operations, 50/50 over 8 keys, think
     time 3, {!chaos_coordinator}, the schedule's loss rate and its failure
-    entries drawn from [seed], oracle detection, fail-stop crashes.
-    Returns the snapped [n] with it.  {!run}, {!run_amnesia} and
-    [replica-ctl chaos] update only the fields they vary. *)
+    entries drawn from [seed], oracle detection, fail-stop crashes, at the
+    snapped [n].  {!run}, {!run_amnesia} and [replica-ctl chaos] vary only
+    some of its fields. *)
 
-val rate : int -> int -> float
-(** [rate ok failed]: the success rate, 1.0 when nothing was attempted. *)
-
-type cell = {
-  config : Arbitrary.Config.name;
-  schedule : string;
-  detector : detector;
-  n : int;  (** replica count the configuration snapped to *)
-  report : Replication.Harness.report;
-  read_rate : float;  (** successful / attempted reads (1.0 when none) *)
-  write_rate : float;
-}
-
-type campaign = {
-  cells : cell list;
-  safety_violations : int;  (** summed over every cell — must be 0 *)
-}
+val detector : Campaign.cell -> string
+(** ["oracle"] or ["heartbeat"]: the cell's detector mode. *)
 
 val run :
   ?n:int ->
@@ -91,24 +72,25 @@ val run :
   ?schedules:schedule list ->
   ?domains:int ->
   unit ->
-  campaign
+  Campaign.cell list
 (** Defaults: n = 45 (snapped per configuration), 3 clients × 25 ops,
     seed 42, horizon 3000, the four paper tree configurations
     (MOSTLY-READ, MOSTLY-WRITE, ARBITRARY, UNMODIFIED), all four
-    schedules, both detectors — 32 cells.  Deterministic for a fixed
-    argument set.  Cells are independent seeded simulations and fan out
-    across [domains] cores ({!Parallel}); the campaign (cell order
-    included) is byte-identical for any domain count. *)
+    schedules, both detectors — 32 cells, each labelled with its
+    schedule.  The cell of configuration [ci] and schedule [si] (both
+    0-based) is seeded [seed + 1000·ci + 100·si]; both detector modes of
+    it see the same failure entries.  Deterministic for a fixed argument
+    set, and byte-identical for any domain count. *)
 
-val table : campaign -> string
+val table : Campaign.cell list -> string
 (** One row per cell: success rates, p99 latencies, retries, messages,
     safety violations. *)
 
-val parity_table : campaign -> string
+val parity_table : Campaign.cell list -> string
 (** Oracle vs heartbeat success-rate deltas per (configuration,
     schedule). *)
 
-val crash_parity_gap : campaign -> float
+val crash_parity_gap : Campaign.cell list -> float
 (** Largest |oracle − heartbeat| success-rate gap (reads or writes, in
     rate points) across the crash-only schedule cells — the acceptance
     bound is 0.10.  Components whose oracle-mode rate is below 0.5 are
@@ -118,21 +100,11 @@ val crash_parity_gap : campaign -> float
 
 (** {2 Amnesia crash-recovery campaign}
 
-    Same harness, but crashes destroy volatile state
+    Same cells, but crashes destroy volatile state
     ({!Dsim.Network.crash_mode} [Amnesia]): replicas keep a {!Replication.Wal}
     and rejoin through replay + quorum catch-up.  Every cell runs with
-    [check_consistency] on and is verified offline by the trace-driven
-    {!Consistency} checker on top of the online safety counter. *)
-
-type amnesia_cell = {
-  a_config : Arbitrary.Config.name;
-  a_n : int;
-  a_wal : Replication.Wal.policy;
-  a_catch_up : bool;
-  a_schedule : string;
-  a_report : Replication.Harness.report;
-  a_consistency : Consistency.report;
-}
+    [check_consistency] on, so {!Campaign.violations} adds the
+    trace-driven {!Consistency} checker to the online safety counter. *)
 
 val run_amnesia :
   ?n:int ->
@@ -141,16 +113,13 @@ val run_amnesia :
   ?seed:int ->
   ?horizon:float ->
   ?configs:Arbitrary.Config.name list ->
-  ?wal:Replication.Wal.policy ->
-  ?catch_up:bool ->
-  ?schedule:schedule ->
   ?domains:int ->
   unit ->
-  amnesia_cell list
-(** One cell per configuration (defaults mirror {!run}; oracle detector).
-    Default [wal] is [Sync_on_commit] and [catch_up] is on, under the
-    churn schedule — the configuration whose acceptance gate is
-    {e zero} consistency violations on every tree configuration. *)
+  Campaign.cell list
+(** One cell per configuration (defaults mirror {!run}; oracle detector;
+    configuration [ci] seeded [seed + 1000·ci]): a [Sync_on_commit] WAL
+    and catch-up on, under the churn schedule — the configuration whose
+    acceptance gate is {e zero} violations on every tree configuration. *)
 
 val run_amnesia_negative :
   ?n:int ->
@@ -161,14 +130,11 @@ val run_amnesia_negative :
   ?configs:Arbitrary.Config.name list ->
   ?domains:int ->
   unit ->
-  amnesia_cell list
+  Campaign.cell list
 (** Negative control: [Async 60.0] WAL, catch-up disabled, blackout
     schedule — the checker {e must} report at least one violation, proving
     the detection machinery actually detects. *)
 
-val amnesia_violations : amnesia_cell list -> int
-(** Offline (checker) plus online (harness counter) violations, summed. *)
-
-val amnesia_table : amnesia_cell list -> string
+val amnesia_table : Campaign.cell list -> string
 (** One row per cell: success rates, rejoin/catch-up counters, WAL losses,
-    stale-incarnation rejections, violations. *)
+    stale-incarnation rejections, checker violations. *)

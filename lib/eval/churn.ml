@@ -82,14 +82,7 @@ let membership_of kind ~n =
       { Harness.at = 900.0; position = min 1 (n - 1); spare = n + 1; fence = true };
     ]
 
-type cell = {
-  c_config : Config.name;
-  c_kind : string;
-  c_n : int;
-  c_report : Harness.report;
-}
-
-let make_scenario name ~n ~clients ~ops ~seed ~horizon ~failures ~membership =
+let scenario name ~n ~clients ~ops ~seed ~horizon ~failures ~membership =
   let n = Config_metrics.feasible_n name n in
   ( n,
     {
@@ -106,29 +99,23 @@ let make_scenario name ~n ~clients ~ops ~seed ~horizon ~failures ~membership =
         Some { spares = 2; membership = membership ~n; chunk_size = 1; fence = true };
     } )
 
+let line name ~n ~clients ~ops ~seed ~horizon ~failures ~membership =
+  Scenario_line.one_tree name (scenario name ~n ~clients ~ops ~seed ~horizon ~failures ~membership)
+
 let run ?(n = 45) ?(configs = default_configs) ?domains () =
-  let specs =
-    List.concat
-      (List.mapi
-         (fun ci name ->
-           List.mapi (fun si kind -> (ci, name, si, kind)) default_kinds)
-         configs)
-  in
-  let run_cell (ci, name, si, kind) =
-    let n, scenario =
-      make_scenario name ~n ~clients:3 ~ops:25
-        ~seed:(42 + (1000 * ci) + (100 * si))
-        ~horizon:3000.0 ~failures:(failures_of kind)
-        ~membership:(membership_of kind)
-    in
-    {
-      c_config = name;
-      c_kind = kind_to_string kind;
-      c_n = n;
-      c_report = Harness.run scenario;
-    }
-  in
-  Parallel.map ?domains run_cell specs
+  Campaign.run ?domains
+    (List.concat
+       (List.mapi
+          (fun ci name ->
+            List.mapi
+              (fun si kind ->
+                ( kind_to_string kind,
+                  line name ~n ~clients:3 ~ops:25
+                    ~seed:(42 + (1000 * ci) + (100 * si))
+                    ~horizon:3000.0 ~failures:(failures_of kind)
+                    ~membership:(membership_of kind) ))
+              default_kinds)
+          configs))
 
 (* The control that must leak: every occupant blacks out at once under a
    volatile-suffix WAL, and provisioning fencing is OFF — each replica
@@ -143,28 +130,27 @@ let blackout_failures ~n =
          ]))
 
 let run_negative ?(n = 45) ?(configs = default_configs) () =
-  let run_cell (ci, name) =
-    let n, s =
-      make_scenario name ~n ~clients:3 ~ops:40 ~seed:(42 + (1000 * ci))
-        ~horizon:3000.0 ~failures:blackout_failures
-        ~membership:(fun ~n:_ -> [])
-    in
-    let scenario =
-      {
-        s with
-        Harness.key_space = 4;
-        wal = Replication.Wal.Async 60.0;
-        churn = Option.map (fun c -> { c with Harness.spares = 0; fence = false }) s.churn;
-      }
-    in
-    {
-      c_config = name;
-      c_kind = "blackout-unfenced";
-      c_n = n;
-      c_report = Harness.run scenario;
-    }
-  in
-  Parallel.map run_cell (List.mapi (fun ci name -> (ci, name)) configs)
+  Campaign.run
+    (List.mapi
+       (fun ci name ->
+         let n, s =
+           scenario name ~n ~clients:3 ~ops:40 ~seed:(42 + (1000 * ci))
+             ~horizon:3000.0 ~failures:blackout_failures
+             ~membership:(fun ~n:_ -> [])
+         in
+         ( "blackout-unfenced",
+           Scenario_line.one_tree name
+             ( n,
+               {
+                 s with
+                 Harness.key_space = 4;
+                 wal = Replication.Wal.Async 60.0;
+                 churn =
+                   Option.map
+                     (fun c -> { c with Harness.spares = 0; fence = false })
+                     s.churn;
+               } ) ))
+       configs)
 
 (* A sharded control plane churning: three independent tree instances
    (one per key shard), each under its own donor-crash rejoin plus a
@@ -172,56 +158,34 @@ let run_negative ?(n = 45) ?(configs = default_configs) () =
    so the campaign runs them as separate single-tree cells and the gate
    sums them. *)
 let run_sharded ?(n = 45) () =
-  let config = Config.Unmodified in
-  let run_cell shard =
-    let n, scenario =
-      make_scenario config ~n ~clients:3 ~ops:25 ~seed:(42 + (17 * shard))
-        ~horizon:3000.0 ~failures:(failures_of Donor_crash)
-        ~membership:(membership_of Rolling)
-    in
-    {
-      c_config = config;
-      c_kind = Printf.sprintf "shard-%d" shard;
-      c_n = n;
-      c_report = Harness.run scenario;
-    }
-  in
-  Parallel.map run_cell [ 0; 1; 2 ]
+  Campaign.run
+    (List.map
+       (fun shard ->
+         ( Printf.sprintf "shard-%d" shard,
+           line Config.Unmodified ~n ~clients:3 ~ops:25 ~seed:(42 + (17 * shard))
+             ~horizon:3000.0 ~failures:(failures_of Donor_crash)
+             ~membership:(membership_of Rolling) ))
+       [ 0; 1; 2 ])
 
-let violations cells =
-  List.fold_left
-    (fun acc c -> acc + c.c_report.Harness.safety_violations)
-    0 cells
-
-let table cells =
-  let rows =
-    List.map
-      (fun c ->
-        let a = c.c_report in
-        [
-          Config.name_to_string c.c_config;
-          string_of_int c.c_n;
-          c.c_kind;
-          Tablefmt.f4 (Chaos.rate a.Harness.reads_ok a.Harness.reads_failed);
-          Tablefmt.f4 (Chaos.rate a.Harness.writes_ok a.Harness.writes_failed);
-          Printf.sprintf "%d/%d" a.Harness.promotions_done a.Harness.promotions_started;
-          string_of_int a.Harness.decommissions_done;
-          string_of_int a.Harness.provision_runs;
-          string_of_int a.Harness.provision_chunks;
-          string_of_int a.Harness.provision_resumes;
-          string_of_int a.Harness.provision_donor_failovers;
-          string_of_int a.Harness.failed_rejoins;
-          string_of_int a.Harness.safety_violations;
-        ])
-      cells
-  in
-  Tablefmt.render
-    ~header:
-      [
-        "config"; "n"; "scenario"; "rd rate"; "wr rate"; "promo"; "decomm";
-        "prov"; "chunks"; "resumes"; "failover"; "stuck"; "viol";
-      ]
-    ~rows
+let table =
+  let agg f (c : Campaign.cell) = f c.report.agg in
+  let int f = agg (fun r -> string_of_int (f r)) in
+  Campaign.table
+    [
+      ("config", fun c -> Config.name_to_string c.line.config);
+      ("n", fun c -> string_of_int c.line.n);
+      ("scenario", fun c -> c.label);
+      ("rd rate", agg (fun r -> Tablefmt.f4 (Campaign.rate r.reads_ok r.reads_failed)));
+      ("wr rate", agg (fun r -> Tablefmt.f4 (Campaign.rate r.writes_ok r.writes_failed)));
+      ("promo", agg (fun r -> Printf.sprintf "%d/%d" r.promotions_done r.promotions_started));
+      ("decomm", int (fun r -> r.decommissions_done));
+      ("prov", int (fun r -> r.provision_runs));
+      ("chunks", int (fun r -> r.provision_chunks));
+      ("resumes", int (fun r -> r.provision_resumes));
+      ("failover", int (fun r -> r.provision_donor_failovers));
+      ("stuck", int (fun r -> r.failed_rejoins));
+      ("viol", fun c -> string_of_int (Campaign.violations [ c ]));
+    ]
 
 (* --- cold-rejoin cost: provisioning vs per-key catch-up ------------------- *)
 

@@ -1,7 +1,7 @@
 (** §4-style membership-churn campaign: fault-injected provisioning,
     promotion and decommission over the four paper configurations.
 
-    Each cell is one {!Replication.Harness.run} with [churn]: a client workload
+    Each cell is one scenario line with [churn] ({!Campaign}): a client workload
     over a {!Quorum.Relabel}-wrapped tree while a scripted fault and
     membership schedule churns the sites.  Four scenario shapes:
 
@@ -18,7 +18,7 @@
       properly decommissioned, with background crash churn.
 
     The campaign gate: with fencing on and a commit-durable WAL,
-    {!violations} over every fenced cell must be zero, while the
+    {!Campaign.violations} over every fenced cell must be zero, while the
     {!run_negative} blackout control (fencing off, volatile-suffix WAL)
     must leak at least one stale read. *)
 
@@ -33,7 +33,7 @@ val rejoin_failures :
     it crashes again itself at t=104.  The donor-crash and
     recipient-crash scenarios are this script with one flag set. *)
 
-val make_scenario :
+val line :
   Arbitrary.Config.name ->
   n:int ->
   clients:int ->
@@ -42,46 +42,37 @@ val make_scenario :
   horizon:float ->
   failures:(n:int -> Dsim.Failure.entry list) ->
   membership:(n:int -> Replication.Harness.membership_op list) ->
-  int * Replication.Harness.scenario
-(** The churn cell: the configuration at the snapped [n] (returned with
-    it) plus two spares, [clients] × [ops] operations under
-    {!Chaos.chaos_coordinator}, one key per snapshot chunk, fenced
-    provisioning over a commit-durable WAL, and the [failures] and
-    [membership] scripts applied to the snapped [n].  {!run},
-    {!run_negative}, {!run_sharded} and [replica-ctl
-    provision/promote/decommission] update only the fields they vary. *)
-
-type cell = {
-  c_config : Arbitrary.Config.name;
-  c_kind : string;
-  c_n : int;
-  c_report : Replication.Harness.report;
-}
+  Scenario_line.t
+(** The churn cell: the configuration at the snapped [n] plus two spares,
+    [clients] × [ops] operations under {!Chaos.chaos_coordinator}, one key
+    per snapshot chunk, fenced provisioning over a commit-durable WAL, and
+    the [failures] and [membership] scripts applied to the snapped [n].
+    {!run}, {!run_negative}, {!run_sharded} and [replica-ctl
+    provision/promote/decommission] vary only some of its fields. *)
 
 val run :
   ?n:int -> ?configs:Arbitrary.Config.name list -> ?domains:int -> unit ->
-  cell list
-(** The positive campaign: every [configs] × kind cell, 3
-    clients × 25 ops, seed 42, horizon 3000. *)
+  Campaign.cell list
+(** The positive campaign: every [configs] × kind cell, labelled with its
+    kind, 3 clients × 25 ops, horizon 3000; the cell of configuration
+    [ci] and kind [si] is seeded [42 + 1000·ci + 100·si]. *)
 
 val run_negative :
-  ?n:int -> ?configs:Arbitrary.Config.name list -> unit -> cell list
-(** The control that must leak: 3 clients × 40 ops over 4 keys, seed 42,
-    horizon 3000; every occupant blacks out at once under
-    [Wal.Async] with provisioning unfenced, so recovered
-    replicas serve from gutted stores.  A campaign where this control
-    shows zero violations is not testing anything. *)
+  ?n:int -> ?configs:Arbitrary.Config.name list -> unit -> Campaign.cell list
+(** The control that must leak: 3 clients × 40 ops over 4 keys, seed
+    [42 + 1000·ci], horizon 3000; every occupant blacks out at once under
+    [Wal.Async] with provisioning unfenced, so recovered replicas serve
+    from gutted stores.  A campaign where this control shows zero
+    violations is not testing anything. *)
 
-val run_sharded : ?n:int -> unit -> cell list
+val run_sharded : ?n:int -> unit -> Campaign.cell list
 (** Three independently seeded single-tree cells on UNMODIFIED, one per
-    key shard of a sharded control plane: each runs the rolling
-    membership script plus a donor-crash rejoin.  No cell is a sharded
-    harness run; the shards share nothing, so the gate sums them. *)
+    key shard of a sharded control plane, shard [i] seeded [42 + 17·i]:
+    each runs the rolling membership script plus a donor-crash rejoin.
+    No cell is a sharded harness run; the shards share nothing, so the
+    gate sums them. *)
 
-val violations : cell list -> int
-(** Total trace-checker violations across the cells. *)
-
-val table : cell list -> string
+val table : Campaign.cell list -> string
 
 (** {2 Cold-rejoin cost: provisioning vs per-key catch-up} *)
 

@@ -13,18 +13,6 @@ let kind_to_string = function
   | Slow_replica -> "slow-replica"
   | Retry_storm -> "retry-storm"
 
-type cell = {
-  kind : kind;
-  mode : mode;
-  report : Harness.report;
-  consistency_violations : int;
-  pre_goodput : float;  (** ops/time in the steady window before the burst *)
-  post_goodput : float;  (** ops/time well after the burst ended *)
-  recovery : float;  (** post/pre — 1.0 means full recovery *)
-}
-
-type campaign = { cells : cell list }
-
 (* --- campaign geometry ---------------------------------------------------
 
    One fixed timeline for every cell, so goodput windows line up:
@@ -121,133 +109,115 @@ let goodput completions ~window:(t0, t1) =
   in
   float_of_int hits /. (t1 -. t0)
 
-let run_cell (kind, mode) =
-  let _, s = Config_metrics.scenario Config.Arbitrary ~n:9 in
-  let scenario =
-    {
-      s with
-      Harness.n_clients = steady_clients;
-      (* Enough offered work that steady clients stay active through the
-         post window; the horizon, not op exhaustion, ends the run. *)
-      ops_per_client = 100;
-      (* Read-heavy over a wide key space: per-key write locks must not be
-         the bottleneck, the replica service queues must be — lock
-         convoying is a different failure mode than the one under test. *)
-      read_fraction = 0.8;
-      key_space = 64;
-      think_time = steady_think;
-      seed = 42;
-      coordinator = overload_coordinator;
-      horizon;
-      warmup = 1.0;
-      check_consistency = true;
-      overload = Some (overload_for kind mode);
-    }
-  in
-  let report = Harness.run scenario in
-  let consistency = Consistency.check report.Harness.spans in
-  let pre = goodput report.Harness.completions ~window:pre_window in
-  let post = goodput report.Harness.completions ~window:post_window in
-  {
-    kind;
-    mode;
-    report;
-    consistency_violations =
-      List.length consistency.Consistency.violations
-      + report.Harness.safety_violations;
-    pre_goodput = pre;
-    post_goodput = post;
-    recovery = (if pre > 0.0 then post /. pre else 0.0);
-  }
+let line kind mode =
+  let n, s = Config_metrics.scenario Config.Arbitrary ~n:9 in
+  Scenario_line.one_tree Config.Arbitrary
+    ( n,
+      {
+        s with
+        Harness.n_clients = steady_clients;
+        (* Enough offered work that steady clients stay active through the
+           post window; the horizon, not op exhaustion, ends the run. *)
+        ops_per_client = 100;
+        (* Read-heavy over a wide key space: per-key write locks must not be
+           the bottleneck, the replica service queues must be — lock
+           convoying is a different failure mode than the one under test. *)
+        read_fraction = 0.8;
+        key_space = 64;
+        think_time = steady_think;
+        seed = 42;
+        coordinator = overload_coordinator;
+        horizon;
+        warmup = 1.0;
+        check_consistency = true;
+        overload = Some (overload_for kind mode);
+      } )
 
-let all_cells =
-  [
-    (Flash_crowd, Naive);
-    (Flash_crowd, Protected);
-    (Slow_replica, Naive);
-    (Slow_replica, Protected);
-    (Retry_storm, Naive);
-    (Retry_storm, Protected);
-  ]
+(* The protected model is the one with a retry budget. *)
+let mode (c : Campaign.cell) =
+  match c.line.sharded.base.overload with
+  | Some { retry_budget = Some _; _ } -> Protected
+  | _ -> Naive
 
-let run ?domains () = { cells = Parallel.map ?domains run_cell all_cells }
+let pre_goodput (c : Campaign.cell) = goodput c.report.agg.completions ~window:pre_window
+let post_goodput (c : Campaign.cell) = goodput c.report.agg.completions ~window:post_window
 
-let find campaign kind mode =
-  List.find (fun c -> c.kind = kind && c.mode = mode) campaign.cells
+let recovery c =
+  let pre = pre_goodput c in
+  if pre > 0.0 then post_goodput c /. pre else 0.0
+
+let run ?domains () =
+  Campaign.run ?domains
+    (List.concat_map
+       (fun kind ->
+         List.map (fun mode -> (kind_to_string kind, line kind mode)) [ Naive; Protected ])
+       [ Flash_crowd; Slow_replica; Retry_storm ])
+
+let find cells kind m =
+  List.find (fun (c : Campaign.cell) -> c.label = kind_to_string kind && mode c = m) cells
 
 (* --- acceptance gate ---------------------------------------------------- *)
 
-let gate campaign =
+let gate cells =
   let g = Gate.create () in
   let check cond = Gate.check g cond in
-  let storm_naive = find campaign Retry_storm Naive in
-  let storm_prot = find campaign Retry_storm Protected in
-  let flash_prot = find campaign Flash_crowd Protected in
-  let slow_naive = find campaign Slow_replica Naive in
-  let slow_prot = find campaign Slow_replica Protected in
+  let storm_naive = find cells Retry_storm Naive in
+  let storm_prot = find cells Retry_storm Protected in
+  let flash_prot = find cells Flash_crowd Protected in
+  let slow_naive = find cells Slow_replica Naive in
+  let slow_prot = find cells Slow_replica Protected in
   (* The negative control must actually demonstrate metastability: with no
      defenses, goodput long after the burst stays collapsed (>=50% below
      the pre-burst baseline). *)
   check
-    (storm_naive.recovery <= 0.5)
+    (recovery storm_naive <= 0.5)
     "retry-storm/naive recovered to %.2f of baseline (want <= 0.5: metastable collapse)"
-    storm_naive.recovery;
+    (recovery storm_naive);
   (* With budget + breaker + shedding the same storm must not be
      metastable: post-burst goodput recovers to >=90% of baseline. *)
   check
-    (storm_prot.recovery >= 0.9)
+    (recovery storm_prot >= 0.9)
     "retry-storm/protected recovered only to %.2f of baseline (want >= 0.9)"
-    storm_prot.recovery;
+    (recovery storm_prot);
   check
-    (flash_prot.recovery >= 0.9)
+    (recovery flash_prot >= 0.9)
     "flash-crowd/protected recovered only to %.2f of baseline (want >= 0.9)"
-    flash_prot.recovery;
+    (recovery flash_prot);
   (* Routing around the slow replica must beat stumbling into it. *)
   check
-    (Harness.completed slow_prot.report >= Harness.completed slow_naive.report)
+    (Harness.completed slow_prot.report.agg >= Harness.completed slow_naive.report.agg)
     "slow-replica/protected completed %d ops < naive's %d"
-    (Harness.completed slow_prot.report) (Harness.completed slow_naive.report);
+    (Harness.completed slow_prot.report.agg) (Harness.completed slow_naive.report.agg);
   (* The protections must actually engage in the storm cell. *)
   check
-    (storm_prot.report.Harness.replica_sheds > 0)
+    (storm_prot.report.agg.replica_sheds > 0)
     "retry-storm/protected shed nothing (admission control never engaged)";
   check
-    (storm_prot.report.Harness.retries_suppressed > 0)
+    (storm_prot.report.agg.retries_suppressed > 0)
     "retry-storm/protected suppressed no retries (budget never engaged)";
   (* Overload may cost goodput, never consistency. *)
   List.iter
-    (fun c ->
-      check
-        (c.consistency_violations = 0)
-        "%s/%s: %d consistency violations (want 0)" (kind_to_string c.kind)
-        (mode_to_string c.mode) c.consistency_violations)
-    campaign.cells;
+    (fun (c : Campaign.cell) ->
+      let v = Campaign.violations [ c ] in
+      check (v = 0) "%s/%s: %d consistency violations (want 0)%s" c.label
+        (mode_to_string (mode c)) v (Campaign.blame [ c ]))
+    cells;
   Gate.verdict g
 
-let table campaign =
-  let rows =
-    List.map
-      (fun c ->
-        [
-          kind_to_string c.kind;
-          mode_to_string c.mode;
-          Tablefmt.f2 c.pre_goodput;
-          Tablefmt.f2 c.post_goodput;
-          Tablefmt.f2 c.recovery;
-          string_of_int (Harness.completed c.report);
-          string_of_int c.report.Harness.replica_sheds;
-          string_of_int c.report.Harness.overload_drops;
-          string_of_int c.report.Harness.retries_suppressed;
-          string_of_int c.report.Harness.breaker_trips;
-          string_of_int c.report.Harness.queue_peak;
-          string_of_int c.consistency_violations;
-        ])
-      campaign.cells
-  in
-  Tablefmt.render
-    ~header:
-      [
-        "scenario"; "mode"; "pre gp"; "post gp"; "recovery"; "ops ok";
-        "sheds"; "drops"; "supp"; "trips"; "peakq"; "viol";
-      ]
-    ~rows
+let table =
+  let int f (c : Campaign.cell) = string_of_int (f c.report.agg) in
+  Campaign.table
+    [
+      ("scenario", fun c -> c.label);
+      ("mode", fun c -> mode_to_string (mode c));
+      ("pre gp", fun c -> Tablefmt.f2 (pre_goodput c));
+      ("post gp", fun c -> Tablefmt.f2 (post_goodput c));
+      ("recovery", fun c -> Tablefmt.f2 (recovery c));
+      ("ops ok", int Harness.completed);
+      ("sheds", int (fun r -> r.replica_sheds));
+      ("drops", int (fun r -> r.overload_drops));
+      ("supp", int (fun r -> r.retries_suppressed));
+      ("trips", int (fun r -> r.breaker_trips));
+      ("peakq", int (fun r -> r.queue_peak));
+      ("viol", fun c -> string_of_int (Campaign.violations [ c ]));
+    ]

@@ -31,34 +31,40 @@ type kind = Flash_crowd | Slow_replica | Retry_storm
 
 val kind_to_string : kind -> string
 
-type cell = {
-  kind : kind;
-  mode : mode;
-  report : Replication.Harness.report;
-  consistency_violations : int;
-      (** offline checker violations + online safety violations *)
-  pre_goodput : float;  (** ops/time in the steady window before the burst *)
-  post_goodput : float;  (** ops/time well after the burst ended *)
-  recovery : float;  (** post/pre — 1.0 means full recovery *)
-}
+val line : kind -> mode -> Scenario_line.t
+(** The cell on ARBITRARY n=9, seed 42: 30 steady clients over 64 keys,
+    80% reads, an aggressive retry policy, per-message service time 4,
+    the kind's burst or slow replica, and the mode's defenses. *)
 
-type campaign = { cells : cell list }
+val mode : Campaign.cell -> mode
+(** [Protected] when the cell's overload model has a retry budget. *)
 
 val goodput : float array -> window:float * float -> float
 (** Completions per unit time inside [\[t0, t1)]. *)
 
-val run : ?domains:int -> unit -> campaign
-(** Run all six cells on ARBITRARY n=9, seed 42 (deterministic;
-    [domains] only fans the independent cells out over cores). *)
+val pre_goodput : Campaign.cell -> float
+(** Ops per unit time in the steady window before the burst. *)
 
-val find : campaign -> kind -> mode -> cell
+val post_goodput : Campaign.cell -> float
+(** Ops per unit time well after the burst ended. *)
 
-val gate : campaign -> Gate.verdict
+val recovery : Campaign.cell -> float
+(** post/pre — 1.0 means full recovery (0 when nothing completed before
+    the burst). *)
+
+val run : ?domains:int -> unit -> Campaign.cell list
+(** All six cells, each kind naive then protected, labelled with the
+    kind (deterministic; [domains] only fans the independent cells out
+    over cores). *)
+
+val find : Campaign.cell list -> kind -> mode -> Campaign.cell
+
+val gate : Campaign.cell list -> Gate.verdict
 (** The acceptance predicate described above, plus: the protections must
     actually engage in the storm cell (nonzero sheds and suppressed
     retries), the protected slow-replica cell must complete at least as
     many operations as the naive one, and every cell must be free of
-    consistency violations. *)
+    {!Campaign.violations}. *)
 
-val table : campaign -> string
+val table : Campaign.cell list -> string
 (** Per-cell goodput windows, recovery ratios and defense counters. *)

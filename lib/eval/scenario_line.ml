@@ -3,6 +3,8 @@ module F = Dsim.Failure
 
 type t = { config : Arbitrary.Config.name; n : int; sharded : H.sharded }
 
+let one_tree config (n, s) = { config; n; sharded = H.one_tree s }
+
 (* --- value codecs --------------------------------------------------------- *)
 
 (* [parse] raises on a malformed value; {!set} reports it under the key. *)
@@ -369,5 +371,5 @@ let of_string line =
   let n, s = Config_metrics.scenario name ~n:(required "n" int) in
   List.fold_left
     (fun t (k, v) -> if k = "config" || k = "n" then t else set t k v)
-    { config = name; n; sharded = H.one_tree s }
+    (one_tree name (n, s))
     pairs

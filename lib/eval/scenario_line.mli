@@ -27,6 +27,11 @@ type t = {
       (** its [base.proto] is [Config_metrics.protocol_of config ~n] *)
 }
 
+val one_tree : Arbitrary.Config.name -> int * Replication.Harness.scenario -> t
+(** [one_tree config (n, s)]: [s] at the snapped [n] as a single tree
+    ({!Replication.Harness.one_tree}); [s.proto] must be
+    [Config_metrics.protocol_of config ~n]. *)
+
 val keys : string list
 (** The field table's keys, in table order ([config] and [n] excluded). *)
 

@@ -1,8 +1,8 @@
 (** Shard-scaling campaign: the multi-tree control plane under a
     saturating workload.
 
-    Every cell runs the same closed-loop workload (32 clients, 1024
-    operations, 50/50 mix over 1024 keys) against {!Replication.Shard_harness}
+    Every cell runs the same closed-loop workload ({!line}: 128 clients ×
+    32 operations, 50/50 mix over 4096 keys) as a sharded scenario line
     with a per-replica service cost, so single-tree throughput saturates
     on the root replica and shard-count scaling is measurable in virtual
     time.  Five cell families:
@@ -22,32 +22,9 @@
     - {b reconfig}: an online split plus merge mid-run — zero safety
       violations, a well-formed final map, no migration failures.
 
-    Cells are independent and fan out over {!Parallel.map}; output is
-    byte-identical for any domain count. *)
-
-type scale_cell = {
-  config : Arbitrary.Config.name;
-  shards : int;
-  n : int;  (** replicas per shard tree *)
-  completed : int;
-  duration : float;  (** virtual makespan *)
-  throughput : float;  (** completed ops per unit virtual time *)
-  violations : int;  (** online safety-checker hits *)
-  speedup : float;  (** duration(S=1) / duration, same configuration *)
-  efficiency : float;  (** speedup / shards *)
-}
-
-type skew_cell = {
-  sk_config : Arbitrary.Config.name;
-  sk_shards : int;
-  theta : float;
-  sk_completed : int;
-  sk_violations : int;
-  per_shard_ops : int array;
-  imbalance_max : float;
-  imbalance_mean : float;
-  imbalance_ratio : float;  (** max/mean; 1.0 = perfectly balanced *)
-}
+    Every cell but the identity control is a scenario line, and one
+    {!Campaign.run} runs them all; output is byte-identical for any
+    domain count. *)
 
 type identity_cell = {
   id_config : Arbitrary.Config.name;
@@ -56,42 +33,20 @@ type identity_cell = {
   identical : bool;
 }
 
-type atomicity_cell = {
-  atomic : bool;
-  committed : int;
-  aborted : int;
-  uncertain : int;
-  partial_commits : int;
-  phantoms : int;
-  lost : int;
-  conserved : bool;
-  cross_shard : int;
-}
-
-type reconfig_cell = {
-  rc_completed : int;
-  rc_violations : int;
-  splits : int;
-  merges : int;
-  migrated_keys : int;
-  migration_failures : int;
-  well_formed : bool;
-  active_shards : int list;
-}
-
 type campaign = {
-  scaling : scale_cell list;
-  skew : skew_cell list;
+  scaling : Campaign.cell list;
+  skew : Campaign.cell list;
   identity : identity_cell;
-  atomic_cell : atomicity_cell;
-  nonatomic_cell : atomicity_cell;
-  reconfig : reconfig_cell;
+  atomic_cell : Campaign.cell;  (** cross-shard transactions with the 2PC barrier *)
+  nonatomic_cell : Campaign.cell;  (** the same without it: the negative control *)
+  reconfig : Campaign.cell;
 }
 
-val workload : Arbitrary.Config.name -> theta:float -> int * Replication.Harness.scenario
+val line : Arbitrary.Config.name -> shards:int -> theta:float -> Scenario_line.t
 (** The saturating cell every scaling and skew run shards: 128 clients × 32
-    ops over 4096 keys on the configuration at n = 9 (snapped size
-    returned), Zipf [theta], consistency checking on. *)
+    ops over 4096 keys on the configuration at n = 9, Zipf [theta],
+    consistency checking on, seed 42, per-replica service time 8, over
+    [shards] hash shards. *)
 
 val run : ?domains:int -> unit -> campaign
 (** Seed 42, deterministic; [domains] only fans the independent workload
@@ -99,9 +54,10 @@ val run : ?domains:int -> unit -> campaign
 
 val gate : campaign -> Gate.verdict
 (** The acceptance predicate: scaling ≥ 0.7 × ideal at S=16 on some
-    configuration; zero safety violations in every scaling, skew and
-    reconfig cell; the S=1 fingerprint control identical; the atomic
-    transaction cell conserved with no partial commits; the non-atomic
+    configuration; zero {!Campaign.violations} in every scaling, skew and
+    reconfig cell (a failure names the cell's {!Campaign.replay}); the
+    S=1 fingerprint control identical; the atomic transaction cell
+    conserved with no partial commits; the non-atomic
     negative control showing phantom increments; and the reconfiguration
     cell completing its split and merge with a well-formed map and no
     migration failures. *)

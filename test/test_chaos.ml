@@ -4,34 +4,33 @@
    seeded and deterministic. *)
 
 module Chaos = Eval.Chaos
+module Campaign = Eval.Campaign
 module Harness = Replication.Harness
 
 let small ?(schedules = [ Chaos.combined_schedule ]) ?(seed = 42) () =
   Chaos.run ~clients:2 ~ops:10 ~seed ~horizon:1500.0 ~schedules ()
 
-let cell_label c =
+let cell_label (c : Campaign.cell) =
   Printf.sprintf "%s/%s/%s"
-    (Arbitrary.Config.name_to_string c.Chaos.config)
-    c.Chaos.schedule
-    (Chaos.detector_to_string c.Chaos.detector)
+    (Arbitrary.Config.name_to_string c.line.config)
+    c.label (Chaos.detector c)
 
 let test_combined_safety () =
   (* Crash churn + recurring partitions + message loss at once, all four
      paper configurations, both detectors. *)
   let campaign = small () in
-  Alcotest.(check int) "8 cells" 8 (List.length campaign.Chaos.cells);
+  Alcotest.(check int) "8 cells" 8 (List.length campaign);
   List.iter
-    (fun c ->
+    (fun (c : Campaign.cell) ->
       Alcotest.(check int)
         (cell_label c ^ ": no stale reads")
-        0 c.Chaos.report.Harness.safety_violations;
+        0 c.report.agg.safety_violations;
       Alcotest.(check bool)
         (cell_label c ^ ": made progress")
         true
-        (c.Chaos.report.Harness.reads_ok + c.Chaos.report.Harness.writes_ok
-        > 0))
-    campaign.Chaos.cells;
-  Alcotest.(check int) "campaign total" 0 campaign.Chaos.safety_violations
+        (c.report.agg.reads_ok + c.report.agg.writes_ok > 0))
+    campaign;
+  Alcotest.(check int) "campaign total" 0 (Campaign.violations campaign)
 
 let test_safety_across_seeds () =
   List.iter
@@ -39,12 +38,12 @@ let test_safety_across_seeds () =
       let campaign = small ~seed () in
       Alcotest.(check int)
         (Printf.sprintf "seed %d" seed)
-        0 campaign.Chaos.safety_violations)
+        0 (Campaign.violations campaign))
     [ 7; 1234 ]
 
 let test_crash_parity () =
   let campaign = small ~schedules:[ Chaos.crashes_schedule ] () in
-  Alcotest.(check int) "no violations" 0 campaign.Chaos.safety_violations;
+  Alcotest.(check int) "no violations" 0 (Campaign.violations campaign);
   let gap = Chaos.crash_parity_gap campaign in
   if gap > 0.10 then
     Alcotest.failf
@@ -55,29 +54,29 @@ let test_crash_parity () =
 let test_detector_bookkeeping () =
   let campaign = small ~schedules:[ Chaos.crashes_schedule ] () in
   List.iter
-    (fun c ->
-      match c.Chaos.detector with
-      | Chaos.Oracle ->
+    (fun (c : Campaign.cell) ->
+      match c.line.sharded.base.detector with
+      | Harness.Oracle ->
         Alcotest.(check int)
           (cell_label c ^ ": oracle sends no probes")
-          0 c.Chaos.report.Harness.heartbeat_pings
-      | Chaos.Heartbeat ->
+          0 c.report.agg.heartbeat_pings
+      | Harness.Heartbeat _ ->
         Alcotest.(check bool)
           (cell_label c ^ ": monitor probed")
           true
-          (c.Chaos.report.Harness.heartbeat_pings > 0))
-    campaign.Chaos.cells
+          (c.report.agg.heartbeat_pings > 0))
+    campaign
 
 let test_deterministic () =
   let summary campaign =
     List.map
-      (fun c ->
+      (fun (c : Campaign.cell) ->
         ( cell_label c,
-          c.Chaos.report.Harness.reads_ok,
-          c.Chaos.report.Harness.writes_ok,
-          c.Chaos.report.Harness.retries,
-          c.Chaos.report.Harness.messages_delivered ))
-      campaign.Chaos.cells
+          c.report.agg.reads_ok,
+          c.report.agg.writes_ok,
+          c.report.agg.retries,
+          c.report.agg.messages_delivered ))
+      campaign
   in
   let campaign = small () in
   let a = summary campaign and b = summary (small ()) in
@@ -105,28 +104,28 @@ let test_amnesia_gate_all_configs () =
   in
   Alcotest.(check int) "four cells" 4 (List.length cells);
   List.iter
-    (fun c ->
-      let label = Arbitrary.Config.name_to_string c.Chaos.a_config in
+    (fun (c : Campaign.cell) ->
+      let label = Arbitrary.Config.name_to_string c.line.config in
       Alcotest.(check int)
         (label ^ ": online safety") 0
-        c.Chaos.a_report.Harness.safety_violations;
+        c.report.agg.safety_violations;
       Alcotest.(check int)
         (label ^ ": offline consistency") 0
-        (List.length c.Chaos.a_consistency.Eval.Consistency.violations))
+        (List.length c.consistency.violations))
     cells;
-  Alcotest.(check int) "campaign total" 0 (Chaos.amnesia_violations cells)
+  Alcotest.(check int) "campaign total" 0 (Campaign.violations cells)
 
 let test_amnesia_negative_control () =
   (* Campaign size: smaller trees leave too few overlapping ops for every
      configuration to witness a lost write. *)
   let cells = Chaos.run_amnesia_negative ~seed:42 () in
   List.iter
-    (fun c ->
+    (fun (c : Campaign.cell) ->
       Alcotest.(check bool)
-        (Arbitrary.Config.name_to_string c.Chaos.a_config
+        (Arbitrary.Config.name_to_string c.line.config
         ^ ": checker catches lost writes")
         true
-        (c.Chaos.a_consistency.Eval.Consistency.violations <> []))
+        (c.consistency.violations <> []))
     cells
 
 (* Golden guard for long adaptive-timeout runs: 2,048 ops on ARBITRARY

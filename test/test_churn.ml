@@ -72,9 +72,9 @@ let test_campaign_single_config () =
     Churn.run ~n:13 ~configs:[ Arbitrary.Config.Arbitrary ] ()
   in
   Alcotest.(check int) "4 scenarios" 4 (List.length cells);
-  Alcotest.(check int) "zero violations fenced" 0 (Churn.violations cells);
+  Alcotest.(check int) "zero violations fenced" 0 (Eval.Campaign.violations cells);
   let sum f =
-    List.fold_left (fun acc c -> acc + f c.Churn.c_report) 0 cells
+    List.fold_left (fun acc (c : Eval.Campaign.cell) -> acc + f c.report.agg) 0 cells
   in
   Alcotest.(check bool) "donor failover exercised" true
     (sum (fun r -> r.Harness.provision_donor_failovers) >= 1);
@@ -98,7 +98,7 @@ let test_negative_control_leaks () =
     Churn.run_negative ~n:13 ~configs:[ Arbitrary.Config.Mostly_read ] ()
   in
   Alcotest.(check bool) "at least one violation" true
-    (Churn.violations cells >= 1);
+    (Eval.Campaign.violations cells >= 1);
   Alcotest.(check string) "pinned table" "36a7669a0e870b27cb92aa49f625f20b"
     (Digest.to_hex (Digest.string (Churn.table cells)))
 

@@ -299,9 +299,9 @@ let test_campaign_gate () =
       Eval.Overload.Protected
   in
   Alcotest.(check bool) "naive storm is metastable" true
-    (naive.Eval.Overload.recovery <= 0.5);
+    (Eval.Overload.recovery naive <= 0.5);
   Alcotest.(check bool) "protected storm recovers" true
-    (prot.Eval.Overload.recovery >= 0.9)
+    (Eval.Overload.recovery prot >= 0.9)
 
 let suite =
   [

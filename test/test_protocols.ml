@@ -60,9 +60,6 @@ let instances =
     ("TreeQuorum-h2", Quorum.Tree_quorum.protocol (Quorum.Tree_quorum.create ~height:2));
     ("TreeQuorum-h3", Quorum.Tree_quorum.protocol (Quorum.Tree_quorum.create ~height:3));
     ("HQC-d2", Quorum.Hqc.protocol (Quorum.Hqc.create ~depth:2));
-    ( "WeightedVoting-4",
-      Quorum.Weighted_voting.protocol
-        (Quorum.Weighted_voting.create ~votes:[| 3; 2; 1; 1 |] ~r:3 ~w:5) );
     ("TQP-VLDB90-h1", Quorum.Tqp.protocol (Quorum.Tqp.create ~d:1 ~height:1));
     ( "Arbitrary-1-3-5",
       Arbitrary.Quorums.protocol (Arbitrary.Tree.figure1 ()) );

@@ -249,11 +249,11 @@ let test_amnesia_campaign_consistent () =
       ~configs:arbitrary_only ()
   in
   Alcotest.(check int) "one cell" 1 (List.length cells);
-  let c = List.hd cells in
-  let r = c.Chaos.a_report in
+  let c : Eval.Campaign.cell = List.hd cells in
+  let r = c.report.agg in
   Alcotest.(check int) "no online violations" 0 r.Harness.safety_violations;
   Alcotest.(check bool) "no offline violations" true
-    (Consistency.ok c.Chaos.a_consistency);
+    (Consistency.ok c.consistency);
   Alcotest.(check bool) "made progress" true
     (r.Harness.reads_ok + r.Harness.writes_ok > 0);
   Alcotest.(check bool) "replicas actually rejoined" true
@@ -273,15 +273,15 @@ let test_negative_control_detects () =
     Chaos.run_amnesia_negative ~n:9 ~clients:2 ~ops:25 ~seed:7
       ~horizon:3000.0 ~configs:arbitrary_only ()
   in
-  let violations = Chaos.amnesia_violations cells in
+  let violations = Eval.Campaign.violations cells in
   Alcotest.(check bool) "async WAL + no catch-up loses writes" true
     (violations >= 1);
-  let c = List.hd cells in
+  let c : Eval.Campaign.cell = List.hd cells in
   List.iter
     (fun v ->
       Alcotest.(check bool) "violation names distinct ops" true
         (v.Consistency.read_id <> v.Consistency.write_id))
-    c.Chaos.a_consistency.Consistency.violations
+    c.consistency.violations
 
 (* Collecting spans for the checker must not perturb the simulation: the
    memory sink draws no randomness and schedules no events. *)

@@ -225,8 +225,6 @@ let test_safety_matrix () =
       Quorum.Hqc.protocol (Quorum.Hqc.create ~depth:2);
       Quorum.Grid.protocol (Quorum.Grid.create ~rows:3 ~cols:3);
       Quorum.Maekawa.protocol (Quorum.Maekawa.create ~k:3);
-      Quorum.Weighted_voting.protocol
-        (Quorum.Weighted_voting.create ~votes:[| 3; 2; 2; 1; 1 |] ~r:5 ~w:5);
       Quorum.Tqp.protocol (Quorum.Tqp.create ~d:1 ~height:1);
     ]
 

@@ -182,6 +182,18 @@ let replays_sharded what (t : Line.t) =
 
 let replays what (n, s) config = replays_sharded what { Line.config; n; sharded = H.one_tree s }
 
+let rerun line = Eval.Batching.fingerprint (H.run_core (Line.of_string line).sharded).agg
+
+(* A campaign cell's printed line reruns to the cell's own report. *)
+let replays_cell what (c : Eval.Campaign.cell) =
+  let line = Line.to_string c.line in
+  Alcotest.(check bool) (what ^ " completes operations") true (H.completed c.report.agg > 0);
+  Alcotest.(check string) (what ^ ": " ^ line) (Eval.Batching.fingerprint c.report.agg)
+    (rerun line)
+
+let set kvs t = List.fold_left (fun t (k, v) -> Line.set t k v) t kvs
+
+(* The campaigns' own line builders at test size. *)
 let test_campaign_cells_replay () =
   let open Arbitrary.Config in
   let n, s = Eval.Config_metrics.scenario Arbitrary ~n:8 in
@@ -194,68 +206,52 @@ let test_campaign_cells_replay () =
         ops_per_client = 5;
       } )
     Unmodified;
-  replays "chaos"
-    (Eval.Chaos.make_scenario Mostly_write ~n:9 ~clients:2 ~ops:6 ~seed:7 ~horizon:600.0
-       Eval.Chaos.combined_schedule)
-    Mostly_write;
-  let n, s =
-    Eval.Chaos.make_scenario Arbitrary ~n:9 ~clients:2 ~ops:6 ~seed:7 ~horizon:600.0
-      Eval.Chaos.crashes_schedule
-  in
-  replays "chaos amnesia"
-    ( n,
-      {
-        s with
-        crash_mode = Dsim.Network.Amnesia;
-        wal = Replication.Wal.Async 60.0;
-        detector = H.Heartbeat { period = 5.0 };
-        check_consistency = true;
-      } )
-    Arbitrary;
-  replays "churn"
-    (Eval.Churn.make_scenario Unmodified ~n:7 ~clients:2 ~ops:8 ~seed:42 ~horizon:1500.0
+  let small = Eval.Chaos.run ~n:9 ~clients:2 ~ops:6 ~seed:7 ~horizon:600.0 in
+  List.iter (replays_cell "chaos")
+    (small ~configs:[ Mostly_write ] ~schedules:[ Eval.Chaos.combined_schedule ] ());
+  List.iter (replays_cell "chaos amnesia")
+    (Eval.Chaos.run_amnesia ~n:9 ~clients:2 ~ops:6 ~seed:7 ~horizon:600.0 ~configs:[ Arbitrary ] ()
+    @ Eval.Chaos.run_amnesia_negative ~n:9 ~clients:2 ~ops:6 ~seed:7 ~horizon:600.0
+        ~configs:[ Arbitrary ] ());
+  replays_sharded "churn"
+    (Eval.Churn.line Unmodified ~n:7 ~clients:2 ~ops:8 ~seed:42 ~horizon:1500.0
        ~failures:(Eval.Churn.rejoin_failures ~crash_donor:true ~crash_recipient:false)
-       ~membership:(fun ~n -> [ { H.at = 100.0; position = 1; spare = n; fence = true } ]))
-    Unmodified;
+       ~membership:(fun ~n -> [ { H.at = 100.0; position = 1; spare = n; fence = true } ]));
   let n, s = Eval.Batching.scenario ~name:Mostly_read ~n:9 ~ops:24 ~seed:5 in
   replays "batching" (n, { s with batching = Some Eval.Batching.default_knobs }) Mostly_read;
-  let n, s = Eval.Sharding.workload Unmodified ~theta:0.99 in
   replays_sharded "sharding workload"
-    {
-      Line.config = Unmodified;
-      n;
-      sharded =
-        {
-          (H.one_tree { s with n_clients = 8; ops_per_client = 4 }) with
-          shards = 4;
-          service_time = 8.0;
-          shard_failures = [ (1, [ { Dsim.Failure.time = 5.0; event = Dsim.Failure.Crash 0 } ]) ];
-          reconfig = [ { H.at = 10.0; action = H.Split 0 } ];
-        };
-    };
-  let n, s = Eval.Config_metrics.scenario Arbitrary ~n:9 in
-  replays "overload"
-    ( n,
-      {
-        s with
-        n_clients = 3;
-        ops_per_client = 10;
-        horizon = 800.0;
-        warmup = 1.0;
-        overload =
-          Some
-            {
-              H.service_time = 4.0;
-              queue_capacity = 24;
-              shed_watermark = 6;
-              slow_sites = [ (0, 12.5) ];
-              retry_budget = Some { Detect.Budget.ratio = 0.1; burst = 5.0 };
-              breaker = Some Detect.Breaker.default_config;
-              burst =
-                Some { burst_at = 200.0; burst_clients = 4; burst_ops = 5; burst_think = 1.0 };
-            };
-      } )
-    Arbitrary
+    (set
+       [
+         ("n_clients", "8"); ("ops_per_client", "4"); ("shard_failures", "1@5:crash:0");
+         ("reconfig", "10:split:0");
+       ]
+       (Eval.Sharding.line Unmodified ~shards:4 ~theta:0.99));
+  replays_sharded "overload"
+    (set
+       [
+         ("n_clients", "3"); ("ops_per_client", "10"); ("horizon", "800");
+         ("overload.slow_sites", "0:12.5"); ("overload.burst.burst_at", "200");
+         ("overload.burst.burst_clients", "4"); ("overload.burst.burst_ops", "5");
+       ]
+       (Eval.Overload.line Eval.Overload.Retry_storm Eval.Overload.Protected))
+
+(* [Campaign.replay] is a [replica-ctl run] command whose line reruns the
+   cell, and a failed gate's [blame] names the first cell with violations. *)
+let test_replay_command () =
+  let cells =
+    Eval.Chaos.run_amnesia_negative ~n:9 ~clients:2 ~ops:25 ~seed:7 ~horizon:3000.0
+      ~configs:[ Arbitrary.Config.Arbitrary ] ()
+  in
+  let c = List.hd cells in
+  let cmd = Eval.Campaign.replay c and prefix = "replica-ctl run '" in
+  Alcotest.(check bool) "a quoted replica-ctl run" true
+    (String.starts_with ~prefix cmd && String.ends_with ~suffix:"'" cmd);
+  let line = String.sub cmd (String.length prefix) (String.length cmd - String.length prefix - 1) in
+  Alcotest.(check string) "the replayed line reruns the cell"
+    (Eval.Batching.fingerprint c.report.agg) (rerun line);
+  Alcotest.(check bool) "the cell has violations" true (Eval.Campaign.violations cells > 0);
+  Alcotest.(check string) "blame names it" (" (replay: " ^ cmd ^ ")") (Eval.Campaign.blame cells);
+  Alcotest.(check string) "no blame without violations" "" (Eval.Campaign.blame [])
 
 (* --- errors ------------------------------------------------------------------- *)
 
@@ -317,6 +313,7 @@ let suite =
     Alcotest.test_case "every key printed by the generator" `Quick test_every_key_printed;
     Alcotest.test_case "campaign and preset cells replay from their line" `Quick
       test_campaign_cells_replay;
+    Alcotest.test_case "a campaign cell's replay command reruns it" `Quick test_replay_command;
     Alcotest.test_case "bad keys and values are named" `Quick test_errors;
     Alcotest.test_case "reconfig without locks named by run_core" `Quick test_reconfig_needs_locks;
     Alcotest.test_case "defaults print nothing" `Quick test_defaults_print_nothing;
