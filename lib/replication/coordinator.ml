@@ -107,17 +107,17 @@ and op_state = {
    handle from the new hold. *)
 and staged = { st : op_state; held_op : int }
 
-(* Pending operations by op id: an int table hashes and compares without
-   the polymorphic [caml_hash] and [compare]. *)
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal = Int.equal
-
-  (* Op ids of one coordinator step by the network size: mix the high
-     bits into the low ones the bucket index keeps. *)
-  let hash x = (x * 0x2545F4914F6CDD1D) lsr 32
-end)
+(* Pending operations by op id: a [Probe] table of parallel id/record
+   columns, a power-of-two size at most half full, like [Store]'s staging
+   table.  An empty slot holds [Probe.empty] and [dummy_op], so adding,
+   finding and removing an attempt allocate nothing beyond amortized
+   growth.  The table starts as one empty slot and takes 16 at the first
+   attempt. *)
+type pending = {
+  mutable p_ids : int array;
+  mutable p_sts : op_state array;
+  mutable p_count : int;
+}
 
 type t = {
   site : int;
@@ -137,7 +137,7 @@ type t = {
       (* preallocated handler for phase timeouts, which carry (op, phase)
          in the event's int slot, and backoff wake-ups, which carry the op
          record as payload: neither allocates a closure *)
-  pending : op_state Int_tbl.t;
+  pending : pending;
   mutable pool : op_state array;  (* free op records, filled [0, pool_n) *)
   mutable pool_n : int;
   incs : int array;  (** replica site -> newest incarnation seen *)
@@ -225,6 +225,48 @@ let make_op ~replicas cap =
 (* Placeholder filling vacated pool slots so released records are not
    retained twice. *)
 let dummy_op = make_op ~replicas:0 0
+
+(* [dummy_op] when [op] is not pending. *)
+let find_pending p op = p.p_sts.(Probe.slot p.p_ids op)
+
+let add_pending p op st =
+  if 2 * (p.p_count + 1) > Array.length p.p_ids then begin
+    let ids = p.p_ids and sts = p.p_sts in
+    let cap = max 16 (2 * Array.length ids) in
+    p.p_ids <- Array.make cap Probe.empty;
+    p.p_sts <- Array.make cap dummy_op;
+    Array.iteri
+      (fun j op ->
+        if op <> Probe.empty then begin
+          let i = Probe.slot p.p_ids op in
+          p.p_ids.(i) <- op;
+          p.p_sts.(i) <- sts.(j)
+        end)
+      ids
+  end;
+  let i = Probe.slot p.p_ids op in
+  if p.p_ids.(i) <> op then begin
+    p.p_ids.(i) <- op;
+    p.p_count <- p.p_count + 1
+  end;
+  p.p_sts.(i) <- st
+
+(* Backward-shift deletion, so probing never needs a tombstone. *)
+let remove_pending p op =
+  let ids = p.p_ids and sts = p.p_sts in
+  let i = Probe.slot ids op in
+  if op <> Probe.empty && ids.(i) = op then begin
+    let hole = ref i and j = ref (Probe.next_shift ids i) in
+    while !j >= 0 do
+      ids.(!hole) <- ids.(!j);
+      sts.(!hole) <- sts.(!j);
+      hole := !j;
+      j := Probe.next_shift ids !j
+    done;
+    ids.(!hole) <- Probe.empty;
+    sts.(!hole) <- dummy_op;
+    p.p_count <- p.p_count - 1
+  end
 
 (* What an empty batch answers with at once. *)
 let empty_outcome = { (make_op ~replicas:0 0) with ok = true }
@@ -465,7 +507,7 @@ let account_ok t st i ~elapsed =
   end
 
 let finish t st ~ok =
-  Int_tbl.remove t.pending st.op;
+  remove_pending t.pending st.op;
   let elapsed = now t -. started st in
   let k = st.n_keys in
   for i = 0 to k - 1 do
@@ -495,7 +537,7 @@ let arm_timeout t st =
     ~meta:((st.op lsl 2) lor phase_code st.phase) ~payload:(Obj.repr 0)
 
 let retry ?(timed_out = false) t st =
-  Int_tbl.remove t.pending st.op;
+  remove_pending t.pending st.op;
   (* Roll back any prepared members of this attempt. *)
   if st.phase = Preparing then begin
     let abort = Message.Abort { op = st.op } in
@@ -606,7 +648,7 @@ let start_attempt t st =
   st.n_q <- 0;
   st.waiting_n <- 0;
   st.n_w <- 0;
-  Int_tbl.replace t.pending op st;
+  add_pending t.pending op st;
   match st.forced with
   | Some ts ->
     st.max_v.(0) <- ts.Timestamp.version;
@@ -814,9 +856,8 @@ let handle t ~src msg =
      pluggable detector's suspicion). *)
   if src >= 0 && src < t.n_replicas then t.view.Detect.View.observe src;
   if not (stale_incarnation t ~src msg) then
-    match Int_tbl.find t.pending (Message.op_id msg) with
-    | st -> handle_op t ~src st msg
-    | exception Not_found -> ()
+    let st = find_pending t.pending (Message.op_id msg) in
+    if st != dummy_op then handle_op t ~src st msg
 
 let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
     ?(config = default_config) () =
@@ -843,7 +884,7 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
       n_replicas;
       next_seq = 0;
       timeout_h = uninit_timeout_h;
-      pending = Int_tbl.create 16;
+      pending = { p_ids = [| Probe.empty |]; p_sts = [| dummy_op |]; p_count = 0 };
       pool = Array.make 4 dummy_op;
       pool_n = 0;
       incs = Array.make n_replicas 0;
@@ -871,14 +912,12 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
         let pc = meta land 3 in
         if pc = backoff_code then start_attempt t (Obj.obj payload : op_state)
         else
-          match Int_tbl.find t.pending (meta lsr 2) with
-          | exception Not_found -> ()
-          | st ->
-            if st.phase <> Prepared && phase_code st.phase = pc
-               && st.waiting_n > 0
-            then
-              if pc = 2 then commit_timeout t st
-              else retry ~timed_out:true t st);
+          let st = find_pending t.pending (meta lsr 2) in
+          if st != dummy_op && st.phase <> Prepared && phase_code st.phase = pc
+             && st.waiting_n > 0
+          then
+            if pc = 2 then commit_timeout t st
+            else retry ~timed_out:true t st);
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
   Option.iter (register_counters t) obs;
   t

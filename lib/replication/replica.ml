@@ -678,14 +678,15 @@ let handle_serving t ~src msg =
     (* Flat serving path: no tuple, no boxed timestamp — only the reply
        message itself is allocated. *)
     let store = t.store in
+    let i = Store.committed_slot store ~key in
     send t ~dst:src
       (Message.Read_reply
          {
            op;
            key;
-           version = Store.version_of store ~key;
-           sid = Store.sid_of store ~key;
-           value = Store.value_of store ~key;
+           version = Store.committed_version store i;
+           sid = Store.committed_sid store i;
+           value = Store.committed_value store i;
            inc = t.incarnation;
          })
   | Prepare { op; key; version; sid; value; reply } ->
@@ -756,10 +757,10 @@ let handle_serving t ~src msg =
     let versions = Array.make n_keys 0 and sids = Array.make n_keys 0 in
     let values = Array.make n_keys "" in
     for i = 0 to n_keys - 1 do
-      let key = keys.(i) in
-      versions.(i) <- Store.version_of store ~key;
-      sids.(i) <- Store.sid_of store ~key;
-      values.(i) <- Store.value_of store ~key
+      let slot = Store.committed_slot store ~key:keys.(i) in
+      versions.(i) <- Store.committed_version store slot;
+      sids.(i) <- Store.committed_sid store slot;
+      values.(i) <- Store.committed_value store slot
     done;
     let keys = if Array.length keys = n_keys then keys else Array.sub keys 0 n_keys in
     send t ~dst:src ~units:n_keys
@@ -809,14 +810,15 @@ let handle_recovering t ~src msg =
          would let recovering replicas nack each other's catch-ups into a
          permanent mutual standoff once all have crashed at least once. *)
       let store = t.store in
+      let i = Store.committed_slot store ~key in
       send t ~dst:src
         (Message.Read_reply
            {
              op;
              key;
-             version = Store.version_of store ~key;
-             sid = Store.sid_of store ~key;
-             value = Store.value_of store ~key;
+             version = Store.committed_version store i;
+             sid = Store.committed_sid store i;
+             value = Store.committed_value store i;
              inc = t.incarnation;
            })
     end

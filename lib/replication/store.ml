@@ -1,13 +1,14 @@
-(* Committed state lives in dense parallel arrays indexed by key id:
-   unboxed version/sid columns and a string value column.  A key is
-   absent exactly when its triple is (0, 0, "") — the same observable
-   state [read] reports for never-written keys, and unreachable for a
-   present key because [install] only ever stores a triple that won a
-   [newer] race against (0, 0) (so a stored (0, 0, v) is impossible, and
-   (0, s<0, "") is distinguishable).  Sparse and out-of-range keys spill
-   to a hashtable. *)
-
-let dense_limit = 1 lsl 16
+(* Committed state lives in an insert-only open-addressing table keyed
+   by key id: linear probing over parallel key/version/sid/value columns
+   (unboxed version and sid), a power-of-two size, at most half full.  A
+   committed key is never removed, so the table needs no deletion, and
+   its size follows the keys the replica holds, whatever their ids.  An
+   empty slot holds [no_key] and reads as a never-written key,
+   (0, 0, ""), so a lookup yields one slot whether or not the key is
+   there.  The table starts as one empty slot, takes 128 slots at the
+   first install and 512 at the first growth (each column then lives in
+   the major heap), and doubles after that. *)
+let no_key = Probe.empty
 
 (* Staged writes live in an open-addressing table keyed by op id: linear
    probing over parallel columns, at most half full, with backward-shift
@@ -18,17 +19,17 @@ let dense_limit = 1 lsl 16
    a stage of either kind replaces the other under the same op id, and
    staging and committing allocate nothing beyond amortized table
    growth; the table is only allocated by the first stage. *)
-let no_op = min_int  (* an empty slot of [s_ops] *)
+let no_op = Probe.empty  (* an empty slot of [s_ops] *)
 
 (* [s_batch] of a slot holding a single write. *)
 let no_batch = Batch.make ~keys:[||] ~versions:[||] ~sids:[||] ~values:[||]
 
 type t = {
+  mutable keys : int array;  (* [no_key] = empty *)
   mutable versions : int array;
   mutable sids : int array;
   mutable values : string array;
-  spill : (int, int * int * string) Hashtbl.t;
-      (* key -> (version, sid, value), for key < 0 or >= dense_limit *)
+  mutable count : int;  (* committed keys *)
   mutable s_ops : int array;  (* power-of-two size; [no_op] = empty *)
   mutable s_keys : int array;
   mutable s_versions : int array;
@@ -43,10 +44,11 @@ type t = {
 
 let create () =
   {
-    versions = [||];
-    sids = [||];
-    values = [||];
-    spill = Hashtbl.create 4;
+    keys = [| no_key |];
+    versions = [| 0 |];
+    sids = [| 0 |];
+    values = [| "" |];
+    count = 0;
     s_ops = [||];
     s_keys = [||];
     s_versions = [||];
@@ -57,104 +59,77 @@ let create () =
     s_count = 0;
   }
 
-let is_dense key = key >= 0 && key < dense_limit
-
 (* ts_a newer than ts_b, unboxed (see Timestamp.newer_than). *)
 let newer av asid bv bsid = av > bv || (av = bv && asid < bsid)
 
-let version_of t ~key =
-  if is_dense key then
-    if key < Array.length t.versions then Array.unsafe_get t.versions key else 0
-  else
-    match Hashtbl.find t.spill key with
-    | v, _, _ -> v
-    | exception Not_found -> 0
+let committed_slot t ~key = Probe.slot t.keys key
 
-let sid_of t ~key =
-  if is_dense key then
-    if key < Array.length t.sids then Array.unsafe_get t.sids key else 0
-  else
-    match Hashtbl.find t.spill key with
-    | _, s, _ -> s
-    | exception Not_found -> 0
-
-let value_of t ~key =
-  if is_dense key then
-    if key < Array.length t.values then Array.unsafe_get t.values key else ""
-  else
-    match Hashtbl.find t.spill key with
-    | _, _, v -> v
-    | exception Not_found -> ""
+let committed_version t i = t.versions.(i)
+let committed_sid t i = t.sids.(i)
+let committed_value t i = t.values.(i)
+let version_of t ~key = t.versions.(committed_slot t ~key)
+let sid_of t ~key = t.sids.(committed_slot t ~key)
+let value_of t ~key = t.values.(committed_slot t ~key)
 
 let read t ~key =
-  (Timestamp.make ~version:(version_of t ~key) ~sid:(sid_of t ~key),
-   value_of t ~key)
+  let i = committed_slot t ~key in
+  (Timestamp.make ~version:t.versions.(i) ~sid:t.sids.(i), t.values.(i))
 
-let rec pow2_above n c = if c > n then c else pow2_above n (c * 2)
-
-(* Columns start at 64 slots and double past the largest key seen, so a
-   small key space costs three minor-heap arrays per replica, not three
-   arrays allocated straight into the major heap. *)
-let grow_dense t key =
-  let cap = min dense_limit (pow2_above key (max 64 (Array.length t.versions))) in
-  let versions = Array.make cap 0
-  and sids = Array.make cap 0
-  and values = Array.make cap "" in
-  Array.blit t.versions 0 versions 0 (Array.length t.versions);
-  Array.blit t.sids 0 sids 0 (Array.length t.sids);
-  Array.blit t.values 0 values 0 (Array.length t.values);
-  t.versions <- versions;
-  t.sids <- sids;
-  t.values <- values
+let grow_committed t =
+  let keys = t.keys and versions = t.versions and sids = t.sids
+  and values = t.values in
+  let cap =
+    match Array.length keys with 1 -> 128 | 128 -> 512 | n -> 2 * n
+  in
+  t.keys <- Array.make cap no_key;
+  t.versions <- Array.make cap 0;
+  t.sids <- Array.make cap 0;
+  t.values <- Array.make cap "";
+  Array.iteri
+    (fun j key ->
+      if key <> no_key then begin
+        let i = committed_slot t ~key in
+        t.keys.(i) <- key;
+        t.versions.(i) <- versions.(j);
+        t.sids.(i) <- sids.(j);
+        t.values.(i) <- values.(j)
+      end)
+    keys
 
 let install_flat t ~key ~version ~sid ~value =
-  if is_dense key then begin
-    let within = key < Array.length t.versions in
-    let cv = if within then Array.unsafe_get t.versions key else 0
-    and cs = if within then Array.unsafe_get t.sids key else 0 in
-    if newer version sid cv cs then begin
-      if not within then grow_dense t key;
-      Array.unsafe_set t.versions key version;
-      Array.unsafe_set t.sids key sid;
-      Array.unsafe_set t.values key value;
-      true
-    end
-    else false
-  end
-  else begin
-    let cv, cs =
-      match Hashtbl.find t.spill key with
-      | v, s, _ -> (v, s)
-      | exception Not_found -> (0, 0)
+  if key = no_key then invalid_arg "Store.install: key min_int";
+  let i = committed_slot t ~key in
+  if newer version sid t.versions.(i) t.sids.(i) then begin
+    let i =
+      if t.keys.(i) = key then i
+      else begin
+        t.count <- t.count + 1;
+        if 2 * t.count <= Array.length t.keys then i
+        else begin
+          grow_committed t;
+          committed_slot t ~key
+        end
+      end
     in
-    if newer version sid cv cs then begin
-      Hashtbl.replace t.spill key (version, sid, value);
-      true
-    end
-    else false
+    t.keys.(i) <- key;
+    t.versions.(i) <- version;
+    t.sids.(i) <- sid;
+    t.values.(i) <- value;
+    true
   end
+  else false
 
 let install t ~key ~(ts : Timestamp.t) ~value =
   install_flat t ~key ~version:ts.Timestamp.version ~sid:ts.Timestamp.sid ~value
 
 (* --- staged writes --------------------------------------------------------- *)
 
-let home t op = ((op * 0x9E3779B97F4A7C1) lsr 20) land (Array.length t.s_ops - 1)
-
 (* Slot holding [op]'s stage, or -1. *)
 let find_slot t ~op =
   if t.s_count = 0 then -1
-  else begin
-    let mask = Array.length t.s_ops - 1 in
-    let i = ref (home t op) in
-    while
-      let o = Array.unsafe_get t.s_ops !i in
-      o <> op && o <> no_op
-    do
-      i := (!i + 1) land mask
-    done;
-    if Array.unsafe_get t.s_ops !i = op then !i else -1
-  end
+  else
+    let i = Probe.slot t.s_ops op in
+    if t.s_ops.(i) = op then i else -1
 
 let is_batch t i = t.s_batch.(i) != no_batch
 
@@ -177,14 +152,10 @@ let slot_length t i = t.s_len.(i)
 (* Insert [op] (known absent) into a table with room for it; returns its
    slot. *)
 let insert_fresh t ~op =
-  let mask = Array.length t.s_ops - 1 in
-  let i = ref (home t op) in
-  while Array.unsafe_get t.s_ops !i <> no_op do
-    i := (!i + 1) land mask
-  done;
-  t.s_ops.(!i) <- op;
+  let i = Probe.slot t.s_ops op in
+  t.s_ops.(i) <- op;
   t.s_count <- t.s_count + 1;
-  !i
+  i
 
 let move_slot t ~src ~dst =
   t.s_ops.(dst) <- t.s_ops.(src);
@@ -230,22 +201,13 @@ let slot_for t ~op =
     insert_fresh t ~op
   end
 
-(* Backward-shift deletion: pull every later member of the probe run that
-   may live at or before the hole into it, so probing never needs a
-   tombstone. *)
+(* Backward-shift deletion, so probing never needs a tombstone. *)
 let remove_slot t i =
-  let mask = Array.length t.s_ops - 1 in
-  let hole = ref i and j = ref ((i + 1) land mask) in
-  while t.s_ops.(!j) <> no_op do
-    let k = home t t.s_ops.(!j) in
-    let h = !hole and jj = !j in
-    (* [k] cyclically in (h, jj]: the entry must stay where it is *)
-    let stays = if h <= jj then h < k && k <= jj else h < k || k <= jj in
-    if not stays then begin
-      move_slot t ~src:jj ~dst:h;
-      hole := jj
-    end;
-    j := (jj + 1) land mask
+  let hole = ref i and j = ref (Probe.next_shift t.s_ops i) in
+  while !j >= 0 do
+    move_slot t ~src:!j ~dst:!hole;
+    hole := !j;
+    j := Probe.next_shift t.s_ops !j
   done;
   t.s_ops.(!hole) <- no_op;
   t.s_values.(!hole) <- "";
@@ -379,35 +341,33 @@ let abort_staged t ~op =
 
 let staged_count t = t.s_count
 
+(* Committed keys that pass [keep], ascending. *)
+let sorted_keys t keep =
+  Array.fold_left (fun acc k -> if k <> no_key && keep k then k :: acc else acc)
+    [] t.keys
+  |> List.sort Int.compare
+
 (* Snapshot export: the committed entries with lo <= key < hi, ascending.
    The store is mutated only between engine events, so any single-event
    caller sees a consistent cut by construction; chunking a key range per
-   call keeps each transfer message bounded.  Dense keys are a straight
-   column scan; spill keys (outside the dense range) are collected and
-   sorted only when the range can contain them. *)
+   call keeps each transfer message bounded.  A range no wider than the
+   table probes each of its keys in order; a wider one sorts the table's
+   keys that fall in it. *)
 let snapshot_chunk t ~lo ~hi =
   if lo > hi then invalid_arg "Store.snapshot_chunk: lo > hi";
   let b = Batch.Builder.create ~capacity:64 () in
-  let dense_hi = min hi (Array.length t.versions) in
-  for key = max lo 0 to dense_hi - 1 do
-    let v = Array.unsafe_get t.versions key
-    and s = Array.unsafe_get t.sids key in
-    let value = Array.unsafe_get t.values key in
-    if not (v = 0 && s = 0 && String.length value = 0) then
-      Batch.Builder.push b ~key ~version:v ~sid:s ~value
-  done;
-  if lo < 0 || hi > dense_limit then begin
-    let spilled =
-      Hashtbl.fold
-        (fun key (v, s, value) acc ->
-          if key >= lo && key < hi then (key, v, s, value) :: acc else acc)
-        t.spill []
-    in
-    List.iter
-      (fun (key, version, sid, value) ->
-        Batch.Builder.push b ~key ~version ~sid ~value)
-      (List.sort compare spilled)
-  end;
+  let push key =
+    let i = committed_slot t ~key in
+    if key <> no_key && t.keys.(i) = key then
+      Batch.Builder.push b ~key ~version:t.versions.(i) ~sid:t.sids.(i)
+        ~value:t.values.(i)
+  in
+  let width = hi - lo (* negative on overflow *) in
+  if width >= 0 && width <= Array.length t.keys then
+    for j = 0 to width - 1 do
+      push (lo + j)
+    done
+  else List.iter push (sorted_keys t (fun k -> lo <= k && k < hi));
   Batch.Builder.snapshot b
 
 (* Snapshot import: a monotone merge, never an overwrite — an entry older
@@ -424,14 +384,4 @@ let import_chunk t chunk =
   done;
   !changed
 
-let keys t =
-  let dense = ref [] in
-  for key = Array.length t.versions - 1 downto 0 do
-    if
-      not
-        (t.versions.(key) = 0 && t.sids.(key) = 0
-        && String.length t.values.(key) = 0)
-    then dense := key :: !dense
-  done;
-  let all = Hashtbl.fold (fun k _ acc -> k :: acc) t.spill !dense in
-  List.sort_uniq Int.compare all
+let keys t = sorted_keys t (fun _ -> true)

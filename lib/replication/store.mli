@@ -5,18 +5,20 @@
     commits are harmless.  Prepared-but-undecided writes are staged per
     operation id.
 
-    {b Representation.}  Committed state is a dense array-backed map:
-    key-id-indexed parallel arrays with unboxed [version]/[sid] columns
-    and a string value column, plus a hashtable spill for negative or
-    very large key ids.  The flat accessors ({!version_of}, {!sid_of},
-    {!value_of}) read it without boxing a timestamp or a tuple — the
-    replica's serving path goes through them.  Staged writes live in an
-    open-addressing table of flat columns keyed by op id, one slot per
-    op: a single write's fields, or a staged batch's {!Batch} arrays
-    (shared with the envelope that brought them) and length.  Both are
-    read by slot ({!staged_slot}, {!staged_batch_slot}), so a stage and
-    its commit allocate nothing, and WAL replay accumulates a batch in
-    amortized O(1) per record.
+    {b Representation.}  Committed state is an insert-only
+    open-addressing table keyed by key id: parallel key, [version],
+    [sid] and value columns (the middle two unboxed), linear probing, a
+    power-of-two size at most half full.  Its memory follows the number
+    of keys the replica holds, whatever their ids; [min_int] marks an
+    empty slot and is the one key that cannot be installed.  A read
+    probes once ({!committed_slot}) and reads the slot's fields without
+    boxing a timestamp or a tuple — the replica's serving path goes
+    through it.  Staged writes live in an open-addressing table of flat
+    columns keyed by op id, one slot per op: a single write's fields, or
+    a staged batch's {!Batch} arrays (shared with the envelope that
+    brought them) and length.  Both are read by slot ({!staged_slot},
+    {!staged_batch_slot}), so a stage and its commit allocate nothing,
+    and WAL replay accumulates a batch in amortized O(1) per record.
 
     The store itself is plain volatile memory.  What survives a crash is
     decided one layer up: under the paper's fail-stop model (§2.2) the
@@ -35,6 +37,16 @@ val create : unit -> t
 val read : t -> key:int -> Timestamp.t * string
 (** [Timestamp.zero] and the empty string for never-written keys. *)
 
+val committed_slot : t -> key:int -> int
+(** The committed slot of [key]: its own slot, or, for a never-written
+    key, an empty slot whose fields read as [0], [0] and [""].  One probe;
+    allocation-free.  Valid until the next install. *)
+
+val committed_version : t -> int -> int
+val committed_sid : t -> int -> int
+val committed_value : t -> int -> string
+(** Fields of a slot from {!committed_slot}. *)
+
 val version_of : t -> key:int -> int
 (** Committed version of [key]; 0 for never-written keys.  Allocation-free. *)
 
@@ -46,7 +58,8 @@ val value_of : t -> key:int -> string
 
 val install : t -> key:int -> ts:Timestamp.t -> value:string -> bool
 (** Applies the write if [ts] is newer than the committed timestamp;
-    returns whether the state changed. *)
+    returns whether the state changed.
+    @raise Invalid_argument when [key] is [min_int]. *)
 
 val install_flat :
   t -> key:int -> version:int -> sid:int -> value:string -> bool

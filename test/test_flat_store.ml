@@ -1,11 +1,12 @@
-(* Equivalence suite for the array-backed store: a randomized op stream
-   drives the flat implementation and a plain-hashtable reference model
-   side by side and asserts identical observable state after every step.
-   The key universe deliberately straddles the dense/spill boundary —
-   small ids, ids just under and over the dense limit (2^16), and
-   negative ids — so both representations are exercised by one stream.
-   Also holds the regression test for the [stage_accum] replay path,
-   which used to rebuild the staged batch by quadratic list append. *)
+(* Equivalence suite for the flat store: a randomized op stream drives
+   the open-addressing implementation and a plain-hashtable reference
+   model side by side and asserts identical observable state after every
+   step.  The key universe mixes small ids, ids past 2^16, negative ids,
+   [max_int] and ids that share a home slot, so probing, growth and
+   ordering are all exercised by one stream.  Also holds the regression
+   test for the [stage_accum] replay path, which used to rebuild the
+   staged batch by quadratic list append, and the store's footprint
+   test. *)
 
 module Store = Replication.Store
 module Timestamp = Replication.Timestamp
@@ -88,18 +89,32 @@ module Model = struct
   let keys t =
     Hashtbl.fold (fun k _ acc -> k :: acc) t.committed []
     |> List.sort_uniq Int.compare
+
+  let snapshot_chunk t ~lo ~hi =
+    List.filter_map
+      (fun key ->
+        if lo <= key && key < hi then
+          let ts, v = read t ~key in
+          Some (key, ts, v)
+        else None)
+      (keys t)
 end
 
 (* --- randomized driver ------------------------------------------------- *)
 
-let dense_limit = 1 lsl 16
+(* Keys [base + j * 2^40] share their home slot in every table of up to
+   2^20 slots under a multiplicative hash, the kind the store uses: the
+   step only changes bits of [key * c] above the ones the slot keeps. *)
+let same_home base j = base + (j lsl 40)
 
-(* Mixed key universe: dense low ids, boundary ids, spill ids. *)
+(* Mixed key universe: small ids, ids past 2^16, negative ids, [max_int]
+   and a run of ids that share a home slot. *)
 let random_key rng =
   match Rng.int rng 6 with
-  | 0 | 1 | 2 -> Rng.int rng 64
-  | 3 -> dense_limit - 1 - Rng.int rng 4
-  | 4 -> dense_limit + Rng.int rng 1000
+  | 0 | 1 -> Rng.int rng 64
+  | 2 -> (1 lsl 16) + Rng.int rng 1000
+  | 3 -> same_home 7 (Rng.int rng 8)
+  | 4 -> if Rng.int rng 4 = 0 then max_int else max_int - Rng.int rng 4
   | _ -> -1 - Rng.int rng 1000
 
 let random_ts rng = ts (1 + Rng.int rng 8) (Rng.int rng 9)
@@ -254,16 +269,149 @@ let test_stage_accum_promotion () =
   Alcotest.(check string) "second write landed" "b"
     (snd (Store.read store ~key:2))
 
-(* Dense-array growth must not disturb ordering of [keys] across the
-   spill boundary. *)
-let test_keys_across_spill () =
-  let store = Store.create () in
-  let ks = [ -5; 3; dense_limit - 1; dense_limit + 2; 0; 40_000 ] in
-  List.iter
-    (fun key -> ignore (Store.install store ~key ~ts:(ts 1 0) ~value:"v"))
+let install_both store model ~key ~ts ~value =
+  Alcotest.(check bool)
+    (Printf.sprintf "install %d agrees" key)
+    (Model.install model ~key ~ts ~value)
+    (Store.install store ~key ~ts ~value)
+
+(* Keys anywhere in the int range, including runs that share a home slot,
+   read back as the model holds them through every table growth. *)
+let test_keys_anywhere () =
+  let store = Store.create () and model = Model.create () in
+  let ks =
+    [ -5; min_int + 1; 3; (1 lsl 16) - 1; 1 lsl 16; (1 lsl 16) + 2; 0; max_int;
+      max_int - 1; 40_000 ]
+    @ List.init 12 (same_home 11)
+    @ List.init 12 (fun j -> same_home (-3) (-j))
+  in
+  List.iteri
+    (fun i key -> install_both store model ~key ~ts:(ts 1 i) ~value:"v")
     ks;
-  Alcotest.(check (list int)) "ascending across representations"
-    (List.sort Int.compare ks) (Store.keys store)
+  (* enough dense keys to grow the table twice more *)
+  for key = 100 to 399 do
+    install_both store model ~key ~ts:(ts 2 0) ~value:(string_of_int key)
+  done;
+  (* an older write loses, a newer one wins, wherever the key lives *)
+  List.iter
+    (fun key ->
+      install_both store model ~key ~ts:(ts 1 99) ~value:"old";
+      install_both store model ~key ~ts:(ts 3 0) ~value:"new")
+    [ max_int; same_home 11 5; -5; 250 ];
+  List.iter (check_key store model) (ks @ List.init 400 Fun.id @ [ -4; min_int ]);
+  Alcotest.(check (list int)) "keys after growth, ascending" (Model.keys model)
+    (Store.keys store)
+
+(* Snapshot chunks match the model's filtered, sorted view whether the
+   range is narrower than the table (probed key by key) or wider (the
+   table's keys sorted), and whatever the sign of its ends. *)
+let test_snapshot_ranges () =
+  let store = Store.create () and model = Model.create () in
+  let rng = Rng.create 7 in
+  for i = 0 to 199 do
+    let key = if i mod 3 = 0 then random_key rng else Rng.int rng 500 - 100 in
+    install_both store model ~key ~ts:(random_ts rng) ~value:(random_value rng)
+  done;
+  let flat =
+    List.map (fun (k, ts, v) ->
+        (k, (ts.Timestamp.version, (ts.Timestamp.sid, v))))
+  in
+  let check (lo, hi) =
+    Alcotest.(check (list (pair int (pair int (pair int string)))))
+      (Printf.sprintf "snapshot [%d, %d)" lo hi)
+      (flat (Model.snapshot_chunk model ~lo ~hi))
+      (flat (Batch.to_list (Store.snapshot_chunk store ~lo ~hi)))
+  in
+  List.iter check
+    [
+      (0, 64);  (* narrower than the table *)
+      (-50, 30);  (* narrow, negative [lo] *)
+      (17, 17);  (* empty *)
+      (-100, 400);  (* wider than the table *)
+      (-2000, 0);  (* wide, negative [lo] *)
+      (min_int, min_int + 8);  (* narrow, holds the empty marker *)
+      (max_int - 8, max_int);  (* narrow, excludes [max_int] *)
+      (min_int, max_int);  (* wider than any table: overflowing width *)
+      (0, max_int);
+    ]
+
+(* [min_int] marks an empty slot, so it is the one key that cannot be
+   installed. *)
+let test_min_int_rejected () =
+  let store = Store.create () in
+  Alcotest.check_raises "install min_int"
+    (Invalid_argument "Store.install: key min_int") (fun () ->
+      ignore (Store.install store ~key:min_int ~ts:(ts 1 0) ~value:"v"));
+  Alcotest.(check (list int)) "nothing installed" [] (Store.keys store);
+  Alcotest.(check int) "min_int reads as never written" 0
+    (Store.version_of store ~key:min_int)
+
+(* The committed table grows with the number of keys, not with their
+   ids: 256 keys spread over [0, 2^20) cost a few words each. *)
+let test_footprint () =
+  let store = Store.create () in
+  let rng = Rng.create 11 in
+  let n = ref 0 in
+  while !n < 256 do
+    let key = Rng.int rng (1 lsl 20) in
+    if Store.install store ~key ~ts:(ts 1 0) ~value:"v" then incr n
+  done;
+  let words = Obj.reachable_words (Obj.repr store) in
+  if words >= 32 * 256 then
+    Alcotest.failf "store of 256 keys reaches %d words (%.1f per key; bound 32)"
+      words (float_of_int words /. 256.)
+
+(* The probe column shared by the store and the coordinator: random
+   inserts and backward-shift deletions of op-id-like keys (a stride of
+   the network size, plus a few that share a home slot) keep exactly the
+   live keys reachable, in a table kept at most half full. *)
+let test_probe_deletion () =
+  let module Probe = Replication.Probe in
+  let rng = Rng.create 5 in
+  let keys = ref (Array.make 16 Probe.empty) and live = Hashtbl.create 64 in
+  let insert key =
+    if 2 * (Hashtbl.length live + 1) > Array.length !keys then begin
+      let old = !keys in
+      keys := Array.make (2 * Array.length old) Probe.empty;
+      Array.iter
+        (fun k -> if k <> Probe.empty then !keys.(Probe.slot !keys k) <- k)
+        old
+    end;
+    !keys.(Probe.slot !keys key) <- key;
+    Hashtbl.replace live key ()
+  in
+  let remove key =
+    let ks = !keys in
+    let i = Probe.slot ks key in
+    if ks.(i) = key then begin
+      let hole = ref i and j = ref (Probe.next_shift ks i) in
+      while !j >= 0 do
+        ks.(!hole) <- ks.(!j);
+        hole := !j;
+        j := Probe.next_shift ks !j
+      done;
+      ks.(!hole) <- Probe.empty
+    end;
+    Hashtbl.remove live key
+  in
+  let random_op () =
+    if Rng.int rng 5 = 0 then same_home 3 (Rng.int rng 8)
+    else (Rng.int rng 300 * 9) + Rng.int rng 9
+  in
+  for step = 1 to 20_000 do
+    let key = random_op () in
+    if Rng.int rng 2 = 0 then insert key else remove key;
+    if step mod 100 = 0 then begin
+      let ks = !keys in
+      Hashtbl.iter
+        (fun key () ->
+          Alcotest.(check int) (Printf.sprintf "key %d reachable" key) key
+            ks.(Probe.slot ks key))
+        live;
+      Alcotest.(check int) "no other key held" (Hashtbl.length live)
+        (Array.fold_left (fun n k -> if k = Probe.empty then n else n + 1) 0 ks)
+    end
+  done
 
 let suite =
   [
@@ -275,6 +423,13 @@ let suite =
       test_stage_accum_large_replay;
     Alcotest.test_case "stage_accum single-record promotion" `Quick
       test_stage_accum_promotion;
-    Alcotest.test_case "keys across the spill boundary" `Quick
-      test_keys_across_spill;
+    Alcotest.test_case "keys anywhere" `Quick test_keys_anywhere;
+    Alcotest.test_case "snapshot ranges narrow, wide and negative" `Quick
+      test_snapshot_ranges;
+    Alcotest.test_case "installing min_int raises" `Quick
+      test_min_int_rejected;
+    Alcotest.test_case "store memory follows the keys it holds" `Quick
+      test_footprint;
+    Alcotest.test_case "probe deletion keeps live keys reachable" `Quick
+      test_probe_deletion;
   ]
