@@ -6,7 +6,10 @@ type t = {
   n : int;
   replicas : int array array;  (* per physical level, ascending level order *)
   write_masks : Bitset.t array;  (* full level as a bitset, same order *)
+  write_results : Bitset.t option array;  (* [Some] of each write mask *)
   full : Bitset.t;  (* the whole universe *)
+  read : Bitset.t;  (* the read quorum, refilled by every call *)
+  read_result : Bitset.t option;  (* [Some read] *)
   scratch : int array;  (* candidate buffer, max level size *)
   level_scratch : int array;  (* fully-alive level indexes, |K_phy| *)
 }
@@ -28,18 +31,33 @@ let create tree =
     Bitset.add full i
   done;
   let widest = Array.fold_left (fun acc r -> max acc (Array.length r)) 1 replicas in
+  let read = Bitset.create n in
   {
     tree;
     n;
     replicas;
     write_masks;
+    write_results = Array.map Option.some write_masks;
     full;
+    read;
+    read_result = Some read;
     scratch = Array.make widest 0;
     level_scratch = Array.make (max 1 (Array.length replicas)) 0;
   }
 
 let tree t = t.tree
-let fork t = create t.tree
+
+(* The per-level arrays and masks are never written after [create], so a
+   fork shares them; only the buffers a call writes are its own. *)
+let fork t =
+  let read = Bitset.create t.n in
+  {
+    t with
+    read;
+    read_result = Some read;
+    scratch = Array.make (Array.length t.scratch) 0;
+    level_scratch = Array.make (Array.length t.level_scratch) 0;
+  }
 
 (* Both selectors draw exactly like the reference implementation: the
    reference runs [Rng.pick rng candidates], a single bounded [Rng.int]
@@ -65,8 +83,12 @@ let level_site t ~alive ~rng ~fast level =
     if !c = 0 then -1 else t.scratch.(Rng.int rng !c)
   end
 
+(* Both quorum functions return a result owned by the plan: [read_quorum]
+   refills one bitset, [write_quorum] hands out a level's mask, each in a
+   preallocated [Some], so an assembly allocates nothing. *)
 let read_quorum t ~alive ~rng =
-  let q = Bitset.create t.n in
+  let q = t.read in
+  Bitset.clear q;
   let fast = Bitset.equal alive t.full in
   let n_levels = Array.length t.replicas in
   let level = ref 0 and site = ref 0 in
@@ -77,7 +99,7 @@ let read_quorum t ~alive ~rng =
       incr level
     end
   done;
-  if !site >= 0 then Some q else None
+  if !site >= 0 then t.read_result else None
 
 let n_levels t = Array.length t.replicas
 
@@ -91,8 +113,7 @@ let read_site t ~alive ~rng ~level =
 
 let write_quorum t ~alive ~rng =
   let n_levels = Array.length t.replicas in
-  if Bitset.equal alive t.full then
-    Some (Bitset.copy t.write_masks.(Rng.int rng n_levels))
+  if Bitset.equal alive t.full then t.write_results.(Rng.int rng n_levels)
   else begin
     let c = ref 0 in
     for i = 0 to n_levels - 1 do
@@ -102,5 +123,5 @@ let write_quorum t ~alive ~rng =
       end
     done;
     if !c = 0 then None
-    else Some (Bitset.copy t.write_masks.(t.level_scratch.(Rng.int rng !c)))
+    else t.write_results.(t.level_scratch.(Rng.int rng !c))
   end

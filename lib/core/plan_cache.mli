@@ -19,18 +19,23 @@
     {b Fast path.}  When the alive view equals the full universe (the
     failure-free common case), candidate filtering is skipped entirely and
     selection indexes the precomputed per-level replica arrays.  When sites
-    are down, candidates are gathered into reusable scratch buffers — no
-    list or array allocation either way; only the returned quorum bitset
-    is fresh.
+    are down, candidates are gathered into reusable scratch buffers.
+    Either way an assembly allocates nothing: see {b Results}.
+
+    {b Results.}  A returned quorum belongs to the plan.  {!read_quorum}
+    refills one bitset and {!write_quorum} returns a level's precomputed
+    mask, each in a preallocated [Some].  A result is valid until the
+    next call of the same function on the same plan, must not be mutated,
+    and must be copied ([Dsutil.Bitset.copy]) to be kept longer.
 
     {b Invalidation.}  A plan is immutable and tied to the tree it was
     built from.  Reconfiguration installs a new protocol value (see
     {!Quorums.protocol} / [Reconfig.migrate]), which carries a freshly
     built plan — there is no in-place mutation to invalidate.
 
-    {b Concurrency.}  The scratch buffers make a plan unsafe to share
-    across domains; use {!fork} to obtain a private instance (cheap: the
-    plan is rebuilt from the tree). *)
+    {b Concurrency.}  The scratch buffers and the read result make a plan
+    unsafe to share across domains; use {!fork} to obtain a private
+    instance (cheap: only those buffers are new). *)
 
 type t
 
@@ -41,11 +46,13 @@ val create : Tree.t -> t
 val tree : t -> Tree.t
 
 val fork : t -> t
-(** A fresh plan over the same tree with private scratch buffers, safe to
-    use from another domain. *)
+(** A plan over the same tree with private scratch buffers and read
+    result, safe to use from another domain.  It shares the original's
+    per-level arrays and write masks, which no call writes. *)
 
 val read_quorum : t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
-(** Same contract (and same RNG draws) as {!Quorums.read_quorum}. *)
+(** Same quorum (and same RNG draws) as {!Quorums.read_quorum}, owned by
+    the plan until the next [read_quorum] call (see {b Results}). *)
 
 val n_levels : t -> int
 (** Number of physical levels (the per-level quorum groups of §3.2). *)
@@ -58,4 +65,5 @@ val read_site : t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> level:int -> i
     behind tree-level pipelined reads. *)
 
 val write_quorum : t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
-(** Same contract (and same RNG draws) as {!Quorums.write_quorum}. *)
+(** Same quorum (and same RNG draws) as {!Quorums.write_quorum}, owned by
+    the plan until the next [write_quorum] call (see {b Results}). *)

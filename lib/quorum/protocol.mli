@@ -32,10 +32,18 @@ module type S = sig
   val read_quorum :
     t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
   (** A read quorum drawn according to the protocol's strategy, restricted
-      to alive replicas; [None] if no read quorum survives. *)
+      to alive replicas; [None] if no read quorum survives.
+
+      The result may be owned by the instance, so that assembling it
+      allocates nothing: it is valid until the next [read_quorum] call on
+      the same instance, must not be mutated, and must be copied to be
+      kept longer. *)
 
   val write_quorum :
     t -> alive:Dsutil.Bitset.t -> rng:Dsutil.Rng.t -> Dsutil.Bitset.t option
+  (** A write quorum, as {!read_quorum} draws a read quorum, with the same
+      ownership: valid until the next [write_quorum] call on the same
+      instance, not to be mutated, copied to be kept. *)
 
   val read_levels : t -> level_plan option
   (** The per-level assembly hook, for protocols that support it; [None]

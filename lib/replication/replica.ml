@@ -738,7 +738,7 @@ let handle_serving t ~src msg =
     end
   | Abort { op } ->
     if Store.has_staged t.store ~op || Store.staged_batch_slot t.store ~op >= 0
-    then wal_append t (Wal.Abort { op });
+    then (match t.wal with Some wal -> Wal.abort wal ~op | None -> ());
     Store.abort_staged t.store ~op
   | Repair { key; version; sid; value; _ } ->
     if Store.install_flat t.store ~key ~version ~sid ~value then begin

@@ -34,7 +34,11 @@ type record =
    Sync policies need no durability column: a record they force is
    durable from its append on (any crash comes later, the clock being
    monotone), and a stage or abort under [Sync_on_commit] never is.  So
-   only [Async] reads the clock. *)
+   only [Async] reads the clock.  Such a volatile record is not stored at
+   all: it takes its append index and is counted in [volatile] until the
+   next crash loses it, and since replay only ever follows a crash, no
+   reader could see its row.  Every stored row of a sync log is therefore
+   durable, and only [Async] has rows for a crash to discard. *)
 
 let k_stage = 0
 let k_commit = 1
@@ -53,7 +57,8 @@ type t = {
   mutable values : string array array;  (* chunk -> [chunk_rows] values *)
   mutable durable : Float.Array.t array;  (* chunk -> durable-at; Async only *)
   mutable chunks : int;  (* allocated chunks, a prefix of the spines *)
-  mutable n : int;
+  mutable n : int;  (* stored rows *)
+  mutable volatile : int;  (* volatile records since the last crash *)
   mutable lost : int;
   mutable syncs : int;
   mutable next_index : int;
@@ -72,6 +77,7 @@ let create ?(policy = Sync_on_commit) ~now () =
     durable = [||];
     chunks = 0;
     n = 0;
+    volatile = 0;
     lost = 0;
     syncs = 0;
     next_index = 0;
@@ -119,7 +125,15 @@ let kind t i = field t i 0 land 7
 let row_index t i = field t i 0 lsr 3
 let value t i = t.values.(chunk i).(slot i)
 
-let push t kind ~op ~key ~version ~sid ~value =
+(* Whether a [kind] record is lost by any crash: it is then counted, not
+   stored. *)
+let volatile policy kind =
+  match policy with
+  | Sync_on_commit -> kind = k_stage || kind = k_abort
+  | Sync_on_prepare | Async _ -> false
+
+(* Row [t.n] holds the record appended at [t.next_index]. *)
+let store_row t kind ~op ~key ~version ~sid ~value =
   let i = t.n in
   let c = chunk i and r = slot i in
   if c = t.chunks then add_chunk t;
@@ -133,8 +147,12 @@ let push t kind ~op ~key ~version ~sid ~value =
   (match t.policy with
   | Async lag -> Float.Array.set t.durable.(c) r (t.now () +. lag)
   | Sync_on_commit | Sync_on_prepare -> ());
-  t.next_index <- t.next_index + 1;
   t.n <- i + 1
+
+let push t kind ~op ~key ~version ~sid ~value =
+  if volatile t.policy kind then t.volatile <- t.volatile + 1
+  else store_row t kind ~op ~key ~version ~sid ~value;
+  t.next_index <- t.next_index + 1
 
 let push_forced t kind ~op ~key ~version ~sid ~value =
   if forces t.policy kind then t.syncs <- t.syncs + 1;
@@ -142,6 +160,8 @@ let push_forced t kind ~op ~key ~version ~sid ~value =
 
 let stage t ~op ~key ~version ~sid ~value =
   push_forced t k_stage ~op ~key ~version ~sid ~value
+
+let abort t ~op = push_forced t k_abort ~op ~key:0 ~version:0 ~sid:0 ~value:""
 
 let commit t ~op ~key ~version ~sid ~value =
   push_forced t k_commit ~op ~key ~version ~sid ~value
@@ -208,35 +228,20 @@ let append_batch t records =
     t.syncs <- t.syncs + 1;
   List.iter (push_record t) records
 
-(* Whether row [i] survives a crash at [now].  The Async boundary is
-   INCLUSIVE: a row whose deadline equals the crash time has reached
-   stable storage (see wal.mli). *)
-let survives t i ~now =
-  match t.policy with
-  | Async _ -> Float.Array.get t.durable.(chunk i) (slot i) <= now
-  | Sync_on_prepare -> true
-  | Sync_on_commit ->
-    let k = kind t i in
-    k <> k_stage && k <> k_abort
-
 let copy_row t ~src ~dst =
   Array.blit t.ints.(chunk src) (slot src * width) t.ints.(chunk dst)
     (slot dst * width) width;
   t.values.(chunk dst).(slot dst) <- value t src;
-  match t.policy with
-  | Async _ ->
-    Float.Array.set t.durable.(chunk dst) (slot dst)
-      (Float.Array.get t.durable.(chunk src) (slot src))
-  | Sync_on_commit | Sync_on_prepare -> ()
+  Float.Array.set t.durable.(chunk dst) (slot dst)
+    (Float.Array.get t.durable.(chunk src) (slot src))
 
-let crash t =
-  let now = t.now () in
-  (* Compact the surviving rows to the front, in order.  [next_index] is
-     deliberately NOT rewound: indices of lost records are retired, never
-     reissued. *)
+(* Compact the rows of an Async log that survive a crash at [now] to the
+   front, in order.  The boundary is INCLUSIVE: a row whose deadline
+   equals the crash time has reached stable storage (see wal.mli). *)
+let compact t ~now =
   let kept = ref 0 in
   for i = 0 to t.n - 1 do
-    if survives t i ~now then begin
+    if Float.Array.get t.durable.(chunk i) (slot i) <= now then begin
       if !kept < i then copy_row t ~src:i ~dst:!kept;
       incr kept
     end
@@ -247,6 +252,15 @@ let crash t =
   done;
   t.lost <- t.lost + (t.n - kept);
   t.n <- kept
+
+(* [next_index] is deliberately NOT rewound: indices of lost records are
+   retired, never reissued. *)
+let crash t =
+  (match t.policy with
+  | Async _ -> compact t ~now:(t.now ())
+  | Sync_on_commit | Sync_on_prepare -> ());
+  t.lost <- t.lost + t.volatile;
+  t.volatile <- 0
 
 let apply_row t store i =
   let kind = kind t i and op = field t i 1 and key = field t i 2 in
@@ -304,7 +318,7 @@ let resume_state t =
   in
   scan (t.n - 1)
 
-let length t = t.n
+let length t = t.n + t.volatile
 let lost_total t = t.lost
 let syncs t = t.syncs
 

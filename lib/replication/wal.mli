@@ -10,9 +10,12 @@
 
     Policies:
     - {!Sync_on_commit}: committed installs are durable the moment they
-      are logged; staged (prepared-but-undecided) writes are volatile and
-      lost on a crash.  A recovered replica answers a 2PC [Commit] for a
-      lost stage with a nack, which the coordinator turns into a retry.
+      are logged; staged (prepared-but-undecided) writes and aborts are
+      volatile and lost on a crash.  A recovered replica answers a 2PC
+      [Commit] for a lost stage with a nack, which the coordinator turns
+      into a retry.  A volatile record is counted, not stored: it takes
+      its append index and counts in {!length} until the next {!crash},
+      which adds it to {!lost_total}, but no {!replay} ever sees it.
     - {!Sync_on_prepare}: staged writes are durable too — the classic 2PC
       participant contract.  Replay restores both committed state and the
       undecided stage set.
@@ -83,6 +86,9 @@ val commit :
   t -> op:int -> key:int -> version:int -> sid:int -> value:string -> unit
 (** [append] of a [Commit] record, allocation-free like {!stage}. *)
 
+val abort : t -> op:int -> unit
+(** [append] of an [Abort] record, allocation-free like {!stage}. *)
+
 val install : t -> key:int -> version:int -> sid:int -> value:string -> unit
 (** [append] of an [Install] record, allocation-free like {!stage}. *)
 
@@ -112,13 +118,19 @@ val crash : t -> unit
 (** An amnesia crash at the current time: truncates every record that was
     not yet durable under the policy.  The comparison is inclusive — a
     record whose durability deadline is exactly now survives (see the
-    Async boundary note above).  Fail-stop crashes never call this —
-    the replica's memory survives, so the log is irrelevant. *)
+    Async boundary note above).  Under both sync policies every stored
+    record is durable, so only [Async] scans the log; the volatile
+    records of [Sync_on_commit] are dropped by count.  Fail-stop crashes
+    never call this — the replica's memory survives, so the log is
+    irrelevant. *)
 
 val replay : t -> Store.t -> int
-(** Rebuild [store] from the log in append order: installs are applied
-    monotonically, stages re-staged, aborts clear their stage.  Returns the
-    number of records applied. *)
+(** Rebuild [store] from the stored records in append order: installs are
+    applied monotonically, stages re-staged, aborts clear their stage.
+    Returns the number of records applied.  Meant for a log that has just
+    {!crash}ed; on one that has not, the volatile records of
+    [Sync_on_commit] are not replayed (they were never stored), so its
+    stages are not re-staged. *)
 
 (** {2 Indices, snapshot cuts and tails}
 
@@ -158,7 +170,8 @@ val resume_state : t -> (int * int) option
     mark). *)
 
 val length : t -> int
-(** Records currently in the log (durable or not). *)
+(** Records currently in the log (durable or not): the stored records
+    plus the volatile ones appended since the last {!crash}. *)
 
 val lost_total : t -> int
 (** Records discarded across all {!crash} calls so far — the measurable

@@ -69,7 +69,8 @@ let test_wal_flat_appends () =
       let append op =
         Wal.stage wal ~op ~key:(op land 1023) ~version:op ~sid:0 ~value:"v";
         Wal.commit wal ~op ~key:(op land 1023) ~version:op ~sid:0 ~value:"v";
-        Wal.install wal ~key:(op land 1023) ~version:op ~sid:1 ~value:"v"
+        Wal.install wal ~key:(op land 1023) ~version:op ~sid:1 ~value:"v";
+        Wal.abort wal ~op
       in
       for op = 0 to 4_095 do
         append op
@@ -81,7 +82,7 @@ let test_wal_flat_appends () =
              for op = 4_096 to 103_999 do
                append op
              done;
-             3 * 99_904)))
+             4 * 99_904)))
     [ Wal.Sync_on_commit; Wal.Sync_on_prepare ]
 
 let test_store_stage_commit () =
@@ -103,6 +104,26 @@ let test_store_stage_commit () =
            cycle op
          done;
          99_904))
+
+(* The plan cache's quorums are owned by the plan (a refilled read bitset,
+   the precomputed level masks, each in a preallocated [Some]), so
+   assembling one allocates nothing: here on all-alive ARBITRARY n=33. *)
+let test_plan_cache_quorums () =
+  let tree = Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:33 in
+  let plan = Arbitrary.Plan_cache.create tree in
+  let n = Arbitrary.Tree.n tree in
+  let alive = Dsutil.Bitset.of_list n (List.init n Fun.id) in
+  let rng = Dsutil.Rng.create 1 in
+  let calls = 100_000 in
+  let count assemble =
+    words_per (fun () ->
+        for _ = 1 to calls do
+          if assemble plan ~alive ~rng = None then Alcotest.fail "no quorum when all alive"
+        done;
+        calls)
+  in
+  check_bound "read quorum" ~bound:0.1 (count Arbitrary.Plan_cache.read_quorum);
+  check_bound "write quorum" ~bound:0.1 (count Arbitrary.Plan_cache.write_quorum)
 
 (* Minor words per op of a closed-loop run on MOSTLY-READ over [n]
    replicas, where every write quorum is all [n], with an amnesia WAL on
@@ -238,4 +259,6 @@ let suite =
     Alcotest.test_case "write words flat in quorum size" `Quick test_write_words_flat_in_n;
     Alcotest.test_case "batch-sharded op allocates under 130 words" `Quick
       test_batch_sharded_run;
+    Alcotest.test_case "plan-cache quorum assembly allocates nothing" `Quick
+      test_plan_cache_quorums;
   ]

@@ -46,6 +46,42 @@ let test_sync_on_commit_crash () =
   Alcotest.(check bool) "staged key unwritten" true
     (Store.read store ~key:1 = (Timestamp.zero, ""))
 
+(* Under Sync_on_commit a stage or abort is volatile: it is counted (an
+   append index, a place in [length], a loss at the next crash) but never
+   stored, so replaying a log that has not crashed applies only the
+   commit. *)
+let test_volatile_rows_counted_not_stored () =
+  let now, _ = clock () in
+  let wal = Wal.create ~now () in
+  Wal.stage wal ~op:1 ~key:0 ~version:1 ~sid:0 ~value:"a";
+  Wal.abort wal ~op:1;
+  Wal.commit wal ~op:2 ~key:1 ~version:1 ~sid:0 ~value:"b";
+  Alcotest.(check int) "three records" 3 (Wal.length wal);
+  Alcotest.(check int) "three indices" 3 (Wal.next_index wal);
+  let store = Store.create () in
+  Alcotest.(check int) "only the commit replays" 1 (Wal.replay wal store);
+  Alcotest.(check int) "nothing staged" 0 (Store.staged_count store);
+  Alcotest.(check bool) "commit installed" true
+    (Store.read store ~key:1 = (ts 1, "b"));
+  Wal.crash wal;
+  Alcotest.(check int) "stage and abort lost" 2 (Wal.lost_total wal);
+  Alcotest.(check int) "the commit remains" 1 (Wal.length wal);
+  Alcotest.(check int) "indices kept" 3 (Wal.next_index wal)
+
+(* The log's footprint follows what a crash can keep: a Sync_on_commit
+   log of stage+commit pairs holds one row per commit, about six words
+   (five packed ints and a value pointer). *)
+let test_footprint_per_commit () =
+  let wal = Wal.create ~now:(fun () -> 0.0) () in
+  let pairs = 10_000 in
+  for op = 0 to pairs - 1 do
+    Wal.stage wal ~op ~key:(op land 1023) ~version:op ~sid:0 ~value:"v";
+    Wal.commit wal ~op ~key:(op land 1023) ~version:op ~sid:0 ~value:"v"
+  done;
+  let per_commit = float_of_int (Obj.reachable_words (Obj.repr wal)) /. float_of_int pairs in
+  if per_commit > 7.0 then
+    Alcotest.failf "%.2f words per commit, bound 7" per_commit
+
 (* Sync_on_prepare: the classic 2PC participant contract — the undecided
    stage set survives too, so replay rebuilds it for the coordinator's
    eventual decision. *)
@@ -549,4 +585,8 @@ let suite =
     Alcotest.test_case "model: async boundary" `Quick test_model_async_boundary;
     QCheck_alcotest.to_alcotest prop_matches_model;
     QCheck_alcotest.to_alcotest prop_long_logs_match_model;
+    Alcotest.test_case "volatile rows are counted, not stored" `Quick
+      test_volatile_rows_counted_not_stored;
+    Alcotest.test_case "footprint: one row per commit" `Quick
+      test_footprint_per_commit;
   ]

@@ -76,11 +76,13 @@ let apply_record store (record : Wal.record) =
   | Abort { op } -> Store.abort_staged store ~op
   | Mark _ -> ()
 
+(* A record no crash keeps (durable at infinity) is never replayed: the
+   library replays only after a crash, so the log does not store it. *)
 let replay_from t store ~index =
   let applied = ref 0 in
   List.iter
     (fun e ->
-      if e.index >= index then begin
+      if e.index >= index && e.durable_at < Float.infinity then begin
         apply_record store e.record;
         incr applied
       end)
