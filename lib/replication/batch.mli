@@ -1,8 +1,8 @@
 (** Flat, length-carrying batch payloads: parallel arrays of
     (key, version, sid, value), one slot per write or read entry.
 
-    The coalesced message envelopes ({!Message.Read_batch_reply},
-    {!Message.Prepare_batch}) and the store's staged batches carry one of
+    The coalesced message envelopes ({!Message.Prepare_batch}, snapshot
+    chunks, WAL tails) and the store's staged batches carry one of
     these instead of a [(int * Timestamp.t * string) list]: no per-entry
     cons cells or boxed timestamps, and the length is an array length
     rather than a list walk.  A [t] is immutable by convention — never

@@ -100,6 +100,9 @@ and op_state = {
           [no_owner] *)
   mutable slice_pos : int;  (** where the caller's slice of keys starts *)
   mutable ok : bool;  (** the outcome, set as the operation finishes *)
+  mutable grant : unit -> unit;
+      (** a locked single-key op's lock-grant callback, which starts its
+          first attempt: built once per record, at its first lock wait *)
 }
 
 (* A held prepare's record, with the op id it parked under: a pooled
@@ -193,6 +196,9 @@ let released = min_int
 
 let no_owner = -1
 
+(* A record's [grant] until its first lock wait builds the real one. *)
+let no_grant () = ()
+
 let make_op ~replicas cap =
   let r = max replicas 1 in
   {
@@ -220,6 +226,7 @@ let make_op ~replicas cap =
     owner = no_owner;
     slice_pos = 0;
     ok = false;
+    grant = no_grant;
   }
 
 (* Placeholder filling vacated pool slots so released records are not
@@ -797,13 +804,12 @@ let handle_op t ~src st msg =
       st.replies <- (src, version, sid) :: st.replies;
     observe_value st 0 ~version ~sid ~value;
     if st.waiting_n = 0 then query_complete t st
-  | Read_batch_reply { entries; _ } when st.phase = Querying ->
+  | Read_batch_reply { n; versions; sids; values; _ } when st.phase = Querying ->
     (* Entries answer the request positions in order, so a repeated key's
        positions all see the same entry values. *)
     reply_received t st ~src;
-    for i = 0 to min st.n_keys (Batch.length entries) - 1 do
-      observe_value st i ~version:(Batch.version entries i)
-        ~sid:(Batch.sid entries i) ~value:(Batch.value entries i)
+    for i = 0 to min st.n_keys n - 1 do
+      observe_value st i ~version:versions.(i) ~sid:sids.(i) ~value:values.(i)
     done;
     if st.waiting_n = 0 then query_complete t st
   | Prepare_ack { inc; _ } when st.phase = Preparing ->
@@ -851,13 +857,16 @@ let handle_op t ~src st msg =
        stray Busy must not fail a decided transaction. *)
     ()
 
+(* Every message ends here, so this is where a read reply goes back to
+   its sender's pool: nothing above keeps the record. *)
 let handle t ~src msg =
   (* Any message is proof of life: rehabilitate its sender (clears any
      pluggable detector's suspicion). *)
   if src >= 0 && src < t.n_replicas then t.view.Detect.View.observe src;
-  if not (stale_incarnation t ~src msg) then
-    let st = find_pending t.pending (Message.op_id msg) in
-    if st != dummy_op then handle_op t ~src st msg
+  (if not (stale_incarnation t ~src msg) then
+     let st = find_pending t.pending (Message.op_id msg) in
+     if st != dummy_op then handle_op t ~src st msg);
+  Message.recycle msg
 
 let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
     ?(config = default_config) () =
@@ -947,25 +956,30 @@ let budget_attempt t =
    from the shared lock manager, so coordinators that share one (a
    client's per-shard coordinators, on one site) never collide.  A forced
    write is state transfer, which runs under its caller's fences: it takes
-   no lock of its own. *)
-let launch_one t kind ~key ~pos ~value ~span ~forced ~owner =
+   no lock of its own.
+   The record is taken and filled before the lock wait, so the grant is
+   the record's own callback and a lock wait allocates no closure; the
+   operation's start time is still stamped at the grant. *)
+let start_one t kind ~op ~mode ~key ~pos ~value ~forced =
+  let span = open_span t ~op ~key in
   let st = alloc_op t ~kind ~n:1 in
   st.keys.(0) <- key;
   st.values.(0) <- value;
   st.spans.(0) <- span;
   st.forced <- forced;
   st.slice_pos <- pos;
-  st.owner <- owner;
-  start_attempt t st
-
-let start_one t kind ~op ~mode ~key ~pos ~value ~forced =
-  let span = open_span t ~op ~key in
   match (t.locks, forced) with
   | Some lm, None ->
-    let owner = Lock_manager.fresh_owner lm in
-    Lock_manager.acquire lm ~key ~mode ~owner (fun () ->
-        launch_one t kind ~key ~pos ~value ~span ~forced ~owner)
-  | _ -> launch_one t kind ~key ~pos ~value ~span ~forced ~owner:no_owner
+    st.owner <- Lock_manager.fresh_owner lm;
+    if st.grant == no_grant then
+      st.grant <-
+        (fun () ->
+          set_started t st;
+          start_attempt t st);
+    Lock_manager.acquire lm ~key ~mode ~owner:st.owner st.grant
+  | _ ->
+    st.owner <- no_owner;
+    start_attempt t st
 
 let read t ?(retry = false) ~key k =
   if not retry then budget_attempt t;

@@ -1,12 +1,14 @@
 type t =
   | Read_request of { op : int; key : int }
   | Read_reply of {
-      op : int;
-      key : int;
-      version : int;
-      sid : int;
-      value : string;
-      inc : int;
+      mutable op : int;
+      mutable key : int;
+      mutable version : int;
+      mutable sid : int;
+      mutable value : string;
+      mutable inc : int;
+      mutable freed : bool;
+      home : pool;
     }
   | Prepare of {
       op : int;
@@ -31,7 +33,18 @@ type t =
       (** coalesced read envelope: one message, one service-queue slot,
           many keys.  The first [n_keys] entries of [keys] are live, so a
           pooled oversized buffer can ride as-is. *)
-  | Read_batch_reply of { op : int; entries : Batch.t; inc : int }
+  | Read_batch_reply of {
+      mutable op : int;
+      mutable n : int;
+      mutable versions : int array;
+      mutable sids : int array;
+      mutable values : string array;
+      mutable inc : int;
+      mutable freed : bool;
+      home : pool;
+    }
+      (** the first [n] entries of each column are live; the columns keep
+          the capacity of the largest batch the record has carried *)
   | Prepare_batch of { op : int; writes : Batch.t; reply : t }
       (** coalesced 2PC stage: the batch is staged (and later committed or
           aborted) atomically under one op id; acked with [Prepare_ack] *)
@@ -70,6 +83,96 @@ type t =
           a later delta request) *)
   | Ping of { seq : int }
   | Pong of { seq : int }
+
+(* A free stack, filled [0, n_free): the slots above may still name
+   records in flight, which only delays their collection until the slot
+   is overwritten.  Clearing a slot at each pop would be a third
+   write-barrier store per reply. *)
+and stack = { mutable free : t array; mutable n_free : int }
+
+and pool = { replies : stack; batches : stack }
+
+let pool () =
+  { replies = { free = [||]; n_free = 0 }; batches = { free = [||]; n_free = 0 } }
+
+(* The top record of a non-empty stack. *)
+let pop s =
+  let i = s.n_free - 1 in
+  s.n_free <- i;
+  s.free.(i)
+
+let read_reply p ~op ~key ~version ~sid ~value ~inc =
+  if p.replies.n_free = 0 then
+    Read_reply { op; key; version; sid; value; inc; freed = false; home = p }
+  else
+    match pop p.replies with
+    | Read_reply r as m ->
+      r.op <- op;
+      r.key <- key;
+      r.version <- version;
+      r.sid <- sid;
+      r.value <- value;
+      r.inc <- inc;
+      r.freed <- false;
+      m
+    | _ -> assert false
+
+let read_batch_reply p ~op ~n ~inc =
+  if p.batches.n_free = 0 then
+    Read_batch_reply
+      {
+        op;
+        n;
+        versions = Array.make n 0;
+        sids = Array.make n 0;
+        values = Array.make n "";
+        inc;
+        freed = false;
+        home = p;
+      }
+  else
+    match pop p.batches with
+    | Read_batch_reply r as m ->
+      if Array.length r.versions < n then begin
+        r.versions <- Array.make n 0;
+        r.sids <- Array.make n 0;
+        r.values <- Array.make n ""
+      end;
+      r.op <- op;
+      r.n <- n;
+      r.inc <- inc;
+      r.freed <- false;
+      m
+    | _ -> assert false
+
+(* A full stack doubles, its new slots filled with [m] itself. *)
+let push s m =
+  let n = s.n_free in
+  if n = Array.length s.free then begin
+    let a = Array.make (max 8 (2 * n)) m in
+    Array.blit s.free 0 a 0 n;
+    s.free <- a
+  end;
+  s.free.(n) <- m;
+  s.n_free <- n + 1
+
+let handed_back_twice () = invalid_arg "Message.recycle: reply handed back twice"
+
+let recycle m =
+  match m with
+  | Read_reply r ->
+    if r.freed then handed_back_twice ();
+    r.freed <- true;
+    push r.home.replies m
+  | Read_batch_reply r ->
+    if r.freed then handed_back_twice ();
+    r.freed <- true;
+    push r.home.batches m
+  | Read_request _ | Prepare _ | Prepare_ack _ | Prepare_nack _ | Commit _
+  | Commit_ack _ | Abort _ | Repair _ | Busy _ | Read_batch _ | Prepare_batch _
+  | Provision_request _ | Snapshot_chunk _ | Chunk_ack _ | Tail_request _
+  | Wal_tail _ | Ping _ | Pong _ ->
+    ()
 
 let op_id = function
   | Read_request { op; _ }
@@ -127,9 +230,8 @@ let pp ppf = function
   | Busy { op } -> Format.fprintf ppf "busy(op=%d)" op
   | Read_batch { op; n_keys; _ } ->
     Format.fprintf ppf "read-batch(op=%d |keys|=%d)" op n_keys
-  | Read_batch_reply { op; entries; _ } ->
-    Format.fprintf ppf "read-batch-reply(op=%d |entries|=%d)" op
-      (Batch.length entries)
+  | Read_batch_reply { op; n; _ } ->
+    Format.fprintf ppf "read-batch-reply(op=%d |entries|=%d)" op n
   | Prepare_batch { op; writes; _ } ->
     Format.fprintf ppf "prepare-batch(op=%d |writes|=%d)" op (Batch.length writes)
   | Provision_request { op; from_chunk; chunk_size; key_space } ->

@@ -10,7 +10,7 @@
     {b Flat representations.}  The hot-path messages carry timestamps as
     two unboxed [int] fields ([version], [sid]) rather than a boxed
     {!Timestamp.t}, and the coalesced envelopes carry {!Batch.t} parallel
-    arrays (or a length-carrying key array) rather than lists — the
+    arrays (or length-carrying arrays) rather than lists — the
     failure-free paths construct millions of these per campaign, and the
     flat layout keeps each one to a single small block.  Use
     [Timestamp.make ~version ~sid] at the edges that need a boxed
@@ -27,19 +27,45 @@
 
     {b Carried replies.}  [Prepare], [Prepare_batch] and [Commit] carry
     the reply they expect ([reply]), built once per round by the
-    coordinator.  Messages are immutable, so one reply record may be in
-    flight from many replicas at once. *)
+    coordinator.  Requests are immutable, so one reply record may be in
+    flight from many replicas at once.
+
+    {b Pooled read replies.}  [Read_reply] and [Read_batch_reply] are the
+    exception: their fields are mutable, and each record belongs to the
+    {!pool} of the replica that sent it ([home]).  A read queries one
+    replica of every physical level, so these are most of the messages a
+    read-heavy run sends; {!read_reply} and {!read_batch_reply} refill a
+    record that came back instead of allocating one.  The contract:
+    - the sender builds a reply with {!read_reply} or
+      {!read_batch_reply} and hands it to the network, and keeps no
+      reference to it;
+    - the receiver calls {!recycle} once, when it has read every field it
+      needs, and keeps no reference after that.  A coordinator does so
+      at the end of its handler, for every message it receives (stale
+      and out-of-phase replies too), and a recovering replica does so for
+      the replies to its catch-up reads;
+    - a second {!recycle} of the same record (before a send reissues it)
+      raises [Invalid_argument];
+    - a reply that is never handed back (lost in the network, dropped at
+      a crash, kept by a test handler) is ordinary garbage, and no later
+      read overwrites it.
+
+    Each pool belongs to one replica, and so to one simulated world:
+    worlds that run on different domains share no pool. *)
 
 type t =
   | Read_request of { op : int; key : int }
   | Read_reply of {
-      op : int;
-      key : int;
-      version : int;
-      sid : int;
-      value : string;
-      inc : int;
+      mutable op : int;
+      mutable key : int;
+      mutable version : int;
+      mutable sid : int;
+      mutable value : string;
+      mutable inc : int;
+      mutable freed : bool;  (** in [home]'s free stack *)
+      home : pool;
     }
+      (** built by {!read_reply}, handed back by {!recycle} *)
   | Prepare of {
       op : int;
       key : int;
@@ -83,7 +109,20 @@ type t =
           [keys] are live (the array may be a pooled oversized buffer).
           Answered by [Read_batch_reply] with one entry per requested key
           (in key order), or refused via [Busy] when shed *)
-  | Read_batch_reply of { op : int; entries : Batch.t; inc : int }
+  | Read_batch_reply of {
+      mutable op : int;
+      mutable n : int;
+      mutable versions : int array;
+      mutable sids : int array;
+      mutable values : string array;
+      mutable inc : int;
+      mutable freed : bool;
+      home : pool;
+    }
+      (** one entry per requested key, in key order: only the first [n]
+          entries of each column are live, since a pooled record keeps
+          the capacity of the largest batch it has carried.  Built by
+          {!read_batch_reply}, handed back by {!recycle} *)
   | Prepare_batch of { op : int; writes : Batch.t; reply : t }
       (** coalesced 2PC stage: the writes are staged atomically under one
           op id and later committed or aborted together by the ordinary
@@ -134,6 +173,27 @@ type t =
   | Ping of { seq : int }
       (** heartbeat probe from a failure-detecting coordinator *)
   | Pong of { seq : int }  (** heartbeat answer *)
+
+and pool
+(** A replica's free stacks of read replies, one for each reply kind. *)
+
+val pool : unit -> pool
+(** An empty pool: no slots until the first {!recycle}. *)
+
+val read_reply :
+  pool -> op:int -> key:int -> version:int -> sid:int -> value:string -> inc:int -> t
+(** A [Read_reply] with these fields: a handed-back record refilled in
+    place, or a new one when the pool has none. *)
+
+val read_batch_reply : pool -> op:int -> n:int -> inc:int -> t
+(** A [Read_batch_reply] for [n] entries, with columns of at least [n]
+    slots and unspecified contents: the sender fills [\[0, n)] of
+    [versions], [sids] and [values] before it sends the reply. *)
+
+val recycle : t -> unit
+(** Hands a read reply back to its [home] pool, for the receiver to call
+    once it is done with the message; does nothing on any other message.
+    @raise Invalid_argument when the reply is already handed back. *)
 
 val op_id : t -> int
 (** Operation id the message belongs to; −1 for [Ping]/[Pong], which

@@ -129,6 +129,7 @@ type t = {
   admission : admission option;
   group_commit : bool;  (* one WAL durability point per batch *)
   proto : Protocol.t option;  (* private fork, for catch-up quorums *)
+  replies : Message.pool;  (* read replies that came back, for reuse *)
   rng : Rng.t option;  (* split from the engine only when catch-up is on *)
   obs : Obs.t option;
   mutable status : status;
@@ -202,10 +203,17 @@ let ohist t name v =
   | None -> ()
   | Some obs -> Obs.Metrics.observe (Obs.Metrics.histogram (Obs.metrics obs) name) v
 
-let wal_append t record =
-  match t.wal with None -> () | Some wal -> Wal.append wal record
-
 let send t ?units ~dst msg = Network.send t.net ?units ~src:t.site ~dst msg
+
+(* [key]'s committed (timestamp, value), in a reply from the pool. *)
+let send_read_reply t ~dst ~op ~key =
+  let store = t.store in
+  let i = Store.committed_slot store ~key in
+  send t ~dst
+    (Message.read_reply t.replies ~op ~key
+       ~version:(Store.committed_version store i)
+       ~sid:(Store.committed_sid store i) ~value:(Store.committed_value store i)
+       ~inc:t.incarnation)
 
 let fresh_op t =
   let id = (t.next_seq * Network.size t.net) + t.site in
@@ -303,7 +311,11 @@ let catchup_gather_reply t g ~src ~ts ~value =
         not (Timestamp.equal g.g_max_ts Timestamp.zero)
         && Store.install t.store ~key:g.g_key ~ts:g.g_max_ts ~value:g.g_max_value
       then begin
-        wal_append t (Wal.Install { key = g.g_key; ts = g.g_max_ts; value = g.g_max_value });
+        (match t.wal with
+        | Some wal ->
+          Wal.install wal ~key:g.g_key ~version:g.g_max_ts.Timestamp.version
+            ~sid:g.g_max_ts.Timestamp.sid ~value:g.g_max_value
+        | None -> ());
         bump t.catchup_keys_installed
       end;
       catchup_key t ~inc:t.incarnation ~keys:g.g_rest ~attempt:0 ~t0:g.g_t0
@@ -675,20 +687,9 @@ let handle_serving t ~src msg =
   match (msg : Message.t) with
   | Read_request { op; key } ->
     bump t.reads_served;
-    (* Flat serving path: no tuple, no boxed timestamp — only the reply
-       message itself is allocated. *)
-    let store = t.store in
-    let i = Store.committed_slot store ~key in
-    send t ~dst:src
-      (Message.Read_reply
-         {
-           op;
-           key;
-           version = Store.committed_version store i;
-           sid = Store.committed_sid store i;
-           value = Store.committed_value store i;
-           inc = t.incarnation;
-         })
+    (* Flat serving path: no tuple, no boxed timestamp, and the reply is
+       a handed-back record refilled in place. *)
+    send_read_reply t ~dst:src ~op ~key
   | Prepare { op; key; version; sid; value; reply } ->
     bump t.prepares_seen;
     Store.stage_flat t.store ~op ~key ~version ~sid ~value;
@@ -752,24 +753,20 @@ let handle_serving t ~src msg =
        as one message by the network but as [n_keys] logical reads here. *)
     t.reads_served.value <- t.reads_served.value + n_keys;
     let store = t.store in
-    (* The reply's columns are filled directly.  The request's key array
-       is immutable like the reply, so an exact-size one is shared. *)
-    let versions = Array.make n_keys 0 and sids = Array.make n_keys 0 in
-    let values = Array.make n_keys "" in
-    for i = 0 to n_keys - 1 do
-      let slot = Store.committed_slot store ~key:keys.(i) in
-      versions.(i) <- Store.committed_version store slot;
-      sids.(i) <- Store.committed_sid store slot;
-      values.(i) <- Store.committed_value store slot
-    done;
-    let keys = if Array.length keys = n_keys then keys else Array.sub keys 0 n_keys in
-    send t ~dst:src ~units:n_keys
-      (Message.Read_batch_reply
-         {
-           op;
-           entries = Batch.make ~keys ~versions ~sids ~values;
-           inc = t.incarnation;
-         })
+    (* The reply's columns, from the pool, are filled directly. *)
+    let reply =
+      Message.read_batch_reply t.replies ~op ~n:n_keys ~inc:t.incarnation
+    in
+    (match reply with
+    | Read_batch_reply { versions; sids; values; _ } ->
+      for i = 0 to n_keys - 1 do
+        let slot = Store.committed_slot store ~key:keys.(i) in
+        versions.(i) <- Store.committed_version store slot;
+        sids.(i) <- Store.committed_sid store slot;
+        values.(i) <- Store.committed_value store slot
+      done
+    | _ -> assert false);
+    send t ~dst:src ~units:n_keys reply
   | Prepare_batch { op; writes; reply } ->
     t.prepares_seen.value <- t.prepares_seen.value + Batch.length writes;
     Store.stage_many t.store ~op writes;
@@ -809,18 +806,7 @@ let handle_recovering t ~src msg =
          requester sees the newest committed timestamp — and refusing
          would let recovering replicas nack each other's catch-ups into a
          permanent mutual standoff once all have crashed at least once. *)
-      let store = t.store in
-      let i = Store.committed_slot store ~key in
-      send t ~dst:src
-        (Message.Read_reply
-           {
-             op;
-             key;
-             version = Store.committed_version store i;
-             sid = Store.committed_sid store i;
-             value = Store.committed_value store i;
-             inc = t.incarnation;
-           })
+      send_read_reply t ~dst:src ~op ~key
     end
     else nack t ~dst:src ~op "recovering"
   | Read_batch { op; _ } ->
@@ -840,11 +826,12 @@ let handle_recovering t ~src msg =
       bump t.repairs_applied
     end
   | Ping { seq } -> send t ~dst:src (Message.Pong { seq })
-  | Read_reply { version; sid; value; _ } -> (
-    match t.gather with
+  | Read_reply { version; sid; value; _ } ->
+    (match t.gather with
     | Some g when g.g_op = Message.op_id msg ->
       catchup_gather_reply t g ~src ~ts:(Timestamp.make ~version ~sid) ~value
-    | _ -> ())
+    | _ -> ());
+    Message.recycle msg
   | Prepare_nack _ -> (
     match t.gather with
     | Some g when g.g_op = Message.op_id msg -> catchup_gather_failed t g
@@ -1007,6 +994,7 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
       admission;
       group_commit;
       proto;
+      replies = Message.pool ();
       rng;
       obs;
       status = Serving;

@@ -306,8 +306,6 @@ let send t ?(units = 1) ~src ~dst msg =
       ~payload:(Obj.repr msg)
   end
 
-let broadcast t ~src ~dst msg = List.iter (fun d -> send t ~src ~dst:d msg) dst
-
 (* --- per-site overload model -------------------------------------------- *)
 
 let service t site =

@@ -65,8 +65,6 @@ val send : 'msg t -> ?units:int -> src:int -> dst:int -> 'msg -> unit
     (metric [net.coalesced]).  Passing [units = 1]
     is byte-identical to omitting it. *)
 
-val broadcast : 'msg t -> src:int -> dst:int list -> 'msg -> unit
-
 (** {2 Overload model}
 
     By default a site processes arrivals instantly and admits any load —

@@ -249,6 +249,37 @@ let test_batch_sharded_run () =
   Alcotest.(check int) "every op completed" (clients * ops) !completed;
   check_bound "batch-sharded op" ~bound:130.0 per_op
 
+(* Read-only clients on ARBITRARY n=33, with locks: a read queries one
+   replica of every physical level, and each reply is a record its
+   coordinator hands back to the replica's pool, so the replies of a
+   failure-free read allocate nothing.  Counted per read, set-up and
+   report included. *)
+let test_read_run () =
+  let proto = Arbitrary.Quorums.protocol (Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:33) in
+  let clients = 8 and ops = 2_000 in
+  let scenario =
+    {
+      (Harness.default_scenario ~proto) with
+      Harness.n_clients = clients;
+      ops_per_client = ops;
+      read_fraction = 1.0;
+      key_space = 1024;
+      think_time = 0.1;
+      seed = 1;
+      use_locks = true;
+      horizon = Float.infinity;
+    }
+  in
+  let completed = ref 0 in
+  let per_op =
+    words_per (fun () ->
+        let r = Harness.run scenario in
+        completed := r.Harness.reads_ok;
+        clients * ops)
+  in
+  Alcotest.(check int) "every read completed" (clients * ops) !completed;
+  check_bound "read op" ~bound:35.0 per_op
+
 let suite =
   [
     Alcotest.test_case "send->deliver allocates nothing" `Quick test_network_send_deliver;
@@ -261,4 +292,5 @@ let suite =
       test_batch_sharded_run;
     Alcotest.test_case "plan-cache quorum assembly allocates nothing" `Quick
       test_plan_cache_quorums;
+    Alcotest.test_case "a failure-free read allocates no reply" `Quick test_read_run;
   ]

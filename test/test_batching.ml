@@ -343,6 +343,40 @@ let test_locks_owned_per_operation () =
        (locked_pipelined_scenario ~clients:64 ~ops:512 ~key_space:16384
           ~zipf:0.0 ~batch:32 ~pipeline:4))
 
+(* A pooled batch reply keeps the columns of the largest batch it has
+   carried, so a smaller batch's reply is read only up to its count. *)
+let test_pooled_batch_reply_count () =
+  let module Message = Replication.Message in
+  let pool = Message.pool () in
+  let wide = Message.read_batch_reply pool ~op:1 ~n:4 ~inc:0 in
+  (match wide with
+  | Message.Read_batch_reply { values; _ } -> Array.fill values 0 4 "stale"
+  | _ -> Alcotest.fail "expected a batch reply");
+  Message.recycle wide;
+  let narrow = Message.read_batch_reply pool ~op:2 ~n:2 ~inc:0 in
+  Alcotest.(check bool) "reissued" true (narrow == wide);
+  (match narrow with
+  | Message.Read_batch_reply { n; versions; _ } ->
+    Alcotest.(check int) "live count" 2 n;
+    Alcotest.(check int) "capacity kept" 4 (Array.length versions)
+  | _ -> Alcotest.fail "expected a batch reply");
+  Alcotest.(check string) "printed by its count" "read-batch-reply(op=2 |entries|=2)"
+    (Format.asprintf "%a" Message.pp narrow);
+  (* End to end: four-key batches fill the replicas' pools, then two-key
+     batches reuse those records. *)
+  let engine, _, coord, _ = setup () in
+  write_batch coord [ (0, "a"); (1, "b"); (2, "c"); (3, "d") ] ignore;
+  Engine.run engine;
+  read_batch coord [ 0; 1; 2; 3 ] ignore;
+  Engine.run engine;
+  write_batch coord [ (5, "e"); (6, "f") ] ignore;
+  Engine.run engine;
+  let read = ref [] in
+  read_batch coord [ 6; 5 ] (fun o -> read := positions o);
+  Engine.run engine;
+  Alcotest.(check (list string)) "two entries, in request order" [ "f"; "e" ]
+    (List.map (function Some (_, v) -> v | None -> "failed") !read)
+
 let suite =
   [
     Alcotest.test_case "repeated keys in a batch close every span" `Quick
@@ -369,4 +403,6 @@ let suite =
       test_batching_reduces_messages;
     Alcotest.test_case "group commit consistent under amnesia churn" `Quick
       test_group_commit_amnesia_consistent;
+    Alcotest.test_case "a pooled batch reply is read up to its count" `Quick
+      test_pooled_batch_reply_count;
   ]

@@ -37,15 +37,9 @@ let test_message_pp_and_op_id () =
   let cases =
     [
       (Replication.Message.Read_request { op = 1; key = 2 }, 1, "read-req");
-      ( Replication.Message.Read_reply
-          {
-            op = 2;
-            key = 0;
-            version = ts.Replication.Timestamp.version;
-            sid = ts.Replication.Timestamp.sid;
-            value = "v";
-            inc = 0;
-          },
+      ( Replication.Message.read_reply (Replication.Message.pool ()) ~op:2 ~key:0
+          ~version:ts.Replication.Timestamp.version ~sid:ts.Replication.Timestamp.sid
+          ~value:"v" ~inc:0,
         2, "read-reply" );
       ( Replication.Message.Prepare
           {

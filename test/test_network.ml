@@ -129,7 +129,7 @@ let test_broadcast_and_per_site () =
   for i = 0 to 3 do
     Network.set_handler net ~site:i (fun ~src:_ _ -> ())
   done;
-  Network.broadcast net ~src:0 ~dst:[ 1; 2; 3 ] ();
+  List.iter (fun dst -> Network.send net ~src:0 ~dst ()) [ 1; 2; 3 ];
   Engine.run engine;
   Alcotest.(check (array int)) "per-site delivered" [| 0; 1; 1; 1 |]
     (Network.per_site_delivered net)

@@ -309,6 +309,53 @@ let test_harness_with_read_repair_under_churn () =
   in
   Alcotest.(check int) "still zero violations" 0 r.Harness.safety_violations
 
+(* A read reply handed back to its replica's pool is refilled by the
+   next send; a second hand-back raises; a reply nobody hands back is
+   never touched again, however many reads the replica serves. *)
+let test_read_reply_reuse () =
+  let module Message = Replication.Message in
+  let pool = Message.pool () in
+  let first = Message.read_reply pool ~op:1 ~key:2 ~version:3 ~sid:4 ~value:"x" ~inc:0 in
+  Message.recycle first;
+  let again = Message.read_reply pool ~op:5 ~key:2 ~version:6 ~sid:7 ~value:"y" ~inc:1 in
+  Alcotest.(check bool) "the handed-back record is reissued" true (again == first);
+  (match again with
+  | Message.Read_reply { op; version; sid; value; inc; _ } ->
+    Alcotest.(check (list int)) "new op, timestamp and incarnation" [ 5; 6; 7; 1 ]
+      [ op; version; sid; inc ];
+    Alcotest.(check string) "new value" "y" value
+  | _ -> Alcotest.fail "expected a read reply");
+  Message.recycle again;
+  Alcotest.check_raises "second hand-back"
+    (Invalid_argument "Message.recycle: reply handed back twice") (fun () ->
+      Message.recycle again);
+  (* Replica 0 serves reads whose replies the coordinator hands back,
+     except one that a test handler keeps. *)
+  let ctx = setup () in
+  let client = Array.length ctx.replicas in
+  ignore (do_write ctx 1 "a");
+  let coordinator = Option.get (Network.handler ctx.net ~site:client) in
+  let read op = Network.send ctx.net ~src:client ~dst:0 (Message.Read_request { op; key = 1 }) in
+  for op = 1000 to 1003 do
+    read op
+  done;
+  Engine.run ctx.engine;
+  let kept = ref [] in
+  Network.set_handler ctx.net ~site:client (fun ~src:_ msg -> kept := msg :: !kept);
+  read 2000;
+  Engine.run ctx.engine;
+  Network.set_handler ctx.net ~site:client coordinator;
+  ignore (do_write ctx 1 "b");
+  for op = 3000 to 3009 do
+    read op
+  done;
+  Engine.run ctx.engine;
+  match !kept with
+  | [ Message.Read_reply { op; key; version; value; _ } ] ->
+    Alcotest.(check (list int)) "kept reply: op, key, version" [ 2000; 1; 1 ] [ op; key; version ];
+    Alcotest.(check string) "kept reply: value" "a" value
+  | _ -> Alcotest.fail "expected exactly one kept read reply"
+
 let suite =
   [
     Alcotest.test_case "read on fresh system" `Quick test_read_fresh;
@@ -338,4 +385,6 @@ let suite =
     Alcotest.test_case "read repair under churn stays safe" `Quick
       test_harness_with_read_repair_under_churn;
     Alcotest.test_case "zipf workload stays safe" `Quick test_zipf_workload_safe;
+    Alcotest.test_case "read replies are reused, kept ones untouched" `Quick
+      test_read_reply_reuse;
   ]
