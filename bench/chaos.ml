@@ -25,13 +25,15 @@ module Campaign = Eval.Campaign
 
 let overload_cell_json (c : Campaign.cell) =
   let r = c.report.agg in
+  let count = Replication.Harness.count r in
   Printf.sprintf
     "{\"scenario\":\"%s\",\"mode\":\"%s\",\"pre_goodput\":%.6f,\"post_goodput\":%.6f,\"recovery\":%.4f,\"ops_ok\":%d,\"sheds\":%d,\"overload_drops\":%d,\"retries_suppressed\":%d,\"breaker_trips\":%d,\"queue_peak\":%d,\"consistency_violations\":%d}"
     c.label
     (Eval.Overload.mode_to_string (Eval.Overload.mode c))
     (Eval.Overload.pre_goodput c) (Eval.Overload.post_goodput c) (Eval.Overload.recovery c)
     (Replication.Harness.completed r)
-    r.replica_sheds r.overload_drops r.retries_suppressed r.breaker_trips r.queue_peak
+    (count "replica.shed") (count "net.dropped.overload")
+    (count "coord.retries_suppressed") (count "breaker.trips") r.queue_peak
     (Campaign.violations [ c ])
 
 let run_overload () =
@@ -50,12 +52,14 @@ let run_overload () =
 
 let churn_cell_json (c : Campaign.cell) =
   let a = c.report.agg in
+  let count = Replication.Harness.count a in
   Printf.sprintf
     "{\"config\":\"%s\",\"n\":%d,\"scenario\":\"%s\",\"reads_ok\":%d,\"writes_ok\":%d,\"promotions_done\":%d,\"decommissions_done\":%d,\"provision_runs\":%d,\"provision_chunks\":%d,\"provision_resumes\":%d,\"provision_donor_failovers\":%d,\"failed_rejoins\":%d,\"violations\":%d}"
     (Arbitrary.Config.name_to_string c.line.config)
     c.line.n (Artifact.json_escape c.label) a.reads_ok a.writes_ok a.promotions_done
-    a.decommissions_done a.provision_runs a.provision_chunks a.provision_resumes
-    a.provision_donor_failovers a.failed_rejoins (Campaign.violations [ c ])
+    a.decommissions_done (count "provision.runs") (count "provision.chunks")
+    (count "provision.resumes") (count "provision.donor_failovers")
+    (count "replica.rejoin.failed") (Campaign.violations [ c ])
 
 (* Membership-churn smoke gate: the fenced campaign (four configs × four
    scenarios, plus the sharded run) must be violation-free, the unfenced

@@ -385,16 +385,16 @@ let batch_hotpath () =
           r_u.Replication.Harness.safety_violations
           + r_b.Replication.Harness.safety_violations
         in
+        let batches = Replication.Harness.count r_b "coord.batches"
+        and coalesced = Replication.Harness.count r_b "net.coalesced" in
         Printf.printf
           "  %-12s n=%-3d %10.0f ops/s unbatched  %10.0f ops/s batched  (%.1fx)  batches=%d coalesced=%d\n"
           (Arbitrary.Config.name_to_string name)
-          n ru rb speedup r_b.Replication.Harness.batches
-          r_b.Replication.Harness.coalesced_ops;
+          n ru rb speedup batches coalesced;
         ( Printf.sprintf
             "{\"config\":\"%s\",\"n\":%d,\"ops\":%d,\"unbatched_ops_s\":%.1f,\"batched_ops_s\":%.1f,\"speedup\":%.3f,\"batches\":%d,\"coalesced\":%d,\"safety_violations\":%d}"
             (Arbitrary.Config.name_to_string name)
-            n ops ru rb speedup r_b.Replication.Harness.batches
-            r_b.Replication.Harness.coalesced_ops violations,
+            n ops ru rb speedup batches coalesced violations,
           (speedup, violations) ))
       [
         Arbitrary.Config.Unmodified; Arbitrary.Config.Mostly_read;

@@ -342,13 +342,15 @@ let report ?obs ~header (t : Line.t) =
   let b = sc.base in
   let r = H.run_core ?obs sc in
   let a = r.agg in
+  let count = H.count a in
   let ints xs = String.concat ";" (List.map string_of_int xs) in
   Format.printf "%s@." header;
   if b.txn = None && b.churn = None then Format.printf "%a@." H.pp_report a;
   Option.iter
     (fun (bt : H.batching) ->
       Format.printf "batching: batch=%d pipeline=%d batches=%d coalesced=%d wal syncs=%d@."
-        bt.batch_size bt.pipeline a.batches a.coalesced_ops a.wal_syncs)
+        bt.batch_size bt.pipeline (count "coord.batches") (count "net.coalesced")
+        a.wal_syncs)
     b.batching;
   if sc.shards > 1 || sc.reconfig <> [] then
     Format.printf
@@ -363,14 +365,16 @@ let report ?obs ~header (t : Line.t) =
     Format.printf
       "recovery: rejoins=%d keys-caught-up=%d abandoned=%d wal-replayed=%d wal-lost=%d \
        stale-rejected=%d stale-nacked=%d still-recovering=%d@."
-      a.catchup_runs a.catchup_keys_installed a.catchup_abandoned a.wal_records_replayed
-      a.wal_records_lost a.stale_incarnation_rejections a.stale_commits_nacked
-      a.replicas_recovering;
+      (count "replica.catchup.runs") (count "replica.catchup.keys_installed")
+      (count "replica.catchup.abandoned") (count "replica.wal.replayed")
+      (count "replica.wal.lost") (count "coord.stale_inc.rejected")
+      (count "replica.stale_inc.nacked") a.replicas_recovering;
   Option.iter
     (fun (o : H.overload) ->
       Format.printf "overload: sheds=%d busy=%d suppressed=%d drops=%d trips=%d peak-queue=%d@."
-        a.replica_sheds a.busy_received a.retries_suppressed a.overload_drops a.breaker_trips
-        a.queue_peak;
+        (count "replica.shed") (count "coord.busy_received")
+        (count "coord.retries_suppressed") (count "net.dropped.overload")
+        (count "breaker.trips") a.queue_peak;
       let burst_at = match o.burst with Some bu -> bu.burst_at | None -> b.horizon /. 4.0 in
       let goodput window = Eval.Overload.goodput a.completions ~window in
       let pre = goodput (b.horizon *. 0.05, burst_at)
@@ -385,8 +389,9 @@ let report ?obs ~header (t : Line.t) =
     Format.printf
       "provisioning: runs=%d chunks=%d resumes=%d donor-failovers=%d rounds=%d stale=%d \
        failed-rejoins=%d@."
-      a.provision_runs a.provision_chunks a.provision_resumes a.provision_donor_failovers
-      a.provision_rounds a.provision_stale a.failed_rejoins;
+      (count "provision.runs") (count "provision.chunks") (count "provision.resumes")
+      (count "provision.donor_failovers") (count "provision.rounds")
+      (count "provision.stale") (count "replica.rejoin.failed");
     Format.printf "membership: promotions=%d/%d decommissions=%d@.status: [%s]@.violations: %d@."
       a.promotions_done a.promotions_started a.decommissions_done
       (String.concat ";" (Array.to_list a.replica_status))

@@ -58,9 +58,9 @@ let () =
   in
 
   (* Phase 1: writes on the read-tuned tree are expensive. *)
-  let before = Network.delivered net in
+  let before = Network.count net "net.delivered" in
   let ok = measure_writes engine coord ~ops:40 in
-  let phase1 = Network.delivered net - before in
+  let phase1 = Network.count net "net.delivered" - before in
   Format.printf "phase 1 (read-tuned): %d/40 writes ok, %.1f msgs/write@." ok
     (float_of_int phase1 /. 40.0);
 
@@ -86,9 +86,9 @@ let () =
   | None -> assert false);
 
   (* Phase 2: the same write workload is now much cheaper. *)
-  let before = Network.delivered net in
+  let before = Network.count net "net.delivered" in
   let ok = measure_writes engine coord ~ops:40 in
-  let phase2 = Network.delivered net - before in
+  let phase2 = Network.count net "net.delivered" - before in
   Format.printf "@.phase 2 (write-tuned): %d/40 writes ok, %.1f msgs/write@." ok
     (float_of_int phase2 /. 40.0);
   Format.printf

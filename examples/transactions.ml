@@ -69,8 +69,8 @@ let () =
   Engine.run engine;
 
   Format.printf "transactions: %d committed, %d aborted (both clients)@."
-    (Txn.committed m1 + Txn.committed m2)
-    (Txn.aborted m1 + Txn.aborted m2);
+    (Txn.count m1 "txn.committed" + Txn.count m2 "txn.committed")
+    (Txn.count m1 "txn.aborted" + Txn.count m2 "txn.aborted");
 
   (* Invariant: committed transfers conserve the total balance. *)
   let reader = Txn.begin_txn m1 in

@@ -126,8 +126,7 @@ let filter t view =
   done;
   view
 
-let trips t = t.trips.value
-let attach_obs t obs = Obs.Metrics.register (Obs.metrics obs) "breaker.trips" t.trips
+let counters = [ ("breaker.trips", fun t -> t.trips) ]
 let probes t = t.probes
 
 let open_sites t =

@@ -72,12 +72,9 @@ val filter : t -> Dsutil.Bitset.t -> Dsutil.Bitset.t
 (** Remove every Open site from [view], in place, and return it.  Apply to
     the believed-alive set just before quorum assembly. *)
 
-val trips : t -> int
-(** Total Closed/Half_open → Open transitions. *)
-
-val attach_obs : t -> Obs.t -> unit
-(** Register the trip count as [breaker.trips] (summed over breakers).
-    Attach a breaker to a registry once, however many coordinators share
+val counters : t Obs.Metrics.handles
+(** [breaker.trips], the Closed/Half_open → Open transitions.  Register a
+    breaker's handles in a registry once, however many coordinators share
     it. *)
 
 val probes : t -> int

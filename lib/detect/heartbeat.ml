@@ -11,7 +11,7 @@ type t = {
   explicit_suspects : bool array;  (* protocol-level suspicion, sticky
                                       until the site speaks again *)
   send_ping : int -> unit;
-  mutable pings_sent : int;
+  pings : Obs.Metrics.counter;
   mutable stopped : bool;
 }
 
@@ -19,7 +19,7 @@ let rec tick t () =
   if not t.stopped then begin
     for site = 0 to t.n - 1 do
       t.send_ping site;
-      t.pings_sent <- t.pings_sent + 1
+      t.pings.value <- t.pings.value + 1
     done;
     Engine.schedule t.engine ~delay:t.config.period (tick t)
   end
@@ -35,7 +35,7 @@ let create ~engine ~n ~config ~send_ping () =
       accrual = Accrual.create ~n ();
       explicit_suspects = Array.make n false;
       send_ping;
-      pings_sent = 0;
+      pings = { value = 0 };
       stopped = false;
     }
   in
@@ -72,5 +72,5 @@ let view t =
     suspect = (fun site -> suspect t ~site);
   }
 
-let pings_sent t = t.pings_sent
+let counters = [ ("heartbeat.pings", fun t -> t.pings) ]
 let stop t = t.stopped <- true

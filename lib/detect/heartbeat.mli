@@ -46,7 +46,8 @@ val view : t -> View.t
 
 val suspected : t -> site:int -> bool
 
-val pings_sent : t -> int
+val counters : t Obs.Metrics.handles
+(** [heartbeat.pings], the pings sent since {!create}. *)
 
 val stop : t -> unit
 (** Stop the ping loop (idempotent).  Already-scheduled ticks become

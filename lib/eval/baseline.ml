@@ -93,14 +93,14 @@ let measure ?(seed = default_seed) ?(n = default_n) name ~reads ~writes =
         ~duration:end_r ~stats:r.Harness.read_latency
         ~measured_load:(Harness.measured_read_load r)
         ~analytic_load:metrics.Config_metrics.rd_load ~obs:obs_r
-        ~retries:r.Harness.retries;
+        ~retries:(Harness.count r "coord.retries");
     writes =
       side_of ~ops:writes ~ok:w.Harness.writes_ok
         ~failed:w.Harness.writes_failed ~duration:end_w
         ~stats:w.Harness.write_latency
         ~measured_load:(Harness.measured_write_load w)
         ~analytic_load:metrics.Config_metrics.wr_load ~obs:obs_w
-        ~retries:w.Harness.retries;
+        ~retries:(Harness.count w "coord.retries");
   }
 
 let measure_all ?(seed = default_seed) ?(n = default_n) ?domains () =

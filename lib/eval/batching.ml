@@ -30,10 +30,11 @@ let fingerprint (r : Harness.report) =
     Array.iter (fun x -> Printf.bprintf b "%d," x) xs;
     Buffer.add_char b ';'
   in
+  let c = Harness.count r in
   Printf.bprintf b "dur=%h;" r.Harness.duration;
   Printf.bprintf b "r=%d/%d;w=%d/%d;retries=%d;ddl=%d;sv=%d;"
     r.Harness.reads_ok r.Harness.reads_failed r.Harness.writes_ok
-    r.Harness.writes_failed r.Harness.retries r.Harness.deadline_exceeded
+    r.Harness.writes_failed (c "coord.retries") (c "coord.deadline_exceeded")
     r.Harness.safety_violations;
   Printf.bprintf b "rl=%d:%h;wl=%d:%h;"
     (Stats.count r.Harness.read_latency)
@@ -41,22 +42,22 @@ let fingerprint (r : Harness.report) =
     (Stats.count r.Harness.write_latency)
     (Stats.mean r.Harness.write_latency);
   Printf.bprintf b "msg=%d/%d/%d;hb=%d;" r.Harness.messages_sent
-    r.Harness.messages_delivered r.Harness.messages_dropped
-    r.Harness.heartbeat_pings;
+    r.Harness.messages_delivered (Harness.messages_dropped r)
+    (c "heartbeat.pings");
   ints "rs" r.Harness.replica_reads_served;
   ints "ps" r.Harness.replica_prepares_seen;
   ints "wa" r.Harness.replica_writes_applied;
   ints "inc" r.Harness.replica_incarnations;
   Printf.bprintf b "stale=%d;cu=%d/%d/%d;nack=%d;wal=%d/%d;recovering=%d;"
-    r.Harness.stale_incarnation_rejections r.Harness.catchup_runs
-    r.Harness.catchup_keys_installed r.Harness.catchup_abandoned
-    r.Harness.stale_commits_nacked r.Harness.wal_records_replayed
-    r.Harness.wal_records_lost r.Harness.replicas_recovering;
+    (c "coord.stale_inc.rejected") (c "replica.catchup.runs")
+    (c "replica.catchup.keys_installed") (c "replica.catchup.abandoned")
+    (c "replica.stale_inc.nacked") (c "replica.wal.replayed")
+    (c "replica.wal.lost") r.Harness.replicas_recovering;
   Printf.bprintf b "sheds=%d;busy=%d;supp=%d;odrops=%d;trips=%d;peak=%d;"
-    r.Harness.replica_sheds r.Harness.busy_received r.Harness.retries_suppressed
-    r.Harness.overload_drops r.Harness.breaker_trips r.Harness.queue_peak;
-  Printf.bprintf b "batch=%d;coal=%d;syncs=%d;" r.Harness.batches
-    r.Harness.coalesced_ops r.Harness.wal_syncs;
+    (c "replica.shed") (c "coord.busy_received") (c "coord.retries_suppressed")
+    (c "net.dropped.overload") (c "breaker.trips") r.Harness.queue_peak;
+  Printf.bprintf b "batch=%d;coal=%d;syncs=%d;" (c "coord.batches")
+    (c "net.coalesced") r.Harness.wal_syncs;
   Buffer.add_string b "done=";
   Array.iter (fun t -> Printf.bprintf b "%h," t) r.Harness.completions;
   Digest.to_hex (Digest.string (Buffer.contents b))

@@ -196,7 +196,7 @@ let run_amnesia_negative =
 
 let amnesia_table =
   let b (c : Campaign.cell) = c.line.sharded.base in
-  let int f (c : Campaign.cell) = string_of_int (f c.report.agg) in
+  let int name (c : Campaign.cell) = string_of_int (Harness.count c.report.agg name) in
   Campaign.table
     [
       ("config", fun c -> Config.name_to_string c.line.config);
@@ -206,11 +206,11 @@ let amnesia_table =
       ("catchup", fun c -> if (b c).catch_up then "on" else "off");
       ("rd rate", fun c -> Tablefmt.f4 (read_rate c));
       ("wr rate", fun c -> Tablefmt.f4 (write_rate c));
-      ("rejoins", int (fun r -> r.catchup_runs));
-      ("keys", int (fun r -> r.catchup_keys_installed));
-      ("wal lost", int (fun r -> r.wal_records_lost));
-      ("stale rej", int (fun r -> r.stale_incarnation_rejections));
-      ("stale nack", int (fun r -> r.stale_commits_nacked));
+      ("rejoins", int "replica.catchup.runs");
+      ("keys", int "replica.catchup.keys_installed");
+      ("wal lost", int "replica.wal.lost");
+      ("stale rej", int "coord.stale_inc.rejected");
+      ("stale nack", int "replica.stale_inc.nacked");
       ("viol", fun c -> string_of_int (List.length c.consistency.violations));
     ]
 
@@ -219,7 +219,7 @@ let p99 stats =
   else Printf.sprintf "%.1f" (Stats.percentile stats 0.99)
 
 let table =
-  let int f (c : Campaign.cell) = string_of_int (f c.report.agg) in
+  let int name (c : Campaign.cell) = string_of_int (Harness.count c.report.agg name) in
   Campaign.table
     [
       ("config", fun c -> Config.name_to_string c.line.config);
@@ -230,9 +230,9 @@ let table =
       ("wr rate", fun c -> Tablefmt.f4 (write_rate c));
       ("rd p99", fun c -> p99 c.report.agg.read_latency);
       ("wr p99", fun c -> p99 c.report.agg.write_latency);
-      ("retries", int (fun r -> r.retries));
-      ("ddl", int (fun r -> r.deadline_exceeded));
-      ("msgs", int (fun r -> r.messages_delivered));
+      ("retries", int "coord.retries");
+      ("ddl", int "coord.deadline_exceeded");
+      ("msgs", int "net.delivered");
       ("viol", fun c -> string_of_int (Campaign.violations [ c ]));
     ]
 

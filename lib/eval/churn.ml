@@ -169,7 +169,7 @@ let run_sharded ?(n = 45) () =
 
 let table =
   let agg f (c : Campaign.cell) = f c.report.agg in
-  let int f = agg (fun r -> string_of_int (f r)) in
+  let int name = agg (fun r -> string_of_int (Harness.count r name)) in
   Campaign.table
     [
       ("config", fun c -> Config.name_to_string c.line.config);
@@ -178,12 +178,12 @@ let table =
       ("rd rate", agg (fun r -> Tablefmt.f4 (Campaign.rate r.reads_ok r.reads_failed)));
       ("wr rate", agg (fun r -> Tablefmt.f4 (Campaign.rate r.writes_ok r.writes_failed)));
       ("promo", agg (fun r -> Printf.sprintf "%d/%d" r.promotions_done r.promotions_started));
-      ("decomm", int (fun r -> r.decommissions_done));
-      ("prov", int (fun r -> r.provision_runs));
-      ("chunks", int (fun r -> r.provision_chunks));
-      ("resumes", int (fun r -> r.provision_resumes));
-      ("failover", int (fun r -> r.provision_donor_failovers));
-      ("stuck", int (fun r -> r.failed_rejoins));
+      ("decomm", agg (fun r -> string_of_int r.decommissions_done));
+      ("prov", int "provision.runs");
+      ("chunks", int "provision.chunks");
+      ("resumes", int "provision.resumes");
+      ("failover", int "provision.donor_failovers");
+      ("stuck", int "replica.rejoin.failed");
       ("viol", fun c -> string_of_int (Campaign.violations [ c ]));
     ]
 
@@ -246,9 +246,9 @@ let cold_rejoin ~keys ~chunk_size ~provisioned =
   Engine.run ~until:2_000_000.0 engine;
   let r = replicas.(target) in
   ( n,
-    Replica.catchup_rounds r,
-    Replica.provision_rounds r,
-    Replica.provision_chunks r,
+    Replica.count r "replica.catchup.rounds",
+    Replica.count r "provision.rounds",
+    Replica.count r "provision.chunks",
     Replica.is_serving r )
 
 let cold_rejoin_comparison ?(keys = 10_000) ?(chunk_size = 512) () =

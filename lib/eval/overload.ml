@@ -190,10 +190,10 @@ let gate cells =
     (Harness.completed slow_prot.report.agg) (Harness.completed slow_naive.report.agg);
   (* The protections must actually engage in the storm cell. *)
   check
-    (storm_prot.report.agg.replica_sheds > 0)
+    (Harness.count storm_prot.report.agg "replica.shed" > 0)
     "retry-storm/protected shed nothing (admission control never engaged)";
   check
-    (storm_prot.report.agg.retries_suppressed > 0)
+    (Harness.count storm_prot.report.agg "coord.retries_suppressed" > 0)
     "retry-storm/protected suppressed no retries (budget never engaged)";
   (* Overload may cost goodput, never consistency. *)
   List.iter
@@ -206,6 +206,7 @@ let gate cells =
 
 let table =
   let int f (c : Campaign.cell) = string_of_int (f c.report.agg) in
+  let count name = int (fun r -> Harness.count r name) in
   Campaign.table
     [
       ("scenario", fun c -> c.label);
@@ -214,10 +215,10 @@ let table =
       ("post gp", fun c -> Tablefmt.f2 (post_goodput c));
       ("recovery", fun c -> Tablefmt.f2 (recovery c));
       ("ops ok", int Harness.completed);
-      ("sheds", int (fun r -> r.replica_sheds));
-      ("drops", int (fun r -> r.overload_drops));
-      ("supp", int (fun r -> r.retries_suppressed));
-      ("trips", int (fun r -> r.breaker_trips));
+      ("sheds", count "replica.shed");
+      ("drops", count "net.dropped.overload");
+      ("supp", count "coord.retries_suppressed");
+      ("trips", count "breaker.trips");
       ("peakq", int (fun r -> r.queue_peak));
       ("viol", fun c -> string_of_int (Campaign.violations [ c ]));
     ]

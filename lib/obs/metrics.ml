@@ -22,6 +22,15 @@ let counter t name =
 let sum cs = List.fold_left (fun acc c -> acc + c.value) 0 cs
 let counter_of t name = sum (handles t name)
 
+type 'a handles = (string * ('a -> counter)) list
+
+let register_all t hs x = List.iter (fun (name, h) -> register t name (h x)) hs
+
+let read hs x name =
+  match List.assoc_opt name hs with
+  | Some h -> (h x).value
+  | None -> invalid_arg ("Metrics.read: no counter " ^ name)
+
 let histogram t name =
   match Hashtbl.find_opt t.m_histograms name with
   | Some h -> h

@@ -35,6 +35,16 @@ val counter_of : t -> string -> int
 (** Current value of the named counter (the sum of its handles); 0 when
     nothing is registered under the name. *)
 
+type 'a handles = (string * ('a -> counter)) list
+(** A component type's handles, each under its name: the one list that
+    {!register_all} and {!read} go through. *)
+
+val register_all : t -> 'a handles -> 'a -> unit
+
+val read : 'a handles -> 'a -> string -> int
+(** @raise Invalid_argument on a name not on the list, so a typo cannot
+    read 0. *)
+
 (** {2 Histograms} *)
 
 val histogram : t -> string -> histogram

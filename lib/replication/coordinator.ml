@@ -416,19 +416,22 @@ let oresult_ts t span ~version ~sid =
 (* Counting is a field store: no call across the -opaque library boundary. *)
 let[@inline] bump (c : Obs.Metrics.counter) = c.value <- c.value + 1
 
-let register_counters t obs =
-  let reg = Obs.Metrics.register (Obs.metrics obs) in
-  reg "coord.reads.ok" t.reads_ok;
-  reg "coord.reads.failed" t.reads_failed;
-  reg "coord.writes.ok" t.writes_ok;
-  reg "coord.writes.failed" t.writes_failed;
-  reg "coord.retries" t.retries;
-  reg "coord.repairs_sent" t.repairs_sent;
-  reg "coord.deadline_exceeded" t.deadline_exceeded;
-  reg "coord.stale_inc.rejected" t.stale_inc_rejected;
-  reg "coord.busy_received" t.busy_received;
-  reg "coord.retries_suppressed" t.retries_suppressed;
-  reg "coord.batches" t.batches
+let counters : t Obs.Metrics.handles =
+  [
+    ("coord.reads.ok", fun t -> t.reads_ok);
+    ("coord.reads.failed", fun t -> t.reads_failed);
+    ("coord.writes.ok", fun t -> t.writes_ok);
+    ("coord.writes.failed", fun t -> t.writes_failed);
+    ("coord.retries", fun t -> t.retries);
+    ("coord.repairs_sent", fun t -> t.repairs_sent);
+    ("coord.deadline_exceeded", fun t -> t.deadline_exceeded);
+    ("coord.stale_inc.rejected", fun t -> t.stale_inc_rejected);
+    ("coord.busy_received", fun t -> t.busy_received);
+    ("coord.retries_suppressed", fun t -> t.retries_suppressed);
+    ("coord.batches", fun t -> t.batches);
+  ]
+
+let count t name = Obs.Metrics.read counters t name
 
 (* Overload evidence is charged to the breaker separately from the
    liveness view: a Busy nack rehabilitates the site in the detector
@@ -928,7 +931,7 @@ let create ~site ~net ~proto ?locks ?view ?budget ?breaker ?obs
             if pc = 2 then commit_timeout t st
             else retry ~timed_out:true t st);
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
-  Option.iter (register_counters t) obs;
+  Option.iter (fun o -> Obs.Metrics.register_all (Obs.metrics o) counters t) obs;
   t
 
 (* A span opens at operation entry — before any local lock wait — so its
@@ -1103,16 +1106,5 @@ let set_protocol t proto =
     invalid_arg "Coordinator.set_protocol: replica universe changed";
   t.proto <- proto
 
-let reads_ok t = t.reads_ok.value
-let reads_failed t = t.reads_failed.value
-let writes_ok t = t.writes_ok.value
-let writes_failed t = t.writes_failed.value
-let retries t = t.retries.value
-let repairs_sent t = t.repairs_sent.value
-let deadline_exceeded t = t.deadline_exceeded.value
-let stale_incarnation_rejections t = t.stale_inc_rejected.value
-let busy_received t = t.busy_received.value
-let retries_suppressed t = t.retries_suppressed.value
-let batches t = t.batches.value
 let read_latency t = t.read_latency
 let write_latency t = t.write_latency

@@ -241,38 +241,17 @@ val set_protocol : t -> Quorum.Protocol.t -> unit
     guarantees this by holding every key's exclusive lock.  Raises
     [Invalid_argument] if the replica universe size changes. *)
 
-(** {2 Counters}
+(** {2 Counters} *)
 
-    Counts since {!create}, read from the counter handles [obs] registers
-    under the [coord.*] names of docs/PROTOCOL.md §8. *)
+val counters : t Obs.Metrics.handles
+(** The coordinator's counter handles under their [coord.*] names of
+    docs/PROTOCOL.md §8: what [obs] registers and what {!count} reads.
+    Reads and writes count per key; a batch of one key is a plain
+    {!read}/{!write} and not a [coord.batches] round. *)
 
-val reads_ok : t -> int
-val reads_failed : t -> int
-val writes_ok : t -> int
-val writes_failed : t -> int
-val retries : t -> int
-val repairs_sent : t -> int
-
-val deadline_exceeded : t -> int
-(** Operations failed because the deadline budget ran out before the
-    retry budget. *)
-
-val stale_incarnation_rejections : t -> int
-(** Replica replies dropped because they carried an incarnation older than
-    the newest one seen from that site — evidence from a pre-crash life
-    (always 0 under fail-stop). *)
-
-val busy_received : t -> int
-(** [Busy] sheds received from admission-controlled replicas. *)
-
-val retries_suppressed : t -> int
-(** Retries refused by the shared {!Detect.Budget} (operation failed fast
-    instead). *)
-
-val batches : t -> int
-(** Multi-key batches executed ({!read_batch}/{!write_batch} with >= 2
-    keys; a batch of one key is a plain {!read}/{!write} and is not
-    counted). *)
+val count : t -> string -> int
+(** The coordinator's count under a §8 name since {!create}.
+    @raise Invalid_argument on a name not in {!counters}. *)
 
 val read_latency : t -> Dsutil.Stats.t
 val write_latency : t -> Dsutil.Stats.t

@@ -153,60 +153,111 @@ let churn_scenario ~proto =
     churn = Some churn_defaults;
   }
 
+type counts = int array
+
 type report = {
   duration : float;
+  counts : counts;
   reads_ok : int;
   reads_failed : int;
   writes_ok : int;
   writes_failed : int;
-  retries : int;
-  deadline_exceeded : int;
   safety_violations : int;
   read_latency : Stats.t;
   write_latency : Stats.t;
   messages_sent : int;
   messages_delivered : int;
-  messages_dropped : int;
-  heartbeat_pings : int;
   replica_reads_served : int array;
   replica_prepares_seen : int array;
   replica_writes_applied : int array;
-  stale_incarnation_rejections : int;
   replica_incarnations : int array;
-  catchup_runs : int;
-  catchup_keys_installed : int;
-  catchup_abandoned : int;
-  stale_commits_nacked : int;
-  wal_records_replayed : int;
-  wal_records_lost : int;
   replicas_recovering : int;
   spans : Obs.Span.t list;
-  replica_sheds : int;
-  busy_received : int;
-  retries_suppressed : int;
-  overload_drops : int;
-  breaker_trips : int;
   queue_peak : int;
   completions : float array;
       (** virtual completion time of every successful operation, in
           completion order — the raw material for goodput-over-time
           windows *)
-  batches : int;
-  coalesced_ops : int;
   wal_syncs : int;
-  provision_runs : int;
-  provision_chunks : int;
-  provision_resumes : int;
-  provision_donor_failovers : int;
-  provision_rounds : int;
-  provision_stale : int;
-  failed_rejoins : int;
   replica_status : string array;
   transactions : txn_report option;
   promotions_started : int;
   promotions_done : int;
   decommissions_done : int;
 }
+
+(* --- the report's counter snapshot ---------------------------------------- *)
+
+(* Every name on the components' handle lists, sorted once.  A report sums
+   each component's handles by position into an array aligned with these
+   names, so taking it builds no registry and formats no string. *)
+let counter_names =
+  let names hs = List.map fst hs in
+  Array.of_list
+    (List.sort_uniq String.compare
+       (List.concat
+          [
+            names Network.counters;
+            names Coordinator.counters;
+            names Replica.counters;
+            names Detect.Breaker.counters;
+            names Detect.Heartbeat.counters;
+          ]))
+
+let rec find name lo hi =
+  if lo >= hi then invalid_arg ("Harness.count: no counter " ^ name)
+  else
+    let mid = (lo + hi) / 2 in
+    let c = String.compare name counter_names.(mid) in
+    if c = 0 then mid else if c < 0 then find name lo mid else find name (mid + 1) hi
+
+let slot name = find name 0 (Array.length counter_names)
+
+(* A component type's handle getters, each with the slot it adds to. *)
+type 'a kind = { getters : ('a -> Obs.Metrics.counter) array; slots : int array }
+
+let kind hs =
+  {
+    getters = Array.of_list (List.map snd hs);
+    slots = Array.of_list (List.map (fun (name, _) -> slot name) hs);
+  }
+
+let net_kind = kind Network.counters
+let coord_kind = kind Coordinator.counters
+let replica_kind = kind Replica.counters
+let breaker_kind = kind Detect.Breaker.counters
+let heartbeat_kind = kind Detect.Heartbeat.counters
+
+let add_counts counts k x =
+  for i = 0 to Array.length k.slots - 1 do
+    let s = k.slots.(i) in
+    counts.(s) <- counts.(s) + (k.getters.(i) x).Obs.Metrics.value
+  done
+
+(* The kept fields' slots, looked up once. *)
+let reads_ok_at = slot "coord.reads.ok"
+let reads_failed_at = slot "coord.reads.failed"
+let writes_ok_at = slot "coord.writes.ok"
+let writes_failed_at = slot "coord.writes.failed"
+let sent_at = slot "net.sent"
+let delivered_at = slot "net.delivered"
+let wal_syncs_at = slot "replica.wal.syncs"
+
+(* The per-site figures read single handles of every replica. *)
+let reads_served = List.assoc "replica.reads_served" Replica.counters
+let prepares_seen = List.assoc "replica.prepares_seen" Replica.counters
+let writes_applied = List.assoc "replica.writes_applied" Replica.counters
+
+let dropped_slots =
+  List.filter
+    (fun k -> String.starts_with ~prefix:"net.dropped." counter_names.(k))
+    (List.init (Array.length counter_names) Fun.id)
+
+let count r name = r.counts.(slot name)
+let counters r =
+  List.mapi (fun k name -> (name, r.counts.(k))) (Array.to_list counter_names)
+
+let messages_dropped r = List.fold_left (fun acc k -> acc + r.counts.(k)) 0 dropped_slots
 
 type reconfig_action = Split of int | Merge of { into : int; from_ : int }
 
@@ -726,7 +777,9 @@ let run_core ?obs sc =
       match overload with
       | Some { breaker = Some c; _ } ->
         let b = Detect.Breaker.create ~config:c ~n ~now:(fun () -> Engine.now engine) () in
-        Option.iter (Detect.Breaker.attach_obs b) obs;
+        Option.iter
+          (fun o -> Obs.Metrics.register_all (Obs.metrics o) Detect.Breaker.counters b)
+          obs;
         Some b
       | _ -> None
     in
@@ -808,6 +861,9 @@ let run_core ?obs sc =
                     Network.send nets.(s) ~src:site ~dst (Message.Ping { seq = !seq }))
                   ()
               in
+              Option.iter
+                (fun o -> Obs.Metrics.register_all (Obs.metrics o) Detect.Heartbeat.counters hb)
+                obs;
               monitors := hb :: !monitors;
               Some (Detect.Heartbeat.view hb)
           in
@@ -974,54 +1030,37 @@ let run_core ?obs sc =
   (* Every count is a sum of the components' counter handles: the handles
      an attached registry reads, so the report cannot disagree with it. *)
   let coords = List.concat_map Array.to_list (coords @ burst_coords) in
-  let sum f = List.fold_left (fun acc c -> acc + f c) 0 coords in
   let all_replicas = Array.concat (Array.to_list replicas) in
-  let sum_replicas f = Array.fold_left (fun acc r -> acc + f r) 0 all_replicas in
-  let sum_net f = Array.fold_left (fun acc net -> acc + f net) 0 nets in
+  let counts = Array.make (Array.length counter_names) 0 in
+  List.iter (add_counts counts coord_kind) coords;
+  Array.iter (add_counts counts replica_kind) all_replicas;
+  Array.iter (add_counts counts net_kind) nets;
+  Array.iter (Option.iter (add_counts counts breaker_kind)) breakers;
+  List.iter (add_counts counts heartbeat_kind) !monitors;
+  let per_replica h = Array.map (fun r -> (h r).Obs.Metrics.value) all_replicas in
   let latency pick = Stats.merge_all (List.map pick coords) in
   let agg =
     {
       duration = Engine.now engine;
-      reads_ok = sum Coordinator.reads_ok;
-      reads_failed = sum Coordinator.reads_failed;
-      writes_ok = sum Coordinator.writes_ok;
-      writes_failed = sum Coordinator.writes_failed;
-      retries = sum Coordinator.retries;
-      deadline_exceeded = sum Coordinator.deadline_exceeded;
+      counts;
+      reads_ok = counts.(reads_ok_at);
+      reads_failed = counts.(reads_failed_at);
+      writes_ok = counts.(writes_ok_at);
+      writes_failed = counts.(writes_failed_at);
       safety_violations = checker.violations;
       read_latency = latency Coordinator.read_latency;
       write_latency = latency Coordinator.write_latency;
-      messages_sent = sum_net Network.sent;
-      messages_delivered = sum_net Network.delivered;
-      messages_dropped =
-        sum_net (fun net ->
-            Network.dropped_loss net + Network.dropped_crash net
-            + Network.dropped_partition net + Network.dropped_no_handler net
-            + Network.dropped_overload net);
-      heartbeat_pings =
-        List.fold_left (fun acc hb -> acc + Detect.Heartbeat.pings_sent hb) 0 !monitors;
-      replica_reads_served = Array.map Replica.reads_served all_replicas;
-      replica_prepares_seen = Array.map Replica.prepares_seen all_replicas;
-      replica_writes_applied = Array.map Replica.writes_applied all_replicas;
-      stale_incarnation_rejections = sum Coordinator.stale_incarnation_rejections;
+      messages_sent = counts.(sent_at);
+      messages_delivered = counts.(delivered_at);
+      replica_reads_served = per_replica reads_served;
+      replica_prepares_seen = per_replica prepares_seen;
+      replica_writes_applied = per_replica writes_applied;
       replica_incarnations = Array.map Replica.incarnation all_replicas;
-      catchup_runs = sum_replicas Replica.catchup_runs;
-      catchup_keys_installed = sum_replicas Replica.catchup_keys_installed;
-      catchup_abandoned = sum_replicas Replica.catchup_abandoned;
-      stale_commits_nacked = sum_replicas Replica.stale_commits_nacked;
-      wal_records_replayed = sum_replicas Replica.wal_records_replayed;
-      wal_records_lost = sum_replicas Replica.wal_records_lost;
       replicas_recovering =
-        sum_replicas (fun r -> if Replica.is_serving r then 0 else 1);
-      spans = (match span_store with None -> [] | Some m -> Obs.Sink.memory_spans m);
-      replica_sheds = sum_replicas Replica.sheds;
-      busy_received = sum Coordinator.busy_received;
-      retries_suppressed = sum Coordinator.retries_suppressed;
-      overload_drops = sum_net Network.dropped_overload;
-      breaker_trips =
         Array.fold_left
-          (fun acc br -> acc + Option.fold ~none:0 ~some:Detect.Breaker.trips br)
-          0 breakers;
+          (fun acc r -> if Replica.is_serving r then acc else acc + 1)
+          0 all_replicas;
+      spans = (match span_store with None -> [] | Some m -> Obs.Sink.memory_spans m);
       queue_peak =
         Array.fold_left
           (fun peak net ->
@@ -1032,16 +1071,7 @@ let run_core ?obs sc =
             !p)
           0 nets;
       completions = Array.init !n_completions (Float.Array.get !completions);
-      batches = sum Coordinator.batches;
-      coalesced_ops = sum_net Network.coalesced;
-      wal_syncs = sum_replicas Replica.wal_syncs;
-      provision_runs = sum_replicas Replica.provision_runs;
-      provision_chunks = sum_replicas Replica.provision_chunks;
-      provision_resumes = sum_replicas Replica.provision_resumes;
-      provision_donor_failovers = sum_replicas Replica.provision_donor_failovers;
-      provision_rounds = sum_replicas Replica.provision_rounds;
-      provision_stale = sum_replicas Replica.provision_stale;
-      failed_rejoins = sum_replicas Replica.failed_rejoins;
+      wal_syncs = counts.(wal_syncs_at);
       replica_status = Array.map Replica.status_label all_replicas;
       transactions = None;
       promotions_started = !started;
@@ -1107,12 +1137,12 @@ let pp_report ppf r =
      safety violations=%d@,\
      read latency: mean=%.2f p99=%.2f   write latency: mean=%.2f p99=%.2f@,\
      messages: sent=%d delivered=%d dropped=%d (%.1f per op)@]"
-    r.duration r.reads_ok r.reads_failed r.writes_ok r.writes_failed r.retries
-    r.safety_violations
+    r.duration r.reads_ok r.reads_failed r.writes_ok r.writes_failed
+    (count r "coord.retries") r.safety_violations
     (Stats.mean r.read_latency)
     (if Stats.count r.read_latency = 0 then 0.0
      else Stats.percentile r.read_latency 0.99)
     (Stats.mean r.write_latency)
     (if Stats.count r.write_latency = 0 then 0.0
      else Stats.percentile r.write_latency 0.99)
-    r.messages_sent r.messages_delivered r.messages_dropped (messages_per_op r)
+    r.messages_sent r.messages_delivered (messages_dropped r) (messages_per_op r)

@@ -218,74 +218,65 @@ val churn_scenario : proto:Quorum.Protocol.t -> scenario
     horizon 3000, one spare, four keys per chunk, fenced provisioning, no
     membership changes. *)
 
+type counts
+(** The run's counter snapshot: every component counter of
+    docs/PROTOCOL.md §8 except the per-site [net.site.<i>.*] ones, summed
+    over the run's client coordinators, replicas, networks, breakers and
+    heartbeat monitors.  Read it with {!count}. *)
+
 type report = {
   duration : float;  (** virtual time at completion *)
-  reads_ok : int;
-  reads_failed : int;
-  writes_ok : int;
-  writes_failed : int;
-  retries : int;
-  deadline_exceeded : int;  (** operations that ran out of deadline budget *)
+  counts : counts;
+      (** the counter snapshot, taken when the run ends and before a
+          transaction run's tally, whose traffic it does not count *)
+  reads_ok : int;  (** [coord.reads.ok] *)
+  reads_failed : int;  (** [coord.reads.failed] *)
+  writes_ok : int;  (** [coord.writes.ok] *)
+  writes_failed : int;  (** [coord.writes.failed] *)
   safety_violations : int;
   read_latency : Dsutil.Stats.t;
   write_latency : Dsutil.Stats.t;
-  messages_sent : int;
-  messages_delivered : int;
-  messages_dropped : int;
-  heartbeat_pings : int;  (** probes sent by heartbeat monitors (0 under
-                              the oracle detector) *)
+  messages_sent : int;  (** [net.sent] *)
+  messages_delivered : int;  (** [net.delivered] *)
   replica_reads_served : int array;
   replica_prepares_seen : int array;
   replica_writes_applied : int array;
-  stale_incarnation_rejections : int;
-      (** replies coordinators dropped for carrying a pre-crash
-          incarnation *)
   replica_incarnations : int array;  (** amnesia recoveries per replica *)
-  catchup_runs : int;  (** completed rejoin catch-ups, summed *)
-  catchup_keys_installed : int;  (** keys freshened by catch-up reads *)
-  catchup_abandoned : int;  (** catch-ups that ran out of retries *)
-  stale_commits_nacked : int;  (** commits replicas refused as stale *)
-  wal_records_replayed : int;
-  wal_records_lost : int;  (** records destroyed by amnesia crashes *)
   replicas_recovering : int;  (** replicas still not serving at the end *)
   spans : Obs.Span.t list;
       (** every operation span, in close order — only collected when
           [check_consistency] is set (else empty); feed to
           [Eval.Consistency.check] *)
-  replica_sheds : int;  (** client requests answered [Busy], summed *)
-  busy_received : int;  (** [Busy] nacks coordinators acted on *)
-  retries_suppressed : int;  (** retries refused by the shared budget *)
-  overload_drops : int;  (** messages turned away by full replica queues *)
-  breaker_trips : int;  (** circuit-breaker trips, summed over shards (0 without one) *)
   queue_peak : int;  (** deepest replica ingress queue seen in the run *)
   completions : float array;
       (** virtual completion time of every successful operation, in
           completion order — the raw material for goodput-over-time
           windows *)
-  batches : int;
-      (** multi-key batches coordinators executed (0 when batching is off
-          or every window degenerated to one op) *)
-  coalesced_ops : int;
-      (** per-op messages saved by multi-op envelopes, summed over the
-          shard networks ({!Dsim.Network.coalesced}; [net.coalesced]) *)
-  wal_syncs : int;
-      (** synchronous WAL forces across all replicas; under group commit a
-          whole batch counts one *)
-  provision_runs : int;
-      (** snapshot + WAL-tail transfers started, summed over replicas (0
-          in every run without [churn]) *)
-  provision_chunks : int;
-  provision_resumes : int;
-  provision_donor_failovers : int;
-  provision_rounds : int;
-  provision_stale : int;
-  failed_rejoins : int;
+  wal_syncs : int;  (** [replica.wal.syncs] *)
   replica_status : string array;  (** per-replica {!Replica.status_label} *)
   transactions : txn_report option;  (** [Some] iff [txn] is set *)
   promotions_started : int;  (** membership flows begun (0 without [churn]) *)
   promotions_done : int;
   decommissions_done : int;  (** fenced flows whose occupant was retired *)
 }
+(** A counter is read by its §8 name from the snapshot:
+    [count r "coord.retries"].  Seven counters are also fields, each
+    noted with its name: [reads_ok], [reads_failed], [writes_ok],
+    [writes_failed], [messages_sent], [messages_delivered] and
+    [wal_syncs].  They stay because the benchmark driver in [bench/perf]
+    reads them, directly or through {!completed}.  The other fields are
+    per-site or derived figures that no single counter holds. *)
+
+val count : report -> string -> int
+(** The snapshot's value under a §8 name.
+    @raise Invalid_argument on a name the snapshot does not hold, so a
+    typo cannot read 0. *)
+
+val counters : report -> (string * int) list
+(** Every name in the snapshot with its value, sorted by name. *)
+
+val messages_dropped : report -> int
+(** The five [net.dropped.*] counters summed. *)
 
 (** {2 Sharded runs}
 
@@ -372,8 +363,9 @@ val run : ?obs:Obs.t -> scenario -> report
     and attaches it to every network, breaker, replica, client
     coordinator and transaction manager, whose counter handles it
     registers; spans and
-    phase-latency histograms cover the whole run.  The report sums the
-    same handles, so it equals the registry under each name.  Attaching
+    phase-latency histograms cover the whole run.  The report's counter
+    snapshot sums the same handles, so it equals the registry under each
+    of its names until a transaction run's tally adds its own traffic.  Attaching
     [obs] never perturbs the simulation: it draws no randomness and
     schedules no events.
 

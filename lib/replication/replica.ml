@@ -174,29 +174,38 @@ let now t = Engine.now (engine t)
 (* Counting is a field store: no call across the -opaque library boundary. *)
 let[@inline] bump (c : Obs.Metrics.counter) = c.value <- c.value + 1
 
-let register_counters t obs =
-  let reg = Obs.Metrics.register (Obs.metrics obs) in
-  reg "replica.reads_served" t.reads_served;
-  reg "replica.shed" t.sheds;
-  reg "replica.writes_applied" t.writes_applied;
-  reg "replica.prepares_seen" t.prepares_seen;
-  reg "replica.repairs_applied" t.repairs_applied;
-  reg "replica.recoveries" t.recoveries;
-  reg "replica.wal.replayed" t.wal_records_replayed;
-  reg "replica.stale_inc.nacked" t.stale_commits_nacked;
-  reg "replica.catchup.runs" t.catchup_runs;
-  reg "replica.catchup.rounds" t.catchup_rounds;
-  reg "replica.catchup.keys_installed" t.catchup_keys_installed;
-  reg "replica.catchup.abandoned" t.catchup_abandoned;
-  reg "replica.rejoin.failed" t.failed_rejoins;
-  reg "replica.decommissioned" t.decommissioned;
-  reg "provision.starts" t.provision_starts;
-  reg "provision.runs" t.provision_runs;
-  reg "provision.chunks" t.provision_chunks;
-  reg "provision.resumes" t.provision_resumes;
-  reg "provision.donor_failovers" t.provision_failovers;
-  reg "provision.stale" t.provision_stale;
-  reg "provision.rounds" t.provision_rounds
+(* What a replica without a WAL registers under the WAL's names: nothing
+   ever bumps it, since only a WAL bumps those handles. *)
+let no_wal = { Obs.Metrics.value = 0 }
+let wal_handle h t = match t.wal with Some w -> h w | None -> no_wal
+
+let counters : t Obs.Metrics.handles =
+  [
+    ("replica.reads_served", fun t -> t.reads_served);
+    ("replica.shed", fun t -> t.sheds);
+    ("replica.writes_applied", fun t -> t.writes_applied);
+    ("replica.prepares_seen", fun t -> t.prepares_seen);
+    ("replica.repairs_applied", fun t -> t.repairs_applied);
+    ("replica.recoveries", fun t -> t.recoveries);
+    ("replica.wal.replayed", fun t -> t.wal_records_replayed);
+    ("replica.stale_inc.nacked", fun t -> t.stale_commits_nacked);
+    ("replica.catchup.runs", fun t -> t.catchup_runs);
+    ("replica.catchup.rounds", fun t -> t.catchup_rounds);
+    ("replica.catchup.keys_installed", fun t -> t.catchup_keys_installed);
+    ("replica.catchup.abandoned", fun t -> t.catchup_abandoned);
+    ("replica.rejoin.failed", fun t -> t.failed_rejoins);
+    ("replica.decommissioned", fun t -> t.decommissioned);
+    ("provision.starts", fun t -> t.provision_starts);
+    ("provision.runs", fun t -> t.provision_runs);
+    ("provision.chunks", fun t -> t.provision_chunks);
+    ("provision.resumes", fun t -> t.provision_resumes);
+    ("provision.donor_failovers", fun t -> t.provision_failovers);
+    ("provision.stale", fun t -> t.provision_stale);
+    ("provision.rounds", fun t -> t.provision_rounds);
+  ]
+  @ List.map (fun (name, h) -> (name, wal_handle h)) Wal.counters
+
+let count t name = Obs.Metrics.read counters t name
 
 let ohist t name v =
   match t.obs with
@@ -1030,7 +1039,7 @@ let create ~site ~net ?recovery ?admission ?(group_commit = false) ?obs () =
     }
   in
   Network.set_handler net ~site (fun ~src msg -> handle t ~src msg);
-  Option.iter (register_counters t) obs;
+  Option.iter (fun o -> Obs.Metrics.register_all (Obs.metrics o) counters t) obs;
   (* Admission control plugs into the network's service model: the
      priority lane exempts protocol traffic from the capacity bound, and
      the overflow hook turns silent queue-full drops into Busy nacks.
@@ -1083,11 +1092,6 @@ let decommission t =
 
 let site t = t.site
 let store t = t.store
-let reads_served t = t.reads_served.value
-let sheds t = t.sheds.value
-let writes_applied t = t.writes_applied.value
-let prepares_seen t = t.prepares_seen.value
-let repairs_applied t = t.repairs_applied.value
 let incarnation t = t.incarnation
 let is_serving t = t.status = Serving
 let is_decommissioned t = t.status = Decommissioned
@@ -1099,19 +1103,3 @@ let status_label t =
   | Recovering -> "recovering"
   | Failed_rejoin -> "failed-rejoin"
   | Decommissioned -> "decommissioned"
-
-let catchup_runs t = t.catchup_runs.value
-let catchup_keys_installed t = t.catchup_keys_installed.value
-let catchup_abandoned t = t.catchup_abandoned.value
-let stale_commits_nacked t = t.stale_commits_nacked.value
-let wal_records_replayed t = t.wal_records_replayed.value
-let wal_records_lost t = match t.wal with None -> 0 | Some w -> Wal.lost_total w
-let wal_syncs t = match t.wal with None -> 0 | Some w -> Wal.syncs w
-let catchup_rounds t = t.catchup_rounds.value
-let failed_rejoins t = t.failed_rejoins.value
-let provision_runs t = t.provision_runs.value
-let provision_chunks t = t.provision_chunks.value
-let provision_resumes t = t.provision_resumes.value
-let provision_donor_failovers t = t.provision_failovers.value
-let provision_stale t = t.provision_stale.value
-let provision_rounds t = t.provision_rounds.value

@@ -95,7 +95,7 @@ val recovery :
     units and is retried with {!Detect.Backoff.default} jitter up to 20
     times; on exhaustion the replica
     enters the terminal failed-rejoin state (safe but unavailable; see
-    {!failed_rejoins}) until its next crash/recover cycle.
+    [replica.rejoin.failed]) until its next crash/recover cycle.
 
     When [provision] is given it {e replaces} quorum catch-up as the
     rejoin path: recovery replays the WAL, then provisions from a donor
@@ -124,26 +124,25 @@ val create :
     of one per record.  Per-record durability semantics are unchanged —
     the records are stamped exactly as individual appends at the same
     instant would stamp them — so crash truncation and replay behave
-    identically; only the {!wal_syncs} cost model differs.  No effect on
+    identically; only the [replica.wal.syncs] cost model differs.  No effect on
     unbatched traffic.
 
-    Every count below is a counter handle the replica owns; [obs]
-    registers them under the [replica.*] and [provision.*] names of
-    docs/PROTOCOL.md §8. *)
+    [obs] registers the replica's {!counters}. *)
 
 val site : t -> int
 val store : t -> Store.t
 
-val reads_served : t -> int
-val writes_applied : t -> int
-val prepares_seen : t -> int
+val counters : t Obs.Metrics.handles
+(** The replica's counter handles under their [replica.*] and
+    [provision.*] names of docs/PROTOCOL.md §8: what [obs] registers and
+    what {!count} reads.  [replica.wal.syncs] and [replica.wal.lost] are
+    the {!Wal}'s own handles ({!Wal.syncs}, {!Wal.lost_total}), which read
+    0 for a replica without a WAL; under [group_commit] a whole batch
+    counts one sync. *)
 
-val repairs_applied : t -> int
-(** Read-repair installs that actually changed this replica's state. *)
-
-val sheds : t -> int
-(** Client requests answered with [Busy] — watermark sheds plus
-    queue-full overflows ([replica.shed]). *)
+val count : t -> string -> int
+(** The replica's count under a §8 name since {!create}.
+    @raise Invalid_argument on a name not in {!counters}. *)
 
 (** {2 Recovery observables} *)
 
@@ -190,55 +189,3 @@ val decommission : t -> unit
     refused with [Prepare_nack "decommissioned"], commits are nacked, and
     crash/recover cycles do not resurrect it.  Heartbeats still answer —
     a decommissioned site is up, just out of every quorum. *)
-
-val catchup_runs : t -> int
-(** Completed catch-ups (back to serving). *)
-
-val catchup_keys_installed : t -> int
-(** Keys whose quorum-read value actually changed local state. *)
-
-val catchup_abandoned : t -> int
-(** Catch-ups that exhausted their retry budget (the replica lands in
-    the terminal failed-rejoin state: safe, not live). *)
-
-val catchup_rounds : t -> int
-(** Read-quorum gathers issued by catch-up — one per key per attempt.
-    The unit the provisioning speedup is measured in. *)
-
-val failed_rejoins : t -> int
-(** Times the rejoin machinery gave up and entered failed-rejoin.
-    Registered as [replica.rejoin.failed]. *)
-
-val provision_runs : t -> int
-(** Completed snapshot provisionings (tail applied, back to serving). *)
-
-val provision_chunks : t -> int
-(** Snapshot chunks applied and logged ([provision.chunks] metric). *)
-
-val provision_resumes : t -> int
-(** Transfers continued from a non-zero chunk cursor — recipient
-    restarts after the last durable mark, plus mid-transfer failovers
-    ([provision.resumes] metric). *)
-
-val provision_donor_failovers : t -> int
-(** Donor switches after a stall or refusal ([provision.donor_failovers]
-    metric). *)
-
-val provision_stale : t -> int
-(** Provisioning replies fenced off: wrong op, wrong donor, duplicate
-    chunk, or a donor incarnation from a broken transfer. *)
-
-val provision_rounds : t -> int
-(** Provisioning protocol rounds issued (requests, acks and tail
-    fetches) — directly comparable to {!catchup_rounds}. *)
-
-val stale_commits_nacked : t -> int
-(** Commits refused because they carried a pre-crash incarnation. *)
-
-val wal_records_replayed : t -> int
-val wal_records_lost : t -> int
-
-val wal_syncs : t -> int
-(** Synchronous WAL forces so far ({!Wal.syncs}); 0 without a WAL.  Under
-    [group_commit] a whole batch counts one — comparing this across
-    batched and unbatched runs measures the group-commit amortization. *)

@@ -18,6 +18,9 @@ type manager = {
   aborted : Obs.Metrics.counter;
 }
 
+let counters =
+  [ ("txn.committed", fun mgr -> mgr.committed); ("txn.aborted", fun mgr -> mgr.aborted) ]
+
 let create_sharded_manager ~site ~engine ~coords ~route ~locks ?(atomic = true)
     ?obs () =
   if Array.length coords = 0 then
@@ -35,12 +38,7 @@ let create_sharded_manager ~site ~engine ~coords ~route ~locks ?(atomic = true)
       aborted = { value = 0 };
     }
   in
-  Option.iter
-    (fun obs ->
-      let reg = Obs.Metrics.register (Obs.metrics obs) in
-      reg "txn.committed" mgr.committed;
-      reg "txn.aborted" mgr.aborted)
-    obs;
+  Option.iter (fun o -> Obs.Metrics.register_all (Obs.metrics o) counters mgr) obs;
   mgr
 
 let create_manager ~site ~net ~proto ~locks () =
@@ -49,8 +47,7 @@ let create_manager ~site ~net ~proto ~locks () =
     ~route:(fun _ -> 0)
     ~locks ()
 
-let committed mgr = mgr.committed.value
-let aborted mgr = mgr.aborted.value
+let count mgr name = Obs.Metrics.read counters mgr name
 let coord_for mgr key = mgr.coords.(mgr.route key)
 
 (* --- transactions -------------------------------------------------------- *)

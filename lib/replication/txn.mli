@@ -91,8 +91,9 @@ val is_finished : t -> bool
 
 (** {2 Counters} *)
 
-val committed : manager -> int
+val counters : manager Obs.Metrics.handles
+(** [txn.committed], and [txn.aborted]: every finished transaction that
+    did not commit (aborted, in doubt or partial). *)
 
-val aborted : manager -> int
-(** Every finished transaction that did not commit: aborted, in doubt or
-    partial. *)
+val count : manager -> string -> int
+(** @raise Invalid_argument on a name not in {!counters}. *)

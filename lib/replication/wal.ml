@@ -59,8 +59,8 @@ type t = {
   mutable chunks : int;  (* allocated chunks, a prefix of the spines *)
   mutable n : int;  (* stored rows *)
   mutable volatile : int;  (* volatile records since the last crash *)
-  mutable lost : int;
-  mutable syncs : int;
+  lost : Obs.Metrics.counter;
+  syncs : Obs.Metrics.counter;
   mutable next_index : int;
 }
 
@@ -78,8 +78,8 @@ let create ?(policy = Sync_on_commit) ~now () =
     chunks = 0;
     n = 0;
     volatile = 0;
-    lost = 0;
-    syncs = 0;
+    lost = { value = 0 };
+    syncs = { value = 0 };
     next_index = 0;
   }
 
@@ -155,7 +155,7 @@ let push t kind ~op ~key ~version ~sid ~value =
   t.next_index <- t.next_index + 1
 
 let push_forced t kind ~op ~key ~version ~sid ~value =
-  if forces t.policy kind then t.syncs <- t.syncs + 1;
+  if forces t.policy kind then t.syncs.value <- t.syncs.value + 1;
   push t kind ~op ~key ~version ~sid ~value
 
 let stage t ~op ~key ~version ~sid ~value =
@@ -174,7 +174,7 @@ let install t ~key ~version ~sid ~value =
    point. *)
 let push_batch t kind ~op ~group ~n batch =
   if n > 0 && forces t.policy kind then
-    t.syncs <- t.syncs + if group then 1 else n;
+    t.syncs.value <- t.syncs.value + if group then 1 else n;
   for i = 0 to n - 1 do
     push t kind ~op ~key:(Batch.key batch i) ~version:(Batch.version batch i)
       ~sid:(Batch.sid batch i) ~value:(Batch.value batch i)
@@ -215,7 +215,7 @@ let push_record t record =
     push t k_mark ~op:chunk ~key:wal_index ~version:0 ~sid:0 ~value:""
 
 let append t record =
-  if forces t.policy (kind_of record) then t.syncs <- t.syncs + 1;
+  if forces t.policy (kind_of record) then t.syncs.value <- t.syncs.value + 1;
   push_record t record
 
 (* Group commit: the whole batch shares one durability point.  Each
@@ -225,7 +225,7 @@ let append t record =
    point of batching the log writes. *)
 let append_batch t records =
   if List.exists (fun r -> forces t.policy (kind_of r)) records then
-    t.syncs <- t.syncs + 1;
+    t.syncs.value <- t.syncs.value + 1;
   List.iter (push_record t) records
 
 let copy_row t ~src ~dst =
@@ -250,7 +250,7 @@ let compact t ~now =
   for i = kept to t.n - 1 do
     t.values.(chunk i).(slot i) <- ""
   done;
-  t.lost <- t.lost + (t.n - kept);
+  t.lost.value <- t.lost.value + (t.n - kept);
   t.n <- kept
 
 (* [next_index] is deliberately NOT rewound: indices of lost records are
@@ -259,7 +259,7 @@ let crash t =
   (match t.policy with
   | Async _ -> compact t ~now:(t.now ())
   | Sync_on_commit | Sync_on_prepare -> ());
-  t.lost <- t.lost + t.volatile;
+  t.lost.value <- t.lost.value + t.volatile;
   t.volatile <- 0
 
 let apply_row t store i =
@@ -319,6 +319,8 @@ let resume_state t =
   scan (t.n - 1)
 
 let length t = t.n + t.volatile
-let lost_total t = t.lost
-let syncs t = t.syncs
+let lost_total t = t.lost.value
+let syncs t = t.syncs.value
+let counters =
+  [ ("replica.wal.syncs", fun t -> t.syncs); ("replica.wal.lost", fun t -> t.lost) ]
 

@@ -182,3 +182,7 @@ val syncs : t -> int
     {!append}, at most one per {!append_batch}.  The batched-over-unbatched
     ratio of this counter is the group-commit amortization. *)
 
+val counters : t Obs.Metrics.handles
+(** The {!syncs} and {!lost_total} handles, as [replica.wal.syncs] and
+    [replica.wal.lost]; the replica owning the log registers them. *)
+

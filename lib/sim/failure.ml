@@ -58,14 +58,6 @@ let random_crash_recovery ~rng ~n ~horizon ~mtbf ~mttr =
 
 let steady_state_availability ~mtbf ~mttr = mtbf /. (mtbf +. mttr)
 
-let crash_fraction ~rng ~n ~at ~fraction =
-  if fraction < 0.0 || fraction > 1.0 then
-    invalid_arg "Failure.crash_fraction: fraction out of [0,1]";
-  let ids = Array.init n Fun.id in
-  Rng.shuffle rng ids;
-  let k = int_of_float (fraction *. float_of_int n) in
-  List.init k (fun i -> { time = at; event = Crash ids.(i) })
-
 let pp_entry ppf { time; event } =
   match event with
   | Crash i -> Format.fprintf ppf "%.2f: crash %d" time i

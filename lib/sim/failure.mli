@@ -29,8 +29,4 @@ val random_crash_recovery :
 
 val steady_state_availability : mtbf:float -> mttr:float -> float
 
-val crash_fraction :
-  rng:Dsutil.Rng.t -> n:int -> at:float -> fraction:float -> entry list
-(** One-shot: crashes ⌊fraction·n⌋ distinct random sites at time [at]. *)
-
 val pp_entry : Format.formatter -> entry -> unit

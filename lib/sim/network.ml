@@ -113,18 +113,23 @@ let create ~engine ~n ?(latency = Latency.Exponential 1.0) ?(loss_rate = 0.0)
 let engine t = t.engine
 let size t = t.n
 
+let counters =
+  [
+    ("net.sent", fun t -> t.sent);
+    ("net.delivered", fun t -> t.delivered);
+    ("net.dropped.loss", fun t -> t.dropped_loss);
+    ("net.dropped.crash", fun t -> t.dropped_crash);
+    ("net.dropped.partition", fun t -> t.dropped_partition);
+    ("net.dropped.no_handler", fun t -> t.dropped_no_handler);
+    ("net.dropped.overload", fun t -> t.dropped_overload);
+    ("net.coalesced", fun t -> t.coalesced);
+  ]
+
 let attach_obs t obs =
   let m = Obs.metrics obs in
-  let reg = Obs.Metrics.register m in
-  reg "net.sent" t.sent;
-  reg "net.delivered" t.delivered;
-  reg "net.dropped.loss" t.dropped_loss;
-  reg "net.dropped.crash" t.dropped_crash;
-  reg "net.dropped.partition" t.dropped_partition;
-  reg "net.dropped.no_handler" t.dropped_no_handler;
-  reg "net.dropped.overload" t.dropped_overload;
-  reg "net.coalesced" t.coalesced;
+  Obs.Metrics.register_all m counters t;
   (* Per-site names are formatted here, never on an unattached network. *)
+  let reg = Obs.Metrics.register m in
   let sites what = Array.iteri (fun i -> reg (Printf.sprintf "net.site.%d.%s" i what)) in
   sites "sent" t.site_sent;
   sites "delivered" t.site_delivered;
@@ -417,12 +422,5 @@ let set_loss_rate t rate =
     invalid_arg "Network.set_loss_rate: loss_rate out of [0,1)";
   t.loss_rate <- rate
 
-let sent t = t.sent.value
-let delivered t = t.delivered.value
-let dropped_loss t = t.dropped_loss.value
-let dropped_crash t = t.dropped_crash.value
-let dropped_partition t = t.dropped_partition.value
-let dropped_no_handler t = t.dropped_no_handler.value
-let dropped_overload t = t.dropped_overload.value
-let coalesced t = t.coalesced.value
+let count t name = Obs.Metrics.read counters t name
 let per_site_delivered t = Array.map (fun c -> c.Obs.Metrics.value) t.site_delivered

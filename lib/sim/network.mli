@@ -32,10 +32,13 @@ val create :
 val engine : 'msg t -> Engine.t
 val size : 'msg t -> int
 
-val attach_obs : 'msg t -> Obs.t -> unit
-(** Register the network's counter handles in [obs]'s registry: [net.sent],
+val counters : 'msg t Obs.Metrics.handles
+(** The network's whole-network counter handles: [net.sent],
     [net.delivered], [net.dropped.loss] / [.crash] / [.partition] /
-    [.no_handler] / [.overload], [net.coalesced], and per-site
+    [.no_handler] / [.overload] and [net.coalesced]. *)
+
+val attach_obs : 'msg t -> Obs.t -> unit
+(** Register the network's {!counters} in [obs]'s registry, and per-site
     [net.site.<i>.sent] / [.delivered]; and start the [net.queue.depth]
     histogram.  The handles are the network's only counters, so the
     registry reads every message since {!create}, however late the
@@ -61,9 +64,8 @@ val send : 'msg t -> ?units:int -> src:int -> dst:int -> 'msg -> unit
     carries.  A coalesced envelope with [units = k] is still ONE message —
     one send, one loss/latency draw, one service-queue slot at the
     destination — which is exactly the amortization batching buys; the
-    [units - 1] per-op messages it saved are tallied in {!coalesced}
-    (metric [net.coalesced]).  Passing [units = 1]
-    is byte-identical to omitting it. *)
+    [units - 1] per-op messages it saved are tallied in [net.coalesced].
+    Passing [units = 1] is byte-identical to omitting it. *)
 
 (** {2 Overload model}
 
@@ -161,26 +163,13 @@ val reachable : 'msg t -> int -> int -> bool
 
 (** {2 Metrics} *)
 
-(** Every message since {!create}: the values of the handles
-    {!attach_obs} registers. *)
-
-val sent : 'msg t -> int
-val delivered : 'msg t -> int
-val dropped_loss : 'msg t -> int
-val dropped_crash : 'msg t -> int
-val dropped_partition : 'msg t -> int
-
-val dropped_no_handler : 'msg t -> int
-(** Delivered to an up, reachable site that never installed a handler — a
-    wiring bug, counted apart from crash drops. *)
-
-val dropped_overload : 'msg t -> int
-(** Turned away by a full ingress queue ({!set_service}) — load shedding,
-    not loss, so it gets its own bucket. *)
-
-val coalesced : 'msg t -> int
-(** Per-op messages saved by multi-op envelopes: the sum over all sends of
-    [units - 1] (see {!send}). *)
+val count : 'msg t -> string -> int
+(** The network's count under one of its {!counters}' names, every
+    message since {!create}.  [net.dropped.no_handler] counts messages
+    delivered to an up, reachable site that never installed a handler (a
+    wiring bug, not a crash); [net.dropped.overload] counts those a full
+    ingress queue turned away ({!set_service}), load shedding and not loss.
+    @raise Invalid_argument on another name. *)
 
 val per_site_delivered : 'msg t -> int array
 (** Messages delivered {e to} each site — the measured per-replica load. *)

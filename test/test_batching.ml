@@ -67,9 +67,11 @@ let test_write_batch_then_read_batch () =
           v value
       | None -> Alcotest.fail "batched read failed")
     writes !read;
-  Alcotest.(check int) "per-key read accounting" 4 (Coordinator.reads_ok coord);
-  Alcotest.(check int) "per-key write accounting" 4 (Coordinator.writes_ok coord);
-  Alcotest.(check int) "two multi-key batches" 2 (Coordinator.batches coord)
+  Alcotest.(check int) "per-key read accounting" 4
+    (Coordinator.count coord "coord.reads.ok");
+  Alcotest.(check int) "per-key write accounting" 4
+    (Coordinator.count coord "coord.writes.ok");
+  Alcotest.(check int) "two multi-key batches" 2 (Coordinator.count coord "coord.batches")
 
 let test_duplicate_key_last_writer_wins () =
   let engine, _, coord, _ = setup () in
@@ -103,8 +105,10 @@ let test_batch_failure_reports_every_key () =
   List.iter (fun r -> Alcotest.(check bool) "write key failed" true (r = None)) !wrote;
   Alcotest.(check int) "read batch reports every key" 3 (List.length !read);
   List.iter (fun r -> Alcotest.(check bool) "read key failed" true (r = None)) !read;
-  Alcotest.(check int) "per-key failure accounting" 3 (Coordinator.reads_failed coord);
-  Alcotest.(check int) "per-key write failures" 2 (Coordinator.writes_failed coord)
+  Alcotest.(check int) "per-key failure accounting" 3
+    (Coordinator.count coord "coord.reads.failed");
+  Alcotest.(check int) "per-key write failures" 2
+    (Coordinator.count coord "coord.writes.failed")
 
 let test_singleton_and_empty_batches_delegate () =
   let engine, _, coord, _ = setup () in
@@ -118,8 +122,9 @@ let test_singleton_and_empty_batches_delegate () =
   | [ Some _ ] -> ()
   | _ -> Alcotest.fail "singleton write did not delegate cleanly");
   Alcotest.(check int) "singleton is not counted as a batch" 0
-    (Coordinator.batches coord);
-  Alcotest.(check int) "but is a plain write" 1 (Coordinator.writes_ok coord)
+    (Coordinator.count coord "coord.batches");
+  Alcotest.(check int) "but is a plain write" 1
+    (Coordinator.count coord "coord.writes.ok")
 
 (* --- harness-level determinism and throughput --------------------------- *)
 
@@ -151,9 +156,9 @@ let test_batching_reduces_messages () =
   Alcotest.(check int) "no safety violations" 0
     (r_u.Harness.safety_violations + r_b.Harness.safety_violations);
   Alcotest.(check bool) "multi-key batches executed" true
-    (r_b.Harness.batches > 0);
+    (Harness.count r_b "coord.batches" > 0);
   Alcotest.(check bool) "envelopes coalesced per-op messages" true
-    (r_b.Harness.coalesced_ops > 0);
+    (Harness.count r_b "net.coalesced" > 0);
   Alcotest.(check bool)
     (Printf.sprintf "messages per op %.1f -> %.1f (want < half)"
        (Harness.messages_per_op r_u)
@@ -197,7 +202,7 @@ let test_group_commit_amnesia_consistent () =
   Alcotest.(check bool) "trace-checker finds no violation" true
     (Consistency.ok c);
   Alcotest.(check bool) "batches survived the churn" true
-    (grouped.Harness.batches > 0);
+    (Harness.count grouped "coord.batches" > 0);
   Alcotest.(check bool) "group commit syncs charged" true
     (grouped.Harness.wal_syncs > 0);
   let plain = run false in
@@ -230,7 +235,8 @@ let test_repeated_keys_close_every_span () =
   in
   Alcotest.(check int) "every op completed" 512
     (r.Harness.reads_ok + r.Harness.writes_ok);
-  Alcotest.(check bool) "multi-key batches ran" true (r.Harness.batches > 0);
+  Alcotest.(check bool) "multi-key batches ran" true
+    (Harness.count r "coord.batches" > 0);
   Alcotest.(check int) "no span left open" 0 (Obs.spans_open obs);
   let spans = Obs.Sink.memory_spans mem in
   Alcotest.(check int) "one span per op" 512 (List.length spans);
@@ -267,8 +273,9 @@ let pinned_scenario ~seed =
 
 let check_pinned name ~fp (r : Harness.report) =
   Alcotest.(check bool) (name ^ ": multi-key batches ran") true
-    (r.Harness.batches > 0);
-  Alcotest.(check bool) (name ^ ": retries ran") true (r.Harness.retries > 0);
+    (Harness.count r "coord.batches" > 0);
+  Alcotest.(check bool) (name ^ ": retries ran") true
+    (Harness.count r "coord.retries" > 0);
   Alcotest.(check int) (name ^ ": no safety violations") 0
     r.Harness.safety_violations;
   Alcotest.(check string) (name ^ ": pinned fingerprint") fp

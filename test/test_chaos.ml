@@ -59,12 +59,13 @@ let test_detector_bookkeeping () =
       | Harness.Oracle ->
         Alcotest.(check int)
           (cell_label c ^ ": oracle sends no probes")
-          0 c.report.agg.heartbeat_pings
+          0
+          (Harness.count c.report.agg "heartbeat.pings")
       | Harness.Heartbeat _ ->
         Alcotest.(check bool)
           (cell_label c ^ ": monitor probed")
           true
-          (c.report.agg.heartbeat_pings > 0))
+          (Harness.count c.report.agg "heartbeat.pings" > 0))
     campaign
 
 let test_deterministic () =
@@ -74,7 +75,7 @@ let test_deterministic () =
         ( cell_label c,
           c.report.agg.reads_ok,
           c.report.agg.writes_ok,
-          c.report.agg.retries,
+          Harness.count c.report.agg "coord.retries",
           c.report.agg.messages_delivered ))
       campaign
   in
@@ -180,8 +181,8 @@ let test_adaptive_faults_golden () =
       "reads %d/%d writes %d/%d retries %d msgs %d/%d/%d read p50 %.17g p99 \
        %.17g sum %.17g write p50 %.17g p99 %.17g sum %.17g"
       r.Harness.reads_ok r.Harness.reads_failed r.Harness.writes_ok
-      r.Harness.writes_failed r.Harness.retries r.Harness.messages_sent
-      r.Harness.messages_delivered r.Harness.messages_dropped
+      r.Harness.writes_failed (Harness.count r "coord.retries") r.Harness.messages_sent
+      r.Harness.messages_delivered (Harness.messages_dropped r)
       (pct r.Harness.read_latency 0.5)
       (pct r.Harness.read_latency 0.99)
       (Dsutil.Stats.total r.Harness.read_latency)

@@ -19,7 +19,7 @@ let test_quiet_run () =
   let r = Harness.run (churn ~spares:2 []) in
   Alcotest.(check int) "no violations" 0 r.Harness.safety_violations;
   Alcotest.(check bool) "work completed" true (Harness.completed r > 0);
-  Alcotest.(check int) "no transfers" 0 r.Harness.provision_runs;
+  Alcotest.(check int) "no transfers" 0 (Harness.count r "provision.runs");
   Alcotest.(check bool) "spares idle but serving" true
     (Array.for_all (( = ) "serving") r.Harness.replica_status)
 
@@ -77,15 +77,15 @@ let test_campaign_single_config () =
     List.fold_left (fun acc (c : Eval.Campaign.cell) -> acc + f c.report.agg) 0 cells
   in
   Alcotest.(check bool) "donor failover exercised" true
-    (sum (fun r -> r.Harness.provision_donor_failovers) >= 1);
+    (sum (fun r -> Harness.count r "provision.donor_failovers") >= 1);
   Alcotest.(check bool) "resume exercised" true
-    (sum (fun r -> r.Harness.provision_resumes) >= 1);
+    (sum (fun r -> Harness.count r "provision.resumes") >= 1);
   Alcotest.(check bool) "promotions completed" true
     (sum (fun r -> r.Harness.promotions_done) >= 4);
   Alcotest.(check bool) "a decommission completed" true
     (sum (fun r -> r.Harness.decommissions_done) >= 1);
   Alcotest.(check int) "nothing stuck" 0
-    (sum (fun r -> r.Harness.failed_rejoins));
+    (sum (fun r -> Harness.count r "replica.rejoin.failed"));
   (* Recorded before the churn cell got its single builder. *)
   Alcotest.(check string) "pinned table" "d61913be9ee2114d98d6ffad8a16c6a8"
     (Digest.to_hex (Digest.string (Churn.table cells)))

@@ -68,7 +68,7 @@ let test_op_succeeds_after_partition_heals () =
   Engine.run engine;
   Alcotest.(check bool) "read eventually succeeds" true (!result <> None);
   Alcotest.(check bool) "retries were needed" true
-    (Coordinator.retries coord >= 1)
+    (Coordinator.count coord "coord.retries" >= 1)
 
 let test_latency_stats_recorded () =
   let engine, _, _, coord, _ = build () in
@@ -76,10 +76,12 @@ let test_latency_stats_recorded () =
     Coordinator.write coord ~key:i ~value:"x" (fun _ -> ())
   done;
   Engine.run engine;
-  Alcotest.(check int) "five writes measured" 5 (Stats.count (Coordinator.write_latency coord));
+  Alcotest.(check int) "five writes measured" 5
+    (Stats.count (Coordinator.write_latency coord));
   Alcotest.(check bool) "positive latency" true
     (Stats.mean (Coordinator.write_latency coord) > 0.0);
-  Alcotest.(check int) "no read latencies" 0 (Stats.count (Coordinator.read_latency coord))
+  Alcotest.(check int) "no read latencies" 0
+    (Stats.count (Coordinator.read_latency coord))
 
 let test_concurrent_ops_different_keys () =
   let engine, _, _, coord, _ = build () in
@@ -142,7 +144,7 @@ let test_reissue_storm_cannot_refill_budget () =
   Alcotest.(check bool) "bucket drained for good" true
     (Detect.Budget.tokens budget < 1.0);
   Alcotest.(check bool) "suppression is sustained" true
-    (Coordinator.retries_suppressed coord >= 17);
+    (Coordinator.count coord "coord.retries_suppressed" >= 17);
   (* A second wave meets the same wall: no grants, only suppression. *)
   let suppressed_before = Detect.Budget.suppressed budget in
   for i = 0 to 9 do
@@ -197,7 +199,7 @@ let test_rpc_forced_ts_idempotent () =
     (!first <> None && !second <> None);
   (* Same timestamp: applied at most once per replica. *)
   let applied =
-    Array.fold_left (fun acc r -> acc + Replica.writes_applied r) 0 replicas
+    Array.fold_left (fun acc r -> acc + Replica.count r "replica.writes_applied") 0 replicas
   in
   Alcotest.(check bool) "no double apply" true (applied <= 8)
 
@@ -232,12 +234,13 @@ let test_held_prepare_commits () =
     | Error _ -> Alcotest.fail "prepare must succeed"
     | Ok h ->
       staged := Some h;
-      Alcotest.(check int) "nothing counted while held" 0 (Coordinator.writes_ok coord);
+      Alcotest.(check int) "nothing counted while held" 0
+        (Coordinator.count coord "coord.writes.ok");
       Coordinator.commit_staged coord h (fun ok -> committed := Some ok));
   Engine.run engine;
   Alcotest.(check (option bool)) "commit acknowledged" (Some true) !committed;
-  Alcotest.(check int) "both keys written" 2 (Coordinator.writes_ok coord);
-  Alcotest.(check int) "one batch" 1 (Coordinator.batches coord);
+  Alcotest.(check int) "both keys written" 2 (Coordinator.count coord "coord.writes.ok");
+  Alcotest.(check int) "one batch" 1 (Coordinator.count coord "coord.batches");
   let values = ref [] in
   Coordinator.read_batch coord ~keys:[| 1; 2 |] ~pos:0 ~len:2 (fun o ->
       values :=
@@ -278,8 +281,10 @@ let test_held_prepare_aborts () =
     | Ok h -> Coordinator.abort_staged coord h);
   Engine.run engine;
   let m = Obs.metrics obs in
-  Alcotest.(check int) "no write counted ok" 0 (Coordinator.writes_ok coord);
-  Alcotest.(check int) "both keys failed" 2 (Coordinator.writes_failed coord);
+  Alcotest.(check int) "no write counted ok" 0
+    (Coordinator.count coord "coord.writes.ok");
+  Alcotest.(check int) "both keys failed" 2
+    (Coordinator.count coord "coord.writes.failed");
   Alcotest.(check int) "no span closed ok" 0 (Obs.Metrics.counter_of m "ops.write.ok");
   Alcotest.(check int) "both spans closed failed" 2
     (Obs.Metrics.counter_of m "ops.write.failed");

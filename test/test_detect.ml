@@ -303,7 +303,7 @@ let test_breaker_trips_on_threshold () =
     (Breaker.record_failure b 0);
   Alcotest.(check bool) "open" true (Breaker.state b 0 = Breaker.Open);
   Alcotest.(check bool) "not allowed" false (Breaker.allowed b 0);
-  Alcotest.(check int) "one trip" 1 (Breaker.trips b);
+  Alcotest.(check int) "one trip" 1 (Obs.Metrics.read Breaker.counters b "breaker.trips");
   Alcotest.(check bool) "other sites unaffected" true (Breaker.allowed b 1)
 
 let test_breaker_ok_resets_streak () =
@@ -508,7 +508,8 @@ let test_heartbeat_pings_on_period () =
   Array.iteri
     (fun site c -> Alcotest.(check int) (Printf.sprintf "site %d" site) 11 c)
     pings;
-  Alcotest.(check int) "pings_sent totals" 33 (Heartbeat.pings_sent hb)
+  Alcotest.(check int) "pings_sent totals" 33
+    (Obs.Metrics.read Heartbeat.counters hb "heartbeat.pings")
 
 let test_heartbeat_detects_and_rehabilitates () =
   let engine, hb, down, _ = monitor_setup () in

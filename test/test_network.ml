@@ -15,8 +15,8 @@ let test_delivery () =
   Network.send net ~src:0 ~dst:1 "hello";
   Engine.run engine;
   Alcotest.(check bool) "delivered" true (!received = [ (0, "hello") ]);
-  Alcotest.(check int) "sent" 1 (Network.sent net);
-  Alcotest.(check int) "delivered count" 1 (Network.delivered net)
+  Alcotest.(check int) "sent" 1 (Network.count net "net.sent");
+  Alcotest.(check int) "delivered count" 1 (Network.count net "net.delivered")
 
 let test_latency_applied () =
   let engine, net = make ~latency:(Latency.Constant 7.0) () in
@@ -34,7 +34,7 @@ let test_crash_drops () =
   Network.send net ~src:0 ~dst:1 ();
   Engine.run engine;
   Alcotest.(check int) "nothing delivered" 0 !got;
-  Alcotest.(check int) "dropped_crash" 1 (Network.dropped_crash net);
+  Alcotest.(check int) "dropped_crash" 1 (Network.count net "net.dropped.crash");
   (* Recovery restores delivery. *)
   Network.recover net 1;
   Network.send net ~src:0 ~dst:1 ();
@@ -75,7 +75,7 @@ let test_partition () =
   Alcotest.(check int) "same side delivered" 1 got.(1);
   Alcotest.(check int) "cross partition dropped" 0 got.(2);
   Alcotest.(check int) "dropped_partition" 1
-    (Network.dropped_partition net);
+    (Network.count net "net.dropped.partition");
   Network.heal net;
   Network.send net ~src:0 ~dst:2 ();
   Engine.run engine;
@@ -167,17 +167,6 @@ let test_random_crash_recovery_stats () =
   Alcotest.(check (float 1e-9)) "steady-state availability" (100.0 /. 120.0)
     (Failure.steady_state_availability ~mtbf:100.0 ~mttr:20.0)
 
-let test_crash_fraction () =
-  let rng = Dsutil.Rng.create 59 in
-  let entries = Failure.crash_fraction ~rng ~n:10 ~at:5.0 ~fraction:0.3 in
-  Alcotest.(check int) "three crashes" 3 (List.length entries);
-  let sites =
-    List.map
-      (fun e -> match e.Failure.event with Failure.Crash i -> i | _ -> -1)
-      entries
-  in
-  Alcotest.(check int) "distinct sites" 3 (List.length (List.sort_uniq compare sites))
-
 (* Crash/recover are transitions, not commands: redundant calls must not
    re-fire hooks (a replica would otherwise wipe its store twice, or
    re-enter catch-up while already serving). *)
@@ -243,23 +232,6 @@ let test_failure_apply_sorts () =
   Alcotest.(check bool) "sorted before scheduling" true
     (List.sort compare !up_at = [ (1.5, false); (2.5, true) ])
 
-let test_crash_fraction_edges () =
-  let rng = Dsutil.Rng.create 11 in
-  Alcotest.(check int) "fraction 0 crashes nobody" 0
-    (List.length (Failure.crash_fraction ~rng ~n:10 ~at:1.0 ~fraction:0.0));
-  let all = Failure.crash_fraction ~rng ~n:10 ~at:1.0 ~fraction:1.0 in
-  let sites =
-    List.map
-      (fun e -> match e.Failure.event with Failure.Crash i -> i | _ -> -1)
-      all
-  in
-  Alcotest.(check int) "fraction 1 crashes everybody" 10
-    (List.length (List.sort_uniq compare sites));
-  Alcotest.(check bool) "single site" true
-    (match Failure.crash_fraction ~rng ~n:1 ~at:1.0 ~fraction:1.0 with
-    | [ { Failure.time = 1.0; event = Failure.Crash 0 } ] -> true
-    | _ -> false)
-
 (* Each site's renewal process must strictly alternate crash → recover in
    time order — two consecutive crashes would make a schedule that
    [Failure.apply]'s idempotent transitions silently swallow. *)
@@ -291,14 +263,14 @@ let test_no_handler_counter () =
   let engine, net = make () in
   Network.send net ~src:0 ~dst:1 ();
   Engine.run engine;
-  Alcotest.(check int) "no_handler" 1 (Network.dropped_no_handler net);
-  Alcotest.(check int) "not a crash" 0 (Network.dropped_crash net);
+  Alcotest.(check int) "no_handler" 1 (Network.count net "net.dropped.no_handler");
+  Alcotest.(check int) "not a crash" 0 (Network.count net "net.dropped.crash");
   (* A genuinely crashed destination still books as a crash drop. *)
   Network.crash net 2;
   Network.send net ~src:0 ~dst:2 ();
   Engine.run engine;
-  Alcotest.(check int) "crash unchanged by wiring bugs" 1 (Network.dropped_crash net);
-  Alcotest.(check int) "no_handler stays" 1 (Network.dropped_no_handler net)
+  Alcotest.(check int) "crash unchanged by wiring bugs" 1 (Network.count net "net.dropped.crash");
+  Alcotest.(check int) "no_handler stays" 1 (Network.count net "net.dropped.no_handler")
 
 (* Wrapping every installed handler observes each delivery once, before
    the site's own handler runs: here, a write's full 2PC message flow. *)
@@ -322,7 +294,7 @@ let test_wrapped_handlers () =
   Replication.Coordinator.write coord ~key:1 ~value:"x" (fun r -> ok := r <> None);
   Engine.run engine;
   Alcotest.(check bool) "write completed" true !ok;
-  Alcotest.(check int) "one line per delivery" (Network.delivered net) (List.length !seen);
+  Alcotest.(check int) "one line per delivery" (Network.count net "net.delivered") (List.length !seen);
   let count prefix =
     List.length (List.filter (String.starts_with ~prefix) !seen)
   in
@@ -407,13 +379,13 @@ let test_loss_rate_midrun_counter_consistency () =
   done;
   Engine.run engine;
   Alcotest.(check int) "no drops at rate 0" 0
-    (Network.dropped_loss net);
+    (Network.count net "net.dropped.loss");
   Network.set_loss_rate net 0.9;
   for _ = 1 to 200 do
     Network.send net ~src:0 ~dst:1 ()
   done;
   Engine.run engine;
-  let before_attach = Network.dropped_loss net in
+  let before_attach = Network.count net "net.dropped.loss" in
   Alcotest.(check bool) "raised rate drops" true (before_attach > 0);
   let obs = Obs.create () in
   Network.attach_obs net obs;
@@ -427,10 +399,10 @@ let test_loss_rate_midrun_counter_consistency () =
   done;
   Engine.run engine;
   Alcotest.(check int) "no further drops after reset" before_attach
-    (Network.dropped_loss net);
-  Alcotest.(check int) "sources agree at the end" (Network.dropped_loss net)
+    (Network.count net "net.dropped.loss");
+  Alcotest.(check int) "sources agree at the end" (Network.count net "net.dropped.loss")
     (Obs.Metrics.counter_of m "net.dropped.loss");
-  Alcotest.(check int) "delivered seed agrees too" (Network.delivered net)
+  Alcotest.(check int) "delivered seed agrees too" (Network.count net "net.delivered")
     (Obs.Metrics.counter_of m "net.delivered")
 
 (* -- Overload model ------------------------------------------------------ *)
@@ -465,8 +437,8 @@ let test_overload_drop_counter () =
   Engine.run engine;
   Alcotest.(check int) "peak tracks bound" 2 (Network.queue_peak net 1);
   Alcotest.(check int) "two delivered" 2 !got;
-  Alcotest.(check int) "dropped.overload" 4 (Network.dropped_overload net);
-  Alcotest.(check int) "not conflated with loss" 0 (Network.dropped_loss net);
+  Alcotest.(check int) "dropped.overload" 4 (Network.count net "net.dropped.overload");
+  Alcotest.(check int) "not conflated with loss" 0 (Network.count net "net.dropped.loss");
   Alcotest.(check int) "drained" 0 (Network.queue_depth net 1)
 
 let test_overflow_callback_and_priority () =
@@ -491,7 +463,7 @@ let test_overflow_callback_and_priority () =
     [ (2, "b"); (3, "c") ]
     (List.rev !overflowed);
   Alcotest.(check int) "counted" 2
-    (Network.dropped_overload net)
+    (Network.count net "net.dropped.overload")
 
 let test_crash_clears_service_queue () =
   let engine, net = make ~latency:(Latency.Constant 0.0) () in
@@ -506,7 +478,7 @@ let test_crash_clears_service_queue () =
   Engine.run engine;
   Alcotest.(check int) "only the head was served" 1 !got;
   Alcotest.(check int) "queued messages die with the crash" 3
-    (Network.dropped_crash net);
+    (Network.count net "net.dropped.crash");
   Alcotest.(check int) "queue empty" 0 (Network.queue_depth net 1);
   (* Recovery serves fresh traffic; no stale completion fires. *)
   Network.recover net 1;
@@ -550,15 +522,12 @@ let suite =
     Alcotest.test_case "failure schedule" `Quick test_failure_schedule;
     Alcotest.test_case "random crash/recovery schedule" `Quick
       test_random_crash_recovery_stats;
-    Alcotest.test_case "crash fraction" `Quick test_crash_fraction;
     Alcotest.test_case "crash hooks fire once per transition" `Quick
       test_crash_hooks_idempotent;
     Alcotest.test_case "failure apply rejects past entries" `Quick
       test_failure_apply_rejects_past;
     Alcotest.test_case "failure apply sorts entries" `Quick
       test_failure_apply_sorts;
-    Alcotest.test_case "crash fraction edge cases" `Quick
-      test_crash_fraction_edges;
     Alcotest.test_case "random crash/recovery alternates per site" `Quick
       test_random_crash_recovery_alternates;
     Alcotest.test_case "no-handler drop counter" `Quick test_no_handler_counter;

@@ -43,7 +43,8 @@ let test_replica_sheds_above_watermark () =
   Alcotest.(check bool) "some requests shed" true (!busy > 0);
   Alcotest.(check bool) "some requests served" true (!replies > 0);
   Alcotest.(check int) "all accounted" 5 (!busy + !replies);
-  Alcotest.(check int) "sheds counter matches" !busy (Replica.sheds replica)
+  Alcotest.(check int) "sheds counter matches" !busy
+    (Replica.count replica "replica.shed")
 
 let test_replica_peer_reads_never_shed () =
   (* Same load, but from a peer replica site (src < universe): the
@@ -65,7 +66,7 @@ let test_replica_peer_reads_never_shed () =
   done;
   Engine.run engine;
   Alcotest.(check int) "peer catch-up reads all served" 5 !replies;
-  Alcotest.(check int) "nothing shed" 0 (Replica.sheds replica)
+  Alcotest.(check int) "nothing shed" 0 (Replica.count replica "replica.shed")
 
 let test_admission_rejects_negative_watermark () =
   Alcotest.check_raises "negative watermark"
@@ -100,7 +101,7 @@ let rpc_messages_with_deadline deadline =
   | `Done None -> ()
   | `Done (Some _) -> Alcotest.fail "query cannot succeed without replicas"
   | `Pending -> Alcotest.fail "query never resolved");
-  Network.sent net
+  Network.count net "net.sent"
 
 let test_rpc_deadline_boundary () =
   (* Retry would start at 10 + 5 = op start + deadline exactly: the >=
@@ -131,7 +132,8 @@ let test_rpc_budget_suppresses_retries () =
   Coordinator.read coord ~key:0 (fun r -> result := `Done r);
   Engine.run engine;
   Alcotest.(check bool) "failed fast" true (!result = `Done None);
-  Alcotest.(check int) "retry suppressed" 1 (Coordinator.retries_suppressed coord);
+  Alcotest.(check int) "retry suppressed" 1
+    (Coordinator.count coord "coord.retries_suppressed");
   Alcotest.(check int) "budget counted it" 1 (Detect.Budget.suppressed budget)
 
 let test_rpc_breaker_steers_quorums () =
@@ -198,7 +200,7 @@ let test_coordinator_busy_counts_and_retries () =
   Engine.run engine;
   Alcotest.(check bool) "operation resolved" true (!result <> `Pending);
   Alcotest.(check bool) "coordinator saw Busy nacks" true
-    (Coordinator.busy_received coord > 0)
+    (Coordinator.count coord "coord.busy_received" > 0)
 
 (* -- Harness overload scenario ------------------------------------------- *)
 
@@ -244,9 +246,9 @@ let test_harness_overload_smoke () =
   Alcotest.(check bool) "queues actually filled" true
     (report.Harness.queue_peak > 0);
   Alcotest.(check bool) "admission control engaged" true
-    (report.Harness.replica_sheds > 0);
+    (Harness.count report "replica.shed" > 0);
   Alcotest.(check bool) "coordinators saw the sheds" true
-    (report.Harness.busy_received > 0);
+    (Harness.count report "coord.busy_received" > 0);
   Alcotest.(check int) "overload cost no safety" 0
     report.Harness.safety_violations;
   Alcotest.(check int) "completions counted once per success"
@@ -259,11 +261,11 @@ let test_harness_overload_deterministic () =
   Alcotest.(check bool) "same seed, same overload run" true
     (r1.Harness.reads_ok = r2.Harness.reads_ok
     && r1.Harness.writes_ok = r2.Harness.writes_ok
-    && r1.Harness.replica_sheds = r2.Harness.replica_sheds
-    && r1.Harness.busy_received = r2.Harness.busy_received
-    && r1.Harness.retries_suppressed = r2.Harness.retries_suppressed
-    && r1.Harness.overload_drops = r2.Harness.overload_drops
-    && r1.Harness.breaker_trips = r2.Harness.breaker_trips
+    && Harness.count r1 "replica.shed" = Harness.count r2 "replica.shed"
+    && Harness.count r1 "coord.busy_received" = Harness.count r2 "coord.busy_received"
+    && Harness.count r1 "coord.retries_suppressed" = Harness.count r2 "coord.retries_suppressed"
+    && Harness.count r1 "net.dropped.overload" = Harness.count r2 "net.dropped.overload"
+    && Harness.count r1 "breaker.trips" = Harness.count r2 "breaker.trips"
     && r1.Harness.completions = r2.Harness.completions)
 
 let test_harness_no_overload_unchanged () =
@@ -275,12 +277,13 @@ let test_harness_no_overload_unchanged () =
     { (Harness.default_scenario ~proto) with Harness.n_clients = 2; seed = 5 }
   in
   let report = Harness.run scenario in
-  Alcotest.(check int) "no sheds" 0 report.Harness.replica_sheds;
-  Alcotest.(check int) "no busy" 0 report.Harness.busy_received;
+  Alcotest.(check int) "no sheds" 0 (Harness.count report "replica.shed");
+  Alcotest.(check int) "no busy" 0 (Harness.count report "coord.busy_received");
   Alcotest.(check int) "no suppressed retries" 0
-    report.Harness.retries_suppressed;
-  Alcotest.(check int) "no overload drops" 0 report.Harness.overload_drops;
-  Alcotest.(check int) "no breaker" 0 report.Harness.breaker_trips;
+    (Harness.count report "coord.retries_suppressed");
+  Alcotest.(check int) "no overload drops" 0
+    (Harness.count report "net.dropped.overload");
+  Alcotest.(check int) "no breaker" 0 (Harness.count report "breaker.trips");
   Alcotest.(check int) "no queues" 0 report.Harness.queue_peak
 
 (* -- Eval campaign gate --------------------------------------------------- *)

@@ -47,9 +47,9 @@ let service_trace latency =
   Engine.schedule engine ~delay:3.5 (fun () -> burst 100);
   Engine.run engine;
   Printf.bprintf b "sent=%d;del=%d;crash=%d;over=%d;peak=%d;end=%h"
-    (Network.sent net) (Network.delivered net) (Network.dropped_crash net)
-    (Network.dropped_overload net) (Network.queue_peak net 0) (Engine.now engine);
-  (!depth_at_crash, Network.dropped_overload net, Buffer.contents b)
+    (Network.count net "net.sent") (Network.count net "net.delivered")
+    (Network.count net "net.dropped.crash") (Network.count net "net.dropped.overload") (Network.queue_peak net 0) (Engine.now engine);
+  (!depth_at_crash, Network.count net "net.dropped.overload", Buffer.contents b)
 
 let check_service_trace name latency fp =
   let depth, overflowed, log = service_trace latency in
@@ -110,8 +110,10 @@ let test_service_model_run () =
             };
       }
   in
-  Alcotest.(check bool) "capacity overflowed" true (r.Harness.overload_drops > 0);
-  Alcotest.(check bool) "overflow answered with Busy" true (r.Harness.busy_received > 0);
+  Alcotest.(check bool) "capacity overflowed" true
+    (Harness.count r "net.dropped.overload" > 0);
+  Alcotest.(check bool) "overflow answered with Busy" true
+    (Harness.count r "coord.busy_received" > 0);
   Alcotest.(check int) "no safety violations" 0 r.Harness.safety_violations;
   Alcotest.(check string) "pinned fingerprint" "9898250bd4c6476bfeb5d545eb6cb188"
     (digest (Eval.Batching.fingerprint r))
@@ -152,23 +154,23 @@ let test_async_provisioning_run () =
         churn = Some { spares = 1; membership = []; chunk_size = 1; fence = true };
       }
   in
-  Alcotest.(check bool) "transfers ran" true (a.Harness.provision_runs > 0);
+  Alcotest.(check bool) "transfers ran" true (Harness.count a "provision.runs" > 0);
   Alcotest.(check bool) "resumed from a durable mark" true
-    (a.Harness.provision_resumes > 0);
+    (Harness.count a "provision.resumes" > 0);
   Alcotest.(check bool) "the crash truncated the log" true
-    (a.Harness.wal_records_lost > 0);
+    (Harness.count a "replica.wal.lost" > 0);
   Alcotest.(check bool) "recovery replayed the log" true
-    (a.Harness.wal_records_replayed > 0);
+    (Harness.count a "replica.wal.replayed" > 0);
   let fp =
     Printf.sprintf
       "dur=%h;r=%d/%d;w=%d/%d;retries=%d;sv=%d;pv=%d/%d/%d/%d/%d/%d;fr=%d;wal=%d/%d;inc=%s;st=%s;del=%d"
       a.Harness.duration a.Harness.reads_ok a.Harness.reads_failed
-      a.Harness.writes_ok a.Harness.writes_failed a.Harness.retries
-      a.Harness.safety_violations a.Harness.provision_runs
-      a.Harness.provision_chunks a.Harness.provision_resumes
-      a.Harness.provision_donor_failovers a.Harness.provision_rounds
-      a.Harness.provision_stale a.Harness.failed_rejoins
-      a.Harness.wal_records_replayed a.Harness.wal_records_lost
+      a.Harness.writes_ok a.Harness.writes_failed (Harness.count a "coord.retries")
+      a.Harness.safety_violations (Harness.count a "provision.runs")
+      (Harness.count a "provision.chunks") (Harness.count a "provision.resumes")
+      (Harness.count a "provision.donor_failovers") (Harness.count a "provision.rounds")
+      (Harness.count a "provision.stale") (Harness.count a "replica.rejoin.failed")
+      (Harness.count a "replica.wal.replayed") (Harness.count a "replica.wal.lost")
       (String.concat "," (Array.to_list (Array.map string_of_int a.Harness.replica_incarnations)))
       (String.concat "," (Array.to_list a.Harness.replica_status))
       a.Harness.messages_delivered

@@ -82,9 +82,9 @@ let test_basic_provisioning_rejoin () =
   let r = ctx.replicas.(site) in
   check_restored ctx site;
   Alcotest.(check bool) "serving again" true (Replica.is_serving r);
-  Alcotest.(check int) "one transfer" 1 (Replica.provision_runs r);
-  Alcotest.(check int) "ceil(8/2) chunks" 4 (Replica.provision_chunks r);
-  Alcotest.(check int) "no failover" 0 (Replica.provision_donor_failovers r);
+  Alcotest.(check int) "one transfer" 1 (Replica.count r "provision.runs");
+  Alcotest.(check int) "ceil(8/2) chunks" 4 (Replica.count r "provision.chunks");
+  Alcotest.(check int) "no failover" 0 (Replica.count r "provision.donor_failovers");
   let m = Obs.metrics obs in
   Alcotest.(check int) "provision.chunks counter" 4
     (Obs.Metrics.counter_of m "provision.chunks");
@@ -109,9 +109,9 @@ let test_recipient_crash_resumes () =
   check_restored ctx site;
   Alcotest.(check bool) "serving again" true (Replica.is_serving r);
   Alcotest.(check bool) "resumed from a durable mark" true
-    (Replica.provision_resumes r >= 1);
+    (Replica.count r "provision.resumes" >= 1);
   Alcotest.(check bool) "no chunk refetched" true
-    (Replica.provision_chunks r <= key_space)
+    (Replica.count r "provision.chunks" <= key_space)
 
 (* Crash the donor mid-transfer: the watchdog fires, the recipient fails
    over to another donor and the transfer still completes. *)
@@ -130,7 +130,7 @@ let test_donor_crash_fails_over () =
   check_restored ctx site;
   Alcotest.(check bool) "serving again" true (Replica.is_serving r);
   Alcotest.(check bool) "failed over" true
-    (Replica.provision_donor_failovers r >= 1)
+    (Replica.count r "provision.donor_failovers" >= 1)
 
 (* Fencing: with [fence] the rejoiner stays out of quorums until the WAL
    tail lands; without it, it serves (stale) immediately — the negative
@@ -206,7 +206,8 @@ let test_catchup_exhaustion_is_terminal_failed_rejoin () =
     (Replica.is_failed_rejoin r);
   Alcotest.(check string) "status label" "failed-rejoin"
     (Replica.status_label r);
-  Alcotest.(check int) "failed_rejoins counted" 1 (Replica.failed_rejoins r);
+  Alcotest.(check int) "failed_rejoins counted" 1
+    (Replica.count r "replica.rejoin.failed");
   Alcotest.(check int) "obs counter" 1
     (Obs.Metrics.counter_of (Obs.metrics obs) "replica.rejoin.failed");
   Alcotest.(check bool) "not serving" false (Replica.is_serving r);

@@ -81,7 +81,7 @@ let test_amnesia_replay_restores_commits () =
   Alcotest.(check int) "incarnation bumped once" 1 (Replica.incarnation r);
   Alcotest.(check bool) "serving again" true (Replica.is_serving r);
   Alcotest.(check bool) "replayed records" true
-    (Replica.wal_records_replayed r > 0);
+    (Replica.count r "replica.wal.replayed" > 0);
   let ts, value = Store.read (Replica.store r) ~key:1 in
   Alcotest.(check string) "committed write restored" "hello" value;
   Alcotest.(check int) "at its version" 1 ts.Timestamp.version
@@ -107,7 +107,7 @@ let test_fail_stop_keeps_memory () =
   let r = ctx.replicas.(site) in
   Alcotest.(check int) "incarnation unchanged" 0 (Replica.incarnation r);
   Alcotest.(check bool) "still serving" true (Replica.is_serving r);
-  Alcotest.(check int) "no replay" 0 (Replica.wal_records_replayed r);
+  Alcotest.(check int) "no replay" 0 (Replica.count r "replica.wal.replayed");
   Alcotest.(check bool) "memory survived" true
     (snd (Store.read (Replica.store r) ~key:1) = "hello")
 
@@ -129,7 +129,7 @@ let test_catchup_freshens_lost_keys () =
   Network.recover ctx.net 3;
   Engine.run ctx.engine;
   Alcotest.(check bool) "caught up" true (Replica.is_serving r);
-  Alcotest.(check int) "one catch-up run" 1 (Replica.catchup_runs r);
+  Alcotest.(check int) "one catch-up run" 1 (Replica.count r "replica.catchup.runs");
   Alcotest.(check bool) "key restored" true
     (snd (Store.read (Replica.store r) ~key:1) = "hello")
 
@@ -146,7 +146,7 @@ let test_catchup_abandons_without_peers () =
   Engine.run ctx.engine;
   let r = ctx.replicas.(0) in
   Alcotest.(check bool) "not serving" false (Replica.is_serving r);
-  Alcotest.(check int) "abandoned" 1 (Replica.catchup_abandoned r)
+  Alcotest.(check int) "abandoned" 1 (Replica.count r "replica.catchup.abandoned")
 
 (* Incarnation fencing: a Commit stamped with a pre-crash incarnation must
    be nacked, never applied — the staged write it refers to died with the
@@ -165,7 +165,7 @@ let test_stale_commit_nacked () =
     (Message.Commit
        { op = 99; inc = 0; reply = Message.Commit_ack { op = 99; inc = 0 } });
   Engine.run ctx.engine;
-  Alcotest.(check int) "nack counter" 1 (Replica.stale_commits_nacked r);
+  Alcotest.(check int) "nack counter" 1 (Replica.count r "replica.stale_inc.nacked");
   match !nacks with
   | [ Message.Prepare_nack { op = 99; reason } ] ->
     Alcotest.(check string) "reason" "stale-incarnation" reason
@@ -212,7 +212,7 @@ let test_carried_reply_incarnation () =
   | Message.Prepare_nack { op = 11; reason } ->
     Alcotest.(check string) "reason" "stale-incarnation" reason
   | _ -> Alcotest.fail "expected a stale-incarnation nack");
-  Alcotest.(check int) "nack counter" 1 (Replica.stale_commits_nacked r);
+  Alcotest.(check int) "nack counter" 1 (Replica.count r "replica.stale_inc.nacked");
   let commit_ack = Message.Commit_ack { op = 11; inc = 1 } in
   Alcotest.(check bool) "current incarnation echoes the carried commit ack" true
     (deliver ~dst:0 (Message.Commit { op = 11; inc = 1; reply = commit_ack })
@@ -259,9 +259,9 @@ let test_amnesia_campaign_consistent () =
   Alcotest.(check bool) "replicas actually rejoined" true
     (Array.exists (fun i -> i > 0) r.Harness.replica_incarnations);
   Alcotest.(check bool) "catch-ups completed" true
-    (r.Harness.catchup_runs > 0);
+    (Harness.count r "replica.catchup.runs" > 0);
   Alcotest.(check bool) "WAL replay happened" true
-    (r.Harness.wal_records_replayed > 0);
+    (Harness.count r "replica.wal.replayed" > 0);
   (* Liveness: once the churn stops, every replica works its way back to
      serving — recovering replicas answering each other's catch-up reads
      is what breaks the mutual-standoff deadlock. *)

@@ -1,7 +1,7 @@
 (* One counter source: the registry of a traced run holds the components'
    own counter handles.  Its names are exactly the docs/PROTOCOL.md §8
-   catalogue, and the harness report, which sums the same handles, equals
-   it under every name. *)
+   catalogue, and the harness report's counter snapshot, which sums the
+   same handles, equals it under every name. *)
 
 module Harness = Replication.Harness
 module Shard_harness = Replication.Shard_harness
@@ -73,26 +73,51 @@ let batched () =
 
 (* A provisioning rejoin through a churn run without spares: a snapshot
    + tail transfer when site 1 comes back. *)
-let provisioning obs =
-  let scenario =
-    {
-      (Harness.default_scenario ~proto:(proto ())) with
-      n_clients = 3;
-      ops_per_client = 30;
-      seed = 3;
-      failures =
-        [
-          { Failure.time = 20.0; event = Failure.Crash 1 };
-          { Failure.time = 60.0; event = Failure.Recover 1 };
-        ];
-      churn = Some { spares = 0; membership = []; chunk_size = 2; fence = true };
-    }
-  in
-  ignore (Harness.run ~obs scenario)
+let provisioning () =
+  {
+    (Harness.default_scenario ~proto:(proto ())) with
+    n_clients = 3;
+    ops_per_client = 30;
+    seed = 3;
+    failures =
+      [
+        { Failure.time = 20.0; event = Failure.Crash 1 };
+        { Failure.time = 60.0; event = Failure.Recover 1 };
+      ];
+    churn = Some { spares = 0; membership = []; chunk_size = 2; fence = true };
+  }
 
-let transactions obs =
+let transactions () =
   let tree = Arbitrary.Config.build Arbitrary.Config.Arbitrary ~n:13 in
-  ignore (Harness.run ~obs (Harness.txn_scenario ~proto:(Arbitrary.Quorums.protocol tree)))
+  Harness.txn_scenario ~proto:(Arbitrary.Quorums.protocol tree)
+
+(* Heartbeat monitors instead of the oracle, under amnesia crashes: the
+   only cell here whose clients ping. *)
+let heartbeat () =
+  {
+    (Harness.default_scenario ~proto:(proto ())) with
+    n_clients = 2;
+    ops_per_client = 10;
+    seed = 5;
+    crash_mode = Dsim.Network.Amnesia;
+    failures =
+      [
+        { Failure.time = 5.0; event = Failure.Crash 2 };
+        { Failure.time = 30.0; event = Failure.Recover 2 };
+      ];
+    detector = Harness.Heartbeat { Detect.Heartbeat.period = 5.0 };
+  }
+
+(* Every scenario of this file, as a run that returns its report. *)
+let runs =
+  [
+    ("S=4 overload+amnesia",
+     fun obs -> (Shard_harness.run ?obs (overloaded_amnesia ())).agg);
+    ("batched", fun obs -> Harness.run ?obs (batched ()));
+    ("provisioning", fun obs -> Harness.run ?obs (provisioning ()));
+    ("transactions", fun obs -> Harness.run ?obs (transactions ()));
+    ("heartbeat", fun obs -> Harness.run ?obs (heartbeat ()));
+  ]
 
 let names obs =
   let m = Obs.metrics obs in
@@ -148,10 +173,7 @@ let test_matcher () =
 
 let test_catalogue_matches_registry () =
   let obs = Obs.create () in
-  ignore (Shard_harness.run ~obs (overloaded_amnesia ()));
-  ignore (Harness.run ~obs (batched ()));
-  provisioning obs;
-  transactions obs;
+  List.iter (fun (_, run) -> ignore (run (Some obs))) runs;
   let emitted = List.sort_uniq String.compare (names obs) in
   let catalogue = catalogue () in
   Alcotest.(check bool) "catalogue parsed" true (List.length catalogue > 40);
@@ -172,59 +194,44 @@ let test_catalogue_matches_registry () =
 
 (* --- report = registry ----------------------------------------------------- *)
 
-let sum = Array.fold_left ( + ) 0
+(* A transaction run's tally reads every counter after the snapshot is
+   taken, in batches over the same networks and replicas, so the registry
+   also holds its messages, their coalesced ops and the replicas' reads;
+   nothing else moves after the snapshot. *)
+let tally_moves = [ "net.sent"; "net.delivered"; "net.coalesced"; "replica.reads_served" ]
+
+let check_snapshot label ~tally (r : Harness.report) m =
+  List.iter
+    (fun (name, v) ->
+      let registry = Metrics.counter_of m name in
+      if tally && List.mem name tally_moves then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s = %d before the tally <= %d" label name v registry)
+          true (v <= registry)
+      else Alcotest.(check int) (label ^ ": " ^ name) registry v)
+    (Harness.counters r)
 
 let test_report_equals_registry () =
   let obs = Obs.create () in
   let traced = (Shard_harness.run ~obs (overloaded_amnesia ())).Shard_harness.agg in
   let untraced = (Shard_harness.run (overloaded_amnesia ())).Shard_harness.agg in
   let r = traced and m = Obs.metrics obs in
+  let count = Harness.count r in
   Alcotest.(check bool) "the run crashed, shed and retried" true
-    (r.Harness.catchup_runs > 0 && r.Harness.replica_sheds > 0 && r.Harness.retries > 0);
-  let dropped =
-    List.fold_left
-      (fun acc why -> acc + Metrics.counter_of m ("net.dropped." ^ why))
-      0
-      [ "loss"; "crash"; "partition"; "no_handler"; "overload" ]
-  in
-  Alcotest.(check int) "messages_dropped = net.dropped.*" r.Harness.messages_dropped
-    dropped;
-  List.iter
-    (fun (name, v) -> Alcotest.(check int) name v (Metrics.counter_of m name))
-    [
-      ("coord.reads.ok", r.Harness.reads_ok);
-      ("coord.reads.failed", r.Harness.reads_failed);
-      ("coord.writes.ok", r.Harness.writes_ok);
-      ("coord.writes.failed", r.Harness.writes_failed);
-      ("coord.retries", r.Harness.retries);
-      ("coord.deadline_exceeded", r.Harness.deadline_exceeded);
-      ("coord.stale_inc.rejected", r.Harness.stale_incarnation_rejections);
-      ("coord.busy_received", r.Harness.busy_received);
-      ("coord.retries_suppressed", r.Harness.retries_suppressed);
-      ("coord.batches", r.Harness.batches);
-      ("net.sent", r.Harness.messages_sent);
-      ("net.delivered", r.Harness.messages_delivered);
-      ("net.dropped.overload", r.Harness.overload_drops);
-      ("net.coalesced", r.Harness.coalesced_ops);
-      ("breaker.trips", r.Harness.breaker_trips);
-      ("replica.reads_served", sum r.Harness.replica_reads_served);
-      ("replica.prepares_seen", sum r.Harness.replica_prepares_seen);
-      ("replica.writes_applied", sum r.Harness.replica_writes_applied);
-      ("replica.recoveries", sum r.Harness.replica_incarnations);
-      ("replica.shed", r.Harness.replica_sheds);
-      ("replica.stale_inc.nacked", r.Harness.stale_commits_nacked);
-      ("replica.wal.replayed", r.Harness.wal_records_replayed);
-      ("replica.catchup.runs", r.Harness.catchup_runs);
-      ("replica.catchup.keys_installed", r.Harness.catchup_keys_installed);
-      ("replica.catchup.abandoned", r.Harness.catchup_abandoned);
-      ("replica.rejoin.failed", r.Harness.failed_rejoins);
-      ("provision.runs", r.Harness.provision_runs);
-      ("provision.chunks", r.Harness.provision_chunks);
-      ("provision.resumes", r.Harness.provision_resumes);
-      ("provision.donor_failovers", r.Harness.provision_donor_failovers);
-      ("provision.rounds", r.Harness.provision_rounds);
-      ("provision.stale", r.Harness.provision_stale);
-    ];
+    (count "replica.catchup.runs" > 0 && count "replica.shed" > 0 && count "coord.retries" > 0);
+  check_snapshot "S=4" ~tally:false r m;
+  Alcotest.(check (list int)) "the kept fields read the snapshot"
+    (List.map count
+       [ "coord.reads.ok"; "coord.reads.failed"; "coord.writes.ok"; "coord.writes.failed";
+         "net.sent"; "net.delivered"; "replica.wal.syncs" ])
+    [ r.Harness.reads_ok; r.reads_failed; r.writes_ok; r.writes_failed; r.messages_sent;
+      r.messages_delivered; r.wal_syncs ];
+  Alcotest.(check int) "messages_dropped = net.dropped.*"
+    (List.fold_left
+       (fun acc why -> acc + Metrics.counter_of m ("net.dropped." ^ why))
+       0
+       [ "loss"; "crash"; "partition"; "no_handler"; "overload" ])
+    (Harness.messages_dropped r);
   (* Latency summaries compare by their samples (a [Stats.t]'s spare
      capacity is uninitialized); everything else structurally. *)
   let samples st =
@@ -248,6 +255,36 @@ let test_report_equals_registry () =
   Alcotest.(check bool) "traced report = untraced report, spans aside" true
     (rest traced = rest untraced)
 
+(* The other scenarios: the snapshot equals the registry under every
+   name, and an untraced run takes the same snapshot, since counting never
+   depends on the registry. *)
+let test_snapshots () =
+  List.iter
+    (fun (label, run) ->
+      let obs = Obs.create () in
+      let traced = run (Some obs) in
+      check_snapshot label ~tally:(label = "transactions") traced (Obs.metrics obs);
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": untraced snapshot = traced snapshot")
+        (Harness.counters traced)
+        (Harness.counters (run None)))
+    (List.tl runs)
+
+let test_unknown_names_raise () =
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  let r = Harness.run (batched ()) in
+  Alcotest.(check bool) "Harness.count" true
+    (raises (fun () -> Harness.count r "coord.retry"));
+  let engine = Dsim.Engine.create ~seed:1 () in
+  let net = Dsim.Network.create ~engine ~n:1 () in
+  let replica = Replication.Replica.create ~site:0 ~net () in
+  Alcotest.(check int) "Replica.count reads a known name" 0
+    (Replication.Replica.count replica "replica.reads_served");
+  Alcotest.(check bool) "Replica.count" true
+    (raises (fun () -> Replication.Replica.count replica "replica.read_served"))
+
 let suite =
   [
     Alcotest.test_case "catalogue pattern matcher" `Quick test_matcher;
@@ -255,4 +292,7 @@ let suite =
       test_catalogue_matches_registry;
     Alcotest.test_case "report = registry on S=4 overload+amnesia" `Quick
       test_report_equals_registry;
+    Alcotest.test_case "snapshot = registry, traced or not, on every scenario" `Quick
+      test_snapshots;
+    Alcotest.test_case "count raises on an unknown name" `Quick test_unknown_names_raise;
   ]

@@ -147,19 +147,20 @@ let test_metrics_counted () =
   ignore (do_write ctx 1 "a");
   ignore (do_read ctx 1);
   (match do_read ctx 9 with _ -> ());
-  Alcotest.(check int) "writes ok" 1 (Coordinator.writes_ok ctx.coord);
-  Alcotest.(check int) "reads ok" 2 (Coordinator.reads_ok ctx.coord);
+  Alcotest.(check int) "writes ok" 1 (Coordinator.count ctx.coord "coord.writes.ok");
+  Alcotest.(check int) "reads ok" 2 (Coordinator.count ctx.coord "coord.reads.ok");
   Alcotest.(check int) "no failures" 0
-    (Coordinator.reads_failed ctx.coord + Coordinator.writes_failed ctx.coord)
+    (Coordinator.count ctx.coord "coord.reads.failed"
+    + Coordinator.count ctx.coord "coord.writes.failed")
 
 let test_replica_counters () =
   let ctx = setup () in
   ignore (do_write ctx 1 "a");
   let applied =
-    Array.fold_left (fun acc r -> acc + Replica.writes_applied r) 0 ctx.replicas
+    Array.fold_left (fun acc r -> acc + Replica.count r "replica.writes_applied") 0 ctx.replicas
   in
   let prepares =
-    Array.fold_left (fun acc r -> acc + Replica.prepares_seen r) 0 ctx.replicas
+    Array.fold_left (fun acc r -> acc + Replica.count r "replica.prepares_seen") 0 ctx.replicas
   in
   (* One write = prepares at one full level (3 or 5) and as many applies. *)
   Alcotest.(check bool) "prepares at a full level" true
@@ -197,7 +198,7 @@ let test_harness_determinism () =
 let test_harness_message_loss () =
   let r = run_scenario ~loss:0.05 (fig1_proto ()) in
   Alcotest.(check int) "no safety violations" 0 r.Harness.safety_violations;
-  Alcotest.(check bool) "some drops happened" true (r.Harness.messages_dropped > 0)
+  Alcotest.(check bool) "some drops happened" true ((Harness.messages_dropped r) > 0)
 
 let safety_under_failures proto =
   let rng = Dsutil.Rng.create 101 in
@@ -274,9 +275,9 @@ let test_read_repair_heals_stale_replica () =
   Alcotest.(check bool) "repaired ts" true
     (not (Timestamp.equal healed_ts Timestamp.zero));
   Alcotest.(check bool) "replica counted the repair" true
-    (Replica.repairs_applied ctx.replicas.(7) = 1);
+    (Replica.count ctx.replicas.(7) "replica.repairs_applied" = 1);
   Alcotest.(check bool) "coordinator counted the repair" true
-    (Coordinator.repairs_sent ctx.coord >= 1)
+    (Coordinator.count ctx.coord "coord.repairs_sent" >= 1)
 
 let test_read_repair_off_by_default () =
   let ctx = setup () in
@@ -287,7 +288,7 @@ let test_read_repair_off_by_default () =
   ignore (do_read ctx 1);
   Engine.run ctx.engine;
   Alcotest.(check int) "no repairs sent" 0
-    (Coordinator.repairs_sent ctx.coord)
+    (Coordinator.count ctx.coord "coord.repairs_sent")
 
 let test_harness_with_read_repair_under_churn () =
   let proto = fig1_proto () in

@@ -53,7 +53,8 @@ let test_s1_identity_batched () =
     "S=1 batched fingerprint == unsharded"
     (Batching.fingerprint unsharded)
     (Batching.fingerprint r.Shard_harness.agg);
-  Alcotest.(check bool) "batches engaged" true (r.Shard_harness.agg.Harness.batches > 0)
+  Alcotest.(check bool) "batches engaged" true
+    (Harness.count r.Shard_harness.agg "coord.batches" > 0)
 
 let test_s1_identity_amnesia_failures () =
   let entries seed =
@@ -241,9 +242,10 @@ let test_sharded_overload () =
   let a = r.Shard_harness.agg in
   Alcotest.(check bool) "burst clients ran" true (Harness.completed a > 4 * 30);
   Alcotest.(check bool) "queues filled to capacity" true (a.Harness.queue_peak > 6);
-  Alcotest.(check bool) "watermark shed" true (a.Harness.replica_sheds > 0);
-  Alcotest.(check bool) "busy nacks acted on" true (a.Harness.busy_received > 0);
-  Alcotest.(check bool) "a breaker tripped" true (a.Harness.breaker_trips > 0);
+  Alcotest.(check bool) "watermark shed" true (Harness.count a "replica.shed" > 0);
+  Alcotest.(check bool) "busy nacks acted on" true
+    (Harness.count a "coord.busy_received" > 0);
+  Alcotest.(check bool) "a breaker tripped" true (Harness.count a "breaker.trips" > 0);
   Array.iter
     (fun ops -> Alcotest.(check bool) "every shard served ops" true (ops > 0))
     r.Shard_harness.per_shard_ops
@@ -288,7 +290,7 @@ let test_s1_identity_overload () =
     (Batching.fingerprint unsharded)
     (Batching.fingerprint r.Shard_harness.agg);
   Alcotest.(check bool) "the crowd overloaded the tree" true
-    (unsharded.Harness.replica_sheds > 0)
+    (Harness.count unsharded "replica.shed" > 0)
 
 (* One client's per-shard coordinators share a site, a network size and
    the lock manager: their lock owners must still be distinct, or two

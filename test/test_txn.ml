@@ -46,7 +46,7 @@ let test_empty_commit () =
   let t = Txn.begin_txn ctx.m1 in
   Alcotest.(check bool) "committed" true (committed (commit_sync ctx t));
   Alcotest.(check bool) "finished" true (Txn.is_finished t);
-  Alcotest.(check int) "counted" 1 (Txn.committed ctx.m1)
+  Alcotest.(check int) "counted" 1 (Txn.count ctx.m1 "txn.committed")
 
 let test_write_then_read_other_txn () =
   let ctx = setup () in
@@ -99,7 +99,7 @@ let test_abort_discards () =
   Txn.write t ~key:4 ~value:"doomed";
   Txn.abort t;
   Alcotest.(check bool) "finished" true (Txn.is_finished t);
-  Alcotest.(check int) "aborted count" 1 (Txn.aborted ctx.m1);
+  Alcotest.(check int) "aborted count" 1 (Txn.count ctx.m1 "txn.aborted");
   let t2 = Txn.begin_txn ctx.m2 in
   Alcotest.(check (option string)) "nothing written" (Some "") (read_sync ctx t2 4);
   Txn.abort t2
@@ -241,7 +241,7 @@ let test_many_sequential_txns () =
     Txn.write t ~key:(i mod 3) ~value:(Printf.sprintf "v%d" i);
     Alcotest.(check bool) "commits" true (committed (commit_sync ctx t))
   done;
-  Alcotest.(check int) "20 committed" 20 (Txn.committed ctx.m1);
+  Alcotest.(check int) "20 committed" 20 (Txn.count ctx.m1 "txn.committed");
   let t = Txn.begin_txn ctx.m2 in
   (* Key 0 was last written by i=18. *)
   Alcotest.(check (option string)) "latest value" (Some "v18") (read_sync ctx t 0);
